@@ -79,10 +79,9 @@ fn stack_remove(stack: &mut [u8], len: &mut u8, way: u8) {
 #[derive(Debug)]
 pub struct SetUndo<T> {
     set: usize,
-    set_live: u8,
     tags: Vec<u64>,
-    meta: Vec<u8>,
-    recency: Vec<u8>,
+    /// The set's whole control block (metadata, recency stack, live count).
+    ctrl: Vec<u8>,
     data: Vec<Option<T>>,
 }
 
@@ -90,10 +89,8 @@ impl<T> Default for SetUndo<T> {
     fn default() -> Self {
         SetUndo {
             set: 0,
-            set_live: 0,
             tags: Vec::new(),
-            meta: Vec::new(),
-            recency: Vec::new(),
+            ctrl: Vec::new(),
             data: Vec::new(),
         }
     }
@@ -110,28 +107,32 @@ impl<T> Default for SetUndo<T> {
 /// All lookup/touch/remove operations take a `pred` on the payload; use
 /// `|_| true` when tags are unique (ordinary caches).
 ///
-/// Storage is struct-of-arrays: tags, one-byte line metadata, and payloads
-/// live in three parallel flat vectors, so the hit-path set scan touches
-/// only the tag and metadata lanes. Recency stacks are likewise one flat
-/// ways-per-set array plus a per-set length, with no per-set heap
-/// allocations.
+/// Storage is struct-of-arrays: tags and payloads live in two parallel
+/// flat vectors, and everything else about a set — the ways' metadata
+/// bits, the recency stack, and the live-way count — sits in one
+/// contiguous per-set control block. A lookup scans the set's tags first
+/// and reads a way's metadata and payload only on a tag match, so it
+/// touches the set's tag line(s) plus one control line.
 #[derive(Clone, Debug)]
 pub struct SetAssoc<T> {
     sets: usize,
     ways: usize,
-    /// Per-line tags (`sets × ways`, set-major).
+    /// `sets - 1`: the set index is `key & set_mask`.
+    set_mask: u64,
+    /// `log2(sets)`: the tag is `key >> set_shift`.
+    set_shift: u32,
+    /// Per-line tags (`sets × ways`, set-major). An invalid way keeps its
+    /// stale tag; lookups check `VALID` after the tag compare.
     tags: Vec<u64>,
-    /// Per-line metadata bits (`VALID`, `NRU_REF`), parallel to `tags`.
-    meta: Vec<u8>,
+    /// Per-set control blocks of `2 * ways + 1` bytes, set-major: the
+    /// ways' metadata bits (`VALID`, `NRU_REF`), then the recency stack
+    /// (way indices, MRU first, the first `live` slots in use), then the
+    /// set's live-way count `live`. The stack is maintained for both
+    /// policies (NRU victim search ignores it). Invariant: a set's stack
+    /// holds exactly its valid ways.
+    ctrl: Vec<u8>,
     /// Per-line payloads, parallel to `tags`.
     data: Vec<Option<T>>,
-    /// Flat per-set recency stacks: way indices, MRU first. The stack of
-    /// set `s` occupies `recency[s*ways..][..set_live[s]]`. Maintained for
-    /// both policies (NRU victim search ignores it). Invariant: a set's
-    /// stack holds exactly its valid ways.
-    recency: Vec<u8>,
-    /// Valid-way count per set (== its recency-stack length).
-    set_live: Vec<u8>,
     policy: Replacement,
     /// Count of valid lines (kept so `len` needs no scan).
     live: usize,
@@ -155,11 +156,11 @@ impl<T> SetAssoc<T> {
         SetAssoc {
             sets,
             ways,
+            set_mask: sets as u64 - 1,
+            set_shift: sets.trailing_zeros(),
             tags: vec![0; n],
-            meta: vec![0; n],
+            ctrl: vec![0; sets * (2 * ways + 1)],
             data,
-            recency: vec![0; n],
-            set_live: vec![0; sets],
             policy,
             live: 0,
         }
@@ -182,13 +183,10 @@ impl<T> SetAssoc<T> {
         let set = self.set_of(key);
         let r = set * self.ways..(set + 1) * self.ways;
         out.set = set;
-        out.set_live = self.set_live[set];
         out.tags.clear();
         out.tags.extend_from_slice(&self.tags[r.clone()]);
-        out.meta.clear();
-        out.meta.extend_from_slice(&self.meta[r.clone()]);
-        out.recency.clear();
-        out.recency.extend_from_slice(&self.recency[r.clone()]);
+        out.ctrl.clear();
+        out.ctrl.extend_from_slice(self.ctrl_block(set));
         out.data.clear();
         out.data.extend(self.data[r].iter().cloned());
     }
@@ -202,12 +200,12 @@ impl<T> SetAssoc<T> {
         let set = from.set;
         debug_assert_eq!(from.tags.len(), self.ways, "snapshot from this array");
         let r = set * self.ways..(set + 1) * self.ways;
-        self.live += from.set_live as usize;
-        self.live -= self.set_live[set] as usize;
-        self.set_live[set] = from.set_live;
+        let stride = self.stride();
+        let block = &mut self.ctrl[set * stride..][..stride];
+        self.live += from.ctrl[stride - 1] as usize;
+        self.live -= block[stride - 1] as usize;
+        block.copy_from_slice(&from.ctrl);
         self.tags[r.clone()].copy_from_slice(&from.tags);
-        self.meta[r.clone()].copy_from_slice(&from.meta);
-        self.recency[r.clone()].copy_from_slice(&from.recency);
         for (d, s) in self.data[r].iter_mut().zip(&from.data) {
             d.clone_from(s);
         }
@@ -237,109 +235,168 @@ impl<T> SetAssoc<T> {
 
     #[inline]
     fn set_of(&self, key: u64) -> usize {
-        (key % self.sets as u64) as usize
+        (key & self.set_mask) as usize
     }
 
     #[inline]
     fn tag_of(&self, key: u64) -> u64 {
-        key / self.sets as u64
+        key >> self.set_shift
     }
 
     #[inline]
     fn key_of(&self, set: usize, tag: u64) -> u64 {
-        tag * self.sets as u64 + set as u64
+        (tag << self.set_shift) | set as u64
+    }
+
+    /// Bytes per control block.
+    #[inline]
+    fn stride(&self) -> usize {
+        2 * self.ways + 1
     }
 
     #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    fn ctrl_block(&self, set: usize) -> &[u8] {
+        let stride = self.stride();
+        &self.ctrl[set * stride..][..stride]
     }
 
-    fn find_way(&self, key: u64, pred: impl Fn(&T) -> bool) -> Option<usize> {
+    /// Set `set`'s control block split into (metadata, recency stack, live
+    /// count).
+    #[inline]
+    fn ctrl(&self, set: usize) -> (&[u8], &[u8], u8) {
+        let w = self.ways;
+        let c = self.ctrl_block(set);
+        (&c[..w], &c[w..2 * w], c[2 * w])
+    }
+
+    /// Mutable form of [`Self::ctrl`].
+    #[inline]
+    fn ctrl_mut(&mut self, set: usize) -> (&mut [u8], &mut [u8], &mut u8) {
+        let w = self.ways;
+        let stride = self.stride();
+        let c = &mut self.ctrl[set * stride..][..stride];
+        let (meta, rest) = c.split_at_mut(w);
+        let (stack, live) = rest.split_at_mut(w);
+        (meta, stack, &mut live[0])
+    }
+
+    /// The lowest valid way of `set` holding `key` whose payload passes
+    /// `pred`. Walks the set's tags, metadata, and payloads in lockstep;
+    /// metadata and payload are read only on a tag match, so the stale tag
+    /// an invalid way keeps never matches.
+    #[inline]
+    fn find_way(&self, set: usize, key: u64, pred: impl Fn(&T) -> bool) -> Option<usize> {
+        let tag = self.tag_of(key);
+        let base = set * self.ways;
+        let (meta, _, _) = self.ctrl(set);
+        self.tags[base..base + self.ways]
+            .iter()
+            .zip(meta)
+            .zip(&self.data[base..base + self.ways])
+            .position(|((&t, &m), d)| t == tag && m & VALID != 0 && d.as_ref().is_some_and(&pred))
+    }
+
+    /// Every valid line holding `key`, lowest way first, without updating
+    /// recency — one set scan serves several payload predicates.
+    pub fn matches(&self, key: u64) -> impl Iterator<Item = &T> + '_ {
         let set = self.set_of(key);
         let tag = self.tag_of(key);
         let base = set * self.ways;
-        (0..self.ways).find(|&w| {
-            let i = base + w;
-            self.meta[i] & VALID != 0
-                && self.tags[i] == tag
-                && self.data[i].as_ref().is_some_and(&pred)
-        })
+        let (meta, _, _) = self.ctrl(set);
+        self.tags[base..base + self.ways]
+            .iter()
+            .zip(meta)
+            .zip(&self.data[base..base + self.ways])
+            .filter_map(move |((&t, &m), d)| {
+                if t == tag && m & VALID != 0 {
+                    d.as_ref()
+                } else {
+                    None
+                }
+            })
     }
 
     /// Looks up a line without updating recency.
     pub fn peek(&self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&T> {
-        self.find_way(key, pred).map(|w| {
-            self.data[self.idx(self.set_of(key), w)]
-                .as_ref()
-                .expect("valid line has data")
-        })
+        let set = self.set_of(key);
+        let way = self.find_way(set, key, pred)?;
+        self.data[set * self.ways + way].as_ref()
     }
 
     /// Mutable lookup without recency update.
     pub fn peek_mut(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&mut T> {
         let set = self.set_of(key);
-        self.find_way(key, pred).map(move |w| {
-            let i = self.idx(set, w);
-            self.data[i].as_mut().expect("valid line has data")
-        })
+        let way = self.find_way(set, key, pred)?;
+        self.data[set * self.ways + way].as_mut()
     }
 
     fn promote(&mut self, set: usize, way: usize) {
-        let base = set * self.ways;
-        stack_promote(
-            &mut self.recency[base..base + self.ways],
-            &mut self.set_live[set],
-            way as u8,
-        );
-        self.meta[base + way] |= NRU_REF;
+        let (meta, stack, live) = self.ctrl_mut(set);
+        stack_promote(stack, live, way as u8);
+        meta[way] |= NRU_REF;
     }
 
     /// Looks up a line, updating its recency (LRU promotion / NRU bit).
     /// Returns a mutable payload reference on hit.
     pub fn touch(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&mut T> {
         let set = self.set_of(key);
-        let way = self.find_way(key, pred)?;
+        let way = self.find_way(set, key, pred)?;
         self.promote(set, way);
-        let i = self.idx(set, way);
-        Some(self.data[i].as_mut().expect("valid line has data"))
+        self.data[set * self.ways + way].as_mut()
     }
 
     /// Demotes a line to the LRU position of its set without invalidating it
     /// (used for replacement-priority experiments).
     pub fn demote(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> bool {
         let set = self.set_of(key);
-        let Some(way) = self.find_way(key, pred) else {
+        let Some(way) = self.find_way(set, key, pred) else {
             return false;
         };
-        let base = set * self.ways;
-        stack_demote(
-            &mut self.recency[base..base + self.ways],
-            self.set_live[set],
-            way as u8,
-        );
-        self.meta[base + way] &= !NRU_REF;
+        let (meta, stack, live) = self.ctrl_mut(set);
+        stack_demote(stack, *live, way as u8);
+        meta[way] &= !NRU_REF;
         true
+    }
+
+    /// Invalidates a valid way and returns its payload.
+    fn take_way(&mut self, set: usize, way: usize) -> Option<T> {
+        let (meta, stack, live) = self.ctrl_mut(set);
+        stack_remove(stack, live, way as u8);
+        meta[way] = 0;
+        self.live -= 1;
+        self.data[set * self.ways + way].take()
+    }
+
+    /// Installs `data` for `key` in the invalid `way` of `set` as its MRU
+    /// line.
+    fn fill_way(&mut self, set: usize, way: usize, key: u64, data: T) {
+        let i = set * self.ways + way;
+        self.tags[i] = self.tag_of(key);
+        self.data[i] = Some(data);
+        self.live += 1;
+        self.ctrl_mut(set).0[way] = VALID;
+        self.promote(set, way);
     }
 
     /// Removes a line and returns its payload.
     pub fn remove(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<T> {
         let set = self.set_of(key);
-        let way = self.find_way(key, pred)?;
-        let base = set * self.ways;
-        stack_remove(
-            &mut self.recency[base..base + self.ways],
-            &mut self.set_live[set],
-            way as u8,
-        );
-        self.live -= 1;
-        self.meta[base + way] = 0;
-        self.data[base + way].take()
+        let way = self.find_way(set, key, pred)?;
+        self.take_way(set, way)
+    }
+
+    /// The payload of the valid line at flat index `i`.
+    #[inline]
+    fn payload(&self, i: usize) -> &T {
+        self.data[i].as_ref().expect("valid line has data")
     }
 
     fn pick_invalid_way(&self, set: usize) -> Option<usize> {
-        let base = set * self.ways;
-        (0..self.ways).find(|&w| self.meta[base + w] & VALID == 0)
+        let (meta, _, live) = self.ctrl(set);
+        if live as usize == self.ways {
+            return None;
+        }
+        meta.iter().position(|&m| m & VALID == 0)
     }
 
     /// Chooses a victim way in `set`, preferring unprotected lines and
@@ -365,47 +422,34 @@ impl<T> SetAssoc<T> {
         let bar = |this: &Self, w: usize| {
             excluded(
                 this.key_of(set, this.tags[base + w]),
-                this.data[base + w].as_ref().expect("valid line has data"),
+                this.payload(base + w),
             )
         };
         match self.policy {
             Replacement::Lru => {
-                let live = self.set_live[set] as usize;
-                debug_assert_eq!(live, self.ways, "full set has full stack");
-                for i in (0..live).rev() {
-                    let w = self.recency[base + i] as usize;
-                    if !protected(self.data[base + w].as_ref().expect("valid line has data"))
-                        && !bar(self, w)
-                    {
-                        return Some(w);
-                    }
-                }
-                // Everything unexcluded is protected: true LRU among the
-                // non-excluded lines.
-                for i in (0..live).rev() {
-                    let w = self.recency[base + i] as usize;
-                    if !bar(self, w) {
-                        return Some(w);
-                    }
-                }
-                None
+                let (_, stack, live) = self.ctrl(set);
+                debug_assert_eq!(live as usize, self.ways, "full set has full stack");
+                let lru_first = || stack[..live as usize].iter().rev().map(|&w| w as usize);
+                lru_first()
+                    .find(|&w| !protected(self.payload(base + w)) && !bar(self, w))
+                    // Everything unexcluded is protected: true LRU among
+                    // the non-excluded lines.
+                    .or_else(|| lru_first().find(|&w| !bar(self, w)))
             }
             Replacement::Nru => {
                 // Two passes: unprotected & not-referenced, then clear bits.
                 for pass in 0..2 {
-                    for w in 0..self.ways {
-                        if self.meta[base + w] & NRU_REF == 0
-                            && !protected(
-                                self.data[base + w].as_ref().expect("valid line has data"),
-                            )
+                    let (meta, _, _) = self.ctrl(set);
+                    if let Some(w) = (0..self.ways).find(|&w| {
+                        meta[w] & NRU_REF == 0
+                            && !protected(self.payload(base + w))
                             && !bar(self, w)
-                        {
-                            return Some(w);
-                        }
+                    }) {
+                        return Some(w);
                     }
                     if pass == 0 {
-                        for w in 0..self.ways {
-                            self.meta[base + w] &= !NRU_REF;
+                        for m in self.ctrl_mut(set).0 {
+                            *m &= !NRU_REF;
                         }
                     }
                 }
@@ -451,31 +495,18 @@ impl<T> SetAssoc<T> {
         excluded: impl Fn(u64, &T) -> bool,
     ) -> Result<Option<(u64, T)>, T> {
         let set = self.set_of(key);
-        let tag = self.tag_of(key);
-        let base = set * self.ways;
         let (way, evicted) = match self.pick_invalid_way(set) {
             Some(w) => (w, None),
             None => {
                 let Some(w) = self.pick_victim_way(set, protected, excluded) else {
                     return Err(data);
                 };
-                let victim_key = self.key_of(set, self.tags[base + w]);
-                stack_remove(
-                    &mut self.recency[base..base + self.ways],
-                    &mut self.set_live[set],
-                    w as u8,
-                );
-                self.live -= 1;
-                self.meta[base + w] = 0;
-                let payload = self.data[base + w].take().expect("valid line has data");
+                let victim_key = self.key_of(set, self.tags[set * self.ways + w]);
+                let payload = self.take_way(set, w).expect("valid line has data");
                 (w, Some((victim_key, payload)))
             }
         };
-        self.tags[base + way] = tag;
-        self.meta[base + way] = VALID;
-        self.data[base + way] = Some(data);
-        self.live += 1;
-        self.promote(set, way);
+        self.fill_way(set, way, key, data);
         Ok(evicted)
     }
 
@@ -488,13 +519,7 @@ impl<T> SetAssoc<T> {
         let set = self.set_of(key);
         match self.pick_invalid_way(set) {
             Some(way) => {
-                let tag = self.tag_of(key);
-                let i = self.idx(set, way);
-                self.tags[i] = tag;
-                self.meta[i] = VALID;
-                self.data[i] = Some(data);
-                self.live += 1;
-                self.promote(set, way);
+                self.fill_way(set, way, key, data);
                 Ok(())
             }
             None => Err(data),
@@ -505,17 +530,17 @@ impl<T> SetAssoc<T> {
     /// invariant checks).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
         (0..self.sets).flat_map(move |set| {
-            (0..self.ways).filter_map(move |w| {
-                let i = set * self.ways + w;
-                if self.meta[i] & VALID != 0 {
-                    Some((
-                        self.key_of(set, self.tags[i]),
-                        self.data[i].as_ref().expect("valid line has data"),
-                    ))
-                } else {
-                    None
-                }
-            })
+            let base = set * self.ways;
+            let (meta, _, _) = self.ctrl(set);
+            meta.iter()
+                .enumerate()
+                .filter(|(_, &m)| m & VALID != 0)
+                .map(move |(w, _)| {
+                    (
+                        self.key_of(set, self.tags[base + w]),
+                        self.payload(base + w),
+                    )
+                })
         })
     }
 
@@ -524,13 +549,10 @@ impl<T> SetAssoc<T> {
     pub fn iter_set(&self, key: u64) -> impl Iterator<Item = (u64, &T)> + '_ {
         let set = self.set_of(key);
         let base = set * self.ways;
-        let live = self.set_live[set] as usize;
-        self.recency[base..base + live].iter().map(move |&w| {
+        let (_, stack, live) = self.ctrl(set);
+        stack[..live as usize].iter().map(move |&w| {
             let i = base + w as usize;
-            (
-                self.key_of(set, self.tags[i]),
-                self.data[i].as_ref().expect("stacked line is valid"),
-            )
+            (self.key_of(set, self.tags[i]), self.payload(i))
         })
     }
 
@@ -538,16 +560,20 @@ impl<T> SetAssoc<T> {
     /// stack holds exactly the valid ways, so no scan is needed).
     #[inline]
     pub fn set_len(&self, key: u64) -> usize {
-        self.set_live[self.set_of(key)] as usize
+        self.ctrl(self.set_of(key)).2 as usize
     }
 
     /// Serializes the whole array *lane-exactly* for checkpointing — the
     /// whole-hierarchy generalization of [`Self::save_set`]. Geometry
     /// (sets, ways, policy) is written first and verified by
     /// [`Self::restore_with`] against the target instance; then the tag,
-    /// metadata, recency, and payload lanes follow verbatim, so a restored
-    /// array reproduces victim choice, NRU bits, and duplicate-tag layout
-    /// byte-for-byte. `ser` encodes one payload.
+    /// metadata, recency, live-count, and payload lanes follow verbatim, so
+    /// a restored array reproduces victim choice, NRU bits, and
+    /// duplicate-tag layout byte-for-byte. The lanes keep the order of the
+    /// array's earlier lane-per-field layout (each lane gathered from the
+    /// per-set control blocks), so older images restore unchanged. `ser`
+    /// encodes one payload.
+    // lint:allow(snapshot_complete(set_mask, set_shift), derived from the set count, which the image header carries and restore verifies)
     pub fn snapshot_with(
         &self,
         w: &mut zerodev_common::snap::SnapWriter,
@@ -563,14 +589,13 @@ impl<T> SetAssoc<T> {
         for &t in &self.tags {
             w.u64(t);
         }
-        for &m in &self.meta {
-            w.u8(m);
-        }
-        for &r in &self.recency {
-            w.u8(r);
-        }
-        for &l in &self.set_live {
-            w.u8(l);
+        let ways = self.ways;
+        for lane in [0..ways, ways..2 * ways, 2 * ways..2 * ways + 1] {
+            for block in self.ctrl.chunks_exact(2 * ways + 1) {
+                for &b in &block[lane.clone()] {
+                    w.u8(b);
+                }
+            }
         }
         for d in &self.data {
             match d {
@@ -590,6 +615,7 @@ impl<T> SetAssoc<T> {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on any
     /// geometry mismatch, lane-length drift, or payload decode error.
+    // lint:allow(snapshot_complete(set_mask, set_shift), derived from the set count, which the image header carries and restore verifies)
     pub fn restore_with(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -624,14 +650,16 @@ impl<T> SetAssoc<T> {
         for t in self.tags.iter_mut() {
             *t = r.u64("setassoc tag")?;
         }
-        for m in self.meta.iter_mut() {
-            *m = r.u8("setassoc meta")?;
-        }
-        for rec in self.recency.iter_mut() {
-            *rec = r.u8("setassoc recency")?;
-        }
-        for l in self.set_live.iter_mut() {
-            *l = r.u8("setassoc set_live")?;
+        for (lane, context) in [
+            (0..ways, "setassoc meta"),
+            (ways..2 * ways, "setassoc recency"),
+            (2 * ways..2 * ways + 1, "setassoc set_live"),
+        ] {
+            for block in self.ctrl.chunks_exact_mut(2 * ways + 1) {
+                for b in &mut block[lane.clone()] {
+                    *b = r.u8(context)?;
+                }
+            }
         }
         for d in self.data.iter_mut() {
             *d = if r.bool("setassoc line flag")? {
@@ -945,5 +973,106 @@ mod tests {
     #[should_panic(expected = "ways")]
     fn zero_ways_panic() {
         let _: SetAssoc<u32> = SetAssoc::new(4, 0, Replacement::Lru);
+    }
+
+    #[test]
+    fn removed_line_never_matches_its_stale_tag() {
+        // `remove` clears the way's metadata but leaves its tag in place;
+        // the tags-first scan must still treat the way as empty.
+        let mut c: SetAssoc<u32> = SetAssoc::new(2, 2, Replacement::Lru);
+        c.insert(4, 40, none);
+        assert_eq!(c.remove(4, any), Some(40));
+        assert_eq!(c.peek(4, any), None);
+        assert_eq!(c.touch(4, any), None);
+        assert_eq!(c.peek_mut(4, any), None);
+        assert!(!c.demote(4, any));
+        assert_eq!(c.remove(4, any), None);
+        assert_eq!(c.set_len(4), 0);
+        assert_eq!(c.iter().count(), 0);
+    }
+
+    #[test]
+    fn lowest_matching_way_wins_among_duplicate_tags() {
+        let mut c: SetAssoc<u32> = SetAssoc::new(1, 4, Replacement::Lru);
+        c.insert(7, 1, none); // way 0
+        c.insert(7, 3, none); // way 1
+        c.insert(7, 5, none); // way 2
+        c.insert(7, 2, none); // way 3
+        let odd = |v: &u32| v % 2 == 1;
+        assert_eq!(c.peek(7, odd), Some(&1));
+        assert_eq!(c.peek(7, any), Some(&1));
+        assert_eq!(c.peek(7, |v| *v > 1), Some(&3));
+        // Freeing way 0 hands the match to way 1, not to a later one.
+        assert_eq!(c.remove(7, odd), Some(1));
+        assert_eq!(c.peek(7, odd), Some(&3));
+        *c.peek_mut(7, odd).unwrap() = 9;
+        assert_eq!(c.remove(7, odd), Some(9));
+        assert_eq!(c.touch(7, odd), Some(&mut 5));
+        assert_eq!(c.peek(7, |v| v % 2 == 0), Some(&2));
+    }
+
+    /// A scripted LRU array (evictions, a duplicate tag, an emptied set
+    /// with stale tag and stack slots, a demotion) plus an NRU array with
+    /// cleared reference bits, snapshotted into one container.
+    fn scripted_image() -> Vec<u8> {
+        let mut lru: SetAssoc<u32> = SetAssoc::new(2, 3, Replacement::Lru);
+        for k in [0u64, 2, 4, 1] {
+            lru.insert(k, k as u32 + 100, none);
+        }
+        lru.touch(0, any);
+        lru.insert(6, 106, none);
+        lru.insert(6, 206, none);
+        lru.remove(1, any);
+        lru.demote(0, any);
+        let mut nru: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Nru);
+        nru.insert(0, 1, none);
+        nru.insert(1, 2, none);
+        nru.insert(2, 3, none);
+        nru.touch(1, any);
+        let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
+        lru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        nru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        w.finish()
+    }
+
+    /// [`scripted_image`] as written by the lane-per-field layout that
+    /// preceded the per-set control blocks. Checkpoints written then must
+    /// keep restoring, so the image format may not drift.
+    const SCRIPTED_IMAGE_HEX: &str = concat!(
+        "c0557a5e00000000010000000200000000000000030000000000000000030000",
+        "0000000000000000000000000003000000000000000300000000000000000000",
+        "0000000000000000000000000000000000000000000103030000000201000000",
+        "0003000164000000016a00000001ce0000000000000100000000000000020000",
+        "0000000000010200000000000000020000000000000001000000000000000303",
+        "01000201030000000102000000c0209f1c7ca3e8f1",
+    );
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_lane_layout_golden() {
+        assert_eq!(hex(&scripted_image()), SCRIPTED_IMAGE_HEX);
+    }
+
+    #[test]
+    fn golden_image_restores_and_resnapshots_identically() {
+        let image = scripted_image();
+        let mut r = zerodev_common::snap::SnapReader::open(&image, 0x5e7a_55c0, 1).unwrap();
+        let mut lru: SetAssoc<u32> = SetAssoc::new(2, 3, Replacement::Lru);
+        let mut nru: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Nru);
+        lru.restore_with(&mut r, |r| r.u32("payload")).unwrap();
+        nru.restore_with(&mut r, |r| r.u32("payload")).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.set_len(1), 0);
+        assert_eq!(lru.peek(6, any), Some(&106));
+        let order: Vec<u64> = lru.iter_set(0).map(|(k, _)| k).collect();
+        assert_eq!(order, vec![6, 6, 0], "demoted line restored at LRU");
+        let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
+        lru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        nru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        assert_eq!(w.finish(), image);
     }
 }

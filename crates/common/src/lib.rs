@@ -13,6 +13,8 @@
 //! * [`stats`] — the event counters every experiment reads out.
 //! * [`rng`] — a small deterministic PRNG (xoshiro256**) so that every
 //!   simulation is exactly reproducible from a seed.
+//! * [`divisor`] — division by a fixed divisor as a shift and mask when it
+//!   is a power of two (bank, key, and DRAM address mapping).
 //! * [`env`] — graceful environment-variable parsing (warn + default on
 //!   bad values) shared by every harness knob.
 //! * [`flatmap`] — a flat open-addressing `u64 → V` hash map (Fibonacci
@@ -40,6 +42,7 @@
 //! ```
 
 pub mod config;
+pub mod divisor;
 pub mod env;
 pub mod flatmap;
 pub mod ids;
@@ -52,6 +55,7 @@ pub mod stats;
 pub mod table;
 
 pub use config::SystemConfig;
+pub use divisor::Divisor;
 pub use flatmap::FlatMap;
 pub use ids::{Addr, BankId, BlockAddr, CoreId, Cycle, SocketId};
 pub use mesi::{DirState, MesiState};

@@ -108,7 +108,6 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl Zipf {
@@ -130,7 +129,6 @@ impl Zipf {
             alpha,
             zetan,
             eta,
-            zeta2: 0.0_f64.max(zeta2),
         }
     }
 
@@ -158,7 +156,6 @@ impl Zipf {
         if uz < 1.0 + 0.5_f64.powf(self.theta) && self.n >= 2 {
             return 1;
         }
-        let _ = self.zeta2;
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         v.min(self.n - 1)
     }

@@ -12,7 +12,7 @@
 use crate::directory::DirEntry;
 use zerodev_cache::{Replacement, SetAssoc};
 use zerodev_common::config::LlcReplacement;
-use zerodev_common::{BlockAddr, Cycle};
+use zerodev_common::{BlockAddr, Cycle, Divisor};
 
 /// One LLC line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -134,7 +134,7 @@ impl SpillOutcome {
 #[derive(Clone, Debug)]
 pub struct LlcBank {
     array: SetAssoc<LlcLine>,
-    banks: u64,
+    banks: Divisor,
     bank_index: u64,
     /// Earliest time the bank's tag/data port is free again.
     pub port_free: Cycle,
@@ -147,7 +147,7 @@ impl LlcBank {
     pub fn new(sets: usize, ways: usize, banks: usize, bank_index: usize) -> Self {
         LlcBank {
             array: SetAssoc::new(sets, ways, Replacement::Lru),
-            banks: banks as u64,
+            banks: Divisor::new(banks as u64),
             bank_index: bank_index as u64,
             port_free: Cycle::ZERO,
         }
@@ -155,13 +155,17 @@ impl LlcBank {
 
     #[inline]
     fn key(&self, block: BlockAddr) -> u64 {
-        debug_assert_eq!(block.0 % self.banks, self.bank_index, "block homed here");
-        block.0 / self.banks
+        debug_assert_eq!(
+            self.banks.remainder(block.0),
+            self.bank_index,
+            "block homed here"
+        );
+        self.banks.quotient(block.0)
     }
 
     #[inline]
     fn block_of(&self, key: u64) -> BlockAddr {
-        BlockAddr(key * self.banks + self.bank_index)
+        BlockAddr(key * self.banks.get() + self.bank_index)
     }
 
     /// The protection predicate for a replacement policy: under `dataLRU`
@@ -185,13 +189,31 @@ impl LlcBank {
             .and_then(|l| l.entry())
     }
 
+    /// The block-holding line and the spilled entry for `block` — what
+    /// [`Self::block_line`] and [`Self::spilled_entry`] return — from one
+    /// scan of its set.
+    pub fn lines_for(&self, block: BlockAddr) -> (Option<LlcLine>, Option<DirEntry>) {
+        let (mut line, mut spilled) = (None, None);
+        for l in self.array.matches(self.key(block)) {
+            match l {
+                LlcLine::Spilled { entry } => {
+                    spilled.get_or_insert(*entry);
+                }
+                _ => {
+                    line.get_or_insert(*l);
+                }
+            }
+        }
+        (line, spilled)
+    }
+
     /// The directory entry held anywhere in this bank for `block`
     /// (fused or spilled).
     pub fn entry_for(&self, block: BlockAddr) -> Option<DirEntry> {
-        if let Some(LlcLine::Fused { entry, .. }) = self.block_line(block) {
-            return Some(entry);
+        match self.lines_for(block) {
+            (Some(LlcLine::Fused { entry, .. }), _) => Some(entry),
+            (_, spilled) => spilled,
         }
-        self.spilled_entry(block)
     }
 
     /// Promotes the block's line; under `spLRU` the spilled entry (if any)
@@ -603,6 +625,46 @@ mod tests {
         assert!(f.holds_block() && f.holds_entry());
         assert!(d.entry().is_none());
         assert!(s.entry().is_some());
+    }
+
+    #[test]
+    fn key_and_block_of_match_reference_division_on_odd_bank_count() {
+        for index in 0..3u64 {
+            let b = LlcBank::new(4, 2, 3, index as usize);
+            for block in (0..3000u64).map(|i| i * 3 + index) {
+                let key = b.key(BlockAddr(block));
+                assert_eq!(key, block / 3, "block {block}");
+                assert_eq!(b.block_of(key), BlockAddr(block));
+            }
+        }
+        let mut b = LlcBank::new(4, 2, 3, 2);
+        b.fill_data(BlockAddr(3 * 41 + 2), true, LlcReplacement::Lru);
+        let blocks: Vec<u64> = b.iter().map(|(a, _)| a.0).collect();
+        assert_eq!(blocks, vec![3 * 41 + 2]);
+    }
+
+    #[test]
+    fn lines_for_reports_block_line_and_spilled_entry_together() {
+        let mut b = bank(2, 4);
+        let e = DirEntry::shared(CoreId(2));
+        assert_eq!(b.lines_for(blk(0)), (None, None));
+        b.spill_entry(blk(0), e, LlcReplacement::DataLru);
+        assert_eq!(b.lines_for(blk(0)), (None, Some(e)));
+        b.fill_data(blk(0), true, LlcReplacement::DataLru);
+        b.fill_data(blk(2), false, LlcReplacement::DataLru); // same set, other tag
+        assert_eq!(
+            b.lines_for(blk(0)),
+            (Some(LlcLine::Data { dirty: true }), Some(e))
+        );
+        b.remove_spilled(blk(0));
+        let f = DirEntry::owned(CoreId(1));
+        b.fuse_entry(blk(0), f);
+        let fused = LlcLine::Fused {
+            entry: f,
+            block_dirty: true,
+        };
+        assert_eq!(b.lines_for(blk(0)), (Some(fused), None));
+        assert_eq!(b.entry_for(blk(0)), Some(f));
     }
 
     #[test]

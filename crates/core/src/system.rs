@@ -36,7 +36,7 @@ use zerodev_common::config::{
 use zerodev_common::ids::{SharerSet, SocketSet};
 use zerodev_common::protocol::{self, EntryPlacement};
 use zerodev_common::{
-    BlockAddr, CoreId, Cycle, DirState, MesiState, MsgClass, Prng, SocketId, Stats,
+    BlockAddr, CoreId, Cycle, DirState, Divisor, MesiState, MsgClass, Prng, SocketId, Stats,
 };
 use zerodev_noc::SocketTopology;
 
@@ -101,6 +101,8 @@ struct Socket {
 #[derive(Clone, Debug)]
 pub struct System {
     cfg: SystemConfig,
+    /// `cfg.llc_banks`: a block's home bank is its address modulo this.
+    home_banks: Divisor,
     sockets: Vec<Socket>,
     mem: MemorySide,
     /// All event counters.
@@ -129,6 +131,7 @@ impl System {
             .collect();
         let mem = MemorySide::new(&cfg);
         Ok(System {
+            home_banks: Divisor::new(cfg.llc_banks as u64),
             cfg,
             sockets,
             mem,
@@ -174,6 +177,7 @@ impl System {
     /// fingerprint is embedded and verified). All array contents are
     /// written lane-exact so deterministic state-fault victim selection
     /// ([`System::inject_state_fault`]) iterates identically after restore.
+    // lint:allow(snapshot_complete(home_banks), derived from the configuration, whose fingerprint the image carries)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.u64(Self::config_fingerprint(&self.cfg));
         self.stats.snap(w);
@@ -457,7 +461,7 @@ impl System {
 
     #[inline]
     fn bank_of(&self, block: BlockAddr) -> usize {
-        self.cfg.home_bank(block).0 as usize
+        self.home_banks.remainder(block.0) as usize
     }
 
     /// Finds the directory entry for `block` within socket `s`, wherever it
@@ -469,11 +473,10 @@ impl System {
         if let Some(e) = self.sockets[s].dir.peek(block) {
             return Some((e, EntryLoc::Dedicated));
         }
-        let bank = &self.sockets[s].banks[self.bank_of(block)];
-        if let Some(LlcLine::Fused { entry, .. }) = bank.block_line(block) {
-            return Some((entry, EntryLoc::Fused));
+        match self.sockets[s].banks[self.bank_of(block)].lines_for(block) {
+            (Some(LlcLine::Fused { entry, .. }), _) => Some((entry, EntryLoc::Fused)),
+            (_, spilled) => spilled.map(|e| (e, EntryLoc::Spilled)),
         }
-        bank.spilled_entry(block).map(|e| (e, EntryLoc::Spilled))
     }
 
     /// Charges bank-port occupancy: the transaction uses the port at `t` for

@@ -19,7 +19,7 @@
 //! ```
 
 use zerodev_common::config::DramConfig;
-use zerodev_common::{BlockAddr, Cycle};
+use zerodev_common::{BlockAddr, Cycle, Divisor};
 
 #[derive(Clone, Debug, Default)]
 struct Bank {
@@ -38,12 +38,22 @@ struct Channel {
 #[derive(Clone, Debug)]
 pub struct DramModel {
     cfg: DramConfig,
+    map: AddrMap,
     channels: Vec<Channel>,
     row_hits: u64,
     row_empty: u64,
     row_conflicts: u64,
     reads: u64,
     writes: u64,
+}
+
+/// The address-mapping divisors, derived from the configuration once.
+#[derive(Clone, Copy, Debug)]
+struct AddrMap {
+    channels: Divisor,
+    blocks_per_row: Divisor,
+    /// Banks per channel (`ranks × banks`).
+    banks: Divisor,
 }
 
 /// Where a block lands in the DRAM system.
@@ -61,13 +71,23 @@ impl DramModel {
     /// Creates the memory system.
     ///
     /// # Panics
-    /// Panics when the configuration has zero channels, ranks or banks.
+    /// Panics when the configuration has zero channels, ranks or banks, or
+    /// rows smaller than one block.
     pub fn new(cfg: DramConfig) -> Self {
         assert!(
             cfg.channels > 0 && cfg.ranks > 0 && cfg.banks > 0,
             "DRAM needs at least one channel, rank, and bank"
         );
+        assert!(
+            cfg.row_bytes >= 64,
+            "DRAM rows must hold at least one block"
+        );
         let banks_per_channel = cfg.ranks * cfg.banks;
+        let map = AddrMap {
+            channels: Divisor::new(cfg.channels as u64),
+            blocks_per_row: Divisor::new((cfg.row_bytes / 64) as u64),
+            banks: Divisor::new(banks_per_channel as u64),
+        };
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 banks: vec![Bank::default(); banks_per_channel],
@@ -76,6 +96,7 @@ impl DramModel {
             .collect();
         DramModel {
             cfg,
+            map,
             channels,
             row_hits: 0,
             row_empty: 0,
@@ -88,14 +109,12 @@ impl DramModel {
     /// Address mapping: channel-interleaved at block granularity, then
     /// column, bank, row (open-page friendly).
     pub fn coords(&self, block: BlockAddr) -> DramCoords {
-        let channels = self.cfg.channels as u64;
-        let blocks_per_row = (self.cfg.row_bytes / 64) as u64;
-        let banks = (self.cfg.ranks * self.cfg.banks) as u64;
-        let in_channel = block.0 / channels;
+        let m = self.map;
+        let row_seq = m.blocks_per_row.quotient(m.channels.quotient(block.0));
         DramCoords {
-            channel: (block.0 % channels) as usize,
-            bank: ((in_channel / blocks_per_row) % banks) as usize,
-            row: in_channel / blocks_per_row / banks,
+            channel: m.channels.remainder(block.0) as usize,
+            bank: m.banks.remainder(row_seq) as usize,
+            row: m.banks.quotient(row_seq),
         }
     }
 
@@ -160,7 +179,7 @@ impl DramModel {
     /// Serializes the mutable memory-system state — open rows, bank/bus
     /// occupancy horizons, and the access counters — for checkpointing.
     /// Geometry and timing are rebuilt from configuration on restore.
-    // lint:allow(snapshot_complete(cfg), DRAM geometry and timing are configuration, not mutable state; restore targets a model built from the same config)
+    // lint:allow(snapshot_complete(cfg, map), DRAM geometry, address mapping, and timing are configuration, not mutable state; restore targets a model built from the same config)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.channels.len());
         for ch in &self.channels {
@@ -190,7 +209,7 @@ impl DramModel {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(cfg), DRAM geometry and timing are configuration, not mutable state; restore targets a model built from the same config)
+    // lint:allow(snapshot_complete(cfg, map), DRAM geometry, address mapping, and timing are configuration, not mutable state; restore targets a model built from the same config)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -317,6 +336,29 @@ mod tests {
         // Row hit: tCAS+burst = (14+4)*15/4 = 67 core cycles (integer math).
         let lat2 = m.read(Cycle(1000), BlockAddr(2)).since(Cycle(1000));
         assert_eq!(lat2, (14 * 15 / 4) + (4 * 15 / 4));
+    }
+
+    #[test]
+    fn coords_match_reference_division_on_odd_geometry() {
+        // 3 channels, 3 banks per channel, 3 blocks per row: every divisor
+        // takes the general (non-power-of-two) path.
+        let cfg = DramConfig {
+            channels: 3,
+            ranks: 1,
+            banks: 3,
+            row_bytes: 3 * 64,
+            ..DramConfig::default()
+        };
+        let m = DramModel::new(cfg);
+        for b in (0..2000u64).chain([1 << 40, u64::MAX - 1, u64::MAX]) {
+            let in_channel = b / 3;
+            let want = DramCoords {
+                channel: (b % 3) as usize,
+                bank: ((in_channel / 3) % 3) as usize,
+                row: in_channel / 3 / 3,
+            };
+            assert_eq!(m.coords(BlockAddr(b)), want, "block {b}");
+        }
     }
 
     #[test]

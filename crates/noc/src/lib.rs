@@ -28,6 +28,8 @@ pub struct NodeId(pub usize);
 pub struct Mesh {
     cols: usize,
     rows: usize,
+    /// Each node's `(x, y)` position, so hop counts need no division.
+    xy: Vec<(u32, u32)>,
     cfg: NocConfig,
     /// Total byte-hops injected (load diagnostic).
     byte_hops: u64,
@@ -45,6 +47,9 @@ impl Mesh {
         Mesh {
             cols,
             rows,
+            xy: (0..rows)
+                .flat_map(|y| (0..cols).map(move |x| (x as u32, y as u32)))
+                .collect(),
             cfg,
             byte_hops: 0,
             messages: 0,
@@ -66,16 +71,11 @@ impl Mesh {
         self.cols * self.rows
     }
 
-    fn pos(&self, n: NodeId) -> (usize, usize) {
-        debug_assert!(n.0 < self.nodes(), "node in range");
-        (n.0 % self.cols, n.0 / self.cols)
-    }
-
     /// XY-routing hop count between two nodes.
     pub fn hops(&self, a: NodeId, b: NodeId) -> u64 {
-        let (ax, ay) = self.pos(a);
-        let (bx, by) = self.pos(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
+        let (ax, ay) = self.xy[a.0];
+        let (bx, by) = self.xy[b.0];
+        u64::from(ax.abs_diff(bx) + ay.abs_diff(by))
     }
 
     /// One-way latency for a message of `bytes` from `a` to `b`, in core
@@ -111,7 +111,7 @@ impl Mesh {
 
     /// Serializes the mutable mesh state (the load counters — geometry and
     /// timing are rebuilt from configuration) for checkpointing.
-    // lint:allow(snapshot_complete(cols, rows, cfg), mesh geometry and link timing are configuration; only the load counters are mutable)
+    // lint:allow(snapshot_complete(cols, rows, xy, cfg), mesh geometry, its node-position table, and link timing are configuration; only the load counters are mutable)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.u64(self.byte_hops);
         w.u64(self.messages);
@@ -121,7 +121,7 @@ impl Mesh {
     ///
     /// # Errors
     /// Propagates decode errors from the snapshot reader.
-    // lint:allow(snapshot_complete(cols, rows, cfg), mesh geometry and link timing are configuration; only the load counters are mutable)
+    // lint:allow(snapshot_complete(cols, rows, xy, cfg), mesh geometry, its node-position table, and link timing are configuration; only the load counters are mutable)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -261,6 +261,17 @@ mod tests {
         assert_eq!(m.hops(NodeId(0), NodeId(4)), 1);
         assert_eq!(m.hops(NodeId(0), NodeId(7)), 4);
         assert_eq!(m.hops(NodeId(5), NodeId(5)), 0);
+    }
+
+    #[test]
+    fn hops_match_reference_division_on_odd_mesh() {
+        let m = Mesh::new(3, 2, cfg());
+        for a in 0..m.nodes() {
+            for b in 0..m.nodes() {
+                let want = (a % 3).abs_diff(b % 3) + (a / 3).abs_diff(b / 3);
+                assert_eq!(m.hops(NodeId(a), NodeId(b)), want as u64, "{a}->{b}");
+            }
+        }
     }
 
     #[test]

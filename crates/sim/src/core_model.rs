@@ -253,23 +253,27 @@ impl CoreModel {
         fx.downgrades.clear();
         let key = r.block.0;
         let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-        let l1_hit = l1.touch(key, |_| true).is_some();
-        let mut l2_state = self.state_of(r.block);
-        if !l1_hit {
+        let mut l2_state;
+        if l1.touch(key, |_| true).is_some() {
+            if !r.write {
+                // The L2 state matters only to misses and stores.
+                return;
+            }
+            l2_state = self.state_of(r.block);
+        } else {
             if r.code {
                 sys.stats.l1i_misses += 1;
             } else {
                 sys.stats.l1d_misses += 1;
             }
-            if l2_state.is_valid() {
-                // L2 hit: refill the L1 (inclusive; L1 victims are silent).
-                fx.latency += self.l2_hit;
-                let _ = self.l2.touch(key, |_| true);
-                let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-                let _ = l1.insert(key, (), |_| false);
-            } else {
+            fx.latency += self.l2_hit;
+            // One L2 probe: a hit is promoted as the source of the L1 refill.
+            l2_state = self
+                .l2
+                .touch(key, |_| true)
+                .map_or(MesiState::Invalid, |l| l.state);
+            if !l2_state.is_valid() {
                 // Full private-hierarchy miss → uncore.
-                fx.latency += self.l2_hit;
                 let op = if r.write {
                     Op::ReadExclusive
                 } else if r.code {
@@ -288,10 +292,11 @@ impl CoreModel {
                 );
                 fx.uncore_latency += lat;
                 self.fill_l2(sys, now, r.block, grant, fx);
-                let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-                let _ = l1.insert(key, (), |_| false);
                 l2_state = grant;
             }
+            // Refill the L1 (inclusive; L1 victims are silent).
+            let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
+            let _ = l1.insert(key, (), |_| false);
         }
         // Stores need ownership at the coherence point.
         if r.write {

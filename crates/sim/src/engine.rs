@@ -695,8 +695,6 @@ impl Simulation {
         for _ in 0..warmup_refs {
             for t in 0..n {
                 let r = self.workload.threads[t].next_ref();
-                let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-                let _ = (socket, core);
                 let mlp = self.workload.threads[t].spec().mlp;
                 self.cores[t].access_into(&mut self.sys, Cycle(0), r, &mut fx);
                 let _ = self.apply_effects(Cycle(0), &mut fx, mlp);

@@ -85,16 +85,34 @@ pub struct ThreadGen {
     replay: Option<(Vec<MemRef>, usize)>,
 }
 
+/// Zipf samplers memoized by `(n, θ)` while one workload is built. A
+/// sampler's setup sums up to 10,000 powers; threads running the same spec
+/// clone one sampler instead of each recomputing it.
+#[derive(Default)]
+struct Samplers(Vec<((u64, u64), Zipf)>);
+
+impl Samplers {
+    fn zipf(&mut self, n: u64, theta: f64) -> Zipf {
+        let key = (n, theta.to_bits());
+        if let Some((_, z)) = self.0.iter().find(|(k, _)| *k == key) {
+            return z.clone();
+        }
+        let z = Zipf::new(n, theta);
+        self.0.push((key, z.clone()));
+        z
+    }
+}
+
 impl ThreadGen {
-    fn new(spec: WorkloadSpec, bases: Bases, rng: Prng) -> Self {
+    fn new(spec: WorkloadSpec, bases: Bases, rng: Prng, zs: &mut Samplers) -> Self {
         ThreadGen {
             spec,
             bases,
             rng,
-            z_priv: Zipf::new(spec.priv_blocks.max(1), spec.priv_theta),
-            z_sro: (spec.sro_blocks > 0).then(|| Zipf::new(spec.sro_blocks, 0.4)),
-            z_srw: (spec.srw_blocks > 0).then(|| Zipf::new(spec.srw_blocks, 0.3)),
-            z_code: (spec.code_blocks > 0).then(|| Zipf::new(spec.code_blocks, 0.4)),
+            z_priv: zs.zipf(spec.priv_blocks.max(1), spec.priv_theta),
+            z_sro: (spec.sro_blocks > 0).then(|| zs.zipf(spec.sro_blocks, 0.4)),
+            z_srw: (spec.srw_blocks > 0).then(|| zs.zipf(spec.srw_blocks, 0.3)),
+            z_code: (spec.code_blocks > 0).then(|| zs.zipf(spec.code_blocks, 0.4)),
             walk: 0,
             tstep: 0,
             lane: (0, 1),
@@ -123,6 +141,7 @@ impl ThreadGen {
                 private: 0,
             },
             Prng::seeded(0),
+            &mut Samplers::default(),
         );
         g.replay = Some((refs, 0));
         g
@@ -238,13 +257,15 @@ impl ThreadGen {
     }
 
     /// Decodes a [`ThreadGen::snap`] image. Zipf samplers are rebuilt from
-    /// the looked-up spec; the PRNG resumes from its serialized state.
+    /// the looked-up spec through `zs`; the PRNG resumes from its
+    /// serialized state.
     ///
     /// # Errors
     /// Fails with a [`zerodev_common::snap::SnapError`] on decode error or
     /// an unknown workload name.
-    pub fn unsnap(
+    fn unsnap(
         r: &mut zerodev_common::snap::SnapReader<'_>,
+        zs: &mut Samplers,
     ) -> Result<ThreadGen, zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
         let name = r.str("threadgen spec name")?.to_string();
@@ -286,7 +307,7 @@ impl ThreadGen {
         for s in state.iter_mut() {
             *s = r.u64("threadgen rng state")?;
         }
-        let mut g = ThreadGen::new(spec, bases, Prng::from_state(state));
+        let mut g = ThreadGen::new(spec, bases, Prng::from_state(state), zs);
         g.walk = r.u64("threadgen walk")?;
         g.tstep = r.u64("threadgen tstep")?;
         g.lane = (r.u32("threadgen lane")?, r.u32("threadgen lanes")?);
@@ -355,8 +376,9 @@ impl Workload {
         };
         let n = r.usize("workload thread count")?;
         let mut threads = Vec::with_capacity(n);
+        let mut zs = Samplers::default();
         for _ in 0..n {
-            threads.push(ThreadGen::unsnap(r)?);
+            threads.push(ThreadGen::unsnap(r, &mut zs)?);
         }
         Ok(Workload {
             name,
@@ -406,6 +428,7 @@ pub fn multithreaded(name: &str, threads: usize, seed: u64) -> Option<Workload> 
     let sro = alloc.region(spec.sro_blocks);
     let srw = alloc.region(spec.srw_blocks);
     let mut rng = Prng::seeded(seed ^ hash_name(name));
+    let mut zs = Samplers::default();
     let gens = (0..threads)
         .map(|t| {
             let private = alloc.region(spec.priv_blocks);
@@ -418,6 +441,7 @@ pub fn multithreaded(name: &str, threads: usize, seed: u64) -> Option<Workload> 
                     private,
                 },
                 rng.fork(),
+                &mut zs,
             )
             .with_lane(t, threads)
         })
@@ -438,6 +462,7 @@ pub fn rate(app: &str, copies: usize, seed: u64) -> Option<Workload> {
     let mut alloc = Alloc::new();
     let code = alloc.region(spec.code_blocks);
     let mut rng = Prng::seeded(seed ^ hash_name(app) ^ 0x5ce0_11ab);
+    let mut zs = Samplers::default();
     let gens = (0..copies)
         .map(|t| {
             let sro = alloc.region(spec.sro_blocks);
@@ -452,6 +477,7 @@ pub fn rate(app: &str, copies: usize, seed: u64) -> Option<Workload> {
                     private,
                 },
                 rng.fork(),
+                &mut zs,
             )
             .with_lane(t, copies)
         })
@@ -471,6 +497,7 @@ pub fn hetero_mix(index: usize, cores: usize, seed: u64) -> Workload {
     let apps = suites::CPU2017;
     let mut alloc = Alloc::new();
     let mut rng = Prng::seeded(seed ^ (index as u64).wrapping_mul(0x9e37_79b9));
+    let mut zs = Samplers::default();
     let gens = (0..cores)
         .map(|j| {
             let app = apps[(index * cores + j) % apps.len()];
@@ -488,6 +515,7 @@ pub fn hetero_mix(index: usize, cores: usize, seed: u64) -> Workload {
                     private,
                 },
                 rng.fork(),
+                &mut zs,
             )
             .with_lane(j, cores)
         })

@@ -19,6 +19,11 @@ echo "== build + tests =="
 cargo build --release
 cargo test -q --release --workspace
 
+echo "== benchmark package tests (goldens, fingerprints, compare) =="
+# simbench is a package of its own (BENCHMARK.json), so the workspace test
+# run above does not reach its golden and fingerprint checks.
+cargo test --release --offline --manifest-path simbench/Cargo.toml
+
 echo "== zerodev-lint (determinism / snapshot / message-class graph) =="
 # Workspace static analysis (DESIGN.md §12): denies ambient nondeterminism
 # in the deterministic crates, checks snapshot field coverage, and verifies
