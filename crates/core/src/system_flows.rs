@@ -1153,7 +1153,7 @@ impl System {
     /// violation (used by tests and the property harness).
     pub fn check_invariants(&self) {
         let fpss = self.zd().map(|z| z.policy) == Some(SpillPolicy::FusePrivateSpillShared);
-        for (si, socket) in self.sockets.iter().enumerate() {
+        for socket in &self.sockets {
             for bank in &socket.banks {
                 for (block, line) in bank.iter() {
                     match line {
@@ -1191,7 +1191,6 @@ impl System {
                     }
                 }
             }
-            let _ = si;
         }
     }
 }

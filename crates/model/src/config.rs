@@ -40,8 +40,8 @@ impl fmt::Display for ModelConfig {
 /// corrupted-memory paths stay reachable.
 ///
 /// # Panics
-/// Panics when the parameters violate machine limits (the checker only
-/// builds configurations from its own matrix).
+/// Panics when the parameters are outside [`try_tiny`]'s limits (the
+/// checker only builds configurations from its own matrix).
 pub fn tiny(
     policy: SpillPolicy,
     design: LlcDesign,
@@ -50,9 +50,31 @@ pub fn tiny(
     addrs: usize,
     llc_ways: usize,
 ) -> ModelConfig {
-    assert!((1..=4).contains(&cores), "abstract machines stay tiny");
-    assert!(sockets == 1 || sockets == 2, "1-2 sockets");
-    assert!((1..=2).contains(&addrs), "1-2 addresses per home");
+    try_tiny(policy, design, cores, sockets, addrs, llc_ways)
+        .unwrap_or_else(|e| panic!("abstract machines stay tiny: {e}"))
+}
+
+/// [`tiny`], or an error naming the first parameter outside the abstract
+/// machine's limits: 1-4 cores per socket, 1-2 sockets, 1-2 addresses per
+/// home and a 1-4-way LLC. Every machine inside them validates.
+pub fn try_tiny(
+    policy: SpillPolicy,
+    design: LlcDesign,
+    cores: usize,
+    sockets: usize,
+    addrs: usize,
+    llc_ways: usize,
+) -> Result<ModelConfig, String> {
+    for (key, value, max) in [
+        ("cores", cores, 4),
+        ("sockets", sockets, 2),
+        ("addrs", addrs, 2),
+        ("ways", llc_ways, 4),
+    ] {
+        if !(1..=max).contains(&value) {
+            return Err(format!("{key}={value} is outside 1..={max}"));
+        }
+    }
     let mut cfg = SystemConfig::baseline_8core();
     cfg.cores = cores;
     cfg.sockets = sockets;
@@ -81,5 +103,39 @@ pub fn tiny(
         .collect();
     let name =
         format!("{policy}/{design:?} {cores}c x {sockets}s, {addrs} addr/home, {llc_ways}-way LLC");
-    ModelConfig { name, cfg, blocks }
+    Ok(ModelConfig { name, cfg, blocks })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use zerodev_core::step::ProtocolHarness;
+
+    #[test]
+    fn every_machine_within_the_limits_validates() {
+        let shapes = (1..=4).flat_map(|c| {
+            (1..=2).flat_map(move |s| (1..=2).flat_map(move |a| (1..=4).map(move |w| (c, s, a, w))))
+        });
+        let policies = [
+            SpillPolicy::SpillAll,
+            SpillPolicy::FusePrivateSpillShared,
+            SpillPolicy::FuseAll,
+        ];
+        let designs = [
+            LlcDesign::NonInclusive,
+            LlcDesign::Epd,
+            LlcDesign::Inclusive,
+        ];
+        for (cores, sockets, addrs, ways) in shapes {
+            for (policy, design) in policies.iter().flat_map(|&p| designs.map(|d| (p, d))) {
+                let m = try_tiny(policy, design, cores, sockets, addrs, ways)
+                    .expect("within the limits");
+                assert!(
+                    ProtocolHarness::new(m.cfg, m.blocks, false).is_ok(),
+                    "{}",
+                    m.name
+                );
+            }
+        }
+    }
 }

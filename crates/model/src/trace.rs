@@ -23,7 +23,7 @@
 //! decisions at the protocol level — so fixtures double as regression
 //! tests for every protocol bug the checker has caught.
 
-use crate::config::{tiny, ModelConfig};
+use crate::config::{try_tiny, ModelConfig};
 use zerodev_common::config::{LlcDesign, SpillPolicy};
 use zerodev_common::ids::{CoreId, SocketId};
 use zerodev_common::protocol::{set_mutation, EvictKind, Mutation, Op};
@@ -174,21 +174,26 @@ fn parse_config_line(line: &str) -> Result<ModelConfig, String> {
         match k {
             "policy" => policy = Some(parse_policy(v)?),
             "design" => design = Some(parse_design(v)?),
-            "cores" => cores = v.parse::<usize>().ok(),
-            "sockets" => sockets = v.parse::<usize>().ok(),
-            "addrs" => addrs = v.parse::<usize>().ok(),
-            "ways" => ways = v.parse::<usize>().ok(),
+            "cores" => cores = Some(parse_count(k, v)?),
+            "sockets" => sockets = Some(parse_count(k, v)?),
+            "addrs" => addrs = Some(parse_count(k, v)?),
+            "ways" => ways = Some(parse_count(k, v)?),
             other => return Err(format!("unknown config key {other:?}")),
         }
     }
-    Ok(tiny(
+    try_tiny(
         policy.ok_or("config line missing policy=")?,
         design.ok_or("config line missing design=")?,
         cores.ok_or("config line missing cores=")?,
         sockets.ok_or("config line missing sockets=")?,
         addrs.ok_or("config line missing addrs=")?,
         ways.ok_or("config line missing ways=")?,
-    ))
+    )
+}
+
+fn parse_count(key: &str, v: &str) -> Result<usize, String> {
+    v.parse()
+        .map_err(|_| format!("bad {key} value {v:?}, want a number"))
 }
 
 /// Parses a whole fixture. `# ...` lines and blank lines are ignored; the
@@ -362,5 +367,15 @@ access  s0/c0 B0x0 Read
         )
         .expect_err("bad event");
         assert!(err.starts_with("line 2:"), "{err}");
+        for (shape, why) in [
+            ("cores=9 sockets=1 addrs=1 ways=1", "cores=9"),
+            ("cores=2 sockets=3 addrs=1 ways=1", "sockets=3"),
+            ("cores=2 sockets=1 addrs=1 ways=0", "ways=0"),
+            ("cores=two sockets=1 addrs=1 ways=1", "bad cores value"),
+        ] {
+            let err =
+                parse_fixture(&format!("config policy=FPSS design=Epd {shape}")).expect_err(shape);
+            assert!(err.starts_with("line 1:") && err.contains(why), "{err}");
+        }
     }
 }

@@ -654,8 +654,8 @@ mod tests {
         assert_eq!(a.dram_rw, b.dram_rw);
     }
 
-    /// Throughput scratch harness for tuning the speculation window and
-    /// the bench gate probe; prints serial vs 4-shard wall clock per app.
+    /// Throughput scratch harness for tuning the speculation window;
+    /// prints serial vs 4-shard wall clock per app.
     /// `cargo test --release -p zerodev-sim -- --ignored --nocapture shard_throughput`
     #[test]
     #[ignore = "timing harness, not a check"]

@@ -101,10 +101,13 @@ echo "== model checker smoke (bounded exploration) =="
 ZERODEV_MC_QUICK=1 \
     cargo run --release -p zerodev_model >/dev/null
 
-echo "== perf regression gate (standardized probe vs committed BENCH) =="
-# Re-measures the fixed serial probe and compares against the newest
-# committed BENCH_<pr>.json (>25% throughput drop fails). Skip with
-# ZERODEV_NO_PERF_GATE=1 (e.g. on loaded or throttled machines).
+echo "== perf regression gate (simbench vs newest committed BENCH) =="
+# Runs the benchmark (BENCHMARK.json, simbench/README.md) at its defaults
+# and compares it against the newest committed BENCH_<pr>.json record:
+# fails when any point fails its golden checks or any workload's median
+# is worse than the record by more than the metric's bound in
+# BENCHMARK.json. Skip with ZERODEV_NO_PERF_GATE=1 (e.g. on loaded or
+# throttled machines).
 if [[ "${ZERODEV_NO_PERF_GATE:-0}" == "1" ]]; then
     echo "perf gate: skipped (ZERODEV_NO_PERF_GATE=1)"
 else
@@ -112,7 +115,10 @@ else
     if [[ -z "$bench_prev" ]]; then
         echo "perf gate: no committed BENCH_*.json found; skipping"
     else
-        cargo run --release -p zerodev-bench --bin perf_gate -- "$bench_prev"
+        cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- \
+            --json target/simbench_ci.json
+        cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- \
+            --compare "$bench_prev" target/simbench_ci.json
     fi
 fi
 
