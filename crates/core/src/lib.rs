@@ -16,6 +16,8 @@
 //! * [`memdir`] — the memory-side state: corrupted home blocks housing
 //!   evicted directory entries (§III-D) and the socket-level directory
 //!   (§III-D5).
+//! * `invariants` — the per-block coherence invariants, shared by the
+//!   audit oracle ([`oracle`]) and the model checker's harness ([`step`]).
 //! * [`system`] — the protocol engine: a home-serialised MESI
 //!   write-invalidate protocol with the full ZeroDEV extension set
 //!   (spill/fuse policies, invariant maintenance, WB_DE / GET_DE /
@@ -39,6 +41,7 @@
 
 pub mod compress;
 pub mod directory;
+mod invariants;
 pub mod llc;
 pub mod memdir;
 pub mod mgd;

@@ -18,24 +18,21 @@
 //! sharer, a stale owner, a corrupted block with no live copy — shows up as
 //! a divergence from this map.
 //!
-//! Invariants checked (with their paper anchors):
+//! Invariants checked:
 //!
-//! * **SWMR** (§III-A): at most one M/E owner, and no other copy coexists
-//!   with an owner.
-//! * **Directory precision** (§III-C): every tracking entry — dedicated,
-//!   spilled, fused, or memory-housed — covers a superset of the true
-//!   holders; under precise formats (full-map segments, non-region
-//!   directories) the sharer set and owner are exact.
+//! * **Per-block invariants** — SWMR, directory precision and exactness,
+//!   dead and duplicate entries, LLC design structure, the socket-level
+//!   directory, corrupted-block safety and entry placement — are written
+//!   once in the crate's `invariants` module. The oracle feeds them its
+//!   shadow view of every block a transaction touched, and of every block
+//!   on a periodic sweep.
+//! * **Event contract**: an upgrade comes from an S holder, an M/E
+//!   eviction notice from the owner, and under precise formats an
+//!   invalidation reaches a core holding a copy.
 //! * **Zero DEV** (§III-C): a ZeroDEV configuration never emits an
 //!   [`InvalReason::Dev`] invalidation.
-//! * **Corrupted-block safety** (§III-D): whenever the home copy is
-//!   corrupted, at least one valid copy exists (a private holder or an LLC
-//!   data line), and every housed segment matches the per-socket tracking.
-//! * **Design-structural** (§III-E/F): inclusive LLCs contain every
-//!   privately held block; an EPD LLC holds no data line for an owner-tracked
-//!   block.
-//! * **Stats conservation**: per-transaction counter deltas and per-class
-//!   message-byte totals stay consistent.
+//! * **Stats conservation**: per-transaction counter deltas, per-class
+//!   message-byte totals and the spilled-lines gauge stay consistent.
 //!
 //! On violation the oracle panics with the offending block's full state and
 //! the last [`EventLog::capacity`] protocol events from a bounded ring
@@ -44,9 +41,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::llc::LlcLine;
 use crate::system::{Downgrade, EvictKind, InvalReason, Invalidation, Op, System};
-use zerodev_common::config::{DirectoryKind, LlcDesign, SegmentFormat, SystemConfig};
+use zerodev_common::config::SystemConfig;
 use zerodev_common::ids::SharerSet;
 use zerodev_common::msg::ALL_CLASSES;
 use zerodev_common::FlatMap;
@@ -241,10 +237,6 @@ impl ShadowBlock {
             owner: None,
         }
     }
-
-    fn total_holders(&self) -> u32 {
-        self.holders.iter().map(|h| h.count()).sum()
-    }
 }
 
 /// Per-transaction counter snapshot, taken at the top of `System::access`
@@ -286,13 +278,6 @@ const LOG_DEPTH: usize = 64;
 pub struct Oracle {
     sockets: usize,
     zerodev: bool,
-    llc_design: LlcDesign,
-    /// Sharer sets are exact: full-map segments and a non-region directory.
-    exact: bool,
-    /// Per-block directory tracking is checked at all (MgD region entries
-    /// are synthesised at a coarser grain and are audited only as
-    /// supersets).
-    precise_dir: bool,
     shadow: FlatMap<ShadowBlock>,
     log: EventLog,
     txns: u64,
@@ -302,17 +287,9 @@ pub struct Oracle {
 impl Oracle {
     /// Builds an oracle for the machine in `cfg`.
     pub fn new(cfg: &SystemConfig) -> Self {
-        let precise_dir = !matches!(cfg.directory, DirectoryKind::MultiGrain { .. });
-        let fullmap = cfg
-            .zerodev
-            .map(|z| z.segment_format == SegmentFormat::FullMap)
-            .unwrap_or(true);
         Oracle {
             sockets: cfg.sockets,
             zerodev: cfg.zerodev.is_some(),
-            llc_design: cfg.llc_design,
-            exact: precise_dir && fullmap,
-            precise_dir,
             shadow: FlatMap::new(),
             log: EventLog::new(LOG_DEPTH),
             txns: 0,
@@ -335,7 +312,7 @@ impl Oracle {
     /// the image is deterministic. The event ring buffer is diagnostics
     /// only and restores empty; the per-transaction stats snapshot is never
     /// live between transactions and restores to its default.
-    // lint:allow(snapshot_complete(sockets, zerodev, llc_design, exact, precise_dir), audit mode flags are config-derived; restore targets an oracle freshly built from the same configuration)
+    // lint:allow(snapshot_complete(sockets, zerodev), audit mode flags are config-derived; restore targets an oracle freshly built from the same configuration)
     // lint:allow(snapshot_complete(log, snap), the event ring is diagnostics-only and restores empty; the per-transaction stats snapshot is never live between transactions)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.u64(self.txns);
@@ -577,7 +554,7 @@ impl Oracle {
                 "a ZeroDEV configuration emitted a directory-eviction victim (DEV)",
             );
         }
-        let exact = self.exact;
+        let exact = crate::invariants::exact_tracking(sys.config());
         let sb = self.entry(i.block);
         let s = i.socket.0 as usize;
         if !sb.holders[s].contains(i.core) {
@@ -647,9 +624,10 @@ impl Oracle {
         }
     }
 
-    /// Checks every invariant that can be stated about a single block.
-    /// Exposed within the crate so [`System::audit_check_block`] can verify
-    /// a freshly fault-injected block without waiting for the next sweep.
+    /// Checks every per-block invariant ([`crate::invariants::check_block`])
+    /// against the shadow view of `block`. Exposed within the crate so
+    /// [`System::audit_check_block`] can verify a freshly fault-injected
+    /// block without waiting for the next sweep.
     pub(crate) fn check_block(&self, sys: &System, block: BlockAddr) {
         let fallback;
         let sb = match self.shadow.get(block.0) {
@@ -659,190 +637,8 @@ impl Oracle {
                 &fallback
             }
         };
-        let mem = sys.memory();
-        let corrupted = mem.is_corrupted(block);
-        let home = sys.config().home_socket(block);
-        let mut llc_data_somewhere = false;
-
-        for s in 0..self.sockets {
-            let sid = SocketId(s as u8);
-            let holders = sb.holders[s];
-            let entry = sys.entry_of(sid, block);
-            let segment = mem.peek_entry(block, sid);
-            let line = sys.llc_line_of(sid, block);
-            if matches!(line, Some(LlcLine::Data { .. })) {
-                llc_data_somewhere = true;
-            }
-
-            if entry.is_some() && segment.is_some() {
-                self.fail(
-                    sys,
-                    block,
-                    &format!("socket {s}: entry lives both in the socket and housed at home"),
-                );
-            }
-            let tracked = entry.or(segment);
-            match tracked {
-                Some(e) => {
-                    if e.is_dead() {
-                        self.fail(sys, block, &format!("socket {s}: dead entry kept live"));
-                    }
-                    for c in holders.iter() {
-                        if !e.sharers.contains(c) {
-                            self.fail(
-                                sys,
-                                block,
-                                &format!(
-                                    "socket {s}: directory lost true holder c{} (precision ⊇ broken)",
-                                    c.0
-                                ),
-                            );
-                        }
-                    }
-                    if self.exact {
-                        if e.sharers != holders {
-                            self.fail(
-                                sys,
-                                block,
-                                &format!("socket {s}: sharer set not exact under a precise format"),
-                            );
-                        }
-                        match sb.owner {
-                            Some((os, oc)) if os == sid => {
-                                if !e.state.is_owned() || e.owner() != Some(oc) {
-                                    self.fail(
-                                        sys,
-                                        block,
-                                        &format!("socket {s}: directory owner differs from true owner c{}", oc.0),
-                                    );
-                                }
-                            }
-                            _ => {
-                                if e.state.is_owned() {
-                                    self.fail(
-                                        sys,
-                                        block,
-                                        &format!("socket {s}: directory claims M/E but no core owns the block"),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    if self.precise_dir && !holders.is_empty() {
-                        self.fail(
-                            sys,
-                            block,
-                            &format!("socket {s}: private holders with no tracking entry anywhere"),
-                        );
-                    }
-                }
-            }
-
-            match self.llc_design {
-                LlcDesign::Inclusive => {
-                    if !holders.is_empty() && !line.as_ref().is_some_and(LlcLine::holds_block) {
-                        self.fail(
-                            sys,
-                            block,
-                            &format!("socket {s}: inclusive LLC lost a privately held block"),
-                        );
-                    }
-                }
-                LlcDesign::Epd => {
-                    if sb.owner.is_some_and(|(os, _)| os == sid)
-                        && line.as_ref().is_some_and(LlcLine::holds_block)
-                    {
-                        self.fail(
-                            sys,
-                            block,
-                            &format!("socket {s}: EPD LLC holds an owner-tracked block"),
-                        );
-                    }
-                }
-                LlcDesign::NonInclusive => {}
-            }
-
-            if self.sockets > 1 {
-                let sd = mem.socket_dir_peek(home, block);
-                let trace =
-                    !holders.is_empty() || entry.is_some() || segment.is_some() || line.is_some();
-                if trace && !sd.is_some_and(|e| e.sharers.contains(sid)) {
-                    self.fail(
-                        sys,
-                        block,
-                        &format!("socket-level directory lost sharing socket {s}"),
-                    );
-                }
-            }
-        }
-
-        // SWMR: an owner tolerates no second copy anywhere.
-        if let Some((os, oc)) = sb.owner {
-            if sb.total_holders() != 1 {
-                self.fail(
-                    sys,
-                    block,
-                    &format!(
-                        "SWMR broken: s{}/c{} owns the block but {} copies exist",
-                        os.0,
-                        oc.0,
-                        sb.total_holders()
-                    ),
-                );
-            }
-            if !sb.holders[os.0 as usize].contains(oc) {
-                self.fail(sys, block, "owner lost its own copy");
-            }
-        }
-
-        // Socket-level ownership must cover any core-level owner, and an
-        // owned socket entry is exclusive by construction.
-        if self.sockets > 1 {
-            let sd = mem.socket_dir_peek(home, block);
-            if let Some((os, _)) = sb.owner {
-                if !sd.is_some_and(|e| e.owned && e.owner() == Some(os)) {
-                    self.fail(
-                        sys,
-                        block,
-                        &format!(
-                            "socket-level directory does not record owning socket s{}",
-                            os.0
-                        ),
-                    );
-                }
-            }
-            if let Some(e) = sd {
-                if e.owned && e.sharers.count() != 1 {
-                    self.fail(
-                        sys,
-                        block,
-                        "socket-level entry is owned but lists multiple sharer sockets",
-                    );
-                }
-            }
-        }
-
-        // Corrupted-block safety (§III-D): the data must live on somewhere.
-        if corrupted && sb.total_holders() == 0 && !llc_data_somewhere {
-            self.fail(
-                sys,
-                block,
-                "home copy corrupted with no private holder and no LLC data line",
-            );
-        }
-        if let Some(cb) = mem.corrupted_block(block) {
-            for sid in cb.sockets().iter() {
-                let seg = cb.segment(sid).expect("listed socket has a segment");
-                if seg.is_dead() {
-                    self.fail(
-                        sys,
-                        block,
-                        &format!("housed segment of socket {} tracks nobody", sid.0),
-                    );
-                }
-            }
+        if let Err(v) = crate::invariants::check_block(sys, block, &sb.holders, sb.owner) {
+            self.fail(sys, block, &v.to_string());
         }
     }
 

@@ -21,15 +21,21 @@
 //! loses a dirty writeback, or reads a corrupted home block trips a
 //! [`StepViolation`] without the state space ever growing with the number of
 //! writes.
+//!
+//! The structural invariants are the ones the audit oracle checks too:
+//! [`ProtocolHarness::check`] feeds its shadow to the crate's `invariants`
+//! module.
 
 #![deny(clippy::unwrap_used, clippy::indexing_slicing)]
 
+use crate::invariants;
 use crate::llc::LlcLine;
 use crate::system::System;
 use std::fmt;
-use zerodev_common::config::{ConfigError, SpillPolicy, SystemConfig};
+use zerodev_common::config::{ConfigError, SystemConfig};
+use zerodev_common::ids::SharerSet;
 use zerodev_common::protocol::{EvictKind, InvalReason, Op};
-use zerodev_common::{BlockAddr, CoreId, Cycle, DirState, MesiState, SocketId};
+use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
 
 /// One atomic transition of the abstracted system.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -68,6 +74,37 @@ pub enum ProtocolEvent {
     },
 }
 
+impl ProtocolEvent {
+    /// A miss or upgrade of `block` by `socket`/`core`.
+    pub fn access(socket: SocketId, core: CoreId, block: BlockAddr, op: Op) -> Self {
+        ProtocolEvent::Access {
+            socket,
+            core,
+            block,
+            op,
+        }
+    }
+
+    /// A silent E→M store to `block` by `socket`/`core`.
+    pub fn silent_write(socket: SocketId, core: CoreId, block: BlockAddr) -> Self {
+        ProtocolEvent::SilentWrite {
+            socket,
+            core,
+            block,
+        }
+    }
+
+    /// An eviction notice for `block` from `socket`/`core`.
+    pub fn evict(socket: SocketId, core: CoreId, block: BlockAddr, kind: EvictKind) -> Self {
+        ProtocolEvent::Evict {
+            socket,
+            core,
+            block,
+            kind,
+        }
+    }
+}
+
 impl fmt::Display for ProtocolEvent {
     /// Same vocabulary as the audit oracle's event-log dump, so a checker
     /// counterexample reads like an oracle trace.
@@ -98,9 +135,10 @@ impl fmt::Display for ProtocolEvent {
     }
 }
 
-/// A checked invariant failing after a transition. The concrete [`System`]
-/// and the audit oracle additionally panic on their own invariants; the
-/// explorer catches those separately.
+/// A violated invariant: returned by [`ProtocolHarness::apply`] and
+/// [`ProtocolHarness::check`], and by the shared per-block predicates in
+/// the crate's `invariants` module. The concrete [`System`] and the audit
+/// oracle panic instead; the explorer and trace replay catch those panics.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StepViolation {
     /// Which invariant failed.
@@ -143,8 +181,11 @@ pub struct ProtocolHarness {
 
 impl ProtocolHarness {
     /// Builds a quiescent machine over `blocks` (all shadow copies Invalid,
-    /// home memory fresh). `audit` attaches the coherence oracle so every
-    /// transition is cross-checked against its shadow MESI model.
+    /// home memory fresh). Every event must touch a block in `blocks`.
+    /// `audit` attaches the coherence oracle: inside every `apply` it checks
+    /// [`Self::check`]'s per-block predicates from its own stream-derived
+    /// view, plus its event contract and stats conservation, and panics on
+    /// a violation.
     ///
     /// # Errors
     /// Propagates configuration validation failures.
@@ -237,55 +278,22 @@ impl ProtocolHarness {
         let mut evs = Vec::new();
         for s in 0..self.sockets {
             for c in 0..self.cores {
-                let socket = SocketId(s as u8);
-                let core = CoreId(c as u16);
+                let (socket, core) = (SocketId(s as u8), CoreId(c as u16));
                 for &block in &self.blocks {
-                    match self.shadow_state(socket, core, block) {
-                        MesiState::Invalid => {
-                            for op in [Op::Read, Op::CodeRead, Op::ReadExclusive] {
-                                evs.push(ProtocolEvent::Access {
-                                    socket,
-                                    core,
-                                    block,
-                                    op,
-                                });
-                            }
-                        }
-                        MesiState::Shared => {
-                            evs.push(ProtocolEvent::Access {
-                                socket,
-                                core,
-                                block,
-                                op: Op::Upgrade,
-                            });
-                            evs.push(ProtocolEvent::Evict {
-                                socket,
-                                core,
-                                block,
-                                kind: EvictKind::CleanShared,
-                            });
-                        }
-                        MesiState::Exclusive => {
-                            evs.push(ProtocolEvent::SilentWrite {
-                                socket,
-                                core,
-                                block,
-                            });
-                            evs.push(ProtocolEvent::Evict {
-                                socket,
-                                core,
-                                block,
-                                kind: EvictKind::CleanExclusive,
-                            });
-                        }
-                        MesiState::Modified => {
-                            evs.push(ProtocolEvent::Evict {
-                                socket,
-                                core,
-                                block,
-                                kind: EvictKind::Dirty,
-                            });
-                        }
+                    let st = self.shadow_state(socket, core, block);
+                    let ops: &[Op] = match st {
+                        MesiState::Invalid => &[Op::Read, Op::CodeRead, Op::ReadExclusive],
+                        MesiState::Shared => &[Op::Upgrade],
+                        MesiState::Exclusive | MesiState::Modified => &[],
+                    };
+                    for &op in ops {
+                        evs.push(ProtocolEvent::access(socket, core, block, op));
+                    }
+                    if st == MesiState::Exclusive {
+                        evs.push(ProtocolEvent::silent_write(socket, core, block));
+                    }
+                    if let Some(kind) = EvictKind::for_state(st) {
+                        evs.push(ProtocolEvent::evict(socket, core, block, kind));
                     }
                 }
             }
@@ -383,14 +391,27 @@ impl ProtocolHarness {
     /// Modified victim reports its dirty data per the invalidation reason
     /// and DEV recalls may push further invalidations. Mirrors
     /// `Simulation::apply_effects` exactly.
+    ///
+    /// # Errors
+    /// A downgrade must reach an M/E copy (`event contract`).
     fn apply_effects(
         &mut self,
         downgrades: Vec<zerodev_common::protocol::Downgrade>,
         invalidations: Vec<zerodev_common::protocol::Invalidation>,
-    ) {
+    ) -> Result<(), StepViolation> {
         for d in downgrades {
             let g = self.gidx(d.socket, d.core);
-            let was_m = self.shadow_state(d.socket, d.core, d.block) == MesiState::Modified;
+            let prior = self.shadow_state(d.socket, d.core, d.block);
+            if !prior.is_owned() {
+                return Err(StepViolation {
+                    invariant: "event contract",
+                    detail: format!(
+                        "downgrade of {prior} {:?} at s{}/c{}",
+                        d.block, d.socket.0, d.core.0
+                    ),
+                });
+            }
+            let was_m = prior == MesiState::Modified;
             self.set_shadow(d.socket, d.core, d.block, MesiState::Shared);
             if was_m {
                 self.sys.sharing_writeback(Cycle::ZERO, d.socket, d.block);
@@ -450,6 +471,7 @@ impl ProtocolHarness {
                 }
             }
         }
+        Ok(())
     }
 
     /// The symbolic source the protocol is expected to serve a read from,
@@ -645,7 +667,7 @@ impl ProtocolHarness {
                     tok.cores |= 1 << g;
                     tok.llc |= appeared;
                 }
-                self.apply_effects(res.downgrades, res.invalidations);
+                self.apply_effects(res.downgrades, res.invalidations)?;
             }
             ProtocolEvent::SilentWrite {
                 socket,
@@ -723,55 +745,57 @@ impl ProtocolHarness {
                         self.token_mut(block).mem = true;
                     }
                 }
-                self.apply_effects(Vec::new(), invals);
+                self.apply_effects(Vec::new(), invals)?;
             }
         }
         self.reconcile(&before);
         self.check()
     }
 
-    /// Per-state invariants over the abstract view: SWMR, value coherence
-    /// (every valid copy holds the latest value), recoverability of the
-    /// latest value, and shadow↔directory conformance. Structural machine
-    /// invariants (precision, inclusion, corrupted-block bookkeeping) are
-    /// the audit oracle's and `System::check_invariants`' job.
+    /// Per-state invariants over every tracked block. The harness's own:
+    /// value coherence (every valid copy holds the latest value) and
+    /// recoverability of the latest value. Then the shared per-block
+    /// predicates of `invariants::check_block` — SWMR, directory
+    /// precision and exactness, LLC design, socket directory,
+    /// corrupted-block safety, entry placement — against the view built
+    /// from the per-core MESI shadow.
     ///
     /// # Errors
     /// Returns the first violated invariant.
     pub fn check(&self) -> Result<(), StepViolation> {
         let n = self.blocks.len();
+        let mut holders = vec![SharerSet::default(); self.sockets];
         for (bi, &block) in self.blocks.iter().enumerate() {
-            let mut owned = 0u32;
-            let mut valid = 0u32;
             let tok = self.tokens.get(bi).expect("token in range");
+            holders.fill(SharerSet::default());
+            let mut owner = None;
             for g in 0..self.sockets * self.cores {
                 let st = self
                     .shadow
                     .get(g * n + bi)
                     .copied()
                     .expect("shadow in range");
-                if st.is_valid() {
-                    valid += 1;
-                    if tok.cores & (1 << g) == 0 {
-                        return Err(StepViolation {
-                            invariant: "data-value coherence",
-                            detail: format!(
-                                "s{}/c{} holds {block:?} in {st} with a stale value",
-                                g / self.cores,
-                                g % self.cores
-                            ),
-                        });
-                    }
+                if !st.is_valid() {
+                    continue;
                 }
-                if matches!(st, MesiState::Modified | MesiState::Exclusive) {
-                    owned += 1;
+                let socket = SocketId((g / self.cores) as u8);
+                let core = CoreId((g % self.cores) as u16);
+                if tok.cores & (1 << g) == 0 {
+                    return Err(StepViolation {
+                        invariant: "data-value coherence",
+                        detail: format!(
+                            "s{}/c{} holds {block:?} in {st} with a stale value",
+                            socket.0, core.0
+                        ),
+                    });
                 }
-            }
-            if owned > 1 || (owned == 1 && valid > 1) {
-                return Err(StepViolation {
-                    invariant: "SWMR",
-                    detail: format!("{block:?} has {owned} owned and {valid} valid private copies"),
-                });
+                holders
+                    .get_mut(socket.0 as usize)
+                    .expect("socket in range")
+                    .insert(core);
+                if st.is_owned() {
+                    owner = Some((socket, core));
+                }
             }
             // The latest value must be recoverable from somewhere the
             // protocol can reach: a live core copy, a resident LLC line, or
@@ -791,65 +815,7 @@ impl ProtocolHarness {
                     detail: format!("the latest write to {block:?} is held nowhere"),
                 });
             }
-            // §III-C2 structural placement: SpillAll never fuses, and FPSS
-            // fuses only private (M/E-owned) entries — a fused Shared entry
-            // would tie sharing-read latency to the block line's residency.
-            for s in 0..self.sockets {
-                let Some(LlcLine::Fused { entry, .. }) =
-                    self.sys.llc_line_of(SocketId(s as u8), block)
-                else {
-                    continue;
-                };
-                let Some(zd) = self.sys.config().zerodev else {
-                    continue;
-                };
-                let bad = match zd.policy {
-                    SpillPolicy::SpillAll => true,
-                    SpillPolicy::FusePrivateSpillShared => entry.state != DirState::OwnedME,
-                    SpillPolicy::FuseAll => false,
-                };
-                if bad {
-                    return Err(StepViolation {
-                        invariant: "entry placement",
-                        detail: format!(
-                            "s{s} fused a {:?} entry for {block:?} under {}",
-                            entry.state, zd.policy
-                        ),
-                    });
-                }
-            }
-            // Shadow↔directory conformance: every valid private copy must be
-            // tracked by its socket's directory entry.
-            for s in 0..self.sockets {
-                for c in 0..self.cores {
-                    let g = s * self.cores + c;
-                    let st = self
-                        .shadow
-                        .get(g * n + bi)
-                        .copied()
-                        .expect("shadow in range");
-                    if !st.is_valid() {
-                        continue;
-                    }
-                    // The entry may live in the dedicated directory, an LLC
-                    // line (spilled/fused), or — after WB_DE — a housed
-                    // segment in home memory; all three track sharers.
-                    let tracked = self
-                        .sys
-                        .entry_of(SocketId(s as u8), block)
-                        .or_else(|| self.sys.memory().peek_entry(block, SocketId(s as u8)))
-                        .is_some_and(|e| e.sharers.contains(CoreId(c as u16)));
-                    if !tracked {
-                        return Err(StepViolation {
-                            invariant: "directory conformance",
-                            detail: format!(
-                                "s{s}/c{c} holds {block:?} in {st} but no directory entry \
-                                 tracks it"
-                            ),
-                        });
-                    }
-                }
-            }
+            invariants::check_block(&self.sys, block, &holders, owner)?;
         }
         Ok(())
     }

@@ -272,6 +272,21 @@ impl System {
         true
     }
 
+    /// `block`'s home LLC bank in `socket`, and the memory side: unit tests
+    /// hand-build broken machine states through them.
+    #[cfg(test)]
+    pub(crate) fn parts_mut(
+        &mut self,
+        socket: SocketId,
+        block: BlockAddr,
+    ) -> (&mut LlcBank, &mut MemorySide) {
+        let bank = self.bank_of(block);
+        (
+            &mut self.sockets[socket.0 as usize].banks[bank],
+            &mut self.mem,
+        )
+    }
+
     /// Writes a (possibly corrupted) entry back to wherever it lives,
     /// without charging latency or statistics — fault-injection plumbing.
     fn write_entry_back(&mut self, s: usize, block: BlockAddr, e: DirEntry, loc: EntryLoc) {

@@ -1147,23 +1147,28 @@ impl System {
         self.sockets[socket.0 as usize].banks[self.bank_of(block)].set_contents_mru(block)
     }
 
-    /// Walks every socket and checks structural protocol invariants:
-    /// FPSS's fused⇒M/E and spilled⇒S (§III-C2), single-owner consistency,
-    /// and that corrupted memory blocks are still reachable. Panics on
-    /// violation (used by tests and the property harness).
+    /// Walks every LLC line of every socket and checks the structural
+    /// invariants of LLC-resident entries: live, not duplicated in the
+    /// dedicated directory, fused only where the policy allows
+    /// (`invariants::check_fused_entry`, §III-C2), and under FPSS
+    /// spilled M/E only while the block is absent. Panics on violation
+    /// (tests, and the audit oracle's periodic sweep).
     pub fn check_invariants(&self) {
-        let fpss = self.zd().map(|z| z.policy) == Some(SpillPolicy::FusePrivateSpillShared);
-        for socket in &self.sockets {
+        let policy = self.zd().map(|z| z.policy);
+        let fpss = policy == Some(SpillPolicy::FusePrivateSpillShared);
+        for (s, socket) in self.sockets.iter().enumerate() {
             for bank in &socket.banks {
                 for (block, line) in bank.iter() {
                     match line {
                         LlcLine::Fused { entry, .. } => {
                             assert!(!entry.is_dead(), "live fused entry at {block:?}");
-                            if fpss {
-                                assert!(
-                                    entry.state.is_owned(),
-                                    "FPSS invariant: fused ⇒ M/E at {block:?}"
-                                );
+                            if let Err(v) = crate::invariants::check_fused_entry(
+                                policy,
+                                SocketId(s as u8),
+                                block,
+                                entry,
+                            ) {
+                                panic!("{v}");
                             }
                             assert!(
                                 socket.dir.peek(block).is_none(),

@@ -1,13 +1,13 @@
-//! End-to-end protocol tests driving [`zerodev_core::System`] through a
-//! miniature private-cache model that honours the caller contract
-//! (invalidations/downgrades applied, dirty data reported back).
+//! End-to-end protocol tests driving [`zerodev_core::System`] through the
+//! audited [`ProtocolHarness`]: its shadow cores honour the caller contract
+//! (downgrades, then invalidations, dirty data reported back), and every
+//! step is checked against the shared coherence invariants.
 
-use std::collections::HashMap;
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcReplacement, Ratio, SpillPolicy, SystemConfig, ZeroDevConfig,
 };
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
-use zerodev_core::{EvictKind, InvalReason, LlcLine, Op, System};
+use zerodev_core::{EvictKind, LlcLine, Op, ProtocolEvent, ProtocolHarness, System};
 
 /// A small machine so set conflicts are easy to provoke.
 fn tiny_cfg() -> SystemConfig {
@@ -41,207 +41,139 @@ fn same_set_blocks(cfg: &SystemConfig, set: u64, n: usize) -> Vec<BlockAddr> {
         .collect()
 }
 
-/// Minimal legal driver: tracks every core's private copies, applies
-/// invalidations and downgrades, reports dirty data, and checks invariants
-/// after every operation.
-struct Harness {
-    sys: System,
-    /// (socket, core) → block → state
-    priv_lines: HashMap<(u8, u16), HashMap<BlockAddr, MesiState>>,
+/// `n` consecutive blocks from `base`.
+fn blocks_from(base: u64, n: u64) -> Vec<BlockAddr> {
+    (base..base + n).map(BlockAddr).collect()
 }
 
+/// The tests' vocabulary over an audited [`ProtocolHarness`]: reads,
+/// stores and evictions by `(socket, core)` become [`ProtocolEvent`]s, each
+/// checked by the harness and then by [`System::check_invariants`].
+struct Harness(ProtocolHarness);
+
 impl Harness {
-    fn new(cfg: SystemConfig) -> Self {
-        Harness {
-            sys: System::new(cfg).expect("valid config"),
-            priv_lines: HashMap::new(),
-        }
+    /// Every event must touch one of `blocks`.
+    fn new(cfg: SystemConfig, blocks: &[BlockAddr]) -> Self {
+        Harness(ProtocolHarness::new(cfg, blocks.to_vec(), true).expect("valid config"))
+    }
+
+    fn sys(&self) -> &System {
+        self.0.system()
     }
 
     fn state(&self, s: u8, c: u16, b: BlockAddr) -> MesiState {
-        self.priv_lines
-            .get(&(s, c))
-            .and_then(|m| m.get(&b))
-            .copied()
-            .unwrap_or(MesiState::Invalid)
+        self.0.shadow_state(SocketId(s), CoreId(c), b)
     }
 
-    fn set_state(&mut self, s: u8, c: u16, b: BlockAddr, st: MesiState) {
-        let m = self.priv_lines.entry((s, c)).or_default();
-        if st == MesiState::Invalid {
-            m.remove(&b);
-        } else {
-            m.insert(b, st);
+    fn step(&mut self, ev: ProtocolEvent) {
+        if let Err(v) = self.0.apply(ev) {
+            panic!("{ev}: {v}");
         }
+        self.sys().check_invariants();
     }
 
-    fn apply(
-        &mut self,
-        invals: &[zerodev_core::Invalidation],
-        downgrades: &[zerodev_core::system::Downgrade],
-    ) {
-        for inv in invals {
-            let st = self.state(inv.socket.0, inv.core.0, inv.block);
-            if st == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        let extra = self.sys.dev_dirty_recall(Cycle(0), inv.socket, inv.block);
-                        // Recursive victims are rare in these tests; apply.
-                        self.apply(&extra, &[]);
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle(0), inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {}
-                }
-            }
-            self.set_state(inv.socket.0, inv.core.0, inv.block, MesiState::Invalid);
-        }
-        for d in downgrades {
-            let st = self.state(d.socket.0, d.core.0, d.block);
-            assert!(st.is_owned(), "downgrade of non-owned line {st}");
-            if st == MesiState::Modified {
-                self.sys.sharing_writeback(Cycle(0), d.socket, d.block);
-            }
-            self.set_state(d.socket.0, d.core.0, d.block, MesiState::Shared);
-        }
+    fn op(&mut self, s: u8, c: u16, b: BlockAddr, op: Op) {
+        self.step(ProtocolEvent::access(SocketId(s), CoreId(c), b, op));
     }
 
-    fn op(&mut self, s: u8, c: u16, b: BlockAddr, op: Op) -> u64 {
-        let r = self.sys.access(Cycle(0), SocketId(s), CoreId(c), b, op);
-        let invals = r.invalidations.clone();
-        let downs = r.downgrades.clone();
-        self.apply(&invals, &downs);
-        self.set_state(s, c, b, r.grant);
-        self.sys.check_invariants();
-        self.check_swmr(b);
-        r.latency
+    fn read(&mut self, s: u8, c: u16, b: BlockAddr) {
+        self.op(s, c, b, Op::Read);
     }
 
-    fn read(&mut self, s: u8, c: u16, b: BlockAddr) -> u64 {
-        assert_eq!(self.state(s, c, b), MesiState::Invalid, "read is a miss");
-        self.op(s, c, b, Op::Read)
-    }
-
-    fn write(&mut self, s: u8, c: u16, b: BlockAddr) -> u64 {
+    /// A store: an RFO from I, an upgrade from S, a silent E→M upgrade
+    /// from E, and a private hit on M.
+    fn write(&mut self, s: u8, c: u16, b: BlockAddr) {
         match self.state(s, c, b) {
             MesiState::Invalid => self.op(s, c, b, Op::ReadExclusive),
             MesiState::Shared => self.op(s, c, b, Op::Upgrade),
-            MesiState::Exclusive | MesiState::Modified => {
-                // Silent E→M upgrade.
-                self.set_state(s, c, b, MesiState::Modified);
-                0
+            MesiState::Exclusive => {
+                self.step(ProtocolEvent::silent_write(SocketId(s), CoreId(c), b));
             }
+            MesiState::Modified => {}
         }
     }
 
     fn evict(&mut self, s: u8, c: u16, b: BlockAddr) {
-        let st = self.state(s, c, b);
-        let kind = match st {
-            MesiState::Modified => EvictKind::Dirty,
-            MesiState::Exclusive => EvictKind::CleanExclusive,
-            MesiState::Shared => EvictKind::CleanShared,
-            MesiState::Invalid => panic!("evicting an absent line"),
-        };
-        let invals = self.sys.evict(Cycle(0), SocketId(s), CoreId(c), b, kind);
-        self.set_state(s, c, b, MesiState::Invalid);
-        self.apply(&invals, &[]);
-        self.sys.check_invariants();
+        let kind = EvictKind::for_state(self.state(s, c, b)).expect("evicting an absent line");
+        self.step(ProtocolEvent::evict(SocketId(s), CoreId(c), b, kind));
     }
+}
 
-    /// Single-writer / multiple-reader: cross-checks private states against
-    /// the directory's view of `b`.
-    fn check_swmr(&self, b: BlockAddr) {
-        for s in 0..self.sys.config().sockets as u8 {
-            let entry = self.sys.entry_of(SocketId(s), b);
-            let mut holders = Vec::new();
-            for c in 0..self.sys.config().cores as u16 {
-                let st = self.state(s, c, b);
-                if st.is_valid() {
-                    holders.push((c, st));
-                }
-            }
-            let owners = holders.iter().filter(|(_, st)| st.is_owned()).count();
-            assert!(owners <= 1, "SWMR violated at {b:?}: {holders:?}");
-            if owners == 1 {
-                assert_eq!(holders.len(), 1, "owner coexists with sharers at {b:?}");
-            }
-            // Every private copy is tracked somewhere (entry in socket or
-            // housed at home memory).
-            if !holders.is_empty() {
-                assert!(
-                    entry.is_some() || self.sys.memory_corrupted(b),
-                    "untracked private copies at {b:?}"
-                );
-            }
-            if let Some(e) = entry {
-                for (c, _) in &holders {
-                    assert!(
-                        e.sharers.contains(CoreId(*c)),
-                        "directory lost sharer c{c} of {b:?}"
-                    );
-                }
-            }
-        }
-    }
+/// The latency of each `(socket, core, block)` read on a bare audited
+/// machine. Reads never dirty a copy, so their only effects are clean E→S
+/// downgrades, which need no reply from the private caches.
+fn read_latencies(cfg: SystemConfig, reads: &[(u8, u16, BlockAddr)]) -> Vec<u64> {
+    let mut sys = System::new(cfg).expect("valid config");
+    sys.enable_audit();
+    let lats = reads
+        .iter()
+        .map(|&(s, c, b)| {
+            let r = sys.access(Cycle(0), SocketId(s), CoreId(c), b, Op::Read);
+            assert!(r.invalidations.is_empty(), "{:?}", r.invalidations);
+            r.latency
+        })
+        .collect();
+    sys.audit_sweep();
+    lats
 }
 
 #[test]
 fn first_read_grants_exclusive() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
-    let lat = h.read(0, 0, b);
+    let lat = read_latencies(tiny_cfg(), &[(0, 0, b)])[0];
     assert!(lat > 100, "memory fetch latency, got {lat}");
+    let mut h = Harness::new(tiny_cfg(), &[b]);
+    h.read(0, 0, b);
     assert_eq!(h.state(0, 0, b), MesiState::Exclusive);
-    assert_eq!(h.sys.stats.dram_reads, 1);
+    assert_eq!(h.sys().stats.dram_reads, 1);
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Data { dirty: false })
     ));
-    let e = h.sys.entry_of(SocketId(0), b).unwrap();
+    let e = h.sys().entry_of(SocketId(0), b).unwrap();
     assert_eq!(e.owner(), Some(CoreId(0)));
 }
 
 #[test]
 fn code_read_grants_shared() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.op(0, 0, b, Op::CodeRead);
     assert_eq!(h.state(0, 0, b), MesiState::Shared);
-    assert!(!h.sys.entry_of(SocketId(0), b).unwrap().state.is_owned());
+    assert!(!h.sys().entry_of(SocketId(0), b).unwrap().state.is_owned());
 }
 
 #[test]
 fn second_read_is_three_hop_with_downgrade() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
-    let lat = h.read(0, 1, b);
+    h.read(0, 1, b);
+    let lat = read_latencies(tiny_cfg(), &[(0, 0, b), (0, 1, b)])[1];
     assert!(lat > 0);
-    assert_eq!(h.sys.stats.three_hop_reads, 1);
+    assert_eq!(h.sys().stats.three_hop_reads, 1);
     assert_eq!(h.state(0, 0, b), MesiState::Shared, "owner downgraded");
     assert_eq!(h.state(0, 1, b), MesiState::Shared);
-    let e = h.sys.entry_of(SocketId(0), b).unwrap();
+    let e = h.sys().entry_of(SocketId(0), b).unwrap();
     assert_eq!(e.sharers.count(), 2);
 }
 
 #[test]
 fn third_read_served_from_llc_two_hop() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
     h.read(0, 1, b);
-    let before = h.sys.stats.two_hop_reads;
+    let before = h.sys().stats.two_hop_reads;
     h.read(0, 2, b);
-    assert_eq!(h.sys.stats.two_hop_reads, before + 1);
-    assert_eq!(h.sys.entry_of(SocketId(0), b).unwrap().sharers.count(), 3);
+    assert_eq!(h.sys().stats.two_hop_reads, before + 1);
+    assert_eq!(h.sys().entry_of(SocketId(0), b).unwrap().sharers.count(), 3);
 }
 
 #[test]
 fn write_invalidates_sharers() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
     h.read(0, 1, b);
     h.read(0, 2, b);
@@ -250,60 +182,60 @@ fn write_invalidates_sharers() {
     assert_eq!(h.state(0, 1, b), MesiState::Modified);
     assert_eq!(h.state(0, 0, b), MesiState::Invalid);
     assert_eq!(h.state(0, 2, b), MesiState::Invalid);
-    assert_eq!(h.sys.stats.coherence_invalidations, 2);
-    let e = h.sys.entry_of(SocketId(0), b).unwrap();
+    assert_eq!(h.sys().stats.coherence_invalidations, 2);
+    let e = h.sys().entry_of(SocketId(0), b).unwrap();
     assert_eq!(e.owner(), Some(CoreId(1)));
 }
 
 #[test]
 fn rfo_transfers_ownership() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.write(0, 0, b); // RFO from memory
     assert_eq!(h.state(0, 0, b), MesiState::Modified);
     h.write(0, 1, b); // RFO forwarded to owner, who invalidates itself
     assert_eq!(h.state(0, 0, b), MesiState::Invalid);
     assert_eq!(h.state(0, 1, b), MesiState::Modified);
     assert_eq!(
-        h.sys.entry_of(SocketId(0), b).unwrap().owner(),
+        h.sys().entry_of(SocketId(0), b).unwrap().owner(),
         Some(CoreId(1))
     );
 }
 
 #[test]
 fn clean_eviction_frees_entry() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
     h.evict(0, 0, b);
-    assert!(h.sys.entry_of(SocketId(0), b).is_none());
+    assert!(h.sys().entry_of(SocketId(0), b).is_none());
     // Block still in LLC (non-inclusive keeps it) — a re-read is 2-hop.
-    let before = h.sys.stats.two_hop_reads;
+    let before = h.sys().stats.two_hop_reads;
     h.read(0, 1, b);
-    assert_eq!(h.sys.stats.two_hop_reads, before + 1);
+    assert_eq!(h.sys().stats.two_hop_reads, before + 1);
 }
 
 #[test]
 fn dirty_eviction_lands_in_llc() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.write(0, 0, b);
     h.evict(0, 0, b);
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Data { dirty: true })
     ));
-    assert!(h.sys.entry_of(SocketId(0), b).is_none());
+    assert!(h.sys().entry_of(SocketId(0), b).is_none());
 }
 
 #[test]
 fn shared_eviction_keeps_entry_for_remaining_sharer() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
     h.read(0, 1, b);
     h.evict(0, 0, b);
-    let e = h.sys.entry_of(SocketId(0), b).unwrap();
+    let e = h.sys().entry_of(SocketId(0), b).unwrap();
     assert_eq!(e.sharers.count(), 1);
     assert!(e.sharers.contains(CoreId(1)));
 }
@@ -317,14 +249,14 @@ fn baseline_conflicts_generate_devs() {
         ways: 2,
         replacement_disabled: false,
     };
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks_from(0x1000, 32));
     // Touch many distinct blocks from one core; directory conflicts must
     // invalidate earlier blocks (DEVs).
     for i in 0..32u64 {
         h.read(0, 0, BlockAddr(0x1000 + i));
     }
-    assert!(h.sys.stats.dev_invalidations > 0, "expected DEVs");
-    assert!(h.sys.stats.dir_evictions > 0);
+    assert!(h.sys().stats.dev_invalidations > 0, "expected DEVs");
+    assert!(h.sys().stats.dir_evictions > 0);
     // The core lost some lines without evicting them itself.
     let live = (0..32u64)
         .filter(|i| h.state(0, 0, BlockAddr(0x1000 + i)).is_valid())
@@ -340,7 +272,7 @@ fn dev_of_modified_block_recalls_dirty_data() {
         ways: 2,
         replacement_disabled: false,
     };
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks_from(0x1000, 32));
     // Write (M state) then cause directory conflicts.
     let victim = BlockAddr(0x1000);
     h.write(0, 0, victim);
@@ -349,9 +281,9 @@ fn dev_of_modified_block_recalls_dirty_data() {
     }
     if h.state(0, 0, victim) == MesiState::Invalid {
         // The dirty block was recalled into the LLC.
-        assert!(h.sys.stats.dev_dirty_recalls > 0);
+        assert!(h.sys().stats.dev_dirty_recalls > 0);
         assert!(matches!(
-            h.sys.llc_line_of(SocketId(0), victim),
+            h.sys().llc_line_of(SocketId(0), victim),
             Some(LlcLine::Data { dirty: true })
         ));
     }
@@ -364,7 +296,10 @@ fn zerodev_never_generates_devs() {
         SpillPolicy::FusePrivateSpillShared,
         SpillPolicy::FuseAll,
     ] {
-        let mut h = Harness::new(zerodev_nodir(policy, LlcReplacement::DataLru));
+        let mut h = Harness::new(
+            zerodev_nodir(policy, LlcReplacement::DataLru),
+            &blocks_from(0x2000, 64),
+        );
         for i in 0..64u64 {
             h.read(0, (i % 4) as u16, BlockAddr(0x2000 + i));
         }
@@ -374,82 +309,92 @@ fn zerodev_never_generates_devs() {
         for i in 0..32u64 {
             h.write(0, (i % 4) as u16, BlockAddr(0x2000 + i));
         }
-        assert_eq!(h.sys.stats.dev_invalidations, 0, "{policy:?} produced DEVs");
-        assert!(h.sys.stats.dir_spills + h.sys.stats.dir_fuses > 0);
+        assert_eq!(
+            h.sys().stats.dev_invalidations,
+            0,
+            "{policy:?} produced DEVs"
+        );
+        assert!(h.sys().stats.dir_spills + h.sys().stats.dir_fuses > 0);
     }
 }
 
 #[test]
 fn fpss_fuses_private_and_spills_shared() {
-    let mut h = Harness::new(zerodev_nodir(
-        SpillPolicy::FusePrivateSpillShared,
-        LlcReplacement::DataLru,
-    ));
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(
+        zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru),
+        &[b],
+    );
     h.read(0, 0, b); // E grant → entry fused with the LLC line
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Fused { .. })
     ));
-    assert_eq!(h.sys.stats.dir_fuses, 1);
+    assert_eq!(h.sys().stats.dir_fuses, 1);
     // Sharing downgrades the block → the entry must spill (fused ⇒ M/E).
     h.read(0, 1, b);
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Data { .. })
     ));
-    assert!(h.sys.stats.dir_spills >= 1);
-    assert_eq!(h.sys.spilled_lines(SocketId(0)), 1);
+    assert!(h.sys().stats.dir_spills >= 1);
+    assert_eq!(h.sys().spilled_lines(SocketId(0)), 1);
     // Upgrade back to M → re-fused, spill freed.
     h.write(0, 1, b);
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Fused { .. })
     ));
-    assert_eq!(h.sys.spilled_lines(SocketId(0)), 0);
+    assert_eq!(h.sys().spilled_lines(SocketId(0)), 0);
 }
 
 #[test]
 fn spillall_always_spills() {
-    let mut h = Harness::new(zerodev_nodir(
-        SpillPolicy::SpillAll,
-        LlcReplacement::DataLru,
-    ));
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(
+        zerodev_nodir(SpillPolicy::SpillAll, LlcReplacement::DataLru),
+        &[b],
+    );
     h.read(0, 0, b);
-    assert_eq!(h.sys.stats.dir_spills, 1);
-    assert_eq!(h.sys.stats.dir_fuses, 0);
-    assert_eq!(h.sys.spilled_lines(SocketId(0)), 1);
+    assert_eq!(h.sys().stats.dir_spills, 1);
+    assert_eq!(h.sys().stats.dir_fuses, 0);
+    assert_eq!(h.sys().spilled_lines(SocketId(0)), 1);
 }
 
 #[test]
 fn fuseall_fuses_shared_blocks_and_forwards_reads() {
-    let mut h = Harness::new(zerodev_nodir(SpillPolicy::FuseAll, LlcReplacement::DataLru));
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(
+        zerodev_nodir(SpillPolicy::FuseAll, LlcReplacement::DataLru),
+        &[b],
+    );
     h.read(0, 0, b);
     h.read(0, 1, b); // block now shared; FuseAll keeps the entry fused
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Fused { .. })
     ));
     // A third read cannot be served by the corrupted line: forwarded.
-    let before = h.sys.stats.fused_read_forwards;
+    let before = h.sys().stats.fused_read_forwards;
     h.read(0, 2, b);
-    assert_eq!(h.sys.stats.fused_read_forwards, before + 1);
+    assert_eq!(h.sys().stats.fused_read_forwards, before + 1);
 }
 
 #[test]
 fn fuseall_last_sharer_eviction_reconstructs_line() {
-    let mut h = Harness::new(zerodev_nodir(SpillPolicy::FuseAll, LlcReplacement::DataLru));
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(
+        zerodev_nodir(SpillPolicy::FuseAll, LlcReplacement::DataLru),
+        &[b],
+    );
     h.read(0, 0, b);
     h.read(0, 1, b);
     h.evict(0, 0, b);
     h.evict(0, 1, b);
     // Entry freed; the fused line reverted to plain data.
-    assert!(h.sys.entry_of(SocketId(0), b).is_none());
+    assert!(h.sys().entry_of(SocketId(0), b).is_none());
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Data { .. })
     ));
 }
@@ -460,7 +405,7 @@ fn wbde_corrupts_home_memory_and_recovers() {
     let sets = cfg.llc_sets_per_bank() as u64;
     assert_eq!(sets, 128); // 64 KB, 4-way, 2 banks → 512 lines/bank
     let blocks = same_set_blocks(&cfg, 5, 8);
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks);
     // Make every block shared → spilled entries pile up in one set.
     for &b in &blocks {
         h.read(0, 0, b);
@@ -468,23 +413,26 @@ fn wbde_corrupts_home_memory_and_recovers() {
     }
     // 8 spilled entries + data lines compete for 4 ways: dataLRU evicts the
     // data lines first, then entries must go home (WB_DE).
-    assert!(h.sys.stats.dir_llc_evictions > 0, "expected WB_DE events");
-    assert!(h.sys.stats.dram_writes_dir > 0);
-    assert_eq!(h.sys.stats.dev_invalidations, 0, "still no DEVs");
+    assert!(h.sys().stats.dir_llc_evictions > 0, "expected WB_DE events");
+    assert!(h.sys().stats.dram_writes_dir > 0);
+    assert_eq!(h.sys().stats.dev_invalidations, 0, "still no DEVs");
     // Find a block whose memory is corrupted and whose entry left the socket.
     let corrupted: Vec<BlockAddr> = blocks
         .iter()
         .copied()
-        .filter(|&b| h.sys.memory_corrupted(b) && h.sys.entry_of(SocketId(0), b).is_none())
+        .filter(|&b| h.sys().memory_corrupted(b) && h.sys().entry_of(SocketId(0), b).is_none())
         .collect();
     assert!(!corrupted.is_empty(), "an entry was housed in memory");
     let b = corrupted[0];
     // Cores 0 and 1 still hold S copies. A third core's read must recover
     // the entry from memory and be served by a sharer.
-    let before = h.sys.stats.llc_read_misses_corrupted;
+    let before = h.sys().stats.llc_read_misses_corrupted;
     h.read(0, 2, b);
-    assert_eq!(h.sys.stats.llc_read_misses_corrupted, before + 1);
-    assert!(h.sys.entry_of(SocketId(0), b).is_some(), "entry recovered");
+    assert_eq!(h.sys().stats.llc_read_misses_corrupted, before + 1);
+    assert!(
+        h.sys().entry_of(SocketId(0), b).is_some(),
+        "entry recovered"
+    );
     assert_eq!(h.state(0, 2, b), MesiState::Shared);
 }
 
@@ -492,7 +440,7 @@ fn wbde_corrupts_home_memory_and_recovers() {
 fn get_de_flow_on_eviction_without_entry() {
     let cfg = zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru);
     let blocks = same_set_blocks(&cfg, 9, 8);
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks);
     for &b in &blocks {
         h.read(0, 0, b);
         h.read(0, 1, b);
@@ -500,19 +448,19 @@ fn get_de_flow_on_eviction_without_entry() {
     let corrupted: Vec<BlockAddr> = blocks
         .iter()
         .copied()
-        .filter(|&b| h.sys.memory_corrupted(b) && h.sys.entry_of(SocketId(0), b).is_none())
+        .filter(|&b| h.sys().memory_corrupted(b) && h.sys().entry_of(SocketId(0), b).is_none())
         .collect();
     assert!(!corrupted.is_empty());
     let b = corrupted[0];
     // Core 0 evicts its S copy: the entry is at home → GET_DE.
-    let before = h.sys.stats.get_de_requests;
+    let before = h.sys().stats.get_de_requests;
     h.evict(0, 0, b);
-    assert_eq!(h.sys.stats.get_de_requests, before + 1);
+    assert_eq!(h.sys().stats.get_de_requests, before + 1);
     // Core 1 evicts the last copy: the block must be retrieved from the
     // evicting core to overwrite the corrupted memory block.
     h.evict(0, 1, b);
     assert!(
-        !h.sys.memory_corrupted(b),
+        !h.sys().memory_corrupted(b),
         "last-copy eviction restores memory"
     );
 }
@@ -524,13 +472,13 @@ fn inclusive_llc_back_invalidates() {
     let sets = cfg.llc_sets_per_bank() as u64;
     let _ = sets;
     let blocks = same_set_blocks(&cfg, 3, 8);
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks);
     for &b in &blocks {
         h.read(0, 0, b);
     }
     // 8 blocks into a 4-way set: inclusion victims must have invalidated
     // core 0's copies.
-    assert!(h.sys.stats.inclusion_invalidations > 0);
+    assert!(h.sys().stats.inclusion_invalidations > 0);
     let live = blocks
         .iter()
         .filter(|&&b| h.state(0, 0, b).is_valid())
@@ -543,47 +491,47 @@ fn inclusive_zerodev_never_evicts_entries_from_llc() {
     let mut cfg = zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru);
     cfg.llc_design = zerodev_common::config::LlcDesign::Inclusive;
     let blocks = same_set_blocks(&cfg, 7, 12);
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks);
     for &b in &blocks {
         h.read(0, 0, b);
         h.read(0, 1, b);
     }
     // §III-F: dataLRU victimises blocks before entries; inclusion then
     // frees the entries early — no directory entry ever leaves the LLC.
-    assert_eq!(h.sys.stats.dir_llc_evictions, 0);
-    assert_eq!(h.sys.stats.dev_invalidations, 0);
-    assert!(h.sys.stats.inclusion_invalidations > 0);
+    assert_eq!(h.sys().stats.dir_llc_evictions, 0);
+    assert_eq!(h.sys().stats.dev_invalidations, 0);
+    assert!(h.sys().stats.inclusion_invalidations > 0);
 }
 
 #[test]
 fn epd_keeps_private_blocks_out_of_llc() {
     let mut cfg = tiny_cfg();
     cfg.llc_design = zerodev_common::config::LlcDesign::Epd;
-    let mut h = Harness::new(cfg);
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(cfg, &[b]);
     h.read(0, 0, b);
     assert!(
-        h.sys.llc_line_of(SocketId(0), b).is_none(),
+        h.sys().llc_line_of(SocketId(0), b).is_none(),
         "EPD: private fill bypasses the LLC"
     );
     // Sharing allocates the block in the LLC.
     h.read(0, 1, b);
-    assert!(h.sys.llc_line_of(SocketId(0), b).is_some());
+    assert!(h.sys().llc_line_of(SocketId(0), b).is_some());
     // A write (upgrade) deallocates it again.
     h.write(0, 1, b);
-    assert!(h.sys.llc_line_of(SocketId(0), b).is_none());
+    assert!(h.sys().llc_line_of(SocketId(0), b).is_none());
 }
 
 #[test]
 fn epd_allocates_on_owner_eviction() {
     let mut cfg = tiny_cfg();
     cfg.llc_design = zerodev_common::config::LlcDesign::Epd;
-    let mut h = Harness::new(cfg);
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(cfg, &[b]);
     h.write(0, 0, b);
     h.evict(0, 0, b);
     assert!(matches!(
-        h.sys.llc_line_of(SocketId(0), b),
+        h.sys().llc_line_of(SocketId(0), b),
         Some(LlcLine::Data { dirty: true })
     ));
 }
@@ -598,59 +546,60 @@ fn zerodev_with_replacement_disabled_sparse_dir() {
             replacement_disabled: false, // with_zerodev forces true
         },
     );
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks_from(0x3000, 64));
     for i in 0..64u64 {
         h.read(0, 0, BlockAddr(0x3000 + i));
     }
     // The dedicated structure filled up and overflowed to the LLC; nothing
     // was ever evicted from it.
-    assert_eq!(h.sys.stats.dev_invalidations, 0);
-    assert_eq!(h.sys.stats.dir_evictions, 0);
-    assert!(h.sys.stats.dir_fuses + h.sys.stats.dir_spills > 0);
+    assert_eq!(h.sys().stats.dev_invalidations, 0);
+    assert_eq!(h.sys().stats.dir_evictions, 0);
+    assert!(h.sys().stats.dir_fuses + h.sys().stats.dir_spills > 0);
 }
 
 #[test]
 fn upgrade_with_llc_resident_entry_reads_data_array() {
-    let mut h = Harness::new(zerodev_nodir(
-        SpillPolicy::FusePrivateSpillShared,
-        LlcReplacement::DataLru,
-    ));
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(
+        zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru),
+        &[b],
+    );
     h.read(0, 0, b);
     h.read(0, 1, b); // entry spilled now
-    let dir_reads_before = h.sys.stats.llc_dir_accesses;
+    let dir_reads_before = h.sys().stats.llc_dir_accesses;
     h.write(0, 0, b); // upgrade must read the spilled entry
-    assert!(h.sys.stats.llc_dir_accesses > dir_reads_before);
+    assert!(h.sys().stats.llc_dir_accesses > dir_reads_before);
     assert_eq!(h.state(0, 1, b), MesiState::Invalid);
 }
 
 #[test]
 fn traffic_accounting_is_plausible() {
-    let mut h = Harness::new(tiny_cfg());
     let b = BlockAddr(0x40);
+    let mut h = Harness::new(tiny_cfg(), &[b]);
     h.read(0, 0, b);
-    let t1 = h.sys.stats.total_traffic_bytes();
+    let t1 = h.sys().stats.total_traffic_bytes();
     assert!(t1 > 0);
     h.read(0, 1, b);
-    let t2 = h.sys.stats.total_traffic_bytes();
+    let t2 = h.sys().stats.total_traffic_bytes();
     assert!(t2 > t1);
     // A data response is at least 72 bytes of the total.
-    assert!(h.sys.stats.bytes(zerodev_common::MsgClass::Data) >= 144);
+    assert!(h.sys().stats.bytes(zerodev_common::MsgClass::Data) >= 144);
 }
 
 #[test]
 fn multisocket_remote_read_and_write() {
     let mut cfg = tiny_cfg();
     cfg.sockets = 4;
-    let mut h = Harness::new(cfg);
     let b = BlockAddr(0x40);
-    let home = h.sys.config().home_socket(b);
-    // Socket 0 reads: exclusive grant.
-    let lat0 = h.read(0, 0, b);
-    // A remote socket reads the same block: must be forwarded/fetched.
-    let lat1 = h.read(2, 0, b);
+    // Socket 0 reads (exclusive grant), then a remote socket reads the
+    // same block: it must be forwarded/fetched.
+    let lats = read_latencies(cfg.clone(), &[(0, 0, b), (2, 0, b)]);
+    let (lat0, lat1) = (lats[0], lats[1]);
     assert!(lat1 > 0 && lat0 > 0);
-    assert!(h.sys.stats.socket_misses >= 1);
+    let mut h = Harness::new(cfg, &[b]);
+    h.read(0, 0, b);
+    h.read(2, 0, b);
+    assert!(h.sys().stats.socket_misses >= 1);
     assert_eq!(
         h.state(0, 0, b),
         MesiState::Shared,
@@ -661,7 +610,6 @@ fn multisocket_remote_read_and_write() {
     h.write(2, 0, b);
     assert_eq!(h.state(0, 0, b), MesiState::Invalid);
     assert_eq!(h.state(2, 0, b), MesiState::Modified);
-    let _ = home;
 }
 
 #[test]
@@ -670,12 +618,12 @@ fn multisocket_denf_nack_flow() {
     cfg.sockets = 4;
     let sets = cfg.llc_sets_per_bank() as u64;
     let banks = cfg.llc_banks as u64;
-    let mut h = Harness::new(cfg);
     // Socket 1 reads a pile of same-set blocks shared by two cores, pushing
     // spilled entries out to home memory (WB_DE).
     let blocks: Vec<BlockAddr> = (0..10u64)
         .map(|i| BlockAddr(banks * (11 + i * sets)))
         .collect();
+    let mut h = Harness::new(cfg, &blocks);
     for &b in &blocks {
         h.read(1, 0, b);
         h.read(1, 1, b);
@@ -684,27 +632,27 @@ fn multisocket_denf_nack_flow() {
         .iter()
         .copied()
         .filter(|&b| {
-            h.sys.memory_corrupted(b)
-                && h.sys.entry_of(SocketId(1), b).is_none()
-                && h.sys.llc_line_of(SocketId(1), b).is_none()
-                && h.sys.config().home_socket(b) != SocketId(1)
+            h.sys().memory_corrupted(b)
+                && h.sys().entry_of(SocketId(1), b).is_none()
+                && h.sys().llc_line_of(SocketId(1), b).is_none()
+                && h.sys().config().home_socket(b) != SocketId(1)
         })
         .collect();
     if corrupted.is_empty() {
         // Set geometry may keep lines resident; the WB_DE machinery itself
         // is covered by the single-socket test.
-        assert!(h.sys.stats.dir_llc_evictions > 0);
+        assert!(h.sys().stats.dir_llc_evictions > 0);
         return;
     }
     let b = corrupted[0];
     // A third socket (neither home nor socket 1) reads the block: home
     // forwards to socket 1, which cannot find its entry → DENF_NACK.
     let requester = (0..4u8)
-        .find(|&s| s != 1 && SocketId(s) != h.sys.config().home_socket(b))
+        .find(|&s| s != 1 && SocketId(s) != h.sys().config().home_socket(b))
         .unwrap();
-    let before = h.sys.stats.denf_nacks;
+    let before = h.sys().stats.denf_nacks;
     h.read(requester, 0, b);
-    assert_eq!(h.sys.stats.denf_nacks, before + 1, "DENF_NACK exercised");
+    assert_eq!(h.sys().stats.denf_nacks, before + 1, "DENF_NACK exercised");
     assert_eq!(h.state(requester, 0, b), MesiState::Shared);
 }
 
@@ -712,7 +660,7 @@ fn multisocket_denf_nack_flow() {
 fn multisocket_zerodev_still_dev_free() {
     let mut cfg = zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru);
     cfg.sockets = 2;
-    let mut h = Harness::new(cfg);
+    let mut h = Harness::new(cfg, &blocks_from(0x4000, 48));
     for i in 0..48u64 {
         let b = BlockAddr(0x4000 + i);
         h.read((i % 2) as u8, (i % 4) as u16, b);
@@ -721,23 +669,22 @@ fn multisocket_zerodev_still_dev_free() {
     for i in 0..16u64 {
         h.write((i % 2) as u8, (i % 4) as u16, BlockAddr(0x4000 + i));
     }
-    assert_eq!(h.sys.stats.dev_invalidations, 0);
+    assert_eq!(h.sys().stats.dev_invalidations, 0);
 }
 
 #[test]
 fn latencies_order_sanely() {
     // L2→LLC hit < LLC miss to DRAM; 3-hop > 2-hop.
-    let mut h = Harness::new(tiny_cfg());
     let b1 = BlockAddr(0x40);
     let b2 = BlockAddr(0x80);
-    let miss_lat = h.read(0, 0, b1); // DRAM
-    h.read(0, 1, b1);
-    let hit_lat = h.read(0, 2, b1); // LLC 2-hop
+    let reads = [(0, 0, b1), (0, 1, b1), (0, 2, b1), (0, 0, b2), (0, 1, b2)];
+    let lats = read_latencies(tiny_cfg(), &reads);
+    let miss_lat = lats[0]; // DRAM
+    let hit_lat = lats[2]; // LLC 2-hop
     assert!(
         hit_lat < miss_lat,
         "LLC hit {hit_lat} should beat DRAM {miss_lat}"
     );
-    h.read(0, 0, b2);
-    let fwd_lat = h.read(0, 1, b2); // 3-hop
+    let fwd_lat = lats[4]; // 3-hop
     assert!(fwd_lat > hit_lat, "3-hop {fwd_lat} > 2-hop {hit_lat}");
 }

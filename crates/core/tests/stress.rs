@@ -1,162 +1,49 @@
 //! Randomised protocol stress: thousands of random reads/writes/evictions
-//! on a tiny machine, cross-checking the directory view against a model of
-//! the private caches after every operation. Shakes out entry-loss and
-//! tracking bugs that directed tests miss.
+//! on a tiny machine, driven through the audited [`ProtocolHarness`], whose
+//! shadow cores are checked against the directory, LLC and home memory
+//! after every operation. Shakes out entry-loss and tracking bugs that
+//! directed tests miss.
 
-use std::collections::HashMap;
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcDesign, LlcReplacement, Ratio, SpillPolicy, SystemConfig,
     ZeroDevConfig,
 };
-use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, Prng, SocketId};
-use zerodev_core::{system::Downgrade, EvictKind, InvalReason, Invalidation, Op, System};
+use zerodev_common::{BlockAddr, CoreId, MesiState, Prng, SocketId};
+use zerodev_core::{EvictKind, Op, ProtocolEvent, ProtocolHarness};
 
-struct Model {
-    sys: System,
-    lines: HashMap<(u8, u16, u64), MesiState>,
-}
-
-impl Model {
-    fn new(cfg: SystemConfig) -> Self {
-        Model {
-            sys: System::new(cfg).expect("valid"),
-            lines: HashMap::new(),
+/// One random operation by a random core on a random block of `blocks`.
+fn step(h: &mut ProtocolHarness, rng: &mut Prng, blocks: &[BlockAddr]) {
+    let socket = SocketId(rng.below(h.sockets() as u64) as u8);
+    let core = CoreId(rng.below(h.cores() as u64) as u16);
+    let block = blocks[rng.below(blocks.len() as u64) as usize];
+    let st = h.shadow_state(socket, core, block);
+    let access = |op| Some(ProtocolEvent::access(socket, core, block, op));
+    let ev = match rng.below(10) {
+        // Evict (if present)
+        0..=1 if st.is_valid() => {
+            EvictKind::for_state(st).map(|kind| ProtocolEvent::evict(socket, core, block, kind))
         }
-    }
-
-    fn state(&self, s: u8, c: u16, b: BlockAddr) -> MesiState {
-        self.lines
-            .get(&(s, c, b.0))
-            .copied()
-            .unwrap_or(MesiState::Invalid)
-    }
-
-    fn set(&mut self, s: u8, c: u16, b: BlockAddr, st: MesiState) {
-        if st == MesiState::Invalid {
-            self.lines.remove(&(s, c, b.0));
+        // Write
+        2..=4 => match st {
+            MesiState::Modified => None,
+            MesiState::Exclusive => Some(ProtocolEvent::silent_write(socket, core, block)),
+            MesiState::Shared => access(Op::Upgrade),
+            MesiState::Invalid => access(Op::ReadExclusive),
+        },
+        // Read (and occasionally code read)
+        _ if st.is_valid() => return,
+        _ => access(if rng.chance(0.1) {
+            Op::CodeRead
         } else {
-            self.lines.insert((s, c, b.0), st);
+            Op::Read
+        }),
+    };
+    if let Some(ev) = ev {
+        if let Err(v) = h.apply(ev) {
+            panic!("{ev}: {v}");
         }
     }
-
-    fn apply(&mut self, invals: Vec<Invalidation>, downs: Vec<Downgrade>) {
-        for d in downs {
-            let st = self.state(d.socket.0, d.core.0, d.block);
-            assert!(st.is_owned(), "downgrade of {st} line at {:?}", d.block);
-            if st == MesiState::Modified {
-                self.sys.sharing_writeback(Cycle(0), d.socket, d.block);
-            }
-            self.set(d.socket.0, d.core.0, d.block, MesiState::Shared);
-        }
-        let mut pending = invals;
-        while let Some(inv) = pending.pop() {
-            let st = self.state(inv.socket.0, inv.core.0, inv.block);
-            if st == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        pending.extend(self.sys.dev_dirty_recall(Cycle(0), inv.socket, inv.block));
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle(0), inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {}
-                }
-            }
-            self.set(inv.socket.0, inv.core.0, inv.block, MesiState::Invalid);
-        }
-    }
-
-    fn check_block(&self, b: BlockAddr) {
-        for s in 0..self.sys.config().sockets as u8 {
-            let mut holders = Vec::new();
-            for c in 0..self.sys.config().cores as u16 {
-                let st = self.state(s, c, b);
-                if st.is_valid() {
-                    holders.push((c, st));
-                }
-            }
-            let owners = holders.iter().filter(|(_, st)| st.is_owned()).count();
-            assert!(owners <= 1, "SWMR violated at {b:?}: {holders:?}");
-            if owners == 1 {
-                assert_eq!(holders.len(), 1, "owner+sharers at {b:?}: {holders:?}");
-            }
-            if holders.is_empty() {
-                continue;
-            }
-            let entry = self.sys.entry_of(SocketId(s), b);
-            assert!(
-                entry.is_some() || self.sys.memory_corrupted(b),
-                "socket {s}: untracked private copies of {b:?}: {holders:?}"
-            );
-            if let Some(e) = entry {
-                for (c, _) in &holders {
-                    assert!(
-                        e.sharers.contains(CoreId(*c)),
-                        "socket {s}: directory lost sharer c{c} of {b:?} (entry {e:?})"
-                    );
-                }
-            }
-        }
-    }
-
-    fn step(&mut self, rng: &mut Prng, blocks: &[BlockAddr]) {
-        let s = (rng.below(self.sys.config().sockets as u64)) as u8;
-        let c = (rng.below(self.sys.config().cores as u64)) as u16;
-        let b = blocks[rng.below(blocks.len() as u64) as usize];
-        let st = self.state(s, c, b);
-        match rng.below(10) {
-            // Evict (if present)
-            0..=1 if st.is_valid() => {
-                let kind = match st {
-                    MesiState::Modified => EvictKind::Dirty,
-                    MesiState::Exclusive => EvictKind::CleanExclusive,
-                    MesiState::Shared => EvictKind::CleanShared,
-                    MesiState::Invalid => unreachable!(),
-                };
-                let invals = self.sys.evict(Cycle(0), SocketId(s), CoreId(c), b, kind);
-                self.set(s, c, b, MesiState::Invalid);
-                self.apply(invals, Vec::new());
-            }
-            // Write
-            2..=4 => match st {
-                MesiState::Modified => {}
-                MesiState::Exclusive => self.set(s, c, b, MesiState::Modified),
-                MesiState::Shared => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::Upgrade);
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, MesiState::Modified);
-                }
-                MesiState::Invalid => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::ReadExclusive);
-                    let grant = r.grant;
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, grant);
-                }
-            },
-            // Read (and occasionally code read)
-            _ => {
-                if st.is_valid() {
-                    return;
-                }
-                let op = if rng.chance(0.1) {
-                    Op::CodeRead
-                } else {
-                    Op::Read
-                };
-                let r = self.sys.access(Cycle(0), SocketId(s), CoreId(c), b, op);
-                let grant = r.grant;
-                self.apply(r.invalidations, r.downgrades);
-                self.set(s, c, b, grant);
-            }
-        }
-        self.sys.check_invariants();
-        self.check_block(b);
-    }
+    h.system().check_invariants();
 }
 
 fn tiny(
@@ -191,9 +78,9 @@ fn stress(cfg: SystemConfig, steps: u64, seed: u64) {
     let mut rng = Prng::seeded(seed);
     // A small pool of blocks that heavily conflicts in the tiny LLC.
     let blocks: Vec<BlockAddr> = (0..96u64).map(|i| BlockAddr(0x1000 + i * 3)).collect();
-    let mut m = Model::new(cfg);
+    let mut h = ProtocolHarness::new(cfg, blocks.clone(), true).expect("valid");
     for _ in 0..steps {
-        m.step(&mut rng, &blocks);
+        step(&mut h, &mut rng, &blocks);
     }
 }
 

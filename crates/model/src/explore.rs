@@ -7,12 +7,15 @@
 //!
 //! Three failure detectors run:
 //!
-//! * **Per-transition invariants** — the harness's own checks (SWMR, value
-//!   coherence via write tokens, recoverability, directory conformance)
-//!   return [`zerodev_core::StepViolation`]s.
+//! * **Per-transition invariants** — [`ProtocolHarness::check`] returns a
+//!   [`zerodev_core::StepViolation`] for the harness's own value checks
+//!   (write tokens, recoverability) and for the per-block predicates of
+//!   `zerodev_core`'s `invariants` module (SWMR, directory precision, entry
+//!   placement, …) over its shadow view.
 //! * **Machine panics** — the concrete [`zerodev_core::System`] and its
-//!   audit oracle `panic!` on structural violations; every transition runs
-//!   under `catch_unwind` so a panic becomes a counterexample instead of
+//!   audit oracle, which checks the same predicates from the transaction
+//!   stream, `panic!` on violations; every transition runs under
+//!   [`apply_caught`] so a panic becomes a counterexample instead of
 //!   aborting the sweep.
 //! * **Drain check** — after full exploration, reverse reachability from
 //!   the quiescent states: a state from which no path drains the machine is
@@ -31,24 +34,10 @@ use std::sync::Once;
 use zerodev_core::step::{ProtocolEvent, ProtocolHarness};
 
 thread_local! {
-    static EXPLORING: Cell<bool> = const { Cell::new(false) };
+    static CATCHING: Cell<bool> = const { Cell::new(false) };
 }
 
 static QUIET_HOOK: Once = Once::new();
-
-/// Installs (once per process) a panic hook that stays silent while a
-/// thread is exploring — expected violations must not spam stderr — and
-/// defers to the previous hook otherwise.
-fn install_quiet_hook() {
-    QUIET_HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if !EXPLORING.with(Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -57,6 +46,33 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
+    }
+}
+
+/// Applies `ev` to `h` with machine panics caught: `Err` carries the
+/// rendered [`zerodev_core::StepViolation`] or the panic message. The
+/// panic is not printed — expected violations must not spam stderr — and
+/// `h` must be discarded after one.
+///
+/// # Errors
+/// Returns the violation or panic message of the failed transition.
+pub fn apply_caught(h: &mut ProtocolHarness, ev: ProtocolEvent) -> Result<(), String> {
+    // One process-wide hook that stays silent while a thread is inside
+    // this call and defers to the previous hook otherwise.
+    QUIET_HOOK.call_once(|| {
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            if !CATCHING.with(Cell::get) {
+                prev(info);
+            }
+        }));
+    });
+    CATCHING.with(|f| f.set(true));
+    let res = panic::catch_unwind(AssertUnwindSafe(|| h.apply(ev)));
+    CATCHING.with(|f| f.set(false));
+    match res {
+        Err(payload) => Err(panic_message(payload)),
+        Ok(res) => res.map_err(|v| v.to_string()),
     }
 }
 
@@ -155,7 +171,6 @@ fn trace_to(parents: &[Option<(u32, ProtocolEvent)>], mut id: u32) -> Vec<Protoc
 /// Panics when the configuration itself fails validation (the matrix in
 /// `main.rs` and the tests only build valid ones).
 pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
-    install_quiet_hook();
     let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
         .expect("model configuration validates");
     let k0 = canonical_key(&h0);
@@ -182,16 +197,9 @@ pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
         }
         for ev in h.enabled_events() {
             let mut next = h.clone();
-            EXPLORING.with(|f| f.set(true));
-            let res = panic::catch_unwind(AssertUnwindSafe(|| next.apply(ev)));
-            EXPLORING.with(|f| f.set(false));
+            let res = apply_caught(&mut next, ev);
             transitions += 1;
-            let failure = match res {
-                Err(payload) => Some(panic_message(payload)),
-                Ok(Err(v)) => Some(v.to_string()),
-                Ok(Ok(())) => None,
-            };
-            if let Some(message) = failure {
+            if let Err(message) = res {
                 let mut trace = trace_to(&parents, id);
                 trace.push(ev);
                 return Exploration {

@@ -15,7 +15,10 @@
 //!
 //! `expect clean` requires the whole schedule to replay without any
 //! invariant violation; `expect violation <substring>` requires a
-//! [`StepViolation`] whose rendering contains the substring. An optional
+//! [`zerodev_core::StepViolation`] or a caught machine panic (the audit
+//! oracle's) whose text contains the substring. `<a> | <b>` accepts either
+//! substring, for a bug whose first symptom is an engine `debug_assert!`
+//! in debug builds and an oracle violation in release builds. An optional
 //! `mutation <Name>` line activates one of the seeded protocol-rule
 //! mutations for the replay (reset afterwards), so a checker-blindness
 //! regression can be committed as a fixture too. Replay is
@@ -24,11 +27,12 @@
 //! tests for every protocol bug the checker has caught.
 
 use crate::config::{try_tiny, ModelConfig};
+use crate::explore::apply_caught;
 use zerodev_common::config::{LlcDesign, SpillPolicy};
 use zerodev_common::ids::{CoreId, SocketId};
 use zerodev_common::protocol::{set_mutation, EvictKind, Mutation, Op};
 use zerodev_common::BlockAddr;
-use zerodev_core::step::{ProtocolEvent, ProtocolHarness, StepViolation};
+use zerodev_core::step::{ProtocolEvent, ProtocolHarness};
 
 /// What a fixture asserts about its schedule.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -132,29 +136,18 @@ pub fn parse_event(line: &str) -> Result<ProtocolEvent, String> {
     match toks.as_slice() {
         ["access", agent, block, op] => {
             let (socket, core) = parse_agent(agent)?;
-            Ok(ProtocolEvent::Access {
-                socket,
-                core,
-                block: parse_block(block)?,
-                op: parse_op(op)?,
-            })
+            let (block, op) = (parse_block(block)?, parse_op(op)?);
+            Ok(ProtocolEvent::access(socket, core, block, op))
         }
         ["write", agent, block, "(silent", "E->M)"] => {
             let (socket, core) = parse_agent(agent)?;
-            Ok(ProtocolEvent::SilentWrite {
-                socket,
-                core,
-                block: parse_block(block)?,
-            })
+            let block = parse_block(block)?;
+            Ok(ProtocolEvent::silent_write(socket, core, block))
         }
         ["evict", agent, block, kind] => {
             let (socket, core) = parse_agent(agent)?;
-            Ok(ProtocolEvent::Evict {
-                socket,
-                core,
-                block: parse_block(block)?,
-                kind: parse_evict_kind(kind)?,
-            })
+            let (block, kind) = (parse_block(block)?, parse_evict_kind(kind)?);
+            Ok(ProtocolEvent::evict(socket, core, block, kind))
         }
         _ => Err(format!("unparseable event line {line:?}")),
     }
@@ -240,19 +233,21 @@ pub fn parse_fixture(text: &str) -> Result<Fixture, String> {
     })
 }
 
-/// Replays `events` through a fresh harness for `model`, stopping at the
-/// first violation. Returns the machine and what (if anything) failed.
+/// Replays `events` through a fresh audited harness for `model`, stopping
+/// at the first violation. Returns the machine and what (if anything)
+/// failed: the event index and the violation's rendering, or the machine's
+/// panic message, caught as [`explore`](crate::explore::explore) catches it.
 ///
 /// # Panics
 /// Panics when the fixture's machine configuration fails validation.
 pub fn replay(
     model: &ModelConfig,
     events: &[ProtocolEvent],
-) -> (ProtocolHarness, Option<(usize, StepViolation)>) {
+) -> (ProtocolHarness, Option<(usize, String)>) {
     let mut h = ProtocolHarness::new(model.cfg.clone(), model.blocks.clone(), true)
         .expect("fixture configuration validates");
     for (i, &ev) in events.iter().enumerate() {
-        if let Err(v) = h.apply(ev) {
+        if let Err(v) = apply_caught(&mut h, ev) {
             return (h, Some((i, v)));
         }
     }
@@ -284,9 +279,8 @@ pub fn run_fixture(fx: &Fixture) -> Result<(), String> {
             "expected clean replay, but event {i} ({}) violated: {v}",
             fx.events.get(i).map_or("?".to_string(), |e| e.to_string())
         )),
-        (Expectation::Violation(sub), Some((_, v))) => {
-            let msg = v.to_string();
-            if msg.contains(sub.as_str()) {
+        (Expectation::Violation(sub), Some((_, msg))) => {
+            if sub.split(" | ").any(|alt| msg.contains(alt)) {
                 Ok(())
             } else {
                 Err(format!(

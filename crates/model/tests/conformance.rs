@@ -9,9 +9,9 @@
 //! is determinism of the transition function itself; this test pins that.
 
 use zerodev_common::config::{LlcDesign, SpillPolicy};
-use zerodev_core::step::ProtocolHarness;
 use zerodev_model::config::tiny;
 use zerodev_model::state::canonical_key;
+use zerodev_model::trace::replay;
 use zerodev_model::{explore, Limits};
 
 const POLICIES: [SpillPolicy; 3] = [
@@ -44,13 +44,8 @@ fn checker_traces_replay_to_identical_states_across_policies_and_designs() {
                 mc.name
             );
             for (trace, key) in &ex.sample_traces {
-                let mut h = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
-                    .expect("config validates");
-                for (i, &ev) in trace.iter().enumerate() {
-                    h.apply(ev).unwrap_or_else(|v| {
-                        panic!("{}: replay event {i} ({ev}) violated: {v}", mc.name)
-                    });
-                }
+                let (h, failure) = replay(&mc, trace);
+                assert_eq!(failure, None, "{}: replay violated", mc.name);
                 assert_eq!(
                     &canonical_key(&h),
                     key,

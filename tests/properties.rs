@@ -3,12 +3,12 @@
 //! the repo's own `Prng` (fixed seed sweeps), so the suite needs no
 //! external crates and every failure reproduces exactly.
 
-use std::collections::HashMap;
 use zerodev::cache::{Replacement, SetAssoc};
 use zerodev::common::ids::SharerSet;
 use zerodev::common::rng::Zipf;
 use zerodev::common::table::geomean;
 use zerodev::common::Prng;
+use zerodev::core::{ProtocolEvent, ProtocolHarness};
 use zerodev::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -261,65 +261,33 @@ fn zerodev_never_devs_under_random_traffic() {
             },
             DirectoryKind::None,
         );
-        let mut sys = System::new(cfg).unwrap();
-        // A tiny legal driver: track private states, honour the contract.
-        let mut lines: HashMap<(u16, u64), MesiState> = HashMap::new();
+        let blocks: Vec<BlockAddr> = (0..48).map(|k| BlockAddr(0x100 + k * 5)).collect();
+        let mut h = ProtocolHarness::new(cfg, blocks, true).unwrap();
         for _ in 0..ops {
-            let c = rng.below(4) as u16;
-            let b = BlockAddr(0x100 + rng.below(48) * 5);
-            let st = lines.get(&(c, b.0)).copied().unwrap_or(MesiState::Invalid);
-            let r = match (st, rng.below(3)) {
-                (MesiState::Invalid, 0) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::ReadExclusive))
-                }
-                (MesiState::Invalid, _) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::Read))
-                }
-                (MesiState::Shared, 0) => {
-                    Some(sys.access(Cycle(0), SocketId(0), CoreId(c), b, Op::Upgrade))
-                }
-                (s2, 1) if s2.is_valid() => {
-                    let kind = match s2 {
-                        MesiState::Modified => EvictKind::Dirty,
-                        MesiState::Exclusive => EvictKind::CleanExclusive,
-                        _ => EvictKind::CleanShared,
-                    };
-                    let invals = sys.evict(Cycle(0), SocketId(0), CoreId(c), b, kind);
-                    lines.remove(&(c, b.0));
-                    for inv in invals {
-                        lines.remove(&(inv.core.0, inv.block.0));
-                    }
-                    None
-                }
+            let socket = SocketId(0);
+            let core = CoreId(rng.below(4) as u16);
+            let block = BlockAddr(0x100 + rng.below(48) * 5);
+            let st = h.shadow_state(socket, core, block);
+            let access = |op| Some(ProtocolEvent::access(socket, core, block, op));
+            let ev = match (st, rng.below(3)) {
+                (MesiState::Invalid, 0) => access(Op::ReadExclusive),
+                (MesiState::Invalid, _) => access(Op::Read),
+                (MesiState::Shared, 0) => access(Op::Upgrade),
+                (s2, 1) => EvictKind::for_state(s2)
+                    .map(|kind| ProtocolEvent::evict(socket, core, block, kind)),
                 _ => None,
             };
-            if let Some(res) = r {
-                let grant = match (st, res.grant) {
-                    (MesiState::Shared, MesiState::Modified) => MesiState::Modified,
-                    (_, g) => g,
-                };
-                for inv in &res.invalidations {
-                    if inv.core.0 != c || inv.block != b {
-                        lines.remove(&(inv.core.0, inv.block.0));
-                    }
+            if let Some(ev) = ev {
+                if let Err(v) = h.apply(ev) {
+                    panic!("{policy:?} (seed {seed}): {ev}: {v}");
                 }
-                for d in &res.downgrades {
-                    if let Some(s3) = lines.get_mut(&(d.core.0, d.block.0)) {
-                        if s3.is_owned() {
-                            if *s3 == MesiState::Modified {
-                                sys.sharing_writeback(Cycle(0), d.socket, d.block);
-                            }
-                            *s3 = MesiState::Shared;
-                        }
-                    }
-                }
-                lines.insert((c, b.0), grant);
             }
             assert_eq!(
-                sys.stats.dev_invalidations, 0,
+                h.system().stats.dev_invalidations,
+                0,
                 "{policy:?} produced a DEV (seed {seed})"
             );
         }
-        sys.check_invariants();
+        h.system().check_invariants();
     }
 }
