@@ -23,7 +23,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use zerodev_common::config::{DirectoryKind, LlcDesign, SpillPolicy, ZeroDevConfig};
-use zerodev_common::{env, SystemConfig};
+use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::{run, RunParams};
 use zerodev_sim::{FaultConfig, StateFault};
 
@@ -56,13 +56,6 @@ fn params() -> RunParams {
         audit: true,
         ..Default::default()
     }
-}
-
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<String>()
-        .cloned()
-        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn matrix_over(designs: &[LlcDesign]) -> Vec<(SpillPolicy, LlcDesign)> {
@@ -134,7 +127,7 @@ fn sensitivity_point(
             }
         }
         Err(p) => {
-            let msg = panic_text(p);
+            let msg = panic_message(&*p);
             if msg.contains("coherence oracle violation") {
                 Ok(())
             } else {
@@ -151,7 +144,7 @@ fn resilience_point(policy: SpillPolicy, design: LlcDesign) -> Result<(), String
     let wl = || zerodev_workloads::multithreaded("ocean_cp", 8, 5).expect("known app");
     let clean = match catch_unwind(AssertUnwindSafe(|| run(&cfg, wl(), &params()))) {
         Ok(r) => r,
-        Err(e) => return Err(format!("fault-free run panicked: {}", panic_text(e))),
+        Err(e) => return Err(format!("fault-free run panicked: {}", panic_message(&*e))),
     };
     let faults = FaultConfig {
         nack_ppm: 20_000,
@@ -165,7 +158,7 @@ fn resilience_point(policy: SpillPolicy, design: LlcDesign) -> Result<(), String
     };
     let faulted = match catch_unwind(AssertUnwindSafe(|| run(&cfg, wl(), &p))) {
         Ok(r) => r,
-        Err(e) => return Err(format!("faulted run panicked: {}", panic_text(e))),
+        Err(e) => return Err(format!("faulted run panicked: {}", panic_message(&*e))),
     };
     if faulted.result.faults.total_events() == 0 {
         return Err("no fault events injected at these rates".to_string());

@@ -37,7 +37,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use zerodev_bench::{baseline, sparse, zerodev_default_nodir, zerodev_sparse, SEED};
-use zerodev_common::{env, SystemConfig};
+use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::RunParams;
 use zerodev_sim::{RunStatus, SimError, Simulation};
 use zerodev_workloads::{multithreaded, Trace, TORTURE};
@@ -253,7 +253,7 @@ fn run_point(
         Err(e) => {
             // Panic during warm-up: minimize against the smallest target
             // (the warm-up runs in full whatever the target is).
-            let message = panic_text(&e);
+            let message = panic_message(&*e);
             let minimized_refs = minimize(&p, params, 1);
             let artifact = trace_artifact(&p, params, 0, dir);
             return PointReport {
@@ -273,7 +273,7 @@ fn run_point(
         let step = catch_unwind(AssertUnwindSafe(|| run.advance(STEP)));
         match step {
             Err(e) => {
-                let message = panic_text(&e);
+                let message = panic_message(&*e);
                 let retired = before + STEP; // upper bound on the failing pop
                 drop(run); // state after a panic is unspecified
                 let minimized_refs = minimize(&p, params, params.refs_per_core.min(retired));
@@ -320,7 +320,7 @@ fn run_point(
                     },
                     Err(e) => {
                         // The final audit sweep flagged a violation.
-                        let message = panic_text(&e);
+                        let message = panic_message(&*e);
                         let minimized_refs = minimize(&p, params, params.refs_per_core);
                         let artifact = trace_artifact(&p, params, retired, dir);
                         PointReport {
@@ -355,13 +355,6 @@ fn run_point(
             }
         }
     }
-}
-
-fn panic_text(p: &Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<String>()
-        .cloned()
-        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 fn json_escape(s: &str) -> String {

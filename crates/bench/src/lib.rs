@@ -379,13 +379,8 @@ pub fn run_figures(figs: &[(&str, fn())]) -> usize {
         parallel::set_sweep_context(None);
         let wall = t0.elapsed();
         if let Err(p) = outcome {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_else(|| "non-string panic payload".to_string());
             eprintln!("[{name}: FAILED after {wall:?}]");
-            failed.push((name, msg));
+            failed.push((name, zerodev_common::panic_message(&*p)));
         } else {
             eprintln!("[{name}: {wall:?}]");
         }

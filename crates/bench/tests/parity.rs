@@ -16,17 +16,11 @@
 
 use zerodev_common::config::DirectoryKind;
 use zerodev_common::config::{LlcDesign, LlcReplacement, SpillPolicy, ZeroDevConfig};
+use zerodev_common::snap::fnv1a;
 use zerodev_common::SystemConfig;
 use zerodev_sim::runner::{run, RunParams};
 use zerodev_sim::FaultConfig;
 use zerodev_workloads::multithreaded;
-
-/// FNV-1a over the rendered result record (exact: no floats involved).
-fn fnv(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 const POLICIES: [SpillPolicy; 3] = [
     SpillPolicy::SpillAll,
@@ -40,14 +34,9 @@ const DESIGNS: [LlcDesign; 3] = [
     LlcDesign::Inclusive,
 ];
 
-/// One audited short run; returns the behaviour fingerprint.
+/// One audited short run; returns the behaviour fingerprint, FNV-1a over
+/// the rendered result record (exact: no floats involved).
 fn point(policy: SpillPolicy, design: LlcDesign, sockets: usize) -> u64 {
-    point_sharded(policy, design, sockets, 1)
-}
-
-/// [`point`] with an explicit shard count for the sharded-driver parity
-/// matrix (`shards = 1` is the exact serial event loop).
-fn point_sharded(policy: SpillPolicy, design: LlcDesign, sockets: usize, shards: usize) -> u64 {
     let mut cfg = if sockets == 1 {
         SystemConfig::baseline_8core()
     } else {
@@ -71,17 +60,17 @@ fn point_sharded(policy: SpillPolicy, design: LlcDesign, sockets: usize, shards:
         refs_per_core: if sockets == 1 { 2_500 } else { 1_200 },
         warmup_refs: 300,
         threads: 1,
-        shards,
         audit: true,
         faults: None,
         ..Default::default()
     };
     let wl = multithreaded("canneal", cores, 0x9a11_7e57).expect("known app");
     let r = run(&cfg, wl, &params).result;
-    fnv(&format!(
+    let record = format!(
         "{:?}|{:?}|{:?}|{}|{}",
         r.stats, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
-    ))
+    );
+    fnv1a(record.as_bytes())
 }
 
 /// The pinned behaviour of the whole matrix, row-major over
@@ -133,35 +122,14 @@ fn audited_matrix_matches_pinned_fingerprints() {
     }
 }
 
-/// The sharded driver's hard invariant (DESIGN.md §8): at any shard count
-/// the run is **byte-identical** to the serial event loop. The serial
-/// goldens above therefore *are* the sharded expectations — no separate
-/// harvest, no tolerance. Every point of the audited matrix is re-run at
-/// 2 and 4 shards and must land on the exact pinned fingerprint.
+/// Sweep-thread determinism under an active fault plan: every
+/// `ZERODEV_THREADS` setting (expressed directly through `RunParams` so the
+/// test cannot race on process-global env vars) must produce one identical
+/// fingerprint — fault draws included — with the coherence oracle armed.
+/// Message-level faults only: state-corruption faults deliberately trip the
+/// oracle, which is its own test elsewhere.
 #[test]
-fn sharded_matrix_matches_the_serial_goldens() {
-    for (i, (policy, design, sockets)) in matrix_points().into_iter().enumerate() {
-        for shards in [2usize, 4] {
-            let got = point_sharded(policy, design, sockets, shards);
-            assert_eq!(
-                got, GOLDEN[i],
-                "sharded run diverged from serial at \
-                 {policy:?}/{design:?}/{sockets} socket(s) with {shards} shard(s) \
-                 (matrix index {i}): got {got:#018x}, pinned {:#018x}",
-                GOLDEN[i]
-            );
-        }
-    }
-}
-
-/// Shard × sweep-thread determinism under an active fault plan: the
-/// `ZERODEV_SHARDS` × `ZERODEV_THREADS` grid (expressed directly through
-/// `RunParams` so the test cannot race on process-global env vars) must
-/// produce one identical fingerprint — fault draws included — with the
-/// coherence oracle armed. Message-level faults only: state-corruption
-/// faults deliberately trip the oracle, which is its own test elsewhere.
-#[test]
-fn shards_and_threads_agree_under_audit_and_faults() {
+fn threads_agree_under_audit_and_faults() {
     let cfg = SystemConfig::four_socket().with_zerodev(
         ZeroDevConfig {
             policy: SpillPolicy::FusePrivateSpillShared,
@@ -177,32 +145,30 @@ fn shards_and_threads_agree_under_audit_and_faults() {
         dup_ppm: 300,
         ..Default::default()
     };
-    let fingerprint = |shards: usize, threads: usize| {
+    let fingerprint = |threads: usize| {
         let params = RunParams {
             refs_per_core: 1_000,
             warmup_refs: 200,
             threads,
-            shards,
             audit: true,
             faults: Some(faults),
             ..Default::default()
         };
         let wl = multithreaded("canneal", cfg.cores * cfg.sockets, 0x0dd5_eed5).expect("known app");
         let r = run(&cfg, wl, &params).result;
-        fnv(&format!(
+        let record = format!(
             "{:?}|{:?}|{:?}|{:?}|{}|{}",
             r.stats, r.faults, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
-        ))
-    };
-    let reference = fingerprint(1, 1);
-    for (shards, threads) in [(1, 4), (2, 1), (2, 4), (4, 1), (4, 4)] {
-        let got = fingerprint(shards, threads);
-        assert_eq!(
-            got, reference,
-            "faulted audited run diverged at shards={shards}, threads={threads}: \
-             got {got:#018x}, serial single-thread reference {reference:#018x}"
         );
-    }
+        fnv1a(record.as_bytes())
+    };
+    let reference = fingerprint(1);
+    let got = fingerprint(4);
+    assert_eq!(
+        got, reference,
+        "faulted audited run diverged at threads=4: \
+         got {got:#018x}, single-thread reference {reference:#018x}"
+    );
 }
 
 /// Harvest helper: prints the matrix in golden-array form.

@@ -21,8 +21,6 @@
 //! assert_eq!(victim, (2, "b"));                        // LRU way evicted
 //! ```
 
-mod evbuf;
 mod setassoc;
 
-pub use evbuf::EvictionBuffer;
-pub use setassoc::{Replacement, SetAssoc, SetUndo};
+pub use setassoc::{Replacement, SetAssoc};

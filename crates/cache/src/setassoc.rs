@@ -72,30 +72,6 @@ fn stack_remove(stack: &mut [u8], len: &mut u8, way: u8) {
     }
 }
 
-/// Saved contents of a single set — the unit of a copy-on-write undo log
-/// for speculative execution. One `SetUndo` is refilled by
-/// [`SetAssoc::save_set`] and applied back by [`SetAssoc::restore_set`];
-/// its buffers are reused across snapshots.
-#[derive(Debug)]
-pub struct SetUndo<T> {
-    set: usize,
-    tags: Vec<u64>,
-    /// The set's whole control block (metadata, recency stack, live count).
-    ctrl: Vec<u8>,
-    data: Vec<Option<T>>,
-}
-
-impl<T> Default for SetUndo<T> {
-    fn default() -> Self {
-        SetUndo {
-            set: 0,
-            tags: Vec::new(),
-            ctrl: Vec::new(),
-            data: Vec::new(),
-        }
-    }
-}
-
 /// A set-associative tagged array with duplicate-tag support.
 ///
 /// Keys are arbitrary `u64` frame identifiers; the low bits index the set and
@@ -163,51 +139,6 @@ impl<T> SetAssoc<T> {
             data,
             policy,
             live: 0,
-        }
-    }
-
-    /// The set index `key` maps to. Exposed so speculative callers can
-    /// deduplicate per-set snapshots (see [`Self::save_set`]).
-    #[inline]
-    pub fn set_index(&self, key: u64) -> usize {
-        self.set_of(key)
-    }
-
-    /// Saves the full contents of the set containing `key` into `out`,
-    /// reusing `out`'s buffers — a pooled undo log allocates only while it
-    /// grows. Restore with [`Self::restore_set`].
-    pub fn save_set(&self, key: u64, out: &mut SetUndo<T>)
-    where
-        T: Clone,
-    {
-        let set = self.set_of(key);
-        let r = set * self.ways..(set + 1) * self.ways;
-        out.set = set;
-        out.tags.clear();
-        out.tags.extend_from_slice(&self.tags[r.clone()]);
-        out.ctrl.clear();
-        out.ctrl.extend_from_slice(self.ctrl_block(set));
-        out.data.clear();
-        out.data.extend(self.data[r].iter().cloned());
-    }
-
-    /// Restores a set saved from *this* array by [`Self::save_set`],
-    /// adjusting the global valid-line count by the delta.
-    pub fn restore_set(&mut self, from: &SetUndo<T>)
-    where
-        T: Clone,
-    {
-        let set = from.set;
-        debug_assert_eq!(from.tags.len(), self.ways, "snapshot from this array");
-        let r = set * self.ways..(set + 1) * self.ways;
-        let stride = self.stride();
-        let block = &mut self.ctrl[set * stride..][..stride];
-        self.live += from.ctrl[stride - 1] as usize;
-        self.live -= block[stride - 1] as usize;
-        block.copy_from_slice(&from.ctrl);
-        self.tags[r.clone()].copy_from_slice(&from.tags);
-        for (d, s) in self.data[r].iter_mut().zip(&from.data) {
-            d.clone_from(s);
         }
     }
 
@@ -563,9 +494,8 @@ impl<T> SetAssoc<T> {
         self.ctrl(self.set_of(key)).2 as usize
     }
 
-    /// Serializes the whole array *lane-exactly* for checkpointing — the
-    /// whole-hierarchy generalization of [`Self::save_set`]. Geometry
-    /// (sets, ways, policy) is written first and verified by
+    /// Serializes the whole array *lane-exactly* for checkpointing.
+    /// Geometry (sets, ways, policy) is written first and verified by
     /// [`Self::restore_with`] against the target instance; then the tag,
     /// metadata, recency, live-count, and payload lanes follow verbatim, so
     /// a restored array reproduces victim choice, NRU bits, and
@@ -938,29 +868,6 @@ mod tests {
             let tag = c.tag_of(key);
             assert_eq!(c.key_of(set, tag), key);
         }
-    }
-
-    #[test]
-    fn save_restore_round_trips_one_set() {
-        let mut c: SetAssoc<u32> = SetAssoc::new(2, 2, Replacement::Lru);
-        c.insert(0, 10, none); // set 0
-        c.insert(2, 12, none); // set 0
-        c.insert(1, 11, none); // set 1
-        let mut undo = SetUndo::default();
-        c.save_set(0, &mut undo);
-        // Churn set 0: recency flip, eviction, removal.
-        c.touch(0, any);
-        assert_eq!(c.insert(4, 14, none), Some((2, 12)));
-        c.remove(0, any);
-        assert_eq!(c.len(), 2);
-        c.restore_set(&undo);
-        assert_eq!(c.len(), 3, "valid-line count restored");
-        assert_eq!(c.peek(0, any), Some(&10));
-        assert_eq!(c.peek(2, any), Some(&12));
-        assert_eq!(c.peek(4, any), None);
-        assert_eq!(c.peek(1, any), Some(&11), "other sets untouched");
-        // Recency restored too: 2 was MRU at save time, so 0 is the victim.
-        assert_eq!(c.insert(4, 14, none), Some((0, 10)));
     }
 
     #[test]

@@ -706,16 +706,13 @@ impl SystemConfig {
     /// memoization key: two configs share a fingerprint exactly when they
     /// would produce identical simulations.
     ///
-    /// Computed as FNV-1a over the canonical `Debug` rendering, which
-    /// includes every field (and every field of nested enums/structs), so
-    /// new knobs are picked up automatically. No field is floating-point,
-    /// so the rendering is exact.
+    /// Computed as FNV-1a ([`crate::snap::fnv1a`]) over the canonical
+    /// `Debug` rendering, which includes every field (and every field of
+    /// nested enums/structs), so new knobs are picked up automatically. No
+    /// field is floating-point, so the rendering is exact. Checkpoint images
+    /// carry this value so a restore can verify it rebuilt the same machine.
     pub fn fingerprint(&self) -> u64 {
-        format!("{self:?}")
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            })
+        crate::snap::fnv1a(format!("{self:?}").as_bytes())
     }
 
     /// Renders the configuration as a human-readable multi-line summary

@@ -23,6 +23,8 @@
 //! * [`snap`] — hand-rolled versioned binary snapshot encoding (magic,
 //!   version, FNV-1a checksum) used by checkpoint/resume.
 //! * [`table`] — plain-text table rendering for the figure harnesses.
+//! * [`panic_message`] — a caught panic's payload as text, for the
+//!   panic-isolated sweeps, campaigns, and the model checker.
 //! * [`protocol`] — the protocol vocabulary ([`protocol::Op`],
 //!   [`protocol::EvictKind`], invalidations/downgrades) and the pure
 //!   decision rules shared by the concrete engine and the exhaustive model
@@ -62,3 +64,31 @@ pub use mesi::{DirState, MesiState};
 pub use msg::MsgClass;
 pub use rng::Prng;
 pub use stats::Stats;
+
+/// Renders a caught panic's payload as text: panics carry a `String` or a
+/// `&str`, and anything else reads "non-string panic payload". Pass
+/// `&*payload` for a `Box<dyn Any + Send>` — a `&Box` would coerce to the
+/// box itself and never downcast.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::panic_message;
+
+    #[test]
+    fn panic_message_renders_every_payload_kind() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).expect_err("closure panics");
+        let literal = caught(|| panic!("plain"));
+        let formatted = caught(|| panic!("formatted {}", 7));
+        let other = caught(|| std::panic::panic_any(7u32));
+        assert_eq!(panic_message(&*literal), "plain");
+        assert_eq!(panic_message(&*formatted), "formatted 7");
+        assert_eq!(panic_message(&*other), "non-string panic payload");
+    }
+}

@@ -163,13 +163,6 @@ impl System {
         }
     }
 
-    /// FNV-1a fingerprint of the machine configuration's canonical `Debug`
-    /// rendering. A checkpoint stores this instead of the configuration
-    /// itself; restore verifies the caller rebuilt the same machine.
-    pub fn config_fingerprint(cfg: &SystemConfig) -> u64 {
-        zerodev_common::snap::fnv1a(format!("{cfg:?}").as_bytes())
-    }
-
     /// Serializes the complete machine state — stats, every socket's LLC
     /// banks, directory, and mesh counters, the memory side, and the audit
     /// oracle when attached — for checkpointing. Structure geometry is not
@@ -179,7 +172,7 @@ impl System {
     /// ([`System::inject_state_fault`]) iterates identically after restore.
     // lint:allow(snapshot_complete(home_banks), derived from the configuration, whose fingerprint the image carries)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(Self::config_fingerprint(&self.cfg));
+        w.u64(self.cfg.fingerprint());
         self.stats.snap(w);
         w.usize(self.sockets.len());
         for s in &self.sockets {
@@ -212,7 +205,7 @@ impl System {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        if r.u64("system config fingerprint")? != Self::config_fingerprint(&self.cfg) {
+        if r.u64("system config fingerprint")? != self.cfg.fingerprint() {
             return Err(SnapError::Corrupt {
                 context: "system config fingerprint",
             });

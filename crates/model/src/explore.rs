@@ -39,16 +39,6 @@ thread_local! {
 
 static QUIET_HOOK: Once = Once::new();
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Applies `ev` to `h` with machine panics caught: `Err` carries the
 /// rendered [`zerodev_core::StepViolation`] or the panic message. The
 /// panic is not printed — expected violations must not spam stderr — and
@@ -71,7 +61,7 @@ pub fn apply_caught(h: &mut ProtocolHarness, ev: ProtocolEvent) -> Result<(), St
     let res = panic::catch_unwind(AssertUnwindSafe(|| h.apply(ev)));
     CATCHING.with(|f| f.set(false));
     match res {
-        Err(payload) => Err(panic_message(payload)),
+        Err(payload) => Err(zerodev_common::panic_message(&*payload)),
         Ok(res) => res.map_err(|v| v.to_string()),
     }
 }

@@ -12,7 +12,7 @@
 //!
 //! The image stores machine *state*, not machine *shape*: the caller
 //! supplies the [`SystemConfig`] at restore time and the image carries a
-//! fingerprint of it ([`zerodev_core::System::config_fingerprint`]), so a
+//! fingerprint of it ([`SystemConfig::fingerprint`]), so a
 //! checkpoint can never be thawed into a differently shaped machine.
 //! Structures are rebuilt by their constructors and then lane-restored,
 //! keeping probe order, replacement metadata, and fault-victim selection

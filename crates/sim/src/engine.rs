@@ -20,10 +20,9 @@ pub const DEFAULT_WATCHDOG_HORIZON: u64 = 1_000_000;
 /// reference).
 pub const DEFAULT_WATCHDOG_PERIOD: u64 = 4_096;
 
-/// The forward-progress watchdog's tuning knobs. Shared by the serial loop
-/// and the sharded commit walker so a configured horizon applies to both;
-/// the watchdog only reads the event stream, so results are byte-identical
-/// at any setting that does not fire.
+/// The forward-progress watchdog's tuning knobs. The watchdog only reads
+/// the event stream, so results are byte-identical at any setting that does
+/// not fire.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Watchdog {
     /// Cycles of per-core heartbeat silence that declare a stall.
@@ -112,7 +111,7 @@ pub(crate) struct EventQueue {
 impl EventQueue {
     /// One event per core, start times staggered by one cycle. The sequence
     /// `(0,0), (1,1), …` is already heap-ordered, so no heapify is needed.
-    pub(crate) fn new(cores: usize) -> Self {
+    fn new(cores: usize) -> Self {
         assert!(cores < (1 << 32), "core index must pack into 32 bits");
         EventQueue {
             keys: (0..cores).map(|t| event_key(t as u64, t)).collect(),
@@ -121,14 +120,14 @@ impl EventQueue {
 
     /// The earliest pending `(time, core)` event.
     #[inline]
-    pub(crate) fn peek_min(&self) -> (u64, usize) {
+    fn peek_min(&self) -> (u64, usize) {
         let k = self.keys[0];
         ((k >> 32) as u64, (k & 0xffff_ffff) as usize)
     }
 
     /// Replaces the minimum event and restores the heap property.
     #[inline]
-    pub(crate) fn replace_min(&mut self, time: u64, core: usize) {
+    fn replace_min(&mut self, time: u64, core: usize) {
         self.keys[0] = event_key(time, core);
         self.sift_down();
     }
@@ -284,193 +283,6 @@ impl SimResult {
     }
 }
 
-/// Where [`apply_effects_via`] lands invalidations/downgrades: the serial
-/// engine routes them straight into its `Vec<CoreModel>`, while the sharded
-/// driver (`crate::shard`) interposes its speculation bookkeeping (poison
-/// detection, delivery logging) before the same per-core application.
-pub(crate) trait EffectSink {
-    /// Downgrades `block` at `(socket, core)`; returns true when the copy
-    /// was Modified (the caller then reports the sharing writeback).
-    fn downgrade(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> bool;
-    /// Invalidates `block` at `(socket, core)`; returns the state the copy
-    /// was in (the caller routes Modified data back to the protocol).
-    fn invalidate(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> MesiState;
-}
-
-/// Applies one access's invalidations/downgrades through `sink`, reporting
-/// dirty data back to the protocol (which may cascade). Returns the
-/// core-visible latency: private latency plus the uncore latency de-rated
-/// by the workload's memory-level parallelism.
-///
-/// Drains the effect buffer in place so callers can reuse one allocation
-/// across every reference: invalidations are consumed LIFO off the tail
-/// while cascading recalls append to the same vector — exactly the order
-/// the former take-and-extend version processed. Shared verbatim between
-/// the serial loop and the sharded commit walker so the two paths cannot
-/// drift.
-// Responses terminate at the requesting core: delivering them generates
-// no further traffic, which is what makes vnet 3 the drain of the order.
-// lint:consumes(Data, Ack, MemReadData, SocketData)
-pub(crate) fn apply_effects_via(
-    sys: &mut System,
-    now: Cycle,
-    fx: &mut AccessEffects,
-    mlp: f64,
-    sink: &mut impl EffectSink,
-) -> u64 {
-    let latency = fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64;
-    for d in fx.downgrades.drain(..) {
-        if sink.downgrade(d.socket, d.core, d.block) {
-            sys.sharing_writeback(now, d.socket, d.block);
-        }
-    }
-    while let Some(inv) = fx.invalidations.pop() {
-        let state = sink.invalidate(inv.socket, inv.core, inv.block);
-        if state == MesiState::Modified {
-            match inv.reason {
-                InvalReason::Dev => {
-                    sys.dev_dirty_recall_into(now, inv.socket, inv.block, &mut fx.invalidations);
-                }
-                InvalReason::Inclusion => {
-                    sys.inclusion_dirty_writeback(now, inv.socket, inv.block);
-                }
-                InvalReason::Coherence => {
-                    // Dirty data travelled with the ownership transfer.
-                }
-            }
-        }
-    }
-    latency
-}
-
-/// Requester-side fault handling *before* the access reaches the uncore
-/// (see [`Simulation::fault_pre`] for semantics). Free-standing so the
-/// sharded commit walker can drive the identical fault path without a
-/// `Simulation` value.
-#[allow(clippy::too_many_arguments)] // one call site per driver; a params struct would only obscure it
-                                     // lint:consumes(DenfNack)
-pub(crate) fn fault_pre_at(
-    sys: &mut System,
-    faults: &mut Option<Box<FaultPlan>>,
-    t: usize,
-    socket: SocketId,
-    core: CoreId,
-    issue: u64,
-    block: zerodev_common::BlockAddr,
-    d: crate::faults::FaultDraw,
-) -> Result<(), SimError> {
-    let Some(len) = d.nack_storm else {
-        return Ok(());
-    };
-    let plan = faults.as_deref_mut().expect("fault draw without a plan");
-    let budget = plan.config().retry_budget;
-    if len > budget {
-        return Err(SimError::Stalled {
-            core: t,
-            cycle: issue,
-            last_event: format!(
-                "DENF_NACK storm of {len} on {block:?} exceeded the retry budget of {budget}"
-            ),
-        });
-    }
-    // The nacked request is re-issued after backoff: the one audited
-    // descent in the MsgClass order (DESIGN.md §12). The cycle cannot
-    // sustain itself — backoff grows with the storm length and the retry
-    // budget turns an unbounded storm into SimError::Stalled.
-    // lint:allow(msg_class_cycle, bounded DENF_NACK retry: backoff + hard retry budget guarantee drain)
-    plan.stats.nack_storms += 1; // lint:emits(Request)
-    plan.stats.nacks += u64::from(len);
-    plan.stats.backoff_cycles += plan.config().backoff_cycles(len);
-    let mut phantom = 0u64;
-    for _ in 0..len {
-        phantom += sys.fault_route(socket, core, block, MsgClass::DenfNack.bytes());
-    }
-    plan.stats.phantom_noc_cycles += phantom;
-    Ok(())
-}
-
-/// Completion-side fault handling *after* the access resolved (see
-/// [`Simulation::fault_post`] for semantics). Free-standing for the same
-/// reason as [`fault_pre_at`].
-pub(crate) fn fault_post_at(
-    sys: &mut System,
-    faults: &mut Option<Box<FaultPlan>>,
-    socket: SocketId,
-    core: CoreId,
-    done: u64,
-    block: zerodev_common::BlockAddr,
-    d: crate::faults::FaultDraw,
-) {
-    if let Some(extra) = d.delay {
-        let plan = faults.as_deref_mut().expect("plan present");
-        plan.stats.delayed += 1;
-        plan.stats.delay_cycles += extra;
-    }
-    if d.duplicate {
-        let current = sys.duplicate_completion_is_current(socket, core, block);
-        let phantom = sys.fault_route(socket, core, block, MsgClass::Data.bytes());
-        let plan = faults.as_deref_mut().expect("plan present");
-        plan.stats.duplicates += 1;
-        if !current {
-            plan.stats.duplicates_stale += 1;
-        }
-        plan.stats.phantom_noc_cycles += phantom;
-    }
-    if let Some(kind) = d.corrupt {
-        if let Some(plan) = faults.as_deref_mut() {
-            if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
-                plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
-                sys.audit_check_block(victim);
-            }
-        }
-    }
-}
-
-/// The serial sink: effects land directly on the committed core models.
-struct CoreSink<'a> {
-    cores: &'a mut [CoreModel],
-    cores_per_socket: usize,
-}
-
-impl CoreSink<'_> {
-    #[inline]
-    fn index(&self, socket: SocketId, core: CoreId) -> usize {
-        socket.0 as usize * self.cores_per_socket + core.0 as usize
-    }
-}
-
-impl EffectSink for CoreSink<'_> {
-    fn downgrade(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> bool {
-        let idx = self.index(socket, core);
-        self.cores[idx].apply_downgrade(block)
-    }
-
-    fn invalidate(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: zerodev_common::BlockAddr,
-    ) -> MesiState {
-        let idx = self.index(socket, core);
-        self.cores[idx].apply_invalidation(block)
-    }
-}
-
 /// A running simulation: the protocol engine plus all core models and the
 /// workload's reference generators.
 #[derive(Debug)]
@@ -594,21 +406,62 @@ impl Simulation {
         self.sys.enable_audit();
     }
 
-    /// Applies invalidations/downgrades to the victim cores via
-    /// [`apply_effects_via`] (the logic shared with the sharded walker).
+    /// Index of `(socket, core)` in [`Self::cores`].
+    #[inline]
+    fn core_index(&self, socket: SocketId, core: CoreId) -> usize {
+        socket.0 as usize * self.sys.config().cores + core.0 as usize
+    }
+
+    /// Applies one access's invalidations/downgrades to the victim cores,
+    /// reporting dirty data back to the protocol (which may cascade).
+    /// Returns the core-visible latency: private latency plus the uncore
+    /// latency de-rated by the workload's memory-level parallelism.
+    ///
+    /// Drains the effect buffer in place so callers can reuse one
+    /// allocation across every reference: invalidations are consumed LIFO
+    /// off the tail while cascading recalls append to the same vector.
+    // Responses terminate at the requesting core: delivering them generates
+    // no further traffic, which is what makes vnet 3 the drain of the order.
+    // lint:consumes(Data, Ack, MemReadData, SocketData)
     fn apply_effects(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
-        let cores_per_socket = self.sys.config().cores;
-        let mut sink = CoreSink {
-            cores: &mut self.cores,
-            cores_per_socket,
-        };
-        apply_effects_via(&mut self.sys, now, fx, mlp, &mut sink)
+        let latency = fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64;
+        for d in fx.downgrades.drain(..) {
+            let idx = self.core_index(d.socket, d.core);
+            if self.cores[idx].apply_downgrade(d.block) {
+                self.sys.sharing_writeback(now, d.socket, d.block);
+            }
+        }
+        while let Some(inv) = fx.invalidations.pop() {
+            let idx = self.core_index(inv.socket, inv.core);
+            let state = self.cores[idx].apply_invalidation(inv.block);
+            if state == MesiState::Modified {
+                match inv.reason {
+                    InvalReason::Dev => {
+                        self.sys.dev_dirty_recall_into(
+                            now,
+                            inv.socket,
+                            inv.block,
+                            &mut fx.invalidations,
+                        );
+                    }
+                    InvalReason::Inclusion => {
+                        self.sys
+                            .inclusion_dirty_writeback(now, inv.socket, inv.block);
+                    }
+                    InvalReason::Coherence => {
+                        // Dirty data travelled with the ownership transfer.
+                    }
+                }
+            }
+        }
+        latency
     }
 
     /// Requester-side fault handling *before* the access reaches the
     /// uncore: a forced `DENF_NACK` storm either exhausts the retry budget
     /// (a structured stall) or is absorbed with bounded exponential
     /// backoff, accounted virtually and as phantom NoC traffic.
+    // lint:consumes(DenfNack)
     fn fault_pre(
         &mut self,
         t: usize,
@@ -616,17 +469,40 @@ impl Simulation {
         block: zerodev_common::BlockAddr,
         d: crate::faults::FaultDraw,
     ) -> Result<(), SimError> {
+        let Some(len) = d.nack_storm else {
+            return Ok(());
+        };
         let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-        fault_pre_at(
-            &mut self.sys,
-            &mut self.faults,
-            t,
-            socket,
-            core,
-            issue,
-            block,
-            d,
-        )
+        let plan = self
+            .faults
+            .as_deref_mut()
+            .expect("fault draw without a plan");
+        let budget = plan.config().retry_budget;
+        if len > budget {
+            return Err(SimError::Stalled {
+                core: t,
+                cycle: issue,
+                last_event: format!(
+                    "DENF_NACK storm of {len} on {block:?} exceeded the retry budget of {budget}"
+                ),
+            });
+        }
+        // The nacked request is re-issued after backoff: the one audited
+        // descent in the MsgClass order (DESIGN.md §12). The cycle cannot
+        // sustain itself — backoff grows with the storm length and the retry
+        // budget turns an unbounded storm into SimError::Stalled.
+        // lint:allow(msg_class_cycle, bounded DENF_NACK retry: backoff + hard retry budget guarantee drain)
+        plan.stats.nack_storms += 1; // lint:emits(Request)
+        plan.stats.nacks += u64::from(len);
+        plan.stats.backoff_cycles += plan.config().backoff_cycles(len);
+        let mut phantom = 0u64;
+        for _ in 0..len {
+            phantom += self
+                .sys
+                .fault_route(socket, core, block, MsgClass::DenfNack.bytes());
+        }
+        plan.stats.phantom_noc_cycles += phantom;
+        Ok(())
     }
 
     /// Completion-side fault handling *after* the access resolved: delayed
@@ -642,15 +518,30 @@ impl Simulation {
         d: crate::faults::FaultDraw,
     ) {
         let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
-        fault_post_at(
-            &mut self.sys,
-            &mut self.faults,
-            socket,
-            core,
-            done,
-            block,
-            d,
-        );
+        let Simulation { sys, faults, .. } = self;
+        if let Some(extra) = d.delay {
+            let plan = faults.as_deref_mut().expect("plan present");
+            plan.stats.delayed += 1;
+            plan.stats.delay_cycles += extra;
+        }
+        if d.duplicate {
+            let current = sys.duplicate_completion_is_current(socket, core, block);
+            let phantom = sys.fault_route(socket, core, block, MsgClass::Data.bytes());
+            let plan = faults.as_deref_mut().expect("plan present");
+            plan.stats.duplicates += 1;
+            if !current {
+                plan.stats.duplicates_stale += 1;
+            }
+            plan.stats.phantom_noc_cycles += phantom;
+        }
+        if let Some(kind) = d.corrupt {
+            if let Some(plan) = faults.as_deref_mut() {
+                if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
+                    plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
+                    sys.audit_check_block(victim);
+                }
+            }
+        }
     }
 
     /// Runs until every core has retired `refs_per_core` references after a
@@ -717,53 +608,17 @@ impl Simulation {
         }
     }
 
-    /// [`Self::run`] with the deterministic sharded driver
-    /// (`crate::shard`): cores are partitioned into `shards` shards that
-    /// speculate private-hierarchy work on worker threads, while the global
-    /// `(time, core)` event order is committed serially — results are
-    /// byte-identical to [`Self::run`] at any shard count. `shards <= 1`
-    /// (or a single core) falls back to the serial loop.
-    ///
-    /// # Panics
-    /// Panics (via [`SimError`]'s message) when the forward-progress
-    /// watchdog fires; use [`Self::try_run_sharded`] for structured stalls.
-    pub fn run_sharded(self, refs_per_core: u64, warmup_refs: u64, shards: usize) -> SimResult {
-        self.try_run_sharded(refs_per_core, warmup_refs, shards)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::run_sharded`], surfacing stalls as [`SimError::Stalled`].
+    /// [`Self::try_run`] under the signature of the removed intra-run shard
+    /// driver; `_shards` is ignored, so the result is byte-identical to
+    /// `try_run` at any shard count. Kept only for the benchmark's traced
+    /// `shard.speedup_2` probe.
     pub fn try_run_sharded(
         self,
         refs_per_core: u64,
         warmup_refs: u64,
-        shards: usize,
+        _shards: usize,
     ) -> Result<SimResult, SimError> {
-        let shards = shards.clamp(1, self.cores.len().max(1));
-        if shards <= 1 {
-            return self.try_run(refs_per_core, warmup_refs);
-        }
-        crate::shard::run(self, refs_per_core, warmup_refs, shards)
-    }
-
-    /// Decomposes the simulation into the parts the sharded driver owns.
-    #[allow(clippy::type_complexity)] // one caller; naming the tuple would only add indirection
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        System,
-        Vec<CoreModel>,
-        Workload,
-        Option<Box<FaultPlan>>,
-        Watchdog,
-    ) {
-        (
-            self.sys,
-            self.cores,
-            self.workload,
-            self.faults,
-            self.watchdog,
-        )
+        self.try_run(refs_per_core, warmup_refs)
     }
 }
 
@@ -870,9 +725,10 @@ pub enum RunStatus {
 /// A measured region in flight, pausable between any two references.
 ///
 /// Produced by [`Simulation::start`] (or by restoring a checkpoint, see
-/// `crate::checkpoint`). The loop body here is *the* serial event loop —
-/// [`Simulation::try_run`] is a single unbounded advance — so pausing,
-/// checkpointing, and resuming cannot drift from an uninterrupted run.
+/// `crate::checkpoint`). The loop body here is the simulator's one event
+/// loop — [`Simulation::try_run`] is a single unbounded advance — so
+/// pausing, checkpointing, and resuming cannot drift from an uninterrupted
+/// run.
 #[derive(Debug)]
 pub struct PausedRun {
     pub(crate) sim: Simulation,

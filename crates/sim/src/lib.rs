@@ -21,11 +21,6 @@
 //! * [`checkpoint`] — deterministic checkpoint/resume: a paused run
 //!   serializes to a versioned, checksummed image and restores into a run
 //!   that continues byte-identically to the uninterrupted original.
-//! * `shard` — deterministic intra-run parallelism (`ZERODEV_SHARDS`):
-//!   cores are partitioned into shards that speculate private-hierarchy
-//!   work on worker threads between epoch barriers, while a serial walker
-//!   commits the global event order — results are byte-identical to the
-//!   serial loop at any shard count.
 //!
 //! # Example
 //!
@@ -47,7 +42,6 @@ pub mod engine;
 pub mod faults;
 pub mod parallel;
 pub mod runner;
-mod shard;
 
 pub use engine::{PausedRun, RunStatus, SimError, SimResult, Simulation};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, StateFault};

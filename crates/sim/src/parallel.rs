@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 // lint:allow(wall_clock, wall-clock here is host-side budgeting and diagnostics only; simulated time is Cycle-based and never reads it)
 use std::time::{Duration, Instant};
-use zerodev_common::SystemConfig;
+use zerodev_common::{panic_message, SystemConfig};
 use zerodev_workloads::Workload;
 
 /// Locks a mutex, recovering from poison: every structure behind these
@@ -40,14 +40,6 @@ use zerodev_workloads::Workload;
 /// not every later sweep.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Renders a panic payload as text (panics carry `String` or `&str`).
-fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
-    p.downcast_ref::<String>()
-        .cloned()
-        .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// A shareable workload constructor. Workloads are consumed per run, so
@@ -154,8 +146,7 @@ pub struct JobOutcome {
 }
 
 /// The memoization key: everything that determines a run's result.
-/// `RunParams::threads` and `RunParams::shards` are deliberately excluded —
-/// neither can affect results (sharded runs are byte-identical to serial).
+/// `RunParams::threads` is deliberately excluded — it cannot affect results.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct MemoKey {
     fingerprint: u64,
@@ -324,7 +315,7 @@ fn execute_job(job: &RunJob) -> JobOutcome {
     let t0 = Instant::now();
     let workload = match catch_unwind(AssertUnwindSafe(|| (job.make)())) {
         Ok(w) => w,
-        Err(p) => return fail_outcome(job, None, panic_message(p), t0),
+        Err(p) => return fail_outcome(job, None, panic_message(&*p), t0),
     };
     let name = workload.name.clone();
     let key = job.memo.then(|| MemoKey {
@@ -375,7 +366,7 @@ fn execute_job(job: &RunJob) -> JobOutcome {
             // The slot guard drops unpoisoned (the panic was caught below
             // it); the empty slot lets a later identical job retry.
             drop(slot);
-            fail_outcome(job, Some(&name), panic_message(p), t0)
+            fail_outcome(job, Some(&name), panic_message(&*p), t0)
         }
     }
 }

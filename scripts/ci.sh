@@ -41,25 +41,6 @@ echo "== audited figure smoke (quick profile, oracle on) =="
 ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
     cargo run --release -p zerodev-bench --bin all_figures >/dev/null
 
-echo "== sharded parity (driver pinned to serial goldens) =="
-# The intra-run sharded driver (ZERODEV_SHARDS, DESIGN.md §8) must stay
-# byte-identical to the serial engine; the parity matrix asserts it
-# across policies, designs, sockets, and shards x threads grids.
-cargo test -q --release -p zerodev-bench --test parity shard
-cargo test -q --release -p zerodev-sim shard
-
-echo "== sharded figure smoke (stdout must match serial byte-for-byte) =="
-fig_out=$(mktemp -d)
-ZERODEV_QUICK=1 \
-    cargo run --release -p zerodev-bench --bin fig_multisocket \
-    > "$fig_out/serial.out"
-ZERODEV_QUICK=1 ZERODEV_SHARDS=4 \
-    cargo run --release -p zerodev-bench --bin fig_multisocket \
-    > "$fig_out/sharded.out"
-diff "$fig_out/serial.out" "$fig_out/sharded.out"
-rm -rf "$fig_out"
-echo "sharded figure output identical"
-
 echo "== fault campaign smoke (quick matrix) =="
 ZERODEV_QUICK=1 \
     cargo run --release -p zerodev-bench --bin fault_campaign >/dev/null

@@ -137,11 +137,7 @@ fn injected_lost_sharer_is_caught_with_event_log() {
     );
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.audit_sweep()))
         .expect_err("the oracle must flag the lost sharer");
-    let msg = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-        .expect("panic payload is a message");
+    let msg = zerodev::common::panic_message(&*payload);
     assert!(
         msg.contains("coherence oracle violation"),
         "unexpected panic: {msg}"

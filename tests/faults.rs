@@ -5,6 +5,7 @@
 //! and — for message-level faults — statistics-neutral.
 
 use zerodev::prelude::*;
+use zerodev::sim::RunStatus;
 
 fn quick() -> RunParams {
     RunParams {
@@ -91,42 +92,51 @@ fn nack_storm_past_retry_budget_is_a_structured_stall() {
 }
 
 /// A stall verdict is part of the simulator's deterministic behaviour, so
-/// it must be *shard-invariant*: the same injected livelock surfaces as
-/// the same structured `SimError::Stalled` — same core, same cycle, same
-/// last-event text — whether the run is serial or sharded (the
-/// `ZERODEV_SHARDS=1,2,4` grid). The soak driver's quarantine reports and
-/// their repro commands rely on this.
+/// it must be *pause-invariant*: the soak driver advances runs in bounded
+/// chunks of 16,384 references, and its quarantine reports assume a stall
+/// looks the same however the run was stepped. A sparse storm that lands
+/// mid-run must surface as the same `SimError::Stalled` — same core, same
+/// cycle, same last-event text — from one unbounded `try_run` and from
+/// `start` plus an `advance(step)` loop, after the same references.
 #[test]
-fn stall_verdict_is_identical_across_shard_counts() {
+fn stall_verdict_is_identical_however_the_run_is_paused() {
     let cfg = zerodev_cfg(SpillPolicy::SpillAll, LlcDesign::NonInclusive, 1);
-    let faults = FaultConfig {
-        nack_ppm: 1_000_000,
-        nack_len: 10,
-        retry_budget: 4,
-        ..Default::default()
-    };
     let p = quick();
-    let stall = |shards: usize| {
+    let sim = || {
         let mut sim = Simulation::new(&cfg, multithreaded("torture.ping_pong", 8, 5).unwrap());
-        sim.set_faults(faults);
-        sim.try_run_sharded(p.refs_per_core, p.warmup_refs, shards)
-            .expect_err("a storm past the budget must stall at any shard count")
+        sim.set_faults(FaultConfig {
+            nack_ppm: 50,
+            nack_len: 10,
+            retry_budget: 4,
+            ..Default::default()
+        });
+        sim
     };
-    let SimError::Stalled {
-        core,
-        cycle,
-        last_event,
-    } = stall(1);
-    for shards in [2usize, 4] {
-        let SimError::Stalled {
-            core: c,
-            cycle: cy,
-            last_event: ev,
-        } = stall(shards);
-        assert_eq!(c, core, "stalled core diverged at {shards} shards");
-        assert_eq!(cy, cycle, "stall cycle diverged at {shards} shards");
-        assert_eq!(ev, last_event, "stall verdict diverged at {shards} shards");
+    let whole = sim()
+        .try_run(p.refs_per_core, p.warmup_refs)
+        .expect_err("a storm past the budget must stall the run");
+    let mut retired = Vec::new();
+    for step in [1, 7, 16_384] {
+        let mut run = sim().start(p.refs_per_core, p.warmup_refs);
+        let stepped = loop {
+            match run.advance(step) {
+                Ok(RunStatus::Paused) => {}
+                Ok(RunStatus::Finished) => panic!("step {step}: the storm must stall the run"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(stepped, whole, "stall verdict diverged at step {step}");
+        retired.push(run.refs_retired());
     }
+    assert!(
+        retired.iter().all(|&r| r == retired[0]),
+        "stall point diverged across steps: {retired:?}"
+    );
+    assert!(
+        retired[0] > 0 && retired[0] < 8 * p.refs_per_core,
+        "the storm must land mid-run, not at {} references",
+        retired[0]
+    );
 }
 
 /// The fault plan is seeded: two runs with the same `FaultConfig` inject

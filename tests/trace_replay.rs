@@ -62,20 +62,19 @@ fn replay_matches_generator_run_when_covering() {
 
 /// The torture family rides the same determinism contract as the PARSEC /
 /// SPLASH generators: every `torture.*` workload must produce an identical
-/// run at any `ZERODEV_THREADS` × `ZERODEV_SHARDS` combination (expressed
-/// through `RunParams` so the test cannot race on process-global env
-/// vars). The soak driver's minimizer and repro commands depend on this.
+/// run at any `ZERODEV_THREADS` setting (expressed through `RunParams` so
+/// the test cannot race on process-global env vars). The soak driver's
+/// minimizer and repro commands depend on this.
 #[test]
-fn torture_workloads_are_deterministic_across_threads_and_shards() {
+fn torture_workloads_are_deterministic_across_threads() {
     let cfg =
         SystemConfig::baseline_8core().with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
     for app in zerodev::workloads::TORTURE {
-        let fingerprint = |threads: usize, shards: usize| {
+        let fingerprint = |threads: usize| {
             let p = RunParams {
                 refs_per_core: 2_000,
                 warmup_refs: 200,
                 threads,
-                shards,
                 audit: true,
                 ..Default::default()
             };
@@ -85,14 +84,11 @@ fn torture_workloads_are_deterministic_across_threads_and_shards() {
                 r.stats, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
             )
         };
-        let reference = fingerprint(1, 1);
-        for (threads, shards) in [(1, 2), (1, 4), (4, 1), (4, 4)] {
-            assert_eq!(
-                fingerprint(threads, shards),
-                reference,
-                "{app} diverged at threads={threads}, shards={shards}"
-            );
-        }
+        assert_eq!(
+            fingerprint(4),
+            fingerprint(1),
+            "{app} diverged at threads=4"
+        );
     }
 }
 
