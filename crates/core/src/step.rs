@@ -165,6 +165,26 @@ pub struct WriteToken {
     pub mem: bool,
 }
 
+/// The pre-event snapshot `ProtocolHarness::observe` takes.
+struct Observation {
+    sockets: usize,
+    /// `lines[block_index * sockets + socket]`: that socket's LLC line for
+    /// the block.
+    lines: Vec<Option<LlcLine>>,
+    /// Per block: home memory was corrupted.
+    corrupted: Vec<bool>,
+}
+
+impl Observation {
+    fn line(&self, bi: usize, s: usize) -> Option<LlcLine> {
+        self.lines.get(bi * self.sockets + s).copied().flatten()
+    }
+
+    fn corrupted(&self, bi: usize) -> bool {
+        *self.corrupted.get(bi).expect("observation per block")
+    }
+}
+
 /// The concrete machine plus the abstract per-core shadow states and the
 /// symbolic value model — everything one reachable state consists of.
 #[derive(Clone, Debug)]
@@ -306,30 +326,36 @@ impl ProtocolHarness {
         self.tokens.get_mut(i).expect("token in range")
     }
 
-    /// Snapshot of every tracked block's home-LLC line and corruption flag,
-    /// taken before an event so data movement can be attributed afterwards.
-    fn observe(&self) -> Vec<(Vec<Option<LlcLine>>, bool)> {
-        self.blocks
-            .iter()
-            .map(|&b| {
-                let lines = (0..self.sockets)
-                    .map(|s| self.sys.llc_line_of(SocketId(s as u8), b))
-                    .collect();
-                (lines, self.sys.memory_corrupted(b))
-            })
-            .collect()
+    /// Snapshot of every tracked block's per-socket LLC line and corruption
+    /// flag, taken before an event so data movement can be attributed
+    /// afterwards.
+    fn observe(&self) -> Observation {
+        let mut lines = Vec::with_capacity(self.blocks.len() * self.sockets);
+        for &b in &self.blocks {
+            lines.extend((0..self.sockets).map(|s| self.sys.llc_line_of(SocketId(s as u8), b)));
+        }
+        Observation {
+            sockets: self.sockets,
+            lines,
+            corrupted: self
+                .blocks
+                .iter()
+                .map(|&b| self.sys.memory_corrupted(b))
+                .collect(),
+        }
     }
 
     /// Post-event reconciliation of value locations against observable
     /// machine state: LLC lines that left a socket drop their latest bit
     /// (dirty departures restore home memory), and a freshly corrupted home
     /// copy loses its memory bit (WB_DE destroyed the data bits).
-    fn reconcile(&mut self, before: &[(Vec<Option<LlcLine>>, bool)]) {
-        for (i, &block) in self.blocks.clone().iter().enumerate() {
-            let (lines_before, corrupted_before) = before.get(i).expect("observation per block");
+    fn reconcile(&mut self, before: &Observation) {
+        for i in 0..self.blocks.len() {
+            let block = *self.blocks.get(i).expect("block index in range");
+            let corrupted_before = before.corrupted(i);
             let corrupted_after = self.sys.memory_corrupted(block);
             for s in 0..self.sockets {
-                let was = lines_before.get(s).copied().flatten();
+                let was = before.line(i, s);
                 let now = self.sys.llc_line_of(SocketId(s as u8), block);
                 let was_dirty = matches!(
                     was,
@@ -377,7 +403,7 @@ impl ProtocolHarness {
                 // Directory-entry bits live where the data bits were: a
                 // corrupted home copy holds no value at all.
                 self.token_mut(block).mem = false;
-            } else if *corrupted_before {
+            } else if corrupted_before {
                 // A restore always sources a live valid copy, which holds
                 // the latest value by the value-coherence invariant, so an
                 // uncorrupted home copy is a latest copy.
@@ -483,11 +509,10 @@ impl ProtocolHarness {
         &self,
         requester: usize,
         block: BlockAddr,
-        before: &[(Vec<Option<LlcLine>>, bool)],
+        before: &Observation,
     ) -> (bool, &'static str) {
         let bi = self.bidx(block);
         let tok = *self.tokens.get(bi).expect("token in range");
-        let (lines_before, corrupted_before) = before.get(bi).expect("observation per block");
         // A private owner (M or E) forwards the data three-hop.
         for s in 0..self.sockets {
             for c in 0..self.cores {
@@ -509,25 +534,15 @@ impl ProtocolHarness {
         // An LLC block line serves the data (home first, then any socket —
         // the remote-retrieve path).
         let home = self.sys.config().home_socket(block).0 as usize;
-        if lines_before
-            .get(home)
-            .copied()
-            .flatten()
-            .is_some_and(|l| l.holds_block())
-        {
+        if before.line(bi, home).is_some_and(|l| l.holds_block()) {
             return (tok.llc & (1 << home) != 0, "home LLC line");
         }
         for s in 0..self.sockets {
-            if lines_before
-                .get(s)
-                .copied()
-                .flatten()
-                .is_some_and(|l| l.holds_block())
-            {
+            if before.line(bi, s).is_some_and(|l| l.holds_block()) {
                 return (tok.llc & (1 << s) != 0, "remote LLC line");
             }
         }
-        if *corrupted_before {
+        if before.corrupted(bi) {
             // The home copy is corrupted: the data must come from a live
             // sharer after the housed entry is recalled via GET_DE. Serving
             // memory here is the corrupted-block-safety bug.
@@ -649,12 +664,7 @@ impl ProtocolHarness {
                     // data.
                     let mut appeared = 0u32;
                     for s in 0..self.sockets {
-                        let had = before
-                            .get(bi)
-                            .and_then(|(lines, _)| lines.get(s))
-                            .copied()
-                            .flatten()
-                            .is_some_and(|l| l.holds_block());
+                        let had = before.line(bi, s).is_some_and(|l| l.holds_block());
                         let has = self
                             .sys
                             .llc_line_of(SocketId(s as u8), block)
@@ -715,10 +725,7 @@ impl ProtocolHarness {
                     // Attribute where the departing copy's data landed.
                     let bi = self.bidx(block);
                     let had_line = before
-                        .get(bi)
-                        .and_then(|(lines, _)| lines.get(socket.0 as usize))
-                        .copied()
-                        .flatten()
+                        .line(bi, socket.0 as usize)
                         .is_some_and(|l| l.holds_block());
                     let has_line = self
                         .sys
@@ -736,7 +743,7 @@ impl ProtocolHarness {
                     } else if kind == EvictKind::Dirty && dw_data_delta > 0 {
                         self.token_mut(block).mem = true;
                     } else if dw_data_delta > 0
-                        && before.get(bi).is_some_and(|(_, corrupted)| *corrupted)
+                        && before.corrupted(bi)
                         && !self.sys.memory_corrupted(block)
                     {
                         // Clean eviction of the last copy of a corrupted

@@ -28,6 +28,7 @@
 use crate::config::ModelConfig;
 use crate::state::canonical_key;
 use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
@@ -85,7 +86,7 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// The bounded quick mode wired into CI (`ZERODEV_MC_QUICK`).
+    /// The bounded quick mode (`ZERODEV_MC_QUICK`).
     pub fn quick() -> Self {
         Limits {
             max_states: 4000,
@@ -203,27 +204,26 @@ pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
                 };
             }
             let key = canonical_key(&next);
-            if let Some(&existing) = visited.get(&key) {
-                succs
-                    .get_mut(id as usize)
-                    .expect("state id in range")
-                    .push(existing);
-            } else {
-                let nid = visited.len() as u32;
-                visited.insert(key, nid);
-                parents.push(Some((id, ev)));
-                quiescent.push(next.is_quiescent());
-                succs.push(Vec::new());
-                succs
-                    .get_mut(id as usize)
-                    .expect("state id in range")
-                    .push(nid);
-                if visited.len() <= limits.max_states {
-                    queue.push_back((next, nid, depth + 1));
-                } else {
-                    truncated = true;
+            let succ = match visited.entry(key) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    let nid = parents.len() as u32;
+                    e.insert(nid);
+                    parents.push(Some((id, ev)));
+                    quiescent.push(next.is_quiescent());
+                    succs.push(Vec::new());
+                    if parents.len() <= limits.max_states {
+                        queue.push_back((next, nid, depth + 1));
+                    } else {
+                        truncated = true;
+                    }
+                    nid
                 }
-            }
+            };
+            succs
+                .get_mut(id as usize)
+                .expect("state id in range")
+                .push(succ);
         }
     }
 

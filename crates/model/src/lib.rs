@@ -2,7 +2,7 @@
 //!
 //! The cycle-accurate simulator exercises the protocol along whatever paths
 //! its workloads happen to take; this crate instead *enumerates every
-//! reachable state* of an abstracted machine — 2–3 cores on 1–2 sockets,
+//! reachable state* of an abstracted machine — 1–4 cores on 1–2 sockets,
 //! 1–2 block addresses, and an LLC small enough that entry spills, fusion,
 //! WB_DE evictions and corrupted-home-memory flows are all reachable within
 //! a handful of transitions.

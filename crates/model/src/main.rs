@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run -p zerodev_model --release              # full matrix
-//! ZERODEV_MC_QUICK=1 cargo run -p zerodev_model     # bounded CI smoke
+//! ZERODEV_MC_QUICK=1 cargo run -p zerodev_model     # bounded smoke
 //! ```
 //!
 //! Explores every policy × LLC-design combination on tiny machines,
@@ -54,7 +54,8 @@ fn main() {
         }
     }
     // Richer machines (full mode only): entry-vs-entry displacement with
-    // two addresses, a third core, two ways, and a second socket.
+    // two addresses, a third and a fourth core, two ways, and a second
+    // socket.
     if !quick {
         for policy in POLICIES {
             matrix.push(tiny(policy, LlcDesign::NonInclusive, 2, 1, 2, 2));
@@ -75,6 +76,14 @@ fn main() {
             2,
             1,
             1,
+        ));
+        matrix.push(tiny(
+            SpillPolicy::FusePrivateSpillShared,
+            LlcDesign::NonInclusive,
+            4,
+            1,
+            2,
+            2,
         ));
     }
 

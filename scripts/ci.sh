@@ -78,9 +78,10 @@ ls "$soak_dir"/torture_ping_pong_baseline_*.trace >/dev/null
 rm -rf "$soak_dir"
 echo "soak quarantine check passed"
 
-echo "== model checker smoke (bounded exploration) =="
-ZERODEV_MC_QUICK=1 \
-    cargo run --release -p zerodev_model >/dev/null
+echo "== model checker (full matrix, exhaustive) =="
+# Every machine of the matrix in crates/model/src/main.rs explored to
+# exhaustion and clean, and every seeded mutation caught (a few seconds).
+cargo run --release -p zerodev_model >/dev/null
 
 echo "== perf regression gate (simbench vs newest committed BENCH) =="
 # Runs the benchmark (BENCHMARK.json, simbench/README.md) at its defaults
