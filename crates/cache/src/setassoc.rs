@@ -89,7 +89,7 @@ fn stack_remove(stack: &mut [u8], len: &mut u8, way: u8) {
 /// contiguous per-set control block. A lookup scans the set's tags first
 /// and reads a way's metadata and payload only on a tag match, so it
 /// touches the set's tag line(s) plus one control line.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SetAssoc<T> {
     sets: usize,
     ways: usize,
@@ -113,6 +113,10 @@ pub struct SetAssoc<T> {
     /// Count of valid lines (kept so `len` needs no scan).
     live: usize,
 }
+
+zerodev_common::fieldwise_clone!(SetAssoc<T> {
+    sets, ways, set_mask, set_shift, tags, ctrl, data, policy, live,
+});
 
 impl<T> SetAssoc<T> {
     /// Creates an array with `sets` sets of `ways` ways.
@@ -953,6 +957,28 @@ mod tests {
         "0000000000010200000000000000020000000000000001000000000000000303",
         "01000201030000000102000000c0209f1c7ca3e8f1",
     );
+
+    #[test]
+    fn clone_from_another_geometry_equals_clone() {
+        let mut lru: SetAssoc<u32> = SetAssoc::new(4, 2, Replacement::Lru);
+        for k in [0, 4, 8, 1, 6] {
+            lru.insert(k, k as u32 + 100, none);
+        }
+        lru.touch(4, any);
+        lru.remove(1, any);
+        let mut nru: SetAssoc<u32> = SetAssoc::new(1, 3, Replacement::Nru);
+        nru.insert(7, 7, none);
+        for (mut to, from) in [(nru.clone(), &lru), (lru.clone(), &nru)] {
+            to.clone_from(from);
+            let mut fresh = from.clone();
+            assert_eq!(format!("{to:?}"), format!("{fresh:?}"));
+            // The refilled array picks the same victims as the clone.
+            for k in [12, 16, 20] {
+                assert_eq!(to.insert(k, 1, none), fresh.insert(k, 1, none));
+            }
+            assert_eq!(format!("{to:?}"), format!("{fresh:?}"));
+        }
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

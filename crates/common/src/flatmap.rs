@@ -22,7 +22,7 @@ const MIN_CAP: usize = 16;
 
 /// A `u64 → V` open-addressing hash map with linear probing and
 /// backward-shift deletion. Grows at 7/8 occupancy; never shrinks.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FlatMap<V> {
     /// Key lane; meaningful only where `vals` is `Some`.
     keys: Vec<u64>,
@@ -33,6 +33,8 @@ pub struct FlatMap<V> {
     /// `64 - log2(capacity)`: the Fibonacci-hash shift.
     shift: u32,
 }
+
+crate::fieldwise_clone!(FlatMap<V> { keys, vals, len, shift });
 
 impl<V> Default for FlatMap<V> {
     fn default() -> Self {
@@ -372,6 +374,29 @@ mod tests {
         let mut keys: Vec<u64> = a.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 3, 7, 9, 1 << 40]);
+    }
+
+    #[test]
+    fn clone_from_another_capacity_equals_clone() {
+        // Heap values, so `clone_from` also reaches into each slot.
+        let mut small: FlatMap<Vec<u32>> = FlatMap::new();
+        small.insert(3, vec![30, 31]);
+        let mut big: FlatMap<Vec<u32>> = FlatMap::with_capacity(256);
+        for k in 0..100u64 {
+            big.insert(k * 7, vec![k as u32; k as usize % 3]);
+        }
+        big.remove(14);
+        for (mut to, from) in [(small.clone(), &big), (big.clone(), &small)] {
+            to.clone_from(from);
+            let mut fresh = from.clone();
+            assert_eq!(format!("{to:?}"), format!("{fresh:?}"));
+            // The refilled map keeps working like the clone.
+            for m in [&mut to, &mut fresh] {
+                m.insert(1000, vec![1]);
+                m.remove(3);
+            }
+            assert_eq!(format!("{to:?}"), format!("{fresh:?}"));
+        }
     }
 
     #[test]

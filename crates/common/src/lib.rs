@@ -23,6 +23,8 @@
 //! * [`snap`] — hand-rolled versioned binary snapshot encoding (magic,
 //!   version, FNV-1a checksum) used by checkpoint/resume.
 //! * [`table`] — plain-text table rendering for the figure harnesses.
+//! * [`fieldwise_clone!`] — `Clone` whose `clone_from` refills every
+//!   field's existing buffers (the model checker's reused successor).
 //! * [`panic_message`] — a caught panic's payload as text, for the
 //!   panic-isolated sweeps, campaigns, and the model checker.
 //! * [`protocol`] — the protocol vocabulary ([`protocol::Op`],
@@ -64,6 +66,47 @@ pub use mesi::{DirState, MesiState};
 pub use msg::MsgClass;
 pub use rng::Prng;
 pub use stats::Stats;
+
+/// Implements `Clone` field by field for a struct that lists every field:
+/// `clone` clones each one, and `clone_from` calls each one's own
+/// `clone_from`, so a `Vec` (or a nested type implemented the same way)
+/// is refilled in the buffer it already has. A derived `clone_from` is
+/// `*self = source.clone()`, which allocates every buffer anew. Both
+/// methods destructure the struct with every field named and no `..`, so
+/// a field added to the struct but not to the list is a compile error.
+///
+/// ```
+/// #[derive(Debug, PartialEq)]
+/// struct Lanes {
+///     keys: Vec<u64>,
+///     len: usize,
+/// }
+/// zerodev_common::fieldwise_clone!(Lanes { keys, len });
+///
+/// let full = Lanes { keys: vec![1, 2, 3], len: 3 };
+/// let mut scratch = Lanes { keys: Vec::with_capacity(8), len: 0 };
+/// let buffer = scratch.keys.as_ptr();
+/// scratch.clone_from(&full);
+/// assert_eq!(scratch, full);
+/// assert_eq!(scratch.keys.as_ptr(), buffer);
+/// ```
+#[macro_export]
+macro_rules! fieldwise_clone {
+    ($ty:ident $(<$($g:ident),+>)? { $($field:ident),+ $(,)? }) => {
+        impl$(<$($g: Clone),+>)? Clone for $ty$(<$($g),+>)? {
+            fn clone(&self) -> Self {
+                let $ty { $($field),+ } = self;
+                $ty { $($field: Clone::clone($field)),+ }
+            }
+
+            fn clone_from(&mut self, source: &Self) {
+                let $ty { $($field),+ } = self;
+                let $ty { $($field: _),+ } = source;
+                $(Clone::clone_from($field, &source.$field);)+
+            }
+        }
+    };
+}
 
 /// Renders a caught panic's payload as text: panics carry a `String` or a
 /// `&str`, and anything else reads "non-string panic payload". Pass

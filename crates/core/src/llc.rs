@@ -131,7 +131,7 @@ impl SpillOutcome {
 
 /// One LLC bank: a set-associative array of [`LlcLine`]s plus a port
 /// busy-time used for bank-contention modelling.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LlcBank {
     array: SetAssoc<LlcLine>,
     banks: Divisor,
@@ -139,6 +139,13 @@ pub struct LlcBank {
     /// Earliest time the bank's tag/data port is free again.
     pub port_free: Cycle,
 }
+
+zerodev_common::fieldwise_clone!(LlcBank {
+    array,
+    banks,
+    bank_index,
+    port_free,
+});
 
 impl LlcBank {
     /// Creates a bank of `sets × ways` lines. `banks`/`bank_index` describe
@@ -366,11 +373,13 @@ impl LlcBank {
 
     /// The contents of the set `block` maps to, in MRU→LRU order (the model
     /// checker's canonical state encoding includes replacement order).
-    pub fn set_contents_mru(&self, block: BlockAddr) -> Vec<(BlockAddr, LlcLine)> {
+    pub fn set_contents_mru(
+        &self,
+        block: BlockAddr,
+    ) -> impl Iterator<Item = (BlockAddr, LlcLine)> + '_ {
         self.array
             .iter_set(self.key(block))
             .map(|(k, l)| (self.block_of(k), *l))
-            .collect()
     }
 
     /// Number of valid lines.

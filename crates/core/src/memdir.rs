@@ -24,10 +24,12 @@ use zerodev_dram::DramModel;
 /// intra-socket directory entries. With 64-byte blocks and full-map vectors
 /// this supports ⌊512/(N+1)⌋ sockets (§III-D) — far more than the 32 the
 /// simulator allows.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct CorruptedBlock {
     segments: Vec<(SocketId, DirEntry)>,
 }
+
+zerodev_common::fieldwise_clone!(CorruptedBlock { segments });
 
 impl CorruptedBlock {
     /// Sockets with a housed segment.
@@ -105,7 +107,7 @@ const SOCKET_DIR_CACHE_WAYS: usize = 8;
 
 /// The memory side of one machine: per-socket DRAM plus corrupted-block
 /// bookkeeping and the socket-level directory for every home socket.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct MemorySide {
     drams: Vec<DramModel>,
     corrupted: FlatMap<CorruptedBlock>,
@@ -123,6 +125,19 @@ pub struct MemorySide {
     /// Dir-cache hits.
     pub dir_cache_hits: u64,
 }
+
+zerodev_common::fieldwise_clone!(MemorySide {
+    drams,
+    corrupted,
+    dir_caches,
+    dir_backing,
+    backing,
+    sockets,
+    cores,
+    seg_format,
+    dir_cache_misses,
+    dir_cache_hits,
+});
 
 impl MemorySide {
     /// Builds the memory side for `cfg`.

@@ -162,11 +162,13 @@ impl fmt::Display for AuditEvent {
 /// A bounded ring buffer of the most recent protocol events. The oracle
 /// dumps it on every violation; it is also usable standalone as a cheap
 /// protocol tracer.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct EventLog {
     buf: std::collections::VecDeque<AuditEvent>,
     cap: usize,
 }
+
+zerodev_common::fieldwise_clone!(EventLog { buf, cap });
 
 impl EventLog {
     /// Creates a log keeping the most recent `cap` events.
@@ -224,11 +226,13 @@ impl EventLog {
 /// single core (if any) was granted E or M. A silent E→M upgrade is
 /// invisible on the wire, so the owner slot means "E-or-M"; the eviction
 /// notice kind reveals the final state and is cross-checked on the way out.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 struct ShadowBlock {
     holders: Vec<SharerSet>,
     owner: Option<(SocketId, CoreId)>,
 }
+
+zerodev_common::fieldwise_clone!(ShadowBlock { holders, owner });
 
 impl ShadowBlock {
     fn new(sockets: usize) -> Self {
@@ -274,7 +278,7 @@ const LOG_DEPTH: usize = 64;
 /// violation. All of its reads go through recency-neutral peek accessors,
 /// so an audited run produces byte-identical statistics to an unaudited
 /// one.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Oracle {
     sockets: usize,
     zerodev: bool,
@@ -283,6 +287,15 @@ pub struct Oracle {
     txns: u64,
     snap: StatsSnap,
 }
+
+zerodev_common::fieldwise_clone!(Oracle {
+    sockets,
+    zerodev,
+    shadow,
+    log,
+    txns,
+    snap,
+});
 
 impl Oracle {
     /// Builds an oracle for the machine in `cfg`.

@@ -187,7 +187,9 @@ impl Observation {
 
 /// The concrete machine plus the abstract per-core shadow states and the
 /// symbolic value model — everything one reachable state consists of.
-#[derive(Clone, Debug)]
+/// `clone_from` copies a state into the target's own buffers, so the
+/// model checker builds every successor in one reused harness.
+#[derive(Debug)]
 pub struct ProtocolHarness {
     sys: System,
     blocks: Vec<BlockAddr>,
@@ -198,6 +200,15 @@ pub struct ProtocolHarness {
     /// Per block: locations holding the symbolic latest value.
     tokens: Vec<WriteToken>,
 }
+
+zerodev_common::fieldwise_clone!(ProtocolHarness {
+    sys,
+    blocks,
+    sockets,
+    cores,
+    shadow,
+    tokens,
+});
 
 impl ProtocolHarness {
     /// Builds a quiescent machine over `blocks` (all shadow copies Invalid,

@@ -88,17 +88,20 @@ enum EntryLoc {
 }
 
 /// Per-socket uncore state.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Socket {
     banks: Vec<LlcBank>,
     dir: DirStore,
     topo: SocketTopology,
 }
 
+zerodev_common::fieldwise_clone!(Socket { banks, dir, topo });
+
 /// The complete coherent machine: all sockets plus the memory side.
-/// `Clone` deep-copies the entire machine state — the model checker snapshots
-/// systems this way while exploring the reachable-state graph.
-#[derive(Clone, Debug)]
+/// `Clone` deep-copies the entire machine state, and `clone_from` does so
+/// into the buffers the target already has — the model checker builds
+/// every successor state in one reused machine this way.
+#[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
     /// `cfg.llc_banks`: a block's home bank is its address modulo this.
@@ -111,6 +114,15 @@ pub struct System {
     /// ([`Self::enable_audit`]); release sweeps pay one branch per hook.
     oracle: Option<Box<crate::oracle::Oracle>>,
 }
+
+zerodev_common::fieldwise_clone!(System {
+    cfg,
+    home_banks,
+    sockets,
+    mem,
+    stats,
+    oracle,
+});
 
 impl System {
     /// Builds the machine described by `cfg`.

@@ -21,21 +21,23 @@
 use zerodev_common::config::DramConfig;
 use zerodev_common::{BlockAddr, Cycle, Divisor};
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Bank {
     open_row: Option<u64>,
     busy_until: Cycle,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Channel {
     banks: Vec<Bank>,
     bus_free: Cycle,
 }
 
+zerodev_common::fieldwise_clone!(Channel { banks, bus_free });
+
 /// The memory system of one socket: independent single-channel controllers,
 /// each with `ranks × banks` banks and an open-page row-buffer policy.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct DramModel {
     cfg: DramConfig,
     map: AddrMap,
@@ -46,6 +48,17 @@ pub struct DramModel {
     reads: u64,
     writes: u64,
 }
+
+zerodev_common::fieldwise_clone!(DramModel {
+    cfg,
+    map,
+    channels,
+    row_hits,
+    row_empty,
+    row_conflicts,
+    reads,
+    writes,
+});
 
 /// The address-mapping divisors, derived from the configuration once.
 #[derive(Clone, Copy, Debug)]

@@ -55,7 +55,7 @@ fn dump(h: &ProtocolHarness) {
         for s in 0..h.sockets() {
             println!(
                 "    s{s} LLC set: {:?}",
-                sys.llc_set_of(SocketId(s as u8), block)
+                sys.llc_set_of(SocketId(s as u8), block).collect::<Vec<_>>()
             );
         }
     }

@@ -5,6 +5,12 @@
 //! for frontier states — visited states store just their canonical key and
 //! a parent link, so memory scales with the frontier, not the graph.
 //!
+//! Building and keying a successor reuses buffers instead of allocating:
+//! every successor is built in one scratch harness (`clone_from`, which
+//! refills its buffers), its key in one `KeyEncoder`, and the visited map
+//! is probed with the key as a slice. Only a newly discovered state is
+//! cloned into the frontier and its key copied into the map.
+//!
 //! Three failure detectors run:
 //!
 //! * **Per-transition invariants** — [`ProtocolHarness::check`] returns a
@@ -26,9 +32,8 @@
 //! to any violating state is a *shortest* counterexample.
 
 use crate::config::ModelConfig;
-use crate::state::canonical_key;
+use crate::state::KeyEncoder;
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
@@ -70,7 +75,7 @@ pub fn apply_caught(h: &mut ProtocolHarness, ev: ProtocolEvent) -> Result<(), St
 /// Exploration bounds (full exploration uses `Limits::default()`).
 #[derive(Clone, Copy, Debug)]
 pub struct Limits {
-    /// Stop enqueueing new states beyond this many (the quick CI mode).
+    /// Stop enqueueing new states beyond this many.
     pub max_states: usize,
     /// Do not expand states deeper than this.
     pub max_depth: usize,
@@ -81,16 +86,6 @@ impl Default for Limits {
         Limits {
             max_states: usize::MAX,
             max_depth: usize::MAX,
-        }
-    }
-}
-
-impl Limits {
-    /// The bounded quick mode (`ZERODEV_MC_QUICK`).
-    pub fn quick() -> Self {
-        Limits {
-            max_states: 4000,
-            max_depth: 24,
         }
     }
 }
@@ -164,7 +159,10 @@ fn trace_to(parents: &[Option<(u32, ProtocolEvent)>], mut id: u32) -> Vec<Protoc
 pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
     let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
         .expect("model configuration validates");
-    let k0 = canonical_key(&h0);
+    let mut keys = KeyEncoder::default();
+    let k0 = keys.key(&h0).to_vec();
+    // Every successor is built here before its key says whether it is new.
+    let mut next = h0.clone();
 
     let mut visited: HashMap<Vec<u8>, u32> = HashMap::new();
     let mut parents: Vec<Option<(u32, ProtocolEvent)>> = Vec::new();
@@ -187,7 +185,7 @@ pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
             continue;
         }
         for ev in h.enabled_events() {
-            let mut next = h.clone();
+            next.clone_from(&h);
             let res = apply_caught(&mut next, ev);
             transitions += 1;
             if let Err(message) = res {
@@ -203,17 +201,17 @@ pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
                     sample_traces: Vec::new(),
                 };
             }
-            let key = canonical_key(&next);
-            let succ = match visited.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
+            let key = keys.key(&next);
+            let succ = match visited.get(key) {
+                Some(&known) => known,
+                None => {
                     let nid = parents.len() as u32;
-                    e.insert(nid);
+                    visited.insert(key.to_vec(), nid);
                     parents.push(Some((id, ev)));
                     quiescent.push(next.is_quiescent());
                     succs.push(Vec::new());
                     if parents.len() <= limits.max_states {
-                        queue.push_back((next, nid, depth + 1));
+                        queue.push_back((next.clone(), nid, depth + 1));
                     } else {
                         truncated = true;
                     }

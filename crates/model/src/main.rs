@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run -p zerodev_model --release              # full matrix
-//! ZERODEV_MC_QUICK=1 cargo run -p zerodev_model     # bounded smoke
 //! ```
 //!
 //! Explores every policy × LLC-design combination on tiny machines,
@@ -29,21 +28,10 @@ const DESIGNS: [LlcDesign; 3] = [
 ];
 
 fn main() {
-    let quick = std::env::var("ZERODEV_MC_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let limits = if quick {
-        Limits::quick()
-    } else {
-        Limits::default()
-    };
+    let limits = Limits::default();
     let mut failed = false;
 
     println!("== ZeroDEV model checker: reachable-state exploration ==");
-    if quick {
-        println!(
-            "(quick mode: bounded to {} states / depth {})",
-            limits.max_states, limits.max_depth
-        );
-    }
 
     // The core matrix: 3 policies x 3 LLC designs on the smallest machine
     // that still reaches spill refusal -> WB_DE and corrupted memory.
@@ -53,39 +41,45 @@ fn main() {
             matrix.push(tiny(policy, design, 2, 1, 1, 1));
         }
     }
-    // Richer machines (full mode only): entry-vs-entry displacement with
-    // two addresses, a third and a fourth core, two ways, and a second
-    // socket.
-    if !quick {
-        for policy in POLICIES {
-            matrix.push(tiny(policy, LlcDesign::NonInclusive, 2, 1, 2, 2));
-            matrix.push(tiny(policy, LlcDesign::Epd, 2, 1, 2, 1));
-        }
-        matrix.push(tiny(
-            SpillPolicy::FusePrivateSpillShared,
-            LlcDesign::Inclusive,
-            3,
-            1,
-            1,
-            1,
-        ));
-        matrix.push(tiny(
-            SpillPolicy::FusePrivateSpillShared,
-            LlcDesign::NonInclusive,
-            2,
-            2,
-            1,
-            1,
-        ));
-        matrix.push(tiny(
-            SpillPolicy::FusePrivateSpillShared,
-            LlcDesign::NonInclusive,
-            4,
-            1,
-            2,
-            2,
-        ));
+    // Richer machines: entry-vs-entry displacement with two addresses, a
+    // third and a fourth core, two ways, and a second socket; last, four
+    // cores on each of two sockets (70,055 states, the largest by far).
+    for policy in POLICIES {
+        matrix.push(tiny(policy, LlcDesign::NonInclusive, 2, 1, 2, 2));
+        matrix.push(tiny(policy, LlcDesign::Epd, 2, 1, 2, 1));
     }
+    matrix.push(tiny(
+        SpillPolicy::FusePrivateSpillShared,
+        LlcDesign::Inclusive,
+        3,
+        1,
+        1,
+        1,
+    ));
+    matrix.push(tiny(
+        SpillPolicy::FusePrivateSpillShared,
+        LlcDesign::NonInclusive,
+        2,
+        2,
+        1,
+        1,
+    ));
+    matrix.push(tiny(
+        SpillPolicy::FusePrivateSpillShared,
+        LlcDesign::NonInclusive,
+        4,
+        1,
+        2,
+        2,
+    ));
+    matrix.push(tiny(
+        SpillPolicy::FusePrivateSpillShared,
+        LlcDesign::NonInclusive,
+        4,
+        2,
+        1,
+        1,
+    ));
 
     for mc in &matrix {
         let ex = explore(mc, &limits);

@@ -11,21 +11,32 @@
 //! Cores within a socket are interchangeable: relabelling them yields a
 //! behaviourally identical machine (every protocol rule is covariant under
 //! the relabelling, and only timing — which we exclude — distinguishes core
-//! indices). The canonical key is therefore the minimum encoding over the
-//! product of per-socket core permutations, which shrinks the explored
-//! graph by up to `cores!^sockets` (24 relabellings at 4 cores on one
-//! socket, 576 at 4 cores on each of 2 sockets).
+//! indices). The canonical key is therefore the encoding under a labelling
+//! that depends on the state alone, which shrinks the explored graph by up
+//! to `cores!^sockets` (24 relabellings at 4 cores on one socket, 576 at 4
+//! cores on each of 2 sockets). That labelling sorts each socket's cores by
+//! their *signature*: every per-core fact (shadow bytes, write-token bits,
+//! sharer bits) in encoding order. Two cores that tie on the signature
+//! appear alike everywhere in the encoding, so the order between them
+//! changes nothing, and a relabelled state has the same signatures, hence
+//! the same key.
 //!
-//! Computing the key reads the machine once: `gather` copies every
-//! protocol-visible fact into a relabelling-independent `View`, and each
-//! relabelling is encoded from that view into a reused buffer. Every
-//! encoding opens with the first block's shadow bytes, so only relabellings
-//! that sort each socket's row there can be the minimum and only those are
-//! encoded; an encoding is abandoned as soon as a section (a block's shadow
-//! bytes, the rest of the block, an LLC set) leaves its prefix above the
-//! smallest encoding so far. The result is byte for byte the minimum over
-//! every relabelling.
+//! On every state that passes [`ProtocolHarness::check`], each per-core
+//! fact follows from that core's shadow state: every valid copy and only
+//! those hold the latest value, and full-map sharer sets are exact. The
+//! sort then orders cores by their shadow bytes, block by block, which is
+//! what the smallest encoding over every relabelling does, since each
+//! block's section opens with its shadow bytes. So on those states the key
+//! is byte for byte that minimum (the tests keep the minimum over every
+//! relabelling as the reference).
+//!
+//! Computing a key reads the machine once: `View::gather` copies every
+//! protocol-visible fact into a relabelling-independent view. One walk over
+//! the view collects the signatures and a second writes the encoding under
+//! the sorted labelling. A `KeyEncoder` keeps all of these buffers from
+//! one key to the next.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use zerodev_common::{BlockAddr, CoreId, MesiState, SocketId};
 use zerodev_core::llc::LlcLine;
@@ -42,155 +53,10 @@ fn mesi_byte(s: MesiState) -> u8 {
     }
 }
 
-/// Every permutation of one socket's `cores` core indices, each with its
-/// inverse, stored flat (`cores` entries apiece), the identity first.
-struct Perms {
-    cores: usize,
-    /// Core → new slot.
-    fwd: Vec<u16>,
-    /// Slot → original core.
-    inv: Vec<u16>,
-}
-
-impl Perms {
-    fn new(cores: usize) -> Self {
-        let mut fwd = Vec::new();
-        let mut items: Vec<u16> = (0..cores as u16).collect();
-        heap_permute(&mut items, cores, &mut fwd);
-        let mut inv = vec![0; fwd.len()];
-        for (p, q) in fwd.chunks_exact(cores).zip(inv.chunks_exact_mut(cores)) {
-            for (orig, &new) in p.iter().enumerate() {
-                q[new as usize] = orig as u16;
-            }
-        }
-        Perms { cores, fwd, inv }
-    }
-
-    fn len(&self) -> usize {
-        self.fwd.len() / self.cores
-    }
-
-    fn fwd(&self, i: usize) -> &[u16] {
-        &self.fwd[i * self.cores..(i + 1) * self.cores]
-    }
-
-    fn inv(&self, i: usize) -> &[u16] {
-        &self.inv[i * self.cores..(i + 1) * self.cores]
-    }
-}
-
-/// Heap's algorithm: appends every arrangement of `items[..k]` to `out`,
-/// the initial arrangement first.
-fn heap_permute(items: &mut [u16], k: usize, out: &mut Vec<u16>) {
-    if k <= 1 {
-        out.extend_from_slice(items);
-        return;
-    }
-    for i in 0..k {
-        heap_permute(items, k - 1, out);
-        if k.is_multiple_of(2) {
-            items.swap(i, k - 1);
-        } else {
-            items.swap(0, k - 1);
-        }
-    }
-}
-
-/// True when relabelling by `inv` (slot → core) puts `row` (one socket's
-/// shadow bytes for one block, by core) in ascending order.
-fn sorts(inv: &[u16], row: &[u8]) -> bool {
-    inv.windows(2)
-        .all(|w| row[w[0] as usize] <= row[w[1] as usize])
-}
-
-/// Steps `sel` (one permutation index per socket) to the next relabelling
-/// whose permutations are all allowed (`allowed[s * radix + p]`): an
-/// odometer, socket 0 the fastest digit. False once every one has been
-/// seen.
-fn next_relabelling(sel: &mut [usize], allowed: &[bool]) -> bool {
-    let radix = allowed.len() / sel.len();
-    for (d, ok) in sel.iter_mut().zip(allowed.chunks_exact(radix)) {
-        if let Some(p) = (*d + 1..radix).find(|&p| ok[p]) {
-            *d = p;
-            return true;
-        }
-        *d = first_allowed(ok);
-    }
-    false
-}
-
-fn first_allowed(ok: &[bool]) -> usize {
-    ok.iter()
-        .position(|&a| a)
-        .expect("some permutation sorts every row")
-}
-
-/// Moves each set bit `c` of a socket-local core mask to bit `perm_s[c]`.
-fn remap_bits(mut bits: u128, perm_s: &[u16]) -> u128 {
-    let mut out = 0u128;
-    while bits != 0 {
-        let c = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        out |= 1 << perm_s[c];
-    }
-    out
-}
-
-/// Relabels a mask of global core indices (`socket * cores + core`),
-/// applying permutation `sel[s]` to socket `s`'s cores.
-fn remap_global_cores(mut bits: u128, perms: &Perms, sel: &[usize]) -> u128 {
-    let cores = perms.cores;
-    let mut out = 0u128;
-    while bits != 0 {
-        let g = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let s = g / cores;
-        out |= 1 << (s * cores + perms.fwd(sel[s])[g % cores] as usize);
-    }
-    out
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_entry(out: &mut Vec<u8>, e: Option<DirEntry>, perm_s: &[u16]) {
-    match e {
-        None => out.push(0),
-        Some(e) => {
-            out.push(1);
-            out.push(if e.state.is_owned() { 1 } else { 2 });
-            push_u128(out, remap_bits(e.sharers.0, perm_s));
-        }
-    }
-}
-
-fn push_line(out: &mut Vec<u8>, block: BlockAddr, line: &LlcLine, perm_s: &[u16]) {
-    push_u64(out, block.0);
-    match line {
-        LlcLine::Data { dirty } => {
-            out.push(1);
-            out.push(u8::from(*dirty));
-        }
-        LlcLine::Spilled { entry } => {
-            out.push(2);
-            push_entry(out, Some(*entry), perm_s);
-        }
-        LlcLine::Fused { entry, block_dirty } => {
-            out.push(3);
-            out.push(u8::from(*block_dirty));
-            push_entry(out, Some(*entry), perm_s);
-        }
-    }
-}
-
 /// One state's protocol-visible facts under its own core labels. Per-block
 /// vectors follow the harness's block order; `[block * sockets + socket]`
 /// indexes the per-socket ones.
+#[derive(Debug, Default)]
 struct View {
     sockets: usize,
     cores: usize,
@@ -207,163 +73,294 @@ struct View {
     /// The home socket's socket-directory entry.
     socket_dir: Vec<Option<SocketDirEntry>>,
     /// Per socket, each distinct LLC set the blocks map to, in block order:
-    /// `(socket, contents MRU→LRU)`.
-    llc: Vec<(usize, Vec<(BlockAddr, LlcLine)>)>,
+    /// `(socket, line count)`.
+    llc_sets: Vec<(usize, usize)>,
+    /// The lines of the sets in `llc_sets`, set after set, each MRU→LRU.
+    llc_lines: Vec<(BlockAddr, LlcLine)>,
 }
 
-/// Reads everything the encoding covers from the harness and its machine,
-/// once.
-fn gather(h: &ProtocolHarness) -> View {
-    let (sockets, cores) = (h.sockets(), h.cores());
-    let sys = h.system();
-    let cfg = sys.config();
-    let n = h.blocks().len();
-    let mut v = View {
-        sockets,
-        cores,
-        shadow: Vec::with_capacity(n * sockets * cores),
-        tokens: Vec::with_capacity(n),
-        dedicated: Vec::with_capacity(n * sockets),
-        corrupted: Vec::with_capacity(n),
-        housed: Vec::with_capacity(n * sockets),
-        socket_dir: Vec::with_capacity(n),
-        llc: Vec::new(),
-    };
-    for &block in h.blocks() {
-        for s in 0..sockets {
-            let socket = SocketId(s as u8);
-            for c in 0..cores {
-                v.shadow
-                    .push(mesi_byte(h.shadow_state(socket, CoreId(c as u16), block)));
+impl View {
+    /// Reads everything the encoding covers from the harness and its
+    /// machine, once, into this view's buffers.
+    fn gather(&mut self, h: &ProtocolHarness) {
+        let View {
+            sockets,
+            cores,
+            shadow,
+            tokens,
+            dedicated,
+            corrupted,
+            housed,
+            socket_dir,
+            llc_sets,
+            llc_lines,
+        } = self;
+        (*sockets, *cores) = (h.sockets(), h.cores());
+        shadow.clear();
+        tokens.clear();
+        dedicated.clear();
+        corrupted.clear();
+        housed.clear();
+        socket_dir.clear();
+        llc_sets.clear();
+        llc_lines.clear();
+        let sys = h.system();
+        let cfg = sys.config();
+        for &block in h.blocks() {
+            for s in 0..*sockets {
+                let socket = SocketId(s as u8);
+                for c in 0..*cores {
+                    shadow.push(mesi_byte(h.shadow_state(socket, CoreId(c as u16), block)));
+                }
+                dedicated.push(sys.dedicated_entry_of(socket, block));
+                housed.push(sys.memory().peek_entry(block, socket));
             }
-            v.dedicated.push(sys.dedicated_entry_of(socket, block));
-            v.housed.push(sys.memory().peek_entry(block, socket));
+            tokens.push(h.token(block));
+            corrupted.push(sys.memory_corrupted(block));
+            socket_dir.push(sys.memory().socket_dir_peek(cfg.home_socket(block), block));
         }
-        v.tokens.push(h.token(block));
-        v.corrupted.push(sys.memory_corrupted(block));
-        v.socket_dir
-            .push(sys.memory().socket_dir_peek(cfg.home_socket(block), block));
-    }
-    // LLC set contents, once per distinct (bank, set), in the order the
-    // blocks first map to them.
-    let banks = cfg.llc_banks as u64;
-    let sets = cfg.llc_sets_per_bank() as u64;
-    let set_of = |b: &BlockAddr| (b.0 % banks, (b.0 / banks) % sets);
-    let mut firsts: Vec<BlockAddr> = Vec::new();
-    for b in h.blocks() {
-        if !firsts.iter().any(|f| set_of(f) == set_of(b)) {
-            firsts.push(*b);
-        }
-    }
-    for s in 0..sockets {
-        for &b in &firsts {
-            v.llc.push((s, sys.llc_set_of(SocketId(s as u8), b)));
+        // LLC set contents, once per distinct (bank, set), in the order the
+        // blocks first map to them.
+        let banks = cfg.llc_banks as u64;
+        let sets = cfg.llc_sets_per_bank() as u64;
+        let set_of = |b: &BlockAddr| (b.0 % banks, (b.0 / banks) % sets);
+        let blocks = h.blocks();
+        for s in 0..*sockets {
+            for (i, b) in blocks.iter().enumerate() {
+                if blocks[..i].iter().any(|f| set_of(f) == set_of(b)) {
+                    continue;
+                }
+                let first = llc_lines.len();
+                llc_lines.extend(sys.llc_set_of(SocketId(s as u8), *b));
+                llc_sets.push((s, llc_lines.len() - first));
+            }
         }
     }
-    v
 }
 
-/// Encodes `v` with permutation `sel[s]` of `perms` applied to socket `s`'s
-/// cores, into `out` (cleared first). Returns true when the encoding is
-/// complete and below `best`, or when there is no `best`. Gives up and
-/// returns false as soon as a section (a block's shadow bytes, the rest of
-/// the block, an LLC set) leaves the prefix above `best`'s, or when it ends
-/// equal to `best`.
-fn encode(v: &View, perms: &Perms, sel: &[usize], out: &mut Vec<u8>, best: Option<&[u8]>) -> bool {
-    out.clear();
-    // `best` while the prefix so far equals its own; `None` once below it
-    // (every longer prefix is below too) or when there is no bound.
-    let mut tied = best;
-    let mut still_min = |out: &[u8]| {
-        if let Some(b) = tied {
-            match out.cmp(&b[..out.len()]) {
-                Ordering::Greater => return false,
-                Ordering::Less => tied = None,
-                Ordering::Equal => {}
-            }
-        }
-        true
-    };
+/// Receives one walk over a [`View`], fact by fact, in encoding order.
+trait Sink {
+    /// Bytes that no relabelling changes.
+    fn fixed(&mut self, bytes: &[u8]);
+    /// One byte per core of socket `s`, in core order.
+    fn row(&mut self, s: usize, row: &[u8]);
+    /// A set of cores as a bit mask: socket `s`'s cores for `Some(s)`,
+    /// global cores (`socket * cores + core`) for `None`.
+    fn cores(&mut self, s: Option<usize>, bits: u128);
+}
+
+/// Walks every fact of `v` in encoding order. The encoding and the core
+/// signatures both come from this one walk, so they cannot disagree on
+/// which facts exist or in which order.
+fn walk(v: &View, sink: &mut impl Sink) {
     let (sockets, cores) = (v.sockets, v.cores);
     for (bi, tok) in v.tokens.iter().enumerate() {
-        // Shadow states, emitted in relabelled core order.
+        // Shadow states.
         let shadow = &v.shadow[bi * sockets * cores..(bi + 1) * sockets * cores];
-        for (s, &p) in sel.iter().enumerate() {
-            let row = &shadow[s * cores..(s + 1) * cores];
-            out.extend(perms.inv(p).iter().map(|&orig| row[orig as usize]));
-        }
-        if !still_min(out) {
-            return false;
+        for (s, row) in shadow.chunks_exact(cores).enumerate() {
+            sink.row(s, row);
         }
         // Symbolic write token.
-        push_u128(out, remap_global_cores(tok.cores, perms, sel));
-        out.extend_from_slice(&tok.llc.to_le_bytes());
-        out.push(u8::from(tok.mem));
+        sink.cores(None, tok.cores);
+        sink.fixed(&tok.llc.to_le_bytes());
+        sink.fixed(&[u8::from(tok.mem)]);
         // Directory entries in the dedicated structure.
         let per_socket = bi * sockets..(bi + 1) * sockets;
-        for (&e, &p) in v.dedicated[per_socket.clone()].iter().zip(sel) {
-            push_entry(out, e, perms.fwd(p));
+        for (s, &e) in v.dedicated[per_socket.clone()].iter().enumerate() {
+            entry(sink, s, e);
         }
         // Home-memory corruption + housed segments.
-        out.push(u8::from(v.corrupted[bi]));
-        for (&e, &p) in v.housed[per_socket].iter().zip(sel) {
-            push_entry(out, e, perms.fwd(p));
+        sink.fixed(&[u8::from(v.corrupted[bi])]);
+        for (s, &e) in v.housed[per_socket].iter().enumerate() {
+            entry(sink, s, e);
         }
         // Socket-level directory (socket IDs are not permuted: homes are
         // address-determined).
         match v.socket_dir[bi] {
-            None => out.push(0),
+            None => sink.fixed(&[0]),
             Some(e) => {
-                out.push(1);
-                out.push(u8::from(e.owned));
-                out.extend_from_slice(&e.sharers.0.to_le_bytes());
+                sink.fixed(&[1, u8::from(e.owned)]);
+                sink.fixed(&e.sharers.0.to_le_bytes());
             }
-        }
-        if !still_min(out) {
-            return false;
         }
     }
     // LLC set contents, MRU→LRU.
-    for (s, lines) in &v.llc {
-        let perm_s = perms.fwd(sel[*s]);
-        out.push(lines.len() as u8);
-        for (b, line) in lines {
-            push_line(out, *b, line, perm_s);
-        }
-        if !still_min(out) {
-            return false;
+    let mut lines = v.llc_lines.iter();
+    for &(s, n) in &v.llc_sets {
+        sink.fixed(&[n as u8]);
+        for (block, line) in lines.by_ref().take(n) {
+            sink.fixed(&block.0.to_le_bytes());
+            match *line {
+                LlcLine::Data { dirty } => sink.fixed(&[1, u8::from(dirty)]),
+                LlcLine::Spilled { entry: e } => {
+                    sink.fixed(&[2]);
+                    entry(sink, s, Some(e));
+                }
+                LlcLine::Fused {
+                    entry: e,
+                    block_dirty,
+                } => {
+                    sink.fixed(&[3, u8::from(block_dirty)]);
+                    entry(sink, s, Some(e));
+                }
+            }
         }
     }
-    tied.is_none()
 }
 
-/// The canonical (symmetry-reduced) encoding of a harness state: the
-/// minimum byte encoding over every per-socket core relabelling.
-pub fn canonical_key(h: &ProtocolHarness) -> Vec<u8> {
-    let view = gather(h);
-    let (sockets, cores) = (view.sockets, view.cores);
-    let perms = Perms::new(cores);
-    // Every encoding opens with the first block's shadow bytes, socket by
-    // socket, so only relabellings that sort each socket's row there can be
-    // the minimum. Without blocks, every relabelling encodes alike.
-    let mut allowed = Vec::with_capacity(sockets * perms.len());
-    for s in 0..sockets {
-        let row = view.shadow.get(s * cores..(s + 1) * cores);
-        allowed.extend((0..perms.len()).map(|p| row.is_none_or(|row| sorts(perms.inv(p), row))));
-    }
-    let mut sel: Vec<usize> = allowed
-        .chunks_exact(perms.len())
-        .map(first_allowed)
-        .collect();
-    let mut best = Vec::with_capacity(256);
-    encode(&view, &perms, &sel, &mut best, None);
-    let mut cand = Vec::with_capacity(best.len());
-    while next_relabelling(&mut sel, &allowed) {
-        if encode(&view, &perms, &sel, &mut cand, Some(&best)) {
-            std::mem::swap(&mut best, &mut cand);
+/// One directory entry (or its absence) of socket `s`.
+fn entry(sink: &mut impl Sink, s: usize, e: Option<DirEntry>) {
+    match e {
+        None => sink.fixed(&[0]),
+        Some(e) => {
+            sink.fixed(&[1, if e.state.is_owned() { 1 } else { 2 }]);
+            sink.cores(Some(s), e.sharers.0);
         }
     }
-    best
+}
+
+/// Collects the core signatures as columns: every per-core fact is one
+/// column of `width` bytes, one per global core. A socket's fact leaves the
+/// other sockets' bytes 0; cores are only ever compared within a socket.
+struct Signatures<'a> {
+    cols: &'a mut Vec<u8>,
+    cores: usize,
+    width: usize,
+}
+
+impl Sink for Signatures<'_> {
+    fn fixed(&mut self, _: &[u8]) {}
+
+    fn row(&mut self, s: usize, row: &[u8]) {
+        let start = self.cols.len() + s * self.cores;
+        self.cols.resize(self.cols.len() + self.width, 0);
+        self.cols[start..start + self.cores].copy_from_slice(row);
+    }
+
+    fn cores(&mut self, s: Option<usize>, bits: u128) {
+        let bits = s.map_or(bits, |s| bits << (s * self.cores));
+        self.cols
+            .extend((0..self.width).map(|g| u8::from(bits >> g & 1 != 0)));
+    }
+}
+
+/// Orders global cores `a` and `b` (of one socket) by their signatures in
+/// `cols`: the first column where they differ decides.
+fn by_signature(cols: &[u8], width: usize, a: usize, b: usize) -> Ordering {
+    cols.chunks_exact(width)
+        .map(|col| col[a].cmp(&col[b]))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Writes the encoding under a labelling: `slot[g]` is global core `g`'s
+/// index within its socket after relabelling, and
+/// `core_at[socket * cores + slot]` the core that slot holds.
+struct Encode<'a> {
+    out: &'a mut Vec<u8>,
+    cores: usize,
+    slot: &'a [u16],
+    core_at: &'a [u16],
+}
+
+impl Sink for Encode<'_> {
+    fn fixed(&mut self, bytes: &[u8]) {
+        self.out.extend_from_slice(bytes);
+    }
+
+    fn row(&mut self, s: usize, row: &[u8]) {
+        let core_at = &self.core_at[s * self.cores..(s + 1) * self.cores];
+        self.out.extend(core_at.iter().map(|&c| row[c as usize]));
+    }
+
+    fn cores(&mut self, s: Option<usize>, mut bits: u128) {
+        let mut out = 0u128;
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            out |= match s {
+                // Bit `b` is core `b` of socket `s`.
+                Some(s) => 1 << self.slot[s * self.cores + b],
+                // Bit `b` is global core `b`: it stays in its socket.
+                None => 1 << (b - b % self.cores + self.slot[b] as usize),
+            };
+        }
+        self.out.extend_from_slice(&out.to_le_bytes());
+    }
+}
+
+/// Computes canonical keys into buffers kept from one call to the next, so
+/// that once they have grown to a machine's size a key allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct KeyEncoder {
+    view: View,
+    /// Signature columns (see `Signatures`).
+    cols: Vec<u8>,
+    /// Per global core: its slot within its socket, signatures sorted.
+    slot: Vec<u16>,
+    /// Per socket and slot: the core sorted into that slot.
+    core_at: Vec<u16>,
+    key: Vec<u8>,
+}
+
+impl KeyEncoder {
+    /// The canonical key of `h`, valid until the next call.
+    pub(crate) fn key(&mut self, h: &ProtocolHarness) -> &[u8] {
+        self.view.gather(h);
+        self.encode()
+    }
+
+    /// Sorts each socket's cores by signature and encodes the view under
+    /// that labelling.
+    fn encode(&mut self) -> &[u8] {
+        let KeyEncoder {
+            view,
+            cols,
+            slot,
+            core_at,
+            key,
+        } = self;
+        let (sockets, cores) = (view.sockets, view.cores);
+        let width = sockets * cores;
+        cols.clear();
+        walk(view, &mut Signatures { cols, cores, width });
+        core_at.clear();
+        core_at.extend((0..sockets).flat_map(|_| 0..cores as u16));
+        slot.clear();
+        slot.resize(width, 0);
+        for (s, order) in core_at.chunks_exact_mut(cores).enumerate() {
+            let g = |c: u16| s * cores + c as usize;
+            order.sort_unstable_by(|&a, &b| by_signature(cols, width, g(a), g(b)));
+            for (i, &c) in order.iter().enumerate() {
+                slot[g(c)] = i as u16;
+            }
+        }
+        key.clear();
+        walk(
+            view,
+            &mut Encode {
+                out: key,
+                cores,
+                slot,
+                core_at,
+            },
+        );
+        key
+    }
+}
+
+/// The canonical (symmetry-reduced) encoding of a harness state: its
+/// encoding with each socket's cores sorted by signature, which on checked
+/// states is the minimum byte encoding over every per-socket core
+/// relabelling. Computed in one `KeyEncoder` per thread, so only the
+/// returned copy is allocated: a fresh encoder per call grows its dozen
+/// buffers anew, which more than doubles the time per key. The explorer
+/// keeps its own encoder for a whole search.
+pub fn canonical_key(h: &ProtocolHarness) -> Vec<u8> {
+    thread_local! {
+        static KEYS: RefCell<KeyEncoder> = RefCell::default();
+    }
+    KEYS.with_borrow_mut(|keys| keys.key(h).to_vec())
 }
 
 #[cfg(test)]
@@ -373,6 +370,7 @@ mod tests {
     use crate::trace::replay;
     use std::collections::{HashSet, VecDeque};
     use zerodev_common::config::{LlcDesign, SpillPolicy};
+    use zerodev_common::ids::SharerSet;
     use zerodev_common::protocol::Op;
     use zerodev_core::step::ProtocolEvent;
 
@@ -587,7 +585,7 @@ mod tests {
                         continue;
                     }
                     seen.push((bank, set));
-                    let lines = sys.llc_set_of(SocketId(s as u8), block);
+                    let lines: Vec<_> = sys.llc_set_of(SocketId(s as u8), block).collect();
                     out.push(lines.len() as u8);
                     for (b, line) in &lines {
                         push_line(&mut out, *b, line, perm.get(s).expect("socket in range"));
@@ -608,80 +606,188 @@ mod tests {
         }
     }
 
-    #[test]
-    fn permutation_tables() {
-        for (cores, count) in [(1, 1), (2, 2), (3, 6), (4, 24)] {
-            let perms = Perms::new(cores);
-            assert_eq!(perms.len(), count);
-            let identity: Vec<u16> = (0..cores as u16).collect();
-            assert_eq!(perms.fwd(0), identity.as_slice());
-            let distinct: HashSet<&[u16]> = (0..count).map(|i| perms.fwd(i)).collect();
-            assert_eq!(distinct.len(), count);
-            for i in 0..count {
-                for (c, &slot) in perms.fwd(i).iter().enumerate() {
-                    assert_eq!(perms.inv(i)[slot as usize] as usize, c);
-                }
+    /// `v` with core `c` of socket `s` renamed `perm[s][c]` in every fact.
+    fn relabel_view(v: &View, perm: &reference::Perm) -> View {
+        let (sockets, cores) = (v.sockets, v.cores);
+        let local = |s: usize, bits: u128| {
+            (0..cores)
+                .filter(|&c| bits >> c & 1 != 0)
+                .fold(0u128, |out, c| out | 1 << perm[s][c])
+        };
+        let global = |bits: u128| {
+            (0..sockets).fold(0u128, |out, s| {
+                out | local(s, bits >> (s * cores) & ((1 << cores) - 1)) << (s * cores)
+            })
+        };
+        let entry = |s: usize, e: Option<DirEntry>| {
+            e.map(|e| DirEntry {
+                sharers: SharerSet(local(s, e.sharers.0)),
+                ..e
+            })
+        };
+        let mut shadow = v.shadow.clone();
+        // Row `i` is block `i / sockets`, socket `i % sockets`.
+        for (i, row) in v.shadow.chunks_exact(cores).enumerate() {
+            for (c, &byte) in row.iter().enumerate() {
+                shadow[i * cores + perm[i % sockets][c] as usize] = byte;
             }
         }
-    }
-
-    #[test]
-    fn odometer_visits_every_allowed_relabelling_once() {
-        // Two sockets of 3 cores: socket 0 allows permutations 0, 2 and 5,
-        // socket 1 allows 1 and 4.
-        let allowed: Vec<bool> = [&[0, 2, 5][..], &[1, 4]]
-            .iter()
-            .flat_map(|ps| (0..6).map(|p| ps.contains(&p)))
-            .collect();
-        let mut sel = vec![0, 1];
-        let mut seen = vec![sel.clone()];
-        while next_relabelling(&mut sel, &allowed) {
-            seen.push(sel.clone());
-        }
-        assert_eq!(seen.len(), 6);
-        assert_eq!(seen.iter().collect::<HashSet<_>>().len(), 6);
-        assert!(seen
-            .iter()
-            .all(|s| [0, 2, 5].contains(&s[0]) && [1, 4].contains(&s[1])));
-        assert_eq!(sel, [0, 1]);
-    }
-
-    #[test]
-    fn only_ascending_relabelled_rows_are_sorted() {
-        let perms = Perms::new(3);
-        for row in [[0u8, 0, 0], [2, 0, 1], [1, 0, 1], [3, 3, 0]] {
-            let mut ascending = row;
-            ascending.sort_unstable();
-            for p in 0..perms.len() {
-                let relabelled: Vec<u8> = perms.inv(p).iter().map(|&c| row[c as usize]).collect();
-                assert_eq!(sorts(perms.inv(p), &row), relabelled == ascending);
+        let mut lines = v.llc_lines.clone();
+        let mut rest = lines.iter_mut();
+        for &(s, n) in &v.llc_sets {
+            for (_, line) in rest.by_ref().take(n) {
+                *line = match *line {
+                    LlcLine::Data { dirty } => LlcLine::Data { dirty },
+                    LlcLine::Spilled { entry: e } => LlcLine::Spilled {
+                        entry: entry(s, Some(e)).expect("an entry"),
+                    },
+                    LlcLine::Fused {
+                        entry: e,
+                        block_dirty,
+                    } => LlcLine::Fused {
+                        entry: entry(s, Some(e)).expect("an entry"),
+                        block_dirty,
+                    },
+                };
             }
         }
-        let count = |row: &[u8]| (0..6).filter(|&p| sorts(perms.inv(p), row)).count();
-        assert_eq!(count(&[0, 0, 0]), 6);
-        assert_eq!(count(&[1, 0, 1]), 2);
-        assert_eq!(count(&[2, 0, 1]), 1);
+        let per_socket = |es: &[Option<DirEntry>]| -> Vec<Option<DirEntry>> {
+            es.iter()
+                .enumerate()
+                .map(|(i, &e)| entry(i % sockets, e))
+                .collect()
+        };
+        View {
+            sockets,
+            cores,
+            shadow,
+            tokens: v
+                .tokens
+                .iter()
+                .map(|t| WriteToken {
+                    cores: global(t.cores),
+                    ..*t
+                })
+                .collect(),
+            dedicated: per_socket(&v.dedicated),
+            corrupted: v.corrupted.clone(),
+            housed: per_socket(&v.housed),
+            socket_dir: v.socket_dir.clone(),
+            llc_sets: v.llc_sets.clone(),
+            llc_lines: lines,
+        }
+    }
+
+    /// `v` encoded under its own core labels.
+    fn labelled(v: &View) -> Vec<u8> {
+        let identity: Vec<u16> = (0..v.sockets).flat_map(|_| 0..v.cores as u16).collect();
+        let mut out = Vec::new();
+        walk(
+            v,
+            &mut Encode {
+                out: &mut out,
+                cores: v.cores,
+                slot: &identity,
+                core_at: &identity,
+            },
+        );
+        out
     }
 
     #[test]
-    fn sharer_remap_moves_bits() {
-        // Swap cores 0 and 1.
-        assert_eq!(remap_bits(0b01, &[1, 0]), 0b10);
-        assert_eq!(remap_bits(0b11, &[1, 0]), 0b11);
-        assert_eq!(remap_bits(0b001, &[2, 0, 1]), 0b100);
+    fn labelled_masks_move_bits_within_their_socket() {
+        // 2 sockets x 3 cores: socket 0 rotates c0 -> c2 -> c1 -> c0,
+        // socket 1 swaps c0 and c1.
+        let slot = [2, 0, 1, 1, 0, 2];
+        let core_at = [1, 2, 0, 1, 0, 2];
+        let mask = |s: Option<usize>, bits: u128| {
+            let mut out = Vec::new();
+            Encode {
+                out: &mut out,
+                cores: 3,
+                slot: &slot,
+                core_at: &core_at,
+            }
+            .cores(s, bits);
+            u128::from_le_bytes(out.try_into().expect("16 bytes"))
+        };
+        assert_eq!(mask(Some(0), 0b001), 0b100);
+        assert_eq!(mask(Some(0), 0b011), 0b101);
+        assert_eq!(mask(Some(1), 0b001), 0b010);
+        assert_eq!(mask(Some(1), 0b100), 0b100);
+        assert_eq!(mask(None, 0b001_001), 0b010_100);
+        assert_eq!(mask(None, 0b110_000), 0b101_000);
+        let mut row = Vec::new();
+        Encode {
+            out: &mut row,
+            cores: 3,
+            slot: &slot,
+            core_at: &core_at,
+        }
+        .row(1, &[7, 8, 9]);
+        assert_eq!(row, [8, 7, 9]);
     }
 
+    /// A hand-built view of 2 sockets x 3 cores and 2 blocks, and two
+    /// variants in which two cores of a socket tie on every shadow byte but
+    /// not on one fact: a write-token bit in the first, a stale sharer bit
+    /// (dedicated directory and spilled LLC entry) in the second. The
+    /// harness checks reject such states, so the sorted labelling need not
+    /// give the minimum encoding there, but the key must still be the same
+    /// under every relabelling.
     #[test]
-    fn global_remap_respects_socket_blocks() {
-        // 2 sockets x 2 cores; swap only socket 1's cores.
-        let perms = Perms::new(2);
-        assert_eq!(perms.fwd(1), &[1, 0]);
-        let sel = [0, 1];
-        // Core g=2 (socket 1, core 0) -> g=3.
-        assert_eq!(remap_global_cores(0b0100, &perms, &sel), 0b1000);
-        // Socket 0 untouched.
-        assert_eq!(remap_global_cores(0b0001, &perms, &sel), 0b0001);
-        assert_eq!(remap_global_cores(0b0111, &perms, &sel), 0b1011);
+    fn keys_of_views_with_tied_shadows_are_canonical() {
+        let shared = |sharers: u128| DirEntry {
+            state: zerodev_common::DirState::Shared,
+            sharers: SharerSet(sharers),
+        };
+        let token = |cores: u128| WriteToken {
+            cores,
+            llc: 0,
+            mem: true,
+        };
+        let base = View {
+            sockets: 2,
+            cores: 3,
+            // Block 0: s0 = [S, I, I], s1 = [I, I, I]; block 1: s0 = [I, I,
+            // I], s1 = [I, S, I].
+            shadow: vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+            tokens: vec![token(0b000_001), token(0b010_000)],
+            dedicated: vec![Some(shared(0b001)), None, None, Some(shared(0b010))],
+            corrupted: vec![false, false],
+            housed: vec![None; 4],
+            socket_dir: vec![None; 2],
+            llc_sets: vec![(0, 1), (1, 0)],
+            llc_lines: vec![(BlockAddr(0), LlcLine::Data { dirty: false })],
+        };
+        let identity = vec![vec![0, 1, 2]; 2];
+        // s0/c2 ties with s0/c1 on shadow bytes but holds a token bit.
+        let mut stale_token = relabel_view(&base, &identity);
+        stale_token.tokens[0].cores |= 0b100;
+        // s1/c0 ties with s1/c2 but is a sharer in the dedicated entry and
+        // in a spilled entry.
+        let mut stale_sharer = relabel_view(&base, &identity);
+        stale_sharer.dedicated[3] = Some(shared(0b011));
+        stale_sharer.llc_sets[1].1 = 1;
+        stale_sharer.llc_lines.push((
+            BlockAddr(64),
+            LlcLine::Spilled {
+                entry: shared(0b011),
+            },
+        ));
+
+        let mut enc = KeyEncoder::default();
+        for view in [base, stale_token, stale_sharer] {
+            enc.view = relabel_view(&view, &identity);
+            let key = enc.encode().to_vec();
+            let mut raw = HashSet::new();
+            for perm in reference::all_perms(2, 3) {
+                enc.view = relabel_view(&view, &perm);
+                raw.insert(labelled(&enc.view));
+                assert_eq!(enc.encode(), key.as_slice(), "relabelled by {perm:?}");
+            }
+            assert!(raw.len() > 1, "the relabellings must differ");
+        }
     }
 
     /// The 19 machines of simbench's `mc` workload (`simbench/src/suite.rs`)
@@ -751,6 +857,44 @@ mod tests {
         for (mc, cap) in key_test_machines() {
             let states = check_keys_against_reference(&mc, cap);
             assert!(states > 100, "{}: only {states} states", mc.name);
+        }
+    }
+
+    /// One scratch harness, refilled by `clone_from` before every successor
+    /// of every key-test machine (the oracle attached on every other
+    /// machine, so the scratch also moves between machines with and
+    /// without it), reads the same as a fresh clone each time; and one
+    /// `KeyEncoder` reused across all of them computes the same keys as a
+    /// fresh encoder.
+    #[test]
+    fn a_reused_scratch_harness_equals_a_fresh_clone() {
+        let mut scratch: Option<ProtocolHarness> = None;
+        let mut keys = KeyEncoder::default();
+        for (i, (mc, _)) in key_test_machines().into_iter().enumerate() {
+            let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), i % 2 == 0)
+                .expect("tiny machines validate");
+            let mut visited = HashSet::from([canonical_key(&h0)]);
+            let mut queue = VecDeque::from([h0]);
+            while let Some(h) = queue.pop_front() {
+                for ev in h.enabled_events() {
+                    let next = scratch.get_or_insert_with(|| h.clone());
+                    next.clone_from(&h);
+                    assert_eq!(
+                        format!("{next:?}"),
+                        format!("{:?}", h.clone()),
+                        "{}: refilled before {ev}",
+                        mc.name
+                    );
+                    next.apply(ev)
+                        .unwrap_or_else(|v| panic!("{}: {ev}: {v}", mc.name));
+                    let key = keys.key(next);
+                    let fresh = KeyEncoder::default().key(next).to_vec();
+                    assert_eq!(key, fresh, "{}: after {ev}", mc.name);
+                    if visited.len() < 100 && visited.insert(key.to_vec()) {
+                        queue.push_back(next.clone());
+                    }
+                }
+            }
         }
     }
 
@@ -873,7 +1017,7 @@ mod tests {
         let mc = tiny(SpillPolicy::FuseAll, LlcDesign::Inclusive, 2, 1, 2, 2);
         let ab = reach(&mc, &[acc(0, 0, 0, Op::Read), acc(0, 0, 1, Op::Read)]);
         let ba = reach(&mc, &[acc(0, 0, 1, Op::Read), acc(0, 0, 0, Op::Read)]);
-        let set = |h: &ProtocolHarness| h.system().llc_set_of(SocketId(0), b0);
+        let set = |h: &ProtocolHarness| h.system().llc_set_of(SocketId(0), b0).collect::<Vec<_>>();
         let mut sorted = set(&ab);
         sorted.reverse();
         assert_eq!(sorted, set(&ba), "same lines, opposite MRU order");

@@ -24,7 +24,7 @@ use zerodev_common::config::NocConfig;
 pub struct NodeId(pub usize);
 
 /// The mesh fabric of one socket.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Mesh {
     cols: usize,
     rows: usize,
@@ -36,6 +36,15 @@ pub struct Mesh {
     /// Total messages routed.
     messages: u64,
 }
+
+zerodev_common::fieldwise_clone!(Mesh {
+    cols,
+    rows,
+    xy,
+    cfg,
+    byte_hops,
+    messages,
+});
 
 impl Mesh {
     /// Creates a mesh with the given dimensions.
@@ -138,13 +147,20 @@ impl Mesh {
 /// Cores occupy tiles round-robin; bank *i* sits with core *i·cores/banks*
 /// (co-located tiles, the common tiled-CMP arrangement); memory controllers
 /// sit at mesh corners.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct SocketTopology {
     mesh: Mesh,
     cores: Vec<NodeId>,
     banks: Vec<NodeId>,
     mcs: Vec<NodeId>,
 }
+
+zerodev_common::fieldwise_clone!(SocketTopology {
+    mesh,
+    cores,
+    banks,
+    mcs,
+});
 
 impl SocketTopology {
     /// Builds the topology for `cores` cores, `banks` LLC banks and

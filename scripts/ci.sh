@@ -80,7 +80,7 @@ echo "soak quarantine check passed"
 
 echo "== model checker (full matrix, exhaustive) =="
 # Every machine of the matrix in crates/model/src/main.rs explored to
-# exhaustion and clean, and every seeded mutation caught (a few seconds).
+# exhaustion and clean, and every seeded mutation caught (about 15 s).
 cargo run --release -p zerodev_model >/dev/null
 
 echo "== perf regression gate (simbench vs newest committed BENCH) =="
