@@ -12,7 +12,8 @@
 //! * **Budget exhausted** (wall clock or resident memory) — the run is
 //!   checkpointed to disk and skipped: *graceful degradation*, the
 //!   campaign continues, the report says exactly where the budget went.
-//! * **Watchdog stall** ([`SimError::Stalled`]) — the point is
+//! * **Stall** ([`SimError::Stalled`]: a NACK storm past its retry
+//!   budget, or a core silent past the watchdog horizon) — the point is
 //!   *quarantined*: the paused run is checkpointed for post-mortem replay,
 //!   a replayable trace artifact is recorded, and the campaign continues
 //!   with a nonzero final exit.
@@ -23,12 +24,14 @@
 //!   as an oracle repro command.
 //!
 //! Environment: the shared `ZERODEV_QUICK` / `ZERODEV_AUDIT` /
-//! `ZERODEV_FAULTS` / `ZERODEV_WATCHDOG_*` knobs (see
-//! [`RunParams::from_env`]), plus `ZERODEV_SOAK_WALL_MS` (per-point wall
-//! budget, default 60000), `ZERODEV_SOAK_RSS_MB` (resident-set ceiling,
-//! default 8192), `ZERODEV_SOAK_DIR` (artifact directory, default
-//! `target/soak`), and `ZERODEV_SOAK_ONLY=<substr>` (run only matching
-//! point ids — the repro filter quarantine reports print).
+//! `ZERODEV_FAULTS` knobs (see [`RunParams::from_env`]), plus
+//! `ZERODEV_SOAK_WALL_MS` (per-point wall budget, default 60000),
+//! `ZERODEV_SOAK_RSS_MB` (resident-set ceiling, default 8192),
+//! `ZERODEV_SOAK_DIR` (artifact directory, default `target/soak`), and
+//! `ZERODEV_SOAK_ONLY=<substr>` (run only matching point ids — the repro
+//! filter quarantine reports print). The fault spec arms NACK storms and
+//! state corruption ([`zerodev_sim::faults`]); a storm longer than its
+//! retry budget is how a livelock is injected on purpose.
 //!
 //! Exits nonzero when any point was quarantined; budget-degraded points
 //! alone exit zero. The report is written to `<dir>/soak_report.json`.
@@ -136,13 +139,7 @@ fn build(p: &Point, params: &RunParams) -> Simulation {
     let cores = p.cfg.cores * p.cfg.sockets;
     let wl = multithreaded(p.app, cores, p.seed).expect("torture workloads are registered");
     let mut sim = Simulation::new(&p.cfg, wl);
-    sim.set_watchdog(params.watchdog_horizon, params.watchdog_period);
-    if params.audit {
-        sim.enable_audit();
-    }
-    if let Some(fc) = params.faults {
-        sim.set_faults(fc);
-    }
+    params.arm(&mut sim);
     sim
 }
 
@@ -221,12 +218,7 @@ fn minimize(p: &Point, params: &RunParams, hi: u64) -> Option<u64> {
 fn repro_command(p: &Point) -> String {
     // Carry the knobs that shaped this run so the command stands alone.
     let mut env_prefix = String::from("ZERODEV_AUDIT=1 ");
-    for knob in [
-        "ZERODEV_FAULTS",
-        "ZERODEV_QUICK",
-        "ZERODEV_WATCHDOG_HORIZON",
-        "ZERODEV_WATCHDOG_PERIOD",
-    ] {
+    for knob in ["ZERODEV_FAULTS", "ZERODEV_QUICK"] {
         if let Ok(v) = std::env::var(knob) {
             env_prefix.push_str(&format!("{knob}='{v}' "));
         }

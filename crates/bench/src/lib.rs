@@ -105,12 +105,6 @@ pub fn execute(cfg: &SystemConfig, workload: Workload) -> RunWithEnergy {
     run(cfg, workload, &RunParams::from_env())
 }
 
-/// Runs `workload` on `cfg` with an explicit run length (the 128-core
-/// server experiments use a shorter window per core).
-pub fn execute_with(cfg: &SystemConfig, workload: Workload, params: &RunParams) -> RunWithEnergy {
-    run(cfg, workload, params)
-}
-
 /// Run length for the 128-core server experiments.
 pub fn server_params() -> RunParams {
     let p = RunParams::from_env();
@@ -247,13 +241,6 @@ where
         .collect()
 }
 
-/// Speedup metric for [`sweep`].
-pub fn speedup_metric(r: &RunWithEnergy, base: &RunWithEnergy) -> f64 {
-    r.result
-        .speedup_vs(&base.result)
-        .expect("sweep compares runs of the same workload, so core counts match")
-}
-
 /// Runs the per-application speedup table used by Figures 19–21 and 23 on
 /// the parallel engine: each workload under every config, normalised to
 /// the baseline machine.
@@ -301,11 +288,6 @@ pub fn render_norm_table(title: &str, col_names: &[&str], rows: &[NormRow]) -> S
 /// Prints [`render_norm_table`].
 pub fn print_norm_table(title: &str, col_names: &[&str], rows: &[NormRow]) {
     print!("{}", render_norm_table(title, col_names, rows));
-}
-
-/// Geomean of one column of a row set.
-pub fn column_geomean(rows: &[NormRow], col: usize) -> f64 {
-    geomean(&rows.iter().map(|r| r.values[col]).collect::<Vec<_>>())
 }
 
 /// Minimum of one column (the paper annotates min speedups above bars).

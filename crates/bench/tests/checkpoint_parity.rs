@@ -7,7 +7,9 @@
 //! driver's budget-aware checkpointing stands on.
 
 use zerodev_bench::{baseline, zerodev_default_nodir};
+use zerodev_common::snap::{SnapError, SnapWriter};
 use zerodev_common::SystemConfig;
+use zerodev_sim::checkpoint::{MAGIC, VERSION};
 use zerodev_sim::{FaultConfig, PausedRun, RunStatus, SimResult, Simulation, StateFault};
 use zerodev_workloads::multithreaded;
 
@@ -27,10 +29,8 @@ struct Point {
 }
 
 fn matrix() -> Vec<Point> {
-    let message_faults = FaultConfig {
+    let nack_storms = FaultConfig {
         nack_ppm: 20_000,
-        delay_ppm: 10_000,
-        dup_ppm: 10_000,
         ..Default::default()
     };
     let corrupting = FaultConfig {
@@ -59,12 +59,12 @@ fn matrix() -> Vec<Point> {
             cut: 700,
         },
         Point {
-            label: "zerodev/torture.entry_thrash/message-faults",
+            label: "zerodev/torture.entry_thrash/nack-storms",
             cfg: zerodev_default_nodir(),
             app: "torture.entry_thrash",
             seed: 0x5eed_0003,
             audit: true,
-            faults: Some(message_faults),
+            faults: Some(nack_storms),
             refs: REFS,
             cut: 1_500,
         },
@@ -227,5 +227,17 @@ fn restore_rejects_a_damaged_image() {
     assert!(
         PausedRun::restore(&p.cfg, &image[..image.len() - 3]).is_err(),
         "a truncated image must be rejected"
+    );
+    // A sound container (valid checksum) of the previous layout, which
+    // still carried the watchdog tuning and the mesh load counters.
+    let mut w = SnapWriter::new(MAGIC, VERSION - 1);
+    w.u64(p.refs);
+    assert_eq!(
+        PausedRun::restore(&p.cfg, &w.finish()).err(),
+        Some(SnapError::BadVersion {
+            expected: VERSION,
+            found: VERSION - 1,
+        }),
+        "an image of the previous layout must fail on its version"
     );
 }

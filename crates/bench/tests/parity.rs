@@ -62,7 +62,6 @@ fn point(policy: SpillPolicy, design: LlcDesign, sockets: usize) -> u64 {
         threads: 1,
         audit: true,
         faults: None,
-        ..Default::default()
     };
     let wl = multithreaded("canneal", cores, 0x9a11_7e57).expect("known app");
     let r = run(&cfg, wl, &params).result;
@@ -126,8 +125,8 @@ fn audited_matrix_matches_pinned_fingerprints() {
 /// `ZERODEV_THREADS` setting (expressed directly through `RunParams` so the
 /// test cannot race on process-global env vars) must produce one identical
 /// fingerprint — fault draws included — with the coherence oracle armed.
-/// Message-level faults only: state-corruption faults deliberately trip the
-/// oracle, which is its own test elsewhere.
+/// NACK storms only: state-corruption faults deliberately trip the oracle,
+/// which is its own test elsewhere.
 #[test]
 fn threads_agree_under_audit_and_faults() {
     let cfg = SystemConfig::four_socket().with_zerodev(
@@ -141,8 +140,6 @@ fn threads_agree_under_audit_and_faults() {
     let faults = FaultConfig {
         seed: 0xdead_f00d,
         nack_ppm: 800,
-        delay_ppm: 500,
-        dup_ppm: 300,
         ..Default::default()
     };
     let fingerprint = |threads: usize| {
@@ -152,7 +149,6 @@ fn threads_agree_under_audit_and_faults() {
             threads,
             audit: true,
             faults: Some(faults),
-            ..Default::default()
         };
         let wl = multithreaded("canneal", cfg.cores * cfg.sockets, 0x0dd5_eed5).expect("known app");
         let r = run(&cfg, wl, &params).result;

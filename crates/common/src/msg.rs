@@ -153,7 +153,7 @@ impl MsgClass {
     /// probes, 2 = memory commands, 3 = responses. `zerodev-lint` parses
     /// this table and checks the extracted consumes→emits graph against
     /// it; the one audited descent is the `DenfNack → Request` retry in
-    /// the fault engine (bounded backoff, hard retry budget).
+    /// the fault engine, drained by its hard retry budget.
     pub const fn vnet(self) -> u8 {
         match self {
             MsgClass::Request

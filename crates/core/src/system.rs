@@ -59,10 +59,10 @@ pub struct AccessResult {
 }
 
 /// A state-corruption fault class injectable via
-/// [`System::inject_state_fault`]. Message-level faults (NACK storms,
-/// delayed/duplicated completions) live in the sim engine and must be
-/// harmless; these three silently corrupt protocol *state* and exist so the
-/// fault campaign can prove the coherence oracle detects each of them.
+/// [`System::inject_state_fault`]. Forced NACK storms live in the sim
+/// engine and must be harmless within the retry budget; these three
+/// silently corrupt protocol *state* and exist so the fault campaign can
+/// prove the coherence oracle detects each of them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StateFault {
     /// Drops one sharer bit from a live directory entry with at least two
@@ -176,10 +176,10 @@ impl System {
     }
 
     /// Serializes the complete machine state — stats, every socket's LLC
-    /// banks, directory, and mesh counters, the memory side, and the audit
-    /// oracle when attached — for checkpointing. Structure geometry is not
-    /// written; restore rebuilds it from the configuration (whose
-    /// fingerprint is embedded and verified). All array contents are
+    /// banks and directory, the memory side, and the audit oracle when
+    /// attached — for checkpointing. Structure geometry (the mesh topology
+    /// included) is not written; restore rebuilds it from the
+    /// configuration (whose fingerprint is embedded and verified). All array contents are
     /// written lane-exact so deterministic state-fault victim selection
     /// ([`System::inject_state_fault`]) iterates identically after restore.
     // lint:allow(snapshot_complete(home_banks), derived from the configuration, whose fingerprint the image carries)
@@ -193,7 +193,6 @@ impl System {
                 b.snap(w);
             }
             s.dir.snap(w);
-            s.topo.mesh().snap(w);
         }
         self.mem.snap(w);
         match &self.oracle {
@@ -238,7 +237,6 @@ impl System {
                 b.unsnap(r)?;
             }
             s.dir.unsnap(r)?;
-            s.topo.mesh_mut().unsnap(r)?;
         }
         self.mem.unsnap(r)?;
         if r.bool("system audit flag")? {
@@ -253,28 +251,6 @@ impl System {
             self.oracle = None;
         }
         Ok(())
-    }
-
-    /// Test-only fault injection: silently drops one sharer from the
-    /// directory entry tracking `block` in `socket`, wherever the entry
-    /// lives, modelling a lost-sharer protocol bug. Returns false when no
-    /// entry with at least two sharers tracks the block. The next audit
-    /// check over the block must flag the precision violation.
-    #[doc(hidden)]
-    pub fn debug_inject_lost_sharer(&mut self, socket: SocketId, block: BlockAddr) -> bool {
-        let s = socket.0 as usize;
-        let Some((mut e, loc)) = self.find_entry(s, block) else {
-            return false;
-        };
-        let Some(victim) = e.sharers.any() else {
-            return false;
-        };
-        if e.sharers.count() < 2 {
-            return false;
-        }
-        e.sharers.remove(victim);
-        self.write_entry_back(s, block, e, loc);
-        true
     }
 
     /// `block`'s home LLC bank in `socket`, and the memory side: unit tests
@@ -413,52 +389,6 @@ impl System {
         if let Some(o) = &self.oracle {
             o.check_block(self, block);
         }
-    }
-
-    /// Fault-injection hook: a duplicated completion for `core`'s earlier
-    /// grant of `block` arrives again. Returns true when the directory
-    /// still tracks the core for the block — the private cache holds the
-    /// line and drops the duplicate as idempotent — and false when the
-    /// duplicate raced a later invalidation and is dropped as stale.
-    /// Read-only: duplicates never mutate protocol state.
-    pub fn duplicate_completion_is_current(
-        &self,
-        socket: SocketId,
-        core: CoreId,
-        block: BlockAddr,
-    ) -> bool {
-        self.find_entry(socket.0 as usize, block)
-            .is_some_and(|(e, _)| e.sharers.contains(core))
-    }
-
-    /// Fault-injection hook: routes a phantom core→home-bank message of
-    /// `bytes` through the socket's mesh and returns its one-way latency.
-    /// Only the NoC load diagnostics move — protocol state, statistics and
-    /// timing are untouched, which is what keeps message-level faults
-    /// byte-identical on the final stats.
-    pub fn fault_route(
-        &mut self,
-        socket: SocketId,
-        core: CoreId,
-        block: BlockAddr,
-        bytes: u64,
-    ) -> u64 {
-        let bank = self.bank_of(block);
-        self.sockets[socket.0 as usize]
-            .topo
-            .route_core_bank(core.0 as usize, bank, bytes)
-    }
-
-    /// Aggregate NoC load diagnostics (byte-hops, messages) summed over
-    /// every socket's mesh.
-    pub fn noc_load(&self) -> (u64, u64) {
-        self.sockets.iter().fold((0, 0), |(bh, m), sk| {
-            let mesh = sk.topo.mesh();
-            (
-                bh.saturating_add(mesh.byte_hops()),
-                m.saturating_add(mesh.messages()),
-            )
-        })
     }
 
     /// The machine configuration.

@@ -2,9 +2,12 @@
 //!
 //! Table I of the paper specifies a 2D mesh with 1-cycle routing delay and
 //! 1-cycle link latency per hop. The model computes message latency from the
-//! XY-routed Manhattan hop count plus flit serialisation, and tracks
-//! byte-hop load for diagnostics. Inter-socket links are modelled by the
-//! fixed 20 ns routing delay in `SystemConfig::inter_socket_cycles`.
+//! XY-routed Manhattan hop count plus flit serialisation; it has no link
+//! contention and keeps no state beyond its geometry, so every query is a
+//! pure function of the endpoints and the message size. Traffic per message
+//! class is counted by the protocol engine (`Stats::msg_counts`), not here.
+//! Inter-socket links are modelled by the fixed 20 ns routing delay in
+//! `SystemConfig::inter_socket_cycles`.
 //!
 //! # Example
 //!
@@ -31,10 +34,6 @@ pub struct Mesh {
     /// Each node's `(x, y)` position, so hop counts need no division.
     xy: Vec<(u32, u32)>,
     cfg: NocConfig,
-    /// Total byte-hops injected (load diagnostic).
-    byte_hops: u64,
-    /// Total messages routed.
-    messages: u64,
 }
 
 zerodev_common::fieldwise_clone!(Mesh {
@@ -42,8 +41,6 @@ zerodev_common::fieldwise_clone!(Mesh {
     rows,
     xy,
     cfg,
-    byte_hops,
-    messages,
 });
 
 impl Mesh {
@@ -60,8 +57,6 @@ impl Mesh {
                 .flat_map(|y| (0..cols).map(move |x| (x as u32, y as u32)))
                 .collect(),
             cfg,
-            byte_hops: 0,
-            messages: 0,
         }
     }
 
@@ -94,50 +89,6 @@ impl Mesh {
         let hops = self.hops(a, b).max(1);
         let flits = bytes.div_ceil(self.cfg.flit_bytes).max(1);
         hops * self.cfg.hop_cycles + (flits - 1)
-    }
-
-    /// Records a routed message for load accounting and returns its latency.
-    /// The load counters saturate instead of wrapping: they are diagnostics,
-    /// and long fault campaigns routing phantom traffic must never corrupt
-    /// them into small-looking values.
-    pub fn route(&mut self, a: NodeId, b: NodeId, bytes: u64) -> u64 {
-        self.byte_hops = self
-            .byte_hops
-            .saturating_add(bytes.saturating_mul(self.hops(a, b).max(1)));
-        self.messages = self.messages.saturating_add(1);
-        self.latency(a, b, bytes)
-    }
-
-    /// Total byte-hops injected so far.
-    pub fn byte_hops(&self) -> u64 {
-        self.byte_hops
-    }
-
-    /// Total messages routed so far.
-    pub fn messages(&self) -> u64 {
-        self.messages
-    }
-
-    /// Serializes the mutable mesh state (the load counters — geometry and
-    /// timing are rebuilt from configuration) for checkpointing.
-    // lint:allow(snapshot_complete(cols, rows, xy, cfg), mesh geometry, its node-position table, and link timing are configuration; only the load counters are mutable)
-    pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.byte_hops);
-        w.u64(self.messages);
-    }
-
-    /// Restores a [`Mesh::snap`] image into this mesh.
-    ///
-    /// # Errors
-    /// Propagates decode errors from the snapshot reader.
-    // lint:allow(snapshot_complete(cols, rows, xy, cfg), mesh geometry, its node-position table, and link timing are configuration; only the load counters are mutable)
-    pub fn unsnap(
-        &mut self,
-        r: &mut zerodev_common::snap::SnapReader<'_>,
-    ) -> Result<(), zerodev_common::snap::SnapError> {
-        self.byte_hops = r.u64("mesh byte_hops")?;
-        self.messages = r.u64("mesh messages")?;
-        Ok(())
     }
 }
 
@@ -199,11 +150,6 @@ impl SocketTopology {
         }
     }
 
-    /// The underlying mesh (mutable, for load accounting).
-    pub fn mesh_mut(&mut self) -> &mut Mesh {
-        &mut self.mesh
-    }
-
     /// The underlying mesh.
     pub fn mesh(&self) -> &Mesh {
         &self.mesh
@@ -228,15 +174,6 @@ impl SocketTopology {
     pub fn bank_mc_latency(&self, bank: usize, channel: usize, bytes: u64) -> u64 {
         self.mesh
             .latency(self.banks[bank], self.mcs[channel % self.mcs.len()], bytes)
-    }
-
-    /// Routes a phantom core→bank message through the mesh, accumulating
-    /// load diagnostics, and returns its one-way latency. Fault-injection
-    /// hook: NACK storms and duplicated completions re-traverse the fabric
-    /// without touching protocol state or statistics.
-    pub fn route_core_bank(&mut self, core: usize, bank: usize, bytes: u64) -> u64 {
-        let (a, b) = (self.cores[core], self.banks[bank]);
-        self.mesh.route(a, b, bytes)
     }
 
     /// Average core→bank hop distance (used by tests and for sanity checks).
@@ -299,37 +236,6 @@ mod tests {
         assert_eq!(m.latency(NodeId(0), NodeId(1), 72), 6);
         // same node still pays one router traversal
         assert_eq!(m.latency(NodeId(2), NodeId(2), 8), 2);
-    }
-
-    #[test]
-    fn route_accumulates_load() {
-        let mut m = Mesh::new(4, 2, cfg());
-        let l = m.route(NodeId(0), NodeId(3), 72);
-        assert_eq!(l, m.latency(NodeId(0), NodeId(3), 72));
-        assert_eq!(m.byte_hops(), 72 * 3);
-        assert_eq!(m.messages(), 1);
-    }
-
-    #[test]
-    fn route_counters_saturate_instead_of_wrapping() {
-        let mut m = Mesh::new(4, 2, cfg());
-        // Each injection would overflow `bytes * hops` and then the running
-        // sum; the counters must pin at the ceiling, not wrap to garbage.
-        for _ in 0..3 {
-            let l = m.route(NodeId(0), NodeId(7), u64::MAX);
-            assert_eq!(l, m.latency(NodeId(0), NodeId(7), u64::MAX));
-        }
-        assert_eq!(m.byte_hops(), u64::MAX);
-        assert_eq!(m.messages(), 3);
-    }
-
-    #[test]
-    fn phantom_core_bank_route_accumulates_load() {
-        let mut t = SocketTopology::new(8, 8, 2, cfg());
-        let lat = t.route_core_bank(0, 7, 16);
-        assert_eq!(lat, t.core_bank_latency(0, 7, 16));
-        assert_eq!(t.mesh().messages(), 1);
-        assert!(t.mesh().byte_hops() >= 16);
     }
 
     #[test]

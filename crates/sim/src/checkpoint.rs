@@ -16,10 +16,11 @@
 //! checkpoint can never be thawed into a differently shaped machine.
 //! Structures are rebuilt by their constructors and then lane-restored,
 //! keeping probe order, replacement metadata, and fault-victim selection
-//! exact.
+//! exact. The forward-progress watchdog's horizon and scan period are
+//! constants of the engine, so no tuning travels in the image.
 
 use crate::core_model::AccessEffects;
-use crate::engine::{EngineState, PausedRun, Simulation, Watchdog};
+use crate::engine::{EngineState, PausedRun, Simulation};
 use crate::faults::FaultPlan;
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::SystemConfig;
@@ -29,20 +30,20 @@ use zerodev_workloads::Workload;
 pub const MAGIC: u64 = 0x5eed_c8ec_7020_21ff;
 
 /// Checkpoint format version; bumped on any layout change so stale images
-/// fail structurally instead of decoding garbage.
-pub const VERSION: u32 = 1;
+/// fail structurally ([`SnapError::BadVersion`]) instead of decoding
+/// garbage.
+pub const VERSION: u32 = 2;
 
 impl PausedRun {
     /// Serializes the paused run into a self-contained image: run target,
-    /// watchdog tuning, workload generators (PRNG streams and cursors),
-    /// the full machine (caches, directories, DRAM, oracle shadow), every
-    /// core's private hierarchy, the fault plan, and the event-loop state.
+    /// workload generators (PRNG streams and cursors), the full machine
+    /// (caches, directories, DRAM, oracle shadow), every core's private
+    /// hierarchy, the fault plan, and the event-loop state.
     // lint:allow(snapshot_complete(fx), reusable effects buffer; empty at every pause boundary (each step clears then drains it))
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut w = SnapWriter::new(MAGIC, VERSION);
         w.u64(self.refs_per_core);
         let (sim, st) = (&self.sim, &self.st);
-        sim.watchdog().snap(&mut w);
         sim.workload().snap(&mut w);
         sim.system().snap(&mut w);
         w.usize(sim.cores().len());
@@ -71,7 +72,6 @@ impl PausedRun {
     pub fn restore(cfg: &SystemConfig, bytes: &[u8]) -> Result<PausedRun, SnapError> {
         let mut r = SnapReader::open(bytes, MAGIC, VERSION)?;
         let refs_per_core = r.u64("checkpoint refs per core")?;
-        let watchdog = Watchdog::unsnap(&mut r)?;
         let workload = Workload::unsnap(&mut r)?;
         if workload.threads.len() != cfg.cores * cfg.sockets {
             return Err(SnapError::Corrupt {
@@ -79,7 +79,6 @@ impl PausedRun {
             });
         }
         let mut sim = Simulation::new(cfg, workload);
-        sim.set_watchdog_raw(watchdog);
         sim.system_mut().unsnap(&mut r)?;
         let n = r.usize("checkpoint core count")?;
         if n != sim.cores().len() {

@@ -81,16 +81,6 @@ impl CoreModel {
         }
     }
 
-    /// The socket this core belongs to.
-    pub fn socket(&self) -> SocketId {
-        self.socket
-    }
-
-    /// This core's id within its socket.
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
     /// The MESI state of this core's copy of `block` (Invalid if absent).
     pub fn state_of(&self, block: BlockAddr) -> MesiState {
         self.l2

@@ -2,90 +2,46 @@
 //! forward-progress watchdog and optional deterministic fault injection.
 
 use crate::core_model::{AccessEffects, CoreModel};
-use crate::faults::{FaultConfig, FaultPlan, FaultStats};
+use crate::faults::{FaultConfig, FaultDraw, FaultPlan, FaultStats};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
-use zerodev_common::{CoreId, Cycle, MesiState, MsgClass, SocketId, Stats, SystemConfig};
+use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId, Stats, SystemConfig};
 use zerodev_core::{InvalReason, System};
 use zerodev_workloads::{Workload, WorkloadKind};
 
 /// Cycles a core may go without retiring a reference before the watchdog
-/// declares the run stalled ([`Watchdog::horizon`] default). Legitimate
-/// per-reference latency is bounded by a few thousand cycles (DRAM queueing
-/// included), so a million-cycle silence is a livelock/deadlock, never a
-/// slow access.
-pub const DEFAULT_WATCHDOG_HORIZON: u64 = 1_000_000;
+/// declares the run stalled. Legitimate per-reference latency is bounded by
+/// a few thousand cycles (DRAM queueing included), so a million-cycle
+/// silence is a livelock/deadlock, never a slow access.
+const WATCHDOG_HORIZON: u64 = 1_000_000;
 
-/// References between watchdog scans of the per-core heartbeats
-/// ([`Watchdog::period`] default; keeps the check O(1) amortised per
-/// reference).
-pub const DEFAULT_WATCHDOG_PERIOD: u64 = 4_096;
+/// References between watchdog scans of the per-core heartbeats (keeps the
+/// check O(1) amortised per reference).
+const WATCHDOG_PERIOD: u64 = 4_096;
 
-/// The forward-progress watchdog's tuning knobs. The watchdog only reads
-/// the event stream, so results are byte-identical at any setting that does
-/// not fire.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct Watchdog {
-    /// Cycles of per-core heartbeat silence that declare a stall.
-    pub(crate) horizon: u64,
-    /// References between heartbeat scans (>= 1).
-    pub(crate) period: u64,
-}
-
-impl Default for Watchdog {
-    fn default() -> Self {
-        Watchdog {
-            horizon: DEFAULT_WATCHDOG_HORIZON,
-            period: DEFAULT_WATCHDOG_PERIOD,
-        }
-    }
-}
-
-impl Watchdog {
-    /// One scan point of the event loop: every [`Self::period`] pops, find
-    /// the least-recently-retiring core and declare a stall if its
-    /// heartbeat silence exceeds [`Self::horizon`].
-    #[inline]
-    pub(crate) fn check(&self, pops: u64, now: u64, last_retire: &[u64]) -> Result<(), SimError> {
-        if pops.is_multiple_of(self.period) {
-            let (lag, &seen) = last_retire
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &s)| s)
-                .expect("at least one core");
-            if now.saturating_sub(seen) > self.horizon {
-                return Err(SimError::Stalled {
-                    core: lag,
-                    cycle: now,
-                    last_event: format!(
-                        "no retirement since cycle {seen} (heartbeat horizon {horizon})",
-                        horizon = self.horizon
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the knobs for checkpointing.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.horizon);
-        w.u64(self.period);
-    }
-
-    /// Inverse of [`Self::snap`].
-    ///
-    /// # Errors
-    /// Fails with a decode [`SnapError`] on truncated or corrupt input.
-    pub(crate) fn unsnap(r: &mut SnapReader) -> Result<Watchdog, SnapError> {
-        let horizon = r.u64("watchdog horizon")?;
-        let period = r.u64("watchdog period")?;
-        if period == 0 {
-            return Err(SnapError::Corrupt {
-                context: "watchdog period must be nonzero",
+/// The forward-progress watchdog, one scan point of the event loop: every
+/// [`WATCHDOG_PERIOD`] pops, find the least-recently-retiring core and
+/// declare a stall if its heartbeat silence exceeds [`WATCHDOG_HORIZON`].
+/// It only reads the event stream, so results are byte-identical at every
+/// scan that does not fire.
+#[inline]
+fn watchdog_check(pops: u64, now: u64, last_retire: &[u64]) -> Result<(), SimError> {
+    if pops.is_multiple_of(WATCHDOG_PERIOD) {
+        let (lag, &seen) = last_retire
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &s)| s)
+            .expect("at least one core");
+        if now.saturating_sub(seen) > WATCHDOG_HORIZON {
+            return Err(SimError::Stalled {
+                core: lag,
+                cycle: now,
+                last_event: format!(
+                    "no retirement since cycle {seen} (heartbeat horizon {WATCHDOG_HORIZON})"
+                ),
             });
         }
-        Ok(Watchdog { horizon, period })
     }
+    Ok(())
 }
 
 /// Packs an event as `(time << 32) | core` so that plain integer order is
@@ -292,9 +248,6 @@ pub struct Simulation {
     workload: Workload,
     /// Deterministic fault plan; `None` (the default) is zero-cost-off.
     faults: Option<Box<FaultPlan>>,
-    /// Forward-progress watchdog tuning (defaults match the historical
-    /// constants, so untouched runs are byte-identical).
-    watchdog: Watchdog,
 }
 
 impl Simulation {
@@ -328,29 +281,15 @@ impl Simulation {
             cores,
             workload,
             faults: None,
-            watchdog: Watchdog::default(),
         }
     }
 
     /// Arms deterministic fault injection ([`crate::faults`]) for the
-    /// measured region. Message-level faults never perturb timing or
-    /// statistics; state corruptions are meant to be caught by the oracle
-    /// (enable [`Self::enable_audit`] too).
+    /// measured region. NACK storms within the retry budget never perturb
+    /// timing or statistics; state corruptions are meant to be caught by
+    /// the oracle (enable [`Self::enable_audit`] too).
     pub fn set_faults(&mut self, cfg: FaultConfig) {
         self.faults = Some(Box::new(FaultPlan::new(cfg)));
-    }
-
-    /// Tunes the forward-progress watchdog: `horizon` cycles of per-core
-    /// heartbeat silence declare a stall, scanned every `period` references
-    /// (`period` is clamped to at least 1). The watchdog only reads the
-    /// event stream, so any setting that does not fire leaves results
-    /// byte-identical to the defaults ([`DEFAULT_WATCHDOG_HORIZON`],
-    /// [`DEFAULT_WATCHDOG_PERIOD`]).
-    pub fn set_watchdog(&mut self, horizon: u64, period: u64) {
-        self.watchdog = Watchdog {
-            horizon,
-            period: period.max(1),
-        };
     }
 
     /// Read access to the protocol engine (diagnostics).
@@ -386,16 +325,6 @@ impl Simulation {
     /// Installs an already-built fault plan (checkpoint restoration).
     pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = Some(Box::new(plan));
-    }
-
-    /// The watchdog tuning (checkpoint serialization).
-    pub(crate) fn watchdog(&self) -> Watchdog {
-        self.watchdog
-    }
-
-    /// Installs watchdog tuning verbatim (checkpoint restoration).
-    pub(crate) fn set_watchdog_raw(&mut self, wd: Watchdog) {
-        self.watchdog = wd;
     }
 
     /// Turns on the coherence-invariant oracle (`zerodev_core::oracle`):
@@ -459,20 +388,18 @@ impl Simulation {
 
     /// Requester-side fault handling *before* the access reaches the
     /// uncore: a forced `DENF_NACK` storm either exhausts the retry budget
-    /// (a structured stall) or is absorbed with bounded exponential
-    /// backoff, accounted virtually and as phantom NoC traffic.
+    /// (a structured stall) or is absorbed and counted in the plan's stats.
     // lint:consumes(DenfNack)
     fn fault_pre(
         &mut self,
         t: usize,
         issue: u64,
-        block: zerodev_common::BlockAddr,
-        d: crate::faults::FaultDraw,
+        block: BlockAddr,
+        d: FaultDraw,
     ) -> Result<(), SimError> {
         let Some(len) = d.nack_storm else {
             return Ok(());
         };
-        let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
         let plan = self
             .faults
             .as_deref_mut()
@@ -487,60 +414,28 @@ impl Simulation {
                 ),
             });
         }
-        // The nacked request is re-issued after backoff: the one audited
-        // descent in the MsgClass order (DESIGN.md §12). The cycle cannot
-        // sustain itself — backoff grows with the storm length and the retry
-        // budget turns an unbounded storm into SimError::Stalled.
-        // lint:allow(msg_class_cycle, bounded DENF_NACK retry: backoff + hard retry budget guarantee drain)
+        // The nacked request is re-issued until the storm ends: the one
+        // audited descent in the MsgClass order (DESIGN.md §12). The cycle
+        // cannot sustain itself — the retry budget turns a storm longer
+        // than it into SimError::Stalled.
+        // lint:allow(msg_class_cycle, bounded DENF_NACK retry: the hard retry budget guarantees drain)
         plan.stats.nack_storms += 1; // lint:emits(Request)
         plan.stats.nacks += u64::from(len);
-        plan.stats.backoff_cycles += plan.config().backoff_cycles(len);
-        let mut phantom = 0u64;
-        for _ in 0..len {
-            phantom += self
-                .sys
-                .fault_route(socket, core, block, MsgClass::DenfNack.bytes());
-        }
-        plan.stats.phantom_noc_cycles += phantom;
         Ok(())
     }
 
-    /// Completion-side fault handling *after* the access resolved: delayed
-    /// completions (virtual lateness), duplicated completions (re-delivered
-    /// and dropped — idempotent if the line is still tracked, stale if it
-    /// raced an invalidation), and armed state corruption (injected once a
-    /// victim exists, then immediately re-checked by the oracle).
-    fn fault_post(
-        &mut self,
-        t: usize,
-        done: u64,
-        block: zerodev_common::BlockAddr,
-        d: crate::faults::FaultDraw,
-    ) {
-        let (socket, core) = (self.cores[t].socket(), self.cores[t].core());
+    /// Completion-side fault handling *after* the access resolved: an
+    /// armed state corruption is injected once a victim exists, then
+    /// immediately re-checked by the oracle.
+    fn fault_post(&mut self, done: u64, d: FaultDraw) {
+        let Some(kind) = d.corrupt else {
+            return;
+        };
         let Simulation { sys, faults, .. } = self;
-        if let Some(extra) = d.delay {
-            let plan = faults.as_deref_mut().expect("plan present");
-            plan.stats.delayed += 1;
-            plan.stats.delay_cycles += extra;
-        }
-        if d.duplicate {
-            let current = sys.duplicate_completion_is_current(socket, core, block);
-            let phantom = sys.fault_route(socket, core, block, MsgClass::Data.bytes());
-            let plan = faults.as_deref_mut().expect("plan present");
-            plan.stats.duplicates += 1;
-            if !current {
-                plan.stats.duplicates_stale += 1;
-            }
-            plan.stats.phantom_noc_cycles += phantom;
-        }
-        if let Some(kind) = d.corrupt {
-            if let Some(plan) = faults.as_deref_mut() {
-                if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
-                    plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
-                    sys.audit_check_block(victim);
-                }
-            }
+        let plan = faults.as_deref_mut().expect("fault draw without a plan");
+        if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
+            plan.corruption_injected(format!("at cycle {done}: {kind:?}: {desc}"));
+            sys.audit_check_block(victim);
         }
     }
 
@@ -560,8 +455,8 @@ impl Simulation {
     /// [`Self::run`], surfacing livelock/deadlock as [`SimError::Stalled`]
     /// instead of looping forever: every core must keep retiring references
     /// within the watchdog horizon, and NACKed flows get a bounded retry
-    /// budget. The watchdog only reads the event stream — armed or not,
-    /// results are byte-identical.
+    /// budget. The watchdog only reads the event stream, so it never
+    /// changes the results of a run it does not stop.
     ///
     /// Implemented as [`Self::start`] + a single unbounded
     /// [`PausedRun::advance`] + [`PausedRun::finish`], so the whole-run and
@@ -761,14 +656,11 @@ impl PausedRun {
         for _ in 0..max_steps {
             let (now, t) = st.queue.peek_min();
             st.pops += 1;
-            sim.watchdog.check(st.pops, now, &st.last_retire)?;
+            watchdog_check(st.pops, now, &st.last_retire)?;
             let r = sim.workload.threads[t].next_ref();
             let mlp = sim.workload.threads[t].spec().mlp;
             let issue = now + u64::from(r.gap);
-            let draw = sim
-                .faults
-                .as_deref_mut()
-                .map(crate::faults::FaultPlan::draw);
+            let draw = sim.faults.as_deref_mut().map(FaultPlan::draw);
             if let Some(d) = draw {
                 sim.fault_pre(t, issue, r.block, d)?;
             }
@@ -776,7 +668,7 @@ impl PausedRun {
             let lat = sim.apply_effects(Cycle(issue), &mut self.fx, mlp);
             let done = issue + lat;
             if let Some(d) = draw {
-                sim.fault_post(t, done, r.block, d);
+                sim.fault_post(done, d);
             }
             st.instrs[t] += u64::from(r.gap) + 1;
             st.refs_done[t] += 1;
@@ -896,6 +788,37 @@ mod tests {
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.completion_cycles, b.completion_cycles);
         assert_eq!(a.faults, FaultStats::default());
+    }
+
+    /// The heartbeat watchdog on synthetic heartbeats: no workload stalls
+    /// without a NACK storm, so the retry budget, not this scan, stops
+    /// every stalled run in the integration tests.
+    #[test]
+    fn watchdog_fires_one_cycle_past_the_horizon_on_the_laggard() {
+        // Core 2 retired least recently; cores 0, 1 and 3 are well inside.
+        let last_retire = [900_000, 750_000, 500_000, 1_400_000];
+        let at_horizon = 500_000 + WATCHDOG_HORIZON;
+        assert_eq!(
+            watchdog_check(WATCHDOG_PERIOD, at_horizon, &last_retire),
+            Ok(())
+        );
+        let Err(SimError::Stalled {
+            core,
+            cycle,
+            last_event,
+        }) = watchdog_check(3 * WATCHDOG_PERIOD, at_horizon + 1, &last_retire)
+        else {
+            panic!("a silence one cycle past the horizon must stall");
+        };
+        assert_eq!((core, cycle), (2, at_horizon + 1));
+        assert!(
+            last_event.contains("since cycle 500000"),
+            "verdict must name the last heartbeat: {last_event}"
+        );
+        // Between scan points the heartbeats are not even read.
+        for pops in [1, WATCHDOG_PERIOD - 1, WATCHDOG_PERIOD + 1] {
+            assert_eq!(watchdog_check(pops, u64::MAX, &last_retire), Ok(()));
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection: configuration, per-run plan, and stats.
 //!
-//! ZeroDEV's safety argument rests on invariants the PR-2 oracle checks on
-//! *clean* runs; this module supplies the adversarial side. A
+//! ZeroDEV's safety argument rests on invariants the coherence oracle
+//! checks on *clean* runs; this module supplies the adversarial side. A
 //! [`FaultPlan`], seeded from [`FaultConfig::seed`] and driven by
 //! [`zerodev_common::Prng`], decides per measured access whether to inject:
 //!
@@ -9,13 +9,12 @@
 //!   entry corruption, housed home-segment flips. These silently break the
 //!   protocol's invariants; the fault campaign proves the oracle flags
 //!   every one (detector sensitivity).
-//! * **message-level faults** — forced `DENF_NACK` storms with bounded
-//!   exponential backoff, delayed completions, and duplicated completions.
-//!   The protocol must absorb these without any state or statistics
-//!   divergence (resilience): their cost is accounted *virtually* in
-//!   [`FaultStats`] and as phantom NoC traffic, never in the timed event
-//!   stream, so a faulted run's final [`zerodev_common::Stats`] are
-//!   byte-identical to the fault-free run.
+//! * **forced `DENF_NACK` storms** — the requester re-issues a nacked
+//!   request until the storm ends. A storm within the retry budget is
+//!   absorbed (counted in [`FaultStats`], never in the timed event stream,
+//!   so a faulted run's final [`zerodev_common::Stats`] are byte-identical
+//!   to the fault-free run); a storm past it is a livelock by construction
+//!   and surfaces as `SimError::Stalled`.
 //!
 //! The whole subsystem is zero-cost-off: with no `FaultConfig` in
 //! [`crate::runner::RunParams`] (and `ZERODEV_FAULTS` unset) the engine
@@ -64,16 +63,6 @@ pub struct FaultConfig {
     /// Retries the requester tolerates before declaring a stall
     /// (`SimError::Stalled`): the watchdog's bounded-retry budget.
     pub retry_budget: u32,
-    /// First-retry backoff in cycles; doubles per retry (exponential).
-    pub backoff_base: u64,
-    /// Per-retry backoff ceiling in cycles.
-    pub backoff_cap: u64,
-    /// Per-access probability (ppm) of a delayed completion.
-    pub delay_ppm: u32,
-    /// Extra (virtual) cycles a delayed completion is late by.
-    pub delay_cycles: u64,
-    /// Per-access probability (ppm) of a duplicated completion.
-    pub dup_ppm: u32,
     /// State corruption: the fault class and the measured-access index to
     /// arm it at (injection retries every access until a victim exists).
     pub corrupt: Option<(StateFault, u64)>,
@@ -86,11 +75,6 @@ impl Default for FaultConfig {
             nack_ppm: 0,
             nack_len: 4,
             retry_budget: 16,
-            backoff_base: 8,
-            backoff_cap: 1_024,
-            delay_ppm: 0,
-            delay_cycles: 50,
-            dup_ppm: 0,
             corrupt: None,
         }
     }
@@ -99,10 +83,9 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// Parses a `ZERODEV_FAULTS` spec: comma-separated `key=value` pairs.
     ///
-    /// Keys: `seed`, `nack` (ppm), `nack_len`, `retries`, `backoff_base`,
-    /// `backoff_cap`, `delay` (ppm), `delay_cycles`, `dup` (ppm), and
+    /// Keys: `seed`, `nack` (ppm), `nack_len`, `retries`, and
     /// `corrupt=<sharer|llc|home>@<access-index>`.
-    /// Example: `nack=500,delay=200,dup=100,seed=7`.
+    /// Example: `nack=500,nack_len=3,seed=7`.
     ///
     /// # Errors
     /// Returns a message describing the first malformed pair.
@@ -129,11 +112,6 @@ impl FaultConfig {
                 "nack" => fc.nack_ppm = ppm(k, v)?,
                 "nack_len" => fc.nack_len = num(k, v)?,
                 "retries" => fc.retry_budget = num(k, v)?,
-                "backoff_base" => fc.backoff_base = num(k, v)?,
-                "backoff_cap" => fc.backoff_cap = num(k, v)?,
-                "delay" => fc.delay_ppm = ppm(k, v)?,
-                "delay_cycles" => fc.delay_cycles = num(k, v)?,
-                "dup" => fc.dup_ppm = ppm(k, v)?,
                 "corrupt" => {
                     let (kind, at) = v
                         .split_once('@')
@@ -176,48 +154,18 @@ impl FaultConfig {
         let raw = std::env::var("ZERODEV_FAULTS").ok();
         FaultConfig::parse_env("ZERODEV_FAULTS", raw.as_deref())
     }
-
-    /// Total backoff cycles a storm of `len` NACKs costs the requester:
-    /// exponential from [`Self::backoff_base`], capped per retry at
-    /// [`Self::backoff_cap`] (the bound that makes the backoff, and hence
-    /// any stall, finite).
-    pub fn backoff_cycles(&self, len: u32) -> u64 {
-        (0..len)
-            .map(|i| {
-                self.backoff_base
-                    .checked_shl(i)
-                    .unwrap_or(self.backoff_cap)
-                    .min(self.backoff_cap)
-            })
-            .fold(0u64, u64::saturating_add)
-    }
 }
 
 /// Everything a faulted run observed, kept apart from the protocol's
-/// [`zerodev_common::Stats`] so message-level faults stay provably
-/// stats-neutral. Backoff and delay costs are *virtual* cycles: accounted
-/// here, never added to the timed event stream.
+/// [`zerodev_common::Stats`] so absorbed NACK storms stay stats-neutral.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Forced `DENF_NACK` storms survived.
     pub nack_storms: u64,
     /// Individual NACKs across all storms.
     pub nacks: u64,
-    /// Virtual requester-side backoff cycles across all storms.
-    pub backoff_cycles: u64,
-    /// Completions delivered late.
-    pub delayed: u64,
-    /// Virtual cycles of added completion delay.
-    pub delay_cycles: u64,
-    /// Completions delivered twice.
-    pub duplicates: u64,
-    /// Duplicates that raced a later invalidation (dropped as stale rather
-    /// than as idempotent).
-    pub duplicates_stale: u64,
     /// State corruptions injected.
     pub corruptions: u64,
-    /// One-way latency of phantom messages routed through the NoC.
-    pub phantom_noc_cycles: u64,
     /// Human-readable description of every injected state corruption.
     pub injected: Vec<String>,
 }
@@ -225,7 +173,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Total injected events of any class.
     pub fn total_events(&self) -> u64 {
-        self.nack_storms + self.delayed + self.duplicates + self.corruptions
+        self.nack_storms + self.corruptions
     }
 }
 
@@ -234,10 +182,6 @@ impl FaultStats {
 pub struct FaultDraw {
     /// Force a `DENF_NACK` storm of this many NACKs.
     pub nack_storm: Option<u32>,
-    /// Deliver the completion this many cycles late (virtually).
-    pub delay: Option<u64>,
-    /// Deliver the completion twice.
-    pub duplicate: bool,
     /// A state corruption is armed and waiting for a victim.
     pub corrupt: Option<StateFault>,
 }
@@ -295,10 +239,6 @@ impl FaultPlan {
             nack_storm: self
                 .chance(self.cfg.nack_ppm)
                 .then(|| self.cfg.nack_len.max(1)),
-            delay: self
-                .chance(self.cfg.delay_ppm)
-                .then_some(self.cfg.delay_cycles),
-            duplicate: self.chance(self.cfg.dup_ppm),
             corrupt: self.armed,
         }
     }
@@ -318,11 +258,6 @@ impl FaultPlan {
         w.u32(self.cfg.nack_ppm);
         w.u32(self.cfg.nack_len);
         w.u32(self.cfg.retry_budget);
-        w.u64(self.cfg.backoff_base);
-        w.u64(self.cfg.backoff_cap);
-        w.u32(self.cfg.delay_ppm);
-        w.u64(self.cfg.delay_cycles);
-        w.u32(self.cfg.dup_ppm);
         match self.cfg.corrupt {
             None => w.bool(false),
             Some((kind, at)) => {
@@ -344,13 +279,7 @@ impl FaultPlan {
         }
         w.u64(self.stats.nack_storms);
         w.u64(self.stats.nacks);
-        w.u64(self.stats.backoff_cycles);
-        w.u64(self.stats.delayed);
-        w.u64(self.stats.delay_cycles);
-        w.u64(self.stats.duplicates);
-        w.u64(self.stats.duplicates_stale);
         w.u64(self.stats.corruptions);
-        w.u64(self.stats.phantom_noc_cycles);
         w.usize(self.stats.injected.len());
         for desc in &self.stats.injected {
             w.str(desc);
@@ -367,11 +296,6 @@ impl FaultPlan {
             nack_ppm: r.u32("fault nack ppm")?,
             nack_len: r.u32("fault nack len")?,
             retry_budget: r.u32("fault retry budget")?,
-            backoff_base: r.u64("fault backoff base")?,
-            backoff_cap: r.u64("fault backoff cap")?,
-            delay_ppm: r.u32("fault delay ppm")?,
-            delay_cycles: r.u64("fault delay cycles")?,
-            dup_ppm: r.u32("fault dup ppm")?,
             corrupt: None,
         };
         if r.bool("fault corrupt flag")? {
@@ -392,13 +316,7 @@ impl FaultPlan {
         let mut stats = FaultStats {
             nack_storms: r.u64("fault stat")?,
             nacks: r.u64("fault stat")?,
-            backoff_cycles: r.u64("fault stat")?,
-            delayed: r.u64("fault stat")?,
-            delay_cycles: r.u64("fault stat")?,
-            duplicates: r.u64("fault stat")?,
-            duplicates_stale: r.u64("fault stat")?,
             corruptions: r.u64("fault stat")?,
-            phantom_noc_cycles: r.u64("fault stat")?,
             injected: Vec::new(),
         };
         let n = r.usize("fault injected count")?;
@@ -423,13 +341,10 @@ mod tests {
 
     #[test]
     fn spec_round_trips() {
-        let fc = FaultConfig::parse("nack=500, nack_len=3, retries=8, delay=200, dup=100, seed=7")
-            .unwrap();
+        let fc = FaultConfig::parse("nack=500, nack_len=3, retries=8, seed=7").unwrap();
         assert_eq!(fc.nack_ppm, 500);
         assert_eq!(fc.nack_len, 3);
         assert_eq!(fc.retry_budget, 8);
-        assert_eq!(fc.delay_ppm, 200);
-        assert_eq!(fc.dup_ppm, 100);
         assert_eq!(fc.seed, 7);
         assert_eq!(fc.corrupt, None);
     }
@@ -455,6 +370,13 @@ mod tests {
             "corrupt=sharer",
             "corrupt=what@10",
             "unknown=1",
+            // Keys of the removed virtual message faults: an old spec must
+            // fail whole, not yield a partial plan.
+            "delay=1",
+            "dup=1",
+            "delay_cycles=1",
+            "backoff_base=1",
+            "backoff_cap=1",
         ] {
             assert!(FaultConfig::parse(bad).is_err(), "{bad} must not parse");
         }
@@ -469,33 +391,17 @@ mod tests {
             None
         );
         assert!(FaultConfig::parse_env("ZERODEV_FAULTS", Some("nack=10")).is_some());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let fc = FaultConfig {
-            backoff_base: 8,
-            backoff_cap: 64,
-            ..Default::default()
-        };
-        // 8 + 16 + 32 + 64 + 64(cap)
-        assert_eq!(fc.backoff_cycles(5), 184);
-        assert_eq!(fc.backoff_cycles(0), 0);
-        // Shift overflow pins at the cap and the sum saturates.
-        let huge = FaultConfig {
-            backoff_base: 1,
-            backoff_cap: u64::MAX,
-            ..Default::default()
-        };
-        assert_eq!(huge.backoff_cycles(70), u64::MAX);
+        // One removed key disarms the whole plan, NACK storms included.
+        assert_eq!(
+            FaultConfig::parse_env("ZERODEV_FAULTS", Some("nack=10,delay=10")),
+            None
+        );
     }
 
     #[test]
     fn plans_are_deterministic() {
         let cfg = FaultConfig {
             nack_ppm: 100_000,
-            delay_ppm: 50_000,
-            dup_ppm: 25_000,
             ..Default::default()
         };
         let mut a = FaultPlan::new(cfg);
@@ -503,8 +409,6 @@ mod tests {
         for _ in 0..10_000 {
             let (x, y) = (a.draw(), b.draw());
             assert_eq!(x.nack_storm, y.nack_storm);
-            assert_eq!(x.delay, y.delay);
-            assert_eq!(x.duplicate, y.duplicate);
         }
         assert_eq!(a.stats, b.stats);
     }

@@ -16,8 +16,9 @@
 //!   process-wide baseline memoization cache, and panic isolation (a
 //!   failed point degrades the sweep instead of aborting it).
 //! * [`faults`] — deterministic fault injection (`ZERODEV_FAULTS`): seeded
-//!   state corruption the oracle must catch, and message-level faults the
-//!   protocol must absorb without statistics divergence.
+//!   state corruption the oracle must catch, and forced `DENF_NACK` storms
+//!   absorbed without statistics divergence within the retry budget and
+//!   reported as a structured stall past it.
 //! * [`checkpoint`] — deterministic checkpoint/resume: a paused run
 //!   serializes to a versioned, checksummed image and restores into a run
 //!   that continues byte-identically to the uninterrupted original.

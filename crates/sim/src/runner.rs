@@ -1,7 +1,7 @@
 //! One-call experiment execution helpers used by the figure harnesses.
 
 use crate::energy::{energy, EnergyReport};
-use crate::engine::{SimResult, Simulation, DEFAULT_WATCHDOG_HORIZON, DEFAULT_WATCHDOG_PERIOD};
+use crate::engine::{SimResult, Simulation};
 use crate::faults::FaultConfig;
 use zerodev_common::{env, SystemConfig};
 use zerodev_workloads::Workload;
@@ -27,14 +27,6 @@ pub struct RunParams {
     /// Deterministic fault injection ([`crate::faults`]); `None` (the
     /// default, `ZERODEV_FAULTS` unset) is zero-cost-off.
     pub faults: Option<FaultConfig>,
-    /// Cycles of per-core heartbeat silence before the forward-progress
-    /// watchdog declares [`crate::SimError::Stalled`]. The watchdog only
-    /// reads the event stream: any horizon that does not fire leaves
-    /// results byte-identical. Override with `ZERODEV_WATCHDOG_HORIZON`.
-    pub watchdog_horizon: u64,
-    /// References between watchdog heartbeat scans (clamped to >= 1 when
-    /// applied). Override with `ZERODEV_WATCHDOG_PERIOD`.
-    pub watchdog_period: u64,
 }
 
 /// Worker count used when `ZERODEV_THREADS` is unset: all available cores.
@@ -54,8 +46,6 @@ impl Default for RunParams {
             threads: default_threads(),
             audit: false,
             faults: None,
-            watchdog_horizon: DEFAULT_WATCHDOG_HORIZON,
-            watchdog_period: DEFAULT_WATCHDOG_PERIOD,
         }
     }
 }
@@ -73,13 +63,10 @@ impl RunParams {
     /// Reads `ZERODEV_QUICK=1` to switch every harness to the quick profile,
     /// `ZERODEV_THREADS=N` to set the sweep worker count (`1` = serial),
     /// `ZERODEV_AUDIT=1` to run every simulation under the coherence oracle,
-    /// `ZERODEV_FAULTS=<spec>` to arm deterministic fault injection, and
-    /// `ZERODEV_WATCHDOG_HORIZON=N` / `ZERODEV_WATCHDOG_PERIOD=N` to tune
-    /// the forward-progress watchdog (cycles of heartbeat silence, and
-    /// references between scans). All parsing goes through
-    /// [`zerodev_common::env`]: an invalid value warns once on stderr and
-    /// falls back to the default instead of silently misbehaving or
-    /// aborting a sweep.
+    /// and `ZERODEV_FAULTS=<spec>` to arm deterministic fault injection.
+    /// All parsing goes through [`zerodev_common::env`]: an invalid value
+    /// warns once on stderr and falls back to the default instead of
+    /// silently misbehaving or aborting a sweep.
     pub fn from_env() -> Self {
         let mut p = if env::var_flag("ZERODEV_QUICK") {
             Self::quick()
@@ -89,14 +76,11 @@ impl RunParams {
         p.threads = env::var_or("ZERODEV_THREADS", default_threads()).max(1);
         p.audit = env::var_flag("ZERODEV_AUDIT");
         p.faults = FaultConfig::from_env();
-        p.watchdog_horizon = env::var_or("ZERODEV_WATCHDOG_HORIZON", p.watchdog_horizon);
-        p.watchdog_period = env::var_or("ZERODEV_WATCHDOG_PERIOD", p.watchdog_period).max(1);
         p
     }
 
-    /// Applies the watchdog tuning to a built simulation.
-    fn arm(&self, sim: &mut Simulation) {
-        sim.set_watchdog(self.watchdog_horizon, self.watchdog_period);
+    /// Applies the audit flag and the fault plan to a built simulation.
+    pub fn arm(&self, sim: &mut Simulation) {
         if self.audit {
             sim.enable_audit();
         }

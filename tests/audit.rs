@@ -3,6 +3,7 @@
 //! detection check, and the regression test for the untracked-read
 //! multi-socket grant bug.
 
+use zerodev::common::Prng;
 use zerodev::prelude::*;
 
 fn quick() -> RunParams {
@@ -131,10 +132,12 @@ fn injected_lost_sharer_is_caught_with_event_log() {
     assert!(r0.grant.is_owned());
     let r1 = sys.access(Cycle(10), SocketId(0), CoreId(1), block, Op::Read);
     assert_eq!(r1.grant, MesiState::Shared);
-    assert!(
-        sys.debug_inject_lost_sharer(SocketId(0), block),
-        "injection needs a two-sharer entry"
-    );
+    // With no dedicated directory the two-reader entry is spilled into the
+    // LLC, the only entry with two sharers to drop one from.
+    let (victim, _) = sys
+        .inject_state_fault(StateFault::SharerFlip, &mut Prng::seeded(7))
+        .expect("injection needs a two-sharer entry");
+    assert_eq!(victim, block);
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sys.audit_sweep()))
         .expect_err("the oracle must flag the lost sharer");
     let msg = zerodev::common::panic_message(&*payload);
