@@ -14,11 +14,12 @@
 //! use zerodev_cache::{SetAssoc, Replacement};
 //!
 //! let mut cache: SetAssoc<&'static str> = SetAssoc::new(2, 2, Replacement::Lru);
-//! assert!(cache.insert(0, "a", |_| false).is_none());
-//! assert!(cache.insert(2, "b", |_| false).is_none()); // same set as key 0
-//! cache.touch(0, |_| true);                            // "a" becomes MRU
-//! let victim = cache.insert(4, "c", |_| false).unwrap();
-//! assert_eq!(victim, (2, "b"));                        // LRU way evicted
+//! assert_eq!(cache.insert(0, "a", |_| false), (0, None)); // slot 0, nothing evicted
+//! assert_eq!(cache.insert(2, "b", |_| false), (1, None)); // same set as key 0
+//! let slot = cache.touch(0, |_| true).unwrap();            // "a" becomes MRU
+//! assert_eq!(*cache.at(slot), "a");
+//! let (slot, victim) = cache.insert(4, "c", |_| false);
+//! assert_eq!((slot, victim), (1, Some((2, "b"))));        // LRU way evicted
 //! ```
 
 mod setassoc;

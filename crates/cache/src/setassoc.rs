@@ -81,7 +81,10 @@ fn stack_remove(stack: &mut [u8], len: &mut u8, way: u8) {
 /// directory entry coexist in an LLC set (§III-C1).
 ///
 /// All lookup/touch/remove operations take a `pred` on the payload; use
-/// `|_| true` when tags are unique (ordinary caches).
+/// `|_| true` when tags are unique (ordinary caches). They, the inserts and
+/// the iterators report a line's *slot*, its flat index `set * ways + way`,
+/// which [`Self::at`] / [`Self::at_mut`] read and write; a caller may keep
+/// per-slot data of its own in a parallel lane (the LLC bank's sharer sets).
 ///
 /// Storage is struct-of-arrays: tags and payloads live in two parallel
 /// flat vectors, and everything else about a set — the ways' metadata
@@ -231,9 +234,10 @@ impl<T> SetAssoc<T> {
             .position(|((&t, &m), d)| t == tag && m & VALID != 0 && d.as_ref().is_some_and(&pred))
     }
 
-    /// Every valid line holding `key`, lowest way first, without updating
-    /// recency — one set scan serves several payload predicates.
-    pub fn matches(&self, key: u64) -> impl Iterator<Item = &T> + '_ {
+    /// The slot (flat `set * ways + way` index) and payload of every valid
+    /// line holding `key`, lowest way first, without updating recency —
+    /// one set scan serves several payload predicates.
+    pub fn matches(&self, key: u64) -> impl Iterator<Item = (usize, &T)> + '_ {
         let set = self.set_of(key);
         let tag = self.tag_of(key);
         let base = set * self.ways;
@@ -242,27 +246,41 @@ impl<T> SetAssoc<T> {
             .iter()
             .zip(meta)
             .zip(&self.data[base..base + self.ways])
-            .filter_map(move |((&t, &m), d)| {
+            .enumerate()
+            .filter_map(move |(w, ((&t, &m), d))| {
                 if t == tag && m & VALID != 0 {
-                    d.as_ref()
+                    d.as_ref().map(|d| (base + w, d))
                 } else {
                     None
                 }
             })
     }
 
-    /// Looks up a line without updating recency.
-    pub fn peek(&self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&T> {
+    /// Looks up a line without updating recency and returns its slot
+    /// ([`Self::at`] / [`Self::at_mut`] read and write it).
+    pub fn peek(&self, key: u64, pred: impl Fn(&T) -> bool) -> Option<usize> {
         let set = self.set_of(key);
         let way = self.find_way(set, key, pred)?;
-        self.data[set * self.ways + way].as_ref()
+        Some(set * self.ways + way)
     }
 
-    /// Mutable lookup without recency update.
-    pub fn peek_mut(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&mut T> {
-        let set = self.set_of(key);
-        let way = self.find_way(set, key, pred)?;
-        self.data[set * self.ways + way].as_mut()
+    /// The payload of the valid line at `slot` (a slot a lookup, insert or
+    /// iterator of this array returned, still valid).
+    ///
+    /// # Panics
+    /// Panics when the slot holds no line.
+    #[inline]
+    pub fn at(&self, slot: usize) -> &T {
+        self.data[slot].as_ref().expect("valid line has data")
+    }
+
+    /// Mutable form of [`Self::at`].
+    ///
+    /// # Panics
+    /// Panics when the slot holds no line.
+    #[inline]
+    pub fn at_mut(&mut self, slot: usize) -> &mut T {
+        self.data[slot].as_mut().expect("valid line has data")
     }
 
     fn promote(&mut self, set: usize, way: usize) {
@@ -272,12 +290,12 @@ impl<T> SetAssoc<T> {
     }
 
     /// Looks up a line, updating its recency (LRU promotion / NRU bit).
-    /// Returns a mutable payload reference on hit.
-    pub fn touch(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<&mut T> {
+    /// Returns its slot on hit.
+    pub fn touch(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<usize> {
         let set = self.set_of(key);
         let way = self.find_way(set, key, pred)?;
         self.promote(set, way);
-        self.data[set * self.ways + way].as_mut()
+        Some(set * self.ways + way)
     }
 
     /// Demotes a line to the LRU position of its set without invalidating it
@@ -303,27 +321,23 @@ impl<T> SetAssoc<T> {
     }
 
     /// Installs `data` for `key` in the invalid `way` of `set` as its MRU
-    /// line.
-    fn fill_way(&mut self, set: usize, way: usize, key: u64, data: T) {
+    /// line and returns its slot.
+    fn fill_way(&mut self, set: usize, way: usize, key: u64, data: T) -> usize {
         let i = set * self.ways + way;
         self.tags[i] = self.tag_of(key);
         self.data[i] = Some(data);
         self.live += 1;
         self.ctrl_mut(set).0[way] = VALID;
         self.promote(set, way);
+        i
     }
 
-    /// Removes a line and returns its payload.
-    pub fn remove(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<T> {
+    /// Removes a line and returns the slot it left and its payload.
+    pub fn remove(&mut self, key: u64, pred: impl Fn(&T) -> bool) -> Option<(usize, T)> {
         let set = self.set_of(key);
         let way = self.find_way(set, key, pred)?;
-        self.take_way(set, way)
-    }
-
-    /// The payload of the valid line at flat index `i`.
-    #[inline]
-    fn payload(&self, i: usize) -> &T {
-        self.data[i].as_ref().expect("valid line has data")
+        let payload = self.take_way(set, way)?;
+        Some((set * self.ways + way, payload))
     }
 
     fn pick_invalid_way(&self, set: usize) -> Option<usize> {
@@ -355,10 +369,7 @@ impl<T> SetAssoc<T> {
     ) -> Option<usize> {
         let base = set * self.ways;
         let bar = |this: &Self, w: usize| {
-            excluded(
-                this.key_of(set, this.tags[base + w]),
-                this.payload(base + w),
-            )
+            excluded(this.key_of(set, this.tags[base + w]), this.at(base + w))
         };
         match self.policy {
             Replacement::Lru => {
@@ -366,7 +377,7 @@ impl<T> SetAssoc<T> {
                 debug_assert_eq!(live as usize, self.ways, "full set has full stack");
                 let lru_first = || stack[..live as usize].iter().rev().map(|&w| w as usize);
                 lru_first()
-                    .find(|&w| !protected(self.payload(base + w)) && !bar(self, w))
+                    .find(|&w| !protected(self.at(base + w)) && !bar(self, w))
                     // Everything unexcluded is protected: true LRU among
                     // the non-excluded lines.
                     .or_else(|| lru_first().find(|&w| !bar(self, w)))
@@ -376,9 +387,7 @@ impl<T> SetAssoc<T> {
                 for pass in 0..2 {
                     let (meta, _, _) = self.ctrl(set);
                     if let Some(w) = (0..self.ways).find(|&w| {
-                        meta[w] & NRU_REF == 0
-                            && !protected(self.payload(base + w))
-                            && !bar(self, w)
+                        meta[w] & NRU_REF == 0 && !protected(self.at(base + w)) && !bar(self, w)
                     }) {
                         return Some(w);
                     }
@@ -394,19 +403,21 @@ impl<T> SetAssoc<T> {
         }
     }
 
-    /// Inserts a payload for `key`, evicting if the set is full.
+    /// Inserts a payload for `key`, evicting if the set is full, and
+    /// returns the slot it filled with the evicted `(key, payload)`, if
+    /// any. A victim leaves from the very slot the new line fills.
     ///
     /// The victim search prefers lines for which `protected` returns false;
     /// a protected line is evicted only when every line in the set is
-    /// protected. Returns the evicted `(key, payload)` if any.
+    /// protected.
     pub fn insert(
         &mut self,
         key: u64,
         data: T,
         protected: impl Fn(&T) -> bool,
-    ) -> Option<(u64, T)> {
+    ) -> (usize, Option<(u64, T)>) {
         match self.insert_excluding(key, data, protected, |_, _| false) {
-            Ok(evicted) => evicted,
+            Ok(filled) => filled,
             Err(_) => unreachable!("nothing is excluded, so insertion cannot be refused"),
         }
     }
@@ -428,7 +439,7 @@ impl<T> SetAssoc<T> {
         data: T,
         protected: impl Fn(&T) -> bool,
         excluded: impl Fn(u64, &T) -> bool,
-    ) -> Result<Option<(u64, T)>, T> {
+    ) -> Result<(usize, Option<(u64, T)>), T> {
         let set = self.set_of(key);
         let (way, evicted) = match self.pick_invalid_way(set) {
             Some(w) => (w, None),
@@ -441,29 +452,25 @@ impl<T> SetAssoc<T> {
                 (w, Some((victim_key, payload)))
             }
         };
-        self.fill_way(set, way, key, data);
-        Ok(evicted)
+        Ok((self.fill_way(set, way, key, data), evicted))
     }
 
     /// Inserts only if an invalid way exists (the ZeroDEV replacement-
-    /// disabled sparse directory, §III-C4).
+    /// disabled sparse directory, §III-C4), returning the slot it filled.
     ///
     /// # Errors
     /// Returns the payload back as `Err` when the set is full.
-    pub fn insert_no_evict(&mut self, key: u64, data: T) -> Result<(), T> {
+    pub fn insert_no_evict(&mut self, key: u64, data: T) -> Result<usize, T> {
         let set = self.set_of(key);
         match self.pick_invalid_way(set) {
-            Some(way) => {
-                self.fill_way(set, way, key, data);
-                Ok(())
-            }
+            Some(way) => Ok(self.fill_way(set, way, key, data)),
             None => Err(data),
         }
     }
 
-    /// Iterates over all valid `(key, &payload)` pairs (diagnostics,
-    /// invariant checks).
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> + '_ {
+    /// Iterates over all valid `(key, slot, &payload)` triples
+    /// (diagnostics, invariant checks).
+    pub fn iter(&self) -> impl Iterator<Item = (u64, usize, &T)> + '_ {
         (0..self.sets).flat_map(move |set| {
             let base = set * self.ways;
             let (meta, _, _) = self.ctrl(set);
@@ -471,23 +478,21 @@ impl<T> SetAssoc<T> {
                 .enumerate()
                 .filter(|(_, &m)| m & VALID != 0)
                 .map(move |(w, _)| {
-                    (
-                        self.key_of(set, self.tags[base + w]),
-                        self.payload(base + w),
-                    )
+                    let i = base + w;
+                    (self.key_of(set, self.tags[i]), i, self.at(i))
                 })
         })
     }
 
-    /// Iterates over the valid `(key, &payload)` pairs of the set containing
-    /// `key`, in MRU→LRU order.
-    pub fn iter_set(&self, key: u64) -> impl Iterator<Item = (u64, &T)> + '_ {
+    /// Iterates over the valid `(key, slot, &payload)` triples of the set
+    /// containing `key`, in MRU→LRU order.
+    pub fn iter_set(&self, key: u64) -> impl Iterator<Item = (u64, usize, &T)> + '_ {
         let set = self.set_of(key);
         let base = set * self.ways;
         let (_, stack, live) = self.ctrl(set);
         stack[..live as usize].iter().map(move |&w| {
             let i = base + w as usize;
-            (self.key_of(set, self.tags[i]), self.payload(i))
+            (self.key_of(set, self.tags[i]), i, self.at(i))
         })
     }
 
@@ -506,12 +511,12 @@ impl<T> SetAssoc<T> {
     /// duplicate-tag layout byte-for-byte. The lanes keep the order of the
     /// array's earlier lane-per-field layout (each lane gathered from the
     /// per-set control blocks), so older images restore unchanged. `ser`
-    /// encodes one payload.
+    /// encodes the payload of one valid slot, in slot order.
     // lint:allow(snapshot_complete(set_mask, set_shift), derived from the set count, which the image header carries and restore verifies)
     pub fn snapshot_with(
         &self,
         w: &mut zerodev_common::snap::SnapWriter,
-        mut ser: impl FnMut(&mut zerodev_common::snap::SnapWriter, &T),
+        mut ser: impl FnMut(&mut zerodev_common::snap::SnapWriter, usize, &T),
     ) {
         w.usize(self.sets);
         w.usize(self.ways);
@@ -531,11 +536,11 @@ impl<T> SetAssoc<T> {
                 }
             }
         }
-        for d in &self.data {
+        for (i, d) in self.data.iter().enumerate() {
             match d {
                 Some(v) => {
                     w.bool(true);
-                    ser(w, v);
+                    ser(w, i, v);
                 }
                 None => w.bool(false),
             }
@@ -544,7 +549,8 @@ impl<T> SetAssoc<T> {
 
     /// Restores a [`Self::snapshot_with`] image into this array, which must
     /// have been constructed with the same geometry (the snapshot's header
-    /// is checked against it). `de` decodes one payload.
+    /// is checked against it). `de` decodes the payload of one valid slot,
+    /// in slot order.
     ///
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on any
@@ -555,6 +561,7 @@ impl<T> SetAssoc<T> {
         r: &mut zerodev_common::snap::SnapReader<'_>,
         mut de: impl FnMut(
             &mut zerodev_common::snap::SnapReader<'_>,
+            usize,
         ) -> Result<T, zerodev_common::snap::SnapError>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
@@ -595,9 +602,9 @@ impl<T> SetAssoc<T> {
                 }
             }
         }
-        for d in self.data.iter_mut() {
+        for (i, d) in self.data.iter_mut().enumerate() {
             *d = if r.bool("setassoc line flag")? {
-                Some(de(r)?)
+                Some(de(r, i)?)
             } else {
                 None
             };
@@ -617,13 +624,30 @@ mod tests {
         false
     }
 
+    /// The payload [`SetAssoc::peek`] finds, by value.
+    fn get(c: &SetAssoc<u32>, key: u64, pred: impl Fn(&u32) -> bool) -> Option<u32> {
+        c.peek(key, pred).map(|slot| *c.at(slot))
+    }
+
+    /// The `(key, payload)` an insert evicted.
+    fn evicted(
+        c: &mut SetAssoc<u32>,
+        key: u64,
+        v: u32,
+        protected: fn(&u32) -> bool,
+    ) -> Option<(u64, u32)> {
+        c.insert(key, v, protected).1
+    }
+
     #[test]
     fn hit_and_miss() {
         let mut c: SetAssoc<u32> = SetAssoc::new(4, 2, Replacement::Lru);
-        assert!(c.insert(5, 50, none).is_none());
-        assert_eq!(c.peek(5, any), Some(&50));
-        assert_eq!(c.peek(9, any), None); // same set (9 % 4 == 1? no: 5%4=1, 9%4=1) different tag
-        assert_eq!(c.touch(5, any), Some(&mut 50));
+        assert!(evicted(&mut c, 5, 50, none).is_none());
+        assert_eq!(get(&c, 5, any), Some(50));
+        assert_eq!(get(&c, 9, any), None); // same set (5 % 4 == 9 % 4), different tag
+        let slot = c.touch(5, any).unwrap();
+        assert_eq!(c.peek(5, any), Some(slot));
+        assert_eq!(*c.at(slot), 50);
         assert_eq!(c.len(), 1);
     }
 
@@ -634,9 +658,9 @@ mod tests {
         c.insert(1, 1, none);
         c.insert(2, 2, none);
         c.touch(0, any); // order MRU->LRU: 0,2,1
-        let v = c.insert(3, 3, none).unwrap();
+        let v = evicted(&mut c, 3, 3, none).unwrap();
         assert_eq!(v, (1, 1));
-        let v = c.insert(4, 4, none).unwrap();
+        let v = evicted(&mut c, 4, 4, none).unwrap();
         assert_eq!(v, (2, 2));
     }
 
@@ -649,12 +673,12 @@ mod tests {
         }
         // mark payloads >= 2 as protected; LRU order is 0 (LRU-most) .. 3
         let protected = |v: &u32| *v >= 2;
-        let v = c.insert(10, 10, protected).unwrap();
+        let v = evicted(&mut c, 10, 10, protected).unwrap();
         assert_eq!(v, (0, 0), "oldest unprotected evicted first");
-        let v = c.insert(11, 11, protected).unwrap();
+        let v = evicted(&mut c, 11, 11, protected).unwrap();
         assert_eq!(v, (1, 1));
         // now only protected (2,3) and new unprotected-looking (10,11)? 10,11 are >= 2 so protected.
-        let v = c.insert(12, 12, protected).unwrap();
+        let v = evicted(&mut c, 12, 12, protected).unwrap();
         assert_eq!(v.0, 2, "all protected: true LRU evicted");
     }
 
@@ -665,12 +689,12 @@ mod tests {
         let mut c: SetAssoc<u32> = SetAssoc::new(2, 4, Replacement::Lru);
         c.insert(6, 100, none);
         c.insert(6, 101, none);
-        assert_eq!(c.peek(6, |v| v % 2 == 0), Some(&100));
-        assert_eq!(c.peek(6, |v| v % 2 == 1), Some(&101));
+        assert_eq!(get(&c, 6, |v| v % 2 == 0), Some(100));
+        assert_eq!(get(&c, 6, |v| v % 2 == 1), Some(101));
         assert_eq!(c.set_len(6), 2);
         let removed = c.remove(6, |v| v % 2 == 1);
-        assert_eq!(removed, Some(101));
-        assert_eq!(c.peek(6, |v| v % 2 == 0), Some(&100));
+        assert_eq!(removed, Some((1, 101)), "way 1 of set 0 left");
+        assert_eq!(get(&c, 6, |v| v % 2 == 0), Some(100));
     }
 
     #[test]
@@ -685,8 +709,8 @@ mod tests {
         let v = c
             .insert_excluding(3, 103, none, |k, _| k == 0)
             .expect("a non-excluded victim exists");
-        assert_eq!(v, Some((1, 101)), "next-LRU line evicted instead");
-        assert_eq!(c.peek(0, any), Some(&100), "excluded line survives");
+        assert_eq!(v, (1, Some((1, 101))), "next-LRU line evicted instead");
+        assert_eq!(get(&c, 0, any), Some(100), "excluded line survives");
     }
 
     #[test]
@@ -699,8 +723,8 @@ mod tests {
         c.insert(0, 100, none);
         let refused = c.insert_excluding(1, 101, none, |k, _| k == 0);
         assert_eq!(refused, Err(101), "payload handed back on refusal");
-        assert_eq!(c.peek(0, any), Some(&100), "excluded line untouched");
-        assert_eq!(c.peek(1, any), None, "refused payload not inserted");
+        assert_eq!(get(&c, 0, any), Some(100), "excluded line untouched");
+        assert_eq!(get(&c, 1, any), None, "refused payload not inserted");
         assert_eq!(c.len(), 1);
     }
 
@@ -713,9 +737,9 @@ mod tests {
         let v = c
             .insert_excluding(1, 101, none, |k, _| k == 0)
             .expect("free way exists");
-        assert_eq!(v, None);
-        assert_eq!(c.peek(0, any), Some(&100));
-        assert_eq!(c.peek(1, any), Some(&101));
+        assert_eq!(v, (1, None));
+        assert_eq!(get(&c, 0, any), Some(100));
+        assert_eq!(get(&c, 1, any), Some(101));
     }
 
     #[test]
@@ -730,10 +754,10 @@ mod tests {
             .expect("one non-excluded line remains");
         assert_eq!(
             v,
-            Some((1, 101)),
+            (1, Some((1, 101))),
             "excluded line skipped even when all protected"
         );
-        assert_eq!(c.peek(0, any), Some(&100));
+        assert_eq!(get(&c, 0, any), Some(100));
     }
 
     #[test]
@@ -749,8 +773,8 @@ mod tests {
     #[test]
     fn no_evict_insert() {
         let mut c: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Lru);
-        assert!(c.insert_no_evict(0, 0).is_ok());
-        assert!(c.insert_no_evict(1, 1).is_ok());
+        assert_eq!(c.insert_no_evict(0, 0), Ok(0));
+        assert_eq!(c.insert_no_evict(1, 1), Ok(1));
         assert_eq!(c.insert_no_evict(2, 2), Err(2));
         assert_eq!(c.len(), 2);
     }
@@ -759,10 +783,10 @@ mod tests {
     fn remove_then_reinsert() {
         let mut c: SetAssoc<u32> = SetAssoc::new(2, 2, Replacement::Lru);
         c.insert(0, 1, none);
-        assert_eq!(c.remove(0, any), Some(1));
+        assert_eq!(c.remove(0, any), Some((0, 1)));
         assert_eq!(c.remove(0, any), None);
         assert!(c.is_empty());
-        assert!(c.insert(0, 2, none).is_none());
+        assert_eq!(c.insert(0, 2, none), (0, None));
     }
 
     #[test]
@@ -772,11 +796,11 @@ mod tests {
             c.insert(i, i as u32, none);
         }
         // all referenced on insert; first insert clears bits then picks way 0
-        let v = c.insert(4, 4, none).unwrap();
+        let v = evicted(&mut c, 4, 4, none).unwrap();
         assert_eq!(v, (0, 0));
         // ways 1..3 now unreferenced; touching 2 sets its bit
         c.touch(2, any);
-        let v = c.insert(5, 5, none).unwrap();
+        let v = evicted(&mut c, 5, 5, none).unwrap();
         assert_eq!(v, (1, 1), "unreferenced way evicted before referenced");
     }
 
@@ -785,7 +809,7 @@ mod tests {
         let mut c: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Nru);
         c.insert(0, 0, none);
         c.insert(1, 1, none);
-        let v = c.insert(2, 2, |v| *v == 0).unwrap();
+        let v = evicted(&mut c, 2, 2, |v| *v == 0).unwrap();
         assert_eq!(v, (1, 1));
     }
 
@@ -796,7 +820,7 @@ mod tests {
         c.insert(1, 1, none);
         c.insert(2, 2, none);
         assert!(c.demote(2, any)); // 2 was MRU; now LRU
-        let v = c.insert(3, 3, none).unwrap();
+        let v = evicted(&mut c, 3, 3, none).unwrap();
         assert_eq!(v, (2, 2));
         assert!(!c.demote(99, any));
     }
@@ -807,8 +831,8 @@ mod tests {
         c.insert(0, 0, none);
         c.insert(1, 1, none);
         c.touch(0, any);
-        let order: Vec<u64> = c.iter_set(0).map(|(k, _)| k).collect();
-        assert_eq!(order, vec![0, 1]);
+        let order: Vec<(u64, usize, u32)> = c.iter_set(0).map(|(k, i, v)| (k, i, *v)).collect();
+        assert_eq!(order, vec![(0, 0, 0), (1, 1, 1)]);
     }
 
     #[test]
@@ -828,9 +852,9 @@ mod tests {
         c.insert(2, 2, none); // MRU->LRU: 2,1,0
         c.touch(2, any);
         c.touch(2, any);
-        let order: Vec<u64> = c.iter_set(0).map(|(k, _)| k).collect();
+        let order: Vec<u64> = c.iter_set(0).map(|(k, _, _)| k).collect();
         assert_eq!(order, vec![2, 1, 0], "MRU touch changes nothing");
-        let v = c.insert(3, 3, none).unwrap();
+        let v = evicted(&mut c, 3, 3, none).unwrap();
         assert_eq!(v, (0, 0), "LRU victim unaffected by MRU touches");
     }
 
@@ -840,9 +864,14 @@ mod tests {
         for i in 0..8 {
             c.insert(i, i as u32, none);
         }
-        let mut keys: Vec<u64> = c.iter().map(|(k, _)| k).collect();
+        let mut keys: Vec<u64> = c.iter().map(|(k, _, _)| k).collect();
         keys.sort_unstable();
         assert_eq!(keys, (0..8).collect::<Vec<u64>>());
+        // Each line reports the slot its payload sits in.
+        for (k, slot, v) in c.iter() {
+            assert_eq!(c.peek(k, any), Some(slot));
+            assert_eq!(u64::from(*v), k);
+        }
     }
 
     #[test]
@@ -854,13 +883,13 @@ mod tests {
         c.insert(1, 1, none); // set 1
         assert_eq!(c.len(), 3);
         assert_eq!(c.set_len(0), 2);
-        assert!(c.insert(4, 4, none).is_some(), "set 0 full, evicts");
+        assert!(c.insert(4, 4, none).1.is_some(), "set 0 full, evicts");
         assert_eq!(c.len(), 3, "eviction keeps the count stable");
         assert_eq!(c.set_len(0), 2);
-        assert_eq!(c.remove(1, any), Some(1));
+        assert_eq!(c.remove(1, any), Some((2, 1)));
         assert_eq!(c.len(), 2);
         assert_eq!(c.set_len(1), 0);
-        assert!(c.insert_no_evict(3, 3).is_ok());
+        assert_eq!(c.insert_no_evict(3, 3), Ok(2), "the slot key 1 left");
         assert_eq!(c.len(), 3);
     }
 
@@ -892,10 +921,10 @@ mod tests {
         // the tags-first scan must still treat the way as empty.
         let mut c: SetAssoc<u32> = SetAssoc::new(2, 2, Replacement::Lru);
         c.insert(4, 40, none);
-        assert_eq!(c.remove(4, any), Some(40));
+        assert_eq!(c.remove(4, any), Some((0, 40)));
         assert_eq!(c.peek(4, any), None);
         assert_eq!(c.touch(4, any), None);
-        assert_eq!(c.peek_mut(4, any), None);
+        assert_eq!(c.matches(4).count(), 0);
         assert!(!c.demote(4, any));
         assert_eq!(c.remove(4, any), None);
         assert_eq!(c.set_len(4), 0);
@@ -910,16 +939,18 @@ mod tests {
         c.insert(7, 5, none); // way 2
         c.insert(7, 2, none); // way 3
         let odd = |v: &u32| v % 2 == 1;
-        assert_eq!(c.peek(7, odd), Some(&1));
-        assert_eq!(c.peek(7, any), Some(&1));
-        assert_eq!(c.peek(7, |v| *v > 1), Some(&3));
+        assert_eq!(c.peek(7, odd), Some(0));
+        assert_eq!(get(&c, 7, any), Some(1));
+        assert_eq!(get(&c, 7, |v| *v > 1), Some(3));
+        let all: Vec<(usize, u32)> = c.matches(7).map(|(i, v)| (i, *v)).collect();
+        assert_eq!(all, vec![(0, 1), (1, 3), (2, 5), (3, 2)]);
         // Freeing way 0 hands the match to way 1, not to a later one.
-        assert_eq!(c.remove(7, odd), Some(1));
-        assert_eq!(c.peek(7, odd), Some(&3));
-        *c.peek_mut(7, odd).unwrap() = 9;
-        assert_eq!(c.remove(7, odd), Some(9));
-        assert_eq!(c.touch(7, odd), Some(&mut 5));
-        assert_eq!(c.peek(7, |v| v % 2 == 0), Some(&2));
+        assert_eq!(c.remove(7, odd), Some((0, 1)));
+        assert_eq!(c.peek(7, odd), Some(1));
+        *c.at_mut(1) = 9;
+        assert_eq!(c.remove(7, odd), Some((1, 9)));
+        assert_eq!(c.touch(7, odd), Some(2));
+        assert_eq!(get(&c, 7, |v| v % 2 == 0), Some(2));
     }
 
     /// A scripted LRU array (evictions, a duplicate tag, an emptied set
@@ -941,8 +972,8 @@ mod tests {
         nru.insert(2, 3, none);
         nru.touch(1, any);
         let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
-        lru.snapshot_with(&mut w, |w, v| w.u32(*v));
-        nru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        lru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
+        nru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
         w.finish()
     }
 
@@ -995,17 +1026,23 @@ mod tests {
         let mut r = zerodev_common::snap::SnapReader::open(&image, 0x5e7a_55c0, 1).unwrap();
         let mut lru: SetAssoc<u32> = SetAssoc::new(2, 3, Replacement::Lru);
         let mut nru: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Nru);
-        lru.restore_with(&mut r, |r| r.u32("payload")).unwrap();
-        nru.restore_with(&mut r, |r| r.u32("payload")).unwrap();
+        let mut slots = Vec::new();
+        lru.restore_with(&mut r, |r, slot| {
+            slots.push(slot);
+            r.u32("payload")
+        })
+        .unwrap();
+        nru.restore_with(&mut r, |r, _| r.u32("payload")).unwrap();
         r.expect_end().unwrap();
+        assert_eq!(slots, vec![0, 1, 2], "payloads decode in slot order");
         assert_eq!(lru.len(), 3);
         assert_eq!(lru.set_len(1), 0);
-        assert_eq!(lru.peek(6, any), Some(&106));
-        let order: Vec<u64> = lru.iter_set(0).map(|(k, _)| k).collect();
+        assert_eq!(get(&lru, 6, any), Some(106));
+        let order: Vec<u64> = lru.iter_set(0).map(|(k, _, _)| k).collect();
         assert_eq!(order, vec![6, 6, 0], "demoted line restored at LRU");
         let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
-        lru.snapshot_with(&mut w, |w, v| w.u32(*v));
-        nru.snapshot_with(&mut w, |w, v| w.u32(*v));
+        lru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
+        nru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
         assert_eq!(w.finish(), image);
     }
 }

@@ -156,7 +156,9 @@ debug_display!(Cycle, "@{}");
 /// A compact sharer bit-vector over up to 128 cores of one socket.
 ///
 /// The paper's full-map bitvector representation; 128 bits covers the largest
-/// evaluated configuration (the 128-core server system).
+/// evaluated configuration (the 128-core server system). The set is 8-byte
+/// aligned rather than `u128`'s 16, so a directory entry (state plus set)
+/// packs into 24 bytes instead of 32 in every directory structure.
 ///
 /// ```
 /// use zerodev_common::ids::{CoreId, SharerSet};
@@ -169,6 +171,7 @@ debug_display!(Cycle, "@{}");
 /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![CoreId(100)]);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(C, packed(8))]
 pub struct SharerSet(pub u128);
 
 impl SharerSet {

@@ -108,6 +108,9 @@ pub struct Zipf {
     alpha: f64,
     zetan: f64,
     eta: f64,
+    /// `0.5^theta`: the second rank's share of the first, drawn against on
+    /// every sample.
+    half_pow_theta: f64,
 }
 
 impl Zipf {
@@ -129,6 +132,7 @@ impl Zipf {
             alpha,
             zetan,
             eta,
+            half_pow_theta: 0.5_f64.powf(theta),
         }
     }
 
@@ -153,7 +157,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5_f64.powf(self.theta) && self.n >= 2 {
+        if uz < 1.0 + self.half_pow_theta && self.n >= 2 {
             return 1;
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

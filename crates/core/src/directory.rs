@@ -168,7 +168,7 @@ impl DirStore {
     /// Looks up the entry for `block` without touching replacement state.
     pub fn peek(&self, block: BlockAddr) -> Option<DirEntry> {
         match self {
-            DirStore::Sparse { array, .. } => array.peek(block.0, |_| true).copied(),
+            DirStore::Sparse { array, .. } => array.peek(block.0, |_| true).map(|i| *array.at(i)),
             DirStore::Unbounded(map) => map.get(block.0).copied(),
             DirStore::None => None,
             DirStore::SecDir(sd) => sd.peek(block),
@@ -179,7 +179,7 @@ impl DirStore {
     /// Looks up and touches (promotes) the entry for `block`.
     pub fn lookup(&mut self, block: BlockAddr) -> Option<DirEntry> {
         match self {
-            DirStore::Sparse { array, .. } => array.touch(block.0, |_| true).map(|e| *e),
+            DirStore::Sparse { array, .. } => array.touch(block.0, |_| true).map(|i| *array.at(i)),
             DirStore::Unbounded(map) => map.get(block.0).copied(),
             DirStore::None => None,
             DirStore::SecDir(sd) => sd.lookup(block),
@@ -204,10 +204,10 @@ impl DirStore {
         );
         match self {
             DirStore::Sparse { array, .. } => {
-                let e = array
-                    .peek_mut(block.0, |_| true)
+                let slot = array
+                    .peek(block.0, |_| true)
                     .expect("updated entry present in sparse directory");
-                *e = entry;
+                *array.at_mut(slot) = entry;
                 Vec::new()
             }
             DirStore::Unbounded(map) => {
@@ -224,7 +224,7 @@ impl DirStore {
     /// Removes and returns the entry for `block` (all private copies gone).
     pub fn remove(&mut self, block: BlockAddr) -> Option<DirEntry> {
         match self {
-            DirStore::Sparse { array, .. } => array.remove(block.0, |_| true),
+            DirStore::Sparse { array, .. } => array.remove(block.0, |_| true).map(|(_, e)| e),
             DirStore::Unbounded(map) => map.remove(block.0),
             DirStore::None => None,
             DirStore::SecDir(sd) => sd.remove(block),
@@ -242,11 +242,11 @@ impl DirStore {
             } => {
                 if *replacement_disabled {
                     match array.insert_no_evict(block.0, entry) {
-                        Ok(()) => AllocOutcome::Stored,
+                        Ok(_) => AllocOutcome::Stored,
                         Err(_) => AllocOutcome::Overflow,
                     }
                 } else {
-                    match array.insert(block.0, entry, |_| false) {
+                    match array.insert(block.0, entry, |_| false).1 {
                         None => AllocOutcome::Stored,
                         Some((key, victim)) => {
                             AllocOutcome::Evicted(vec![(BlockAddr(key), victim)])
@@ -285,7 +285,7 @@ impl DirStore {
             } => {
                 w.u8(0);
                 w.bool(*replacement_disabled);
-                array.snapshot_with(w, |w, e| e.snap(w));
+                array.snapshot_with(w, |w, _, e| e.snap(w));
             }
             DirStore::Unbounded(map) => {
                 w.u8(1);
@@ -328,7 +328,7 @@ impl DirStore {
                         context: "dirstore replacement_disabled",
                     });
                 }
-                array.restore_with(r, DirEntry::unsnap)
+                array.restore_with(r, |r, _| DirEntry::unsnap(r))
             }
             (1, DirStore::Unbounded(map)) => {
                 *map = FlatMap::restore_with(r, DirEntry::unsnap)?;

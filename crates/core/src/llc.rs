@@ -8,11 +8,19 @@
 //! The bank exposes victim selection with a *protected* predicate so the
 //! `dataLRU` policy (§III-D1) can victimise every ordinary data/code line
 //! before any spilled or fused entry.
+//!
+//! A slot keeps what the hardware keeps in a line's state bits, as a
+//! two-byte `LineState` (the kind, the data dirty bit and the entry's
+//! [`DirState`]). The sharer set, which the hardware keeps in the data bits
+//! of a spilled or fused line, sits in a parallel per-slot lane that only
+//! entry lines read or write. [`LlcLine`] is the value every bank method
+//! returns.
 
 use crate::directory::DirEntry;
 use zerodev_cache::{Replacement, SetAssoc};
 use zerodev_common::config::LlcReplacement;
-use zerodev_common::{BlockAddr, Cycle, Divisor};
+use zerodev_common::ids::SharerSet;
+use zerodev_common::{BlockAddr, Cycle, DirState, Divisor};
 
 /// One LLC line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -101,6 +109,45 @@ impl LlcLine {
     }
 }
 
+/// What one LLC slot records besides its tag: an [`LlcLine`] without the
+/// entry's sharer set, which lives in the bank's sharer lane.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum LineState {
+    Data { dirty: bool },
+    Spilled { state: DirState },
+    Fused { state: DirState, block_dirty: bool },
+}
+
+impl LineState {
+    fn holds_block(&self) -> bool {
+        matches!(self, LineState::Data { .. } | LineState::Fused { .. })
+    }
+
+    fn holds_entry(&self) -> bool {
+        matches!(self, LineState::Spilled { .. } | LineState::Fused { .. })
+    }
+
+    fn is_spilled(&self) -> bool {
+        matches!(self, LineState::Spilled { .. })
+    }
+
+    fn is_fused(&self) -> bool {
+        matches!(self, LineState::Fused { .. })
+    }
+
+    /// The slot state of `line`.
+    fn of(line: &LlcLine) -> LineState {
+        match *line {
+            LlcLine::Data { dirty } => LineState::Data { dirty },
+            LlcLine::Spilled { entry } => LineState::Spilled { state: entry.state },
+            LlcLine::Fused { entry, block_dirty } => LineState::Fused {
+                state: entry.state,
+                block_dirty,
+            },
+        }
+    }
+}
+
 /// A line evicted from an LLC bank.
 pub type LlcVictim = (BlockAddr, LlcLine);
 
@@ -129,11 +176,18 @@ impl SpillOutcome {
     }
 }
 
-/// One LLC bank: a set-associative array of [`LlcLine`]s plus a port
-/// busy-time used for bank-contention modelling.
+/// One LLC bank: a set-associative array of line states, the sharer lane
+/// of its entry lines, and a port busy-time used for bank-contention
+/// modelling.
 #[derive(Debug)]
 pub struct LlcBank {
-    array: SetAssoc<LlcLine>,
+    array: SetAssoc<LineState>,
+    /// Per slot of `array`: the [`SharerSet`] bits of the spilled or fused
+    /// entry the slot holds. Meaningful only while the slot is an entry
+    /// line; a data line leaves whatever an earlier entry wrote. Kept as
+    /// plain `u128`s so the lane is allocated zeroed: its pages become
+    /// resident only once an entry line writes to them.
+    sharers: Vec<u128>,
     banks: Divisor,
     bank_index: u64,
     /// Earliest time the bank's tag/data port is free again.
@@ -142,6 +196,7 @@ pub struct LlcBank {
 
 zerodev_common::fieldwise_clone!(LlcBank {
     array,
+    sharers,
     banks,
     bank_index,
     port_free,
@@ -154,6 +209,7 @@ impl LlcBank {
     pub fn new(sets: usize, ways: usize, banks: usize, bank_index: usize) -> Self {
         LlcBank {
             array: SetAssoc::new(sets, ways, Replacement::Lru),
+            sharers: vec![0; sets * ways],
             banks: Divisor::new(banks as u64),
             bank_index: bank_index as u64,
             port_free: Cycle::ZERO,
@@ -175,25 +231,48 @@ impl LlcBank {
         BlockAddr(key * self.banks.get() + self.bank_index)
     }
 
+    /// The entry an entry line in `slot` holds, with state `state`.
+    #[inline]
+    fn entry_at(&self, slot: usize, state: DirState) -> DirEntry {
+        DirEntry {
+            state,
+            sharers: SharerSet(self.sharers[slot]),
+        }
+    }
+
+    /// The full line whose state `line` sits in `slot` (a line that has
+    /// just left the slot still reads its sharers there).
+    #[inline]
+    fn line_at(&self, slot: usize, line: LineState) -> LlcLine {
+        match line {
+            LineState::Data { dirty } => LlcLine::Data { dirty },
+            LineState::Spilled { state } => LlcLine::Spilled {
+                entry: self.entry_at(slot, state),
+            },
+            LineState::Fused { state, block_dirty } => LlcLine::Fused {
+                entry: self.entry_at(slot, state),
+                block_dirty,
+            },
+        }
+    }
+
     /// The protection predicate for a replacement policy: under `dataLRU`
     /// spilled and fused lines are protected; under plain LRU and `spLRU`
     /// nothing is (spLRU protects by recency ordering instead).
-    fn protected(policy: LlcReplacement) -> impl Fn(&LlcLine) -> bool {
-        move |line: &LlcLine| policy == LlcReplacement::DataLru && line.holds_entry()
+    fn protected(policy: LlcReplacement) -> impl Fn(&LineState) -> bool {
+        move |line: &LineState| policy == LlcReplacement::DataLru && line.holds_entry()
     }
 
     /// The block-holding line (data or fused) for `block`, if present.
     pub fn block_line(&self, block: BlockAddr) -> Option<LlcLine> {
-        self.array
-            .peek(self.key(block), LlcLine::holds_block)
-            .copied()
+        let slot = self.array.peek(self.key(block), LineState::holds_block)?;
+        Some(self.line_at(slot, *self.array.at(slot)))
     }
 
     /// The spilled entry for `block`, if present.
     pub fn spilled_entry(&self, block: BlockAddr) -> Option<DirEntry> {
-        self.array
-            .peek(self.key(block), |l| matches!(l, LlcLine::Spilled { .. }))
-            .and_then(|l| l.entry())
+        let slot = self.array.peek(self.key(block), LineState::is_spilled)?;
+        self.line_at(slot, *self.array.at(slot)).entry()
     }
 
     /// The block-holding line and the spilled entry for `block` — what
@@ -201,13 +280,13 @@ impl LlcBank {
     /// scan of its set.
     pub fn lines_for(&self, block: BlockAddr) -> (Option<LlcLine>, Option<DirEntry>) {
         let (mut line, mut spilled) = (None, None);
-        for l in self.array.matches(self.key(block)) {
+        for (slot, &l) in self.array.matches(self.key(block)) {
             match l {
-                LlcLine::Spilled { entry } => {
-                    spilled.get_or_insert(*entry);
+                LineState::Spilled { state } => {
+                    spilled.get_or_insert_with(|| self.entry_at(slot, state));
                 }
                 _ => {
-                    line.get_or_insert(*l);
+                    line.get_or_insert_with(|| self.line_at(slot, l));
                 }
             }
         }
@@ -228,25 +307,17 @@ impl LlcBank {
     /// paper's update rule guaranteeing the block is evicted first.
     pub fn touch_block(&mut self, block: BlockAddr, policy: LlcReplacement) {
         let key = self.key(block);
-        let _ = self.array.touch(key, LlcLine::holds_block);
+        let _ = self.array.touch(key, LineState::holds_block);
         if policy == LlcReplacement::SpLru {
-            let _ = self
-                .array
-                .touch(key, |l| matches!(l, LlcLine::Spilled { .. }));
+            let _ = self.array.touch(key, LineState::is_spilled);
         }
     }
 
     /// Promotes only the spilled/fused entry line for `block`.
     pub fn touch_entry(&mut self, block: BlockAddr) {
         let key = self.key(block);
-        if self
-            .array
-            .touch(key, |l| matches!(l, LlcLine::Spilled { .. }))
-            .is_none()
-        {
-            let _ = self
-                .array
-                .touch(key, |l| matches!(l, LlcLine::Fused { .. }));
+        if self.array.touch(key, LineState::is_spilled).is_none() {
+            let _ = self.array.touch(key, LineState::is_fused);
         }
     }
 
@@ -259,18 +330,18 @@ impl LlcBank {
         policy: LlcReplacement,
     ) -> Option<LlcVictim> {
         let key = self.key(block);
-        if let Some(line) = self.array.peek_mut(key, LlcLine::holds_block) {
-            match line {
-                LlcLine::Data { dirty: d } => *d = *d || dirty,
-                LlcLine::Fused { block_dirty, .. } => *block_dirty = *block_dirty || dirty,
-                LlcLine::Spilled { .. } => unreachable!("holds_block excludes spilled"),
+        if let Some(slot) = self.array.touch(key, LineState::holds_block) {
+            match self.array.at_mut(slot) {
+                LineState::Data { dirty: d } => *d = *d || dirty,
+                LineState::Fused { block_dirty, .. } => *block_dirty = *block_dirty || dirty,
+                LineState::Spilled { .. } => unreachable!("holds_block excludes spilled"),
             }
-            let _ = self.array.touch(key, LlcLine::holds_block);
             return None;
         }
-        self.array
-            .insert(key, LlcLine::Data { dirty }, Self::protected(policy))
-            .map(|(k, line)| (self.block_of(k), line))
+        let (slot, victim) =
+            self.array
+                .insert(key, LineState::Data { dirty }, Self::protected(policy));
+        victim.map(|(k, line)| (self.block_of(k), self.line_at(slot, line)))
     }
 
     /// Inserts a spilled directory entry for `block` (or updates it in
@@ -283,30 +354,29 @@ impl LlcBank {
         policy: LlcReplacement,
     ) -> SpillOutcome {
         let key = self.key(block);
-        if let Some(LlcLine::Spilled { entry: e }) = self
-            .array
-            .peek_mut(key, |l| matches!(l, LlcLine::Spilled { .. }))
-        {
-            *e = entry;
+        let line = LineState::Spilled { state: entry.state };
+        if let Some(slot) = self.array.peek(key, LineState::is_spilled) {
+            *self.array.at_mut(slot) = line;
+            self.sharers[slot] = entry.sharers.0;
             return SpillOutcome::Updated;
         }
         // The spill must never displace its own block's data line: under an
         // inclusive LLC that would back-invalidate the private copies (one
         // of which may be a requester whose grant is still in flight) and
         // free the very entry being installed.
-        match self.array.insert_excluding(
-            key,
-            LlcLine::Spilled { entry },
-            Self::protected(policy),
-            |k, line| k == key && line.holds_block(),
-        ) {
-            Ok(evicted) => {
-                SpillOutcome::Inserted(evicted.map(|(k, line)| (self.block_of(k), line)))
+        match self
+            .array
+            .insert_excluding(key, line, Self::protected(policy), |k, l| {
+                k == key && l.holds_block()
+            }) {
+            Ok((slot, evicted)) => {
+                // The victim's sharers are read before the entry's overwrite
+                // them.
+                let victim = evicted.map(|(k, l)| (self.block_of(k), self.line_at(slot, l)));
+                self.sharers[slot] = entry.sharers.0;
+                SpillOutcome::Inserted(victim)
             }
-            Err(line) => match line {
-                LlcLine::Spilled { entry } => SpillOutcome::Refused(entry),
-                _ => unreachable!("the refused payload is the spill we submitted"),
-            },
+            Err(_) => SpillOutcome::Refused(entry),
         }
     }
 
@@ -317,18 +387,21 @@ impl LlcBank {
     /// [`Self::block_line`] first).
     pub fn fuse_entry(&mut self, block: BlockAddr, entry: DirEntry) {
         let key = self.key(block);
-        let line = self
+        let slot = self
             .array
-            .peek_mut(key, LlcLine::holds_block)
+            .peek(key, LineState::holds_block)
             .expect("fuse requires a resident block line");
+        let line = self.array.at_mut(slot);
         *line = match *line {
-            LlcLine::Data { dirty } => LlcLine::Fused {
-                entry,
-                block_dirty: dirty,
-            },
-            LlcLine::Fused { block_dirty, .. } => LlcLine::Fused { entry, block_dirty },
-            LlcLine::Spilled { .. } => unreachable!("holds_block excludes spilled"),
+            LineState::Data { dirty: block_dirty } | LineState::Fused { block_dirty, .. } => {
+                LineState::Fused {
+                    state: entry.state,
+                    block_dirty,
+                }
+            }
+            LineState::Spilled { .. } => unreachable!("holds_block excludes spilled"),
         };
+        self.sharers[slot] = entry.sharers.0;
     }
 
     /// Reverts a fused line to a plain data line (the entry was freed and
@@ -339,36 +412,39 @@ impl LlcBank {
     /// Panics when the line is not fused.
     pub fn unfuse(&mut self, block: BlockAddr) -> DirEntry {
         let key = self.key(block);
-        let line = self
+        let slot = self
             .array
-            .peek_mut(key, |l| matches!(l, LlcLine::Fused { .. }))
+            .peek(key, LineState::is_fused)
             .expect("unfuse requires a fused line");
-        let LlcLine::Fused { entry, block_dirty } = *line else {
+        let line = self.array.at_mut(slot);
+        let LineState::Fused { state, block_dirty } = *line else {
             unreachable!("predicate matched fused");
         };
-        *line = LlcLine::Data { dirty: block_dirty };
-        entry
+        *line = LineState::Data { dirty: block_dirty };
+        self.entry_at(slot, state)
     }
 
     /// Removes the spilled entry line for `block`, returning its entry.
     pub fn remove_spilled(&mut self, block: BlockAddr) -> Option<DirEntry> {
         let key = self.key(block);
-        self.array
-            .remove(key, |l| matches!(l, LlcLine::Spilled { .. }))
-            .and_then(|l| l.entry())
+        let (slot, line) = self.array.remove(key, LineState::is_spilled)?;
+        self.line_at(slot, line).entry()
     }
 
     /// Removes the block-holding line for `block` (EPD deallocation on a
     /// block turning private, or explicit invalidation).
     pub fn remove_block(&mut self, block: BlockAddr) -> Option<LlcLine> {
         let key = self.key(block);
-        self.array.remove(key, LlcLine::holds_block)
+        let (slot, line) = self.array.remove(key, LineState::holds_block)?;
+        Some(self.line_at(slot, line))
     }
 
     /// Iterates over all valid lines as `(block, line)` (diagnostics and
     /// invariant checks).
-    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, &LlcLine)> + '_ {
-        self.array.iter().map(|(k, l)| (self.block_of(k), l))
+    pub fn iter(&self) -> impl Iterator<Item = (BlockAddr, LlcLine)> + '_ {
+        self.array
+            .iter()
+            .map(|(k, slot, &l)| (self.block_of(k), self.line_at(slot, l)))
     }
 
     /// The contents of the set `block` maps to, in MRU→LRU order (the model
@@ -379,7 +455,7 @@ impl LlcBank {
     ) -> impl Iterator<Item = (BlockAddr, LlcLine)> + '_ {
         self.array
             .iter_set(self.key(block))
-            .map(|(k, l)| (self.block_of(k), *l))
+            .map(|(k, slot, &l)| (self.block_of(k), self.line_at(slot, l)))
     }
 
     /// Number of valid lines.
@@ -396,16 +472,16 @@ impl LlcBank {
     /// count fully; fused lines cost no extra space so they are not counted)
     /// — feeds the Figure 5 style occupancy measurements.
     pub fn spilled_line_count(&self) -> usize {
-        self.array
-            .iter()
-            .filter(|(_, l)| matches!(l, LlcLine::Spilled { .. }))
-            .count()
+        self.array.iter().filter(|(_, _, l)| l.is_spilled()).count()
     }
 
-    /// Serializes the bank contents and port horizon for checkpointing.
+    /// Serializes the bank contents and port horizon for checkpointing:
+    /// each valid slot is written as its whole [`LlcLine`], so the image
+    /// does not depend on how the bank stores a line.
     // lint:allow(snapshot_complete(banks, bank_index), interleaving geometry is config-derived; restore targets a bank freshly built from the same configuration)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.array.snapshot_with(w, |w, line| line.snap(w));
+        self.array
+            .snapshot_with(w, |w, slot, &l| self.line_at(slot, l).snap(w));
         w.u64(self.port_free.0);
     }
 
@@ -420,7 +496,14 @@ impl LlcBank {
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
-        self.array.restore_with(r, LlcLine::unsnap)?;
+        let sharers = &mut self.sharers;
+        self.array.restore_with(r, |r, slot| {
+            let line = LlcLine::unsnap(r)?;
+            if let Some(entry) = line.entry() {
+                sharers[slot] = entry.sharers.0;
+            }
+            Ok(LineState::of(&line))
+        })?;
         self.port_free = Cycle(r.u64("llc port_free")?);
         Ok(())
     }
@@ -728,5 +811,375 @@ mod recency_tests {
         assert_eq!(b.port_free, Cycle::ZERO);
         b.port_free = Cycle(100);
         assert_eq!(b.port_free, Cycle(100));
+    }
+}
+
+/// The bank's storage must not show through anything it returns: its
+/// checkpoint image is pinned to the bytes the bank wrote when it stored
+/// whole [`LlcLine`]s, and a reference bank kept in that form must agree
+/// with it operation for operation.
+#[cfg(test)]
+mod layout_tests {
+    use super::*;
+    use zerodev_common::rng::Prng;
+    use zerodev_common::snap::{SnapReader, SnapWriter};
+    use zerodev_common::CoreId;
+
+    const MAGIC: u64 = 0x11c_b4a7;
+
+    fn blk(i: u64) -> BlockAddr {
+        BlockAddr(i * 8 + 3)
+    }
+
+    #[test]
+    fn an_entry_is_24_bytes_and_a_slot_state_at_most_2() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 24);
+        assert!(std::mem::size_of::<Option<LineState>>() <= 2);
+    }
+
+    /// Two sets of three ways under spLRU: clean, dirty, spilled and fused
+    /// lines, an eviction, a spLRU promotion and a removed line whose stale
+    /// tag stays behind, with sharers above core 63.
+    fn scripted_bank() -> LlcBank {
+        let sp = LlcReplacement::SpLru;
+        let mut b = LlcBank::new(2, 3, 8, 3);
+        let wide = DirEntry {
+            state: DirState::Shared,
+            sharers: [1, 64, 127].into_iter().map(CoreId).collect(),
+        };
+        b.fill_data(blk(0), false, sp);
+        b.fill_data(blk(2), true, sp);
+        b.spill_entry(blk(0), wide, sp);
+        b.touch_block(blk(0), sp);
+        let victim = b.fill_data(blk(4), false, sp);
+        assert_eq!(victim, Some((blk(2), LlcLine::Data { dirty: true })));
+        b.fill_data(blk(1), true, sp);
+        b.fuse_entry(blk(1), DirEntry::owned(CoreId(100)));
+        b.spill_entry(blk(3), DirEntry::owned(CoreId(7)), sp);
+        b.fill_data(blk(5), false, sp);
+        b.remove_block(blk(5));
+        b.port_free = Cycle(0x1234_5678);
+        b
+    }
+
+    fn image(b: &LlcBank) -> Vec<u8> {
+        let mut w = SnapWriter::new(MAGIC, 2);
+        b.snap(&mut w);
+        w.finish()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// [`scripted_bank`]'s image as written by the bank that stored whole
+    /// `LlcLine`s per slot. Checkpoints (image version 2) written then must
+    /// keep restoring, so the image may not drift.
+    const SCRIPTED_BANK_HEX: &str = concat!(
+        "a7b41c0100000000020000000200000000000000030000000000000000050000",
+        "0000000000000000000000000002000000000000000000000000000000000000",
+        "0000000000010000000000000002000000000000000303030303000102000100",
+        "0003020100000100000101010200000000000000010000000000008001020000",
+        "0000000000000000000000100000000101010080000000000000000000000000",
+        "0000000078563412000000001e14c3101b594774",
+    );
+
+    #[test]
+    fn snapshot_bytes_match_the_whole_line_golden() {
+        assert_eq!(hex(&image(&scripted_bank())), SCRIPTED_BANK_HEX);
+    }
+
+    #[test]
+    fn golden_image_restores_to_the_scripted_bank() {
+        let want = scripted_bank();
+        let bytes = image(&want);
+        let mut r = SnapReader::open(&bytes, MAGIC, 2).unwrap();
+        let mut got = LlcBank::new(2, 3, 8, 3);
+        got.unsnap(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            want.iter().collect::<Vec<_>>()
+        );
+        for block in [blk(0), blk(1)] {
+            assert_eq!(
+                got.set_contents_mru(block).collect::<Vec<_>>(),
+                want.set_contents_mru(block).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(got.port_free, want.port_free);
+        assert_eq!(image(&got), bytes);
+    }
+
+    /// The bank as it was stored before the line-state and sharer lanes:
+    /// one `SetAssoc` of whole lines.
+    struct RefBank {
+        array: SetAssoc<LlcLine>,
+        banks: u64,
+        bank_index: u64,
+    }
+
+    impl RefBank {
+        fn new(sets: usize, ways: usize, banks: usize, bank_index: usize) -> Self {
+            RefBank {
+                array: SetAssoc::new(sets, ways, Replacement::Lru),
+                banks: banks as u64,
+                bank_index: bank_index as u64,
+            }
+        }
+
+        fn key(&self, block: BlockAddr) -> u64 {
+            block.0 / self.banks
+        }
+
+        fn block_of(&self, key: u64) -> BlockAddr {
+            BlockAddr(key * self.banks + self.bank_index)
+        }
+
+        fn protected(policy: LlcReplacement) -> impl Fn(&LlcLine) -> bool {
+            move |line: &LlcLine| policy == LlcReplacement::DataLru && line.holds_entry()
+        }
+
+        fn spilled(l: &LlcLine) -> bool {
+            matches!(l, LlcLine::Spilled { .. })
+        }
+
+        fn fused(l: &LlcLine) -> bool {
+            matches!(l, LlcLine::Fused { .. })
+        }
+
+        fn block_line(&self, block: BlockAddr) -> Option<LlcLine> {
+            let slot = self.array.peek(self.key(block), LlcLine::holds_block)?;
+            Some(*self.array.at(slot))
+        }
+
+        fn spilled_entry(&self, block: BlockAddr) -> Option<DirEntry> {
+            let slot = self.array.peek(self.key(block), Self::spilled)?;
+            self.array.at(slot).entry()
+        }
+
+        fn touch_block(&mut self, block: BlockAddr, policy: LlcReplacement) {
+            let key = self.key(block);
+            let _ = self.array.touch(key, LlcLine::holds_block);
+            if policy == LlcReplacement::SpLru {
+                let _ = self.array.touch(key, Self::spilled);
+            }
+        }
+
+        fn touch_entry(&mut self, block: BlockAddr) {
+            let key = self.key(block);
+            if self.array.touch(key, Self::spilled).is_none() {
+                let _ = self.array.touch(key, Self::fused);
+            }
+        }
+
+        fn fill_data(
+            &mut self,
+            block: BlockAddr,
+            dirty: bool,
+            policy: LlcReplacement,
+        ) -> Option<LlcVictim> {
+            let key = self.key(block);
+            if let Some(slot) = self.array.peek(key, LlcLine::holds_block) {
+                match self.array.at_mut(slot) {
+                    LlcLine::Data { dirty: d } => *d = *d || dirty,
+                    LlcLine::Fused { block_dirty, .. } => *block_dirty = *block_dirty || dirty,
+                    LlcLine::Spilled { .. } => unreachable!("holds_block excludes spilled"),
+                }
+                let _ = self.array.touch(key, LlcLine::holds_block);
+                return None;
+            }
+            let (_, victim) =
+                self.array
+                    .insert(key, LlcLine::Data { dirty }, Self::protected(policy));
+            victim.map(|(k, line)| (self.block_of(k), line))
+        }
+
+        fn spill_entry(
+            &mut self,
+            block: BlockAddr,
+            entry: DirEntry,
+            policy: LlcReplacement,
+        ) -> SpillOutcome {
+            let key = self.key(block);
+            if let Some(slot) = self.array.peek(key, Self::spilled) {
+                *self.array.at_mut(slot) = LlcLine::Spilled { entry };
+                return SpillOutcome::Updated;
+            }
+            match self.array.insert_excluding(
+                key,
+                LlcLine::Spilled { entry },
+                Self::protected(policy),
+                |k, line| k == key && line.holds_block(),
+            ) {
+                Ok((_, evicted)) => {
+                    SpillOutcome::Inserted(evicted.map(|(k, line)| (self.block_of(k), line)))
+                }
+                Err(_) => SpillOutcome::Refused(entry),
+            }
+        }
+
+        fn fuse_entry(&mut self, block: BlockAddr, entry: DirEntry) {
+            let slot = self
+                .array
+                .peek(self.key(block), LlcLine::holds_block)
+                .expect("fuse requires a resident block line");
+            let line = self.array.at_mut(slot);
+            *line = match *line {
+                LlcLine::Data { dirty } => LlcLine::Fused {
+                    entry,
+                    block_dirty: dirty,
+                },
+                LlcLine::Fused { block_dirty, .. } => LlcLine::Fused { entry, block_dirty },
+                LlcLine::Spilled { .. } => unreachable!("holds_block excludes spilled"),
+            };
+        }
+
+        fn unfuse(&mut self, block: BlockAddr) -> DirEntry {
+            let slot = self
+                .array
+                .peek(self.key(block), Self::fused)
+                .expect("unfuse requires a fused line");
+            let line = self.array.at_mut(slot);
+            let LlcLine::Fused { entry, block_dirty } = *line else {
+                unreachable!("predicate matched fused");
+            };
+            *line = LlcLine::Data { dirty: block_dirty };
+            entry
+        }
+
+        fn remove_spilled(&mut self, block: BlockAddr) -> Option<DirEntry> {
+            let key = self.key(block);
+            self.array
+                .remove(key, Self::spilled)
+                .and_then(|(_, l)| l.entry())
+        }
+
+        fn remove_block(&mut self, block: BlockAddr) -> Option<LlcLine> {
+            let key = self.key(block);
+            self.array.remove(key, LlcLine::holds_block).map(|(_, l)| l)
+        }
+
+        fn iter(&self) -> Vec<(BlockAddr, LlcLine)> {
+            self.array
+                .iter()
+                .map(|(k, _, l)| (self.block_of(k), *l))
+                .collect()
+        }
+
+        fn set_contents_mru(&self, block: BlockAddr) -> Vec<(BlockAddr, LlcLine)> {
+            self.array
+                .iter_set(self.key(block))
+                .map(|(k, _, l)| (self.block_of(k), *l))
+                .collect()
+        }
+    }
+
+    fn random_entry(rng: &mut Prng) -> DirEntry {
+        let sharers = SharerSet((u128::from(rng.next_u64()) << 64) | u128::from(rng.next_u64()));
+        if rng.below(2) == 0 {
+            DirEntry {
+                state: DirState::OwnedME,
+                sharers: SharerSet::only(CoreId(rng.below(128) as u16)),
+            }
+        } else {
+            DirEntry {
+                state: DirState::Shared,
+                sharers,
+            }
+        }
+    }
+
+    /// Drives the bank and the reference with one seeded sequence of every
+    /// mutating operation and compares, after each step, the operation's
+    /// return value, the lookups of its block, the whole bank and its set
+    /// in recency order.
+    fn agree_with_reference(sets: usize, ways: usize, policy: LlcReplacement, seed: u64) {
+        let mut rng = Prng::seeded(seed);
+        let mut bank = LlcBank::new(sets, ways, 8, 3);
+        let mut reference = RefBank::new(sets, ways, 8, 3);
+        let blocks = (sets * ways * 2) as u64;
+        for step in 0..3000 {
+            let block = blk(rng.below(blocks));
+            let ctx = format!("{policy:?} {sets}x{ways} seed {seed} step {step} {block:?}");
+            match rng.below(8) {
+                0 => {
+                    let dirty = rng.below(2) == 0;
+                    assert_eq!(
+                        bank.fill_data(block, dirty, policy),
+                        reference.fill_data(block, dirty, policy),
+                        "fill_data {ctx}"
+                    );
+                }
+                1 => {
+                    let e = random_entry(&mut rng);
+                    assert_eq!(
+                        bank.spill_entry(block, e, policy),
+                        reference.spill_entry(block, e, policy),
+                        "spill_entry {ctx}"
+                    );
+                }
+                2 => {
+                    if reference.block_line(block).is_some() {
+                        let e = random_entry(&mut rng);
+                        bank.fuse_entry(block, e);
+                        reference.fuse_entry(block, e);
+                    }
+                }
+                3 => {
+                    if let Some(LlcLine::Fused { .. }) = reference.block_line(block) {
+                        assert_eq!(bank.unfuse(block), reference.unfuse(block), "unfuse {ctx}");
+                    }
+                }
+                4 => assert_eq!(
+                    bank.remove_spilled(block),
+                    reference.remove_spilled(block),
+                    "remove_spilled {ctx}"
+                ),
+                5 => assert_eq!(
+                    bank.remove_block(block),
+                    reference.remove_block(block),
+                    "remove_block {ctx}"
+                ),
+                6 => {
+                    bank.touch_block(block, policy);
+                    reference.touch_block(block, policy);
+                }
+                _ => {
+                    bank.touch_entry(block);
+                    reference.touch_entry(block);
+                }
+            }
+            assert_eq!(
+                bank.lines_for(block),
+                (reference.block_line(block), reference.spilled_entry(block)),
+                "lines_for {ctx}"
+            );
+            assert_eq!(
+                bank.iter().collect::<Vec<_>>(),
+                reference.iter(),
+                "iter {ctx}"
+            );
+            assert_eq!(
+                bank.set_contents_mru(block).collect::<Vec<_>>(),
+                reference.set_contents_mru(block),
+                "set_contents_mru {ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn compact_bank_matches_the_whole_line_reference() {
+        for policy in [
+            LlcReplacement::Lru,
+            LlcReplacement::SpLru,
+            LlcReplacement::DataLru,
+        ] {
+            for (sets, ways) in [(4, 1), (2, 4)] {
+                for seed in 0..4 {
+                    agree_with_reference(sets, ways, policy, 0x11c_0000 ^ seed);
+                }
+            }
+        }
     }
 }

@@ -275,10 +275,10 @@ impl MemorySide {
             };
         }
         let h = home.0 as usize;
-        if let Some(e) = self.dir_caches[h].touch(block.0, |_| true) {
+        if let Some(slot) = self.dir_caches[h].touch(block.0, |_| true) {
             self.dir_cache_hits += 1;
             return SocketDirLookup {
-                entry: Some(*e),
+                entry: Some(*self.dir_caches[h].at(slot)),
                 cached: true,
             };
         }
@@ -318,8 +318,8 @@ impl MemorySide {
         }
         let h = home.0 as usize;
         self.dir_backing[h].insert(block.0, entry);
-        if let Some(e) = self.dir_caches[h].peek_mut(block.0, |_| true) {
-            *e = entry;
+        if let Some(slot) = self.dir_caches[h].peek(block.0, |_| true) {
+            *self.dir_caches[h].at_mut(slot) = entry;
         } else {
             let _ = self.dir_caches[h].insert(block.0, entry, |_| false);
         }
@@ -360,7 +360,7 @@ impl MemorySide {
         });
         w.usize(self.dir_caches.len());
         for c in &self.dir_caches {
-            c.snapshot_with(w, |w, e| {
+            c.snapshot_with(w, |w, _, e| {
                 w.bool(e.owned);
                 w.u32(e.sharers.0);
             });
@@ -418,7 +418,7 @@ impl MemorySide {
             });
         }
         for c in self.dir_caches.iter_mut() {
-            c.restore_with(r, socket_entry)?;
+            c.restore_with(r, |r, _| socket_entry(r))?;
         }
         for b in self.dir_backing.iter_mut() {
             *b = FlatMap::restore_with(r, socket_entry)?;

@@ -74,11 +74,15 @@ impl MultiGrainDir {
 
     /// Looks up the tracking information for `block` without promotion.
     pub fn peek(&self, block: BlockAddr) -> Option<DirEntry> {
-        if let Some(MgdEntry::Block(e)) = self.array.peek(block.0, MgdEntry::is_block) {
+        let array = &self.array;
+        if let Some(MgdEntry::Block(e)) =
+            array.peek(block.0, MgdEntry::is_block).map(|i| array.at(i))
+        {
             return Some(*e);
         }
-        if let Some(MgdEntry::Region { owner, presence }) =
-            self.array.peek(region_key(block), MgdEntry::is_region)
+        if let Some(MgdEntry::Region { owner, presence }) = array
+            .peek(region_key(block), MgdEntry::is_region)
+            .map(|i| array.at(i))
         {
             if presence & (1 << block.region_offset()) != 0 {
                 return Some(DirEntry::owned(*owner));
@@ -97,7 +101,7 @@ impl MultiGrainDir {
     }
 
     fn insert_raw(&mut self, key: u64, entry: MgdEntry, victims: &mut Vec<EvictedEntry>) {
-        if let Some((vkey, ventry)) = self.array.insert(key, entry, |_| false) {
+        if let (_, Some((vkey, ventry))) = self.array.insert(key, entry, |_| false) {
             Self::expand_victim(vkey, ventry, victims);
         }
     }
@@ -114,7 +118,11 @@ impl MultiGrainDir {
         match single_owner {
             Some(core) => {
                 let rkey = region_key(block);
-                match self.array.touch(rkey, MgdEntry::is_region) {
+                match self
+                    .array
+                    .touch(rkey, MgdEntry::is_region)
+                    .map(|i| self.array.at_mut(i))
+                {
                     Some(MgdEntry::Region { owner, presence }) if *owner == core => {
                         *presence |= 1 << block.region_offset();
                     }
@@ -150,13 +158,21 @@ impl MultiGrainDir {
     /// sharer set changes is broken out into a block-grain entry.
     pub fn update(&mut self, block: BlockAddr, entry: DirEntry) -> Vec<EvictedEntry> {
         let mut victims = Vec::new();
-        if let Some(MgdEntry::Block(e)) = self.array.peek_mut(block.0, MgdEntry::is_block) {
+        if let Some(MgdEntry::Block(e)) = self
+            .array
+            .peek(block.0, MgdEntry::is_block)
+            .map(|i| self.array.at_mut(i))
+        {
             *e = entry;
             return victims;
         }
         let rkey = region_key(block);
         let still_region_private = {
-            match self.array.peek(rkey, MgdEntry::is_region) {
+            match self
+                .array
+                .peek(rkey, MgdEntry::is_region)
+                .map(|i| self.array.at(i))
+            {
                 Some(MgdEntry::Region { owner, presence }) => {
                     assert!(
                         presence & (1 << block.region_offset()) != 0,
@@ -180,7 +196,11 @@ impl MultiGrainDir {
 
     fn clear_region_bit(&mut self, block: BlockAddr) {
         let rkey = region_key(block);
-        let empty = match self.array.peek_mut(rkey, MgdEntry::is_region) {
+        let empty = match self
+            .array
+            .peek(rkey, MgdEntry::is_region)
+            .map(|i| self.array.at_mut(i))
+        {
             Some(MgdEntry::Region { presence, .. }) => {
                 *presence &= !(1 << block.region_offset());
                 *presence == 0
@@ -194,7 +214,7 @@ impl MultiGrainDir {
 
     /// Removes the tracking for `block` (all private copies gone).
     pub fn remove(&mut self, block: BlockAddr) -> Option<DirEntry> {
-        if let Some(MgdEntry::Block(e)) = self.array.remove(block.0, MgdEntry::is_block) {
+        if let Some((_, MgdEntry::Block(e))) = self.array.remove(block.0, MgdEntry::is_block) {
             return Some(e);
         }
         let view = self.peek(block)?;
@@ -209,7 +229,7 @@ impl MultiGrainDir {
 
     /// Serializes the array and region counters for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.array.snapshot_with(w, |w, e| match e {
+        self.array.snapshot_with(w, |w, _, e| match e {
             MgdEntry::Block(entry) => {
                 w.u8(0);
                 entry.snap(w);
@@ -237,7 +257,7 @@ impl MultiGrainDir {
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
         self.array
-            .restore_with(r, |r| match r.u8("mgd entry tag")? {
+            .restore_with(r, |r, _| match r.u8("mgd entry tag")? {
                 0 => Ok(MgdEntry::Block(DirEntry::unsnap(r)?)),
                 1 => Ok(MgdEntry::Region {
                     owner: CoreId(r.u16("mgd region owner")?),

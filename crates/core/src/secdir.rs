@@ -75,9 +75,9 @@ impl SecDir {
         let mut sharers = SharerSet::EMPTY;
         let mut owned = false;
         for (c, part) in self.private.iter().enumerate() {
-            if let Some(pe) = part.peek(block.0, |_| true) {
+            if let Some(slot) = part.peek(block.0, |_| true) {
                 sharers.insert(CoreId(c as u16));
-                owned |= pe.owned;
+                owned |= part.at(slot).owned;
             }
         }
         if sharers.is_empty() {
@@ -97,7 +97,10 @@ impl SecDir {
     /// Looks up without touching replacement state.
     pub fn peek(&self, block: BlockAddr) -> Option<DirEntry> {
         match self.index.get(block.0)? {
-            Residency::Shared => self.shared.peek(block.0, |_| true).copied(),
+            Residency::Shared => self
+                .shared
+                .peek(block.0, |_| true)
+                .map(|i| *self.shared.at(i)),
             Residency::Private => self.merged_private_view(block),
         }
     }
@@ -105,7 +108,10 @@ impl SecDir {
     /// Looks up and promotes.
     pub fn lookup(&mut self, block: BlockAddr) -> Option<DirEntry> {
         match self.index.get(block.0)? {
-            Residency::Shared => self.shared.touch(block.0, |_| true).map(|e| *e),
+            Residency::Shared => self
+                .shared
+                .touch(block.0, |_| true)
+                .map(|i| *self.shared.at(i)),
             Residency::Private => {
                 let view = self.merged_private_view(block);
                 if view.is_some() {
@@ -126,7 +132,7 @@ impl SecDir {
         let owned = entry.state.is_owned();
         for core in entry.sharers.iter() {
             let part = &mut self.private[core.0 as usize];
-            if let Some((vkey, vpe)) = part.insert(block.0, PrivEntry { owned }, |_| false) {
+            if let (_, Some((vkey, vpe))) = part.insert(block.0, PrivEntry { owned }, |_| false) {
                 // Self-conflict: this core loses its copy of the victim block.
                 self.private_evictions += 1;
                 let vblock = BlockAddr(vkey);
@@ -159,7 +165,7 @@ impl SecDir {
         debug_assert!(self.peek(block).is_none(), "allocate over live entry");
         let mut victims = Vec::new();
         self.index.insert(block.0, Residency::Shared);
-        if let Some((vkey, ventry)) = self.shared.insert(block.0, entry, |_| false) {
+        if let (_, Some((vkey, ventry))) = self.shared.insert(block.0, entry, |_| false) {
             let vblock = BlockAddr(vkey);
             self.index.remove(vblock.0);
             self.migrate(vblock, ventry, &mut victims);
@@ -181,11 +187,11 @@ impl SecDir {
         let mut victims = Vec::new();
         match self.index.get(block.0).copied() {
             Some(Residency::Shared) => {
-                let e = self
+                let slot = self
                     .shared
-                    .peek_mut(block.0, |_| true)
+                    .peek(block.0, |_| true)
                     .expect("index says shared");
-                *e = entry;
+                *self.shared.at_mut(slot) = entry;
             }
             Some(Residency::Private) => {
                 let current = self.merged_private_view(block).expect("index says private");
@@ -207,8 +213,8 @@ impl SecDir {
                     for (c, part) in self.private.iter_mut().enumerate() {
                         let core = CoreId(c as u16);
                         if entry.sharers.contains(core) {
-                            if let Some(pe) = part.peek_mut(block.0, |_| true) {
-                                pe.owned = owned && entry.owner() == Some(core);
+                            if let Some(slot) = part.peek(block.0, |_| true) {
+                                part.at_mut(slot).owned = owned && entry.owner() == Some(core);
                             }
                         } else {
                             let _ = part.remove(block.0, |_| true);
@@ -227,7 +233,7 @@ impl SecDir {
     /// Removes every trace of `block`.
     pub fn remove(&mut self, block: BlockAddr) -> Option<DirEntry> {
         match self.index.remove(block.0)? {
-            Residency::Shared => self.shared.remove(block.0, |_| true),
+            Residency::Shared => self.shared.remove(block.0, |_| true).map(|(_, e)| e),
             Residency::Private => {
                 let view = self.merged_private_view(block);
                 for part in &mut self.private {
@@ -246,10 +252,10 @@ impl SecDir {
     /// Serializes all partitions, the residency index, and the eviction
     /// counters for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        self.shared.snapshot_with(w, |w, e| e.snap(w));
+        self.shared.snapshot_with(w, |w, _, e| e.snap(w));
         w.usize(self.private.len());
         for part in &self.private {
-            part.snapshot_with(w, |w, p| w.bool(p.owned));
+            part.snapshot_with(w, |w, _, p| w.bool(p.owned));
         }
         self.index.snapshot_with(w, |w, res| {
             w.u8(match res {
@@ -272,14 +278,14 @@ impl SecDir {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        self.shared.restore_with(r, DirEntry::unsnap)?;
+        self.shared.restore_with(r, |r, _| DirEntry::unsnap(r))?;
         if r.usize("secdir partition count")? != self.private.len() {
             return Err(SnapError::Corrupt {
                 context: "secdir partition count",
             });
         }
         for part in self.private.iter_mut() {
-            part.restore_with(r, |r| {
+            part.restore_with(r, |r, _| {
                 Ok(PrivEntry {
                     owned: r.bool("secdir priv owned")?,
                 })

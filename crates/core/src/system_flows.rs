@@ -860,16 +860,19 @@ impl System {
                     }
                     _ => self.stats.msg(MsgClass::EvictNotice),
                 }
-                if kind == EvictKind::Dirty {
-                    // The writeback allocates/updates the LLC line (this is
-                    // also EPD's allocation-on-owner-eviction rule).
-                    self.fill_llc(now, s, block, true, invals);
-                } else if epd_victim_transfer {
-                    self.fill_llc(now, s, block, false, invals);
-                }
+                // The writeback allocates/updates the LLC line (this is also
+                // EPD's allocation-on-owner-eviction rule). A fill can move
+                // or evict the entry, so only then is it looked up again.
+                let filled = kind == EvictKind::Dirty || epd_victim_transfer;
+                let cur_loc = if filled {
+                    self.fill_llc(now, s, block, kind == EvictKind::Dirty, invals);
+                    self.relocate(s, block)
+                } else {
+                    Some(loc)
+                };
                 let mut e = entry;
                 e.sharers.remove(core);
-                match self.relocate(s, block) {
+                match cur_loc {
                     Some(cur_loc) => {
                         if e.is_dead() {
                             // FuseAll's last S sharer did not carry the bits
@@ -1170,7 +1173,7 @@ impl System {
                                 policy,
                                 SocketId(s as u8),
                                 block,
-                                entry,
+                                &entry,
                             ) {
                                 panic!("{v}");
                             }

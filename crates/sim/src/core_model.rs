@@ -85,7 +85,7 @@ impl CoreModel {
     pub fn state_of(&self, block: BlockAddr) -> MesiState {
         self.l2
             .peek(block.0, |_| true)
-            .map_or(MesiState::Invalid, |l| l.state)
+            .map_or(MesiState::Invalid, |i| self.l2.at(i).state)
     }
 
     /// Number of valid L2 lines (diagnostics).
@@ -98,9 +98,9 @@ impl CoreModel {
     /// [`Self::new`], not stored).
     // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        self.l1i.snapshot_with(w, |_, ()| {});
-        self.l1d.snapshot_with(w, |_, ()| {});
-        self.l2.snapshot_with(w, |w, l| w.u8(mesi_tag(l.state)));
+        self.l1i.snapshot_with(w, |_, _, ()| {});
+        self.l1d.snapshot_with(w, |_, _, ()| {});
+        self.l2.snapshot_with(w, |w, _, l| w.u8(mesi_tag(l.state)));
     }
 
     /// Restores a [`Self::snap`] image into this freshly built hierarchy.
@@ -110,9 +110,9 @@ impl CoreModel {
     /// input.
     // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn unsnap(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.l1i.restore_with(r, |_| Ok(()))?;
-        self.l1d.restore_with(r, |_| Ok(()))?;
-        self.l2.restore_with(r, |r| {
+        self.l1i.restore_with(r, |_, _| Ok(()))?;
+        self.l1d.restore_with(r, |_, _| Ok(()))?;
+        self.l2.restore_with(r, |r, _| {
             Ok(L2Line {
                 state: mesi_from_tag(r.u8("l2 line state")?)?,
             })
@@ -156,7 +156,7 @@ impl CoreModel {
             l2_state = self
                 .l2
                 .touch(key, |_| true)
-                .map_or(MesiState::Invalid, |l| l.state);
+                .map_or(MesiState::Invalid, |i| self.l2.at(i).state);
             if !l2_state.is_valid() {
                 // Full private-hierarchy miss → uncore.
                 let op = if r.write {
@@ -212,8 +212,8 @@ impl CoreModel {
     }
 
     fn set_state(&mut self, block: BlockAddr, state: MesiState) {
-        if let Some(l) = self.l2.peek_mut(block.0, |_| true) {
-            l.state = state;
+        if let Some(slot) = self.l2.peek(block.0, |_| true) {
+            self.l2.at_mut(slot).state = state;
         }
     }
 
@@ -228,7 +228,7 @@ impl CoreModel {
         fx: &mut AccessEffects,
     ) {
         debug_assert!(grant.is_valid());
-        let victim = self.l2.insert(block.0, L2Line { state: grant }, |_| false);
+        let (_, victim) = self.l2.insert(block.0, L2Line { state: grant }, |_| false);
         if let Some((vkey, vline)) = victim {
             let vblock = BlockAddr(vkey);
             // L1 copies of the victim vanish with it (inclusive hierarchy).

@@ -353,7 +353,12 @@ impl Simulation {
     // no further traffic, which is what makes vnet 3 the drain of the order.
     // lint:consumes(Data, Ack, MemReadData, SocketData)
     fn apply_effects(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
-        let latency = fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64;
+        // A private hit has no uncore latency to de-rate (0 / mlp rounds to 0).
+        let latency = if fx.uncore_latency == 0 {
+            fx.latency
+        } else {
+            fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64
+        };
         for d in fx.downgrades.drain(..) {
             let idx = self.core_index(d.socket, d.core);
             if self.cores[idx].apply_downgrade(d.block) {

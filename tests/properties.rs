@@ -89,7 +89,7 @@ fn setassoc_matches_reference_lru() {
         for _ in 0..ops {
             match random_op(&mut rng) {
                 CacheOp::Touch(k) => {
-                    let a = c.touch(k, |_| true).map(|v| *v);
+                    let a = c.touch(k, |_| true).map(|i| *c.at(i));
                     let b = r.touch(k);
                     assert_eq!(a, b, "seed {seed}");
                 }
@@ -101,12 +101,12 @@ fn setassoc_matches_reference_lru() {
                         let _ = c.remove(k, |_| true);
                         let _ = r.remove(k);
                     }
-                    let a = c.insert(k, v, |_| false);
+                    let a = c.insert(k, v, |_| false).1;
                     let b = r.insert(k, v);
                     assert_eq!(a, b, "seed {seed}");
                 }
                 CacheOp::Remove(k) => {
-                    let a = c.remove(k, |_| true);
+                    let a = c.remove(k, |_| true).map(|(_, v)| v);
                     let b = r.remove(k);
                     assert_eq!(a, b, "seed {seed}");
                 }
@@ -138,7 +138,7 @@ fn setassoc_no_duplicate_unique_keys() {
             }
         }
         let mut seen = std::collections::HashSet::new();
-        for (k, _) in c.iter() {
+        for (k, _, _) in c.iter() {
             assert!(seen.insert(k), "duplicate key {k} in array (seed {seed})");
         }
     }
@@ -159,7 +159,7 @@ fn protected_lines_survive_any_pressure() {
             let k = rng.below(256);
             let key = 4 + k * 4 + (k % 4); // spread over sets, never key<4
             if c.peek(key, |_| true).is_none() {
-                if let Some((_vk, vline)) = c.insert(key, false, |v| *v) {
+                if let (_, Some((_vk, vline))) = c.insert(key, false, |v| *v) {
                     assert!(
                         !vline,
                         "protected line evicted under pressure (seed {seed})"
@@ -168,7 +168,7 @@ fn protected_lines_survive_any_pressure() {
             }
         }
         for s in 0..4u64 {
-            assert_eq!(c.peek(s, |_| true), Some(&true));
+            assert_eq!(c.peek(s, |_| true).map(|i| *c.at(i)), Some(true));
         }
     }
 }
