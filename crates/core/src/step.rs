@@ -103,6 +103,22 @@ impl ProtocolEvent {
             kind,
         }
     }
+
+    /// The socket and core issuing the event.
+    pub fn agent(&self) -> (SocketId, CoreId) {
+        let (ProtocolEvent::Access { socket, core, .. }
+        | ProtocolEvent::SilentWrite { socket, core, .. }
+        | ProtocolEvent::Evict { socket, core, .. }) = *self;
+        (socket, core)
+    }
+
+    /// The block the event touches.
+    pub fn block(&self) -> BlockAddr {
+        let (ProtocolEvent::Access { block, .. }
+        | ProtocolEvent::SilentWrite { block, .. }
+        | ProtocolEvent::Evict { block, .. }) = *self;
+        block
+    }
 }
 
 impl fmt::Display for ProtocolEvent {
@@ -135,10 +151,11 @@ impl fmt::Display for ProtocolEvent {
     }
 }
 
-/// A violated invariant: returned by [`ProtocolHarness::apply`] and
-/// [`ProtocolHarness::check`], and by the shared per-block predicates in
-/// the crate's `invariants` module. The concrete [`System`] and the audit
-/// oracle panic instead; the explorer and trace replay catch those panics.
+/// A violated invariant: returned by [`ProtocolHarness::apply`],
+/// [`ProtocolHarness::transition`] and [`ProtocolHarness::check`], and by
+/// the shared per-block predicates in the crate's `invariants` module. The
+/// concrete [`System`] and the audit oracle panic instead; the explorer and
+/// trace replay catch those panics.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StepViolation {
     /// Which invariant failed.
@@ -614,9 +631,8 @@ impl ProtocolHarness {
         (tok.mem, "home memory")
     }
 
-    /// Applies one transition: drives the concrete [`System`], replicates
-    /// the engine's effect-application contract, updates the shadow states
-    /// and write tokens, and checks every per-state invariant.
+    /// Applies one transition and checks every per-state invariant of the
+    /// state it reaches: [`Self::transition`], then [`Self::check`].
     ///
     /// # Errors
     /// Returns the first violated invariant. The concrete machine may
@@ -624,6 +640,22 @@ impl ProtocolHarness {
     /// callers exploring mutated or buggy protocols should wrap the call in
     /// `catch_unwind` and discard the harness afterwards.
     pub fn apply(&mut self, ev: ProtocolEvent) -> Result<(), StepViolation> {
+        self.transition(ev)?;
+        self.check()
+    }
+
+    /// Applies one transition without the final [`Self::check`]: drives the
+    /// concrete [`System`], replicates the engine's effect-application
+    /// contract, and updates the shadow states and write tokens. The model
+    /// checker runs `check` once per canonical state, when it first reaches
+    /// it: every fact `check` reads is part of the canonical key.
+    ///
+    /// # Errors
+    /// Returns a violation found while applying: an event the shadow state
+    /// does not enable, a downgrade of a copy that is not M or E (`event
+    /// contract`), or a read served stale data (`data-value coherence`).
+    /// The concrete machine may panic as under [`Self::apply`].
+    pub fn transition(&mut self, ev: ProtocolEvent) -> Result<(), StepViolation> {
         let before = self.observe();
         match ev {
             ProtocolEvent::Access {
@@ -767,7 +799,7 @@ impl ProtocolHarness {
             }
         }
         self.reconcile(&before);
-        self.check()
+        Ok(())
     }
 
     /// Per-state invariants over every tracked block. The harness's own:

@@ -16,8 +16,9 @@
 //!
 //! * [`config`] — the tiny machine configurations under check.
 //! * [`state`] — canonical state encoding with core-ID symmetry reduction.
-//! * [`explore`] — BFS over the reachable graph with hashed dedup, panic
-//!   isolation, and shortest counterexample reconstruction.
+//! * [`explore`] — BFS over the reachable graph with hashed dedup, one
+//!   expansion per class of interchangeable cores, a check per canonical
+//!   state, panic isolation, and shortest counterexample reconstruction.
 //! * [`trace`] — the counterexample/fixture text format and deterministic
 //!   replay.
 

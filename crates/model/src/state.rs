@@ -34,7 +34,10 @@
 //! protocol-visible fact into a relabelling-independent view. One walk over
 //! the view collects the signatures and a second writes the encoding under
 //! the sorted labelling. A `KeyEncoder` keeps all of these buffers from
-//! one key to the next.
+//! one key to the next, and the signatures of the state it keyed last say
+//! which of its cores are interchangeable
+//! (`KeyEncoder::representatives`): the explorer expands each class of
+//! them once.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -346,6 +349,32 @@ impl KeyEncoder {
             },
         );
         key
+    }
+
+    /// Writes into `reps` each global core's *representative* in the state
+    /// keyed last: the lowest-indexed core of its socket with an equal
+    /// signature. Swapping two such cores changes no byte of the encoding,
+    /// so an event of a core reaches the canonical successor of the same
+    /// event (same block, same op or evict kind) of its representative.
+    pub(crate) fn representatives(&self, reps: &mut Vec<u8>) {
+        let (cores, width) = (self.view.cores, self.slot.len());
+        reps.clear();
+        reps.resize(width, 0);
+        for (s, order) in self.core_at.chunks_exact(cores).enumerate() {
+            let g = |c: u16| s * cores + c as usize;
+            // The sort put equal signatures next to each other.
+            let ties = |&a: &u16, &b: &u16| by_signature(&self.cols, width, g(a), g(b)).is_eq();
+            for class in order.chunk_by(ties) {
+                let rep = class
+                    .iter()
+                    .map(|&c| g(c))
+                    .min()
+                    .expect("classes are not empty");
+                for &c in class {
+                    reps[g(c)] = rep as u8;
+                }
+            }
+        }
     }
 }
 
@@ -787,6 +816,46 @@ mod tests {
                 assert_eq!(enc.encode(), key.as_slice(), "relabelled by {perm:?}");
             }
             assert!(raw.len() > 1, "the relabellings must differ");
+        }
+    }
+
+    /// 2 sockets × 3 cores, one block. Socket 0: c0 and c2 share the block,
+    /// c1 does not hold it; socket 1: c1 shares it, c0 and c2 do not. The
+    /// classes are {c1}, {c0, c2} and {c0, c2}, {c1}; clearing c2's token
+    /// bit splits socket 0's pair, though their shadow bytes still tie.
+    #[test]
+    fn representatives_are_the_lowest_core_of_each_signature_class() {
+        let shared = |sharers: u128| DirEntry {
+            state: zerodev_common::DirState::Shared,
+            sharers: SharerSet(sharers),
+        };
+        let token = |cores: u128| WriteToken {
+            cores,
+            llc: 0,
+            mem: true,
+        };
+        let view = |token_cores: u128| View {
+            sockets: 2,
+            cores: 3,
+            shadow: vec![1, 0, 1, 0, 1, 0],
+            tokens: vec![token(token_cores)],
+            dedicated: vec![Some(shared(0b101)), Some(shared(0b010))],
+            corrupted: vec![false],
+            housed: vec![None; 2],
+            socket_dir: vec![None],
+            llc_sets: vec![(0, 0), (1, 0)],
+            llc_lines: Vec::new(),
+        };
+        let mut enc = KeyEncoder::default();
+        let mut reps = Vec::new();
+        for (token_cores, expected) in [
+            (0b010_101, [0, 1, 0, 3, 4, 3]),
+            (0b010_001, [0, 1, 2, 3, 4, 3]),
+        ] {
+            enc.view = view(token_cores);
+            enc.encode();
+            enc.representatives(&mut reps);
+            assert_eq!(reps, expected, "token cores {token_cores:#b}");
         }
     }
 

@@ -25,6 +25,12 @@
 //! fully deterministic — the machine takes no random or timing-dependent
 //! decisions at the protocol level — so fixtures double as regression
 //! tests for every protocol bug the checker has caught.
+//!
+//! The one `config` line comes before the first event, and every event
+//! names a socket, a core and a block of that machine. A fixture that
+//! breaks either rule fails to parse with a `line N:` error, so a typo
+//! cannot replay as a machine panic that an `expect violation` line would
+//! match.
 
 use crate::config::{try_tiny, ModelConfig};
 use crate::explore::apply_caught;
@@ -189,8 +195,37 @@ fn parse_count(key: &str, v: &str) -> Result<usize, String> {
         .map_err(|_| format!("bad {key} value {v:?}, want a number"))
 }
 
+/// Checks that `ev` is issued by a core of `model`'s machine and touches one
+/// of its tracked blocks.
+fn check_in_machine(model: &ModelConfig, ev: &ProtocolEvent) -> Result<(), String> {
+    let (socket, core) = ev.agent();
+    let (sockets, cores) = (model.cfg.sockets, model.cfg.cores);
+    if socket.0 as usize >= sockets {
+        return Err(format!(
+            "socket s{} is outside the machine's {sockets} socket(s)",
+            socket.0
+        ));
+    }
+    if core.0 as usize >= cores {
+        return Err(format!(
+            "core c{} is outside the machine's {cores} core(s) per socket",
+            core.0
+        ));
+    }
+    let block = ev.block();
+    if !model.blocks.contains(&block) {
+        return Err(format!(
+            "block {block:?} is not one of the machine's tracked blocks {:?}",
+            model.blocks
+        ));
+    }
+    Ok(())
+}
+
 /// Parses a whole fixture. `# ...` lines and blank lines are ignored; the
-/// `config` line must precede the first event; `expect` defaults to clean.
+/// one `config` line must precede the first event, and every event must
+/// name a socket, core and block of its machine; `expect` defaults to
+/// clean.
 pub fn parse_fixture(text: &str) -> Result<Fixture, String> {
     let mut model = None;
     let mut expect = Expectation::Clean;
@@ -202,7 +237,10 @@ pub fn parse_fixture(text: &str) -> Result<Fixture, String> {
             continue;
         }
         let res = if let Some(rest) = line.strip_prefix("config ") {
-            parse_config_line(rest).map(|m| model = Some(m))
+            match model {
+                Some(_) => Err("a second config line".to_string()),
+                None => parse_config_line(rest).map(|m| model = Some(m)),
+            }
         } else if let Some(rest) = line.strip_prefix("mutation ") {
             parse_mutation(rest.trim()).map(|m| mutation = m)
         } else if let Some(rest) = line.strip_prefix("expect ") {
@@ -220,7 +258,11 @@ pub fn parse_fixture(text: &str) -> Result<Fixture, String> {
                 },
             }
         } else {
-            parse_event(line).map(|ev| events.push(ev))
+            match &model {
+                None => Err("event before the config line".to_string()),
+                Some(model) => parse_event(line)
+                    .and_then(|ev| check_in_machine(model, &ev).map(|()| events.push(ev))),
+            }
         };
         res.map_err(|e| format!("line {}: {e}", ln + 1))?;
     }
@@ -371,5 +413,57 @@ access  s0/c0 B0x0 Read
                 parse_fixture(&format!("config policy=FPSS design=Epd {shape}")).expect_err(shape);
             assert!(err.starts_with("line 1:") && err.contains(why), "{err}");
         }
+    }
+
+    /// The error of a fixture on `config` whose only event is `event`.
+    fn event_error(config: &str, event: &str) -> String {
+        parse_fixture(&format!("config {config}\n# the event\n{event}\n")).expect_err(event)
+    }
+
+    const TWO_CORES_ONE_SOCKET: &str =
+        "policy=FPSS design=NonInclusive cores=2 sockets=1 addrs=2 ways=1";
+    const TWO_CORES_TWO_SOCKETS: &str =
+        "policy=FPSS design=NonInclusive cores=2 sockets=2 addrs=1 ways=1";
+
+    #[test]
+    fn a_core_beyond_the_machine_is_rejected() {
+        for config in [TWO_CORES_ONE_SOCKET, TWO_CORES_TWO_SOCKETS] {
+            let err = event_error(config, "access  s0/c3 B0x0 Read");
+            assert!(err.starts_with("line 3: core c3 is outside"), "{err}");
+            let err = event_error(config, "evict   s0/c2 B0x0 Dirty");
+            assert!(err.starts_with("line 3: core c2 is outside"), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_socket_beyond_the_machine_is_rejected() {
+        let err = event_error(TWO_CORES_ONE_SOCKET, "access  s3/c0 B0x0 Read");
+        assert!(err.starts_with("line 3: socket s3 is outside"), "{err}");
+        let err = event_error(TWO_CORES_TWO_SOCKETS, "write   s2/c0 B0x0 (silent E->M)");
+        assert!(err.starts_with("line 3: socket s2 is outside"), "{err}");
+    }
+
+    #[test]
+    fn an_untracked_block_is_rejected() {
+        let err = event_error(TWO_CORES_ONE_SOCKET, "access  s0/c0 B0x5 Read");
+        assert!(err.starts_with("line 3: block B0x5 is not one of"), "{err}");
+        // Two sockets, one address per home: B0x0 and B0x40 only.
+        let err = event_error(TWO_CORES_TWO_SOCKETS, "access  s1/c1 B0x1 Read");
+        assert!(err.starts_with("line 3: block B0x1 is not one of"), "{err}");
+        let ok = format!("config {TWO_CORES_TWO_SOCKETS}\naccess  s1/c1 B0x40 Read");
+        assert_eq!(parse_fixture(&ok).expect("in the machine").events.len(), 1);
+    }
+
+    #[test]
+    fn an_event_before_the_config_line_is_rejected() {
+        let text = format!("expect clean\naccess  s0/c0 B0x0 Read\nconfig {TWO_CORES_ONE_SOCKET}");
+        let err = parse_fixture(&text).expect_err("event first");
+        assert!(
+            err.starts_with("line 2: event before the config line"),
+            "{err}"
+        );
+        let text = format!("config {TWO_CORES_ONE_SOCKET}\nconfig {TWO_CORES_TWO_SOCKETS}");
+        let err = parse_fixture(&text).expect_err("two configs");
+        assert!(err.starts_with("line 2: a second config line"), "{err}");
     }
 }

@@ -80,8 +80,12 @@ echo "soak quarantine check passed"
 
 echo "== model checker (full matrix, exhaustive) =="
 # Every machine of the matrix in crates/model/src/main.rs explored to
-# exhaustion and clean, and every seeded mutation caught (about 15 s).
-cargo run --release -p zerodev_model >/dev/null
+# exhaustion and clean, and every seeded mutation caught (about 8 s). The
+# output must equal the committed golden byte for byte: every machine's
+# (states, transitions) and the three printed counterexamples.
+cargo run --release -q -p zerodev_model >target/zerodev_model.stdout ||
+    { cat target/zerodev_model.stdout; exit 1; }
+diff -u crates/model/tests/zerodev_model.stdout target/zerodev_model.stdout
 
 echo "== perf regression gate (simbench vs newest committed BENCH) =="
 # Runs the benchmark (BENCHMARK.json, simbench/README.md) at its defaults
