@@ -19,7 +19,6 @@ fn spill_probe_cfg() -> SystemConfig {
         ZeroDevConfig {
             policy: SpillPolicy::SpillAll,
             llc_replacement: LlcReplacement::DataLru,
-            ..Default::default()
         },
         DirectoryKind::Sparse {
             ratio: Ratio::ONE,

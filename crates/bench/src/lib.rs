@@ -75,7 +75,6 @@ pub fn zerodev_nodir(policy: SpillPolicy, repl: LlcReplacement) -> SystemConfig 
         ZeroDevConfig {
             policy,
             llc_replacement: repl,
-            ..Default::default()
         },
         DirectoryKind::None,
     )

@@ -51,7 +51,6 @@ fn point(policy: SpillPolicy, design: LlcDesign, sockets: usize) -> u64 {
         ZeroDevConfig {
             policy,
             llc_replacement: LlcReplacement::DataLru,
-            ..Default::default()
         },
         DirectoryKind::None,
     );
@@ -133,7 +132,6 @@ fn threads_agree_under_audit_and_faults() {
         ZeroDevConfig {
             policy: SpillPolicy::FusePrivateSpillShared,
             llc_replacement: LlcReplacement::DataLru,
-            ..Default::default()
         },
         DirectoryKind::None,
     );

@@ -75,23 +75,17 @@ pub struct CacheGeometry {
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes.
-    pub block_bytes: usize,
 }
 
 impl CacheGeometry {
     /// Creates a geometry.
     pub fn new(size_bytes: usize, ways: usize) -> Self {
-        CacheGeometry {
-            size_bytes,
-            ways,
-            block_bytes: BLOCK_BYTES,
-        }
+        CacheGeometry { size_bytes, ways }
     }
 
-    /// Number of lines.
+    /// Number of lines ([`BLOCK_BYTES`]-byte blocks).
     pub fn lines(&self) -> usize {
-        self.size_bytes / self.block_bytes
+        self.size_bytes / BLOCK_BYTES
     }
 
     /// Number of sets.
@@ -269,59 +263,6 @@ impl fmt::Display for LlcReplacement {
     }
 }
 
-/// Socket-level directory handling in multi-socket systems (§III-D5).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum SocketDirBacking {
-    /// Back the socket-level directory in home memory (first solution; used
-    /// for the paper's four-socket evaluation, baseline and ZeroDEV).
-    MemoryBacked,
-    /// ZeroDEV applied to socket-level entries: reserve a per-block memory
-    /// partition plus a DirEvict bit (second solution, constant overhead).
-    DirEvictBit,
-}
-
-/// How memory-housed directory-entry segments encode their sharer sets
-/// (§III-D: full-map is the paper's evaluated configuration; the hybrid
-/// limited-pointer / coarse-vector format is its scaling option for large
-/// socket counts — coarse decoding yields a safe superset of the sharers).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SegmentFormat {
-    /// One bit per core plus a state bit (`N + 1` bits per segment).
-    FullMap,
-    /// Up to `max_pointers` exact pointers, falling back to a coarse vector
-    /// of `coarse_bits` group bits.
-    Hybrid {
-        /// Pointer slots before falling back to coarse mode.
-        max_pointers: u8,
-        /// Coarse-vector width in bits (≤ 64).
-        coarse_bits: u8,
-    },
-}
-
-impl SegmentFormat {
-    /// Segment size in bits for an `N`-core socket, excluding the shared
-    /// valid/corrupted bookkeeping (§III-D: `N + 1` bits full-map; the
-    /// hybrid uses 1 state bit + 1 mode bit + the wider of its two fields).
-    pub fn segment_bits(self, cores: usize) -> u32 {
-        match self {
-            SegmentFormat::FullMap => cores as u32 + 1,
-            SegmentFormat::Hybrid {
-                max_pointers,
-                coarse_bits,
-            } => {
-                let ptr_bits = (usize::BITS - cores.saturating_sub(1).leading_zeros()).max(1);
-                2 + (u32::from(max_pointers) * ptr_bits).max(u32::from(coarse_bits))
-            }
-        }
-    }
-
-    /// How many sockets' segments fit in one 64-byte (512-bit) home block —
-    /// the hard ceiling on the socket count a ZeroDEV machine can track.
-    pub fn sockets_per_block(self, cores: usize) -> usize {
-        (512 / self.segment_bits(cores).max(1)) as usize
-    }
-}
-
 /// ZeroDEV-specific configuration; `None` in [`SystemConfig::zerodev`] means
 /// the baseline protocol.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -330,18 +271,14 @@ pub struct ZeroDevConfig {
     pub policy: SpillPolicy,
     /// LLC replacement extension.
     pub llc_replacement: LlcReplacement,
-    /// Encoding of memory-housed segments.
-    pub segment_format: SegmentFormat,
 }
 
 impl Default for ZeroDevConfig {
-    /// The configuration the paper converges on: FPSS + dataLRU with
-    /// full-map segments.
+    /// The configuration the paper converges on: FPSS + dataLRU.
     fn default() -> Self {
         ZeroDevConfig {
             policy: SpillPolicy::FusePrivateSpillShared,
             llc_replacement: LlcReplacement::DataLru,
-            segment_format: SegmentFormat::FullMap,
         }
     }
 }
@@ -422,8 +359,6 @@ pub struct SystemConfig {
     pub cores: usize,
     /// Socket count (1 for the single-socket studies, 4 for §V multi-socket).
     pub sockets: usize,
-    /// Cache-block size in bytes (64 everywhere).
-    pub block_bytes: usize,
     /// Per-core L1 instruction cache.
     pub l1i: CacheGeometry,
     /// Per-core L1 data cache.
@@ -455,8 +390,6 @@ pub struct SystemConfig {
     pub dram: DramConfig,
     /// One-way inter-socket routing delay in core cycles (20 ns at 4 GHz).
     pub inter_socket_cycles: u64,
-    /// Socket-level directory handling (multi-socket only).
-    pub socket_dir: SocketDirBacking,
     /// Sets in each home socket's socket-directory cache (8 ways each;
     /// multi-socket only). The default models a 256K-entry cache; tiny
     /// model-checking configurations shrink it so machine snapshots stay
@@ -472,7 +405,6 @@ impl SystemConfig {
         SystemConfig {
             cores: 8,
             sockets: 1,
-            block_bytes: BLOCK_BYTES,
             l1i: CacheGeometry::new(32 << 10, 8),
             l1d: CacheGeometry::new(32 << 10, 8),
             l2: CacheGeometry::new(256 << 10, 8),
@@ -492,7 +424,6 @@ impl SystemConfig {
             noc: NocConfig::default(),
             dram: DramConfig::default(),
             inter_socket_cycles: 80,
-            socket_dir: SocketDirBacking::MemoryBacked,
             socket_dir_cache_sets: 8192,
         }
     }
@@ -607,13 +538,6 @@ impl SystemConfig {
         if self.llc_banks == 0 {
             return Err(ConfigError("LLC needs at least one bank".into()));
         }
-        if self.block_bytes != 64 {
-            return Err(ConfigError(
-                "only 64-byte blocks are supported (home-socket interleaving and \
-                 segment packing assume them)"
-                    .into(),
-            ));
-        }
         if !self.llc.lines().is_multiple_of(self.llc_banks) {
             return Err(ConfigError("LLC lines not divisible by banks".into()));
         }
@@ -681,20 +605,15 @@ impl SystemConfig {
             }
             _ => {}
         }
-        if let Some(zd) = &self.zerodev {
-            if let SegmentFormat::Hybrid { coarse_bits, .. } = zd.segment_format {
-                if coarse_bits == 0 || coarse_bits > 64 {
-                    return Err(ConfigError(format!(
-                        "hybrid segment coarse vector must be 1..=64 bits, got {coarse_bits}"
-                    )));
-                }
-            }
-            let capacity = zd.segment_format.sockets_per_block(self.cores);
+        if self.zerodev.is_some() {
+            // A full-map segment takes N + 1 bits (§III-D), so a 512-bit
+            // home block houses ⌊512 / (N+1)⌋ sockets' segments.
+            let capacity = 512 / (self.cores + 1);
             if self.sockets > capacity {
                 return Err(ConfigError(format!(
-                    "{} sockets exceed the {} segments a 512-bit home block can house \
-                     ({:?} at {} cores/socket)",
-                    self.sockets, capacity, zd.segment_format, self.cores
+                    "{} sockets exceed the {} full-map segments a 512-bit home block \
+                     can house at {} cores/socket",
+                    self.sockets, capacity, self.cores
                 )));
             }
         }
@@ -722,8 +641,8 @@ impl SystemConfig {
         use std::fmt::Write as _;
         let _ = writeln!(
             s,
-            "cores/socket: {}   sockets: {}   block: {} B",
-            self.cores, self.sockets, self.block_bytes
+            "cores/socket: {}   sockets: {}   block: {BLOCK_BYTES} B",
+            self.cores, self.sockets
         );
         let _ = writeln!(
             s,
@@ -901,13 +820,6 @@ mod tests {
         assert!(err.to_string().contains("segments"), "{err}");
         cfg.sockets = 3;
         assert!(cfg.validate().is_ok());
-        // A hybrid format packs more segments and lifts the cap.
-        cfg.sockets = 4;
-        cfg.zerodev.as_mut().unwrap().segment_format = SegmentFormat::Hybrid {
-            max_pointers: 4,
-            coarse_bits: 16,
-        };
-        assert!(cfg.validate().is_ok());
     }
 
     #[test]
@@ -942,27 +854,6 @@ mod tests {
         let mut cfg = SystemConfig::baseline_8core();
         cfg.llc_banks = 0;
         assert!(cfg.validate().is_err());
-        let mut cfg = SystemConfig::baseline_8core();
-        cfg.block_bytes = 128;
-        assert!(cfg.validate().unwrap_err().to_string().contains("64-byte"));
-    }
-
-    #[test]
-    fn validation_rejects_bad_hybrid_coarse_vectors() {
-        for coarse_bits in [0u8, 65] {
-            let cfg = SystemConfig::baseline_8core().with_zerodev(
-                ZeroDevConfig {
-                    segment_format: SegmentFormat::Hybrid {
-                        max_pointers: 4,
-                        coarse_bits,
-                    },
-                    ..Default::default()
-                },
-                DirectoryKind::None,
-            );
-            let err = cfg.validate().unwrap_err();
-            assert!(err.to_string().contains("coarse"), "{err}");
-        }
     }
 
     #[test]

@@ -228,7 +228,8 @@ impl<V> FlatMap<V> {
         mut de: impl FnMut(&mut crate::snap::SnapReader<'_>) -> Result<V, crate::snap::SnapError>,
     ) -> Result<Self, crate::snap::SnapError> {
         use crate::snap::SnapError;
-        let cap = r.usize("flatmap capacity")?;
+        // Every slot takes at least its one-byte occupancy flag.
+        let cap = r.count("flatmap capacity", 1)?;
         if !cap.is_power_of_two() || cap < MIN_CAP {
             return Err(SnapError::Corrupt {
                 context: "flatmap capacity",
@@ -407,5 +408,25 @@ mod tests {
         assert_eq!(m.get(0), Some(&5));
         assert_eq!(m.remove(0), Some(5));
         assert_eq!(m.get(0), None);
+    }
+
+    #[test]
+    fn restore_rejects_a_capacity_the_image_cannot_hold() {
+        use crate::snap::{SnapError, SnapReader, SnapWriter};
+        // A consistent header for 2^62 empty slots, with the slots missing:
+        // decoding must fail before it allocates them.
+        let mut w = SnapWriter::new(1, 1);
+        w.usize(1 << 62);
+        w.usize(0);
+        w.u32(2);
+        let buf = w.finish();
+        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        let got = FlatMap::<u8>::restore_with(&mut r, |r| r.u8("value"));
+        assert_eq!(
+            got.err(),
+            Some(SnapError::Corrupt {
+                context: "flatmap capacity"
+            })
+        );
     }
 }

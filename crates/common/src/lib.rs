@@ -35,12 +35,12 @@
 //! # Example
 //!
 //! ```
-//! use zerodev_common::{Addr, BlockAddr, CoreId, config::SystemConfig};
+//! use zerodev_common::{ids::BLOCK_BYTES, Addr, BlockAddr, CoreId, config::SystemConfig};
 //!
 //! let cfg = SystemConfig::baseline_8core();
 //! assert_eq!(cfg.cores, 8);
 //! let b = BlockAddr::from_byte_addr(Addr(0x1234));
-//! assert_eq!(b.byte_addr().0 % cfg.block_bytes as u64, 0);
+//! assert_eq!(b.byte_addr().0 % BLOCK_BYTES as u64, 0);
 //! let _home = cfg.home_bank(b);
 //! let _ = CoreId(3);
 //! ```

@@ -252,6 +252,22 @@ impl<'a> SnapReader<'a> {
         usize::try_from(self.u64(context)?).map_err(|_| SnapError::Corrupt { context })
     }
 
+    /// Reads an item count, rejecting it when that many items of at least
+    /// `min_item_bytes` each cannot fit in the bytes left. A decoder may
+    /// size a buffer from the count it returns: a sound checksum does not
+    /// make a length trustworthy.
+    pub fn count(
+        &mut self,
+        context: &'static str,
+        min_item_bytes: usize,
+    ) -> Result<usize, SnapError> {
+        let n = self.usize(context)?;
+        if n.saturating_mul(min_item_bytes) > self.buf.len() - self.pos {
+            return Err(SnapError::Corrupt { context });
+        }
+        Ok(n)
+    }
+
     pub fn f64(&mut self, context: &'static str) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64(context)?))
     }
@@ -358,6 +374,29 @@ mod tests {
         assert_eq!(r.u64("y").unwrap(), 6);
         r.expect_end().unwrap();
         assert!(matches!(r.u64("z"), Err(SnapError::Truncated { .. })));
+    }
+
+    #[test]
+    fn count_rejects_items_that_cannot_fit() {
+        let mut w = SnapWriter::new(MAGIC, 1);
+        w.usize(3);
+        w.u64(0);
+        w.u32(0);
+        let buf = w.finish();
+        // 3 items of 4 bytes fit in the 12 bytes that follow; 3 of 5 do not.
+        let mut r = SnapReader::open(&buf, MAGIC, 1).unwrap();
+        assert_eq!(r.count("n", 4), Ok(3));
+        let mut r = SnapReader::open(&buf, MAGIC, 1).unwrap();
+        assert_eq!(r.count("n", 5), Err(SnapError::Corrupt { context: "n" }));
+        // A byte size past usize::MAX saturates instead of wrapping.
+        let mut w = SnapWriter::new(MAGIC, 1);
+        w.usize(1 << 62);
+        let buf = w.finish();
+        let mut r = SnapReader::open(&buf, MAGIC, 1).unwrap();
+        assert_eq!(
+            r.count("huge", 8),
+            Err(SnapError::Corrupt { context: "huge" })
+        );
     }
 
     #[test]

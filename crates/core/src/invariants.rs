@@ -11,8 +11,8 @@
 //! [`check_block`] returns the first violation it finds. It checks
 //! **SWMR** (§III-A); then, socket by socket, a **duplicate entry** (in
 //! the socket and housed at home), a **dead entry**, **directory
-//! precision** (every holder is tracked, §III-C) and, under full-map
-//! formats without region entries, **directory exactness**, the **LLC
+//! precision** (every holder is tracked, §III-C) and, without region
+//! entries, **directory exactness**, the **LLC
 //! design** (inclusive holds every private block, EPD no line for an owned
 //! one, §III-E/F), the **socket directory**'s coverage (§III-D5) and
 //! **entry placement** ([`check_fused_entry`], §III-C2, which
@@ -26,17 +26,14 @@ use crate::directory::DirEntry;
 use crate::llc::LlcLine;
 use crate::step::StepViolation;
 use crate::system::System;
-use zerodev_common::config::{DirectoryKind, LlcDesign, SegmentFormat, SpillPolicy, SystemConfig};
+use zerodev_common::config::{DirectoryKind, LlcDesign, SpillPolicy, SystemConfig};
 use zerodev_common::ids::SharerSet;
 use zerodev_common::{BlockAddr, CoreId, DirState, SocketId};
 
-/// True when sharer sets are exact: full-map segments and a directory that
-/// tracks single blocks (MgD region entries are supersets by design).
+/// True when sharer sets are exact: every directory except MgD tracks
+/// single blocks (MgD region entries are supersets by design).
 pub(crate) fn exact_tracking(cfg: &SystemConfig) -> bool {
     !matches!(cfg.directory, DirectoryKind::MultiGrain { .. })
-        && cfg
-            .zerodev
-            .is_none_or(|z| z.segment_format == SegmentFormat::FullMap)
 }
 
 /// Returns the `$invariant` violation with a `format!` detail.
@@ -252,29 +249,19 @@ mod tests {
     const S0: SocketId = SocketId(0);
     const C0: CoreId = CoreId(0);
     const B: BlockAddr = BlockAddr(0x40);
-    const FULL: SegmentFormat = SegmentFormat::FullMap;
-    const HYBRID: SegmentFormat = SegmentFormat::Hybrid {
-        max_pointers: 1,
-        coarse_bits: 2,
-    };
 
-    /// A machine with a small LLC; `zd` makes it ZeroDEV without a
+    /// A machine with a small LLC; `policy` makes it ZeroDEV without a
     /// dedicated directory.
-    fn cfg(
-        sockets: usize,
-        design: LlcDesign,
-        zd: Option<(SpillPolicy, SegmentFormat)>,
-    ) -> SystemConfig {
+    fn cfg(sockets: usize, design: LlcDesign, policy: Option<SpillPolicy>) -> SystemConfig {
         let mut cfg = SystemConfig::baseline_8core();
         cfg.sockets = sockets;
         cfg.llc = CacheGeometry::new(64 << 10, 4);
         cfg.llc_design = design;
-        let Some((policy, segment_format)) = zd else {
+        let Some(policy) = policy else {
             return cfg;
         };
         let zd = ZeroDevConfig {
             policy,
-            segment_format,
             ..Default::default()
         };
         cfg.with_zerodev(zd, DirectoryKind::None)
@@ -286,6 +273,9 @@ mod tests {
         Nothing,
         /// House an owned segment of s0/c0 at `B`'s home.
         HouseEntry,
+        /// House that segment, then extract it: the home block stays
+        /// corrupted with no segment.
+        HouseThenExtract,
         /// Clear the sharers of `B`'s LLC-resident entry.
         ClearLlcEntry,
         DropLine,
@@ -302,6 +292,10 @@ mod tests {
             Breach::Nothing => {}
             Breach::HouseEntry => {
                 mem.house_entry(B, S0, DirEntry::owned(C0));
+            }
+            Breach::HouseThenExtract => {
+                mem.house_entry(B, S0, DirEntry::owned(C0));
+                assert!(mem.extract_entry(B, S0).is_some());
             }
             Breach::ClearLlcEntry => {
                 let fault =
@@ -321,7 +315,7 @@ mod tests {
         use LlcDesign::{Epd, Inclusive, NonInclusive as Ni};
         use SpillPolicy::{FusePrivateSpillShared as Fpss, SpillAll};
         let base = cfg(1, Ni, None);
-        let hybrid = cfg(1, Ni, Some((Fpss, HYBRID)));
+        let fpss = cfg(1, Ni, Some(Fpss));
         // (name, machine, (socket, core) reads of B, breach, holder view,
         // s0/c0 owns B, the invariant broken — None: machine and view agree)
         #[rustfmt::skip]
@@ -329,20 +323,20 @@ mod tests {
             ("E grant", &base, &[(0, 0)][..], Nothing, &[(0, 0)][..], true, None),
             ("S sharers", &base, &[(0, 0), (0, 1)], Nothing, &[(0, 0), (0, 1)], false, None),
             ("two sockets share", &cfg(2, Ni, None), &[(0, 0), (1, 0)], Nothing, &[(0, 0), (1, 0)], false, None),
-            ("housed entry, live owner", &hybrid, &[], HouseEntry, &[(0, 0)], true, None),
+            ("housed entry, live owner", &fpss, &[], HouseEntry, &[(0, 0)], true, None),
             ("owner beside a sharer", &base, &[(0, 0)], Nothing, &[(0, 0), (0, 1)], true, Some("SWMR")),
             ("owner without its copy", &base, &[(0, 0)], Nothing, &[(0, 1)], true, Some("SWMR")),
             ("holder missing from the entry", &base, &[(0, 0)], Nothing, &[(0, 1)], false, Some("directory precision")),
             ("holder with no entry", &base, &[], Nothing, &[(0, 0)], false, Some("directory precision")),
             ("sharer set too wide", &base, &[(0, 0), (0, 1)], Nothing, &[(0, 0)], false, Some("directory exactness")),
             ("owned entry, no owner", &base, &[(0, 0)], Nothing, &[(0, 0)], false, Some("directory exactness")),
-            ("housed entry, no copy", &hybrid, &[], HouseEntry, &[], false, Some("corrupted-block safety")),
+            ("housed entry, no copy", &fpss, &[], HouseThenExtract, &[], false, Some("corrupted-block safety")),
             ("entry in the socket and at home", &base, &[(0, 0)], HouseEntry, &[(0, 0)], true, Some("duplicate entry")),
-            ("LLC entry tracks nobody", &cfg(1, Ni, Some((SpillAll, FULL))), &[(0, 0)], ClearLlcEntry, &[(0, 0)], true, Some("dead entry")),
+            ("LLC entry tracks nobody", &cfg(1, Ni, Some(SpillAll)), &[(0, 0)], ClearLlcEntry, &[(0, 0)], true, Some("dead entry")),
             ("inclusive LLC without the line", &cfg(1, Inclusive, None), &[(0, 0)], DropLine, &[(0, 0)], true, Some("LLC design")),
             ("EPD line for an owned block", &cfg(1, Epd, None), &[(0, 0)], AddLine, &[(0, 0)], true, Some("LLC design")),
             ("socket directory lost the owner", &cfg(2, Ni, None), &[(0, 0)], DropSocketDirEntry, &[(0, 0)], true, Some("socket directory")),
-            ("FPSS fused a Shared entry", &cfg(1, Ni, Some((Fpss, FULL))), &[(0, 0)], FuseShared, &[(0, 0)], false, Some("entry placement")),
+            ("FPSS fused a Shared entry", &fpss, &[(0, 0)], FuseShared, &[(0, 0)], false, Some("entry placement")),
         ];
         for (name, cfg, reads, broken, view, owned, want) in cases {
             let mut sys = System::new(cfg.clone()).unwrap();

@@ -14,8 +14,8 @@
 //!   directory entries, or *fused* block+entry lines (§III-C of the paper),
 //!   with the `spLRU`/`dataLRU` replacement extensions (§III-D1).
 //! * [`memdir`] — the memory-side state: corrupted home blocks housing
-//!   evicted directory entries (§III-D) and the socket-level directory
-//!   (§III-D5).
+//!   evicted directory entries as full-map segments (§III-D) and the
+//!   socket-level directory, backed in home memory (§III-D5).
 //! * `invariants` — the per-block coherence invariants, shared by the
 //!   audit oracle ([`oracle`]) and the model checker's harness ([`step`]).
 //! * [`system`] — the protocol engine: a home-serialised MESI
@@ -39,7 +39,6 @@
 //! assert!(r.grant.is_owned()); // sole reader gets E
 //! ```
 
-pub mod compress;
 pub mod directory;
 mod invariants;
 pub mod llc;
@@ -50,7 +49,6 @@ pub mod secdir;
 pub mod step;
 pub mod system;
 
-pub use compress::{CompressedEntry, SegmentFormatExt};
 pub use directory::{DirEntry, DirStore};
 pub use llc::{LlcBank, LlcLine};
 pub use oracle::{AuditEvent, EventLog, Oracle};

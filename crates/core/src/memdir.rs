@@ -5,25 +5,25 @@
 //! * **Corrupted home blocks** (§III-D): when ZeroDEV evicts a directory
 //!   entry from the LLC, the entry overwrites the home-memory copy of the
 //!   block it tracks. The 64-byte block is partitioned into fixed per-socket
-//!   segments, so entries from several sockets can be housed at once. The
-//!   data bits are destroyed until a full-block writeback restores them.
+//!   full-map segments (`N + 1` bits for an `N`-core socket), so entries
+//!   from several sockets can be housed at once. The data bits are destroyed
+//!   until a full-block writeback restores them.
 //! * **The socket-level directory** (§III-D5): a bounded directory cache
-//!   whose entries are backed either in home memory (first solution) or in a
-//!   reserved per-block partition guarded by a DirEvict bit (second
-//!   solution). Neither backing generates DEVs.
+//!   backed in home memory (the first solution, the one the paper's
+//!   four-socket study uses), so a cache miss costs a home-memory read. It
+//!   generates no DEVs.
 
-use crate::compress::SegmentFormatExt;
 use crate::directory::DirEntry;
 use zerodev_cache::{Replacement, SetAssoc};
-use zerodev_common::config::{SegmentFormat, SocketDirBacking, SystemConfig};
+use zerodev_common::config::SystemConfig;
 use zerodev_common::ids::SocketSet;
 use zerodev_common::{BlockAddr, Cycle, FlatMap, SocketId};
 use zerodev_dram::DramModel;
 
 /// A corrupted home-memory block: per-socket segments holding evicted
 /// intra-socket directory entries. With 64-byte blocks and full-map vectors
-/// this supports ⌊512/(N+1)⌋ sockets (§III-D) — far more than the 32 the
-/// simulator allows.
+/// this supports ⌊512/(N+1)⌋ sockets (§III-D), a bound
+/// `SystemConfig::validate` enforces.
 #[derive(Debug, Default)]
 pub struct CorruptedBlock {
     segments: Vec<(SocketId, DirEntry)>,
@@ -97,7 +97,7 @@ pub struct SocketDirLookup {
     /// The entry, if the block is tracked.
     pub entry: Option<SocketDirEntry>,
     /// Whether the lookup hit the directory cache (a miss costs a home
-    /// memory access under the memory-backed scheme).
+    /// memory read).
     pub cached: bool,
 }
 
@@ -113,13 +113,9 @@ pub struct MemorySide {
     corrupted: FlatMap<CorruptedBlock>,
     /// Per home socket: the bounded socket-directory cache.
     dir_caches: Vec<SetAssoc<SocketDirEntry>>,
-    /// Per home socket: the complete backing store (memory or DirEvict
-    /// partitions — semantically identical at this level).
+    /// Per home socket: the complete backing store in home memory.
     dir_backing: Vec<FlatMap<SocketDirEntry>>,
-    backing: SocketDirBacking,
     sockets: usize,
-    cores: usize,
-    seg_format: SegmentFormat,
     /// Dir-cache misses that needed the backing store.
     pub dir_cache_misses: u64,
     /// Dir-cache hits.
@@ -131,10 +127,7 @@ zerodev_common::fieldwise_clone!(MemorySide {
     corrupted,
     dir_caches,
     dir_backing,
-    backing,
     sockets,
-    cores,
-    seg_format,
     dir_cache_misses,
     dir_cache_hits,
 });
@@ -160,12 +153,7 @@ impl MemorySide {
                 })
                 .collect(),
             dir_backing: (0..cfg.sockets).map(|_| FlatMap::new()).collect(),
-            backing: cfg.socket_dir,
             sockets: cfg.sockets,
-            cores: cfg.cores,
-            seg_format: cfg
-                .zerodev
-                .map_or(SegmentFormat::FullMap, |z| z.segment_format),
             dir_cache_misses: 0,
             dir_cache_hits: 0,
         }
@@ -208,17 +196,15 @@ impl MemorySide {
     /// when the block already housed a segment of *another* socket — the
     /// case where the home must read-modify-write the memory block
     /// (§III-D, Figure 14 steps (i)–(iii)).
+    ///
+    /// # Panics
+    /// Panics when the entry is dead (tracks no core).
     // lint:consumes(WbDirEntry)
     pub fn house_entry(&mut self, block: BlockAddr, socket: SocketId, entry: DirEntry) -> bool {
-        // The segment stores the configured encoding; imprecise formats
-        // surface as a sharer superset when the entry is read back.
-        let stored = self
-            .seg_format
-            .encode(&entry, self.cores)
-            .decode(self.cores);
+        assert!(!entry.is_dead(), "cannot house a dead entry");
         let cb = self.corrupted.get_or_default(block.0);
         let others = cb.sockets().iter().any(|s| s != socket);
-        cb.set_segment(socket, stored);
+        cb.set_segment(socket, entry);
         others
     }
 
@@ -335,17 +321,10 @@ impl MemorySide {
         let _ = self.dir_caches[h].remove(block.0, |_| true);
     }
 
-    /// Whether a directory-cache miss costs an extra home-memory read. Under
-    /// the DirEvict-bit scheme the entry rides along with the (parallel)
-    /// block read, so no extra access is charged.
-    pub fn miss_needs_memory_read(&self) -> bool {
-        self.backing == SocketDirBacking::MemoryBacked
-    }
-
     /// Serializes the memory side — DRAM timing state, corrupted-block map,
     /// socket-directory caches and backing stores, and the cache counters —
     /// for checkpointing.
-    // lint:allow(snapshot_complete(backing, sockets, cores, seg_format), machine shape and backing/segment policy come from SystemConfig; restore targets a memory side freshly built from it)
+    // lint:allow(snapshot_complete(sockets), machine shape comes from SystemConfig; restore targets a memory side freshly built from it)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.drams.len());
         for d in &self.drams {
@@ -381,7 +360,7 @@ impl MemorySide {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(backing, sockets, cores, seg_format), machine shape and backing/segment policy come from SystemConfig; restore targets a memory side freshly built from it)
+    // lint:allow(snapshot_complete(sockets), machine shape comes from SystemConfig; restore targets a memory side freshly built from it)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -486,6 +465,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "dead entry")]
+    fn housing_dead_entry_panics() {
+        let mut m = mem(2);
+        let dead = DirEntry {
+            state: zerodev_common::DirState::Shared,
+            sharers: Default::default(),
+        };
+        m.house_entry(BlockAddr(1), SocketId(0), dead);
+    }
+
+    #[test]
     #[should_panic(expected = "corrupted")]
     fn rewrite_clean_block_panics() {
         let mut m = mem(2);
@@ -527,7 +517,6 @@ mod tests {
         assert_eq!(l.entry.unwrap().owner(), Some(SocketId(1)));
         assert!(!l.cached);
         assert!(m.dir_cache_misses >= 1);
-        assert!(m.miss_needs_memory_read());
     }
 
     #[test]

@@ -315,11 +315,6 @@ impl Oracle {
         self.txns
     }
 
-    /// The event ring buffer (diagnostics).
-    pub fn event_log(&self) -> &EventLog {
-        &self.log
-    }
-
     /// Serializes the audit state that affects behaviour: the transaction
     /// count (sweep cadence) and the shadow map, in sorted block order so
     /// the image is deterministic. The event ring buffer is diagnostics
@@ -362,7 +357,8 @@ impl Oracle {
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
         self.txns = r.u64("oracle txns")?;
-        let n = r.usize("oracle shadow len")?;
+        // Each block takes at least its address, holder count and owner flag.
+        let n = r.count("oracle shadow len", 8 + 8 + 1)?;
         let mut shadow = FlatMap::with_capacity(n);
         for _ in 0..n {
             let block = BlockAddr(r.u64("oracle shadow block")?);
@@ -571,9 +567,9 @@ impl Oracle {
         let sb = self.entry(i.block);
         let s = i.socket.0 as usize;
         if !sb.holders[s].contains(i.core) {
-            // Imprecise formats (coarse segments, region entries) legally
-            // over-invalidate; the spurious message is acknowledged and
-            // ignored. Under precise tracking it is a protocol bug.
+            // MgD region entries legally over-invalidate; the spurious
+            // message is acknowledged and ignored. Under precise tracking
+            // it is a protocol bug.
             if exact {
                 self.fail(sys, i.block, "invalidation sent to a core holding no copy");
             }
@@ -776,5 +772,22 @@ mod tests {
         let s = format!("{e}");
         assert!(s.contains("s1/c3"), "{s}");
         assert!(s.contains("Coherence"), "{s}");
+    }
+
+    #[test]
+    fn unsnap_rejects_a_shadow_length_the_image_cannot_hold() {
+        use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new(1, 1);
+        w.u64(0); // transactions
+        w.usize(1 << 62); // shadow blocks, none of them present
+        let buf = w.finish();
+        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        let mut oracle = Oracle::new(&SystemConfig::baseline_8core());
+        assert_eq!(
+            oracle.unsnap(&mut r),
+            Err(SnapError::Corrupt {
+                context: "oracle shadow len"
+            })
+        );
     }
 }

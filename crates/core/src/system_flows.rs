@@ -128,7 +128,7 @@ impl System {
             self.stats.msg(MsgClass::SocketCtrl);
         }
         let lookup = self.mem.socket_dir_lookup(home, block);
-        if !lookup.cached && self.mem.miss_needs_memory_read() {
+        if !lookup.cached {
             self.stats.dram_reads += 1;
             *t = self.mem.dram_read(*t, home, block);
         }
@@ -404,7 +404,7 @@ impl System {
         // socket, serving the inter-socket control message above.
         // lint:context(SocketCtrl)
         let lookup = self.mem.socket_dir_lookup(home, block);
-        if !lookup.cached && self.mem.miss_needs_memory_read() {
+        if !lookup.cached {
             // Memory-backed socket directory: the entry read costs a DRAM
             // access (step 1 of Figure 15 on a directory-cache miss).
             self.stats.dram_reads += 1;

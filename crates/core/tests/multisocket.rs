@@ -1,9 +1,7 @@
 //! Directed multi-socket protocol tests (Figures 13–16 of the paper),
 //! driving [`zerodev_core::System`] transaction by transaction.
 
-use zerodev_common::config::{
-    CacheGeometry, DirectoryKind, Ratio, SocketDirBacking, SystemConfig, ZeroDevConfig,
-};
+use zerodev_common::config::{CacheGeometry, DirectoryKind, Ratio, SystemConfig, ZeroDevConfig};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
 use zerodev_core::{EvictKind, Op, System};
 
@@ -214,20 +212,6 @@ fn last_copy_eviction_restores_corrupted_memory() {
         }
     }
     sys.check_invariants();
-}
-
-#[test]
-fn direvict_bit_backing_variant_works() {
-    let mut cfg = small_cfg(4);
-    cfg.socket_dir = SocketDirBacking::DirEvictBit;
-    let mut sys = System::new(cfg).unwrap();
-    let b = BlockAddr(0x40);
-    sys.access(Cycle(0), S0, C0, b, Op::Read);
-    let r = sys.access(Cycle(0), S1, C0, b, Op::Read);
-    assert_eq!(r.grant, MesiState::Shared);
-    // The DirEvict-bit scheme never charges an extra memory read for a
-    // directory-cache miss.
-    assert!(!sys.memory().miss_needs_memory_read());
 }
 
 #[test]

@@ -26,7 +26,6 @@ fn zerodev_nodir(policy: SpillPolicy, repl: LlcReplacement) -> SystemConfig {
         ZeroDevConfig {
             policy,
             llc_replacement: repl,
-            ..Default::default()
         },
         DirectoryKind::None,
     )

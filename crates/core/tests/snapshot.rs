@@ -196,7 +196,6 @@ fn tiny(
             ZeroDevConfig {
                 policy: p,
                 llc_replacement: LlcReplacement::DataLru,
-                ..Default::default()
             },
             dir.unwrap_or(DirectoryKind::None),
         );

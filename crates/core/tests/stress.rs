@@ -64,7 +64,6 @@ fn tiny(
             ZeroDevConfig {
                 policy: p,
                 llc_replacement: LlcReplacement::DataLru,
-                ..Default::default()
             },
             dir.unwrap_or(DirectoryKind::None),
         );
@@ -218,40 +217,4 @@ fn stress_multisocket_baseline() {
     let mut cfg = tiny(None, LlcDesign::NonInclusive, None);
     cfg.sockets = 4;
     stress(cfg, 6000, 11);
-}
-
-#[test]
-fn stress_zerodev_hybrid_segments() {
-    // The limited-pointer/coarse-vector segment format decodes to sharer
-    // supersets; the protocol must stay coherent (spurious invalidations
-    // are harmless).
-    let mut cfg = tiny(
-        Some(SpillPolicy::FusePrivateSpillShared),
-        LlcDesign::NonInclusive,
-        None,
-    );
-    if let Some(zd) = cfg.zerodev.as_mut() {
-        zd.segment_format = zerodev_common::config::SegmentFormat::Hybrid {
-            max_pointers: 1,
-            coarse_bits: 2,
-        };
-    }
-    stress(cfg, 8000, 12);
-}
-
-#[test]
-fn stress_zerodev_hybrid_segments_multisocket() {
-    let mut cfg = tiny(
-        Some(SpillPolicy::FusePrivateSpillShared),
-        LlcDesign::NonInclusive,
-        None,
-    );
-    cfg.sockets = 2;
-    if let Some(zd) = cfg.zerodev.as_mut() {
-        zd.segment_format = zerodev_common::config::SegmentFormat::Hybrid {
-            max_pointers: 2,
-            coarse_bits: 2,
-        };
-    }
-    stress(cfg, 8000, 13);
 }

@@ -7,8 +7,7 @@
 
 use std::fmt;
 use zerodev_common::config::{
-    CacheGeometry, DirectoryKind, LlcDesign, SegmentFormat, SpillPolicy, SystemConfig,
-    ZeroDevConfig,
+    CacheGeometry, DirectoryKind, LlcDesign, SpillPolicy, SystemConfig, ZeroDevConfig,
 };
 use zerodev_common::BlockAddr;
 
@@ -91,7 +90,6 @@ pub fn try_tiny(
     cfg.zerodev = Some(ZeroDevConfig {
         policy,
         llc_replacement: zerodev_common::config::LlcReplacement::Lru,
-        segment_format: SegmentFormat::FullMap,
     });
     // Keep machine snapshots cheap to clone during exploration.
     cfg.socket_dir_cache_sets = 8;

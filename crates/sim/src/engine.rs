@@ -715,11 +715,6 @@ impl PausedRun {
         }
     }
 
-    /// True once every core has retired its reference target.
-    pub fn is_finished(&self) -> bool {
-        self.st.finished == self.sim.cores.len()
-    }
-
     /// References retired so far across all cores (event-loop pops).
     pub fn refs_retired(&self) -> u64 {
         self.st.pops

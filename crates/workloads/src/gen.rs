@@ -18,6 +18,13 @@ pub struct MemRef {
     pub gap: u32,
 }
 
+/// Bytes of one [`MemRef::snap`] image.
+const MEMREF_SNAP_BYTES: usize = 8 + 1 + 1 + 4;
+
+/// Fewest bytes of one [`ThreadGen::snap`] image: an empty spec name, no
+/// replay, region bases, PRNG state, walk/torture cursors and lane.
+const THREADGEN_SNAP_MIN_BYTES: usize = 8 + 1 + 4 * 8 + 4 * 8 + 8 + 8 + 4 + 4;
+
 impl MemRef {
     /// Serializes the reference for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
@@ -270,7 +277,7 @@ impl ThreadGen {
         use zerodev_common::snap::SnapError;
         let name = r.str("threadgen spec name")?.to_string();
         let replay = if r.bool("threadgen replay flag")? {
-            let n = r.usize("threadgen replay len")?;
+            let n = r.count("threadgen replay len", MEMREF_SNAP_BYTES)?;
             if n == 0 {
                 return Err(SnapError::Corrupt {
                     context: "threadgen replay len",
@@ -374,7 +381,7 @@ impl Workload {
                 })
             }
         };
-        let n = r.usize("workload thread count")?;
+        let n = r.count("workload thread count", THREADGEN_SNAP_MIN_BYTES)?;
         let mut threads = Vec::with_capacity(n);
         let mut zs = Samplers::default();
         for _ in 0..n {
@@ -545,6 +552,7 @@ fn hash_name(name: &str) -> u64 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 
     #[test]
     fn deterministic_streams() {
@@ -705,5 +713,67 @@ mod tests {
         let cap = spec.priv_blocks + spec.code_blocks + spec.sro_blocks + spec.srw_blocks;
         assert!(blocks.len() as u64 <= cap);
         assert!(blocks.len() as u64 > cap / 4, "footprint too small");
+    }
+
+    #[test]
+    fn snap_size_bounds_match_the_images() {
+        let mut w = SnapWriter::new(1, 1);
+        let start = w.len();
+        MemRef {
+            block: BlockAddr(9),
+            write: true,
+            code: false,
+            gap: 3,
+        }
+        .snap(&mut w);
+        assert_eq!(w.len() - start, MEMREF_SNAP_BYTES);
+        let g = &multithreaded("vips", 1, 7).unwrap().threads[0];
+        let start = w.len();
+        g.snap(&mut w);
+        assert_eq!(
+            w.len() - start,
+            THREADGEN_SNAP_MIN_BYTES + g.spec.name.len()
+        );
+    }
+
+    /// A workload image whose one replaying thread claims `1 << 62`
+    /// references and holds none.
+    fn image_with_thread_count(threads: usize) -> Vec<u8> {
+        let mut w = SnapWriter::new(1, 1);
+        w.str("w");
+        w.u8(0);
+        w.usize(threads);
+        w.str("t");
+        w.bool(true);
+        w.usize(1 << 62);
+        // Padding, so that one thread passes the thread-count check.
+        for _ in 0..THREADGEN_SNAP_MIN_BYTES {
+            w.u8(0);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn unsnap_rejects_a_thread_count_the_image_cannot_hold() {
+        let buf = image_with_thread_count(1 << 62);
+        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        assert_eq!(
+            Workload::unsnap(&mut r).err(),
+            Some(SnapError::Corrupt {
+                context: "workload thread count"
+            })
+        );
+    }
+
+    #[test]
+    fn unsnap_rejects_a_replay_length_the_image_cannot_hold() {
+        let buf = image_with_thread_count(1);
+        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        assert_eq!(
+            Workload::unsnap(&mut r).err(),
+            Some(SnapError::Corrupt {
+                context: "threadgen replay len"
+            })
+        );
     }
 }

@@ -5,7 +5,8 @@
 #
 # The audit smoke runs every figure harness in quick mode with the
 # coherence-invariant oracle enabled (ZERODEV_AUDIT=1, see DESIGN.md
-# §6.1): any protocol invariant violation aborts the run.
+# §6.1): any protocol invariant violation aborts the run, and the printed
+# tables must equal crates/bench/tests/all_figures_quick.stdout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,8 +39,12 @@ else
 fi
 
 echo "== audited figure smoke (quick profile, oracle on) =="
+# The figure tables on stdout must equal the committed golden byte for
+# byte; the oracle and the sweep thread count leave stdout unchanged.
 ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
-    cargo run --release -p zerodev-bench --bin all_figures >/dev/null
+    cargo run --release -p zerodev-bench --bin all_figures >target/all_figures_quick.stdout ||
+    { cat target/all_figures_quick.stdout; exit 1; }
+diff -u crates/bench/tests/all_figures_quick.stdout target/all_figures_quick.stdout
 
 echo "== fault campaign smoke (quick matrix) =="
 ZERODEV_QUICK=1 \

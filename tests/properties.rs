@@ -257,7 +257,6 @@ fn zerodev_never_devs_under_random_traffic() {
             ZeroDevConfig {
                 policy,
                 llc_replacement: LlcReplacement::DataLru,
-                ..Default::default()
             },
             DirectoryKind::None,
         );
