@@ -185,6 +185,8 @@ impl<V> FlatMap<V> {
                 i = j;
             }
         }
+        // An empty slot's key is 0, so equal maps have equal lanes.
+        self.keys[i] = 0;
         out
     }
 
@@ -222,11 +224,13 @@ impl<V> FlatMap<V> {
         }
     }
 
-    /// Rebuilds a map from a [`FlatMap::snapshot_with`] image.
+    /// Restores a [`FlatMap::snapshot_with`] image into this map, refilling
+    /// its own lanes.
     pub fn restore_with(
+        &mut self,
         r: &mut crate::snap::SnapReader<'_>,
         mut de: impl FnMut(&mut crate::snap::SnapReader<'_>) -> Result<V, crate::snap::SnapError>,
-    ) -> Result<Self, crate::snap::SnapError> {
+    ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
         // Every slot takes at least its one-byte occupancy flag.
         let cap = r.count("flatmap capacity", 1)?;
@@ -242,16 +246,17 @@ impl<V> FlatMap<V> {
                 context: "flatmap shift/len",
             });
         }
-        let mut keys = vec![0u64; cap];
-        let mut vals = Vec::with_capacity(cap);
+        self.keys.clear();
+        self.keys.resize(cap, 0);
+        self.vals.clear();
+        self.vals.resize_with(cap, || None);
+        (self.len, self.shift) = (len, shift);
         let mut occupied = 0usize;
-        for key in keys.iter_mut() {
+        for (key, val) in self.keys.iter_mut().zip(self.vals.iter_mut()) {
             if r.bool("flatmap slot flag")? {
                 *key = r.u64("flatmap key")?;
-                vals.push(Some(de(r)?));
+                *val = Some(de(r)?);
                 occupied += 1;
-            } else {
-                vals.push(None);
             }
         }
         if occupied != len {
@@ -259,12 +264,7 @@ impl<V> FlatMap<V> {
                 context: "flatmap occupancy",
             });
         }
-        Ok(FlatMap {
-            keys,
-            vals,
-            len,
-            shift,
-        })
+        Ok(())
     }
 
     /// Grows the table when one more insertion would pass 7/8 occupancy.
@@ -421,12 +421,42 @@ mod tests {
         w.u32(2);
         let buf = w.finish();
         let mut r = SnapReader::open(&buf, 1, 1).unwrap();
-        let got = FlatMap::<u8>::restore_with(&mut r, |r| r.u8("value"));
+        let got = FlatMap::<u8>::new().restore_with(&mut r, |r| r.u8("value"));
         assert_eq!(
-            got.err(),
-            Some(SnapError::Corrupt {
+            got,
+            Err(SnapError::Corrupt {
                 context: "flatmap capacity"
             })
         );
+    }
+
+    #[test]
+    fn restore_into_a_used_map_equals_a_clone() {
+        use crate::snap::{SnapReader, SnapWriter};
+        let mut m: FlatMap<Vec<u32>> = FlatMap::with_capacity(64);
+        for k in 0..40u64 {
+            m.insert(k * 3, vec![k as u32; k as usize % 3]);
+        }
+        for k in (0..40u64).step_by(3) {
+            m.remove(k * 3);
+        }
+        let mut w = SnapWriter::image();
+        m.snapshot_with(&mut w, |w, v| {
+            w.usize(v.len());
+            v.iter().for_each(|&x| w.u32(x));
+        });
+        let mut other: FlatMap<Vec<u32>> = FlatMap::new();
+        other.insert(5, vec![1]);
+        let mut r = SnapReader::image(w.as_bytes());
+        other
+            .restore_with(&mut r, |r| {
+                let n = r.usize("n")?;
+                (0..n).map(|_| r.u32("x")).collect()
+            })
+            .unwrap();
+        r.expect_end().unwrap();
+        // Removed keys leave no trace in the key lane, so the restored map
+        // is lane for lane the clone.
+        assert_eq!(format!("{other:?}"), format!("{:?}", m.clone()));
     }
 }

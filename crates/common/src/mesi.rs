@@ -24,6 +24,15 @@ pub enum MesiState {
 }
 
 impl MesiState {
+    /// Every state, in the order an image byte indexes
+    /// ([`crate::snap::SnapWriter::variant`]).
+    pub const ALL: [MesiState; 4] = [
+        MesiState::Modified,
+        MesiState::Exclusive,
+        MesiState::Shared,
+        MesiState::Invalid,
+    ];
+
     /// True for M and E: the core is the sole owner and may have or may
     /// silently create dirty data (E upgrades to M without a message).
     #[inline]

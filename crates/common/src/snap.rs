@@ -16,6 +16,16 @@
 //! magic, and version before any field is decoded, so a truncated or
 //! corrupted checkpoint fails with a structured [`SnapError`] instead of
 //! deserializing garbage. All integers are little-endian.
+//!
+//! **In-memory images.** The model checker keeps each state waiting in its
+//! frontier as the same field encoding without header or checksum
+//! ([`SnapWriter::image`], [`SnapReader::image`]): the bytes never leave
+//! the process, and FNV-1a is a serial multiply per byte, paid once to
+//! write and once to read. Such images are mostly zero bytes (counters,
+//! empty sharer sets, high bytes of small integers), so [`pack`] stores
+//! each run of zeros as two bytes and [`unpack`] restores them. The field
+//! writers and readers are `#[inline]`: an image is hundreds of fields,
+//! written and read from other crates.
 
 use std::fmt;
 
@@ -83,6 +93,23 @@ impl SnapWriter {
         w
     }
 
+    /// Starts an in-memory image: no header, and no checksum is ever
+    /// appended. Read it back with [`SnapReader::image`].
+    pub fn image() -> Self {
+        SnapWriter { buf: Vec::new() }
+    }
+
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Empties the writer, header included, keeping its buffer: an image
+    /// writer is reused for the next image this way.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Appends the checksum trailer and returns the finished container.
     pub fn finish(mut self) -> Vec<u8> {
         let sum = fnv1a(&self.buf);
@@ -95,47 +122,56 @@ impl SnapWriter {
         self.buf.len()
     }
 
-    /// True when nothing beyond the header has been written. Present for
-    /// `len`/`is_empty` symmetry; a fresh writer already holds its header.
+    /// True when nothing has been written: only ever for an image writer,
+    /// since a container writer starts with its header.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 
+    #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
+    #[inline]
     pub fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
 
+    #[inline]
     pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// `usize` travels as `u64` (checkpoints must be portable across word
     /// sizes).
+    #[inline]
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
 
     /// `f64` travels as its IEEE-754 bit pattern (exact round-trip).
+    #[inline]
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -150,6 +186,16 @@ impl SnapWriter {
     pub fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
+
+    /// A fieldless enum value, as its index in `all` (every variant, in a
+    /// fixed order). Read it back with [`SnapReader::variant`].
+    ///
+    /// # Panics
+    /// Panics when `v` is not in `all`.
+    pub fn variant<T: PartialEq>(&mut self, all: &[T], v: &T) {
+        let i = all.iter().position(|x| x == v).expect("variant listed");
+        self.u8(u8::try_from(i).expect("at most 256 variants"));
+    }
 }
 
 /// Sequential decoder over a finished container.
@@ -161,6 +207,12 @@ pub struct SnapReader<'a> {
 }
 
 impl<'a> SnapReader<'a> {
+    /// Reads an in-memory image ([`SnapWriter::image`]): nothing to
+    /// verify, so every check is left to the field decoders.
+    pub fn image(bytes: &'a [u8]) -> Self {
+        SnapReader { buf: bytes, pos: 0 }
+    }
+
     /// Verifies length, checksum, magic, and version, then positions the
     /// cursor at the first payload field.
     pub fn open(bytes: &'a [u8], magic: u64, version: u32) -> Result<Self, SnapError> {
@@ -195,6 +247,7 @@ impl<'a> SnapReader<'a> {
         Ok(r)
     }
 
+    #[inline]
     fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], SnapError> {
         let end = self
             .pos
@@ -206,10 +259,12 @@ impl<'a> SnapReader<'a> {
         Ok(out)
     }
 
+    #[inline]
     pub fn u8(&mut self, context: &'static str) -> Result<u8, SnapError> {
         Ok(self.take(1, context)?[0])
     }
 
+    #[inline]
     pub fn bool(&mut self, context: &'static str) -> Result<bool, SnapError> {
         match self.u8(context)? {
             0 => Ok(false),
@@ -218,36 +273,42 @@ impl<'a> SnapReader<'a> {
         }
     }
 
+    #[inline]
     pub fn u16(&mut self, context: &'static str) -> Result<u16, SnapError> {
         Ok(u16::from_le_bytes(
             self.take(2, context)?.try_into().expect("2 bytes"),
         ))
     }
 
+    #[inline]
     pub fn u32(&mut self, context: &'static str) -> Result<u32, SnapError> {
         Ok(u32::from_le_bytes(
             self.take(4, context)?.try_into().expect("4 bytes"),
         ))
     }
 
+    #[inline]
     pub fn u64(&mut self, context: &'static str) -> Result<u64, SnapError> {
         Ok(u64::from_le_bytes(
             self.take(8, context)?.try_into().expect("8 bytes"),
         ))
     }
 
+    #[inline]
     pub fn u128(&mut self, context: &'static str) -> Result<u128, SnapError> {
         Ok(u128::from_le_bytes(
             self.take(16, context)?.try_into().expect("16 bytes"),
         ))
     }
 
+    #[inline]
     pub fn i64(&mut self, context: &'static str) -> Result<i64, SnapError> {
         Ok(i64::from_le_bytes(
             self.take(8, context)?.try_into().expect("8 bytes"),
         ))
     }
 
+    #[inline]
     pub fn usize(&mut self, context: &'static str) -> Result<usize, SnapError> {
         usize::try_from(self.u64(context)?).map_err(|_| SnapError::Corrupt { context })
     }
@@ -268,6 +329,7 @@ impl<'a> SnapReader<'a> {
         Ok(n)
     }
 
+    #[inline]
     pub fn f64(&mut self, context: &'static str) -> Result<f64, SnapError> {
         Ok(f64::from_bits(self.u64(context)?))
     }
@@ -281,6 +343,13 @@ impl<'a> SnapReader<'a> {
         std::str::from_utf8(self.bytes(context)?).map_err(|_| SnapError::Corrupt { context })
     }
 
+    /// A [`SnapWriter::variant`] value: the `all` entry its byte indexes.
+    pub fn variant<T: Copy>(&mut self, all: &[T], context: &'static str) -> Result<T, SnapError> {
+        all.get(usize::from(self.u8(context)?))
+            .copied()
+            .ok_or(SnapError::Corrupt { context })
+    }
+
     /// Asserts every payload byte was consumed — a length drift between
     /// writer and reader is a format bug, not a tolerable leftover.
     pub fn expect_end(&self) -> Result<(), SnapError> {
@@ -292,6 +361,59 @@ impl<'a> SnapReader<'a> {
             })
         }
     }
+}
+
+/// Appends `src` to `out` with every run of zero bytes stored as a zero and
+/// the run's length (1..=255; a longer run takes several such pairs). Other
+/// bytes are copied as they are.
+pub fn pack(src: &[u8], out: &mut Vec<u8>) {
+    let mut i = 0;
+    while let Some(&b) = src.get(i) {
+        if b != 0 {
+            out.push(b);
+            i += 1;
+            continue;
+        }
+        // A zero run, skipped a word at a time where it can be.
+        let (start, end) = (i, src.len().min(i + 255));
+        while i + 8 <= end && u64::from_ne_bytes(src[i..i + 8].try_into().expect("8 bytes")) == 0 {
+            i += 8;
+        }
+        while i < end && src[i] == 0 {
+            i += 1;
+        }
+        out.extend_from_slice(&[0, (i - start) as u8]);
+    }
+}
+
+/// Appends the bytes [`pack`] packed into `src` to `out`.
+///
+/// # Errors
+/// A zero with no length after it is [`SnapError::Truncated`]; a zero run
+/// of length 0 is [`SnapError::Corrupt`].
+pub fn unpack(src: &[u8], out: &mut Vec<u8>) -> Result<(), SnapError> {
+    let mut bytes = src.iter();
+    while let Some(&b) = bytes.next() {
+        if b != 0 {
+            out.push(b);
+            continue;
+        }
+        let run = match bytes.next() {
+            None => {
+                return Err(SnapError::Truncated {
+                    context: "packed zero run",
+                })
+            }
+            Some(0) => {
+                return Err(SnapError::Corrupt {
+                    context: "packed zero run",
+                })
+            }
+            Some(&run) => run,
+        };
+        out.resize(out.len() + usize::from(run), 0);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -396,6 +518,69 @@ mod tests {
         assert_eq!(
             r.count("huge", 8),
             Err(SnapError::Corrupt { context: "huge" })
+        );
+    }
+
+    #[test]
+    fn images_have_no_header_or_checksum() {
+        let mut w = SnapWriter::image();
+        assert!(w.is_empty());
+        w.u16(0xbeef);
+        w.variant(&[7u8, 8, 9], &9);
+        assert_eq!(w.as_bytes(), &[0xef, 0xbe, 2]);
+        let mut r = SnapReader::image(w.as_bytes());
+        assert_eq!(r.u16("a"), Ok(0xbeef));
+        assert_eq!(r.variant(&[7u8, 8, 9], "b"), Ok(9));
+        r.expect_end().unwrap();
+        // A variant byte past the list is corrupt.
+        let mut r = SnapReader::image(&[3]);
+        assert_eq!(
+            r.variant(&[7u8, 8, 9], "c"),
+            Err(SnapError::Corrupt { context: "c" })
+        );
+        // The writer is reused from empty.
+        w.clear();
+        w.u8(5);
+        assert_eq!(w.as_bytes(), &[5]);
+    }
+
+    #[test]
+    fn pack_round_trips_zero_runs_of_every_length() {
+        let zeros = |n: usize| vec![0u8; n];
+        let mut inputs: Vec<Vec<u8>> = vec![Vec::new(), vec![1, 2, 3, 255], vec![9]];
+        for run in [1, 255, 256, 511] {
+            inputs.push(zeros(run));
+            // Leading, trailing and inner runs.
+            inputs.push([zeros(run), vec![7]].concat());
+            inputs.push([vec![7], zeros(run)].concat());
+            inputs.push([vec![1], zeros(run), vec![2], zeros(3)].concat());
+        }
+        for src in inputs {
+            let mut packed = Vec::new();
+            pack(&src, &mut packed);
+            // Each zero run costs two bytes per 255 zeros; no zeros, nothing.
+            let runs: usize = src
+                .split(|&b| b != 0)
+                .filter(|r| !r.is_empty())
+                .map(|r| r.len().div_ceil(255))
+                .sum();
+            let nonzero = src.iter().filter(|&&b| b != 0).count();
+            assert_eq!(packed.len(), nonzero + 2 * runs, "{src:?}");
+            let mut out = vec![42];
+            unpack(&packed, &mut out).unwrap();
+            assert_eq!(out[1..], src[..], "unpack appends");
+        }
+        assert_eq!(
+            unpack(&[5, 0], &mut Vec::new()),
+            Err(SnapError::Truncated {
+                context: "packed zero run"
+            })
+        );
+        assert_eq!(
+            unpack(&[0, 0], &mut Vec::new()),
+            Err(SnapError::Corrupt {
+                context: "packed zero run"
+            })
         );
     }
 

@@ -330,10 +330,7 @@ impl DirStore {
                 }
                 array.restore_with(r, |r, _| DirEntry::unsnap(r))
             }
-            (1, DirStore::Unbounded(map)) => {
-                *map = FlatMap::restore_with(r, DirEntry::unsnap)?;
-                Ok(())
-            }
+            (1, DirStore::Unbounded(map)) => map.restore_with(r, DirEntry::unsnap),
             (2, DirStore::None) => Ok(()),
             (3, DirStore::SecDir(sd)) => sd.unsnap(r),
             (4, DirStore::MultiGrain(mgd)) => mgd.unsnap(r),

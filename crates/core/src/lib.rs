@@ -51,6 +51,6 @@ pub mod system;
 
 pub use directory::{DirEntry, DirStore};
 pub use llc::{LlcBank, LlcLine};
-pub use oracle::{AuditEvent, EventLog, Oracle};
+pub use oracle::Oracle;
 pub use step::{ProtocolEvent, ProtocolHarness, StepViolation};
 pub use system::{AccessResult, EvictKind, InvalReason, Invalidation, Op, StateFault, System};

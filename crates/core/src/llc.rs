@@ -17,6 +17,7 @@
 //! returns.
 
 use crate::directory::DirEntry;
+use std::fmt;
 use zerodev_cache::{Replacement, SetAssoc};
 use zerodev_common::config::LlcReplacement;
 use zerodev_common::ids::SharerSet;
@@ -179,7 +180,6 @@ impl SpillOutcome {
 /// One LLC bank: a set-associative array of line states, the sharer lane
 /// of its entry lines, and a port busy-time used for bank-contention
 /// modelling.
-#[derive(Debug)]
 pub struct LlcBank {
     array: SetAssoc<LineState>,
     /// Per slot of `array`: the [`SharerSet`] bits of the spilled or fused
@@ -201,6 +201,27 @@ zerodev_common::fieldwise_clone!(LlcBank {
     bank_index,
     port_free,
 });
+
+impl fmt::Debug for LlcBank {
+    /// Shows the sharer lane only at entry lines: anywhere else it holds
+    /// whatever an earlier entry left, which neither the bank's behaviour
+    /// nor its image depends on.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut sharers = vec![0u128; self.sharers.len()];
+        for (_, slot, line) in self.array.iter() {
+            if line.holds_entry() {
+                sharers[slot] = self.sharers[slot];
+            }
+        }
+        f.debug_struct("LlcBank")
+            .field("array", &self.array)
+            .field("sharers", &sharers)
+            .field("banks", &self.banks)
+            .field("bank_index", &self.bank_index)
+            .field("port_free", &self.port_free)
+            .finish()
+    }
+}
 
 impl LlcBank {
     /// Creates a bank of `sets × ways` lines. `banks`/`bank_index` describe

@@ -355,12 +355,12 @@ impl MemorySide {
     }
 
     /// Restores a [`MemorySide::snap`] image into this memory side, which
-    /// must have been freshly built from the same configuration.
+    /// must have been built from the same configuration.
     ///
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
-    /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(sockets), machine shape comes from SystemConfig; restore targets a memory side freshly built from it)
+    /// geometry mismatch, a segment housed for a socket the machine does
+    /// not have, or decode error.
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -382,11 +382,17 @@ impl MemorySide {
         for d in self.drams.iter_mut() {
             d.unsnap(r)?;
         }
-        self.corrupted = FlatMap::restore_with(r, |r| {
+        let sockets = self.sockets;
+        self.corrupted.restore_with(r, |r| {
             let n = r.usize("corrupted segment count")?;
             let mut cb = CorruptedBlock::default();
             for _ in 0..n {
                 let sk = SocketId(r.u8("corrupted segment socket")?);
+                if usize::from(sk.0) >= sockets {
+                    return Err(SnapError::Corrupt {
+                        context: "corrupted segment socket",
+                    });
+                }
                 cb.segments.push((sk, DirEntry::unsnap(r)?));
             }
             Ok(cb)
@@ -400,7 +406,7 @@ impl MemorySide {
             c.restore_with(r, |r, _| socket_entry(r))?;
         }
         for b in self.dir_backing.iter_mut() {
-            *b = FlatMap::restore_with(r, socket_entry)?;
+            b.restore_with(r, socket_entry)?;
         }
         self.dir_cache_misses = r.u64("memdir dir_cache_misses")?;
         self.dir_cache_hits = r.u64("memdir dir_cache_hits")?;
@@ -541,6 +547,33 @@ mod tests {
         m.dram_write(Cycle(0), SocketId(0), BlockAddr(8));
         let (r, w) = m.dram_counts();
         assert_eq!((r, w), (1, 1));
+    }
+
+    /// A segment naming a socket the machine does not have is rejected on
+    /// restore: its id would later overflow a `SocketSet` shift.
+    #[test]
+    fn unsnap_rejects_a_segment_socket_past_the_machine() {
+        use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
+        let b = BlockAddr(0x40);
+        let image = |socket: u8| {
+            let mut m = mem(2);
+            m.house_entry(b, SocketId(1), DirEntry::owned(CoreId(0)));
+            m.corrupted.get_mut(b.0).unwrap().segments[0].0 = SocketId(socket);
+            let mut w = SnapWriter::new(1, 1);
+            m.snap(&mut w);
+            w.finish()
+        };
+        let restore = |buf: &[u8]| {
+            let mut r = SnapReader::open(buf, 1, 1).expect("checksum-valid image");
+            mem(2).unsnap(&mut r)
+        };
+        assert_eq!(restore(&image(1)), Ok(()));
+        assert_eq!(
+            restore(&image(40)),
+            Err(SnapError::Corrupt {
+                context: "corrupted segment socket"
+            })
+        );
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //!   message-byte totals and the spilled-lines gauge stay consistent.
 //!
 //! On violation the oracle panics with the offending block's full state and
-//! the last [`EventLog::capacity`] protocol events from a bounded ring
-//! buffer, which is also usable standalone for debugging.
+//! the last 64 protocol events from a bounded ring, which the oracle's
+//! image carries so a restored machine dumps the same events.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -45,6 +45,7 @@ use crate::system::{Downgrade, EvictKind, InvalReason, Invalidation, Op, System}
 use zerodev_common::config::SystemConfig;
 use zerodev_common::ids::SharerSet;
 use zerodev_common::msg::ALL_CLASSES;
+use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::FlatMap;
 use zerodev_common::{BlockAddr, CoreId, MesiState, SocketId, Stats};
 
@@ -54,7 +55,7 @@ use zerodev_common::{BlockAddr, CoreId, MesiState, SocketId, Stats};
 
 /// One observable protocol event, as recorded by the oracle's ring buffer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum AuditEvent {
+pub(crate) enum AuditEvent {
     /// An uncore transaction completed with this grant.
     Access {
         /// Requesting socket.
@@ -159,11 +160,109 @@ impl fmt::Display for AuditEvent {
     }
 }
 
-/// A bounded ring buffer of the most recent protocol events. The oracle
-/// dumps it on every violation; it is also usable standalone as a cheap
-/// protocol tracer.
-#[derive(Debug, Default)]
-pub struct EventLog {
+/// Every [`Op`], [`EvictKind`] and [`InvalReason`], in the order their
+/// image bytes index.
+const OPS: [Op; 4] = [Op::Read, Op::CodeRead, Op::ReadExclusive, Op::Upgrade];
+const EVICT_KINDS: [EvictKind; 3] = [
+    EvictKind::CleanShared,
+    EvictKind::CleanExclusive,
+    EvictKind::Dirty,
+];
+const INVAL_REASONS: [InvalReason; 3] = [
+    InvalReason::Dev,
+    InvalReason::Inclusion,
+    InvalReason::Coherence,
+];
+
+impl AuditEvent {
+    /// Writes the event: its variant tag, agent and block (core 0 for the
+    /// socket-level writebacks), then the variant's other fields.
+    fn snap(&self, w: &mut SnapWriter) {
+        let (tag, socket, core, block) = match *self {
+            AuditEvent::Access {
+                socket,
+                core,
+                block,
+                ..
+            } => (0, socket, core, block),
+            AuditEvent::Evict {
+                socket,
+                core,
+                block,
+                ..
+            } => (1, socket, core, block),
+            AuditEvent::Invalidate(i) => (2, i.socket, i.core, i.block),
+            AuditEvent::Downgrade(d) => (3, d.socket, d.core, d.block),
+            AuditEvent::SharingWriteback { socket, block } => (4, socket, CoreId(0), block),
+            AuditEvent::DevRecall { socket, block } => (5, socket, CoreId(0), block),
+            AuditEvent::InclusionWriteback { socket, block } => (6, socket, CoreId(0), block),
+        };
+        w.u8(tag);
+        w.u8(socket.0);
+        w.u16(core.0);
+        w.u64(block.0);
+        match *self {
+            AuditEvent::Access { op, grant, .. } => {
+                w.variant(&OPS, &op);
+                w.variant(&MesiState::ALL, &grant);
+            }
+            AuditEvent::Evict { kind, stale, .. } => {
+                w.variant(&EVICT_KINDS, &kind);
+                w.bool(stale);
+            }
+            AuditEvent::Invalidate(i) => w.variant(&INVAL_REASONS, &i.reason),
+            _ => {}
+        }
+    }
+
+    /// Decodes an [`AuditEvent::snap`] image.
+    fn unsnap(r: &mut SnapReader<'_>) -> Result<AuditEvent, SnapError> {
+        let tag = r.u8("audit event tag")?;
+        let socket = SocketId(r.u8("audit event socket")?);
+        let core = CoreId(r.u16("audit event core")?);
+        let block = BlockAddr(r.u64("audit event block")?);
+        Ok(match tag {
+            0 => AuditEvent::Access {
+                socket,
+                core,
+                block,
+                op: r.variant(&OPS, "audit event op")?,
+                grant: r.variant(&MesiState::ALL, "audit event grant")?,
+            },
+            1 => AuditEvent::Evict {
+                socket,
+                core,
+                block,
+                kind: r.variant(&EVICT_KINDS, "audit event evict kind")?,
+                stale: r.bool("audit event stale")?,
+            },
+            2 => AuditEvent::Invalidate(Invalidation {
+                socket,
+                core,
+                block,
+                reason: r.variant(&INVAL_REASONS, "audit event reason")?,
+            }),
+            3 => AuditEvent::Downgrade(Downgrade {
+                socket,
+                core,
+                block,
+            }),
+            4 => AuditEvent::SharingWriteback { socket, block },
+            5 => AuditEvent::DevRecall { socket, block },
+            6 => AuditEvent::InclusionWriteback { socket, block },
+            _ => {
+                return Err(SnapError::Corrupt {
+                    context: "audit event tag",
+                })
+            }
+        })
+    }
+}
+
+/// A bounded ring buffer of the most recent protocol events, which the
+/// oracle dumps on every violation.
+#[derive(Debug)]
+pub(crate) struct EventLog {
     buf: std::collections::VecDeque<AuditEvent>,
     cap: usize,
 }
@@ -172,49 +271,53 @@ zerodev_common::fieldwise_clone!(EventLog { buf, cap });
 
 impl EventLog {
     /// Creates a log keeping the most recent `cap` events.
-    pub fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         EventLog {
             buf: std::collections::VecDeque::with_capacity(cap.max(1)),
             cap: cap.max(1),
         }
     }
 
-    /// Maximum number of events retained.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Records an event, dropping the oldest once full.
-    pub fn push(&mut self, e: AuditEvent) {
+    fn push(&mut self, e: AuditEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
         }
         self.buf.push_back(e);
     }
 
-    /// Iterates the retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &AuditEvent> {
-        self.buf.iter()
-    }
-
     /// Renders the retained events, oldest first, one per line.
-    pub fn dump(&self) -> String {
+    fn dump(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "last {} protocol events (oldest first):", self.len());
-        for e in self.iter() {
+        let _ = writeln!(s, "last {} protocol events (oldest first):", self.buf.len());
+        for e in &self.buf {
             let _ = writeln!(s, "  {e}");
         }
         s
+    }
+
+    /// Writes the retained events, oldest first.
+    // lint:allow(snapshot_complete(cap), the depth is the oracle's constant; restore rejects an image holding more events)
+    fn snap(&self, w: &mut SnapWriter) {
+        w.usize(self.buf.len());
+        for e in &self.buf {
+            e.snap(w);
+        }
+    }
+
+    /// Restores an [`EventLog::snap`] image into this log.
+    fn unsnap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.usize("oracle event count")?;
+        if n > self.cap {
+            return Err(SnapError::Corrupt {
+                context: "oracle event count",
+            });
+        }
+        self.buf.clear();
+        for _ in 0..n {
+            self.buf.push_back(AuditEvent::unsnap(r)?);
+        }
+        Ok(())
     }
 }
 
@@ -245,8 +348,8 @@ impl ShadowBlock {
 
 /// Per-transaction counter snapshot, taken at the top of `System::access`
 /// so the delta checks survive the post-warmup stats reset.
-#[derive(Clone, Copy, Default, Debug)]
-struct StatsSnap {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StatsSnap {
     core_cache_misses: u64,
     upgrades: u64,
     llc_hits: u64,
@@ -254,7 +357,7 @@ struct StatsSnap {
 }
 
 impl StatsSnap {
-    fn of(stats: &Stats) -> Self {
+    pub(crate) fn of(stats: &Stats) -> Self {
         StatsSnap {
             core_cache_misses: stats.core_cache_misses,
             upgrades: stats.upgrades,
@@ -285,7 +388,6 @@ pub struct Oracle {
     shadow: FlatMap<ShadowBlock>,
     log: EventLog,
     txns: u64,
-    snap: StatsSnap,
 }
 
 zerodev_common::fieldwise_clone!(Oracle {
@@ -294,7 +396,6 @@ zerodev_common::fieldwise_clone!(Oracle {
     shadow,
     log,
     txns,
-    snap,
 });
 
 impl Oracle {
@@ -306,7 +407,6 @@ impl Oracle {
             shadow: FlatMap::new(),
             log: EventLog::new(LOG_DEPTH),
             txns: 0,
-            snap: StatsSnap::default(),
         }
     }
 
@@ -315,22 +415,13 @@ impl Oracle {
         self.txns
     }
 
-    /// Serializes the audit state that affects behaviour: the transaction
-    /// count (sweep cadence) and the shadow map, in sorted block order so
-    /// the image is deterministic. The event ring buffer is diagnostics
-    /// only and restores empty; the per-transaction stats snapshot is never
-    /// live between transactions and restores to its default.
-    // lint:allow(snapshot_complete(sockets, zerodev), audit mode flags are config-derived; restore targets an oracle freshly built from the same configuration)
-    // lint:allow(snapshot_complete(log, snap), the event ring is diagnostics-only and restores empty; the per-transaction stats snapshot is never live between transactions)
-    pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
+    /// Serializes the audit state: the transaction count (sweep cadence),
+    /// the shadow map lane-exact and the event ring, so a restored oracle
+    /// equals its clone and dumps the same events on a violation.
+    // lint:allow(snapshot_complete(sockets, zerodev), audit mode flags are config-derived; restore targets an oracle built from the same configuration)
+    pub fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.txns);
-        let mut blocks: Vec<BlockAddr> = self.shadow.iter().map(|(k, _)| BlockAddr(k)).collect();
-        blocks.sort_unstable();
-        w.usize(blocks.len());
-        for b in blocks {
-            w.u64(b.0);
-            let sb = self.shadow.get(b.0).expect("listed key");
-            w.usize(sb.holders.len());
+        self.shadow.snapshot_with(w, |w, sb| {
             for h in &sb.holders {
                 w.u128(h.0);
             }
@@ -342,64 +433,49 @@ impl Oracle {
                 }
                 None => w.bool(false),
             }
-        }
+        });
+        self.log.snap(w);
     }
 
     /// Restores an [`Oracle::snap`] image into this oracle, which must have
-    /// been freshly built for the same configuration ([`Oracle::new`]).
+    /// been built for the same configuration ([`Oracle::new`]).
     ///
     /// # Errors
-    /// Fails with a structural [`zerodev_common::snap::SnapError`] on
-    /// decode error or a holder vector sized for a different socket count.
-    pub fn unsnap(
-        &mut self,
-        r: &mut zerodev_common::snap::SnapReader<'_>,
-    ) -> Result<(), zerodev_common::snap::SnapError> {
-        use zerodev_common::snap::SnapError;
+    /// Fails with a structural [`SnapError`] on decode error or an owner
+    /// outside the machine.
+    // lint:allow(snapshot_complete(zerodev), an audit mode flag derived from the configuration; restore targets an oracle built from it)
+    pub fn unsnap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.txns = r.u64("oracle txns")?;
-        // Each block takes at least its address, holder count and owner flag.
-        let n = r.count("oracle shadow len", 8 + 8 + 1)?;
-        let mut shadow = FlatMap::with_capacity(n);
-        for _ in 0..n {
-            let block = BlockAddr(r.u64("oracle shadow block")?);
-            let holders_len = r.usize("oracle holders len")?;
-            if holders_len != self.sockets {
-                return Err(SnapError::Corrupt {
-                    context: "oracle holders len",
-                });
-            }
-            let mut holders = Vec::with_capacity(holders_len);
-            for _ in 0..holders_len {
-                holders.push(SharerSet(r.u128("oracle holder set")?));
-            }
+        let sockets = self.sockets;
+        self.shadow.restore_with(r, |r| {
+            let holders = (0..sockets)
+                .map(|_| r.u128("oracle holder set").map(SharerSet))
+                .collect::<Result<_, _>>()?;
             let owner = if r.bool("oracle owner flag")? {
-                Some((
-                    SocketId(r.u8("oracle owner socket")?),
-                    CoreId(r.u16("oracle owner core")?),
-                ))
+                let (s, c) = (r.u8("oracle owner socket")?, r.u16("oracle owner core")?);
+                if usize::from(s) >= sockets || u32::from(c) >= u128::BITS {
+                    return Err(SnapError::Corrupt {
+                        context: "oracle owner",
+                    });
+                }
+                Some((SocketId(s), CoreId(c)))
             } else {
                 None
             };
-            shadow.insert(block.0, ShadowBlock { holders, owner });
-        }
-        self.shadow = shadow;
-        self.log = EventLog::new(LOG_DEPTH);
-        self.snap = StatsSnap::default();
-        Ok(())
+            Ok(ShadowBlock { holders, owner })
+        })?;
+        self.log.unsnap(r)
     }
 
     // -- hooks ------------------------------------------------------------
 
-    /// Called at the top of `System::access`, before any counter moves.
-    pub(crate) fn begin_access(&mut self, stats: &Stats) {
-        self.snap = StatsSnap::of(stats);
-    }
-
-    /// Called at the end of `System::access` with the transaction outcome.
+    /// Called at the end of `System::access` with the transaction outcome
+    /// and the counters `before` it.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn after_access(
         &mut self,
         sys: &System,
+        before: StatsSnap,
         socket: SocketId,
         core: CoreId,
         block: BlockAddr,
@@ -443,7 +519,7 @@ impl Oracle {
             grant,
         });
 
-        self.check_access_stat_deltas(sys, block, op);
+        self.check_access_stat_deltas(sys, before, block, op);
         self.check_block(sys, block);
         for i in invals {
             if i.block != block {
@@ -583,10 +659,10 @@ impl Oracle {
 
     // -- checks -----------------------------------------------------------
 
-    fn check_access_stat_deltas(&mut self, sys: &System, block: BlockAddr, op: Op) {
+    fn check_access_stat_deltas(&self, sys: &System, before: StatsSnap, block: BlockAddr, op: Op) {
         let stats = &sys.stats;
-        let d_miss = stats.core_cache_misses - self.snap.core_cache_misses;
-        let d_upg = stats.upgrades - self.snap.upgrades;
+        let d_miss = stats.core_cache_misses - before.core_cache_misses;
+        let d_upg = stats.upgrades - before.upgrades;
         if d_miss + d_upg != 1 {
             self.fail(
                 sys,
@@ -597,8 +673,7 @@ impl Oracle {
         if (op == Op::Upgrade) != (d_upg == 1) {
             self.fail(sys, block, "access counted under the wrong class");
         }
-        let d_llc =
-            (stats.llc_hits - self.snap.llc_hits) + (stats.llc_misses - self.snap.llc_misses);
+        let d_llc = (stats.llc_hits - before.llc_hits) + (stats.llc_misses - before.llc_misses);
         if d_llc > 1 {
             self.fail(sys, block, "one access counted more than one LLC hit/miss");
         }
@@ -748,9 +823,8 @@ mod tests {
                 block: BlockAddr(i),
             });
         }
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.capacity(), 4);
         let blocks: Vec<u64> = log
+            .buf
             .iter()
             .map(|e| match e {
                 AuditEvent::SharingWriteback { block, .. } => block.0,
@@ -775,18 +849,71 @@ mod tests {
     }
 
     #[test]
-    fn unsnap_rejects_a_shadow_length_the_image_cannot_hold() {
-        use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
-        let mut w = SnapWriter::new(1, 1);
+    fn unsnap_rejects_a_shadow_capacity_the_image_cannot_hold() {
+        let mut w = SnapWriter::image();
         w.u64(0); // transactions
-        w.usize(1 << 62); // shadow blocks, none of them present
-        let buf = w.finish();
-        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        w.usize(1 << 62); // shadow slots, none of them present
         let mut oracle = Oracle::new(&SystemConfig::baseline_8core());
         assert_eq!(
-            oracle.unsnap(&mut r),
+            oracle.unsnap(&mut SnapReader::image(w.as_bytes())),
             Err(SnapError::Corrupt {
-                context: "oracle shadow len"
+                context: "flatmap capacity"
+            })
+        );
+    }
+
+    #[test]
+    fn every_event_kind_round_trips_through_the_ring_image() {
+        let (socket, core, block) = (SocketId(1), CoreId(3), BlockAddr(0x40));
+        let mut log = EventLog::new(LOG_DEPTH);
+        for (op, grant) in OPS.into_iter().zip(MesiState::ALL) {
+            log.push(AuditEvent::Access {
+                socket,
+                core,
+                block,
+                op,
+                grant,
+            });
+        }
+        for (kind, stale) in EVICT_KINDS.into_iter().zip([true, false, true]) {
+            log.push(AuditEvent::Evict {
+                socket,
+                core,
+                block,
+                kind,
+                stale,
+            });
+        }
+        for reason in INVAL_REASONS {
+            log.push(AuditEvent::Invalidate(Invalidation {
+                socket,
+                core,
+                block,
+                reason,
+            }));
+        }
+        log.push(AuditEvent::Downgrade(Downgrade {
+            socket,
+            core,
+            block,
+        }));
+        log.push(AuditEvent::SharingWriteback { socket, block });
+        log.push(AuditEvent::DevRecall { socket, block });
+        log.push(AuditEvent::InclusionWriteback { socket, block });
+        let mut w = SnapWriter::image();
+        log.snap(&mut w);
+        let mut back = EventLog::new(LOG_DEPTH);
+        back.push(AuditEvent::DevRecall { socket, block });
+        let mut r = SnapReader::image(w.as_bytes());
+        back.unsnap(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(back.buf, log.buf);
+        // A ring deeper than the log's own is corrupt.
+        let mut small = EventLog::new(4);
+        assert_eq!(
+            small.unsnap(&mut SnapReader::image(w.as_bytes())),
+            Err(SnapError::Corrupt {
+                context: "oracle event count"
             })
         );
     }

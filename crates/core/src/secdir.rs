@@ -291,13 +291,14 @@ impl SecDir {
                 })
             })?;
         }
-        self.index = FlatMap::restore_with(r, |r| match r.u8("secdir residency")? {
-            0 => Ok(Residency::Shared),
-            1 => Ok(Residency::Private),
-            _ => Err(SnapError::Corrupt {
-                context: "secdir residency",
-            }),
-        })?;
+        self.index
+            .restore_with(r, |r| match r.u8("secdir residency")? {
+                0 => Ok(Residency::Shared),
+                1 => Ok(Residency::Private),
+                _ => Err(SnapError::Corrupt {
+                    context: "secdir residency",
+                }),
+            })?;
         self.private_evictions = r.u64("secdir private_evictions")?;
         self.migrations = r.u64("secdir migrations")?;
         Ok(())

@@ -35,6 +35,7 @@ use std::fmt;
 use zerodev_common::config::{ConfigError, SystemConfig};
 use zerodev_common::ids::SharerSet;
 use zerodev_common::protocol::{EvictKind, InvalReason, Op};
+use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
 
 /// One atomic transition of the abstracted system.
@@ -205,7 +206,9 @@ impl Observation {
 /// The concrete machine plus the abstract per-core shadow states and the
 /// symbolic value model — everything one reachable state consists of.
 /// `clone_from` copies a state into the target's own buffers, so the
-/// model checker builds every successor in one reused harness.
+/// model checker builds every successor in one reused harness; `snap` and
+/// `unsnap` turn a state into an image and back, so its frontier holds
+/// bytes rather than machines.
 #[derive(Debug)]
 pub struct ProtocolHarness {
     sys: System,
@@ -311,6 +314,43 @@ impl ProtocolHarness {
     /// The write token of one block (canonical-state extraction).
     pub fn token(&self, block: BlockAddr) -> WriteToken {
         *self.tokens.get(self.bidx(block)).expect("token in range")
+    }
+
+    /// Writes the state as an image: the machine ([`System::snap`]), then
+    /// every shadow MESI state and every write token. Restoring it with
+    /// [`Self::unsnap`] into a harness of the same configuration gives a
+    /// harness equal to this one's clone.
+    // lint:allow(snapshot_complete(blocks, sockets, cores), the machine's shape and block set, given at construction; the shadow and token lengths follow from them)
+    pub fn snap(&self, w: &mut SnapWriter) {
+        self.sys.snap(w);
+        for st in &self.shadow {
+            w.variant(&MesiState::ALL, st);
+        }
+        for t in &self.tokens {
+            w.u128(t.cores);
+            w.u32(t.llc);
+            w.bool(t.mem);
+        }
+    }
+
+    /// Restores a [`Self::snap`] image into this harness, which must have
+    /// been built with the same configuration and blocks.
+    ///
+    /// # Errors
+    /// Fails with a structural [`SnapError`] on a configuration mismatch or
+    /// a corrupt or truncated image; the harness must then be discarded.
+    // lint:allow(snapshot_complete(blocks, sockets, cores), the machine's shape and block set, given at construction; the shadow and token lengths follow from them)
+    pub fn unsnap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.sys.unsnap(r)?;
+        for st in self.shadow.iter_mut() {
+            *st = r.variant(&MesiState::ALL, "harness shadow state")?;
+        }
+        for t in self.tokens.iter_mut() {
+            t.cores = r.u128("harness token cores")?;
+            t.llc = r.u32("harness token llc")?;
+            t.mem = r.bool("harness token mem")?;
+        }
+        Ok(())
     }
 
     /// True when every shadow copy is Invalid — the drain target for the

@@ -30,6 +30,7 @@
 use crate::directory::{AllocOutcome, DirEntry, DirStore, EvictedEntry};
 use crate::llc::{LlcBank, LlcLine, SpillOutcome};
 use crate::memdir::{MemorySide, SocketDirEntry};
+use std::sync::OnceLock;
 use zerodev_common::config::{
     ConfigError, LlcDesign, LlcReplacement, SpillPolicy, SystemConfig, ZeroDevConfig,
 };
@@ -104,6 +105,10 @@ zerodev_common::fieldwise_clone!(Socket { banks, dir, topo });
 #[derive(Debug)]
 pub struct System {
     cfg: SystemConfig,
+    /// `cfg.fingerprint()`, which every image carries, computed on the
+    /// first `snap` or `unsnap`: formatting and hashing the configuration
+    /// takes microseconds, and a machine that is never imaged skips it.
+    fingerprint: OnceLock<u64>,
     /// `cfg.llc_banks`: a block's home bank is its address modulo this.
     home_banks: Divisor,
     sockets: Vec<Socket>,
@@ -117,6 +122,7 @@ pub struct System {
 
 zerodev_common::fieldwise_clone!(System {
     cfg,
+    fingerprint,
     home_banks,
     sockets,
     mem,
@@ -144,6 +150,7 @@ impl System {
         let mem = MemorySide::new(&cfg);
         Ok(System {
             home_banks: Divisor::new(cfg.llc_banks as u64),
+            fingerprint: OnceLock::new(),
             cfg,
             sockets,
             mem,
@@ -184,7 +191,7 @@ impl System {
     /// ([`System::inject_state_fault`]) iterates identically after restore.
     // lint:allow(snapshot_complete(home_banks), derived from the configuration, whose fingerprint the image carries)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.cfg.fingerprint());
+        w.u64(self.fingerprint());
         self.stats.snap(w);
         w.usize(self.sockets.len());
         for s in &self.sockets {
@@ -204,6 +211,12 @@ impl System {
         }
     }
 
+    /// The configuration's fingerprint ([`SystemConfig::fingerprint`]),
+    /// computed once per machine.
+    fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| self.cfg.fingerprint())
+    }
+
     /// Restores a [`System::snap`] image into this machine, which must have
     /// been freshly built ([`System::new`]) from the same configuration.
     /// The audit oracle is attached or detached to match the image.
@@ -216,7 +229,7 @@ impl System {
         r: &mut zerodev_common::snap::SnapReader<'_>,
     ) -> Result<(), zerodev_common::snap::SnapError> {
         use zerodev_common::snap::SnapError;
-        if r.u64("system config fingerprint")? != self.cfg.fingerprint() {
+        if r.u64("system config fingerprint")? != self.fingerprint() {
             return Err(SnapError::Corrupt {
                 context: "system config fingerprint",
             });
@@ -1052,9 +1065,10 @@ impl System {
     ) -> (u64, MesiState) {
         let s = socket.0 as usize;
         let bank = self.bank_of(block);
-        if let Some(o) = self.oracle.as_mut() {
-            o.begin_access(&self.stats);
-        }
+        let before = self
+            .oracle
+            .is_some()
+            .then(|| crate::oracle::StatsSnap::of(&self.stats));
         if op == Op::Upgrade {
             self.stats.upgrades += 1;
         } else {
@@ -1300,11 +1314,12 @@ impl System {
             }
         }
 
-        if self.oracle.is_some() {
+        if let Some(before) = before {
             // Take/put-back so the oracle can read the whole system state.
-            let mut o = self.oracle.take().expect("checked above");
+            let mut o = self.oracle.take().expect("audit is on");
             o.after_access(
                 self,
+                before,
                 socket,
                 core,
                 block,

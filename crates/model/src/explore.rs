@@ -1,15 +1,20 @@
 //! Breadth-first exploration of the reachable state graph.
 //!
 //! BFS from the quiescent initial state with hashed-state dedup over the
-//! canonical (symmetry-reduced) encoding. Concrete machines are kept only
-//! for frontier states — visited states store just their canonical key and
-//! a parent link, so memory scales with the frontier, not the graph.
+//! canonical (symmetry-reduced) encoding. Visited states store just their
+//! canonical key, a parent link and their successor ids. A frontier state
+//! is stored as its image ([`ProtocolHarness::snap`]) with the runs of zero
+//! bytes packed ([`zerodev_common::snap::pack`]): a few hundred bytes where
+//! a whole machine takes several kilobytes. The search holds two concrete
+//! machines: the state being expanded, restored from its image when it
+//! leaves the queue, and the scratch harness its successors are built in.
 //!
 //! Building and keying a successor reuses buffers instead of allocating:
-//! every successor is built in one scratch harness (`clone_from`, which
+//! every successor is built in the scratch harness (`clone_from`, which
 //! refills its buffers), its key in one `KeyEncoder`, and the visited map
 //! is probed with the key as a slice. Only a newly discovered state is
-//! cloned into the frontier and its key copied into the map.
+//! imaged into the frontier (written and packed in reused buffers, then
+//! copied into an exact-size one) and its key copied into the map.
 //!
 //! **Symmetric successors.** Two cores of one socket with equal signatures
 //! (the per-core columns the key sorts by) are interchangeable: swapping
@@ -54,6 +59,7 @@ use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
+use zerodev_common::snap::{self, SnapReader, SnapWriter};
 use zerodev_common::CoreId;
 use zerodev_core::step::{ProtocolEvent, ProtocolHarness};
 use zerodev_core::StepViolation;
@@ -318,13 +324,59 @@ fn reissued(ev: ProtocolEvent, core: CoreId) -> ProtocolEvent {
     }
 }
 
-/// A state waiting to be expanded, with its id, depth, and each global
-/// core's representative (`KeyEncoder::representatives`).
+/// A state waiting to be expanded: its packed image ([`Images::pack`]), id,
+/// depth, and each global core's representative
+/// (`KeyEncoder::representatives`).
 struct Frontier {
-    h: ProtocolHarness,
+    img: Vec<u8>,
     id: u32,
     depth: u32,
     reps: Vec<u8>,
+}
+
+/// The reused buffers that turn a harness into a frontier image and back.
+struct Images {
+    /// The image being written.
+    w: SnapWriter,
+    /// The image being packed.
+    packed: Vec<u8>,
+    /// The image being unpacked.
+    raw: Vec<u8>,
+}
+
+impl Images {
+    fn new() -> Self {
+        Images {
+            w: SnapWriter::image(),
+            packed: Vec::new(),
+            raw: Vec::new(),
+        }
+    }
+
+    /// `h`'s image with its zero runs packed, in an exact-size buffer.
+    fn pack(&mut self, h: &ProtocolHarness) -> Vec<u8> {
+        self.w.clear();
+        h.snap(&mut self.w);
+        self.packed.clear();
+        snap::pack(self.w.as_bytes(), &mut self.packed);
+        self.packed.to_vec()
+    }
+
+    /// Restores a [`Self::pack`] image into `h`.
+    ///
+    /// # Panics
+    /// Panics when the image does not restore: every image was written by
+    /// this process from a harness of `h`'s configuration.
+    fn restore(&mut self, img: &[u8], h: &mut ProtocolHarness) {
+        self.raw.clear();
+        snap::unpack(img, &mut self.raw)
+            .and_then(|()| {
+                let mut r = SnapReader::image(&self.raw);
+                h.unsnap(&mut r)?;
+                r.expect_end()
+            })
+            .unwrap_or_else(|e| panic!("a frontier image restores: {e}"));
+    }
 }
 
 /// Exhaustively explores `mc` under `limits`.
@@ -338,22 +390,24 @@ pub fn explore(mc: &ModelConfig, limits: &Limits) -> Exploration {
 
 /// The breadth-first search of [`explore`], up to its first violation.
 fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
-    let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
+    // The state being expanded, restored from each frontier image in turn.
+    let mut h = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
         .expect("model configuration validates");
-    let cores = h0.cores();
+    let cores = h.cores();
     let mut keys = KeyEncoder::default();
     let mut graph = Graph::default();
-    graph.add(keys.key(&h0), None, h0.is_quiescent());
+    graph.add(keys.key(&h), None, h.is_quiescent());
     let mut reps = Vec::new();
     keys.representatives(&mut reps);
     // The initial state is checked like every state first reached.
-    if let Err(message) = caught(|| h0.check()) {
+    if let Err(message) = caught(|| h.check()) {
         return graph.fail(message, None);
     }
     // Every successor is built here before its key says whether it is new.
-    let mut next = h0.clone();
+    let mut next = h.clone();
+    let mut images = Images::new();
     let mut queue = VecDeque::from([Frontier {
-        h: h0,
+        img: images.pack(&h),
         id: 0,
         depth: 0,
         reps,
@@ -361,11 +415,18 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
     // Per global core: the index of its first event in the state expanded.
     let mut first = Vec::new();
 
-    while let Some(Frontier { h, id, depth, reps }) = queue.pop_front() {
+    while let Some(Frontier {
+        img,
+        id,
+        depth,
+        reps,
+    }) = queue.pop_front()
+    {
         if depth as usize >= limits.max_depth {
             graph.truncated = true;
             continue;
         }
+        images.restore(&img, &mut h);
         let events = h.enabled_events();
         first.clear();
         first.resize(reps.len(), 0);
@@ -402,7 +463,7 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
                             let mut reps = Vec::with_capacity(first.len());
                             keys.representatives(&mut reps);
                             queue.push_back(Frontier {
-                                h: next.clone(),
+                                img: images.pack(&next),
                                 id: nid,
                                 depth: depth + 1,
                                 reps,
@@ -604,6 +665,110 @@ mod tests {
                 .count();
             assert!(caught > 0, "{m:?} caught on no hunt machine");
         }
+    }
+
+    /// Every state `mc` reaches, in BFS order, as concrete harnesses.
+    fn reachable_states(mc: &ModelConfig) -> Vec<ProtocolHarness> {
+        let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
+            .expect("tiny machines validate");
+        let mut keys = KeyEncoder::default();
+        let mut visited = HashSet::from([keys.key(&h0).to_vec()]);
+        let mut states = vec![h0];
+        let mut i = 0;
+        while let Some(h) = states.get(i) {
+            let mut found = Vec::new();
+            for ev in h.enabled_events() {
+                let mut next = h.clone();
+                apply_caught(&mut next, ev).unwrap_or_else(|v| panic!("{}: {ev}: {v}", mc.name));
+                if visited.insert(keys.key(&next).to_vec()) {
+                    found.push(next);
+                }
+            }
+            states.extend(found);
+            i += 1;
+        }
+        states
+    }
+
+    /// The frontier's image round trip, on every state of the 19 `mc`
+    /// machines and of the 4-core machine: restored into a harness that
+    /// held the previous state, an image gives a harness equal to the
+    /// state's clone (same `Debug` text, canonical key, enabled events and
+    /// check verdict) and the same image when written again.
+    #[test]
+    fn frontier_images_restore_every_reachable_state() {
+        let mut machines = mc_machines();
+        machines.push(tiny(FPSS, LlcDesign::NonInclusive, 4, 1, 2, 2));
+        let mut images = Images::new();
+        for mc in &machines {
+            let states = reachable_states(mc);
+            let mut restored = states[0].clone();
+            let mut keys = KeyEncoder::default();
+            for h in &states {
+                let img = images.pack(h);
+                images.restore(&img, &mut restored);
+                assert_eq!(images.pack(&restored), img, "{}", mc.name);
+                let clone = h.clone();
+                assert_eq!(format!("{restored:?}"), format!("{clone:?}"), "{}", mc.name);
+                let key = keys.key(h).to_vec();
+                assert_eq!(keys.key(&restored), key, "{}", mc.name);
+                assert_eq!(restored.enabled_events(), h.enabled_events());
+                assert_eq!(restored.check(), h.check());
+            }
+            assert!(states.len() > 10, "{}", mc.name);
+        }
+    }
+
+    /// Damaged images never panic the decoder: a few hundred truncated or
+    /// byte-flipped images of states of a two-socket machine (socket
+    /// directory, housed segments, corrupted home blocks) either restore
+    /// or fail with a `SnapError`, packed or not.
+    #[test]
+    fn damaged_frontier_images_fail_cleanly() {
+        let mc = tiny(FPSS, LlcDesign::NonInclusive, 2, 2, 1, 1);
+        let states = reachable_states(&mc);
+        let mut rng = zerodev_common::rng::Prng::seeded(23);
+        let mut target = states[0].clone();
+        let (mut restored, mut failed) = (0, 0);
+        for round in 0..400 {
+            let h = &states[rng.below(states.len() as u64) as usize];
+            let mut w = SnapWriter::image();
+            h.snap(&mut w);
+            let mut img = w.as_bytes().to_vec();
+            if round % 2 == 1 {
+                let mut packed = Vec::new();
+                snap::pack(&img, &mut packed);
+                img = packed;
+            }
+            if rng.chance(0.3) {
+                img.truncate(rng.below(img.len() as u64) as usize);
+            } else {
+                for _ in 0..=rng.below(3) {
+                    let at = rng.below(img.len() as u64) as usize;
+                    img[at] ^= 1 + rng.below(255) as u8;
+                }
+            }
+            let res = panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut raw = img.clone();
+                if round % 2 == 1 {
+                    raw.clear();
+                    snap::unpack(&img, &mut raw)?;
+                }
+                let mut r = SnapReader::image(&raw);
+                target.unsnap(&mut r)?;
+                r.expect_end()
+            }));
+            match res.unwrap_or_else(|_| panic!("round {round}: the decoder panicked")) {
+                Ok(()) => restored += 1,
+                Err(_) => failed += 1,
+            }
+            // A failed restore leaves a partial state: start from a sound one.
+            target.clone_from(&states[0]);
+        }
+        assert!(
+            failed > 100 && restored > 0,
+            "{failed} failed, {restored} restored"
+        );
     }
 
     /// The premise of symmetric successors, on every state the 19 `mc`
