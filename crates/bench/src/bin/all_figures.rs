@@ -1,6 +1,10 @@
 //! Runs every figure harness in one process (the full paper reproduction).
 //!
-//! `cargo run --release -p zerodev-bench --bin all_figures`
+//! `cargo run --release -p zerodev-bench --bin all_figures [NAME...]`
+//!
+//! With names from `figures::ALL` (`fig_table1`, `fig02` … `fig27`,
+//! `fig_energy`, `fig_multisocket`) it runs just those, in the order given;
+//! an unknown name prints the valid ones and exits 2.
 //!
 //! Set `ZERODEV_QUICK=1` for a fast smoke pass and `ZERODEV_THREADS=N` to
 //! control the sweep engine's worker count (`1` = serial). Running in one
@@ -18,15 +22,21 @@ use std::time::Instant;
 use zerodev_bench::figures;
 
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let figs = figures::select(&names).unwrap_or_else(|bad| {
+        let valid: Vec<&str> = figures::ALL.iter().map(|(n, _)| *n).collect();
+        eprintln!("unknown figure {bad:?}; valid names: {}", valid.join(" "));
+        std::process::exit(2);
+    });
     let t_all = Instant::now();
-    let failed = zerodev_bench::run_figures(figures::ALL);
+    let failed = zerodev_bench::run_figures(&figs);
     if failed == 0 {
-        println!("\nall {} figures regenerated", figures::ALL.len());
+        println!("\nall {} figures regenerated", figs.len());
     } else {
         println!(
             "\n{} of {} figures regenerated ({failed} failed)",
-            figures::ALL.len() - failed,
-            figures::ALL.len()
+            figs.len() - failed,
+            figs.len()
         );
     }
     zerodev_bench::print_sweep_summary(t_all.elapsed(), failed);

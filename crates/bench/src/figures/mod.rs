@@ -1,8 +1,7 @@
-//! Library form of every figure harness. Each submodule exposes `run()`
-//! printing the same table its `src/bin/figNN` wrapper used to print; the
-//! binaries are now one-line wrappers so `all_figures` can execute every
-//! figure in one process and share the sweep engine's baseline memoization
-//! cache across figures.
+//! Every figure harness. Each submodule exposes `run()`, which prints one
+//! table or figure of the paper; `all_figures` runs them, all or the ones
+//! named on its command line, in one process so they share the sweep
+//! engine's baseline memoization cache.
 
 pub mod fig02;
 pub mod fig03;
@@ -24,8 +23,11 @@ pub mod fig_energy;
 pub mod fig_multisocket;
 pub mod fig_table1;
 
+/// A figure's name and the body that prints it.
+pub type Figure = (&'static str, fn());
+
 /// Every figure, in the order `all_figures` reproduces them.
-pub const ALL: &[(&str, fn())] = &[
+pub const ALL: &[Figure] = &[
     ("fig_table1", fig_table1::run),
     ("fig02", fig02::run),
     ("fig03", fig03::run),
@@ -46,3 +48,42 @@ pub const ALL: &[(&str, fn())] = &[
     ("fig_energy", fig_energy::run),
     ("fig_multisocket", fig_multisocket::run),
 ];
+
+/// The figures named in `names`, in the order given, or every figure in
+/// [`ALL`]'s order when `names` is empty.
+///
+/// # Errors
+/// Returns the first name that is not in [`ALL`].
+pub fn select<S: AsRef<str>>(names: &[S]) -> Result<Vec<Figure>, String> {
+    if names.is_empty() {
+        return Ok(ALL.to_vec());
+    }
+    names
+        .iter()
+        .map(|n| {
+            let n = n.as_ref();
+            ALL.iter()
+                .find(|(name, _)| *name == n)
+                .copied()
+                .ok_or_else(|| n.to_string())
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn select_keeps_the_order_given_and_returns_an_unknown_name() {
+        let names = |figs: Vec<Figure>| figs.into_iter().map(|(n, _)| n).collect::<Vec<_>>();
+        let all = select::<&str>(&[]).expect("no names select every figure");
+        assert_eq!(names(all), names(ALL.to_vec()));
+        let figs = select(&["fig19", "fig_table1", "fig19"]).expect("known names");
+        assert_eq!(names(figs), ["fig19", "fig_table1", "fig19"]);
+        assert_eq!(
+            select(&["fig02", "fig99", "nope"]).err().as_deref(),
+            Some("fig99")
+        );
+    }
+}

@@ -1,15 +1,15 @@
-//! Shared harness code for the figure-reproduction binaries.
+//! Shared harness code for the figure reproduction.
 //!
-//! Every `figNN` binary in `src/bin/` reproduces one table or figure of the
-//! paper: it sweeps the relevant configurations over the relevant workloads
-//! and prints the same rows/series the paper reports. Absolute numbers
-//! differ from the paper (different substrate, synthetic workloads); the
-//! *shape* — who wins, by roughly what factor, where crossovers fall — is
-//! the reproduction target. See EXPERIMENTS.md for the index.
+//! Every module of [`figures`] reproduces one table or figure of the paper:
+//! it sweeps the relevant configurations over the relevant workloads and
+//! prints the same rows/series the paper reports. Absolute numbers differ
+//! from the paper (different substrate, synthetic workloads); the *shape* —
+//! who wins, by roughly what factor, where crossovers fall — is the
+//! reproduction target. See EXPERIMENTS.md for the index.
 //!
-//! The figure bodies live in [`figures`] so `all_figures` can run every
-//! figure in one process and share the sweep engine's baseline memoization
-//! cache; the binaries are thin wrappers.
+//! The `all_figures` binary runs every figure, or the ones it is given by
+//! name, in one process, so they share the sweep engine's baseline
+//! memoization cache.
 //!
 //! All (config × workload) grids execute on the parallel sweep engine
 //! ([`zerodev_sim::parallel`]): results land in deterministic slots, so the

@@ -19,21 +19,13 @@ fn quick_figures_complete_within_budget_with_cache_hits() {
     // Representative slice of the figure suite: the config table (no
     // simulation), a per-app multithreaded sweep, and the big
     // suite-grouped sparse-ratio sweep that shares baselines with fig03.
-    let wanted = ["fig_table1", "fig03", "fig04"];
+    let figs = figures::select(&["fig_table1", "fig03", "fig04"])
+        .expect("every smoke figure must be in figures::ALL");
     let t0 = Instant::now();
-    let mut ran = 0;
-    for (name, fig) in figures::ALL {
-        if wanted.contains(name) {
-            fig();
-            ran += 1;
-        }
+    for (_, fig) in figs {
+        fig();
     }
     let elapsed = t0.elapsed();
-    assert_eq!(
-        ran,
-        wanted.len(),
-        "every smoke figure must be in figures::ALL"
-    );
     assert!(
         elapsed < BUDGET,
         "quick figures took {elapsed:?}, budget {BUDGET:?}"
@@ -59,4 +51,35 @@ fn panicking_figure_degrades_but_does_not_abort_the_run() {
     let figs: &[(&str, fn())] = &[("good_a", good), ("bad", bad), ("good_b", good)];
     let failed = zerodev_bench::run_figures(figs);
     assert_eq!(failed, 1, "exactly the panicking figure is marked failed");
+}
+
+/// `all_figures NAME...` runs just the named figures; an unknown name lists
+/// the valid ones and exits 2 before any figure runs.
+#[test]
+fn all_figures_runs_the_figures_it_is_given_by_name() {
+    use std::process::Command;
+    let bin = env!("CARGO_BIN_EXE_all_figures");
+    let out = Command::new(bin)
+        .arg("fig_table1")
+        .output()
+        .expect("all_figures starts");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("== Table I:"), "{stdout}");
+    assert!(
+        stdout.ends_with("\nall 1 figures regenerated\n"),
+        "{stdout}"
+    );
+
+    let out = Command::new(bin)
+        .args(["fig_table1", "fig99"])
+        .output()
+        .expect("all_figures starts");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no figure runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("\"fig99\""), "{stderr}");
+    for (name, _) in figures::ALL {
+        assert!(stderr.contains(name), "{name} listed: {stderr}");
+    }
 }

@@ -3,7 +3,9 @@
 //! [`SystemConfig`] captures Table I of the paper plus every design knob the
 //! evaluation sweeps: sparse-directory kind and size, ZeroDEV policy, LLC
 //! design (non-inclusive / EPD / inclusive), LLC capacity/associativity, core
-//! count and socket count.
+//! count and socket count. The Table I values that no figure varies (the
+//! cache and inter-socket latencies, the DRAM timings and geometry) are
+//! associated constants of [`SystemConfig`] and [`DramConfig`].
 
 use crate::ids::{BankId, BlockAddr, SocketId, BLOCK_BYTES};
 use std::fmt;
@@ -302,52 +304,65 @@ impl Default for NocConfig {
     }
 }
 
-/// DDR3-2133 main-memory parameters (Table I, modelled after DRAMSim2).
-/// All timing fields are in DRAM command-clock cycles (1066 MHz).
+/// Main-memory parameters (Table I: DDR3-2133). Only the channel count is
+/// configured; the timings and the rank/bank/row geometry are the Table I
+/// constants ([`DramConfig::T_CAS`] and the rest).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DramConfig {
-    /// Independent single-channel controllers.
+    /// Independent single-channel controllers (2 on the 8-core machines,
+    /// 8 on the 128-core server).
     pub channels: usize,
-    /// Ranks per channel.
-    pub ranks: usize,
-    /// Banks per rank.
-    pub banks: usize,
-    /// Row-buffer size in bytes.
-    pub row_bytes: usize,
-    /// CAS latency (tCL).
-    pub t_cas: u64,
-    /// RAS-to-CAS delay (tRCD).
-    pub t_rcd: u64,
-    /// Row-precharge time (tRP).
-    pub t_rp: u64,
-    /// Row-active time (tRAS).
-    pub t_ras: u64,
-    /// Burst length in transfers (BL=8 → 4 command-clock cycles of data bus).
-    pub burst_len: u64,
 }
 
 impl Default for DramConfig {
     fn default() -> Self {
-        DramConfig {
-            channels: 2,
-            ranks: 2,
-            banks: 8,
-            row_bytes: 1024,
-            t_cas: 14,
-            t_rcd: 14,
-            t_rp: 14,
-            t_ras: 35,
-            burst_len: 8,
-        }
+        DramConfig { channels: 2 }
     }
 }
 
+// ---- Table I: the fixed timings and DRAM geometry -----------------------
+//
+// The paper fixes one value for each of these and no figure varies any of
+// them, so they are constants rather than configuration fields.
+
+impl SystemConfig {
+    /// L1 hit latency in core cycles.
+    pub const L1_HIT_CYCLES: u64 = 3;
+    /// Additional L2 hit latency (on top of the L1 lookup) in core cycles.
+    pub const L2_HIT_CYCLES: u64 = 10;
+    /// LLC tag-array lookup latency (CACTI: 3 cycles).
+    pub const LLC_TAG_CYCLES: u64 = 3;
+    /// LLC data-array access latency (CACTI: 4 cycles).
+    pub const LLC_DATA_CYCLES: u64 = 4;
+    /// One-way inter-socket routing delay in core cycles (20 ns at 4 GHz).
+    pub const INTER_SOCKET_CYCLES: u64 = 80;
+}
+
+/// DDR3-2133 (modelled after DRAMSim2). The timings are in DRAM
+/// command-clock cycles (1066 MHz).
 impl DramConfig {
+    /// Ranks per channel.
+    pub const RANKS: usize = 2;
+    /// Banks per rank.
+    pub const BANKS: usize = 8;
+    /// Row-buffer size in bytes.
+    pub const ROW_BYTES: usize = 1024;
+    /// CAS latency (tCL).
+    pub const T_CAS: u64 = 14;
+    /// RAS-to-CAS delay (tRCD).
+    pub const T_RCD: u64 = 14;
+    /// Row-precharge time (tRP).
+    pub const T_RP: u64 = 14;
+    /// Row-active time (tRAS).
+    pub const T_RAS: u64 = 35;
+    /// Burst length in transfers (BL=8 → 4 command-clock cycles of data bus).
+    pub const BURST_LEN: u64 = 8;
+
     /// Converts DRAM command-clock cycles to 4 GHz core cycles.
     ///
     /// DDR3-2133 runs a 1066 MHz command clock; at a 4 GHz core clock one
     /// DRAM cycle is 15/4 core cycles.
-    pub fn to_core_cycles(&self, dram_cycles: u64) -> u64 {
+    pub const fn to_core_cycles(dram_cycles: u64) -> u64 {
         dram_cycles * 15 / 4
     }
 }
@@ -366,18 +381,10 @@ pub struct SystemConfig {
     /// Per-core unified L2 (the last-level private cache the directory
     /// ratio is defined against).
     pub l2: CacheGeometry,
-    /// L1 hit latency in core cycles.
-    pub l1_hit_cycles: u64,
-    /// Additional L2 hit latency (on top of the L1 lookup) in core cycles.
-    pub l2_hit_cycles: u64,
     /// Shared LLC geometry (whole-socket capacity).
     pub llc: CacheGeometry,
     /// Number of LLC banks (each with an adjacent sparse-directory slice).
     pub llc_banks: usize,
-    /// LLC tag-array lookup latency (CACTI: 3 cycles).
-    pub llc_tag_cycles: u64,
-    /// LLC data-array access latency (CACTI: 4 cycles).
-    pub llc_data_cycles: u64,
     /// LLC inclusion design.
     pub llc_design: LlcDesign,
     /// Sparse-directory design.
@@ -388,8 +395,6 @@ pub struct SystemConfig {
     pub noc: NocConfig,
     /// Main-memory parameters.
     pub dram: DramConfig,
-    /// One-way inter-socket routing delay in core cycles (20 ns at 4 GHz).
-    pub inter_socket_cycles: u64,
     /// Sets in each home socket's socket-directory cache (8 ways each;
     /// multi-socket only). The default models a 256K-entry cache; tiny
     /// model-checking configurations shrink it so machine snapshots stay
@@ -408,12 +413,8 @@ impl SystemConfig {
             l1i: CacheGeometry::new(32 << 10, 8),
             l1d: CacheGeometry::new(32 << 10, 8),
             l2: CacheGeometry::new(256 << 10, 8),
-            l1_hit_cycles: 3,
-            l2_hit_cycles: 10,
             llc: CacheGeometry::new(8 << 20, 16),
             llc_banks: 8,
-            llc_tag_cycles: 3,
-            llc_data_cycles: 4,
             llc_design: LlcDesign::NonInclusive,
             directory: DirectoryKind::Sparse {
                 ratio: Ratio::ONE,
@@ -423,7 +424,6 @@ impl SystemConfig {
             zerodev: None,
             noc: NocConfig::default(),
             dram: DramConfig::default(),
-            inter_socket_cycles: 80,
             socket_dir_cache_sets: 8192,
         }
     }
@@ -651,8 +651,8 @@ impl SystemConfig {
             self.l1i.ways,
             self.l2.size_bytes >> 10,
             self.l2.ways,
-            self.l1_hit_cycles,
-            self.l2_hit_cycles
+            Self::L1_HIT_CYCLES,
+            Self::L2_HIT_CYCLES
         );
         let _ = writeln!(
             s,
@@ -660,8 +660,8 @@ impl SystemConfig {
             self.llc.size_bytes >> 20,
             self.llc.ways,
             self.llc_banks,
-            self.llc_tag_cycles,
-            self.llc_data_cycles,
+            Self::LLC_TAG_CYCLES,
+            Self::LLC_DATA_CYCLES,
             self.llc_design
         );
         let _ = writeln!(s, "directory: {:?}", self.directory);
@@ -676,19 +676,21 @@ impl SystemConfig {
         let _ = writeln!(
             s,
             "NoC: 2D mesh, {} cyc/hop, {} B flits; inter-socket {} cyc",
-            self.noc.hop_cycles, self.noc.flit_bytes, self.inter_socket_cycles
+            self.noc.hop_cycles,
+            self.noc.flit_bytes,
+            Self::INTER_SOCKET_CYCLES
         );
         let _ = writeln!(
             s,
             "DRAM: {} ch x {} ranks x {} banks, {} B rows, {}-{}-{}-{} (DDR3-2133)",
             self.dram.channels,
-            self.dram.ranks,
-            self.dram.banks,
-            self.dram.row_bytes,
-            self.dram.t_cas,
-            self.dram.t_rcd,
-            self.dram.t_rp,
-            self.dram.t_ras
+            DramConfig::RANKS,
+            DramConfig::BANKS,
+            DramConfig::ROW_BYTES,
+            DramConfig::T_CAS,
+            DramConfig::T_RCD,
+            DramConfig::T_RP,
+            DramConfig::T_RAS
         );
         s
     }
@@ -868,9 +870,8 @@ mod tests {
 
     #[test]
     fn dram_clock_conversion() {
-        let d = DramConfig::default();
-        assert_eq!(d.to_core_cycles(4), 15);
-        assert_eq!(d.to_core_cycles(14), 52);
+        assert_eq!(DramConfig::to_core_cycles(4), 15);
+        assert_eq!(DramConfig::to_core_cycles(14), 52);
     }
 
     #[test]
@@ -920,7 +921,7 @@ mod tests {
         f.llc_design = LlcDesign::Inclusive;
         assert_ne!(a.fingerprint(), f.fingerprint());
         let mut g = SystemConfig::baseline_8core();
-        g.dram.t_cas = 15;
+        g.dram.channels = 8;
         assert_ne!(a.fingerprint(), g.fingerprint());
     }
 

@@ -69,12 +69,6 @@ impl BlockAddr {
 pub struct RegionAddr(pub u64);
 
 impl RegionAddr {
-    /// The first block of this region.
-    #[inline]
-    pub fn first_block(self) -> BlockAddr {
-        BlockAddr(self.0 << 4)
-    }
-
     /// Iterates over the 16 blocks of the region.
     pub fn blocks(self) -> impl Iterator<Item = BlockAddr> {
         let base = self.0 << 4;
@@ -361,7 +355,7 @@ mod tests {
         assert_eq!(b.region_offset(), 3);
         assert_eq!(b.region().blocks().count(), 16);
         assert!(b.region().blocks().any(|x| x == b));
-        assert_eq!(b.region().first_block(), BlockAddr(0x120));
+        assert_eq!(b.region().blocks().next(), Some(BlockAddr(0x120)));
     }
 
     #[test]

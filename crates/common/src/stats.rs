@@ -1,10 +1,12 @@
 //! Event counters collected by every component of the simulator.
 //!
-//! One [`Stats`] instance is owned by the uncore of each socket; the runner
-//! merges them and derives the figures' metrics (normalised traffic, core
-//! cache misses, speedups, DRAM traffic breakdowns, DEV counts).
+//! One [`Stats`] instance covers a whole machine: the uncore owns it and the
+//! core models add their private-cache misses to it. The runner returns it
+//! with each result, and the figures derive their metrics from it
+//! (normalised traffic, core cache misses, DRAM traffic breakdowns, DEV
+//! counts).
 
-use crate::msg::{MsgClass, ALL_CLASSES};
+use crate::msg::MsgClass;
 
 /// Aggregated simulation counters.
 ///
@@ -161,49 +163,6 @@ impl Stats {
             .checked_add_signed(delta)
             .expect("dir-live gauge underflow");
         self.dir_live_entries_max = self.dir_live_entries_max.max(self.dir_live_entries);
-    }
-
-    /// Merges another counter set into this one (gauges take the max of the
-    /// high-water marks and the sum of the currents).
-    pub fn merge(&mut self, other: &Stats) {
-        for i in 0..ALL_CLASSES.len() {
-            self.msg_counts[i] += other.msg_counts[i];
-            self.msg_bytes[i] += other.msg_bytes[i];
-        }
-        self.core_cache_misses += other.core_cache_misses;
-        self.l1d_misses += other.l1d_misses;
-        self.l1i_misses += other.l1i_misses;
-        self.upgrades += other.upgrades;
-        self.llc_hits += other.llc_hits;
-        self.llc_misses += other.llc_misses;
-        self.llc_tag_lookups += other.llc_tag_lookups;
-        self.llc_data_accesses += other.llc_data_accesses;
-        self.llc_dir_accesses += other.llc_dir_accesses;
-        self.dir_lookups += other.dir_lookups;
-        self.dir_allocs += other.dir_allocs;
-        self.dir_evictions += other.dir_evictions;
-        self.dev_invalidations += other.dev_invalidations;
-        self.dev_dirty_recalls += other.dev_dirty_recalls;
-        self.inclusion_invalidations += other.inclusion_invalidations;
-        self.coherence_invalidations += other.coherence_invalidations;
-        self.dir_spills += other.dir_spills;
-        self.dir_fuses += other.dir_fuses;
-        self.dir_llc_evictions += other.dir_llc_evictions;
-        self.get_de_requests += other.get_de_requests;
-        self.denf_nacks += other.denf_nacks;
-        self.fused_read_forwards += other.fused_read_forwards;
-        self.spilled_lines_current += other.spilled_lines_current;
-        self.spilled_lines_max = self.spilled_lines_max.max(other.spilled_lines_max);
-        self.dir_live_entries += other.dir_live_entries;
-        self.dir_live_entries_max = self.dir_live_entries_max.max(other.dir_live_entries_max);
-        self.dram_reads += other.dram_reads;
-        self.dram_writes += other.dram_writes;
-        self.dram_writes_dir += other.dram_writes_dir;
-        self.dram_reads_dir += other.dram_reads_dir;
-        self.llc_read_misses_corrupted += other.llc_read_misses_corrupted;
-        self.two_hop_reads += other.two_hop_reads;
-        self.three_hop_reads += other.three_hop_reads;
-        self.socket_misses += other.socket_misses;
     }
 
     /// Serializes every counter, in declaration order, for checkpointing.
@@ -395,22 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = Stats::new();
-        a.core_cache_misses = 10;
-        a.spilled_lines_max = 3;
-        a.msg(MsgClass::Data);
-        let mut b = Stats::new();
-        b.core_cache_misses = 5;
-        b.spilled_lines_max = 9;
-        b.msg(MsgClass::Data);
-        a.merge(&b);
-        assert_eq!(a.core_cache_misses, 15);
-        assert_eq!(a.spilled_lines_max, 9);
-        assert_eq!(a.count(MsgClass::Data), 2);
-    }
-
-    #[test]
     fn summary_is_nonempty() {
         let s = Stats::new();
         let text = s.summary();
@@ -422,6 +365,7 @@ mod tests {
 #[cfg(test)]
 mod breakdown_tests {
     use super::*;
+    use crate::msg::ALL_CLASSES;
 
     #[test]
     fn per_class_bytes_sum_to_total() {
@@ -435,23 +379,5 @@ mod breakdown_tests {
         for c in ALL_CLASSES {
             assert!(s.count(c) > 0);
         }
-    }
-
-    #[test]
-    fn merge_is_associative_on_counters() {
-        let mut a = Stats::new();
-        a.dram_reads = 3;
-        let mut b = Stats::new();
-        b.dram_reads = 4;
-        let mut c = Stats::new();
-        c.dram_reads = 5;
-        let mut ab_c = a.clone();
-        ab_c.merge(&b);
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c.dram_reads, a_bc.dram_reads);
     }
 }

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for the figure harnesses.
 //!
-//! Every `figN` binary prints its series as an aligned text table; this
+//! Every figure harness prints its series as an aligned text table; this
 //! module keeps the formatting in one place.
 
 /// A simple column-aligned text table builder.
@@ -35,11 +35,6 @@ impl Table {
             v.push(String::new());
         }
         self.rows.push(v);
-    }
-
-    /// Convenience: appends a row of displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
     }
 
     /// Number of data rows.
@@ -92,12 +87,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Formats a normalised metric (e.g. speedup) with two decimals, the way the
-/// paper's figures label their bars.
-pub fn norm(v: f64) -> String {
-    format!("{v:.3}")
 }
 
 /// Geometric mean of a slice of positive values (the paper's GEOMEAN bars).
@@ -153,13 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn row_display_works() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row_display(&[1.5, 2.5]);
-        assert!(t.render().contains("1.5"));
-    }
-
-    #[test]
     fn geomean_matches_hand_calc() {
         let g = geomean(&[1.0, 4.0]);
         assert!((g - 2.0).abs() < 1e-12);
@@ -175,10 +157,5 @@ mod tests {
     #[test]
     fn mean_works() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn norm_format() {
-        assert_eq!(norm(0.98765), "0.988");
     }
 }

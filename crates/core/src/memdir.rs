@@ -116,10 +116,6 @@ pub struct MemorySide {
     /// Per home socket: the complete backing store in home memory.
     dir_backing: Vec<FlatMap<SocketDirEntry>>,
     sockets: usize,
-    /// Dir-cache misses that needed the backing store.
-    pub dir_cache_misses: u64,
-    /// Dir-cache hits.
-    pub dir_cache_hits: u64,
 }
 
 zerodev_common::fieldwise_clone!(MemorySide {
@@ -128,8 +124,6 @@ zerodev_common::fieldwise_clone!(MemorySide {
     dir_caches,
     dir_backing,
     sockets,
-    dir_cache_misses,
-    dir_cache_hits,
 });
 
 impl MemorySide {
@@ -154,8 +148,6 @@ impl MemorySide {
                 .collect(),
             dir_backing: (0..cfg.sockets).map(|_| FlatMap::new()).collect(),
             sockets: cfg.sockets,
-            dir_cache_misses: 0,
-            dir_cache_hits: 0,
         }
     }
 
@@ -238,11 +230,6 @@ impl MemorySide {
         self.corrupted.remove(block.0);
     }
 
-    /// Number of currently corrupted home blocks (diagnostics).
-    pub fn corrupted_count(&self) -> usize {
-        self.corrupted.len()
-    }
-
     /// Iterates every corrupted home block and its record (diagnostics; the
     /// audit oracle's full sweep walks this to check segment bookkeeping).
     pub fn corrupted_blocks(&self) -> impl Iterator<Item = (BlockAddr, &CorruptedBlock)> {
@@ -262,7 +249,6 @@ impl MemorySide {
         }
         let h = home.0 as usize;
         if let Some(slot) = self.dir_caches[h].touch(block.0, |_| true) {
-            self.dir_cache_hits += 1;
             return SocketDirLookup {
                 entry: Some(*self.dir_caches[h].at(slot)),
                 cached: true,
@@ -270,7 +256,6 @@ impl MemorySide {
         }
         let backed = self.dir_backing[h].get(block.0).copied();
         if let Some(e) = backed {
-            self.dir_cache_misses += 1;
             // Refill the cache; evicted victims stay in the backing store.
             let _ = self.dir_caches[h].insert(block.0, e, |_| false);
             SocketDirLookup {
@@ -287,7 +272,7 @@ impl MemorySide {
     }
 
     /// Reads the socket-level entry for `block` without touching the
-    /// directory cache's recency state or the hit/miss counters. The audit
+    /// directory cache's recency state. The audit
     /// oracle uses this so audited runs stay byte-identical to unaudited
     /// ones; the protocol itself must go through [`Self::socket_dir_lookup`].
     pub fn socket_dir_peek(&self, home: SocketId, block: BlockAddr) -> Option<SocketDirEntry> {
@@ -322,8 +307,7 @@ impl MemorySide {
     }
 
     /// Serializes the memory side — DRAM timing state, corrupted-block map,
-    /// socket-directory caches and backing stores, and the cache counters —
-    /// for checkpointing.
+    /// socket-directory caches and backing stores — for checkpointing.
     // lint:allow(snapshot_complete(sockets), machine shape comes from SystemConfig; restore targets a memory side freshly built from it)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.drams.len());
@@ -350,8 +334,6 @@ impl MemorySide {
                 w.u32(e.sharers.0);
             });
         }
-        w.u64(self.dir_cache_misses);
-        w.u64(self.dir_cache_hits);
     }
 
     /// Restores a [`MemorySide::snap`] image into this memory side, which
@@ -408,8 +390,6 @@ impl MemorySide {
         for b in self.dir_backing.iter_mut() {
             b.restore_with(r, socket_entry)?;
         }
-        self.dir_cache_misses = r.u64("memdir dir_cache_misses")?;
-        self.dir_cache_hits = r.u64("memdir dir_cache_hits")?;
         Ok(())
     }
 }
@@ -447,7 +427,6 @@ mod tests {
         // Restore on full writeback.
         m.restore(b);
         assert!(!m.is_corrupted(b));
-        assert_eq!(m.corrupted_count(), 0);
     }
 
     #[test]
@@ -522,7 +501,6 @@ mod tests {
         let l = m.socket_dir_lookup(home, BlockAddr(0));
         assert_eq!(l.entry.unwrap().owner(), Some(SocketId(1)));
         assert!(!l.cached);
-        assert!(m.dir_cache_misses >= 1);
     }
 
     #[test]

@@ -41,10 +41,6 @@ impl MgdEntry {
 #[derive(Clone, Debug)]
 pub struct MultiGrainDir {
     array: SetAssoc<MgdEntry>,
-    /// Region entries allocated (diagnostics).
-    pub region_allocs: u64,
-    /// Blocks broken out of a region because of sharing.
-    pub region_breakouts: u64,
 }
 
 impl MultiGrainDir {
@@ -53,8 +49,6 @@ impl MultiGrainDir {
         let sets = (entries / ways).next_power_of_two().max(1);
         MultiGrainDir {
             array: SetAssoc::new(sets, ways, Replacement::Nru),
-            region_allocs: 0,
-            region_breakouts: 0,
         }
     }
 
@@ -131,7 +125,6 @@ impl MultiGrainDir {
                         self.insert_raw(block.0, MgdEntry::Block(entry), &mut victims);
                     }
                     _ => {
-                        self.region_allocs += 1;
                         self.insert_raw(
                             rkey,
                             MgdEntry::Region {
@@ -188,7 +181,6 @@ impl MultiGrainDir {
             return victims;
         }
         // Break the block out of the region.
-        self.region_breakouts += 1;
         self.clear_region_bit(block);
         self.insert_raw(block.0, MgdEntry::Block(entry), &mut victims);
         victims
@@ -227,7 +219,7 @@ impl MultiGrainDir {
         self.array.len()
     }
 
-    /// Serializes the array and region counters for checkpointing.
+    /// Serializes the array for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         self.array.snapshot_with(w, |w, _, e| match e {
             MgdEntry::Block(entry) => {
@@ -240,8 +232,6 @@ impl MultiGrainDir {
                 w.u16(*presence);
             }
         });
-        w.u64(self.region_allocs);
-        w.u64(self.region_breakouts);
     }
 
     /// Restores a [`MultiGrainDir::snap`] image into this directory, which
@@ -267,8 +257,6 @@ impl MultiGrainDir {
                     context: "mgd entry tag",
                 }),
             })?;
-        self.region_allocs = r.u64("mgd region_allocs")?;
-        self.region_breakouts = r.u64("mgd region_breakouts")?;
         Ok(())
     }
 }
@@ -283,6 +271,15 @@ mod tests {
         MultiGrainDir::new(64, 4)
     }
 
+    /// The region entry covering `block` in the array: (owner, presence).
+    fn region(d: &MultiGrainDir, block: BlockAddr) -> Option<(CoreId, u16)> {
+        let slot = d.array.peek(region_key(block), MgdEntry::is_region)?;
+        match *d.array.at(slot) {
+            MgdEntry::Region { owner, presence } => Some((owner, presence)),
+            MgdEntry::Block(_) => None,
+        }
+    }
+
     #[test]
     fn private_blocks_share_one_region_entry() {
         let mut d = mgd();
@@ -293,7 +290,7 @@ mod tests {
             );
         }
         assert_eq!(d.live_entries(), 1, "16 blocks, one region entry");
-        assert_eq!(d.region_allocs, 1);
+        assert_eq!(region(&d, BlockAddr(0x100)), Some((CoreId(2), 0xffff)));
         let e = d.peek(BlockAddr(0x105)).unwrap();
         assert_eq!(e.owner(), Some(CoreId(2)));
     }
@@ -307,7 +304,7 @@ mod tests {
         };
         assert_eq!(d.allocate(BlockAddr(7), e), AllocOutcome::Stored);
         assert_eq!(d.peek(BlockAddr(7)).unwrap().sharers.count(), 2);
-        assert_eq!(d.region_allocs, 0);
+        assert_eq!(region(&d, BlockAddr(7)), None);
     }
 
     #[test]
@@ -331,7 +328,8 @@ mod tests {
         e.sharers.insert(CoreId(3));
         let victims = d.update(BlockAddr(0x100), e);
         assert!(victims.is_empty());
-        assert_eq!(d.region_breakouts, 1);
+        // Only 0x101's presence bit is left in the region entry.
+        assert_eq!(region(&d, BlockAddr(0x100)), Some((CoreId(0), 0b10)));
         assert_eq!(d.peek(BlockAddr(0x100)).unwrap().sharers.count(), 2);
         // The other region block is still region-tracked.
         assert_eq!(d.peek(BlockAddr(0x101)).unwrap().owner(), Some(CoreId(0)));
@@ -346,7 +344,7 @@ mod tests {
         // keeps region tracking.
         let victims = d.update(BlockAddr(0x100), DirEntry::owned(CoreId(0)));
         assert!(victims.is_empty());
-        assert_eq!(d.region_breakouts, 0);
+        assert_eq!(region(&d, BlockAddr(0x100)), Some((CoreId(0), 0b1)));
     }
 
     #[test]

@@ -410,11 +410,6 @@ impl Oracle {
         }
     }
 
-    /// Transactions observed so far.
-    pub fn transactions(&self) -> u64 {
-        self.txns
-    }
-
     /// Serializes the audit state: the transaction count (sweep cadence),
     /// the shadow map lane-exact and the event ring, so a restored oracle
     /// equals its clone and dumps the same events on a violation.

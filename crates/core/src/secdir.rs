@@ -40,10 +40,6 @@ pub struct SecDir {
     /// Fast residency index (performance only; the arrays are authoritative
     /// for conflicts).
     index: FlatMap<Residency>,
-    /// Private-partition evictions observed (self-conflict DEV events).
-    pub private_evictions: u64,
-    /// Shared-partition evictions observed (migrations).
-    pub migrations: u64,
 }
 
 impl SecDir {
@@ -66,8 +62,6 @@ impl SecDir {
                 .map(|_| SetAssoc::new(private_sets, geom.private_ways, Replacement::Nru))
                 .collect(),
             index: FlatMap::new(),
-            private_evictions: 0,
-            migrations: 0,
         }
     }
 
@@ -127,14 +121,12 @@ impl SecDir {
     /// Migrates a shared-partition victim into the private partitions of its
     /// sharers, collecting any private-partition victims as evicted entries.
     fn migrate(&mut self, block: BlockAddr, entry: DirEntry, victims: &mut Vec<EvictedEntry>) {
-        self.migrations += 1;
         self.index.insert(block.0, Residency::Private);
         let owned = entry.state.is_owned();
         for core in entry.sharers.iter() {
             let part = &mut self.private[core.0 as usize];
             if let (_, Some((vkey, vpe))) = part.insert(block.0, PrivEntry { owned }, |_| false) {
                 // Self-conflict: this core loses its copy of the victim block.
-                self.private_evictions += 1;
                 let vblock = BlockAddr(vkey);
                 victims.push((
                     vblock,
@@ -249,8 +241,7 @@ impl SecDir {
         self.shared.len() + self.private.iter().map(|p| p.len()).sum::<usize>()
     }
 
-    /// Serializes all partitions, the residency index, and the eviction
-    /// counters for checkpointing.
+    /// Serializes all partitions and the residency index for checkpointing.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         self.shared.snapshot_with(w, |w, _, e| e.snap(w));
         w.usize(self.private.len());
@@ -263,8 +254,6 @@ impl SecDir {
                 Residency::Private => 1,
             });
         });
-        w.u64(self.private_evictions);
-        w.u64(self.migrations);
     }
 
     /// Restores a [`SecDir::snap`] image into this structure, which must
@@ -299,8 +288,6 @@ impl SecDir {
                     context: "secdir residency",
                 }),
             })?;
-        self.private_evictions = r.u64("secdir private_evictions")?;
-        self.migrations = r.u64("secdir migrations")?;
         Ok(())
     }
 }
@@ -346,7 +333,7 @@ mod tests {
         let out = sd.allocate(b2, DirEntry::owned(CoreId(1)));
         // b1 migrated to core 0's private partition: no DEV.
         assert_eq!(out, AllocOutcome::Stored);
-        assert_eq!(sd.migrations, 1);
+        assert_eq!(sd.index.get(b1.0), Some(&Residency::Private));
         assert_eq!(sd.peek(b1).unwrap().sharers.count(), 1);
         assert!(sd.peek(b1).unwrap().state.is_owned());
         assert_eq!(sd.peek(b2).unwrap().owner(), Some(CoreId(1)));
@@ -373,7 +360,6 @@ mod tests {
             }
             other => panic!("expected private victim, got {other:?}"),
         }
-        assert_eq!(sd.private_evictions, 1);
         assert_eq!(sd.peek(a), None, "victim untracked now");
     }
 

@@ -466,7 +466,7 @@ impl System {
         let home = self.cfg.home_socket(block);
         self.stats.msg(MsgClass::MemRead);
         if home.0 as usize != s {
-            *t += self.cfg.inter_socket_cycles;
+            *t += SystemConfig::INTER_SOCKET_CYCLES;
             self.stats.msg(MsgClass::SocketCtrl);
         }
         // lint:context(MemRead)
@@ -475,7 +475,7 @@ impl System {
         self.stats.msg(MsgClass::MemReadData);
         *t = tm + 1;
         if home.0 as usize != s {
-            *t += self.cfg.inter_socket_cycles;
+            *t += SystemConfig::INTER_SOCKET_CYCLES;
             self.stats.msg(MsgClass::SocketData);
         }
         let entry = self.mem.extract_entry(block, SocketId(s as u8))?;
@@ -1082,7 +1082,7 @@ impl System {
                 MsgClass::Request.bytes(),
             );
         // Tag array + dedicated directory probed in parallel.
-        t = self.bank_port(s, bank, t, self.cfg.llc_tag_cycles) + self.cfg.llc_tag_cycles;
+        t = self.bank_port(s, bank, t, SystemConfig::LLC_TAG_CYCLES) + SystemConfig::LLC_TAG_CYCLES;
         self.stats.llc_tag_lookups += 1;
         self.stats.dir_lookups += 1;
 
@@ -1107,7 +1107,7 @@ impl System {
                 if loc != Some(EntryLoc::Dedicated) {
                     // The entry must be read from the LLC data array before
                     // the invalidation count can be returned.
-                    t += self.cfg.llc_data_cycles;
+                    t += SystemConfig::LLC_DATA_CYCLES;
                     self.stats.llc_dir_accesses += 1;
                     self.stats.llc_data_accesses += 1;
                 }
@@ -1143,7 +1143,7 @@ impl System {
                         let owner = entry.owner().expect("owned entry has an owner");
                         debug_assert_ne!(owner, core, "owner cannot miss on its own block");
                         if loc != EntryLoc::Dedicated {
-                            t += self.cfg.llc_data_cycles;
+                            t += SystemConfig::LLC_DATA_CYCLES;
                             self.stats.llc_dir_accesses += 1;
                             self.stats.llc_data_accesses += 1;
                         }
@@ -1180,12 +1180,12 @@ impl System {
                             if zd_policy == Some(SpillPolicy::SpillAll) && loc == EntryLoc::Spilled
                             {
                                 // SpillAll reads the entry first (§III-C1).
-                                t += self.cfg.llc_data_cycles;
+                                t += SystemConfig::LLC_DATA_CYCLES;
                                 self.stats.llc_dir_accesses += 1;
                                 self.stats.llc_data_accesses += 1;
                             }
-                            t = self.bank_port(s, bank, t, self.cfg.llc_data_cycles)
-                                + self.cfg.llc_data_cycles;
+                            t = self.bank_port(s, bank, t, SystemConfig::LLC_DATA_CYCLES)
+                                + SystemConfig::LLC_DATA_CYCLES;
                             self.stats.llc_data_accesses += 1;
                             t += self.sockets[s].topo.bank_core_latency(
                                 bank,
@@ -1204,7 +1204,7 @@ impl System {
                         } else if fused_no_data {
                             // FuseAll: the line's data bits are corrupted —
                             // forward to an elected sharer (§III-C3).
-                            t += self.cfg.llc_data_cycles; // read the fused entry
+                            t += SystemConfig::LLC_DATA_CYCLES; // read the fused entry
                             self.stats.llc_dir_accesses += 1;
                             self.stats.llc_data_accesses += 1;
                             let sharer = entry.sharers.any().expect("live entry has sharers");
@@ -1215,7 +1215,7 @@ impl System {
                             // Directory hit, LLC data miss: forward to a
                             // sharer (baseline behaviour, §III-C2).
                             if loc == EntryLoc::Spilled {
-                                t += self.cfg.llc_data_cycles;
+                                t += SystemConfig::LLC_DATA_CYCLES;
                                 self.stats.llc_dir_accesses += 1;
                                 self.stats.llc_data_accesses += 1;
                             }
@@ -1240,7 +1240,7 @@ impl System {
                         let owner = entry.owner().expect("owned entry has an owner");
                         debug_assert_ne!(owner, core);
                         if loc != EntryLoc::Dedicated {
-                            t += self.cfg.llc_data_cycles;
+                            t += SystemConfig::LLC_DATA_CYCLES;
                             self.stats.llc_dir_accesses += 1;
                             self.stats.llc_data_accesses += 1;
                         }
@@ -1267,7 +1267,7 @@ impl System {
                             matches!(line, Some(LlcLine::Data { .. }))
                         };
                         if loc != EntryLoc::Dedicated {
-                            t += self.cfg.llc_data_cycles;
+                            t += SystemConfig::LLC_DATA_CYCLES;
                             self.stats.llc_dir_accesses += 1;
                             self.stats.llc_data_accesses += 1;
                         }
@@ -1283,7 +1283,7 @@ impl System {
                         let data_path = if has_data {
                             self.stats.llc_data_accesses += 1;
                             self.stats.msg(MsgClass::Data);
-                            self.cfg.llc_data_cycles
+                            SystemConfig::LLC_DATA_CYCLES
                                 + self.sockets[s].topo.bank_core_latency(
                                     bank,
                                     core.0 as usize,
@@ -1351,7 +1351,7 @@ impl System {
         self.sockets[s]
             .topo
             .bank_core_latency(bank, owner.0 as usize, MsgClass::Forward.bytes())
-            + self.cfg.l2_hit_cycles
+            + SystemConfig::L2_HIT_CYCLES
             + self.sockets[s].topo.core_core_latency(
                 owner.0 as usize,
                 requester.0 as usize,

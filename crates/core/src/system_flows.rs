@@ -36,7 +36,7 @@ impl System {
             // Case (iii): LLC hit, no private copies anywhere in the socket
             // (guaranteed — §III-D2, housed segment ruled out above).
             self.stats.llc_hits += 1;
-            *t = self.bank_port(s, bank, *t, self.cfg.llc_data_cycles) + self.cfg.llc_data_cycles;
+            *t = self.bank_port(s, bank, *t, SystemConfig::LLC_DATA_CYCLES) + SystemConfig::LLC_DATA_CYCLES;
             self.stats.llc_data_accesses += 1;
             *t += self.sockets[s]
                 .topo
@@ -123,7 +123,7 @@ impl System {
         let me = SocketId(s as u8);
         if home != me {
             // Query + response on the socket interconnect.
-            *t += 2 * self.cfg.inter_socket_cycles;
+            *t += 2 * SystemConfig::INTER_SOCKET_CYCLES;
             self.stats.msg(MsgClass::SocketCtrl);
             self.stats.msg(MsgClass::SocketCtrl);
         }
@@ -177,7 +177,7 @@ impl System {
                 );
             }
             self.stats.llc_hits += 1;
-            *t = self.bank_port(s, bank, *t, self.cfg.llc_data_cycles) + self.cfg.llc_data_cycles;
+            *t = self.bank_port(s, bank, *t, SystemConfig::LLC_DATA_CYCLES) + SystemConfig::LLC_DATA_CYCLES;
             self.stats.llc_data_accesses += 1;
             *t += self.sockets[s]
                 .topo
@@ -397,7 +397,7 @@ impl System {
         let home = self.cfg.home_socket(block);
         let h = home.0 as usize;
         if h != s {
-            *t += self.cfg.inter_socket_cycles;
+            *t += SystemConfig::INTER_SOCKET_CYCLES;
             self.stats.msg(MsgClass::SocketCtrl);
         }
         // Everything below happens at (or is relayed through) the home
@@ -419,7 +419,7 @@ impl System {
                 let tm = self.mem.dram_read(*t, home, block);
                 *t = tm;
                 if h != s {
-                    *t += self.cfg.inter_socket_cycles;
+                    *t += SystemConfig::INTER_SOCKET_CYCLES;
                     self.stats.msg(MsgClass::SocketData);
                 }
                 self.stats.msg(MsgClass::Data);
@@ -442,7 +442,7 @@ impl System {
                 let tm = self.mem.dram_read(*t, home, block);
                 *t = tm + 1;
                 if h != s {
-                    *t += self.cfg.inter_socket_cycles;
+                    *t += SystemConfig::INTER_SOCKET_CYCLES;
                     self.stats.msg(MsgClass::SocketData);
                 }
                 let entry = self
@@ -465,7 +465,7 @@ impl System {
                     let tm = self.mem.dram_read(*t, home, block);
                     *t = tm;
                     if h != s {
-                        *t += self.cfg.inter_socket_cycles;
+                        *t += SystemConfig::INTER_SOCKET_CYCLES;
                         self.stats.msg(MsgClass::SocketData);
                     }
                     self.stats.msg(MsgClass::Data);
@@ -488,10 +488,10 @@ impl System {
                 }
                 // Need data from socket F (owner, or corrupted sharer).
                 debug_assert_ne!(f_socket, SocketId(s as u8), "requester lost in socket dir");
-                *t += self.cfg.inter_socket_cycles; // H → F forward
+                *t += SystemConfig::INTER_SOCKET_CYCLES; // H → F forward
                 self.stats.msg(MsgClass::SocketCtrl);
                 *t += self.remote_retrieve(now, s, h, f_socket, block, exclusive, invals, downgrades);
-                *t += self.cfg.inter_socket_cycles; // F → S data
+                *t += SystemConfig::INTER_SOCKET_CYCLES; // F → S data
                 self.stats.msg(MsgClass::SocketData);
                 if exclusive {
                     // Invalidate every other sharer socket.
@@ -565,7 +565,7 @@ impl System {
     ) -> u64 {
         let f = f_socket.0 as usize;
         let bank = self.bank_of(block);
-        let mut lat = self.cfg.llc_tag_cycles; // F looks up LLC + directory
+        let mut lat = SystemConfig::LLC_TAG_CYCLES; // F looks up LLC + directory
         self.stats.llc_tag_lookups += 1;
         self.stats.dir_lookups += 1;
 
@@ -582,7 +582,7 @@ impl System {
             if !tracked_segment && self.sockets[f].banks[bank].block_line(block).is_some() {
                 // F serves from its LLC (socket-level owner with an
                 // LLC-only copy after its cores evicted).
-                lat += self.cfg.llc_data_cycles;
+                lat += SystemConfig::LLC_DATA_CYCLES;
                 self.stats.llc_data_accesses += 1;
                 if exclusive {
                     self.invalidate_socket_copies(now, f, block, invals);
@@ -594,7 +594,7 @@ impl System {
             // Step 7: F has copies but its entry went home — DENF_NACK.
             self.stats.denf_nacks += 1;
             self.stats.msg(MsgClass::DenfNack);
-            lat += self.cfg.inter_socket_cycles; // F → H nack
+            lat += SystemConfig::INTER_SOCKET_CYCLES; // F → H nack
             let seg = self.mem.extract_entry(block, f_socket);
             match seg {
                 Some(entry) => {
@@ -605,7 +605,7 @@ impl System {
                         .mem
                         .dram_read(Cycle(now.0 + lat), SocketId(h as u8), block);
                     self.stats.msg(MsgClass::SocketData); // resend with entry
-                    lat += self.cfg.inter_socket_cycles;
+                    lat += SystemConfig::INTER_SOCKET_CYCLES;
                     self.install_entry(now, f, block, entry, invals);
                     self.track_live(-1);
                     // The placement can bounce the entry straight back home
@@ -631,7 +631,7 @@ impl System {
         lat += self.sockets[f]
             .topo
             .bank_core_latency(bank, source.0 as usize, MsgClass::Forward.bytes())
-            + self.cfg.l2_hit_cycles;
+            + SystemConfig::L2_HIT_CYCLES;
         self.stats.msg(MsgClass::Forward);
         self.stats.msg(MsgClass::Data);
         if exclusive {
@@ -759,7 +759,7 @@ impl System {
         let mut lat = if home.0 as usize == s {
             0
         } else {
-            self.cfg.inter_socket_cycles
+            SystemConfig::INTER_SOCKET_CYCLES
         };
         self.stats.msg(MsgClass::SocketCtrl);
         for other in e.sharers.iter().filter(|&x| x != me) {
@@ -767,7 +767,7 @@ impl System {
             self.stats.msg(MsgClass::SocketCtrl); // acknowledgement
             self.invalidate_socket_copies(now, other.0 as usize, block, invals);
         }
-        lat += 2 * self.cfg.inter_socket_cycles; // worst-case inv + ack
+        lat += 2 * SystemConfig::INTER_SOCKET_CYCLES; // worst-case inv + ack
         self.mem
             .socket_dir_update(home, block, SocketDirEntry::owned_by(me));
         lat
@@ -826,7 +826,7 @@ impl System {
                 .sockets[s]
                 .topo
                 .core_bank_latency(core.0 as usize, bank, payload);
-        let _ = self.bank_port(s, bank, t, self.cfg.llc_tag_cycles);
+        let _ = self.bank_port(s, bank, t, SystemConfig::LLC_TAG_CYCLES);
         self.stats.llc_tag_lookups += 1;
         self.stats.dir_lookups += 1;
 

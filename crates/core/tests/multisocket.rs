@@ -81,7 +81,7 @@ fn remote_latency_exceeds_local() {
     let l = sys.access(Cycle(0), S0, C0, local, Op::Read).latency;
     let r = sys.access(Cycle(0), S0, C0, remote, Op::Read).latency;
     assert!(
-        r >= l + sys.config().inter_socket_cycles,
+        r >= l + SystemConfig::INTER_SOCKET_CYCLES,
         "remote fetch {r} must pay the socket hop over local {l}"
     );
 }

@@ -1,7 +1,8 @@
-//! Machine-state checkpoint round-trips: drive a machine through random
-//! traffic, serialize it with [`System::snap`], restore into a freshly
-//! built machine, and require (a) a byte-identical re-serialization and
-//! (b) byte-identical behaviour when both machines continue under the same
+//! Machine-state checkpoint round-trips: drive an audited
+//! [`ProtocolHarness`] through random traffic, image it with
+//! [`ProtocolHarness::snap`], restore the image into a freshly built
+//! harness, and require (a) a byte-identical re-serialization and (b)
+//! byte-identical behaviour when both harnesses continue under the same
 //! operation stream. Exercised across every directory family, the ZeroDEV
 //! spill policies, multi-socket machines, and with the audit oracle
 //! attached.
@@ -11,168 +12,92 @@ use zerodev_common::config::{
     ZeroDevConfig,
 };
 use zerodev_common::snap::{SnapReader, SnapWriter};
-use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, Prng, SocketId};
-use zerodev_core::{system::Downgrade, EvictKind, InvalReason, Invalidation, Op, System};
+use zerodev_common::{BlockAddr, CoreId, MesiState, Prng, SocketId};
+use zerodev_core::{EvictKind, Op, ProtocolEvent, ProtocolHarness, System};
 
 const MAGIC: u64 = 0x7357_5eed_5eed_7357;
 const VERSION: u32 = 1;
 
-/// Minimal private-cache model so invalidations/downgrades are honoured the
-/// way the protocol expects (dirty recalls reported back, etc.).
-struct Model {
-    sys: System,
-    lines: std::collections::HashMap<(u8, u16, u64), MesiState>,
-}
-
-impl Model {
-    fn new(sys: System) -> Self {
-        Model {
-            sys,
-            lines: std::collections::HashMap::new(),
+/// One random operation by a random core on a random block of `blocks`:
+/// evict a held copy, write (silently, by upgrade, or by read-exclusive),
+/// or read a block the core does not hold.
+fn step(h: &mut ProtocolHarness, rng: &mut Prng, blocks: &[BlockAddr]) {
+    let socket = SocketId(rng.below(h.sockets() as u64) as u8);
+    let core = CoreId(rng.below(h.cores() as u64) as u16);
+    let block = blocks[rng.below(blocks.len() as u64) as usize];
+    let st = h.shadow_state(socket, core, block);
+    let access = |op| Some(ProtocolEvent::access(socket, core, block, op));
+    let ev = match rng.below(10) {
+        0..=1 if st.is_valid() => {
+            EvictKind::for_state(st).map(|kind| ProtocolEvent::evict(socket, core, block, kind))
         }
-    }
-
-    fn state(&self, s: u8, c: u16, b: BlockAddr) -> MesiState {
-        self.lines
-            .get(&(s, c, b.0))
-            .copied()
-            .unwrap_or(MesiState::Invalid)
-    }
-
-    fn set(&mut self, s: u8, c: u16, b: BlockAddr, st: MesiState) {
-        if st == MesiState::Invalid {
-            self.lines.remove(&(s, c, b.0));
-        } else {
-            self.lines.insert((s, c, b.0), st);
-        }
-    }
-
-    fn apply(&mut self, invals: Vec<Invalidation>, downs: Vec<Downgrade>) {
-        for d in downs {
-            if self.state(d.socket.0, d.core.0, d.block) == MesiState::Modified {
-                self.sys.sharing_writeback(Cycle(0), d.socket, d.block);
-            }
-            self.set(d.socket.0, d.core.0, d.block, MesiState::Shared);
-        }
-        let mut pending = invals;
-        while let Some(inv) = pending.pop() {
-            if self.state(inv.socket.0, inv.core.0, inv.block) == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        pending.extend(self.sys.dev_dirty_recall(Cycle(0), inv.socket, inv.block));
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle(0), inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {}
-                }
-            }
-            self.set(inv.socket.0, inv.core.0, inv.block, MesiState::Invalid);
-        }
-    }
-
-    fn step(&mut self, rng: &mut Prng, blocks: &[BlockAddr]) {
-        let s = (rng.below(self.sys.config().sockets as u64)) as u8;
-        let c = (rng.below(self.sys.config().cores as u64)) as u16;
-        let b = blocks[rng.below(blocks.len() as u64) as usize];
-        let st = self.state(s, c, b);
-        match rng.below(10) {
-            0..=1 if st.is_valid() => {
-                let kind = match st {
-                    MesiState::Modified => EvictKind::Dirty,
-                    MesiState::Exclusive => EvictKind::CleanExclusive,
-                    MesiState::Shared => EvictKind::CleanShared,
-                    MesiState::Invalid => unreachable!(),
-                };
-                let invals = self.sys.evict(Cycle(0), SocketId(s), CoreId(c), b, kind);
-                self.set(s, c, b, MesiState::Invalid);
-                self.apply(invals, Vec::new());
-            }
-            2..=4 => match st {
-                MesiState::Modified => {}
-                MesiState::Exclusive => self.set(s, c, b, MesiState::Modified),
-                MesiState::Shared => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::Upgrade);
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, MesiState::Modified);
-                }
-                MesiState::Invalid => {
-                    let r = self
-                        .sys
-                        .access(Cycle(0), SocketId(s), CoreId(c), b, Op::ReadExclusive);
-                    let grant = r.grant;
-                    self.apply(r.invalidations, r.downgrades);
-                    self.set(s, c, b, grant);
-                }
-            },
-            _ => {
-                if st.is_valid() {
-                    return;
-                }
-                let r = self
-                    .sys
-                    .access(Cycle(0), SocketId(s), CoreId(c), b, Op::Read);
-                let grant = r.grant;
-                self.apply(r.invalidations, r.downgrades);
-                self.set(s, c, b, grant);
-            }
+        2..=4 => match st {
+            MesiState::Modified => None,
+            MesiState::Exclusive => Some(ProtocolEvent::silent_write(socket, core, block)),
+            MesiState::Shared => access(Op::Upgrade),
+            MesiState::Invalid => access(Op::ReadExclusive),
+        },
+        _ if st.is_valid() => None,
+        _ => access(Op::Read),
+    };
+    if let Some(ev) = ev {
+        if let Err(v) = h.apply(ev) {
+            panic!("{ev}: {v}");
         }
     }
 }
 
-fn snap_bytes(sys: &System) -> Vec<u8> {
+fn snap_bytes(h: &ProtocolHarness) -> Vec<u8> {
+    let mut w = SnapWriter::new(MAGIC, VERSION);
+    h.snap(&mut w);
+    w.finish()
+}
+
+fn snap_system(sys: &System) -> Vec<u8> {
     let mut w = SnapWriter::new(MAGIC, VERSION);
     sys.snap(&mut w);
     w.finish()
 }
 
-fn restore(cfg: SystemConfig, bytes: &[u8]) -> System {
-    let mut sys = System::new(cfg).expect("valid config");
+/// A fresh harness built without the oracle, restored from `bytes`.
+fn restore(cfg: SystemConfig, blocks: Vec<BlockAddr>, bytes: &[u8]) -> ProtocolHarness {
+    let mut h = ProtocolHarness::new(cfg, blocks, false).expect("valid config");
     let mut r = SnapReader::open(bytes, MAGIC, VERSION).expect("container valid");
-    sys.unsnap(&mut r).expect("restore succeeds");
+    h.unsnap(&mut r).expect("restore succeeds");
     r.expect_end().expect("image fully consumed");
-    sys
+    h
 }
 
 fn round_trip(cfg: SystemConfig, seed: u64) {
     let blocks: Vec<BlockAddr> = (0..96u64).map(|i| BlockAddr(0x1000 + i * 3)).collect();
     let mut rng = Prng::seeded(seed);
-    let mut sys = System::new(cfg.clone()).expect("valid config");
-    sys.enable_audit();
-    let mut m = Model::new(sys);
+    let mut h = ProtocolHarness::new(cfg.clone(), blocks.clone(), true).expect("valid config");
     for _ in 0..2_500 {
-        m.step(&mut rng, &blocks);
+        step(&mut h, &mut rng, &blocks);
     }
 
-    // Re-serializing a restored machine must reproduce the image exactly.
-    let image = snap_bytes(&m.sys);
-    let restored = restore(cfg, &image);
-    assert!(restored.audit_enabled(), "audit flag restored");
+    // Re-serializing a restored harness must reproduce the image exactly.
+    let image = snap_bytes(&h);
+    let mut h2 = restore(cfg, blocks.clone(), &image);
+    assert!(h2.system().audit_enabled(), "audit flag restored");
     assert_eq!(
         image,
-        snap_bytes(&restored),
-        "restored machine re-serializes differently (seed {seed:#x})"
+        snap_bytes(&h2),
+        "restored harness re-serializes differently (seed {seed:#x})"
     );
 
-    // And the restored machine must behave identically from here on.
+    // And the restored harness must behave identically from here on.
     let mut rng2 = rng.clone();
-    let mut m2 = Model {
-        sys: restored,
-        lines: m.lines.clone(),
-    };
     for _ in 0..1_500 {
-        m.step(&mut rng, &blocks);
-        m2.step(&mut rng2, &blocks);
+        step(&mut h, &mut rng, &blocks);
+        step(&mut h2, &mut rng2, &blocks);
     }
-    m.sys.audit_sweep();
-    m2.sys.audit_sweep();
+    h.system().audit_sweep();
+    h2.system().audit_sweep();
     assert_eq!(
-        snap_bytes(&m.sys),
-        snap_bytes(&m2.sys),
-        "restored machine diverged after resume (seed {seed:#x})"
+        snap_bytes(&h),
+        snap_bytes(&h2),
+        "restored harness diverged after resume (seed {seed:#x})"
     );
 }
 
@@ -292,7 +217,7 @@ fn round_trip_zerodev_multisocket() {
 fn fingerprint_mismatch_is_rejected() {
     let cfg = tiny(None, LlcDesign::NonInclusive, Some(sparse()), 1);
     let sys = System::new(cfg).expect("valid config");
-    let image = snap_bytes(&sys);
+    let image = snap_system(&sys);
     let other = tiny(None, LlcDesign::NonInclusive, Some(sparse()), 2);
     let mut wrong = System::new(other).expect("valid config");
     let mut r = SnapReader::open(&image, MAGIC, VERSION).expect("container valid");

@@ -2,9 +2,10 @@
 //!
 //! Models what the evaluation actually depends on: row-buffer hits versus
 //! misses versus conflicts, per-bank occupancy, and per-channel data-bus
-//! bandwidth. Timing parameters come from
-//! [`zerodev_common::config::DramConfig`] (DDR3-2133, 14-14-14-35, 1 KB rows,
-//! BL=8) and are converted to 4 GHz core cycles.
+//! bandwidth. The timings and geometry are the Table I constants of
+//! [`zerodev_common::config::DramConfig`] (DDR3-2133, 14-14-14-35, 2 ranks ×
+//! 8 banks, 1 KB rows, BL=8), converted to 4 GHz core cycles; only the
+//! channel count is configured.
 //!
 //! # Example
 //!
@@ -36,38 +37,27 @@ struct Channel {
 zerodev_common::fieldwise_clone!(Channel { banks, bus_free });
 
 /// The memory system of one socket: independent single-channel controllers,
-/// each with `ranks × banks` banks and an open-page row-buffer policy.
+/// each with `RANKS × BANKS` banks and an open-page row-buffer policy.
 #[derive(Debug)]
 pub struct DramModel {
-    cfg: DramConfig,
-    map: AddrMap,
+    /// The channel count, as the divisor of the block interleaving.
+    interleave: Divisor,
     channels: Vec<Channel>,
-    row_hits: u64,
-    row_empty: u64,
-    row_conflicts: u64,
     reads: u64,
     writes: u64,
 }
 
 zerodev_common::fieldwise_clone!(DramModel {
-    cfg,
-    map,
+    interleave,
     channels,
-    row_hits,
-    row_empty,
-    row_conflicts,
     reads,
     writes,
 });
 
-/// The address-mapping divisors, derived from the configuration once.
-#[derive(Clone, Copy, Debug)]
-struct AddrMap {
-    channels: Divisor,
-    blocks_per_row: Divisor,
-    /// Banks per channel (`ranks × banks`).
-    banks: Divisor,
-}
+/// Banks per channel.
+const BANKS_PER_CHANNEL: u64 = (DramConfig::RANKS * DramConfig::BANKS) as u64;
+/// Blocks per row buffer.
+const BLOCKS_PER_ROW: u64 = (DramConfig::ROW_BYTES / 64) as u64;
 
 /// Where a block lands in the DRAM system.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,36 +74,18 @@ impl DramModel {
     /// Creates the memory system.
     ///
     /// # Panics
-    /// Panics when the configuration has zero channels, ranks or banks, or
-    /// rows smaller than one block.
+    /// Panics when the configuration has zero channels.
     pub fn new(cfg: DramConfig) -> Self {
-        assert!(
-            cfg.channels > 0 && cfg.ranks > 0 && cfg.banks > 0,
-            "DRAM needs at least one channel, rank, and bank"
-        );
-        assert!(
-            cfg.row_bytes >= 64,
-            "DRAM rows must hold at least one block"
-        );
-        let banks_per_channel = cfg.ranks * cfg.banks;
-        let map = AddrMap {
-            channels: Divisor::new(cfg.channels as u64),
-            blocks_per_row: Divisor::new((cfg.row_bytes / 64) as u64),
-            banks: Divisor::new(banks_per_channel as u64),
-        };
+        assert!(cfg.channels > 0, "DRAM needs at least one channel");
         let channels = (0..cfg.channels)
             .map(|_| Channel {
-                banks: vec![Bank::default(); banks_per_channel],
+                banks: vec![Bank::default(); BANKS_PER_CHANNEL as usize],
                 bus_free: Cycle::ZERO,
             })
             .collect();
         DramModel {
-            cfg,
-            map,
+            interleave: Divisor::new(cfg.channels as u64),
             channels,
-            row_hits: 0,
-            row_empty: 0,
-            row_conflicts: 0,
             reads: 0,
             writes: 0,
         }
@@ -122,42 +94,29 @@ impl DramModel {
     /// Address mapping: channel-interleaved at block granularity, then
     /// column, bank, row (open-page friendly).
     pub fn coords(&self, block: BlockAddr) -> DramCoords {
-        let m = self.map;
-        let row_seq = m.blocks_per_row.quotient(m.channels.quotient(block.0));
+        let row_seq = self.interleave.quotient(block.0) / BLOCKS_PER_ROW;
         DramCoords {
-            channel: m.channels.remainder(block.0) as usize,
-            bank: m.banks.remainder(row_seq) as usize,
-            row: m.banks.quotient(row_seq),
+            channel: self.interleave.remainder(block.0) as usize,
+            bank: (row_seq % BANKS_PER_CHANNEL) as usize,
+            row: row_seq / BANKS_PER_CHANNEL,
         }
     }
 
     fn access(&mut self, now: Cycle, block: BlockAddr) -> Cycle {
         let c = self.coords(block);
-        let cmd_dram_cycles = {
-            let bank = &self.channels[c.channel].banks[c.bank];
-            match bank.open_row {
-                Some(r) if r == c.row => {
-                    self.row_hits += 1;
-                    self.cfg.t_cas
-                }
-                Some(_) => {
-                    self.row_conflicts += 1;
-                    self.cfg.t_rp + self.cfg.t_rcd + self.cfg.t_cas
-                }
-                None => {
-                    self.row_empty += 1;
-                    self.cfg.t_rcd + self.cfg.t_cas
-                }
-            }
-        };
-        let burst = self.cfg.burst_len / 2; // BL=8 → 4 command-clock cycles
-        let cmd = self.cfg.to_core_cycles(cmd_dram_cycles);
-        let burst_core = self.cfg.to_core_cycles(burst);
         let chan = &mut self.channels[c.channel];
+        let cmd_dram_cycles = match chan.banks[c.bank].open_row {
+            Some(r) if r == c.row => DramConfig::T_CAS,
+            Some(_) => DramConfig::T_RP + DramConfig::T_RCD + DramConfig::T_CAS,
+            None => DramConfig::T_RCD + DramConfig::T_CAS,
+        };
+        // BL=8 → 4 command-clock cycles of data bus.
+        const BURST_CORE: u64 = DramConfig::to_core_cycles(DramConfig::BURST_LEN / 2);
+        let cmd = DramConfig::to_core_cycles(cmd_dram_cycles);
         let bank = &mut chan.banks[c.bank];
         let t0 = now.max(bank.busy_until);
         let data_start = Cycle(t0.0 + cmd).max(chan.bus_free);
-        let finish = data_start + burst_core;
+        let finish = data_start + BURST_CORE;
         chan.bus_free = finish;
         bank.busy_until = finish;
         bank.open_row = Some(c.row);
@@ -179,20 +138,15 @@ impl DramModel {
         self.access(now, block)
     }
 
-    /// (row hits, row-empty activations, row conflicts) so far.
-    pub fn row_stats(&self) -> (u64, u64, u64) {
-        (self.row_hits, self.row_empty, self.row_conflicts)
-    }
-
     /// (reads, writes) so far.
     pub fn rw_counts(&self) -> (u64, u64) {
         (self.reads, self.writes)
     }
 
     /// Serializes the mutable memory-system state — open rows, bank/bus
-    /// occupancy horizons, and the access counters — for checkpointing.
-    /// Geometry and timing are rebuilt from configuration on restore.
-    // lint:allow(snapshot_complete(cfg, map), DRAM geometry, address mapping, and timing are configuration, not mutable state; restore targets a model built from the same config)
+    /// occupancy horizons, and the read/write counts — for checkpointing.
+    /// The channel interleaving is rebuilt from configuration on restore.
+    // lint:allow(snapshot_complete(interleave), the channel interleaving is derived from the configuration, not mutable state; restore targets a model built from the same config)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.channels.len());
         for ch in &self.channels {
@@ -209,9 +163,6 @@ impl DramModel {
                 w.u64(b.busy_until.0);
             }
         }
-        w.u64(self.row_hits);
-        w.u64(self.row_empty);
-        w.u64(self.row_conflicts);
         w.u64(self.reads);
         w.u64(self.writes);
     }
@@ -222,7 +173,7 @@ impl DramModel {
     /// # Errors
     /// Fails with a structural [`zerodev_common::snap::SnapError`] on
     /// geometry mismatch or decode error.
-    // lint:allow(snapshot_complete(cfg, map), DRAM geometry, address mapping, and timing are configuration, not mutable state; restore targets a model built from the same config)
+    // lint:allow(snapshot_complete(interleave), the channel interleaving is derived from the configuration, not mutable state; restore targets a model built from the same config)
     pub fn unsnap(
         &mut self,
         r: &mut zerodev_common::snap::SnapReader<'_>,
@@ -249,9 +200,6 @@ impl DramModel {
                 b.busy_until = Cycle(r.u64("dram busy_until")?);
             }
         }
-        self.row_hits = r.u64("dram row_hits")?;
-        self.row_empty = r.u64("dram row_empty")?;
-        self.row_conflicts = r.u64("dram row_conflicts")?;
         self.reads = r.u64("dram reads")?;
         self.writes = r.u64("dram writes")?;
         Ok(())
@@ -310,8 +258,6 @@ mod tests {
         let t3 = m.read(Cycle(20_000), same_bank_other_row);
         let conflict = t3.since(Cycle(20_000));
         assert!(conflict > hit);
-        let (hits, empty, conflicts) = m.row_stats();
-        assert_eq!((hits, empty, conflicts), (1, 1, 1));
     }
 
     #[test]
@@ -353,22 +299,15 @@ mod tests {
 
     #[test]
     fn coords_match_reference_division_on_odd_geometry() {
-        // 3 channels, 3 banks per channel, 3 blocks per row: every divisor
-        // takes the general (non-power-of-two) path.
-        let cfg = DramConfig {
-            channels: 3,
-            ranks: 1,
-            banks: 3,
-            row_bytes: 3 * 64,
-            ..DramConfig::default()
-        };
-        let m = DramModel::new(cfg);
+        // 3 channels take the general (non-power-of-two) divisor path; the
+        // 16 banks per channel and 16 blocks per row are Table I's.
+        let m = DramModel::new(DramConfig { channels: 3 });
         for b in (0..2000u64).chain([1 << 40, u64::MAX - 1, u64::MAX]) {
             let in_channel = b / 3;
             let want = DramCoords {
                 channel: (b % 3) as usize,
-                bank: ((in_channel / 3) % 3) as usize,
-                row: in_channel / 3 / 3,
+                bank: ((in_channel / 16) % 16) as usize,
+                row: in_channel / 16 / 16,
             };
             assert_eq!(m.coords(BlockAddr(b)), want, "block {b}");
         }
@@ -377,10 +316,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_channels_panic() {
-        let cfg = DramConfig {
-            channels: 0,
-            ..DramConfig::default()
-        };
-        let _ = DramModel::new(cfg);
+        let _ = DramModel::new(DramConfig { channels: 0 });
     }
 }

@@ -276,15 +276,20 @@ impl Graph {
         };
 
         // Sample traces for conformance replay: the last few discovered
-        // states are among the deepest (BFS discovery order).
+        // states are among the deepest (BFS discovery order). One pass over
+        // the visited map picks out their keys.
         let mut sample_traces = Vec::new();
         if undrainable.is_none() {
-            let by_id: HashMap<u32, &Vec<u8>> = self.visited.iter().map(|(k, &v)| (v, k)).collect();
-            let n = self.parents.len() as u32;
-            let take = 6u32.min(n);
-            for id in (n - take)..n {
-                let key = by_id.get(&id).expect("every id has a key");
-                sample_traces.push((self.trace_to(id), (*key).clone()));
+            let first = (self.parents.len() as u32).saturating_sub(6);
+            let mut last: Vec<(u32, &Vec<u8>)> = self
+                .visited
+                .iter()
+                .filter(|(_, &id)| id >= first)
+                .map(|(key, &id)| (id, key))
+                .collect();
+            last.sort_unstable_by_key(|&(id, _)| id);
+            for (id, key) in last {
+                sample_traces.push((self.trace_to(id), key.clone()));
             }
         }
 

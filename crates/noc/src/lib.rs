@@ -6,8 +6,8 @@
 //! contention and keeps no state beyond its geometry, so every query is a
 //! pure function of the endpoints and the message size. Traffic per message
 //! class is counted by the protocol engine (`Stats::msg_counts`), not here.
-//! Inter-socket links are modelled by the fixed 20 ns routing delay in
-//! `SystemConfig::inter_socket_cycles`.
+//! Inter-socket links are modelled by the fixed 20 ns routing delay of
+//! Table I, `SystemConfig::INTER_SOCKET_CYCLES`.
 //!
 //! # Example
 //!
@@ -175,19 +175,6 @@ impl SocketTopology {
         self.mesh
             .latency(self.banks[bank], self.mcs[channel % self.mcs.len()], bytes)
     }
-
-    /// Average core→bank hop distance (used by tests and for sanity checks).
-    pub fn mean_core_bank_hops(&self) -> f64 {
-        let mut total = 0u64;
-        let mut n = 0u64;
-        for &c in &self.cores {
-            for &b in &self.banks {
-                total += self.mesh.hops(c, b);
-                n += 1;
-            }
-        }
-        total as f64 / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +232,6 @@ mod tests {
         // co-located core/bank pairs: zero-distance access still costs a hop.
         assert_eq!(t.core_bank_latency(0, 0, 8), 2);
         assert!(t.core_bank_latency(0, 7, 8) >= t.core_bank_latency(0, 0, 8));
-        assert!(t.mean_core_bank_hops() > 0.0);
     }
 
     #[test]

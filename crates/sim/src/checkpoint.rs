@@ -32,7 +32,7 @@ pub const MAGIC: u64 = 0x5eed_c8ec_7020_21ff;
 /// Checkpoint format version; bumped on any layout change so stale images
 /// fail structurally ([`SnapError::BadVersion`]) instead of decoding
 /// garbage.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 impl PausedRun {
     /// Serializes the paused run into a self-contained image: run target,

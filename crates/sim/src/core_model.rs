@@ -63,8 +63,6 @@ pub struct CoreModel {
     l1i: SetAssoc<()>,
     l1d: SetAssoc<()>,
     l2: SetAssoc<L2Line>,
-    l1_hit: u64,
-    l2_hit: u64,
 }
 
 impl CoreModel {
@@ -76,8 +74,6 @@ impl CoreModel {
             l1i: SetAssoc::new(cfg.l1i.sets(), cfg.l1i.ways, Replacement::Lru),
             l1d: SetAssoc::new(cfg.l1d.sets(), cfg.l1d.ways, Replacement::Lru),
             l2: SetAssoc::new(cfg.l2.sets(), cfg.l2.ways, Replacement::Lru),
-            l1_hit: cfg.l1_hit_cycles,
-            l2_hit: cfg.l2_hit_cycles,
         }
     }
 
@@ -88,15 +84,9 @@ impl CoreModel {
             .map_or(MesiState::Invalid, |i| self.l2.at(i).state)
     }
 
-    /// Number of valid L2 lines (diagnostics).
-    pub fn l2_lines(&self) -> usize {
-        self.l2.len()
-    }
-
-    /// Serializes the private hierarchy lane-exactly for checkpointing
-    /// (ids and hit latencies are config-derived and rebuilt by
-    /// [`Self::new`], not stored).
-    // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
+    /// Serializes the private hierarchy lane-exactly for checkpointing (the
+    /// ids are config-derived and rebuilt by [`Self::new`], not stored).
+    // lint:allow(snapshot_complete(socket, core), ids are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         self.l1i.snapshot_with(w, |_, _, ()| {});
         self.l1d.snapshot_with(w, |_, _, ()| {});
@@ -108,7 +98,7 @@ impl CoreModel {
     /// # Errors
     /// Fails with a decode [`SnapError`] on geometry mismatch or corrupt
     /// input.
-    // lint:allow(snapshot_complete(socket, core, l1_hit, l2_hit), ids and hit latencies are config-derived and rebuilt by CoreModel::new)
+    // lint:allow(snapshot_complete(socket, core), ids are config-derived and rebuilt by CoreModel::new)
     pub(crate) fn unsnap(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         self.l1i.restore_with(r, |_, _| Ok(()))?;
         self.l1d.restore_with(r, |_, _| Ok(()))?;
@@ -132,7 +122,7 @@ impl CoreModel {
     /// every reference, so the invalidation/downgrade vectors stop churning
     /// the allocator on the hot path.
     pub fn access_into(&mut self, sys: &mut System, now: Cycle, r: MemRef, fx: &mut AccessEffects) {
-        fx.latency = self.l1_hit;
+        fx.latency = SystemConfig::L1_HIT_CYCLES;
         fx.uncore_latency = 0;
         fx.invalidations.clear();
         fx.downgrades.clear();
@@ -151,7 +141,7 @@ impl CoreModel {
             } else {
                 sys.stats.l1d_misses += 1;
             }
-            fx.latency += self.l2_hit;
+            fx.latency += SystemConfig::L2_HIT_CYCLES;
             // One L2 probe: a hit is promoted as the source of the L1 refill.
             l2_state = self
                 .l2
@@ -316,7 +306,7 @@ mod tests {
         let miss = c.access(&mut sys, Cycle(0), read(5));
         assert!(miss.uncore_latency > 100);
         let hit = c.access(&mut sys, Cycle(10), read(5));
-        assert_eq!(hit.latency, sys.config().l1_hit_cycles);
+        assert_eq!(hit.latency, SystemConfig::L1_HIT_CYCLES);
         assert_eq!(hit.uncore_latency, 0);
     }
 
@@ -332,7 +322,7 @@ mod tests {
         let lat = c.access(&mut sys, Cycle(0), read(5));
         assert_eq!(
             lat.latency,
-            sys.config().l1_hit_cycles + sys.config().l2_hit_cycles
+            SystemConfig::L1_HIT_CYCLES + SystemConfig::L2_HIT_CYCLES
         );
     }
 
@@ -344,7 +334,7 @@ mod tests {
         assert_eq!(c.state_of(BlockAddr(5)), MesiState::Exclusive);
         let before = sys.stats.upgrades;
         let fx = c.access(&mut sys, Cycle(0), write(5));
-        assert_eq!(fx.latency, sys.config().l1_hit_cycles);
+        assert_eq!(fx.latency, SystemConfig::L1_HIT_CYCLES);
         assert_eq!(sys.stats.upgrades, before, "no upgrade message for E→M");
         assert_eq!(c.state_of(BlockAddr(5)), MesiState::Modified);
     }
@@ -385,7 +375,9 @@ mod tests {
         // The first block was evicted and its entry freed.
         assert!(sys.entry_of(SocketId(0), BlockAddr(3)).is_none());
         assert_eq!(c.state_of(BlockAddr(3)), MesiState::Invalid);
-        assert_eq!(c.l2_lines(), 4);
+        for i in 1..5 {
+            assert!(c.state_of(BlockAddr(3 + i * sets)).is_valid());
+        }
     }
 
     #[test]

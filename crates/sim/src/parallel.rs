@@ -498,7 +498,7 @@ mod tests {
         assert!(Arc::ptr_eq(outs[0].run.unwrap(), outs[1].run.unwrap()));
         // A different config misses.
         let mut other = job("blackscholes", seed, true);
-        other.cfg.l2_hit_cycles += 1;
+        other.cfg.noc.hop_cycles += 1;
         let out = Engine::new(1).run_grid(std::slice::from_ref(&other));
         assert!(!out[0].cache_hit);
     }

@@ -115,16 +115,6 @@ impl std::ops::Deref for RunWithEnergy {
     }
 }
 
-/// Convenience: ratio of traffic bytes (config / baseline).
-pub fn traffic_ratio(cfg_run: &SimResult, base: &SimResult) -> f64 {
-    cfg_run.stats.total_traffic_bytes() as f64 / base.stats.total_traffic_bytes().max(1) as f64
-}
-
-/// Convenience: ratio of core-cache misses (config / baseline).
-pub fn miss_ratio(cfg_run: &SimResult, base: &SimResult) -> f64 {
-    cfg_run.stats.core_cache_misses as f64 / base.stats.core_cache_misses.max(1) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,8 +145,6 @@ mod tests {
         let cfg = SystemConfig::baseline_8core();
         let a = run(&cfg, rate("leela", 8, 7).unwrap(), &RunParams::quick());
         let b = run(&cfg, rate("leela", 8, 7).unwrap(), &RunParams::quick());
-        assert!((traffic_ratio(&a, &b) - 1.0).abs() < 1e-9);
-        assert!((miss_ratio(&a, &b) - 1.0).abs() < 1e-9);
         assert!((a.speedup_vs(&b).expect("same core count") - 1.0).abs() < 1e-9);
     }
 }

@@ -112,8 +112,20 @@ impl Trace {
 impl FromStr for Trace {
     type Err = ParseTraceError;
 
+    /// Parses the text format.
+    ///
+    /// # Errors
+    /// Fails on a malformed line, and on a trace that could not be
+    /// replayed: one with no `@thread` marker, or a thread with no
+    /// reference (reported at its marker's line).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut threads: Vec<Vec<MemRef>> = Vec::new();
+        // Line of the current thread's `@thread` marker.
+        let mut marker = 0;
+        let empty_thread = |line: usize| ParseTraceError {
+            line,
+            message: "thread has no references".into(),
+        };
         for (idx, raw) in s.lines().enumerate() {
             let line = raw.trim();
             let lineno = idx + 1;
@@ -134,7 +146,11 @@ impl FromStr for Trace {
                         ),
                     });
                 }
+                if threads.last().is_some_and(Vec::is_empty) {
+                    return Err(empty_thread(marker));
+                }
                 threads.push(Vec::new());
+                marker = lineno;
                 continue;
             }
             let current = threads.last_mut().ok_or(ParseTraceError {
@@ -185,7 +201,14 @@ impl FromStr for Trace {
                 gap,
             });
         }
-        Ok(Trace { threads })
+        match threads.last() {
+            None => Err(ParseTraceError {
+                line: s.lines().count().max(1),
+                message: "trace has no @thread marker".into(),
+            }),
+            Some(refs) if refs.is_empty() => Err(empty_thread(marker)),
+            Some(_) => Ok(Trace { threads }),
+        }
     }
 }
 
@@ -250,10 +273,21 @@ mod tests {
         assert!(!t.is_empty());
     }
 
+    /// A trace that parses must replay: no thread, or a thread without a
+    /// reference, is a line-numbered error rather than a later panic in
+    /// `into_workload`.
     #[test]
-    fn empty_trace_parses() {
-        let t: Trace = "# nothing\n".parse().unwrap();
-        assert!(t.is_empty());
-        assert_eq!(t.thread_count(), 0);
+    fn unreplayable_traces_are_rejected() {
+        for (text, line, what) in [
+            ("@thread 0\n", 1, "no references"),
+            ("# nothing\n", 1, "no @thread"),
+            ("", 1, "no @thread"),
+            ("@thread 0\n@thread 1\n1 r 0\n", 1, "no references"),
+            ("@thread 0\n1 r 0\n# c\n@thread 1\n", 4, "no references"),
+        ] {
+            let e = text.parse::<Trace>().unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.message.contains(what), "{text:?}: {e}");
+        }
     }
 }
