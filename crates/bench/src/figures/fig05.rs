@@ -23,7 +23,6 @@ fn spill_probe_cfg() -> SystemConfig {
         DirectoryKind::Sparse {
             ratio: Ratio::ONE,
             ways: 8,
-            replacement_disabled: true,
         },
     )
 }

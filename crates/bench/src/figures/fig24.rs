@@ -21,12 +21,10 @@ pub fn run() {
         server_zd(DirectoryKind::Sparse {
             ratio: Ratio::ONE,
             ways: 8,
-            replacement_disabled: true,
         }),
         server_zd(DirectoryKind::Sparse {
             ratio: Ratio::new(1, 8),
             ways: 8,
-            replacement_disabled: true,
         }),
         server_zd(DirectoryKind::None),
     ];

@@ -29,7 +29,6 @@ fn configs_for(server: bool) -> Vec<(&'static str, SystemConfig)> {
     let sp = |num, den| DirectoryKind::Sparse {
         ratio: Ratio::new(num, den),
         ways: 8,
-        replacement_disabled: true,
     };
     vec![
         ("BaseEPD+1x", with_design(base.clone(), LlcDesign::Epd)),

@@ -80,7 +80,6 @@ pub fn run() {
             let sp = |num, den| DirectoryKind::Sparse {
                 ratio: Ratio::new(num, den),
                 ways: 8,
-                replacement_disabled: true,
             };
             vec![
                 ("SecDir+1x", secdir_cfg(&base_cfg, false)),

@@ -88,7 +88,6 @@ pub fn zerodev_sparse(num: u32, den: u32) -> SystemConfig {
         DirectoryKind::Sparse {
             ratio: Ratio::new(num, den),
             ways: 8,
-            replacement_disabled: true,
         },
     )
 }

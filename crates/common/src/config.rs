@@ -101,16 +101,13 @@ impl CacheGeometry {
 pub enum DirectoryKind {
     /// A traditional set-associative sparse directory sized `ratio ×` the
     /// aggregate private-L2 block count, with 1-bit NRU replacement (the
-    /// paper's baseline). With `replacement_disabled`, a conflict overflows
-    /// to the LLC instead of evicting (ZeroDEV §III-C4) — only meaningful
-    /// when ZeroDEV is enabled.
+    /// paper's baseline). Under ZeroDEV it is replacement-disabled: a
+    /// conflict overflows to the LLC instead of evicting (§III-C4).
     Sparse {
         /// Entries relative to aggregate private-L2 blocks.
         ratio: Ratio,
         /// Set associativity (8 in all paper configurations).
         ways: usize,
-        /// ZeroDEV option: never evict; overflow to the LLC.
-        replacement_disabled: bool,
     },
     /// An unlimited-capacity directory (the paper's idealised comparison
     /// point in Figures 2–4).
@@ -419,7 +416,6 @@ impl SystemConfig {
             directory: DirectoryKind::Sparse {
                 ratio: Ratio::ONE,
                 ways: 8,
-                replacement_disabled: false,
             },
             zerodev: None,
             noc: NocConfig::default(),
@@ -449,18 +445,11 @@ impl SystemConfig {
     }
 
     /// Switches this configuration to ZeroDEV with the given options and
-    /// directory kind, returning `self` for chaining.
+    /// directory kind, returning `self` for chaining. ZeroDEV always runs
+    /// a sparse directory replacement-disabled (§III-C4: strictly better
+    /// and simpler).
     pub fn with_zerodev(mut self, zd: ZeroDevConfig, directory: DirectoryKind) -> Self {
-        // ZeroDEV always runs its sparse directory replacement-disabled
-        // (§III-C4: strictly better and simpler).
-        self.directory = match directory {
-            DirectoryKind::Sparse { ratio, ways, .. } => DirectoryKind::Sparse {
-                ratio,
-                ways,
-                replacement_disabled: true,
-            },
-            other => other,
-        };
+        self.directory = directory;
         self.zerodev = Some(zd);
         self
     }
@@ -468,11 +457,7 @@ impl SystemConfig {
     /// Switches to a baseline (non-ZeroDEV) sparse directory of the given
     /// size ratio, returning `self` for chaining.
     pub fn with_sparse_dir(mut self, ratio: Ratio) -> Self {
-        self.directory = DirectoryKind::Sparse {
-            ratio,
-            ways: 8,
-            replacement_disabled: false,
-        };
+        self.directory = DirectoryKind::Sparse { ratio, ways: 8 };
         self
     }
 
@@ -590,14 +575,6 @@ impl SystemConfig {
                     "a directory-less machine requires ZeroDEV".into(),
                 ));
             }
-            DirectoryKind::Sparse {
-                replacement_disabled: true,
-                ..
-            } if self.zerodev.is_none() => {
-                return Err(ConfigError(
-                    "replacement-disabled sparse directory requires ZeroDEV".into(),
-                ));
-            }
             DirectoryKind::Sparse { ways, .. } | DirectoryKind::MultiGrain { ways, .. }
                 if *ways == 0 =>
             {
@@ -664,7 +641,15 @@ impl SystemConfig {
             Self::LLC_DATA_CYCLES,
             self.llc_design
         );
-        let _ = writeln!(s, "directory: {:?}", self.directory);
+        let _ = match self.directory {
+            // Replacement-disabled follows from ZeroDEV (§III-C4); Table I shows it.
+            DirectoryKind::Sparse { ratio, ways } => writeln!(
+                s,
+                "directory: Sparse {{ ratio: {ratio:?}, ways: {ways}, replacement_disabled: {} }}",
+                self.zerodev.is_some()
+            ),
+            ref d => writeln!(s, "directory: {d:?}"),
+        };
         match self.zerodev {
             Some(zd) => {
                 let _ = writeln!(s, "ZeroDEV: {} + {}", zd.policy, zd.llc_replacement);
@@ -778,36 +763,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = cfg.with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_repl_disabled_without_zerodev() {
-        let mut cfg = SystemConfig::baseline_8core();
-        cfg.directory = DirectoryKind::Sparse {
-            ratio: Ratio::ONE,
-            ways: 8,
-            replacement_disabled: true,
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn with_zerodev_forces_replacement_disabled() {
-        let cfg = SystemConfig::baseline_8core().with_zerodev(
-            ZeroDevConfig::default(),
-            DirectoryKind::Sparse {
-                ratio: Ratio::new(1, 8),
-                ways: 8,
-                replacement_disabled: false,
-            },
-        );
-        match cfg.directory {
-            DirectoryKind::Sparse {
-                replacement_disabled,
-                ..
-            } => assert!(replacement_disabled),
-            _ => panic!("expected sparse"),
-        }
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl MsgClass {
         }
     }
 
-    /// True for classes that carry a full data block.
-    pub fn carries_block(self) -> bool {
-        self.bytes() >= 72
-    }
-
     /// A short stable label for printing.
     pub fn label(self) -> &'static str {
         match self {
@@ -223,8 +218,6 @@ mod tests {
             assert!(!c.label().is_empty());
         }
         assert_eq!(MsgClass::Data.bytes(), 72);
-        assert!(MsgClass::Data.carries_block());
-        assert!(!MsgClass::Ack.carries_block());
     }
 
     #[test]

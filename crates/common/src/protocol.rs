@@ -95,9 +95,9 @@ pub struct Invalidation {
     pub reason: InvalReason,
 }
 
-/// A downgrade (M/E → S) the caller must apply to a private cache. If the
-/// line was M, the caller reports the dirty data via the engine's
-/// `sharing_writeback`.
+/// A downgrade (M/E → S) the caller must apply to a private cache. The
+/// engine's effect loop (`zerodev_core::apply_effects`) applies it and, if
+/// the line was M, reports the dirty data as a sharing writeback.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Downgrade {
     /// Socket of the owning core.

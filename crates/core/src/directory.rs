@@ -115,7 +115,7 @@ pub enum DirStore {
         /// Monolithic array (equivalent to the per-bank slices of the paper;
         /// same index bits, same conflict behaviour).
         array: SetAssoc<DirEntry>,
-        /// ZeroDEV option: overflow instead of evicting (§III-C4).
+        /// Set under ZeroDEV: overflow instead of evicting (§III-C4).
         replacement_disabled: bool,
     },
     /// Idealised unlimited-capacity directory.
@@ -132,16 +132,12 @@ impl DirStore {
     /// Builds the directory configured in `cfg` for one socket.
     pub fn build(cfg: &SystemConfig) -> Self {
         match &cfg.directory {
-            DirectoryKind::Sparse {
-                ratio,
-                ways,
-                replacement_disabled,
-            } => {
+            DirectoryKind::Sparse { ratio, ways } => {
                 let entries = cfg.dir_entries(*ratio);
                 let sets = (entries / ways).next_power_of_two().max(1);
                 DirStore::Sparse {
                     array: SetAssoc::new(sets, *ways, Replacement::Nru),
-                    replacement_disabled: *replacement_disabled,
+                    replacement_disabled: cfg.zerodev.is_some(),
                 }
             }
             DirectoryKind::Unbounded => DirStore::Unbounded(FlatMap::new()),
@@ -344,19 +340,19 @@ impl DirStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerodev_common::config::Ratio;
+    use zerodev_common::config::{Ratio, ZeroDevConfig};
 
     fn cfg() -> SystemConfig {
         SystemConfig::baseline_8core()
     }
 
-    fn small_sparse(ways: usize, replacement_disabled: bool) -> (DirStore, usize) {
+    fn small_sparse(ways: usize, zerodev: bool) -> (DirStore, usize) {
         let mut c = cfg();
         c.directory = DirectoryKind::Sparse {
             ratio: Ratio::new(1, 1024),
             ways,
-            replacement_disabled,
         };
+        c.zerodev = zerodev.then(ZeroDevConfig::default);
         let d = DirStore::build(&c);
         let sets = match &d {
             DirStore::Sparse { array, .. } => array.sets(),

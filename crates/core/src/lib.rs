@@ -3,9 +3,9 @@
 //!
 //! This crate is the paper's primary contribution plus its baselines:
 //!
-//! * [`directory`] — the sparse directory (NRU, any `R×` size, optionally
-//!   replacement-disabled), the unbounded directory, and the *no directory*
-//!   configuration.
+//! * [`directory`] — the sparse directory (NRU, any `R×` size,
+//!   replacement-disabled under ZeroDEV), the unbounded directory, and the
+//!   *no directory* configuration.
 //! * [`secdir`] — the SecDir baseline (Yan et al., ISCA 2019): per-core
 //!   private partitions plus a shared partition.
 //! * [`mgd`] — the Multi-grain Directory baseline (Zebchuk et al., MICRO
@@ -24,8 +24,11 @@
 //!   DENF_NACK flows, EPD and inclusive LLC designs, multi-socket
 //!   coherence).
 //!
-//! The engine is driven through [`System::access`] and [`System::evict`];
-//! the trace-driven cores live in the `zerodev-sim` crate.
+//! The engine is driven through [`System::access`] and [`System::evict`],
+//! and [`apply_effects`] applies each transaction's downgrades and
+//! invalidations to a caller's [`PrivateCaches`]: the trace-driven cores of
+//! the `zerodev-sim` crate, or the model checker's shadow states in
+//! [`step`].
 //!
 //! # Example
 //!
@@ -53,4 +56,7 @@ pub use directory::{DirEntry, DirStore};
 pub use llc::{LlcBank, LlcLine};
 pub use oracle::Oracle;
 pub use step::{ProtocolEvent, ProtocolHarness, StepViolation};
-pub use system::{AccessResult, EvictKind, InvalReason, Invalidation, Op, StateFault, System};
+pub use system::{
+    apply_effects, AccessResult, Downgrade, EvictKind, InvalReason, Invalidation, Op,
+    PrivateCaches, StateFault, System,
+};

@@ -3,11 +3,11 @@
 //! The exhaustive checker (`zerodev_model`) and the cycle-accurate simulator
 //! (`zerodev-sim`) must exercise *one* set of protocol rules. The pure rules
 //! live in [`zerodev_common::protocol`]; this module packages the concrete
-//! [`System`] plus the engine's effect-application contract (downgrades
-//! first, then the invalidation stack with dirty-data reporting — the exact
-//! loop in `zerodev-sim`'s `apply_effects`) behind a deterministic
-//! `(state, event) -> state'` interface with no timing, no workloads and no
-//! private-cache geometry.
+//! [`System`] plus the effect-application loop both share
+//! ([`crate::apply_effects`]: downgrades first, then the invalidation stack
+//! with dirty-data reporting) behind a deterministic `(state, event) ->
+//! state'` interface with no timing, no workloads and no private-cache
+//! geometry.
 //!
 //! Cores are abstracted to unbounded shadow caches: a core holds each block
 //! in a MESI state and never self-evicts — evictions are explicit
@@ -30,11 +30,11 @@
 
 use crate::invariants;
 use crate::llc::LlcLine;
-use crate::system::System;
+use crate::system::{apply_effects, PrivateCaches, System};
 use std::fmt;
 use zerodev_common::config::{ConfigError, SystemConfig};
 use zerodev_common::ids::SharerSet;
-use zerodev_common::protocol::{EvictKind, InvalReason, Op};
+use zerodev_common::protocol::{Downgrade, EvictKind, InvalReason, Invalidation, Op};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId};
 
@@ -219,6 +219,9 @@ pub struct ProtocolHarness {
     shadow: Vec<MesiState>,
     /// Per block: locations holding the symbolic latest value.
     tokens: Vec<WriteToken>,
+    /// The first downgrade of a copy not in M or E (`event contract`),
+    /// recorded while effects are applied and reported by the transition.
+    contract: Option<StepViolation>,
 }
 
 zerodev_common::fieldwise_clone!(ProtocolHarness {
@@ -228,6 +231,7 @@ zerodev_common::fieldwise_clone!(ProtocolHarness {
     cores,
     shadow,
     tokens,
+    contract,
 });
 
 impl ProtocolHarness {
@@ -266,6 +270,7 @@ impl ProtocolHarness {
                 };
                 n
             ],
+            contract: None,
         })
     }
 
@@ -320,7 +325,7 @@ impl ProtocolHarness {
     /// every shadow MESI state and every write token. Restoring it with
     /// [`Self::unsnap`] into a harness of the same configuration gives a
     /// harness equal to this one's clone.
-    // lint:allow(snapshot_complete(blocks, sockets, cores), the machine's shape and block set, given at construction; the shadow and token lengths follow from them)
+    // lint:allow(snapshot_complete(blocks, sockets, cores, contract), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it)
     pub fn snap(&self, w: &mut SnapWriter) {
         self.sys.snap(w);
         for st in &self.shadow {
@@ -339,7 +344,7 @@ impl ProtocolHarness {
     /// # Errors
     /// Fails with a structural [`SnapError`] on a configuration mismatch or
     /// a corrupt or truncated image; the harness must then be discarded.
-    // lint:allow(snapshot_complete(blocks, sockets, cores), the machine's shape and block set, given at construction; the shadow and token lengths follow from them)
+    // lint:allow(snapshot_complete(blocks, sockets, cores, contract), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it)
     pub fn unsnap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.sys.unsnap(r)?;
         for st in self.shadow.iter_mut() {
@@ -480,94 +485,6 @@ impl ProtocolHarness {
         }
     }
 
-    /// Applies the engine's effect contract: downgrades first (M owners
-    /// report a sharing writeback), then the invalidation stack, where a
-    /// Modified victim reports its dirty data per the invalidation reason
-    /// and DEV recalls may push further invalidations. Mirrors
-    /// `Simulation::apply_effects` exactly.
-    ///
-    /// # Errors
-    /// A downgrade must reach an M/E copy (`event contract`).
-    fn apply_effects(
-        &mut self,
-        downgrades: Vec<zerodev_common::protocol::Downgrade>,
-        invalidations: Vec<zerodev_common::protocol::Invalidation>,
-    ) -> Result<(), StepViolation> {
-        for d in downgrades {
-            let g = self.gidx(d.socket, d.core);
-            let prior = self.shadow_state(d.socket, d.core, d.block);
-            if !prior.is_owned() {
-                return Err(StepViolation {
-                    invariant: "event contract",
-                    detail: format!(
-                        "downgrade of {prior} {:?} at s{}/c{}",
-                        d.block, d.socket.0, d.core.0
-                    ),
-                });
-            }
-            let was_m = prior == MesiState::Modified;
-            self.set_shadow(d.socket, d.core, d.block, MesiState::Shared);
-            if was_m {
-                self.sys.sharing_writeback(Cycle::ZERO, d.socket, d.block);
-                // Mirror where the writeback landed: the LLC line when one
-                // survives the transaction's set churn, home memory when
-                // none does (and always on multi-socket machines).
-                let has_line = self
-                    .sys
-                    .llc_line_of(d.socket, d.block)
-                    .is_some_and(|l| l.holds_block());
-                let multisocket = self.sockets > 1;
-                let tok = self.token_mut(d.block);
-                if tok.cores & (1 << g) != 0 {
-                    if has_line {
-                        tok.llc |= 1 << d.socket.0;
-                    }
-                    if multisocket || !has_line {
-                        tok.mem = true;
-                    }
-                }
-            }
-        }
-        let mut stack = invalidations;
-        while let Some(inv) = stack.pop() {
-            let g = self.gidx(inv.socket, inv.core);
-            let prior = self.shadow_state(inv.socket, inv.core, inv.block);
-            self.set_shadow(inv.socket, inv.core, inv.block, MesiState::Invalid);
-            let was_latest = {
-                let tok = self.token_mut(inv.block);
-                let was = tok.cores & (1 << g) != 0;
-                tok.cores &= !(1 << g);
-                was
-            };
-            if prior == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        let more = self
-                            .sys
-                            .dev_dirty_recall(Cycle::ZERO, inv.socket, inv.block);
-                        if was_latest {
-                            self.token_mut(inv.block).llc |= 1 << inv.socket.0;
-                        }
-                        stack.extend(more);
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(Cycle::ZERO, inv.socket, inv.block);
-                        if was_latest {
-                            self.token_mut(inv.block).mem = true;
-                        }
-                    }
-                    InvalReason::Coherence => {
-                        // Dirty data travelled with the ownership transfer;
-                        // the requester's token was already set by the
-                        // access rule.
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The symbolic source the protocol is expected to serve a read from,
     /// in the protocol's own priority order: a private owner forward, the
     /// home-socket LLC line, a recalled sharer (corrupted home copy), then
@@ -685,10 +602,11 @@ impl ProtocolHarness {
     }
 
     /// Applies one transition without the final [`Self::check`]: drives the
-    /// concrete [`System`], replicates the engine's effect-application
-    /// contract, and updates the shadow states and write tokens. The model
-    /// checker runs `check` once per canonical state, when it first reaches
-    /// it: every fact `check` reads is part of the canonical key.
+    /// concrete [`System`], applies the transaction's effects with
+    /// [`apply_effects`], and updates the shadow states and write tokens.
+    /// The model checker runs `check` once per canonical state, when it
+    /// first reaches it: every fact `check` reads is part of the canonical
+    /// key.
     ///
     /// # Errors
     /// Returns a violation found while applying: an event the shadow state
@@ -722,7 +640,7 @@ impl ProtocolHarness {
                 } else {
                     Some(self.read_source_latest(g, block, &before))
                 };
-                let res = self.sys.access(Cycle::ZERO, socket, core, block, op);
+                let mut res = self.sys.access(Cycle::ZERO, socket, core, block, op);
                 self.set_shadow(socket, core, block, res.grant);
                 if is_write {
                     // A store mints a fresh token: the writer's copy is the
@@ -760,7 +678,15 @@ impl ProtocolHarness {
                     tok.cores |= 1 << g;
                     tok.llc |= appeared;
                 }
-                self.apply_effects(res.downgrades, res.invalidations)?;
+                apply_effects(
+                    self,
+                    Cycle::ZERO,
+                    &mut res.downgrades,
+                    &mut res.invalidations,
+                );
+                if let Some(v) = self.contract.take() {
+                    return Err(v);
+                }
             }
             ProtocolEvent::SilentWrite {
                 socket,
@@ -803,7 +729,7 @@ impl ProtocolHarness {
                     was
                 };
                 let dw_data_before = self.sys.stats.dram_writes - self.sys.stats.dram_writes_dir;
-                let invals = self.sys.evict(Cycle::ZERO, socket, core, block, kind);
+                let mut invals = self.sys.evict(Cycle::ZERO, socket, core, block, kind);
                 if was_latest {
                     // Attribute where the departing copy's data landed.
                     let bi = self.bidx(block);
@@ -835,7 +761,7 @@ impl ProtocolHarness {
                         self.token_mut(block).mem = true;
                     }
                 }
-                self.apply_effects(Vec::new(), invals)?;
+                apply_effects(self, Cycle::ZERO, &mut Vec::new(), &mut invals);
             }
         }
         self.reconcile(&before);
@@ -908,5 +834,70 @@ impl ProtocolHarness {
             invariants::check_block(&self.sys, block, &holders, owner)?;
         }
         Ok(())
+    }
+}
+
+/// The shadow states are the harness's private caches. Each method moves
+/// one copy's shadow state and write-token bit; `apply_effects` reports the
+/// dirty data to the machine.
+impl PrivateCaches for ProtocolHarness {
+    fn system(&mut self) -> &mut System {
+        &mut self.sys
+    }
+
+    /// A downgrade must reach an M/E copy. A Modified owner's sharing
+    /// writeback lands in the block's LLC line when one survives the
+    /// transaction's set churn, in home memory when none does (and always
+    /// on multi-socket machines). The writeback neither adds nor removes
+    /// that line, so it is read before it.
+    fn downgrade(&mut self, d: Downgrade) -> MesiState {
+        let g = self.gidx(d.socket, d.core);
+        let prior = self.shadow_state(d.socket, d.core, d.block);
+        if !prior.is_owned() {
+            let (b, s, c) = (d.block, d.socket.0, d.core.0);
+            let detail = format!("downgrade of {prior} {b:?} at s{s}/c{c}");
+            let invariant = "event contract";
+            self.contract
+                .get_or_insert(StepViolation { invariant, detail });
+            return prior;
+        }
+        self.set_shadow(d.socket, d.core, d.block, MesiState::Shared);
+        if prior == MesiState::Modified {
+            let has_line = self
+                .sys
+                .llc_line_of(d.socket, d.block)
+                .is_some_and(|l| l.holds_block());
+            let multisocket = self.sockets > 1;
+            let tok = self.token_mut(d.block);
+            if tok.cores & (1 << g) != 0 {
+                if has_line {
+                    tok.llc |= 1 << d.socket.0;
+                }
+                if multisocket || !has_line {
+                    tok.mem = true;
+                }
+            }
+        }
+        prior
+    }
+
+    fn invalidate(&mut self, inv: Invalidation) -> MesiState {
+        let g = self.gidx(inv.socket, inv.core);
+        let prior = self.shadow_state(inv.socket, inv.core, inv.block);
+        self.set_shadow(inv.socket, inv.core, inv.block, MesiState::Invalid);
+        let tok = self.token_mut(inv.block);
+        let was_latest = tok.cores & (1 << g) != 0;
+        tok.cores &= !(1 << g);
+        if prior == MesiState::Modified && was_latest {
+            match inv.reason {
+                // The recall fills this socket's LLC line.
+                InvalReason::Dev => tok.llc |= 1 << inv.socket.0,
+                InvalReason::Inclusion => tok.mem = true,
+                // Dirty data travelled with the ownership transfer; the
+                // requester's token was already set by the access rule.
+                InvalReason::Coherence => {}
+            }
+        }
+        prior
     }
 }

@@ -21,11 +21,12 @@
 //! every L2 victim (the paper's protocol notifies the directory of all
 //! evictions, with clean notices carrying no data). Invalidations and
 //! downgrades that the transaction produced are returned to the caller,
-//! which applies them to the private arrays and reports back dirty data
-//! through [`System::dev_dirty_recall`], [`System::sharing_writeback`] and
-//! [`System::inclusion_dirty_writeback`] (the directory cannot distinguish
-//! M from E, so only the core knows whether an invalidated or downgraded
-//! line carried dirty data).
+//! which hands them to [`apply_effects`] with its private caches (a
+//! [`PrivateCaches`]). That loop applies them and reports each Modified
+//! copy's dirty data back to the machine: a sharing writeback, a DEV
+//! victim's recall into the LLC, or an inclusion victim's writeback (the
+//! directory cannot distinguish M from E, so only the core knows whether
+//! an invalidated or downgraded line carried dirty data).
 
 use crate::directory::{AllocOutcome, DirEntry, DirStore, EvictedEntry};
 use crate::llc::{LlcBank, LlcLine, SpillOutcome};
@@ -529,8 +530,8 @@ impl System {
     }
 
     /// Baseline directory eviction: every tracked private copy becomes a
-    /// DEV. Dirty owners are detected by the caller (only the core knows)
-    /// and reported through [`System::dev_dirty_recall`].
+    /// DEV. Dirty owners are detected by the caller's caches (only the core
+    /// knows) and recalled by [`apply_effects`].
     // lint:consumes(Request)
     fn apply_dev_victims(
         &mut self,

@@ -1,6 +1,7 @@
 // Continuation of the System protocol engine (included from system.rs):
-// untracked reads/RFOs, the memory and multi-socket paths, evictions, and
-// the caller-reported dirty-data hooks.
+// untracked reads/RFOs, the memory and multi-socket paths, evictions, the
+// caller-reported dirty-data hooks, and the loop that applies a
+// transaction's effects to the private caches.
 
 impl System {
     /// Read (or code read) of a block with no directory entry in the socket.
@@ -1021,13 +1022,15 @@ impl System {
 
     /// The owner downgraded by a read held the block in M: its sharing
     /// writeback carries the dirty data to the home LLC (and, on
-    /// multi-socket machines, home memory).
+    /// multi-socket machines, home memory). It neither adds nor removes
+    /// the block's LLC line.
     // lint:consumes(Request)
-    pub fn sharing_writeback(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) {
+    pub(crate) fn sharing_writeback(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) {
         let s = socket.0 as usize;
         self.stats.msg(MsgClass::Writeback);
         let bank = self.bank_of(block);
-        if let Some(line) = self.sockets[s].banks[bank].block_line(block) {
+        let had_line = self.sockets[s].banks[bank].block_line(block);
+        if let Some(line) = had_line {
             match line {
                 LlcLine::Data { .. } => {
                     let policy = self.policy();
@@ -1051,6 +1054,11 @@ impl System {
         if self.cfg.sockets > 1 {
             self.writeback_to_memory(now, s, block);
         }
+        debug_assert_eq!(
+            had_line.is_some(),
+            self.sockets[s].banks[bank].block_line(block).is_some(),
+            "a sharing writeback added or removed the LLC line of {block:?}"
+        );
         if self.oracle.is_some() {
             let mut o = self.oracle.take().expect("checked above");
             o.after_sharing_writeback(self, socket, block);
@@ -1060,21 +1068,13 @@ impl System {
 
     /// A DEV-invalidated owner held the block in M: the dirty block is
     /// retrieved into the LLC (the paper's observation explaining
-    /// freqmine's behaviour, §I-A1). Returns back-invalidations caused by
-    /// the fill.
-    pub fn dev_dirty_recall(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) -> Vec<Invalidation> {
-        let mut invals = Vec::new();
-        self.dev_dirty_recall_into(now, socket, block, &mut invals);
-        invals
-    }
-
-    /// Allocation-free form of [`Self::dev_dirty_recall`]: back-invalidations
-    /// caused by the fill are appended to the caller-owned buffer.
+    /// freqmine's behaviour, §I-A1). Back-invalidations caused by the fill
+    /// are appended to `invals`.
     // The recall is triggered by a DEV while the directory allocates on
     // behalf of a request; the synchronous model folds it into that
     // transaction, so the dirty writeback is request-caused (rank 0 -> 0).
     // lint:consumes(Request)
-    pub fn dev_dirty_recall_into(
+    pub(crate) fn dev_dirty_recall(
         &mut self,
         now: Cycle,
         socket: SocketId,
@@ -1096,7 +1096,7 @@ impl System {
     /// An inclusion-invalidated owner held the block in M: the dirty data
     /// goes to home memory (its LLC line is being evicted).
     // lint:consumes(Request, EvictNotice)
-    pub fn inclusion_dirty_writeback(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) {
+    pub(crate) fn inclusion_dirty_writeback(&mut self, now: Cycle, socket: SocketId, block: BlockAddr) {
         let s = socket.0 as usize;
         self.stats.msg(MsgClass::Writeback);
         self.writeback_to_memory(now, s, block);
@@ -1204,5 +1204,175 @@ impl System {
                 }
             }
         }
+    }
+}
+
+/// The private caches a transaction's effects land in: the simulator's
+/// per-core hierarchies, or the model checker's per-core shadow states.
+/// Only a cache knows whether the copy it gives up was dirty (the directory
+/// cannot tell M from E), so [`apply_effects`] asks it.
+pub trait PrivateCaches {
+    /// The machine the effects came from, which dirty data is reported to.
+    fn system(&mut self) -> &mut System;
+
+    /// Downgrades one core's copy to Shared; returns the state it held.
+    fn downgrade(&mut self, d: Downgrade) -> MesiState;
+
+    /// Drops one core's copy; returns the state it held.
+    fn invalidate(&mut self, inv: Invalidation) -> MesiState;
+}
+
+/// Applies one transaction's downgrades and invalidations to `caches`,
+/// reporting each Modified copy's dirty data back to the machine, and
+/// leaves both vectors empty for reuse.
+///
+/// Downgrades come first; a Modified owner reports a sharing writeback.
+/// Invalidations are then popped LIFO off the tail of `invals`. A Modified
+/// DEV victim's recall fills the LLC and appends the fill's
+/// back-invalidations to `invals`, so they are applied before the older
+/// entries; a Modified inclusion victim writes back to home memory; a
+/// coherence victim's dirty data travelled with the ownership transfer.
+/// This pop/append order decides LLC victim selection (DESIGN.md §7).
+// Responses terminate at the requesting core: delivering them generates
+// no further traffic, which is what makes vnet 3 the drain of the order.
+// lint:consumes(Data, Ack, MemReadData, SocketData)
+// Inline, so each caller's codegen unit gets its own copy and can inline
+// its cache methods into it: the simulator runs this on every reference.
+#[inline]
+pub fn apply_effects<C: PrivateCaches>(
+    caches: &mut C,
+    now: Cycle,
+    downgrades: &mut Vec<Downgrade>,
+    invals: &mut Vec<Invalidation>,
+) {
+    for d in downgrades.drain(..) {
+        if caches.downgrade(d) == MesiState::Modified {
+            caches.system().sharing_writeback(now, d.socket, d.block);
+        }
+    }
+    while let Some(inv) = invals.pop() {
+        if caches.invalidate(inv) != MesiState::Modified {
+            continue;
+        }
+        let sys = caches.system();
+        match inv.reason {
+            InvalReason::Dev => sys.dev_dirty_recall(now, inv.socket, inv.block, invals),
+            InvalReason::Inclusion => sys.inclusion_dirty_writeback(now, inv.socket, inv.block),
+            InvalReason::Coherence => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod effect_tests {
+    use super::*;
+    use zerodev_common::config::CacheGeometry;
+    use InvalReason::{Coherence, Dev, Inclusion};
+
+    /// Fake private caches over a real machine: a copy of a block listed in
+    /// `held` reports that state, any other copy Invalid. `log` records each
+    /// effect's block and invalidation reason (`None` for a downgrade).
+    struct Recorder {
+        sys: System,
+        held: Vec<(u64, MesiState)>,
+        log: Vec<(u64, Option<InvalReason>)>,
+    }
+
+    impl PrivateCaches for Recorder {
+        fn system(&mut self) -> &mut System {
+            &mut self.sys
+        }
+
+        fn downgrade(&mut self, d: Downgrade) -> MesiState {
+            self.log.push((d.block.0, None));
+            self.state(d.block)
+        }
+
+        fn invalidate(&mut self, inv: Invalidation) -> MesiState {
+            self.log.push((inv.block.0, Some(inv.reason)));
+            self.state(inv.block)
+        }
+    }
+
+    impl Recorder {
+        /// Two cores over one inclusive 4-set × 2-way LLC bank, so a fill
+        /// into a full set back-invalidates the copies of its victim.
+        fn new(held: &[(u64, MesiState)]) -> Self {
+            let mut cfg = SystemConfig::baseline_8core();
+            cfg.cores = 2;
+            cfg.llc = CacheGeometry::new(512, 2);
+            cfg.llc_banks = 1;
+            cfg.llc_design = LlcDesign::Inclusive;
+            let sys = System::new(cfg).expect("valid machine");
+            let (held, log) = (held.to_vec(), Vec::new());
+            Recorder { sys, held, log }
+        }
+
+        fn state(&self, block: BlockAddr) -> MesiState {
+            let held = self.held.iter().find(|h| h.0 == block.0);
+            held.map_or(MesiState::Invalid, |h| h.1)
+        }
+
+        /// Applies core 0's downgrades and core 1's invalidations; returns
+        /// the Writeback messages and the DEV recalls they reported.
+        fn apply(&mut self, downs: &[u64], invals: &[(u64, InvalReason)]) -> (u64, u64) {
+            let reports = |st: &Stats| (st.count(MsgClass::Writeback), st.dev_dirty_recalls);
+            let before = reports(&self.sys.stats);
+            let mut downs: Vec<_> = downs
+                .iter()
+                .map(|&b| Downgrade {
+                    socket: SocketId(0),
+                    core: CoreId(0),
+                    block: BlockAddr(b),
+                })
+                .collect();
+            let mut invals: Vec<_> = invals
+                .iter()
+                .map(|&(b, reason)| Invalidation {
+                    socket: SocketId(0),
+                    core: CoreId(1),
+                    block: BlockAddr(b),
+                    reason,
+                })
+                .collect();
+            apply_effects(self, Cycle::ZERO, &mut downs, &mut invals);
+            assert!(downs.is_empty() && invals.is_empty(), "buffers drained");
+            let after = reports(&self.sys.stats);
+            (after.0 - before.0, after.1 - before.1)
+        }
+    }
+
+    #[test]
+    fn downgrades_come_first_then_invalidations_lifo() {
+        let mut r = Recorder::new(&[(1, MesiState::Exclusive), (2, MesiState::Shared)]);
+        let (c, coh) = (Coherence, Some(Coherence));
+        assert_eq!(r.apply(&[1, 2], &[(3, c), (4, c), (5, c)]), (0, 0));
+        assert_eq!(r.log, [(1, None), (2, None), (5, coh), (4, coh), (3, coh)]);
+    }
+
+    #[test]
+    fn only_modified_copies_report_once_each() {
+        for st in [MesiState::Modified, MesiState::Exclusive, MesiState::Shared] {
+            let m = u64::from(st == MesiState::Modified);
+            let apply = |downs: &[u64], invals| Recorder::new(&[(1, st)]).apply(downs, invals);
+            assert_eq!(apply(&[1], &[]), (m, 0), "downgrade of {st}");
+            assert_eq!(apply(&[], &[(1, Inclusion)]), (m, 0), "inclusion {st}");
+            assert_eq!(apply(&[], &[(1, Dev)]), (m, m), "DEV {st}");
+            assert_eq!(apply(&[], &[(1, Coherence)]), (0, 0), "coherence {st}");
+        }
+    }
+
+    #[test]
+    fn a_dev_recalls_back_invalidations_go_before_older_entries() {
+        // Core 0 reads blocks 4 and 8, filling block 0's LLC set.
+        let mut r = Recorder::new(&[(0, MesiState::Modified)]);
+        let sys = &mut r.sys;
+        for b in [4, 8] {
+            sys.access(Cycle::ZERO, SocketId(0), CoreId(0), BlockAddr(b), Op::Read);
+        }
+        // Block 0's recall fills the set and evicts block 4, the LRU line.
+        assert_eq!(r.apply(&[], &[(3, Coherence), (0, Dev)]), (1, 1));
+        let log = [(0, Some(Dev)), (4, Some(Inclusion)), (3, Some(Coherence))];
+        assert_eq!(r.log, log);
     }
 }

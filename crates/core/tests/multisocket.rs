@@ -220,7 +220,6 @@ fn baseline_multisocket_devs_stay_within_socket() {
     cfg.directory = DirectoryKind::Sparse {
         ratio: Ratio::new(1, 64),
         ways: 2,
-        replacement_disabled: false,
     };
     let mut sys = System::new(cfg).unwrap();
     // Socket 0 thrashes its tiny directory; socket 1's copies must be

@@ -246,7 +246,6 @@ fn baseline_conflicts_generate_devs() {
     cfg.directory = DirectoryKind::Sparse {
         ratio: Ratio::new(1, 128),
         ways: 2,
-        replacement_disabled: false,
     };
     let mut h = Harness::new(cfg, &blocks_from(0x1000, 32));
     // Touch many distinct blocks from one core; directory conflicts must
@@ -269,7 +268,6 @@ fn dev_of_modified_block_recalls_dirty_data() {
     cfg.directory = DirectoryKind::Sparse {
         ratio: Ratio::new(1, 128),
         ways: 2,
-        replacement_disabled: false,
     };
     let mut h = Harness::new(cfg, &blocks_from(0x1000, 32));
     // Write (M state) then cause directory conflicts.
@@ -542,7 +540,6 @@ fn zerodev_with_replacement_disabled_sparse_dir() {
         DirectoryKind::Sparse {
             ratio: Ratio::new(1, 64), // 8 entries
             ways: 2,
-            replacement_disabled: false, // with_zerodev forces true
         },
     );
     let mut h = Harness::new(cfg, &blocks_from(0x3000, 64));

@@ -134,7 +134,6 @@ fn sparse() -> DirectoryKind {
     DirectoryKind::Sparse {
         ratio: Ratio::new(1, 64),
         ways: 2,
-        replacement_disabled: false,
     }
 }
 

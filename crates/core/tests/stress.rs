@@ -97,7 +97,6 @@ fn stress_baseline_tiny_dir() {
             Some(DirectoryKind::Sparse {
                 ratio: Ratio::new(1, 64),
                 ways: 2,
-                replacement_disabled: false,
             }),
         ),
         6000,
@@ -145,7 +144,6 @@ fn stress_zerodev_epd() {
             Some(DirectoryKind::Sparse {
                 ratio: Ratio::new(1, 8),
                 ways: 4,
-                replacement_disabled: true,
             }),
         ),
         8000,

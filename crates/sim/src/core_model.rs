@@ -18,29 +18,6 @@ struct L2Line {
     state: MesiState,
 }
 
-fn mesi_tag(s: MesiState) -> u8 {
-    match s {
-        MesiState::Modified => 0,
-        MesiState::Exclusive => 1,
-        MesiState::Shared => 2,
-        MesiState::Invalid => 3,
-    }
-}
-
-fn mesi_from_tag(tag: u8) -> Result<MesiState, SnapError> {
-    Ok(match tag {
-        0 => MesiState::Modified,
-        1 => MesiState::Exclusive,
-        2 => MesiState::Shared,
-        3 => MesiState::Invalid,
-        _ => {
-            return Err(SnapError::Corrupt {
-                context: "unknown MESI state tag",
-            })
-        }
-    })
-}
-
 /// Effects of one core access that the engine must apply to *other* cores.
 #[derive(Debug, Default)]
 pub struct AccessEffects {
@@ -52,7 +29,7 @@ pub struct AccessEffects {
     /// Invalidations to apply across the machine.
     pub invalidations: Vec<zerodev_core::Invalidation>,
     /// Downgrades to apply across the machine.
-    pub downgrades: Vec<zerodev_core::system::Downgrade>,
+    pub downgrades: Vec<zerodev_core::Downgrade>,
 }
 
 /// One core's private hierarchy.
@@ -90,7 +67,8 @@ impl CoreModel {
     pub(crate) fn snap(&self, w: &mut SnapWriter) {
         self.l1i.snapshot_with(w, |_, _, ()| {});
         self.l1d.snapshot_with(w, |_, _, ()| {});
-        self.l2.snapshot_with(w, |w, _, l| w.u8(mesi_tag(l.state)));
+        self.l2
+            .snapshot_with(w, |w, _, l| w.variant(&MesiState::ALL, &l.state));
     }
 
     /// Restores a [`Self::snap`] image into this freshly built hierarchy.
@@ -104,7 +82,7 @@ impl CoreModel {
         self.l1d.restore_with(r, |_, _| Ok(()))?;
         self.l2.restore_with(r, |r, _| {
             Ok(L2Line {
-                state: mesi_from_tag(r.u8("l2 line state")?)?,
+                state: r.variant(&MesiState::ALL, "l2 line state")?,
             })
         })
     }
@@ -242,7 +220,7 @@ impl CoreModel {
     }
 
     /// Applies an invalidation from the uncore. Returns the state the line
-    /// was in (the engine reports M lines back to the protocol).
+    /// was in (M lines report their dirty data back to the protocol).
     pub fn apply_invalidation(&mut self, block: BlockAddr) -> MesiState {
         let state = self.state_of(block);
         let _ = self.l2.remove(block.0, |_| true);
@@ -251,12 +229,12 @@ impl CoreModel {
         state
     }
 
-    /// Applies a downgrade (M/E → S). Returns true when the line was M
-    /// (the engine then reports the sharing writeback).
-    pub fn apply_downgrade(&mut self, block: BlockAddr) -> bool {
-        let was_m = self.state_of(block) == MesiState::Modified;
+    /// Applies a downgrade (M/E → S). Returns the state the line was in
+    /// (an M line reports the sharing writeback).
+    pub fn apply_downgrade(&mut self, block: BlockAddr) -> MesiState {
+        let state = self.state_of(block);
         self.set_state(block, MesiState::Shared);
-        was_m
+        state
     }
 }
 
@@ -346,10 +324,10 @@ mod tests {
         let mut c1 = mk(&sys, 1);
         c0.access(&mut sys, Cycle(0), read(5));
         let fx = c1.access(&mut sys, Cycle(0), read(5));
-        for d in &fx.downgrades {
-            assert_eq!(d.core, CoreId(0));
-            c0.apply_downgrade(d.block);
-        }
+        assert_eq!(fx.downgrades.len(), 1);
+        assert_eq!(fx.downgrades[0].core, CoreId(0));
+        // The sole reader held the block clean: the downgrade reports E.
+        assert_eq!(c0.apply_downgrade(BlockAddr(5)), MesiState::Exclusive);
         assert_eq!(c0.state_of(BlockAddr(5)), MesiState::Shared);
         let fx = c0.access(&mut sys, Cycle(0), write(5));
         assert_eq!(sys.stats.upgrades, 1);

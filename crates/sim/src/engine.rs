@@ -5,7 +5,7 @@ use crate::core_model::{AccessEffects, CoreModel};
 use crate::faults::{FaultConfig, FaultDraw, FaultPlan, FaultStats};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId, Stats, SystemConfig};
-use zerodev_core::{InvalReason, System};
+use zerodev_core::{apply_effects, Downgrade, Invalidation, PrivateCaches, System};
 use zerodev_workloads::{Workload, WorkloadKind};
 
 /// Cycles a core may go without retiring a reference before the watchdog
@@ -341,53 +341,19 @@ impl Simulation {
         socket.0 as usize * self.sys.config().cores + core.0 as usize
     }
 
-    /// Applies one access's invalidations/downgrades to the victim cores,
-    /// reporting dirty data back to the protocol (which may cascade).
-    /// Returns the core-visible latency: private latency plus the uncore
-    /// latency de-rated by the workload's memory-level parallelism.
-    ///
-    /// Drains the effect buffer in place so callers can reuse one
-    /// allocation across every reference: invalidations are consumed LIFO
-    /// off the tail while cascading recalls append to the same vector.
-    // Responses terminate at the requesting core: delivering them generates
-    // no further traffic, which is what makes vnet 3 the drain of the order.
-    // lint:consumes(Data, Ack, MemReadData, SocketData)
-    fn apply_effects(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
+    /// Completes one access: applies its invalidations and downgrades to
+    /// the cores ([`apply_effects`], which drains the reused buffer in
+    /// place) and returns the core-visible latency: private latency plus
+    /// the uncore latency de-rated by the workload's memory-level
+    /// parallelism.
+    fn complete_access(&mut self, now: Cycle, fx: &mut AccessEffects, mlp: f64) -> u64 {
         // A private hit has no uncore latency to de-rate (0 / mlp rounds to 0).
         let latency = if fx.uncore_latency == 0 {
             fx.latency
         } else {
             fx.latency + (fx.uncore_latency as f64 / mlp.max(1.0)).round() as u64
         };
-        for d in fx.downgrades.drain(..) {
-            let idx = self.core_index(d.socket, d.core);
-            if self.cores[idx].apply_downgrade(d.block) {
-                self.sys.sharing_writeback(now, d.socket, d.block);
-            }
-        }
-        while let Some(inv) = fx.invalidations.pop() {
-            let idx = self.core_index(inv.socket, inv.core);
-            let state = self.cores[idx].apply_invalidation(inv.block);
-            if state == MesiState::Modified {
-                match inv.reason {
-                    InvalReason::Dev => {
-                        self.sys.dev_dirty_recall_into(
-                            now,
-                            inv.socket,
-                            inv.block,
-                            &mut fx.invalidations,
-                        );
-                    }
-                    InvalReason::Inclusion => {
-                        self.sys
-                            .inclusion_dirty_writeback(now, inv.socket, inv.block);
-                    }
-                    InvalReason::Coherence => {
-                        // Dirty data travelled with the ownership transfer.
-                    }
-                }
-            }
-        }
+        apply_effects(self, now, &mut fx.downgrades, &mut fx.invalidations);
         latency
     }
 
@@ -480,7 +446,7 @@ impl Simulation {
     pub fn start(mut self, refs_per_core: u64, warmup_refs: u64) -> PausedRun {
         let n = self.cores.len();
         // One effects buffer for the whole run: `access_into` clears and
-        // refills it, `apply_effects` drains it.
+        // refills it, `complete_access` drains it.
         let mut fx = AccessEffects::default();
         // Warm-up: interleave round-robin without timing.
         for _ in 0..warmup_refs {
@@ -488,7 +454,7 @@ impl Simulation {
                 let r = self.workload.threads[t].next_ref();
                 let mlp = self.workload.threads[t].spec().mlp;
                 self.cores[t].access_into(&mut self.sys, Cycle(0), r, &mut fx);
-                let _ = self.apply_effects(Cycle(0), &mut fx, mlp);
+                let _ = self.complete_access(Cycle(0), &mut fx, mlp);
             }
         }
         // Reset statistics after warm-up, preserving the live gauges (they
@@ -519,6 +485,23 @@ impl Simulation {
         _shards: usize,
     ) -> Result<SimResult, SimError> {
         self.try_run(refs_per_core, warmup_refs)
+    }
+}
+
+/// The core models are the simulation's private caches.
+impl PrivateCaches for Simulation {
+    fn system(&mut self) -> &mut System {
+        &mut self.sys
+    }
+
+    fn downgrade(&mut self, d: Downgrade) -> MesiState {
+        let idx = self.core_index(d.socket, d.core);
+        self.cores[idx].apply_downgrade(d.block)
+    }
+
+    fn invalidate(&mut self, inv: Invalidation) -> MesiState {
+        let idx = self.core_index(inv.socket, inv.core);
+        self.cores[idx].apply_invalidation(inv.block)
     }
 }
 
@@ -670,7 +653,7 @@ impl PausedRun {
                 sim.fault_pre(t, issue, r.block, d)?;
             }
             sim.cores[t].access_into(&mut sim.sys, Cycle(issue), r, &mut self.fx);
-            let lat = sim.apply_effects(Cycle(issue), &mut self.fx, mlp);
+            let lat = sim.complete_access(Cycle(issue), &mut self.fx, mlp);
             let done = issue + lat;
             if let Some(d) = draw {
                 sim.fault_post(done, d);

@@ -25,26 +25,12 @@ use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::Prng;
 pub use zerodev_core::StateFault;
 
-fn fault_tag(k: StateFault) -> u8 {
-    match k {
-        StateFault::SharerFlip => 0,
-        StateFault::LlcEntryCorrupt => 1,
-        StateFault::HomeSegmentFlip => 2,
-    }
-}
-
-fn fault_from_tag(tag: u8) -> Result<StateFault, SnapError> {
-    Ok(match tag {
-        0 => StateFault::SharerFlip,
-        1 => StateFault::LlcEntryCorrupt,
-        2 => StateFault::HomeSegmentFlip,
-        _ => {
-            return Err(SnapError::Corrupt {
-                context: "unknown state-fault tag",
-            })
-        }
-    })
-}
+/// Every state fault, in the order an image byte indexes.
+const FAULTS: [StateFault; 3] = [
+    StateFault::SharerFlip,
+    StateFault::LlcEntryCorrupt,
+    StateFault::HomeSegmentFlip,
+];
 
 /// Parts-per-million probability bound (1.0).
 pub const PPM: u32 = 1_000_000;
@@ -262,7 +248,7 @@ impl FaultPlan {
             None => w.bool(false),
             Some((kind, at)) => {
                 w.bool(true);
-                w.u8(fault_tag(kind));
+                w.variant(&FAULTS, &kind);
                 w.u64(at);
             }
         }
@@ -274,7 +260,7 @@ impl FaultPlan {
             None => w.bool(false),
             Some(kind) => {
                 w.bool(true);
-                w.u8(fault_tag(kind));
+                w.variant(&FAULTS, &kind);
             }
         }
         w.u64(self.stats.nack_storms);
@@ -299,7 +285,7 @@ impl FaultPlan {
             corrupt: None,
         };
         if r.bool("fault corrupt flag")? {
-            let kind = fault_from_tag(r.u8("fault corrupt kind")?)?;
+            let kind = r.variant(&FAULTS, "fault corrupt kind")?;
             cfg.corrupt = Some((kind, r.u64("fault corrupt index")?));
         }
         let rng = Prng::from_state([
@@ -311,7 +297,7 @@ impl FaultPlan {
         let accesses = r.u64("fault accesses")?;
         let armed = r
             .bool("fault armed flag")?
-            .then(|| fault_from_tag(r.u8("fault armed kind")?))
+            .then(|| r.variant(&FAULTS, "fault armed kind"))
             .transpose()?;
         let mut stats = FaultStats {
             nack_storms: r.u64("fault stat")?,

@@ -116,11 +116,6 @@ impl PointResult {
         }
     }
 
-    /// True when the point failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, PointResult::Failed(_))
-    }
-
     /// The run.
     ///
     /// # Panics
@@ -550,7 +545,7 @@ mod tests {
         let outs = Engine::new(2).run_grid(&jobs);
         assert!(outs[0].run.ok().is_some(), "healthy point unaffected");
         assert!(outs[2].run.ok().is_some(), "healthy point unaffected");
-        assert!(outs[1].run.is_failed());
+        assert!(outs[1].run.failure().is_some());
         let msg = outs[1].run.failure().expect("failure message");
         assert!(msg.contains("deliberate test panic"), "got: {msg}");
         let registry = failed_points();
@@ -598,7 +593,7 @@ mod tests {
         let mut bad = job("freqmine", seed, true);
         bad.make = Arc::new(|| panic!("first attempt fails"));
         let outs = Engine::new(1).run_grid(std::slice::from_ref(&bad));
-        assert!(outs[0].run.is_failed());
+        assert!(outs[0].run.failure().is_some());
         // The identical key retries from scratch instead of replaying the
         // failure (or a poisoned slot) out of the cache.
         let good = job("freqmine", seed, true);

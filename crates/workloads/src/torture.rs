@@ -73,31 +73,6 @@ pub const TORTURE: [&str; 5] = [
     "torture.phase_mix",
 ];
 
-impl TortureKind {
-    /// Stable numeric tag used by checkpoint images.
-    pub fn tag(self) -> u8 {
-        match self {
-            TortureKind::FalseSharing => 0,
-            TortureKind::EntryThrash => 1,
-            TortureKind::PingPong => 2,
-            TortureKind::ReaderSwarm => 3,
-            TortureKind::PhaseMix => 4,
-        }
-    }
-
-    /// Inverse of [`TortureKind::tag`].
-    pub fn from_tag(tag: u8) -> Option<TortureKind> {
-        Some(match tag {
-            0 => TortureKind::FalseSharing,
-            1 => TortureKind::EntryThrash,
-            2 => TortureKind::PingPong,
-            3 => TortureKind::ReaderSwarm,
-            4 => TortureKind::PhaseMix,
-            _ => return None,
-        })
-    }
-}
-
 const fn torture_base(name: &'static str, kind: TortureKind) -> WorkloadSpec {
     WorkloadSpec {
         name,
@@ -245,20 +220,6 @@ mod tests {
             assert!(s.torture.is_some());
         }
         assert!(crate::lookup("torture.unknown").is_none());
-    }
-
-    #[test]
-    fn kind_tags_round_trip() {
-        for k in [
-            TortureKind::FalseSharing,
-            TortureKind::EntryThrash,
-            TortureKind::PingPong,
-            TortureKind::ReaderSwarm,
-            TortureKind::PhaseMix,
-        ] {
-            assert_eq!(TortureKind::from_tag(k.tag()), Some(k));
-        }
-        assert_eq!(TortureKind::from_tag(200), None);
     }
 
     #[test]

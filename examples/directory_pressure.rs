@@ -41,11 +41,7 @@ fn main() {
         // ZeroDEV with the same (replacement-disabled) directory budget.
         let zcfg = SystemConfig::baseline_8core().with_zerodev(
             ZeroDevConfig::default(),
-            DirectoryKind::Sparse {
-                ratio,
-                ways: 8,
-                replacement_disabled: true,
-            },
+            DirectoryKind::Sparse { ratio, ways: 8 },
         );
         let z = run(&zcfg, wl(), &params);
         t.row(&[

@@ -29,13 +29,15 @@ echo "== zerodev-lint (determinism / snapshot / message-class graph) =="
 # Workspace static analysis (DESIGN.md §12): denies ambient nondeterminism
 # in the deterministic crates, checks snapshot field coverage, and verifies
 # the MsgClass consumes->emits graph is deadlock-free modulo the audited
-# DenfNack retry edge. Fails on any un-waived finding. Skip with
+# DenfNack retry edge. Fails on any un-waived finding, and when the graph
+# differs from the committed crates/lint/tests/msg_classes.dot. Skip with
 # ZERODEV_NO_LINT=1 (e.g. when bisecting an unrelated regression).
 if [[ "${ZERODEV_NO_LINT:-0}" == "1" ]]; then
     echo "zerodev-lint: skipped (ZERODEV_NO_LINT=1)"
 else
     cargo run --release -q -p zerodev-lint -- \
         --root . --json target/lint_report.json --dot target/msg_classes.dot
+    diff -u crates/lint/tests/msg_classes.dot target/msg_classes.dot
 fi
 
 echo "== audited figure smoke (quick profile, oracle on) =="

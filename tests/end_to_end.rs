@@ -42,7 +42,6 @@ fn baseline_tiny_directory_produces_devs_zerodev_does_not() {
         DirectoryKind::Sparse {
             ratio: Ratio::new(1, 32),
             ways: 8,
-            replacement_disabled: true,
         },
     );
     let z = run(&zd, rate("xalancbmk", 8, 3).unwrap(), &quick());
@@ -203,12 +202,7 @@ fn mgd_tracks_private_regions_efficiently() {
     // Mostly-private workload: MgD's region entries should keep DEVs far
     // below the same-size conventional directory.
     let m = run(&cfg, rate("lbm", 8, 29).unwrap(), &quick());
-    let mut small = SystemConfig::baseline_8core().with_sparse_dir(Ratio::new(1, 16));
-    small.directory = DirectoryKind::Sparse {
-        ratio: Ratio::new(1, 16),
-        ways: 8,
-        replacement_disabled: false,
-    };
+    let small = SystemConfig::baseline_8core().with_sparse_dir(Ratio::new(1, 16));
     let s = run(&small, rate("lbm", 8, 29).unwrap(), &quick());
     assert!(
         m.stats.dev_invalidations < s.stats.dev_invalidations / 2,
