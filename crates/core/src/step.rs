@@ -183,7 +183,8 @@ pub struct WriteToken {
     pub mem: bool,
 }
 
-/// The pre-event snapshot `ProtocolHarness::observe` takes.
+/// The pre-event snapshot a transition takes ([`Observation::observe`]).
+#[derive(Default)]
 struct Observation {
     sockets: usize,
     /// `lines[block_index * sockets + socket]`: that socket's LLC line for
@@ -194,12 +195,55 @@ struct Observation {
 }
 
 impl Observation {
+    /// Snapshots every tracked block's per-socket LLC line and corruption
+    /// flag of `h` into these buffers, before an event, so data movement
+    /// can be attributed afterwards.
+    fn observe(&mut self, h: &ProtocolHarness) {
+        self.sockets = h.sockets;
+        self.lines.clear();
+        for &b in &h.blocks {
+            let line = |s: usize| h.sys.llc_line_of(SocketId(s as u8), b);
+            self.lines.extend((0..h.sockets).map(line));
+        }
+        self.corrupted.clear();
+        let corrupted = |&b: &BlockAddr| h.sys.memory_corrupted(b);
+        self.corrupted.extend(h.blocks.iter().map(corrupted));
+    }
+
     fn line(&self, bi: usize, s: usize) -> Option<LlcLine> {
         self.lines.get(bi * self.sockets + s).copied().flatten()
     }
 
     fn corrupted(&self, bi: usize) -> bool {
         *self.corrupted.get(bi).expect("observation per block")
+    }
+}
+
+/// The buffers one transition fills and leaves behind: the transaction's
+/// effect lists and the pre-event observation. Kept in the harness, they
+/// keep their capacity from one transition to the next instead of being
+/// allocated anew for each. Nothing in them outlives the transition, so
+/// they are no part of the state: a clone starts with empty ones,
+/// `clone_from` keeps the target's own, and neither images nor `Debug`
+/// show them.
+#[derive(Default)]
+struct Scratch {
+    invals: Vec<Invalidation>,
+    downgrades: Vec<Downgrade>,
+    before: Observation,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+
+    fn clone_from(&mut self, _: &Self) {}
+}
+
+impl fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Scratch")
     }
 }
 
@@ -222,6 +266,7 @@ pub struct ProtocolHarness {
     /// The first downgrade of a copy not in M or E (`event contract`),
     /// recorded while effects are applied and reported by the transition.
     contract: Option<StepViolation>,
+    scratch: Scratch,
 }
 
 zerodev_common::fieldwise_clone!(ProtocolHarness {
@@ -232,6 +277,7 @@ zerodev_common::fieldwise_clone!(ProtocolHarness {
     shadow,
     tokens,
     contract,
+    scratch,
 });
 
 impl ProtocolHarness {
@@ -271,6 +317,7 @@ impl ProtocolHarness {
                 n
             ],
             contract: None,
+            scratch: Scratch::default(),
         })
     }
 
@@ -325,7 +372,7 @@ impl ProtocolHarness {
     /// every shadow MESI state and every write token. Restoring it with
     /// [`Self::unsnap`] into a harness of the same configuration gives a
     /// harness equal to this one's clone.
-    // lint:allow(snapshot_complete(blocks, sockets, cores, contract), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it)
+    // lint:allow(snapshot_complete(blocks, sockets, cores, contract, scratch), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it; the scratch buffers hold nothing between transitions)
     pub fn snap(&self, w: &mut SnapWriter) {
         self.sys.snap(w);
         for st in &self.shadow {
@@ -344,7 +391,7 @@ impl ProtocolHarness {
     /// # Errors
     /// Fails with a structural [`SnapError`] on a configuration mismatch or
     /// a corrupt or truncated image; the harness must then be discarded.
-    // lint:allow(snapshot_complete(blocks, sockets, cores, contract), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it)
+    // lint:allow(snapshot_complete(blocks, sockets, cores, contract, scratch), the machine's shape and block set, given at construction; the shadow and token lengths follow from them; a contract violation is taken within the transition that records it; the scratch buffers hold nothing between transitions)
     pub fn unsnap(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.sys.unsnap(r)?;
         for st in self.shadow.iter_mut() {
@@ -397,25 +444,6 @@ impl ProtocolHarness {
     fn token_mut(&mut self, block: BlockAddr) -> &mut WriteToken {
         let i = self.bidx(block);
         self.tokens.get_mut(i).expect("token in range")
-    }
-
-    /// Snapshot of every tracked block's per-socket LLC line and corruption
-    /// flag, taken before an event so data movement can be attributed
-    /// afterwards.
-    fn observe(&self) -> Observation {
-        let mut lines = Vec::with_capacity(self.blocks.len() * self.sockets);
-        for &b in &self.blocks {
-            lines.extend((0..self.sockets).map(|s| self.sys.llc_line_of(SocketId(s as u8), b)));
-        }
-        Observation {
-            sockets: self.sockets,
-            lines,
-            corrupted: self
-                .blocks
-                .iter()
-                .map(|&b| self.sys.memory_corrupted(b))
-                .collect(),
-        }
     }
 
     /// Post-event reconciliation of value locations against observable
@@ -614,7 +642,28 @@ impl ProtocolHarness {
     /// contract`), or a read served stale data (`data-value coherence`).
     /// The concrete machine may panic as under [`Self::apply`].
     pub fn transition(&mut self, ev: ProtocolEvent) -> Result<(), StepViolation> {
-        let before = self.observe();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let res = self.transition_with(ev, &mut scratch);
+        self.scratch = scratch;
+        res
+    }
+
+    /// [`Self::transition`] in the harness's `scratch` buffers, taken out of
+    /// it for the call.
+    fn transition_with(
+        &mut self,
+        ev: ProtocolEvent,
+        scratch: &mut Scratch,
+    ) -> Result<(), StepViolation> {
+        let Scratch {
+            invals,
+            downgrades,
+            before,
+        } = scratch;
+        // A transition that failed may have left effects behind.
+        invals.clear();
+        downgrades.clear();
+        before.observe(self);
         match ev {
             ProtocolEvent::Access {
                 socket,
@@ -638,10 +687,12 @@ impl ProtocolHarness {
                 let source = if is_write {
                     None
                 } else {
-                    Some(self.read_source_latest(g, block, &before))
+                    Some(self.read_source_latest(g, block, before))
                 };
-                let mut res = self.sys.access(Cycle::ZERO, socket, core, block, op);
-                self.set_shadow(socket, core, block, res.grant);
+                let (_, grant) =
+                    self.sys
+                        .access_into(Cycle::ZERO, socket, core, block, op, invals, downgrades);
+                self.set_shadow(socket, core, block, grant);
                 if is_write {
                     // A store mints a fresh token: the writer's copy is the
                     // unique latest value.
@@ -678,12 +729,7 @@ impl ProtocolHarness {
                     tok.cores |= 1 << g;
                     tok.llc |= appeared;
                 }
-                apply_effects(
-                    self,
-                    Cycle::ZERO,
-                    &mut res.downgrades,
-                    &mut res.invalidations,
-                );
+                apply_effects(self, Cycle::ZERO, downgrades, invals);
                 if let Some(v) = self.contract.take() {
                     return Err(v);
                 }
@@ -729,7 +775,8 @@ impl ProtocolHarness {
                     was
                 };
                 let dw_data_before = self.sys.stats.dram_writes - self.sys.stats.dram_writes_dir;
-                let mut invals = self.sys.evict(Cycle::ZERO, socket, core, block, kind);
+                self.sys
+                    .evict_into(Cycle::ZERO, socket, core, block, kind, invals);
                 if was_latest {
                     // Attribute where the departing copy's data landed.
                     let bi = self.bidx(block);
@@ -761,10 +808,10 @@ impl ProtocolHarness {
                         self.token_mut(block).mem = true;
                     }
                 }
-                apply_effects(self, Cycle::ZERO, &mut Vec::new(), &mut invals);
+                apply_effects(self, Cycle::ZERO, downgrades, invals);
             }
         }
-        self.reconcile(&before);
+        self.reconcile(before);
         Ok(())
     }
 

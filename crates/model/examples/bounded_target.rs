@@ -7,9 +7,9 @@
 //! ```
 //!
 //! `MAX_STATES` defaults to 200,000. Prints the states reached, the
-//! transitions taken, whether the bound cut the search, the wall time and
-//! the process's peak resident set (`VmHWM` from `/proc/self/status`, Linux
-//! only; "unknown" elsewhere).
+//! transitions taken, whether the bound cut the search, the wall time, the
+//! process's peak resident set (`VmHWM` from `/proc/self/status`, Linux
+//! only; "unknown" elsewhere) and that peak per reached state.
 
 use std::time::Instant;
 use zerodev_common::config::{LlcDesign, SpillPolicy};
@@ -39,13 +39,14 @@ fn main() {
     let start = Instant::now();
     let ex = explore(&mc, &limits);
     let secs = start.elapsed().as_secs_f64();
-    let hwm = std::fs::read_to_string("/proc/self/status")
+    // In kB.
+    let hwm: Option<u64> = std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:").map(|v| v.trim().to_string()))
-        })
-        .unwrap_or_else(|| "unknown".to_string());
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        });
     println!("machine:     {}", mc.name);
     println!("max_states:  {max_states}");
     println!("states:      {}", ex.states);
@@ -53,7 +54,13 @@ fn main() {
     println!("truncated:   {}", ex.truncated);
     println!("clean:       {}", ex.violation.is_none());
     println!("seconds:     {secs:.1}");
-    println!("VmHWM:       {hwm}");
+    match hwm {
+        Some(kb) => {
+            println!("VmHWM:       {kb} kB");
+            println!("bytes/state: {}", kb * 1024 / ex.states as u64);
+        }
+        None => println!("VmHWM:       unknown"),
+    }
     if let Some(v) = &ex.violation {
         print!("{}", v.render());
         std::process::exit(1);

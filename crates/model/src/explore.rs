@@ -1,20 +1,35 @@
 //! Breadth-first exploration of the reachable state graph.
 //!
 //! BFS from the quiescent initial state with hashed-state dedup over the
-//! canonical (symmetry-reduced) encoding. Visited states store just their
-//! canonical key, a parent link and their successor ids. A frontier state
-//! is stored as its image ([`ProtocolHarness::snap`]) with the runs of zero
-//! bytes packed ([`zerodev_common::snap::pack`]): a few hundred bytes where
-//! a whole machine takes several kilobytes. The search holds two concrete
-//! machines: the state being expanded, restored from its image when it
-//! leaves the queue, and the scratch harness its successors are built in.
+//! canonical (symmetry-reduced) encoding. The explored graph is a set of
+//! flat lanes indexed by state id (discovery order), and nothing in it is
+//! allocated per state:
+//!
+//! * **Keys** — each canonical key is stored once, with its runs of zero
+//!   bytes packed ([`zerodev_common::snap::pack`]; a key packs to about a
+//!   third of its length), end to end in one byte arena, with a lane of
+//!   where each key ends and a lane of 32-bit hashes. An open-addressed
+//!   table of state ids finds a key. Packing is injective, so a successor's
+//!   key is looked up by packing it into a reused buffer and comparing
+//!   bytes.
+//! * **Successors** — every successor id in one array, with a start offset
+//!   per expanded state: states are expanded in id order, so each one's
+//!   successors follow the previous one's.
+//! * **Parent links** — a parent id and a two-byte event code per state.
+//!
+//! A frontier state is stored as its image ([`ProtocolHarness::snap`]) with
+//! the runs of zero bytes packed: a few hundred bytes where a whole machine
+//! takes several kilobytes. The frontier is one byte queue of records (id,
+//! depth, each core's representative, packed image), appended and read in
+//! place. The search holds two concrete machines: the state being expanded,
+//! restored from its image when it leaves the queue, and the scratch
+//! harness its successors are built in.
 //!
 //! Building and keying a successor reuses buffers instead of allocating:
 //! every successor is built in the scratch harness (`clone_from`, which
-//! refills its buffers), its key in one `KeyEncoder`, and the visited map
-//! is probed with the key as a slice. Only a newly discovered state is
-//! imaged into the frontier (written and packed in reused buffers, then
-//! copied into an exact-size one) and its key copied into the map.
+//! refills its buffers), its key in one `KeyEncoder`, and only a newly
+//! discovered state is copied into the graph's lanes and imaged into the
+//! frontier.
 //!
 //! **Symmetric successors.** Two cores of one socket with equal signatures
 //! (the per-core columns the key sorts by) are interchangeable: swapping
@@ -56,11 +71,12 @@
 use crate::config::ModelConfig;
 use crate::state::KeyEncoder;
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
+use zerodev_common::protocol::{EvictKind, Op};
 use zerodev_common::snap::{self, SnapReader, SnapWriter};
-use zerodev_common::CoreId;
+use zerodev_common::{BlockAddr, CoreId, SocketId};
 use zerodev_core::step::{ProtocolEvent, ProtocolHarness};
 use zerodev_core::StepViolation;
 
@@ -174,37 +190,263 @@ impl Exploration {
     }
 }
 
+/// Marks an empty slot of [`Visited`]'s table.
+const EMPTY: u32 = u32::MAX;
+
+/// The smallest table [`Visited`] keeps.
+const MIN_SLOTS: usize = 64;
+
+/// A 32-bit hash of a packed key, eight bytes at a time: the upper half of
+/// a multiply-rotate hash, whose upper bits depend on every input bit.
+fn hash(bytes: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: [u8; 8]| (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (&mut words).fold(bytes.len() as u64, |h, w| {
+        mix(h, w.try_into().expect("eight bytes"))
+    });
+    let mut tail = [0; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    h = mix(h, tail);
+    (h >> 32) as u32
+}
+
+/// The canonical keys of the states reached, by id, each packed
+/// ([`snap::pack`]) and stored end to end in one arena, with where each
+/// ends, its hash, and an open-addressed table of ids (linear probing, at
+/// most 3/4 full). A lookup ([`Self::get`]) packs the key into a reused
+/// buffer, and a key that missed is then added by [`Self::insert`].
+struct Visited {
+    arena: Vec<u8>,
+    /// Per id: where its packed key ends in `arena`.
+    ends: Vec<u64>,
+    /// Per id: the [`hash`] of its packed key.
+    hashes: Vec<u32>,
+    /// Each id at its hash's slot or after it, [`EMPTY`] elsewhere; its
+    /// length is a power of two.
+    table: Vec<u32>,
+    /// The key last looked up, packed, its hash, and the empty slot its
+    /// probe ended at.
+    probe: Vec<u8>,
+    probe_hash: u32,
+    probe_slot: usize,
+}
+
+/// Two sets are equal when they hold the same keys under the same ids: the
+/// table and the hashes follow from those, and the probe is scratch.
+impl PartialEq for Visited {
+    fn eq(&self, other: &Self) -> bool {
+        self.ends == other.ends && self.arena == other.arena
+    }
+}
+
+impl Visited {
+    fn new() -> Self {
+        Visited {
+            arena: Vec::new(),
+            ends: Vec::new(),
+            hashes: Vec::new(),
+            table: vec![EMPTY; MIN_SLOTS],
+            probe: Vec::new(),
+            probe_hash: 0,
+            probe_slot: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The packed key of state `id`.
+    fn packed(&self, id: u32) -> &[u8] {
+        let id = id as usize;
+        let start = id.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.arena[start..self.ends[id] as usize]
+    }
+
+    /// The canonical key of state `id`.
+    fn key(&self, id: u32) -> Vec<u8> {
+        let mut key = Vec::new();
+        snap::unpack(self.packed(id), &mut key).expect("the arena holds packed keys");
+        key
+    }
+
+    /// The id of the state whose canonical key is `key`, if it was reached.
+    fn get(&mut self, key: &[u8]) -> Option<u32> {
+        self.probe.clear();
+        snap::pack(key, &mut self.probe);
+        self.probe_hash = hash(&self.probe);
+        let mask = self.table.len() - 1;
+        let mut slot = self.probe_hash as usize & mask;
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                self.probe_slot = slot;
+                return None;
+            }
+            if self.hashes[id as usize] == self.probe_hash && self.packed(id) == self.probe {
+                return Some(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Adds the key the last [`Self::get`] missed, as the next id, and
+    /// returns that id. Nothing may be inserted between the two calls.
+    fn insert(&mut self) -> u32 {
+        let id = u32::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("fewer than 2^32 - 1 states");
+        self.arena.extend_from_slice(&self.probe);
+        self.ends.push(self.arena.len() as u64);
+        self.hashes.push(self.probe_hash);
+        self.table[self.probe_slot] = id;
+        if 4 * self.len() > 3 * self.table.len() {
+            self.table = vec![EMPTY; 2 * self.table.len()];
+            let mask = self.table.len() - 1;
+            for (id, &h) in self.hashes.iter().enumerate() {
+                let mut slot = h as usize & mask;
+                while self.table[slot] != EMPTY {
+                    slot = (slot + 1) & mask;
+                }
+                self.table[slot] = id as u32;
+            }
+        }
+        id
+    }
+}
+
+/// The op of each access kind (0–3) and the notice of each eviction kind
+/// (5–7) in [`EventCodes`]; kind 4 is the silent write.
+const OPS: [Op; 4] = [Op::Read, Op::CodeRead, Op::ReadExclusive, Op::Upgrade];
+const EVICTS: [EvictKind; 3] = [
+    EvictKind::CleanShared,
+    EvictKind::CleanExclusive,
+    EvictKind::Dirty,
+];
+
+/// Names each event of one machine by a small number: the issuing global
+/// core, the block's index among the tracked blocks, and one of eight kinds.
+#[derive(PartialEq)]
+struct EventCodes {
+    cores: usize,
+    blocks: Vec<BlockAddr>,
+}
+
+impl EventCodes {
+    fn code(&self, ev: ProtocolEvent) -> u16 {
+        let kind = match ev {
+            ProtocolEvent::Access { op, .. } => OPS.iter().position(|&o| o == op),
+            ProtocolEvent::SilentWrite { .. } => Some(4),
+            ProtocolEvent::Evict { kind, .. } => {
+                EVICTS.iter().position(|&k| k == kind).map(|k| 5 + k)
+            }
+        }
+        .expect("every op and eviction notice is listed");
+        let block = self.blocks.iter().position(|&b| b == ev.block());
+        let at = issuer(&ev, self.cores) * self.blocks.len() + block.expect("a tracked block");
+        u16::try_from(at * 8 + kind).expect("event codes fit 16 bits")
+    }
+
+    fn event(&self, code: u16) -> ProtocolEvent {
+        let (at, kind) = (code as usize / 8, code as usize % 8);
+        let (g, block) = (at / self.blocks.len(), self.blocks[at % self.blocks.len()]);
+        let (socket, core) = (
+            SocketId((g / self.cores) as u8),
+            CoreId((g % self.cores) as u16),
+        );
+        match kind {
+            0..=3 => ProtocolEvent::access(socket, core, block, OPS[kind]),
+            4 => ProtocolEvent::silent_write(socket, core, block),
+            _ => ProtocolEvent::evict(socket, core, block, EVICTS[kind - 5]),
+        }
+    }
+}
+
 /// The explored graph: every state reached, by id in discovery order, with
 /// its canonical key, parent link, quiescence and successor ids; the
 /// transitions taken, whether a limit cut the search, and the violation
 /// that ended it, if any.
-#[derive(Default, PartialEq)]
+#[derive(PartialEq)]
 struct Graph {
-    visited: HashMap<Vec<u8>, u32>,
-    parents: Vec<Option<(u32, ProtocolEvent)>>,
+    visited: Visited,
+    /// Per id: the state it was first reached from (0 for the initial
+    /// state, id 0, which has none).
+    parent: Vec<u32>,
+    /// Per id: the code ([`EventCodes`]) of the event that first reached it.
+    event: Vec<u16>,
     quiescent: Vec<bool>,
-    succs: Vec<Vec<u32>>,
+    /// The successor ids of every expanded state, in expansion order.
+    succ: Vec<u32>,
+    /// Per expanded state: where its successors start in `succ`. States
+    /// are expanded in id order, so its successors end where the next
+    /// state's start.
+    succ_start: Vec<u32>,
+    codes: EventCodes,
     transitions: usize,
     truncated: bool,
     violation: Option<Violation>,
 }
 
 impl Graph {
-    /// Records a newly reached state and returns its id.
-    fn add(&mut self, key: &[u8], parent: Option<(u32, ProtocolEvent)>, quiescent: bool) -> u32 {
-        let id = self.parents.len() as u32;
-        self.visited.insert(key.to_vec(), id);
-        self.parents.push(parent);
+    /// The graph of `h` alone, the initial state, keyed with `keys`.
+    fn new(h: &ProtocolHarness, keys: &mut KeyEncoder) -> Self {
+        let mut visited = Visited::new();
+        let known = visited.get(keys.key(h));
+        debug_assert!(known.is_none());
+        visited.insert();
+        Graph {
+            visited,
+            parent: vec![0],
+            event: vec![0],
+            quiescent: vec![h.is_quiescent()],
+            succ: Vec::new(),
+            succ_start: Vec::new(),
+            codes: EventCodes {
+                cores: h.cores(),
+                blocks: h.blocks().to_vec(),
+            },
+            transitions: 0,
+            truncated: false,
+            violation: None,
+        }
+    }
+
+    /// Records the state whose key `visited.get` last missed, reached from
+    /// `from` by `ev`, and returns its id.
+    fn add(&mut self, from: u32, ev: ProtocolEvent, quiescent: bool) -> u32 {
+        self.parent.push(from);
+        self.event.push(self.codes.code(ev));
         self.quiescent.push(quiescent);
-        self.succs.push(Vec::new());
-        id
+        self.visited.insert()
+    }
+
+    /// Starts the successor list of `id`, the next state in id order.
+    fn expand(&mut self, id: u32) {
+        debug_assert_eq!(self.succ_start.len(), id as usize);
+        let start = u32::try_from(self.succ.len()).expect("fewer than 2^32 transitions");
+        self.succ_start.push(start);
+    }
+
+    /// The successor ids of `id`; none if it was not expanded.
+    fn succs(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        let Some(&start) = self.succ_start.get(id) else {
+            return &[];
+        };
+        let end = self
+            .succ_start
+            .get(id + 1)
+            .map_or(self.succ.len(), |&e| e as usize);
+        &self.succ[start as usize..end]
     }
 
     fn trace_to(&self, mut id: u32) -> Vec<ProtocolEvent> {
         let mut trace = Vec::new();
-        while let Some(Some(&(p, ev))) = self.parents.get(id as usize).map(Option::as_ref) {
-            trace.push(ev);
-            id = p;
+        while id != 0 {
+            trace.push(self.codes.event(self.event[id as usize]));
+            id = self.parent[id as usize];
         }
         trace.reverse();
         trace
@@ -222,83 +464,76 @@ impl Graph {
         self
     }
 
+    /// A reached state from which no event sequence drains the machine
+    /// back to quiescence (all copies evicted), by reverse reachability
+    /// from the quiescent states over the explored graph.
+    fn undrainable(&self) -> Option<u32> {
+        let n = self.visited.len();
+        // The edges sorted by target (a counting sort): the predecessors of
+        // `to` end up in `preds[at[to]..at[to + 1]]`.
+        let mut at = vec![0u32; n + 1];
+        for &to in &self.succ {
+            at[to as usize] += 1;
+        }
+        let mut sum = 0;
+        for a in &mut at {
+            sum += *a;
+            *a = sum;
+        }
+        let mut preds = vec![0u32; self.succ.len()];
+        for from in (0..self.succ_start.len() as u32).rev() {
+            for &to in self.succs(from).iter().rev() {
+                at[to as usize] -= 1;
+                preds[at[to as usize] as usize] = from;
+            }
+        }
+        let mut drains = self.quiescent.clone();
+        let mut bfs: VecDeque<u32> = (0..n as u32).filter(|&i| drains[i as usize]).collect();
+        while let Some(i) = bfs.pop_front() {
+            let i = i as usize;
+            for &p in &preds[at[i] as usize..at[i + 1] as usize] {
+                if !drains[p as usize] {
+                    drains[p as usize] = true;
+                    bfs.push_back(p);
+                }
+            }
+        }
+        drains.iter().position(|d| !d).map(|stuck| stuck as u32)
+    }
+
     /// The exploration: the violation that ended the search, or else the
     /// drain check (on an exhaustive sweep) and the sample traces.
     fn finish(self, name: &str) -> Exploration {
-        if self.violation.is_some() {
-            return Exploration {
-                name: name.to_string(),
-                states: self.visited.len(),
-                transitions: self.transitions,
-                truncated: self.truncated,
-                violation: self.violation,
-                undrainable: None,
-                sample_traces: Vec::new(),
+        let states = self.visited.len();
+        let (mut undrainable, mut sample_traces) = (None, Vec::new());
+        if self.violation.is_none() {
+            let stuck = if self.truncated {
+                None
+            } else {
+                self.undrainable()
             };
-        }
-        // Livelock / drain check: every reachable state must be able to
-        // drain back to a quiescent state (all copies evicted). Reverse
-        // reachability from the quiescent states over the explored graph.
-        let undrainable = if self.truncated {
-            None
-        } else {
-            let n = self.succs.len();
-            let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for (from, outs) in self.succs.iter().enumerate() {
-                for &to in outs {
-                    preds
-                        .get_mut(to as usize)
-                        .expect("state id in range")
-                        .push(from as u32);
-                }
-            }
-            let mut drains = vec![false; n];
-            let mut bfs: VecDeque<u32> = (0..n as u32)
-                .filter(|&i| *self.quiescent.get(i as usize).expect("in range"))
-                .collect();
-            for &i in &bfs {
-                *drains.get_mut(i as usize).expect("in range") = true;
-            }
-            while let Some(i) = bfs.pop_front() {
-                for &p in preds.get(i as usize).expect("in range") {
-                    let d = drains.get_mut(p as usize).expect("in range");
-                    if !*d {
-                        *d = true;
-                        bfs.push_back(p);
-                    }
-                }
-            }
-            drains.iter().position(|d| !d).map(|stuck| Violation {
-                message: "no event sequence drains this state back to quiescence (livelock)"
-                    .to_string(),
-                trace: self.trace_to(stuck as u32),
-            })
-        };
-
-        // Sample traces for conformance replay: the last few discovered
-        // states are among the deepest (BFS discovery order). One pass over
-        // the visited map picks out their keys.
-        let mut sample_traces = Vec::new();
-        if undrainable.is_none() {
-            let first = (self.parents.len() as u32).saturating_sub(6);
-            let mut last: Vec<(u32, &Vec<u8>)> = self
-                .visited
-                .iter()
-                .filter(|(_, &id)| id >= first)
-                .map(|(key, &id)| (id, key))
-                .collect();
-            last.sort_unstable_by_key(|&(id, _)| id);
-            for (id, key) in last {
-                sample_traces.push((self.trace_to(id), key.clone()));
+            if let Some(stuck) = stuck {
+                undrainable = Some(Violation {
+                    message: "no event sequence drains this state back to quiescence (livelock)"
+                        .to_string(),
+                    trace: self.trace_to(stuck),
+                });
+            } else {
+                // Sample traces for conformance replay: the last few
+                // discovered states are among the deepest (BFS discovery
+                // order).
+                let first = states.saturating_sub(6) as u32;
+                sample_traces = (first..states as u32)
+                    .map(|id| (self.trace_to(id), self.visited.key(id)))
+                    .collect();
             }
         }
-
         Exploration {
             name: name.to_string(),
-            states: self.visited.len(),
+            states,
             transitions: self.transitions,
             truncated: self.truncated,
-            violation: None,
+            violation: self.violation,
             undrainable,
             sample_traces,
         }
@@ -329,22 +564,61 @@ fn reissued(ev: ProtocolEvent, core: CoreId) -> ProtocolEvent {
     }
 }
 
-/// A state waiting to be expanded: its packed image ([`Images::pack`]), id,
-/// depth, and each global core's representative
-/// (`KeyEncoder::representatives`).
+/// The states waiting to be expanded, oldest first, as records in one byte
+/// buffer: the state's id, depth and image length (`u32` each), each global
+/// core's representative (`KeyEncoder::representatives`), then its packed
+/// image ([`Images::pack`]). A record is read where it lies; the bytes of
+/// the records read are dropped from the front once they are a quarter of
+/// the rest, and a buffer then less than half full gives memory back, so
+/// the pages of a draining frontier can go to the growing graph.
 struct Frontier {
-    img: Vec<u8>,
-    id: u32,
-    depth: u32,
-    reps: Vec<u8>,
+    buf: Vec<u8>,
+    /// Where the oldest waiting record starts.
+    head: usize,
+    /// Representatives per record: the machine's global core count.
+    width: usize,
+}
+
+impl Frontier {
+    fn push(&mut self, id: u32, depth: u32, reps: &[u8], h: &ProtocolHarness, images: &mut Images) {
+        debug_assert_eq!(reps.len(), self.width);
+        let at = self.buf.len();
+        for field in [id, depth, 0] {
+            self.buf.extend_from_slice(&field.to_le_bytes());
+        }
+        self.buf.extend_from_slice(reps);
+        let img = self.buf.len();
+        images.pack(h, &mut self.buf);
+        let len = u32::try_from(self.buf.len() - img).expect("an image under 4 GiB");
+        self.buf[at + 8..at + 12].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// The oldest waiting state's id, depth, representatives and packed
+    /// image.
+    fn pop(&mut self) -> Option<(u32, u32, &[u8], &[u8])> {
+        if self.head == self.buf.len() {
+            return None;
+        }
+        if 4 * self.head >= self.buf.len() - self.head {
+            self.buf.drain(..self.head);
+            self.head = 0;
+            if self.buf.capacity() > 2 * self.buf.len() {
+                self.buf.shrink_to(self.buf.len() + self.buf.len() / 2);
+            }
+        }
+        let field = |i: usize| u32::from_le_bytes(self.buf[i..i + 4].try_into().expect("4 bytes"));
+        let (id, depth, len) = (field(self.head), field(self.head + 4), field(self.head + 8));
+        let reps = self.head + 12;
+        let img = reps + self.width;
+        self.head = img + len as usize;
+        Some((id, depth, &self.buf[reps..img], &self.buf[img..self.head]))
+    }
 }
 
 /// The reused buffers that turn a harness into a frontier image and back.
 struct Images {
     /// The image being written.
     w: SnapWriter,
-    /// The image being packed.
-    packed: Vec<u8>,
     /// The image being unpacked.
     raw: Vec<u8>,
 }
@@ -353,18 +627,15 @@ impl Images {
     fn new() -> Self {
         Images {
             w: SnapWriter::image(),
-            packed: Vec::new(),
             raw: Vec::new(),
         }
     }
 
-    /// `h`'s image with its zero runs packed, in an exact-size buffer.
-    fn pack(&mut self, h: &ProtocolHarness) -> Vec<u8> {
+    /// Appends `h`'s image, with its zero runs packed, to `out`.
+    fn pack(&mut self, h: &ProtocolHarness, out: &mut Vec<u8>) {
         self.w.clear();
         h.snap(&mut self.w);
-        self.packed.clear();
-        snap::pack(self.w.as_bytes(), &mut self.packed);
-        self.packed.to_vec()
+        snap::pack(self.w.as_bytes(), out);
     }
 
     /// Restores a [`Self::pack`] image into `h`.
@@ -400,9 +671,10 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
         .expect("model configuration validates");
     let cores = h.cores();
     let mut keys = KeyEncoder::default();
-    let mut graph = Graph::default();
-    graph.add(keys.key(&h), None, h.is_quiescent());
-    let mut reps = Vec::new();
+    let mut graph = Graph::new(&h, &mut keys);
+    // Per global core: its representative in the state expanded, and in
+    // the state just found.
+    let (mut reps, mut found) = (Vec::new(), Vec::new());
     keys.representatives(&mut reps);
     // The initial state is checked like every state first reached.
     if let Err(message) = caught(|| h.check()) {
@@ -411,27 +683,25 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
     // Every successor is built here before its key says whether it is new.
     let mut next = h.clone();
     let mut images = Images::new();
-    let mut queue = VecDeque::from([Frontier {
-        img: images.pack(&h),
-        id: 0,
-        depth: 0,
-        reps,
-    }]);
+    let mut queue = Frontier {
+        buf: Vec::new(),
+        head: 0,
+        width: reps.len(),
+    };
+    queue.push(0, 0, &reps, &h, &mut images);
     // Per global core: the index of its first event in the state expanded.
     let mut first = Vec::new();
 
-    while let Some(Frontier {
-        img,
-        id,
-        depth,
-        reps,
-    }) = queue.pop_front()
-    {
+    while let Some((id, depth, waiting_reps, img)) = queue.pop() {
+        graph.expand(id);
         if depth as usize >= limits.max_depth {
             graph.truncated = true;
             continue;
         }
-        images.restore(&img, &mut h);
+        images.restore(img, &mut h);
+        reps.clear();
+        reps.extend_from_slice(waiting_reps);
+        let start = graph.succ.len();
         let events = h.enabled_events();
         first.clear();
         first.resize(reps.len(), 0);
@@ -450,29 +720,22 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
                 // among its events: its successor is this one's.
                 let j = first[rep] + (i - first[g]);
                 assert_eq!(events[j], reissued(ev, CoreId((rep % cores) as u16)));
-                graph.succs[id as usize][j]
+                graph.succ[start + j]
             } else {
                 next.clone_from(&h);
                 if let Err(message) = caught(|| next.transition(ev)) {
                     return graph.fail(message, Some((id, ev)));
                 }
-                let key = keys.key(&next);
-                match graph.visited.get(key) {
-                    Some(&known) => known,
+                match graph.visited.get(keys.key(&next)) {
+                    Some(known) => known,
                     None => {
                         if let Err(message) = caught(|| next.check()) {
                             return graph.fail(message, Some((id, ev)));
                         }
-                        let nid = graph.add(key, Some((id, ev)), next.is_quiescent());
-                        if graph.parents.len() <= limits.max_states {
-                            let mut reps = Vec::with_capacity(first.len());
-                            keys.representatives(&mut reps);
-                            queue.push_back(Frontier {
-                                img: images.pack(&next),
-                                id: nid,
-                                depth: depth + 1,
-                                reps,
-                            });
+                        let nid = graph.add(id, ev, next.is_quiescent());
+                        if graph.visited.len() <= limits.max_states {
+                            keys.representatives(&mut found);
+                            queue.push(nid, depth + 1, &found, &next, &mut images);
                         } else {
                             graph.truncated = true;
                         }
@@ -480,7 +743,7 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
                     }
                 }
             };
-            graph.succs[id as usize].push(succ);
+            graph.succ.push(succ);
         }
     }
     graph
@@ -490,7 +753,7 @@ fn search(mc: &ModelConfig, limits: &Limits) -> Graph {
 mod tests {
     use super::*;
     use crate::config::tiny;
-    use std::collections::HashSet;
+    use std::collections::{HashMap, HashSet};
     use std::process::Command;
     use zerodev_common::config::{LlcDesign, SpillPolicy};
     use zerodev_common::protocol::{set_mutation, Mutation, ALL_MUTATIONS};
@@ -503,11 +766,11 @@ mod tests {
         let h0 = ProtocolHarness::new(mc.cfg.clone(), mc.blocks.clone(), true)
             .expect("model configuration validates");
         let mut keys = KeyEncoder::default();
-        let mut graph = Graph::default();
-        graph.add(keys.key(&h0), None, h0.is_quiescent());
+        let mut graph = Graph::new(&h0, &mut keys);
         let mut next = h0.clone();
         let mut queue = VecDeque::from([(h0, 0u32, 0u32)]);
         while let Some((h, id, depth)) = queue.pop_front() {
+            graph.expand(id);
             if depth as usize >= limits.max_depth {
                 graph.truncated = true;
                 continue;
@@ -519,12 +782,11 @@ mod tests {
                 if let Err(message) = res {
                     return graph.fail(message, Some((id, ev)));
                 }
-                let key = keys.key(&next);
-                let succ = match graph.visited.get(key) {
-                    Some(&known) => known,
+                let succ = match graph.visited.get(keys.key(&next)) {
+                    Some(known) => known,
                     None => {
-                        let nid = graph.add(key, Some((id, ev)), next.is_quiescent());
-                        if graph.parents.len() <= limits.max_states {
+                        let nid = graph.add(id, ev, next.is_quiescent());
+                        if graph.visited.len() <= limits.max_states {
                             queue.push_back((next.clone(), nid, depth + 1));
                         } else {
                             graph.truncated = true;
@@ -532,7 +794,7 @@ mod tests {
                         nid
                     }
                 };
-                graph.succs[id as usize].push(succ);
+                graph.succ.push(succ);
             }
         }
         graph
@@ -610,19 +872,78 @@ mod tests {
 
     #[test]
     fn bounded_explorations_stop_as_with_every_event() {
-        let four_by_two = tiny(FPSS, LlcDesign::NonInclusive, 4, 2, 1, 1);
         let by_states = Limits {
             max_states: 2_000,
             max_depth: usize::MAX,
         };
-        let ex = same_as_every_event(&four_by_two, &by_states);
-        assert!(ex.truncated && ex.states > 2_000, "{}", ex.states);
+        // 4 cores × 2 sockets with 1 address per home, and the target, 2.
+        for addrs in [1, 2] {
+            let four_by_two = tiny(FPSS, LlcDesign::NonInclusive, 4, 2, addrs, 1);
+            let ex = same_as_every_event(&four_by_two, &by_states);
+            assert!(ex.truncated && ex.states > 2_000, "{}", ex.states);
+        }
         let by_depth = Limits {
             max_states: usize::MAX,
             max_depth: 3,
         };
         let four_by_one = tiny(FPSS, LlcDesign::NonInclusive, 4, 1, 2, 2);
         assert!(same_as_every_event(&four_by_one, &by_depth).truncated);
+    }
+
+    /// The visited arena over several table growths: thousands of distinct
+    /// keys, most of them mostly zeros and some differing only in the
+    /// length of a zero run, each find the id they were inserted under and
+    /// unpack from the arena to the bytes inserted, and keys never inserted
+    /// miss.
+    #[test]
+    fn visited_keys_find_their_ids_across_table_growths() {
+        let mut keys = Vec::new();
+        // Zero runs of every length up to past two packed runs of 255,
+        // alone and between two nonzero bytes.
+        for run in 0..600 {
+            keys.push(vec![0; run]);
+            keys.push([&[7][..], &vec![0; run], &[7]].concat());
+        }
+        let mut rng = zerodev_common::rng::Prng::seeded(26);
+        let mut inserted: HashSet<Vec<u8>> = keys.iter().cloned().collect();
+        while keys.len() < 6_000 {
+            let key: Vec<u8> = (0..rng.below(300))
+                .map(|_| {
+                    if rng.chance(0.8) {
+                        0
+                    } else {
+                        rng.below(255) as u8 + 1
+                    }
+                })
+                .collect();
+            if inserted.insert(key.clone()) {
+                keys.push(key);
+            }
+        }
+        let mut visited = Visited::new();
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(visited.get(key), None);
+            assert_eq!(visited.insert(), id as u32);
+        }
+        assert!(
+            visited.table.len() >= MIN_SLOTS << 6,
+            "{}",
+            visited.table.len()
+        );
+        let mut absent = 0;
+        for (id, key) in keys.iter().enumerate() {
+            assert_eq!(visited.get(key), Some(id as u32));
+            assert_eq!(visited.key(id as u32), *key);
+            // One more zero, and one more nonzero byte.
+            for byte in [0, 1] {
+                let longer = [&key[..], &[byte]].concat();
+                if !inserted.contains(&longer) {
+                    assert_eq!(visited.get(&longer), None);
+                    absent += 1;
+                }
+            }
+        }
+        assert!(absent > keys.len(), "{absent}");
     }
 
     const MUTATED: &str = "explore::tests::mutated_hunt_machines_explore_as_with_every_event";
@@ -705,14 +1026,18 @@ mod tests {
         let mut machines = mc_machines();
         machines.push(tiny(FPSS, LlcDesign::NonInclusive, 4, 1, 2, 2));
         let mut images = Images::new();
+        let (mut img, mut again) = (Vec::new(), Vec::new());
         for mc in &machines {
             let states = reachable_states(mc);
             let mut restored = states[0].clone();
             let mut keys = KeyEncoder::default();
             for h in &states {
-                let img = images.pack(h);
+                img.clear();
+                images.pack(h, &mut img);
                 images.restore(&img, &mut restored);
-                assert_eq!(images.pack(&restored), img, "{}", mc.name);
+                again.clear();
+                images.pack(&restored, &mut again);
+                assert_eq!(again, img, "{}", mc.name);
                 let clone = h.clone();
                 assert_eq!(format!("{restored:?}"), format!("{clone:?}"), "{}", mc.name);
                 let key = keys.key(h).to_vec();

@@ -88,15 +88,8 @@ impl CoreModel {
     }
 
     /// Processes one memory reference at time `now`, driving the uncore on
-    /// misses and upgrades. Returns the effects for the engine to apply.
-    pub fn access(&mut self, sys: &mut System, now: Cycle, r: MemRef) -> AccessEffects {
-        let mut fx = AccessEffects::default();
-        self.access_into(sys, now, r, &mut fx);
-        fx
-    }
-
-    /// Allocation-free form of [`Self::access`]: resets and refills the
-    /// caller-owned effects buffer. The engine reuses one buffer across
+    /// misses and upgrades, and resets and refills the caller-owned effects
+    /// buffer for the engine to apply. The engine reuses one buffer across
     /// every reference, so the invalidation/downgrade vectors stop churning
     /// the allocator on the hot path.
     pub fn access_into(&mut self, sys: &mut System, now: Cycle, r: MemRef, fx: &mut AccessEffects) {
@@ -106,13 +99,14 @@ impl CoreModel {
         fx.downgrades.clear();
         let key = r.block.0;
         let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
-        let mut l2_state;
+        // The L2 slot of the line, once it is held.
+        let mut slot;
         if l1.touch(key, |_| true).is_some() {
             if !r.write {
                 // The L2 state matters only to misses and stores.
                 return;
             }
-            l2_state = self.state_of(r.block);
+            slot = self.l2.peek(key, |_| true);
         } else {
             if r.code {
                 sys.stats.l1i_misses += 1;
@@ -121,11 +115,8 @@ impl CoreModel {
             }
             fx.latency += SystemConfig::L2_HIT_CYCLES;
             // One L2 probe: a hit is promoted as the source of the L1 refill.
-            l2_state = self
-                .l2
-                .touch(key, |_| true)
-                .map_or(MesiState::Invalid, |i| self.l2.at(i).state);
-            if !l2_state.is_valid() {
+            slot = self.l2.touch(key, |_| true);
+            if slot.is_none() {
                 // Full private-hierarchy miss → uncore.
                 let op = if r.write {
                     Op::ReadExclusive
@@ -144,8 +135,7 @@ impl CoreModel {
                     &mut fx.downgrades,
                 );
                 fx.uncore_latency += lat;
-                self.fill_l2(sys, now, r.block, grant, fx);
-                l2_state = grant;
+                slot = Some(self.fill_l2(sys, now, r.block, grant, fx));
             }
             // Refill the L1 (inclusive; L1 victims are silent).
             let l1 = if r.code { &mut self.l1i } else { &mut self.l1d };
@@ -153,11 +143,12 @@ impl CoreModel {
         }
         // Stores need ownership at the coherence point.
         if r.write {
-            match l2_state {
+            let slot = slot.expect("the L1s are inclusive: a held line is in the L2");
+            match self.l2.at(slot).state {
                 MesiState::Modified => {}
                 MesiState::Exclusive => {
                     // Silent E→M upgrade.
-                    self.set_state(r.block, MesiState::Modified);
+                    self.l2.at_mut(slot).state = MesiState::Modified;
                 }
                 MesiState::Shared => {
                     let (lat, _) = sys.access_into(
@@ -170,7 +161,7 @@ impl CoreModel {
                         &mut fx.downgrades,
                     );
                     fx.uncore_latency += lat;
-                    self.set_state(r.block, MesiState::Modified);
+                    self.l2.at_mut(slot).state = MesiState::Modified;
                 }
                 MesiState::Invalid => {
                     unreachable!("write path installed the line above")
@@ -179,14 +170,8 @@ impl CoreModel {
         }
     }
 
-    fn set_state(&mut self, block: BlockAddr, state: MesiState) {
-        if let Some(slot) = self.l2.peek(block.0, |_| true) {
-            self.l2.at_mut(slot).state = state;
-        }
-    }
-
     /// Installs a freshly granted line in the L2, notifying the uncore of
-    /// the victim (and keeping the L1s inclusive).
+    /// the victim (and keeping the L1s inclusive); returns the line's slot.
     fn fill_l2(
         &mut self,
         sys: &mut System,
@@ -194,9 +179,9 @@ impl CoreModel {
         block: BlockAddr,
         grant: MesiState,
         fx: &mut AccessEffects,
-    ) {
+    ) -> usize {
         debug_assert!(grant.is_valid());
-        let (_, victim) = self.l2.insert(block.0, L2Line { state: grant }, |_| false);
+        let (slot, victim) = self.l2.insert(block.0, L2Line { state: grant }, |_| false);
         if let Some((vkey, vline)) = victim {
             let vblock = BlockAddr(vkey);
             // L1 copies of the victim vanish with it (inclusive hierarchy).
@@ -217,13 +202,16 @@ impl CoreModel {
                 &mut fx.invalidations,
             );
         }
+        slot
     }
 
     /// Applies an invalidation from the uncore. Returns the state the line
     /// was in (M lines report their dirty data back to the protocol).
     pub fn apply_invalidation(&mut self, block: BlockAddr) -> MesiState {
-        let state = self.state_of(block);
-        let _ = self.l2.remove(block.0, |_| true);
+        let state = self
+            .l2
+            .remove(block.0, |_| true)
+            .map_or(MesiState::Invalid, |(_, line)| line.state);
         let _ = self.l1i.remove(block.0, |_| true);
         let _ = self.l1d.remove(block.0, |_| true);
         state
@@ -232,9 +220,10 @@ impl CoreModel {
     /// Applies a downgrade (M/E → S). Returns the state the line was in
     /// (an M line reports the sharing writeback).
     pub fn apply_downgrade(&mut self, block: BlockAddr) -> MesiState {
-        let state = self.state_of(block);
-        self.set_state(block, MesiState::Shared);
-        state
+        match self.l2.peek(block.0, |_| true) {
+            Some(slot) => std::mem::replace(&mut self.l2.at_mut(slot).state, MesiState::Shared),
+            None => MesiState::Invalid,
+        }
     }
 }
 
@@ -280,26 +269,26 @@ mod tests {
     #[test]
     fn l1_hit_is_cheap() {
         let mut sys = System::new(cfg()).unwrap();
-        let mut c = mk(&sys, 0);
-        let miss = c.access(&mut sys, Cycle(0), read(5));
-        assert!(miss.uncore_latency > 100);
-        let hit = c.access(&mut sys, Cycle(10), read(5));
-        assert_eq!(hit.latency, SystemConfig::L1_HIT_CYCLES);
-        assert_eq!(hit.uncore_latency, 0);
+        let (mut c, mut fx) = (mk(&sys, 0), AccessEffects::default());
+        c.access_into(&mut sys, Cycle(0), read(5), &mut fx);
+        assert!(fx.uncore_latency > 100);
+        c.access_into(&mut sys, Cycle(10), read(5), &mut fx);
+        assert_eq!(fx.latency, SystemConfig::L1_HIT_CYCLES);
+        assert_eq!(fx.uncore_latency, 0);
     }
 
     #[test]
     fn l2_hit_after_l1_eviction() {
         let mut sys = System::new(cfg()).unwrap();
-        let mut c = mk(&sys, 0);
+        let (mut c, mut fx) = (mk(&sys, 0), AccessEffects::default());
         // L1D: 8 sets × 2 ways. Fill one set with 3 blocks: 5, 5+8, 5+16.
-        c.access(&mut sys, Cycle(0), read(5));
-        c.access(&mut sys, Cycle(0), read(5 + 8));
-        c.access(&mut sys, Cycle(0), read(5 + 16));
+        for b in [5, 5 + 8, 5 + 16] {
+            c.access_into(&mut sys, Cycle(0), read(b), &mut fx);
+        }
         // Block 5 fell out of L1 but is still in L2.
-        let lat = c.access(&mut sys, Cycle(0), read(5));
+        c.access_into(&mut sys, Cycle(0), read(5), &mut fx);
         assert_eq!(
-            lat.latency,
+            fx.latency,
             SystemConfig::L1_HIT_CYCLES + SystemConfig::L2_HIT_CYCLES
         );
     }
@@ -307,11 +296,11 @@ mod tests {
     #[test]
     fn write_to_exclusive_is_silent() {
         let mut sys = System::new(cfg()).unwrap();
-        let mut c = mk(&sys, 0);
-        c.access(&mut sys, Cycle(0), read(5));
+        let (mut c, mut fx) = (mk(&sys, 0), AccessEffects::default());
+        c.access_into(&mut sys, Cycle(0), read(5), &mut fx);
         assert_eq!(c.state_of(BlockAddr(5)), MesiState::Exclusive);
         let before = sys.stats.upgrades;
-        let fx = c.access(&mut sys, Cycle(0), write(5));
+        c.access_into(&mut sys, Cycle(0), write(5), &mut fx);
         assert_eq!(fx.latency, SystemConfig::L1_HIT_CYCLES);
         assert_eq!(sys.stats.upgrades, before, "no upgrade message for E→M");
         assert_eq!(c.state_of(BlockAddr(5)), MesiState::Modified);
@@ -321,15 +310,15 @@ mod tests {
     fn write_to_shared_upgrades() {
         let mut sys = System::new(cfg()).unwrap();
         let mut c0 = mk(&sys, 0);
-        let mut c1 = mk(&sys, 1);
-        c0.access(&mut sys, Cycle(0), read(5));
-        let fx = c1.access(&mut sys, Cycle(0), read(5));
+        let (mut c1, mut fx) = (mk(&sys, 1), AccessEffects::default());
+        c0.access_into(&mut sys, Cycle(0), read(5), &mut fx);
+        c1.access_into(&mut sys, Cycle(0), read(5), &mut fx);
         assert_eq!(fx.downgrades.len(), 1);
         assert_eq!(fx.downgrades[0].core, CoreId(0));
         // The sole reader held the block clean: the downgrade reports E.
         assert_eq!(c0.apply_downgrade(BlockAddr(5)), MesiState::Exclusive);
         assert_eq!(c0.state_of(BlockAddr(5)), MesiState::Shared);
-        let fx = c0.access(&mut sys, Cycle(0), write(5));
+        c0.access_into(&mut sys, Cycle(0), write(5), &mut fx);
         assert_eq!(sys.stats.upgrades, 1);
         // c1 must be invalidated.
         assert!(fx
@@ -344,11 +333,11 @@ mod tests {
     #[test]
     fn l2_eviction_notifies_uncore() {
         let mut sys = System::new(cfg()).unwrap();
-        let mut c = mk(&sys, 0);
+        let (mut c, mut fx) = (mk(&sys, 0), AccessEffects::default());
         // L2: 16 sets × 4 ways. Overfill one set.
         let sets = sys.config().l2.sets() as u64;
         for i in 0..5 {
-            c.access(&mut sys, Cycle(0), read(3 + i * sets));
+            c.access_into(&mut sys, Cycle(0), read(3 + i * sets), &mut fx);
         }
         // The first block was evicted and its entry freed.
         assert!(sys.entry_of(SocketId(0), BlockAddr(3)).is_none());
@@ -361,11 +350,11 @@ mod tests {
     #[test]
     fn dirty_l2_eviction_writes_back() {
         let mut sys = System::new(cfg()).unwrap();
-        let mut c = mk(&sys, 0);
+        let (mut c, mut fx) = (mk(&sys, 0), AccessEffects::default());
         let sets = sys.config().l2.sets() as u64;
-        c.access(&mut sys, Cycle(0), write(3));
+        c.access_into(&mut sys, Cycle(0), write(3), &mut fx);
         for i in 1..5 {
-            c.access(&mut sys, Cycle(0), read(3 + i * sets));
+            c.access_into(&mut sys, Cycle(0), read(3 + i * sets), &mut fx);
         }
         assert!(matches!(
             sys.llc_line_of(SocketId(0), BlockAddr(3)),
@@ -377,16 +366,16 @@ mod tests {
     fn code_reads_use_l1i_and_share() {
         let mut sys = System::new(cfg()).unwrap();
         let mut c0 = mk(&sys, 0);
-        let mut c1 = mk(&sys, 1);
+        let (mut c1, mut fx) = (mk(&sys, 1), AccessEffects::default());
         let code = MemRef {
             block: BlockAddr(7),
             write: false,
             code: true,
             gap: 0,
         };
-        c0.access(&mut sys, Cycle(0), code);
+        c0.access_into(&mut sys, Cycle(0), code, &mut fx);
         assert_eq!(c0.state_of(BlockAddr(7)), MesiState::Shared);
-        let fx = c1.access(&mut sys, Cycle(0), code);
+        c1.access_into(&mut sys, Cycle(0), code, &mut fx);
         assert!(fx.downgrades.is_empty(), "code is S-state, no downgrade");
         assert_eq!(c1.state_of(BlockAddr(7)), MesiState::Shared);
     }
