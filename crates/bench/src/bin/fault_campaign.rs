@@ -1,22 +1,20 @@
 //! The fault-injection campaign: proves the oracle's detector sensitivity
-//! and the protocol's resilience to NACK storms across the spill-policy ×
-//! LLC-design matrix.
+//! across the spill-policy × LLC-design matrix.
 //!
 //! `cargo run --release -p zerodev-bench --bin fault_campaign`
 //!
-//! Two sub-campaigns, both fully deterministic (`ZERODEV_FAULTS` seeds):
+//! Every [`StateFault`] class (sharer-bit flip, LLC-resident entry
+//! corruption, housed home-segment flip) is injected into every spill
+//! policy × LLC design, with the oracle auditing; the runs are fully
+//! deterministic. A campaign point passes only when the oracle flags the
+//! corruption (a panic containing `coherence oracle violation`); a run that
+//! completes without injecting is also a failure — the fault must actually
+//! land.
 //!
-//! * **Sensitivity** — every [`StateFault`] class (sharer-bit flip,
-//!   LLC-resident entry corruption, housed home-segment flip) is injected
-//!   into every spill policy × LLC design, with the oracle auditing. A
-//!   campaign point passes only when the oracle flags the corruption (a
-//!   panic containing `coherence oracle violation`); a run that completes
-//!   without injecting is also a failure — the fault must actually land.
-//! * **Resilience** — forced `DENF_NACK` storms at a material rate, each
-//!   within the retry budget. A point passes when the run completes
-//!   violation-free under audit with final statistics, completion time,
-//!   and DRAM traffic byte-identical to the fault-free run, while the fault
-//!   plan reports a nonzero injected-event count.
+//! NACK storms are not campaigned: a storm within the retry budget is
+//! counted only in `FaultStats`, never in the simulated event stream, so
+//! a stormed run's statistics equal the fault-free run's by construction
+//! (`tests/faults.rs::message_faults_are_statistics_neutral` pins it).
 //!
 //! Set `ZERODEV_QUICK=1` for the CI smoke matrix (one policy × one design
 //! per fault class). Exits nonzero if any point fails.
@@ -137,42 +135,6 @@ fn sensitivity_point(
     }
 }
 
-/// One resilience point: NACK storms at a material rate must leave the
-/// audited run violation-free and byte-identical to the fault-free run.
-fn resilience_point(policy: SpillPolicy, design: LlcDesign) -> Result<(), String> {
-    let cfg = campaign_cfg(policy, design);
-    let wl = || zerodev_workloads::multithreaded("ocean_cp", 8, 5).expect("known app");
-    let clean = match catch_unwind(AssertUnwindSafe(|| run(&cfg, wl(), &params()))) {
-        Ok(r) => r,
-        Err(e) => return Err(format!("fault-free run panicked: {}", panic_message(&*e))),
-    };
-    let faults = FaultConfig {
-        nack_ppm: 20_000,
-        ..Default::default()
-    };
-    let p = RunParams {
-        faults: Some(faults),
-        ..params()
-    };
-    let faulted = match catch_unwind(AssertUnwindSafe(|| run(&cfg, wl(), &p))) {
-        Ok(r) => r,
-        Err(e) => return Err(format!("faulted run panicked: {}", panic_message(&*e))),
-    };
-    if faulted.result.faults.total_events() == 0 {
-        return Err("no NACK storm injected at this rate".to_string());
-    }
-    if faulted.result.stats != clean.result.stats {
-        return Err("NACK storms diverged the protocol statistics".to_string());
-    }
-    if faulted.result.completion_cycles != clean.result.completion_cycles {
-        return Err("NACK storms diverged the completion time".to_string());
-    }
-    if faulted.result.dram_rw != clean.result.dram_rw {
-        return Err("NACK storms diverged DRAM traffic".to_string());
-    }
-    Ok(())
-}
-
 fn main() {
     // The sensitivity campaign panics on purpose (that is the pass
     // condition); silence the default hook's backtrace spam.
@@ -204,19 +166,6 @@ fn main() {
                     println!("  {tag}: FAILED");
                     failures.push(format!("sensitivity {tag}: {e}"));
                 }
-            }
-        }
-    }
-
-    println!("== resilience: NACK storms must be absorbed unchanged ==");
-    for (policy, design) in matrix() {
-        points += 1;
-        let tag = format!("{policy:?}/{design:?}");
-        match resilience_point(policy, design) {
-            Ok(()) => println!("  {tag}: absorbed, stats byte-identical"),
-            Err(e) => {
-                println!("  {tag}: FAILED");
-                failures.push(format!("resilience {tag}: {e}"));
             }
         }
     }

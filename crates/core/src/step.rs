@@ -827,7 +827,10 @@ impl ProtocolHarness {
     /// Returns the first violated invariant.
     pub fn check(&self) -> Result<(), StepViolation> {
         let n = self.blocks.len();
-        let mut holders = vec![SharerSet::default(); self.sockets];
+        let mut holders = [SharerSet::default(); 32];
+        let holders = holders
+            .get_mut(..self.sockets)
+            .expect("`SystemConfig::validate` caps a machine at 32 sockets");
         for (bi, &block) in self.blocks.iter().enumerate() {
             let tok = self.tokens.get(bi).expect("token in range");
             holders.fill(SharerSet::default());
@@ -878,7 +881,7 @@ impl ProtocolHarness {
                     detail: format!("the latest write to {block:?} is held nowhere"),
                 });
             }
-            invariants::check_block(&self.sys, block, &holders, owner)?;
+            invariants::check_block(&self.sys, block, holders, owner)?;
         }
         Ok(())
     }

@@ -27,6 +27,19 @@
 //! victim's recall into the LLC, or an inclusion victim's writeback (the
 //! directory cannot distinguish M from E, so only the core knows whether
 //! an invalidated or downgraded line carried dirty data).
+//!
+//! # Shared protocol steps
+//!
+//! A step that several flows take is one method, so its statistics and
+//! timing are charged in one place: `invalidate_all` (an untimed
+//! invalidation of every sharer — DEV victims, inclusion victims, a remote
+//! socket's copies) beside `invalidate_sharers` (the timed form a requester
+//! waits on), `read_llc_entry` (reading a spilled or fused entry),
+//! `spill` (a new spilled line, its victim, or WB_DE when the set refuses
+//! it), `reinstall_entry` (an entry recovered from home memory, which the
+//! live-entry gauge does not count again), `untracked_access` (a request
+//! with no entry in the socket) and `serve_from_private` (forwarding to a
+//! core that holds the block).
 
 use crate::directory::{AllocOutcome, DirEntry, DirStore, EvictedEntry};
 use crate::llc::{LlcBank, LlcLine, SpillOutcome};
@@ -480,16 +493,29 @@ impl System {
             self.stats.msg(MsgClass::SocketData);
         }
         let entry = self.mem.extract_entry(block, SocketId(s as u8))?;
-        self.install_entry(now, s, block, entry, invals);
-        self.track_live(-1); // re-installed, not newly live
-                             // A degenerate LLC can refuse the placement and bounce the entry
-                             // straight back home (WB_DE); `None` then means "still housed".
+        self.reinstall_entry(now, s, block, entry, invals);
+        // A degenerate LLC can refuse the placement and bounce the entry
+        // straight back home (WB_DE); `None` then means "still housed".
         Some((entry, self.relocate(s, block)))
     }
 
     // ---------------------------------------------------------------------
     // Entry placement and maintenance
     // ---------------------------------------------------------------------
+
+    /// Places an entry recovered from its home-memory segment. It was live
+    /// all along, so the live-entry gauge does not count it again.
+    fn reinstall_entry(
+        &mut self,
+        now: Cycle,
+        s: usize,
+        block: BlockAddr,
+        entry: DirEntry,
+        invals: &mut Vec<Invalidation>,
+    ) {
+        self.install_entry(now, s, block, entry, invals);
+        self.track_live(-1);
+    }
 
     /// Places a brand-new entry: dedicated structure first, LLC on overflow.
     /// Baseline victims become DEV invalidations appended to `invals`.
@@ -507,9 +533,8 @@ impl System {
         match outcome {
             AllocOutcome::Stored => {}
             AllocOutcome::Evicted(victims) => {
-                self.stats.dir_evictions += victims.len() as u64;
                 self.track_live(-(victims.len() as i64));
-                self.apply_dev_victims(now, s, &victims, invals);
+                self.apply_dev_victims(s, &victims, invals);
             }
             AllocOutcome::Overflow => {
                 self.accommodate_in_llc(now, s, block, entry, invals);
@@ -532,29 +557,47 @@ impl System {
     /// Baseline directory eviction: every tracked private copy becomes a
     /// DEV. Dirty owners are detected by the caller's caches (only the core
     /// knows) and recalled by [`apply_effects`].
-    // lint:consumes(Request)
     fn apply_dev_victims(
         &mut self,
-        _now: Cycle,
         s: usize,
         victims: &[EvictedEntry],
         invals: &mut Vec<Invalidation>,
     ) {
+        self.stats.dir_evictions += victims.len() as u64;
         for (vblock, ventry) in victims {
-            let n = ventry.sharers.count() as u64;
-            self.stats.dev_invalidations += n;
-            self.stats.msg_n(MsgClass::Invalidation, n);
-            // lint:context(Invalidation)
-            self.stats.msg_n(MsgClass::Ack, n);
-            for core in ventry.sharers.iter() {
-                invals.push(Invalidation {
-                    socket: SocketId(s as u8),
-                    core,
-                    block: *vblock,
-                    reason: InvalReason::Dev,
-                });
-            }
+            self.invalidate_all(s, *vblock, ventry.sharers, InvalReason::Dev, invals);
         }
+    }
+
+    /// Invalidates every sharer in `sharers` of `block` in socket `s`, in
+    /// set order, counting them under `reason`'s statistic. Off the
+    /// requester's critical path, so no latency is charged (unlike
+    /// [`Self::invalidate_sharers`]).
+    // lint:consumes(Request, EvictNotice)
+    fn invalidate_all(
+        &mut self,
+        s: usize,
+        block: BlockAddr,
+        sharers: SharerSet,
+        reason: InvalReason,
+        invals: &mut Vec<Invalidation>,
+    ) {
+        let n = sharers.count() as u64;
+        *match reason {
+            InvalReason::Dev => &mut self.stats.dev_invalidations,
+            InvalReason::Inclusion => &mut self.stats.inclusion_invalidations,
+            InvalReason::Coherence => &mut self.stats.coherence_invalidations,
+        } += n;
+        self.stats.msg_n(MsgClass::Invalidation, n);
+        // lint:context(Invalidation)
+        self.stats.msg_n(MsgClass::Ack, n);
+        let socket = SocketId(s as u8);
+        invals.extend(sharers.iter().map(|core| Invalidation {
+            socket,
+            core,
+            block,
+            reason,
+        }));
     }
 
     /// Accommodates an overflowing entry in the LLC per the configured
@@ -578,24 +621,34 @@ impl System {
             self.stats.dir_fuses += 1;
             self.sockets[s].banks[bank].fuse_entry(block, entry);
         } else {
-            self.stats.dir_spills += 1;
-            self.stats.llc_data_accesses += 1;
-            let policy = self.policy();
-            match self.sockets[s].banks[bank].spill_entry(block, entry, policy) {
-                SpillOutcome::Updated => {}
-                SpillOutcome::Inserted(victim) => {
-                    self.stats.adjust_spilled_lines(1);
-                    if let Some(v) = victim {
-                        self.handle_llc_victim(now, s, v, invals);
-                    }
-                }
-                SpillOutcome::Refused(e) => {
-                    // Degenerate set: the only displaceable line is the
-                    // entry's own block data line. The entry goes straight
-                    // home (WB_DE) instead; GET_DE recalls it later.
-                    self.wbde(now, s, block, e);
+            self.spill(now, s, block, entry, invals);
+        }
+    }
+
+    /// Spills `entry` into an LLC line of its own (one data-array write),
+    /// handling the line it displaces. A degenerate set whose only
+    /// displaceable line is the entry's own block data line refuses it: the
+    /// entry then goes straight home (WB_DE) and GET_DE recalls it later.
+    fn spill(
+        &mut self,
+        now: Cycle,
+        s: usize,
+        block: BlockAddr,
+        entry: DirEntry,
+        invals: &mut Vec<Invalidation>,
+    ) {
+        self.stats.dir_spills += 1;
+        self.stats.llc_data_accesses += 1;
+        let (bank, policy) = (self.bank_of(block), self.policy());
+        match self.sockets[s].banks[bank].spill_entry(block, entry, policy) {
+            SpillOutcome::Updated => {}
+            SpillOutcome::Inserted(victim) => {
+                self.stats.adjust_spilled_lines(1);
+                if let Some(v) = victim {
+                    self.handle_llc_victim(now, s, v, invals);
                 }
             }
+            SpillOutcome::Refused(e) => self.wbde(now, s, block, e),
         }
     }
 
@@ -617,10 +670,7 @@ impl System {
         match loc {
             EntryLoc::Dedicated => {
                 let victims = self.sockets[s].dir.update(block, entry);
-                if !victims.is_empty() {
-                    self.stats.dir_evictions += victims.len() as u64;
-                    self.apply_dev_victims(now, s, &victims, invals);
-                }
+                self.apply_dev_victims(s, &victims, invals);
             }
             EntryLoc::Spilled => {
                 self.stats.llc_dir_accesses += 1;
@@ -664,31 +714,12 @@ impl System {
                 if spill_policy
                     .is_some_and(|p| protocol::unfuse_on_update(p, entry.state.is_owned()))
                 {
-                    self.stats.llc_data_accesses += 1; // the new spill write
-                                                       // M/E→S: spill the entry and reconstruct the block from
-                                                       // the owner's low bits sent with the busy-clear message.
+                    // M/E→S: spill the entry and reconstruct the block from
+                    // the owner's low bits sent with the busy-clear message.
                     let _ = self.sockets[s].banks[bank].unfuse(block);
                     // lint:context(EvictNoticeBits)
                     self.stats.msg(MsgClass::EvictNoticeBits);
-                    self.stats.dir_spills += 1;
-                    let policy = self.policy();
-                    match self.sockets[s].banks[bank].spill_entry(block, entry, policy) {
-                        SpillOutcome::Updated => {}
-                        SpillOutcome::Inserted(victim) => {
-                            self.stats.adjust_spilled_lines(1);
-                            if let Some(v) = victim {
-                                self.handle_llc_victim(now, s, v, invals);
-                            }
-                        }
-                        SpillOutcome::Refused(e) => {
-                            // M/E→S un-fuse freed the block's line in this
-                            // set, so a full set means every line belongs to
-                            // other blocks — only a same-key data line can
-                            // be refused. Unreachable, but route home for
-                            // robustness rather than panic.
-                            self.wbde(now, s, block, e);
-                        }
-                    }
+                    self.spill(now, s, block, entry, invals);
                 } else {
                     self.sockets[s].banks[bank].fuse_entry(block, entry);
                 }
@@ -850,19 +881,8 @@ impl System {
                     // Back-invalidate every private copy; the freed entry is
                     // an inclusion casualty, not a DEV.
                     if let Some((entry, loc)) = self.find_entry(s, vblock) {
-                        let n = entry.sharers.count() as u64;
-                        self.stats.inclusion_invalidations += n;
-                        self.stats.msg_n(MsgClass::Invalidation, n);
-                        // lint:context(Invalidation)
-                        self.stats.msg_n(MsgClass::Ack, n);
-                        for core in entry.sharers.iter() {
-                            invals.push(Invalidation {
-                                socket: SocketId(s as u8),
-                                core,
-                                block: vblock,
-                                reason: InvalReason::Inclusion,
-                            });
-                        }
+                        let reason = InvalReason::Inclusion;
+                        self.invalidate_all(s, vblock, entry.sharers, reason, invals);
                         // The block line is gone already; a spilled entry in
                         // the same set is freed; `loc` cannot be Fused (the
                         // victim was a plain data line).
@@ -880,7 +900,7 @@ impl System {
                     // the last data source — restore memory from it.
                     self.restore_if_last_copy(now, s, vblock);
                 }
-                self.departure_check(now, s, vblock);
+                self.departure_check(s, vblock);
             }
             LlcLine::Spilled { entry } => {
                 self.stats.adjust_spilled_lines(-1);
@@ -891,19 +911,7 @@ impl System {
                     // Inclusion: evicting the line invalidates the private
                     // copies, which frees the entry — no directory entry is
                     // ever evicted from an inclusive LLC (§III-F).
-                    let n = entry.sharers.count() as u64;
-                    self.stats.inclusion_invalidations += n;
-                    self.stats.msg_n(MsgClass::Invalidation, n);
-                    // lint:context(Invalidation)
-                    self.stats.msg_n(MsgClass::Ack, n);
-                    for core in entry.sharers.iter() {
-                        invals.push(Invalidation {
-                            socket: SocketId(s as u8),
-                            core,
-                            block: vblock,
-                            reason: InvalReason::Inclusion,
-                        });
-                    }
+                    self.invalidate_all(s, vblock, entry.sharers, InvalReason::Inclusion, invals);
                     self.track_live(-1);
                     if block_dirty {
                         self.writeback_to_memory(now, s, vblock);
@@ -917,7 +925,7 @@ impl System {
                     // retrieves it.
                     self.wbde(now, s, vblock, entry);
                 }
-                self.departure_check(now, s, vblock);
+                self.departure_check(s, vblock);
             }
         }
     }
@@ -961,8 +969,7 @@ impl System {
                 // Plain-LRU ZeroDEV corner: the data line outlived its
                 // entry. Pull the entry back in before the data overwrite.
                 let mut dummy = Vec::new();
-                self.install_entry(now, s, block, entry, &mut dummy);
-                self.track_live(-1); // re-install, not a new live entry
+                self.reinstall_entry(now, s, block, entry, &mut dummy);
                 debug_assert!(dummy.is_empty(), "reinstall under ZeroDEV cannot DEV");
             }
             if self
@@ -980,7 +987,7 @@ impl System {
     /// After a socket may have lost its last trace of `block`, update the
     /// socket-level directory (multi-socket machines only).
     // lint:consumes(Request, EvictNotice)
-    fn departure_check(&mut self, _now: Cycle, s: usize, block: BlockAddr) {
+    fn departure_check(&mut self, s: usize, block: BlockAddr) {
         if self.cfg.sockets == 1 {
             return;
         }
@@ -1090,10 +1097,8 @@ impl System {
         let inv_start = invals.len();
         let dg_start = downgrades.len();
         let found = self.find_entry(s, block);
-        let grant;
-
-        match op {
-            Op::Upgrade => {
+        let grant = match (op, found) {
+            (Op::Upgrade, found) => {
                 // Under ZeroDEV the entry of an S block can be housed in
                 // home memory while sharers still hold copies; recover it
                 // first (read the corrupted block, extract, reinstall).
@@ -1108,9 +1113,7 @@ impl System {
                 if loc != Some(EntryLoc::Dedicated) {
                     // The entry must be read from the LLC data array before
                     // the invalidation count can be returned.
-                    t += SystemConfig::LLC_DATA_CYCLES;
-                    self.stats.llc_dir_accesses += 1;
-                    self.stats.llc_data_accesses += 1;
+                    t += self.read_llc_entry();
                 }
                 let inv_path = self.invalidate_sharers(
                     s,
@@ -1129,191 +1132,131 @@ impl System {
                 );
                 self.stats.msg(MsgClass::Ack);
                 t += resp.max(inv_path);
-                let new_entry = DirEntry::owned(core);
-                self.epd_on_private_transition(now, s, block);
-                let _ = loc;
-                self.write_entry_anywhere(now, s, block, new_entry, invals);
+                self.epd_on_private_transition(now, s, block, invals);
+                self.write_entry_anywhere(now, s, block, DirEntry::owned(core), invals);
                 // Remote sockets sharing the block must be invalidated too.
-                t += self.socket_level_invalidate(now, s, block, invals);
-                grant = MesiState::Modified;
+                t += self.socket_level_invalidate(s, block, invals);
+                MesiState::Modified
             }
-            Op::Read | Op::CodeRead => {
-                let code = op == Op::CodeRead;
-                match found {
-                    Some((entry, loc)) if entry.state.is_owned() => {
-                        let owner = entry.owner().expect("owned entry has an owner");
-                        debug_assert_ne!(owner, core, "owner cannot miss on its own block");
-                        if loc != EntryLoc::Dedicated {
-                            t += SystemConfig::LLC_DATA_CYCLES;
-                            self.stats.llc_dir_accesses += 1;
-                            self.stats.llc_data_accesses += 1;
-                        }
-                        t += self.forward_to_core(s, bank, owner, core);
-                        self.stats.three_hop_reads += 1;
-                        downgrades.push(Downgrade {
-                            socket,
-                            core: owner,
-                            block,
-                        });
-                        // Sharing writeback lands the block in the LLC (EPD
-                        // allocates shared blocks; the caller marks it dirty
-                        // if the owner was in M).
-                        self.fill_llc(now, s, block, false, invals);
-                        let mut e = entry;
-                        e.state = DirState::Shared;
-                        e.sharers.insert(core);
-                        // Re-locate: the fill may have moved or even
-                        // evicted the entry (WB_DE) within this transaction.
-                        let _ = loc;
-                        self.write_entry_anywhere(now, s, block, e, invals);
-                        grant = MesiState::Shared;
-                    }
-                    Some((entry, loc)) => {
-                        // Shared entry.
-                        let has_data = {
-                            let line = self.sockets[s].banks[bank].block_line(block);
-                            matches!(line, Some(LlcLine::Data { .. }))
-                        };
-                        let fused_no_data = matches!(loc, EntryLoc::Fused);
-                        if has_data {
-                            // Served from the LLC.
-                            let zd_policy = self.zd().map(|z| z.policy);
-                            if zd_policy == Some(SpillPolicy::SpillAll) && loc == EntryLoc::Spilled
-                            {
-                                // SpillAll reads the entry first (§III-C1).
-                                t += SystemConfig::LLC_DATA_CYCLES;
-                                self.stats.llc_dir_accesses += 1;
-                                self.stats.llc_data_accesses += 1;
-                            }
-                            t = self.bank_port(s, bank, t, SystemConfig::LLC_DATA_CYCLES)
-                                + SystemConfig::LLC_DATA_CYCLES;
-                            self.stats.llc_data_accesses += 1;
-                            t += self.sockets[s].topo.bank_core_latency(
-                                bank,
-                                core.0 as usize,
-                                MsgClass::Data.bytes(),
-                            );
-                            self.stats.msg(MsgClass::Data);
-                            self.stats.two_hop_reads += 1;
-                            if loc == EntryLoc::Spilled {
-                                // FPSS: entry updated off the critical path.
-                                self.stats.llc_dir_accesses += 1;
-                                self.stats.llc_data_accesses += 1;
-                            }
-                            let policy = self.policy();
-                            self.sockets[s].banks[bank].touch_block(block, policy);
-                        } else if fused_no_data {
-                            // FuseAll: the line's data bits are corrupted —
-                            // forward to an elected sharer (§III-C3).
-                            t += SystemConfig::LLC_DATA_CYCLES; // read the fused entry
-                            self.stats.llc_dir_accesses += 1;
-                            self.stats.llc_data_accesses += 1;
-                            let sharer = entry.sharers.any().expect("live entry has sharers");
-                            t += self.forward_to_core(s, bank, sharer, core);
-                            self.stats.fused_read_forwards += 1;
-                            self.stats.three_hop_reads += 1;
-                        } else {
-                            // Directory hit, LLC data miss: forward to a
-                            // sharer (baseline behaviour, §III-C2).
-                            if loc == EntryLoc::Spilled {
-                                t += SystemConfig::LLC_DATA_CYCLES;
-                                self.stats.llc_dir_accesses += 1;
-                                self.stats.llc_data_accesses += 1;
-                            }
-                            let sharer = entry.sharers.any().expect("live entry has sharers");
-                            t += self.forward_to_core(s, bank, sharer, core);
-                            self.stats.three_hop_reads += 1;
-                        }
-                        let mut e = entry;
-                        e.sharers.insert(core);
-                        self.update_entry(now, s, block, e, loc, invals);
-                        grant = MesiState::Shared;
-                    }
-                    None => {
-                        grant = self
-                            .untracked_read(now, &mut t, s, core, block, code, invals, downgrades);
-                    }
+            (_, None) => self.untracked_access(now, &mut t, s, core, block, op, invals, downgrades),
+            (Op::Read | Op::CodeRead, Some((entry, loc))) if entry.state.is_owned() => {
+                debug_assert_ne!(
+                    entry.owner(),
+                    Some(core),
+                    "owner cannot miss on its own block"
+                );
+                if loc != EntryLoc::Dedicated {
+                    t += self.read_llc_entry();
                 }
+                self.serve_from_private(
+                    now, &mut t, s, core, block, entry, false, invals, downgrades,
+                )
             }
-            Op::ReadExclusive => {
-                match found {
-                    Some((entry, loc)) if entry.state.is_owned() => {
-                        let owner = entry.owner().expect("owned entry has an owner");
-                        debug_assert_ne!(owner, core);
-                        if loc != EntryLoc::Dedicated {
-                            t += SystemConfig::LLC_DATA_CYCLES;
-                            self.stats.llc_dir_accesses += 1;
-                            self.stats.llc_data_accesses += 1;
-                        }
-                        // Forward with ownership transfer: the old owner
-                        // sends the block and invalidates itself.
-                        t += self.forward_to_core(s, bank, owner, core);
-                        invals.push(Invalidation {
-                            socket,
-                            core: owner,
-                            block,
-                            reason: InvalReason::Coherence,
-                        });
-                        self.stats.coherence_invalidations += 1;
-                        let new_entry = DirEntry::owned(core);
-                        self.epd_on_private_transition(now, s, block);
-                        let _ = loc;
-                        self.write_entry_anywhere(now, s, block, new_entry, invals);
-                        grant = MesiState::Modified;
+            (Op::Read | Op::CodeRead, Some((entry, loc))) => {
+                // Shared entry.
+                if self.llc_has_data(s, block) {
+                    // Served from the LLC.
+                    let zd_policy = self.zd().map(|z| z.policy);
+                    if zd_policy == Some(SpillPolicy::SpillAll) && loc == EntryLoc::Spilled {
+                        // SpillAll reads the entry first (§III-C1).
+                        t += self.read_llc_entry();
                     }
-                    Some((entry, loc)) => {
-                        // Shared: invalidate all sharers, source the data.
-                        let has_data = {
-                            let line = self.sockets[s].banks[bank].block_line(block);
-                            matches!(line, Some(LlcLine::Data { .. }))
-                        };
-                        if loc != EntryLoc::Dedicated {
-                            t += SystemConfig::LLC_DATA_CYCLES;
-                            self.stats.llc_dir_accesses += 1;
-                            self.stats.llc_data_accesses += 1;
-                        }
-                        let inv_path = self.invalidate_sharers(
-                            s,
+                    t = self.bank_port(s, bank, t, SystemConfig::LLC_DATA_CYCLES)
+                        + SystemConfig::LLC_DATA_CYCLES;
+                    self.stats.llc_data_accesses += 1;
+                    t += self.sockets[s].topo.bank_core_latency(
+                        bank,
+                        core.0 as usize,
+                        MsgClass::Data.bytes(),
+                    );
+                    self.stats.msg(MsgClass::Data);
+                    self.stats.two_hop_reads += 1;
+                    if loc == EntryLoc::Spilled {
+                        // FPSS: entry updated off the critical path.
+                        self.stats.llc_dir_accesses += 1;
+                        self.stats.llc_data_accesses += 1;
+                    }
+                    let policy = self.policy();
+                    self.sockets[s].banks[bank].touch_block(block, policy);
+                } else {
+                    // Directory hit, LLC data miss: forward to a sharer
+                    // (baseline behaviour, §III-C2). Under FuseAll a fused
+                    // line's data bits are corrupted, so the fused entry is
+                    // read and an elected sharer serves (§III-C3).
+                    if loc != EntryLoc::Dedicated {
+                        t += self.read_llc_entry();
+                    }
+                    self.stats.fused_read_forwards += u64::from(loc == EntryLoc::Fused);
+                    let sharer = entry.sharers.any().expect("live entry has sharers");
+                    t += self.forward_to_core(s, bank, sharer, core);
+                    self.stats.three_hop_reads += 1;
+                }
+                let mut e = entry;
+                e.sharers.insert(core);
+                self.update_entry(now, s, block, e, loc, invals);
+                MesiState::Shared
+            }
+            (Op::ReadExclusive, Some((entry, loc))) if entry.state.is_owned() => {
+                let owner = entry.owner().expect("owned entry has an owner");
+                debug_assert_ne!(owner, core);
+                if loc != EntryLoc::Dedicated {
+                    t += self.read_llc_entry();
+                }
+                // Forward with ownership transfer: the old owner sends the
+                // block and invalidates itself.
+                t += self.forward_to_core(s, bank, owner, core);
+                invals.push(Invalidation {
+                    socket,
+                    core: owner,
+                    block,
+                    reason: InvalReason::Coherence,
+                });
+                self.stats.coherence_invalidations += 1;
+                self.epd_on_private_transition(now, s, block, invals);
+                self.write_entry_anywhere(now, s, block, DirEntry::owned(core), invals);
+                MesiState::Modified
+            }
+            (Op::ReadExclusive, Some((entry, loc))) => {
+                // Shared: invalidate all sharers, source the data.
+                let has_data = self.llc_has_data(s, block);
+                if loc != EntryLoc::Dedicated {
+                    t += self.read_llc_entry();
+                }
+                let inv_path = self.invalidate_sharers(
+                    s,
+                    bank,
+                    block,
+                    &entry,
+                    Some(core),
+                    InvalReason::Coherence,
+                    invals,
+                );
+                let data_path = if has_data {
+                    self.stats.llc_data_accesses += 1;
+                    self.stats.msg(MsgClass::Data);
+                    SystemConfig::LLC_DATA_CYCLES
+                        + self.sockets[s].topo.bank_core_latency(
                             bank,
-                            block,
-                            &entry,
-                            Some(core),
-                            InvalReason::Coherence,
-                            invals,
-                        );
-                        let data_path = if has_data {
-                            self.stats.llc_data_accesses += 1;
-                            self.stats.msg(MsgClass::Data);
-                            SystemConfig::LLC_DATA_CYCLES
-                                + self.sockets[s].topo.bank_core_latency(
-                                    bank,
-                                    core.0 as usize,
-                                    MsgClass::Data.bytes(),
-                                )
-                        } else {
-                            // Forward to one sharer, combined with its
-                            // invalidation (baseline critical path).
-                            let sharer = entry
-                                .sharers
-                                .iter()
-                                .find(|&c| c != core)
-                                .expect("another sharer exists");
-                            self.forward_to_core(s, bank, sharer, core)
-                        };
-                        t += data_path.max(inv_path);
-                        let new_entry = DirEntry::owned(core);
-                        self.epd_on_private_transition(now, s, block);
-                        let _ = loc;
-                        self.write_entry_anywhere(now, s, block, new_entry, invals);
-                        t += self.socket_level_invalidate(now, s, block, invals);
-                        grant = MesiState::Modified;
-                    }
-                    None => {
-                        grant = self.untracked_rfo(now, &mut t, s, core, block, invals, downgrades);
-                    }
-                }
+                            core.0 as usize,
+                            MsgClass::Data.bytes(),
+                        )
+                } else {
+                    // Forward to one sharer, combined with its invalidation
+                    // (baseline critical path).
+                    let sharer = entry
+                        .sharers
+                        .iter()
+                        .find(|&c| c != core)
+                        .expect("another sharer exists");
+                    self.forward_to_core(s, bank, sharer, core)
+                };
+                t += data_path.max(inv_path);
+                self.epd_on_private_transition(now, s, block, invals);
+                self.write_entry_anywhere(now, s, block, DirEntry::owned(core), invals);
+                t += self.socket_level_invalidate(s, block, invals);
+                MesiState::Modified
             }
-        }
+        };
 
         if let Some(before) = before {
             // Take/put-back so the oracle can read the whole system state.
@@ -1411,7 +1354,13 @@ impl System {
     /// EPD design: a block that became privately owned (M/E) is deallocated
     /// from the LLC (§III-E). A fused line converts to a spilled entry (the
     /// block bits leave; fusion is impossible in an EPD LLC).
-    fn epd_on_private_transition(&mut self, now: Cycle, s: usize, block: BlockAddr) {
+    fn epd_on_private_transition(
+        &mut self,
+        now: Cycle,
+        s: usize,
+        block: BlockAddr,
+        invals: &mut Vec<Invalidation>,
+    ) {
         if self.cfg.llc_design != LlcDesign::Epd {
             return;
         }
@@ -1425,32 +1374,27 @@ impl System {
             Some(LlcLine::Fused { .. }) => {
                 let entry = self.sockets[s].banks[bank].unfuse(block);
                 let _ = self.sockets[s].banks[bank].remove_block(block);
-                self.stats.dir_spills += 1;
-                self.stats.llc_data_accesses += 1;
-                let policy = self.policy();
-                let mut invals = Vec::new();
-                match self.sockets[s].banks[bank].spill_entry(block, entry, policy) {
-                    SpillOutcome::Updated => {}
-                    SpillOutcome::Inserted(victim) => {
-                        self.stats.adjust_spilled_lines(1);
-                        if let Some(v) = victim {
-                            self.handle_llc_victim(now, s, v, &mut invals);
-                        }
-                    }
-                    SpillOutcome::Refused(_) => {
-                        unreachable!("spill after removing the block line cannot be refused")
-                    }
-                }
-                debug_assert!(
-                    invals.is_empty(),
-                    "EPD respill cannot back-invalidate (non-inclusive)"
-                );
+                self.spill(now, s, block, entry, invals);
             }
             _ => {}
         }
     }
 
-    // (continued in system_flows.rs: untracked reads/RFOs, the memory and
+    /// Reads a spilled or fused entry from the LLC data array (one
+    /// directory and one data access); returns the cycles it takes.
+    fn read_llc_entry(&mut self) -> u64 {
+        self.stats.llc_dir_accesses += 1;
+        self.stats.llc_data_accesses += 1;
+        SystemConfig::LLC_DATA_CYCLES
+    }
+
+    /// True when `block`'s own data line is in socket `s`'s LLC.
+    fn llc_has_data(&self, s: usize, block: BlockAddr) -> bool {
+        let line = self.sockets[s].banks[self.bank_of(block)].block_line(block);
+        matches!(line, Some(LlcLine::Data { .. }))
+    }
+
+    // (continued in system_flows.rs: untracked accesses, the memory and
     //  multi-socket paths, evictions, and the caller-reported dirty-data
     //  hooks)
 }

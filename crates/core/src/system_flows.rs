@@ -4,75 +4,80 @@
 // transaction's effects to the private caches.
 
 impl System {
-    /// Read (or code read) of a block with no directory entry in the socket.
+    /// A read, code read or read-exclusive of a block with no directory
+    /// entry in the socket: served from an LLC data line when there is one,
+    /// from memory otherwise.
     #[allow(clippy::too_many_arguments)]
     // lint:consumes(Request)
-    fn untracked_read(
+    fn untracked_access(
         &mut self,
         now: Cycle,
         t: &mut Cycle,
         s: usize,
         core: CoreId,
         block: BlockAddr,
-        code: bool,
+        op: Op,
         invals: &mut Vec<Invalidation>,
         downgrades: &mut Vec<Downgrade>,
     ) -> MesiState {
-        let bank = self.bank_of(block);
-        if matches!(
-            self.sockets[s].banks[bank].block_line(block),
-            Some(LlcLine::Data { .. })
-        ) {
-            // The entry may be housed at home (WB_DE) while private copies
-            // and this data line survive in the socket: retrieve it
-            // (GET_DE) and conclude as a directory hit — the untracked
-            // grant below would break SWMR against those copies.
-            if let Some(entry) = self.recall_housed_entry(t, s, block) {
-                self.install_entry(now, s, block, entry, invals);
-                self.track_live(-1); // re-installed, not newly live
-                return self.serve_from_private(
-                    now, t, s, core, block, entry, false, invals, downgrades,
-                );
-            }
-            // Case (iii): LLC hit, no private copies anywhere in the socket
-            // (guaranteed — §III-D2, housed segment ruled out above).
-            self.stats.llc_hits += 1;
-            *t = self.bank_port(s, bank, *t, SystemConfig::LLC_DATA_CYCLES) + SystemConfig::LLC_DATA_CYCLES;
-            self.stats.llc_data_accesses += 1;
-            *t += self.sockets[s]
-                .topo
-                .bank_core_latency(bank, core.0 as usize, MsgClass::Data.bytes());
-            self.stats.msg(MsgClass::Data);
-            self.stats.two_hop_reads += 1;
-            let policy = self.policy();
-            self.sockets[s].banks[bank].touch_block(block, policy);
-            let grant = if !code && self.cfg.sockets > 1 {
-                // A local LLC data line rules out a remote *owner* (a
-                // remote write would have invalidated it), but remote
-                // sockets may still hold S copies: the home socket-level
-                // directory must be consulted before granting E.
-                self.untracked_read_socket_grant(t, s, block)
-            } else {
-                protocol::untracked_fill_grant(
-                    if code { Op::CodeRead } else { Op::Read },
-                    false,
-                )
-            };
-            let entry = if grant == MesiState::Exclusive {
-                DirEntry::owned(core)
-            } else {
-                DirEntry::shared(core)
-            };
-            if grant == MesiState::Exclusive {
-                // EPD deallocates first so the new entry cannot fuse
-                // (fusion is impossible in an EPD LLC, §III-E).
-                self.epd_on_private_transition(now, s, block);
-            }
-            self.install_entry(now, s, block, entry, invals);
-            grant
-        } else {
-            self.memory_fetch(now, t, s, core, block, false, code, invals, downgrades)
+        if !self.llc_has_data(s, block) {
+            return self.memory_fetch(now, t, s, core, block, op, invals, downgrades);
         }
+        let exclusive = op == Op::ReadExclusive;
+        // The entry may be housed at home (WB_DE) while private copies and
+        // this data line survive in the socket: retrieve it (GET_DE) and
+        // conclude as a directory hit. An untracked grant would break SWMR
+        // against those copies, and an RFO's fresh owned entry would
+        // silently overwrite the sharers it must invalidate.
+        if let Some(entry) = self.recall_housed_entry(t, s, block) {
+            self.reinstall_entry(now, s, block, entry, invals);
+            return self.serve_from_private(
+                now, t, s, core, block, entry, exclusive, invals, downgrades,
+            );
+        }
+        // Case (iii): LLC hit, no private copies anywhere in the socket
+        // (guaranteed — §III-D2, housed segment ruled out above).
+        let bank = self.bank_of(block);
+        self.stats.llc_hits += 1;
+        *t = self.bank_port(s, bank, *t, SystemConfig::LLC_DATA_CYCLES) + SystemConfig::LLC_DATA_CYCLES;
+        self.stats.llc_data_accesses += 1;
+        *t += self.sockets[s]
+            .topo
+            .bank_core_latency(bank, core.0 as usize, MsgClass::Data.bytes());
+        self.stats.msg(MsgClass::Data);
+        if exclusive {
+            self.epd_on_private_transition(now, s, block, invals);
+            self.install_entry(now, s, block, DirEntry::owned(core), invals);
+            // Unlike a read, granting M here without first consulting the
+            // socket-level directory is safe: the local data line rules out
+            // a remote owner, and `socket_level_invalidate` invalidates
+            // every remote S copy and claims socket-level ownership before
+            // the write is granted.
+            *t += self.socket_level_invalidate(s, block, invals);
+            return MesiState::Modified;
+        }
+        self.stats.two_hop_reads += 1;
+        let policy = self.policy();
+        self.sockets[s].banks[bank].touch_block(block, policy);
+        let grant = if op == Op::Read && self.cfg.sockets > 1 {
+            // A local LLC data line rules out a remote *owner* (a remote
+            // write would have invalidated it), but remote sockets may
+            // still hold S copies: the home socket-level directory must be
+            // consulted before granting E.
+            self.untracked_read_socket_grant(t, s, block)
+        } else {
+            protocol::untracked_fill_grant(op, false)
+        };
+        let entry = if grant == MesiState::Exclusive {
+            // EPD deallocates first so the new entry cannot fuse (fusion
+            // is impossible in an EPD LLC, §III-E).
+            self.epd_on_private_transition(now, s, block, invals);
+            DirEntry::owned(core)
+        } else {
+            DirEntry::shared(core)
+        };
+        self.install_entry(now, s, block, entry, invals);
+        grant
     }
 
     /// GET_DE retrieval for an access that found an LLC data line but no
@@ -149,56 +154,6 @@ impl System {
         }
     }
 
-    /// Read-exclusive of a block with no directory entry in the socket.
-    #[allow(clippy::too_many_arguments)]
-    // lint:consumes(Request)
-    fn untracked_rfo(
-        &mut self,
-        now: Cycle,
-        t: &mut Cycle,
-        s: usize,
-        core: CoreId,
-        block: BlockAddr,
-        invals: &mut Vec<Invalidation>,
-        downgrades: &mut Vec<Downgrade>,
-    ) -> MesiState {
-        let bank = self.bank_of(block);
-        if matches!(
-            self.sockets[s].banks[bank].block_line(block),
-            Some(LlcLine::Data { .. })
-        ) {
-            // Same WB_DE hazard as the untracked read: a housed segment
-            // still tracks private S copies that must be invalidated, not
-            // silently overwritten by a fresh owned entry.
-            if let Some(entry) = self.recall_housed_entry(t, s, block) {
-                self.install_entry(now, s, block, entry, invals);
-                self.track_live(-1); // re-installed, not newly live
-                return self.serve_from_private(
-                    now, t, s, core, block, entry, true, invals, downgrades,
-                );
-            }
-            self.stats.llc_hits += 1;
-            *t = self.bank_port(s, bank, *t, SystemConfig::LLC_DATA_CYCLES) + SystemConfig::LLC_DATA_CYCLES;
-            self.stats.llc_data_accesses += 1;
-            *t += self.sockets[s]
-                .topo
-                .bank_core_latency(bank, core.0 as usize, MsgClass::Data.bytes());
-            self.stats.msg(MsgClass::Data);
-            self.epd_on_private_transition(now, s, block);
-            self.install_entry(now, s, block, DirEntry::owned(core), invals);
-            // Unlike the untracked *read*, granting M here without first
-            // consulting the socket-level directory is safe: the local data
-            // line rules out a remote owner, and `socket_level_invalidate`
-            // below invalidates every remote S copy and claims socket-level
-            // ownership before the write is granted.
-            let lat = self.socket_level_invalidate(now, s, block, invals);
-            *t += lat;
-            MesiState::Modified
-        } else {
-            self.memory_fetch(now, t, s, core, block, true, false, invals, downgrades)
-        }
-    }
-
     /// Case (iv): the block is neither in the LLC nor tracked in the socket
     /// — fetch through the home memory, handling corrupted blocks and (for
     /// multi-socket machines) the full Figure 15 flow.
@@ -211,8 +166,7 @@ impl System {
         s: usize,
         core: CoreId,
         block: BlockAddr,
-        exclusive: bool,
-        code: bool,
+        op: Op,
         invals: &mut Vec<Invalidation>,
         downgrades: &mut Vec<Downgrade>,
     ) -> MesiState {
@@ -220,10 +174,9 @@ impl System {
         let home = self.cfg.home_socket(block);
         if self.cfg.sockets > 1 {
             self.stats.socket_misses += 1;
-            return self.socket_miss_flow(
-                now, t, s, core, block, exclusive, code, invals, downgrades,
-            );
+            return self.socket_miss_flow(now, t, s, core, block, op, invals, downgrades);
         }
+        let exclusive = op == Op::ReadExclusive;
         // Single socket: home memory is local.
         let bank = self.bank_of(block);
         self.stats.msg(MsgClass::MemRead);
@@ -251,8 +204,7 @@ impl System {
                 .mem
                 .extract_entry(block, SocketId(s as u8))
                 .expect("corrupted single-socket block houses our segment");
-            self.install_entry(now, s, block, entry, invals);
-            self.track_live(-1); // re-installed, not newly live
+            self.reinstall_entry(now, s, block, entry, invals);
             return self.serve_from_private(
                 now, t, s, core, block, entry, exclusive, invals, downgrades,
             );
@@ -268,11 +220,12 @@ impl System {
             .topo
             .bank_core_latency(bank, core.0 as usize, MsgClass::Data.bytes());
         self.stats.msg(MsgClass::Data);
-        self.finish_memory_fill(now, s, core, block, exclusive, code, invals)
+        self.finish_memory_fill(now, s, core, block, op, false, invals)
     }
 
     /// Installs the entry and (per LLC design) the line for a block fetched
-    /// from memory, returning the granted state.
+    /// from memory, returning the granted state; `shared_elsewhere` when
+    /// another socket holds an S copy.
     #[allow(clippy::too_many_arguments)]
     fn finish_memory_fill(
         &mut self,
@@ -280,18 +233,11 @@ impl System {
         s: usize,
         core: CoreId,
         block: BlockAddr,
-        exclusive: bool,
-        code: bool,
+        op: Op,
+        shared_elsewhere: bool,
         invals: &mut Vec<Invalidation>,
     ) -> MesiState {
-        let grant = protocol::untracked_fill_grant(
-            match (exclusive, code) {
-                (true, _) => Op::ReadExclusive,
-                (false, true) => Op::CodeRead,
-                (false, false) => Op::Read,
-            },
-            false,
-        );
+        let grant = protocol::untracked_fill_grant(op, shared_elsewhere);
         // EPD does not allocate demand fills that land privately (M/E);
         // shared (code) fills do allocate. Other designs always fill.
         let fill = self.cfg.llc_design != LlcDesign::Epd || grant == MesiState::Shared;
@@ -307,9 +253,10 @@ impl System {
         grant
     }
 
-    /// Concludes a request whose directory entry was just recovered but
-    /// whose data is not in the LLC: forward to the owner or a sharer core
-    /// within the socket.
+    /// Concludes a request by forwarding it to the owner or a sharer core
+    /// within the socket: the entry was just recovered and the LLC holds
+    /// no data for it, or the request is a read of an owned block, whose
+    /// latest data only the owner has.
     #[allow(clippy::too_many_arguments)]
     fn serve_from_private(
         &mut self,
@@ -341,10 +288,9 @@ impl System {
                 .expect("live entry has another holder");
             let data_path = self.forward_to_core(s, bank, source, core);
             *t += data_path.max(inv_path);
-            self.epd_on_private_transition(now, s, block);
+            self.epd_on_private_transition(now, s, block, invals);
             self.write_entry_anywhere(now, s, block, DirEntry::owned(core), invals);
-            let lat = self.socket_level_invalidate(now, s, block, invals);
-            *t += lat;
+            *t += self.socket_level_invalidate(s, block, invals);
             MesiState::Modified
         } else if entry.state.is_owned() {
             let owner = entry.owner().expect("owned entry has an owner");
@@ -355,10 +301,15 @@ impl System {
                 core: owner,
                 block,
             });
+            // Sharing writeback lands the block in the LLC (EPD allocates
+            // shared blocks; the caller marks it dirty if the owner was in
+            // M).
             self.fill_llc(now, s, block, false, invals);
             let mut e = entry;
             e.state = DirState::Shared;
             e.sharers.insert(core);
+            // The fill may have moved or even evicted the entry (WB_DE)
+            // within this transaction.
             self.write_entry_anywhere(now, s, block, e, invals);
             MesiState::Shared
         } else {
@@ -390,11 +341,11 @@ impl System {
         s: usize,
         core: CoreId,
         block: BlockAddr,
-        exclusive: bool,
-        code: bool,
+        op: Op,
         invals: &mut Vec<Invalidation>,
         downgrades: &mut Vec<Downgrade>,
     ) -> MesiState {
+        let exclusive = op == Op::ReadExclusive;
         let home = self.cfg.home_socket(block);
         let h = home.0 as usize;
         if h != s {
@@ -424,7 +375,7 @@ impl System {
                     self.stats.msg(MsgClass::SocketData);
                 }
                 self.stats.msg(MsgClass::Data);
-                let grant = self.finish_memory_fill(now, s, core, block, exclusive, code, invals);
+                let grant = self.finish_memory_fill(now, s, core, block, op, false, invals);
                 let e = SocketDirEntry {
                     owned: grant != MesiState::Shared,
                     sharers: SocketSet::only(SocketId(s as u8)),
@@ -450,8 +401,7 @@ impl System {
                     .mem
                     .extract_entry(block, SocketId(s as u8))
                     .expect("sharing socket without in-socket entry has a segment");
-                self.install_entry(now, s, block, entry, invals);
-                self.track_live(-1);
+                self.reinstall_entry(now, s, block, entry, invals);
                 self.serve_from_private(now, t, s, core, block, entry, exclusive, invals, downgrades)
             }
             Some(e) => {
@@ -474,8 +424,7 @@ impl System {
                     // block; a remote S copy forces a Shared grant (SWMR).
                     let me = SocketId(s as u8);
                     let remote = e.sharers.iter().any(|x| x != me);
-                    let grant =
-                        self.finish_memory_fill(now, s, core, block, false, code || remote, invals);
+                    let grant = self.finish_memory_fill(now, s, core, block, op, remote, invals);
                     if grant == MesiState::Shared {
                         let mut se = e;
                         se.owned = false;
@@ -491,7 +440,7 @@ impl System {
                 debug_assert_ne!(f_socket, SocketId(s as u8), "requester lost in socket dir");
                 *t += SystemConfig::INTER_SOCKET_CYCLES; // H → F forward
                 self.stats.msg(MsgClass::SocketCtrl);
-                *t += self.remote_retrieve(now, s, h, f_socket, block, exclusive, invals, downgrades);
+                *t += self.remote_retrieve(now, h, f_socket, block, exclusive, invals, downgrades);
                 *t += SystemConfig::INTER_SOCKET_CYCLES; // F → S data
                 self.stats.msg(MsgClass::SocketData);
                 if exclusive {
@@ -501,10 +450,10 @@ impl System {
                             continue;
                         }
                         self.stats.msg(MsgClass::SocketCtrl);
-                        self.invalidate_socket_copies(now, other.0 as usize, block, invals);
+                        self.invalidate_socket_copies(other.0 as usize, block, invals);
                     }
                     let entry = DirEntry::owned(core);
-                    self.epd_on_private_transition(now, s, block);
+                    self.epd_on_private_transition(now, s, block, invals);
                     if self.cfg.llc_design == LlcDesign::Inclusive {
                         // Inclusion: a privately held block must keep an
                         // LLC line even when the data came from socket F.
@@ -520,15 +469,10 @@ impl System {
                         .socket_dir_update(home, block, SocketDirEntry::owned_by(SocketId(s as u8)));
                     MesiState::Modified
                 } else {
-                    // Another socket holds the block too: S either way.
-                    let _ = code;
-                    let grant = MesiState::Shared;
-                    let fill = self.cfg.llc_design != LlcDesign::Epd || grant == MesiState::Shared;
-                    if fill {
-                        self.fill_llc(now, s, block, false, invals);
-                    }
-                    let entry = DirEntry::shared(core);
-                    self.install_entry(now, s, block, entry, invals);
+                    // Another socket holds the block too: S either way, and
+                    // every LLC design allocates a shared fill.
+                    self.fill_llc(now, s, block, false, invals);
+                    self.install_entry(now, s, block, DirEntry::shared(core), invals);
                     // Publish sharing only now (see the exclusive arm), and
                     // from the *current* backing state — the churn above may
                     // have legitimately dropped other sockets.
@@ -542,21 +486,21 @@ impl System {
                     se.owned = false;
                     se.sharers.insert(SocketId(s as u8));
                     self.mem.socket_dir_update(home, block, se);
-                    grant
+                    MesiState::Shared
                 }
             }
         }
     }
 
-    /// Retrieves the block from socket `f` on behalf of requester socket
-    /// `s` (steps 5–11 of Figure 15). Returns the latency spent inside (and
-    /// re-reaching) socket `f`, including any DENF_NACK round trip.
+    /// Retrieves the block from socket `f` on behalf of a requester in
+    /// another socket (steps 5–11 of Figure 15). Returns the latency spent
+    /// inside (and re-reaching) socket `f`, including any DENF_NACK round
+    /// trip.
     #[allow(clippy::too_many_arguments)]
     // lint:consumes(Request)
     fn remote_retrieve(
         &mut self,
         now: Cycle,
-        _s: usize,
         h: usize,
         f_socket: SocketId,
         block: BlockAddr,
@@ -570,62 +514,55 @@ impl System {
         self.stats.llc_tag_lookups += 1;
         self.stats.dir_lookups += 1;
 
-        let mut entry_opt = self.find_entry(f, block);
-        if entry_opt.is_none() {
-            // A housed segment still naming sharers means F's cores hold
-            // private copies (the entry went home via WB_DE) — possibly an
-            // owner in M whose value the LLC line predates. That case must
-            // take the DENF recovery below, not the LLC-only serve.
-            let tracked_segment = self
-                .mem
-                .peek_entry(block, f_socket)
-                .is_some_and(|e| e.sharers.count() > 0);
-            if !tracked_segment && self.sockets[f].banks[bank].block_line(block).is_some() {
-                // F serves from its LLC (socket-level owner with an
-                // LLC-only copy after its cores evicted).
-                lat += SystemConfig::LLC_DATA_CYCLES;
-                self.stats.llc_data_accesses += 1;
-                if exclusive {
-                    self.invalidate_socket_copies(now, f, block, invals);
-                } else {
-                    self.remote_downgrade_writeback(now, f, block);
+        let entry = match self.find_entry(f, block) {
+            Some((entry, _)) => entry,
+            None => {
+                // A housed segment still naming sharers means F's cores hold
+                // private copies (the entry went home via WB_DE) — possibly
+                // an owner in M whose value the LLC line predates. That case
+                // must take the DENF recovery below, not the LLC-only serve.
+                let tracked_segment = self
+                    .mem
+                    .peek_entry(block, f_socket)
+                    .is_some_and(|e| e.sharers.count() > 0);
+                if !tracked_segment && self.sockets[f].banks[bank].block_line(block).is_some() {
+                    // F serves from its LLC (socket-level owner with an
+                    // LLC-only copy after its cores evicted).
+                    lat += SystemConfig::LLC_DATA_CYCLES;
+                    self.stats.llc_data_accesses += 1;
+                    if exclusive {
+                        self.invalidate_socket_copies(f, block, invals);
+                    } else {
+                        self.remote_downgrade_writeback(now, f, block);
+                    }
+                    return lat;
                 }
-                return lat;
-            }
-            // Step 7: F has copies but its entry went home — DENF_NACK.
-            self.stats.denf_nacks += 1;
-            self.stats.msg(MsgClass::DenfNack);
-            lat += SystemConfig::INTER_SOCKET_CYCLES; // F → H nack
-            let seg = self.mem.extract_entry(block, f_socket);
-            match seg {
-                Some(entry) => {
-                    // Steps 8–11: H reads the corrupted block, extracts F's
-                    // entry, and resends the request with it.
-                    self.stats.dram_reads += 1;
-                    let _ = self
-                        .mem
-                        .dram_read(Cycle(now.0 + lat), SocketId(h as u8), block);
-                    self.stats.msg(MsgClass::SocketData); // resend with entry
-                    lat += SystemConfig::INTER_SOCKET_CYCLES;
-                    self.install_entry(now, f, block, entry, invals);
-                    self.track_live(-1);
-                    // The placement can bounce the entry straight back home
-                    // (degenerate LLC); the location is not consulted below,
-                    // only the entry contents.
-                    entry_opt =
-                        Some(self.find_entry(f, block).unwrap_or((entry, EntryLoc::Dedicated)));
-                }
-                None => {
+                // Step 7: F has copies but its entry went home — DENF_NACK.
+                self.stats.denf_nacks += 1;
+                self.stats.msg(MsgClass::DenfNack);
+                lat += SystemConfig::INTER_SOCKET_CYCLES; // F → H nack
+                let Some(entry) = self.mem.extract_entry(block, f_socket) else {
                     // Synchronous model keeps the socket directory exact, so
                     // a forward without entry, line, or segment cannot
                     // happen; fall back to home memory defensively.
                     debug_assert!(false, "forwarded socket has no trace of {block:?}");
                     return lat;
-                }
+                };
+                // Steps 8–11: H reads the corrupted block, extracts F's
+                // entry, and resends the request with it.
+                self.stats.dram_reads += 1;
+                let _ = self
+                    .mem
+                    .dram_read(Cycle(now.0 + lat), SocketId(h as u8), block);
+                self.stats.msg(MsgClass::SocketData); // resend with entry
+                lat += SystemConfig::INTER_SOCKET_CYCLES;
+                self.reinstall_entry(now, f, block, entry, invals);
+                // The placement can bounce the entry straight back home
+                // (degenerate LLC); only the entry contents are read below.
+                self.find_entry(f, block).map_or(entry, |(e, _)| e)
             }
-        }
+        };
 
-        let (entry, _loc) = entry_opt.expect("entry present or recovered");
         // Conclude within F (step 6): pull the block from an owner/sharer
         // core of F.
         let source = entry.sharers.any().expect("live entry has holders");
@@ -636,7 +573,7 @@ impl System {
         self.stats.msg(MsgClass::Forward);
         self.stats.msg(MsgClass::Data);
         if exclusive {
-            self.invalidate_socket_copies(now, f, block, invals);
+            self.invalidate_socket_copies(f, block, invals);
         } else {
             // Downgrade F's owner (if any) and write dirty data back to
             // home so that socket-Shared implies clean memory.
@@ -681,28 +618,10 @@ impl System {
     /// Invalidates every trace of `block` in socket `f` (a remote write is
     /// claiming exclusivity). Private copies go to the caller's
     /// invalidation list; the LLC line and any housed segment are dropped.
-    // lint:consumes(Request)
-    fn invalidate_socket_copies(
-        &mut self,
-        _now: Cycle,
-        f: usize,
-        block: BlockAddr,
-        invals: &mut Vec<Invalidation>,
-    ) {
+    fn invalidate_socket_copies(&mut self, f: usize, block: BlockAddr, invals: &mut Vec<Invalidation>) {
+        let reason = InvalReason::Coherence;
         if let Some((entry, loc)) = self.find_entry(f, block) {
-            let n = entry.sharers.count() as u64;
-            self.stats.coherence_invalidations += n;
-            self.stats.msg_n(MsgClass::Invalidation, n);
-            // lint:context(Invalidation)
-            self.stats.msg_n(MsgClass::Ack, n);
-            for core in entry.sharers.iter() {
-                invals.push(Invalidation {
-                    socket: SocketId(f as u8),
-                    core,
-                    block,
-                    reason: InvalReason::Coherence,
-                });
-            }
+            self.invalidate_all(f, block, entry.sharers, reason, invals);
             self.free_entry(f, block, loc, false);
         }
         if let Some(entry) = self.mem.extract_entry(block, SocketId(f as u8)) {
@@ -710,19 +629,7 @@ impl System {
             // The housed segment still tracks this socket's private copies
             // (the entry went home via WB_DE); they must be invalidated
             // too, or a stale sharer survives the remote write.
-            let n = entry.sharers.count() as u64;
-            self.stats.coherence_invalidations += n;
-            self.stats.msg_n(MsgClass::Invalidation, n);
-            // lint:context(Invalidation)
-            self.stats.msg_n(MsgClass::Ack, n);
-            for core in entry.sharers.iter() {
-                invals.push(Invalidation {
-                    socket: SocketId(f as u8),
-                    core,
-                    block,
-                    reason: InvalReason::Coherence,
-                });
-            }
+            self.invalidate_all(f, block, entry.sharers, reason, invals);
         }
         let bank = self.bank_of(block);
         let _ = self.sockets[f].banks[bank].remove_block(block);
@@ -734,7 +641,6 @@ impl System {
     // lint:consumes(Request)
     fn socket_level_invalidate(
         &mut self,
-        now: Cycle,
         s: usize,
         block: BlockAddr,
         invals: &mut Vec<Invalidation>,
@@ -766,7 +672,7 @@ impl System {
         for other in e.sharers.iter().filter(|&x| x != me) {
             self.stats.msg(MsgClass::SocketCtrl); // invalidation
             self.stats.msg(MsgClass::SocketCtrl); // acknowledgement
-            self.invalidate_socket_copies(now, other.0 as usize, block, invals);
+            self.invalidate_socket_copies(other.0 as usize, block, invals);
         }
         lat += 2 * SystemConfig::INTER_SOCKET_CYCLES; // worst-case inv + ack
         self.mem
@@ -812,21 +718,21 @@ impl System {
         let s = socket.0 as usize;
         let bank = self.bank_of(block);
         let inv_start = invals.len();
-        // The notice payload follows the message class that will be sent:
-        // dirty writebacks and EPD clean-exclusive victim transfers carry
-        // the data block (§III-E); every other notice is control-sized.
-        let payload = match kind {
-            EvictKind::Dirty => MsgClass::Writeback.bytes(),
-            EvictKind::CleanExclusive if self.cfg.llc_design == LlcDesign::Epd => {
-                MsgClass::Writeback.bytes()
-            }
-            _ => MsgClass::EvictNotice.bytes(),
+        // EPD moves every owner-evicted block into the LLC (the victim
+        // transfer carries data even when clean, §III-E).
+        let epd_victim_transfer =
+            self.cfg.llc_design == LlcDesign::Epd && kind == EvictKind::CleanExclusive;
+        // Dirty writebacks and EPD victim transfers carry the data block;
+        // every other notice is control-sized.
+        let notice = if kind == EvictKind::Dirty || epd_victim_transfer {
+            MsgClass::Writeback
+        } else {
+            MsgClass::EvictNotice
         };
         let t = now
-            + self
-                .sockets[s]
+            + self.sockets[s]
                 .topo
-                .core_bank_latency(core.0 as usize, bank, payload);
+                .core_bank_latency(core.0 as usize, bank, notice.bytes());
         let _ = self.bank_port(s, bank, t, SystemConfig::LLC_TAG_CYCLES);
         self.stats.llc_tag_lookups += 1;
         self.stats.dir_lookups += 1;
@@ -837,29 +743,17 @@ impl System {
                 // a DEV raced this eviction) and the entry re-allocated by
                 // other cores. Real protocols NACK this; drop it. The notice
                 // message itself was still sent and must be accounted.
-                self.stats.msg(match kind {
-                    EvictKind::Dirty => MsgClass::Writeback,
-                    EvictKind::CleanExclusive if self.cfg.llc_design == LlcDesign::Epd => {
-                        MsgClass::Writeback
-                    }
-                    _ => MsgClass::EvictNotice,
-                });
+                self.stats.msg(notice); // lint:emits(Writeback, EvictNotice)
             }
             Some((entry, loc)) => {
-                // EPD moves every owner-evicted block into the LLC (the
-                // victim transfer carries data even when clean, §III-E).
-                let epd_victim_transfer = self.cfg.llc_design == LlcDesign::Epd
-                    && kind == EvictKind::CleanExclusive;
-                match kind {
-                    EvictKind::Dirty => self.stats.msg(MsgClass::Writeback),
-                    EvictKind::CleanExclusive if epd_victim_transfer => {
-                        self.stats.msg(MsgClass::Writeback);
-                    }
-                    EvictKind::CleanExclusive if loc == EntryLoc::Fused => {
-                        // Carries the low reconstruction bits (§III-C2).
-                        self.stats.msg(MsgClass::EvictNoticeBits);
-                    }
-                    _ => self.stats.msg(MsgClass::EvictNotice),
+                if notice == MsgClass::EvictNotice
+                    && kind == EvictKind::CleanExclusive
+                    && loc == EntryLoc::Fused
+                {
+                    // Carries the low reconstruction bits (§III-C2).
+                    self.stats.msg(MsgClass::EvictNoticeBits);
+                } else {
+                    self.stats.msg(notice); // lint:emits(Writeback, EvictNotice)
                 }
                 // The writeback allocates/updates the LLC line (this is also
                 // EPD's allocation-on-owner-eviction rule). A fill can move
@@ -888,7 +782,7 @@ impl System {
                                 // be restored from this copy.
                                 self.restore_if_last_copy(now, s, block);
                             }
-                            self.departure_check(now, s, block);
+                            self.departure_check(s, block);
                         } else {
                             self.update_entry(now, s, block, e, cur_loc, invals);
                         }
@@ -896,7 +790,7 @@ impl System {
                     None => {
                         // The dirty-writeback fill above pushed this block's
                         // own entry home (WB_DE); conclude via Figure 16.
-                        self.evict_with_entry_at_home(now, s, core, block, kind, invals);
+                        self.evict_with_entry_at_home(now, s, core, block, kind);
                     }
                 }
             }
@@ -904,13 +798,7 @@ impl System {
                 // ZeroDEV: the entry lives in home memory (corrupted block).
                 // The notice reaching the home bank is accounted here; the
                 // GET_DE / writeback traffic inside.
-                self.stats.msg(match kind {
-                    EvictKind::Dirty => MsgClass::Writeback,
-                    EvictKind::CleanExclusive if self.cfg.llc_design == LlcDesign::Epd => {
-                        MsgClass::Writeback
-                    }
-                    _ => MsgClass::EvictNotice,
-                });
+                self.stats.msg(notice); // lint:emits(Writeback, EvictNotice)
                 if kind == EvictKind::Dirty {
                     // The evictor held the block in M, so any LLC data line
                     // predates that write and is stale. Drop it before the
@@ -918,7 +806,7 @@ impl System {
                     // later untracked read would hit the stale line.
                     let _ = self.sockets[s].banks[bank].remove_block(block);
                 }
-                self.evict_with_entry_at_home(now, s, core, block, kind, invals);
+                self.evict_with_entry_at_home(now, s, core, block, kind);
             }
         }
         if self.oracle.is_some() {
@@ -938,7 +826,6 @@ impl System {
         core: CoreId,
         block: BlockAddr,
         kind: EvictKind,
-        _invals: &mut Vec<Invalidation>,
     ) {
         let home = self.cfg.home_socket(block);
         let me = SocketId(s as u8);
@@ -961,7 +848,7 @@ impl System {
             }
             self.mem.dram_write(now, home, block);
             self.stats.dram_writes += 1;
-            self.departure_check(now, s, block);
+            self.departure_check(s, block);
             return;
         }
         // Steps 3–6: GET_DE — read the corrupted block from home, extract
@@ -1007,7 +894,7 @@ impl System {
                 self.mem.dram_write(tr, home, block);
                 self.stats.dram_writes += 1;
             }
-            self.departure_check(now, s, block);
+            self.departure_check(s, block);
         } else {
             // Step 6: send the updated entry back for writing.
             self.mem.rewrite_entry(block, me, e);

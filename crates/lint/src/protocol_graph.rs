@@ -24,7 +24,10 @@
 //! Emissions are auto-detected at `msg(MsgClass::X, …)` / `msg_n(MsgClass::X, …)`
 //! accounting calls; `lint:emits` covers the rest. An emission inside a fn
 //! with neither a context nor a `consumes` declaration is an
-//! `unrooted_emission` finding.
+//! `unrooted_emission` finding. A `.msg(…)` / `.msg_n(…)` call whose class
+//! is not a `MsgClass::X` path (a variable, a `match`) is invisible to the
+//! graph unless a `lint:emits` on the same line names what it can send;
+//! without one it is an `unseen_emission` finding.
 //!
 //! # Checks
 //!
@@ -312,17 +315,23 @@ fn walk_body(
                 }
             }
             // msg(MsgClass::X …) / msg_n(MsgClass::X …)
-            Tok::Ident(id) if (id == "msg" || id == "msg_n") && k + 5 < f.body.1 => {
-                let t = |off: usize| &toks[k + off].tok;
-                if *t(1) == Tok::Punct('(')
-                    && *t(2) == Tok::Ident("MsgClass".into())
-                    && *t(3) == Tok::Punct(':')
-                    && *t(4) == Tok::Punct(':')
-                {
-                    if let Tok::Ident(class) = t(5) {
+            Tok::Ident(id)
+                if (id == "msg" || id == "msg_n")
+                    && toks.get(k + 1).is_some_and(|s| s.tok == Tok::Punct('(')) =>
+            {
+                let t = |off: usize| toks.get(k + off).map(|s| &s.tok);
+                let literal = t(2) == Some(&Tok::Ident("MsgClass".into()))
+                    && t(3) == Some(&Tok::Punct(':'))
+                    && t(4) == Some(&Tok::Punct(':'));
+                match t(5) {
+                    Some(Tok::Ident(class)) if literal => {
                         let class = class.clone();
                         emit(used, out, g, p, fi, f, consumes, &ctx, &class, toks[k].line);
                     }
+                    _ if !literal && toks[k - 1].tok == Tok::Punct('.') => {
+                        unseen_emission(p, used, out, fi, f, toks[k].line);
+                    }
+                    _ => {}
                 }
             }
             _ => {}
@@ -386,6 +395,36 @@ fn emit(
             audited: false,
         });
     }
+}
+
+/// Flags a `.msg(…)` call on `line` whose class the graph cannot read,
+/// unless a `lint:emits` on the same line names the classes it sends.
+fn unseen_emission(
+    p: &Parsed,
+    used: &mut [bool],
+    out: &mut Vec<Finding>,
+    fi: usize,
+    f: &crate::model::FnDef,
+    line: u32,
+) {
+    let toks = &p.files[fi].toks[f.body.0..f.body.1];
+    let named = toks.iter().any(|s| {
+        s.line == line && matches!(&s.tok, Tok::Comment(c) if c.starts_with("lint:emits("))
+    });
+    if named {
+        return;
+    }
+    let waived_by = p.match_waiver(used, fi, "unseen_emission", line, None, None);
+    out.push(Finding {
+        rule: "unseen_emission",
+        file: p.files[fi].src.path.clone(),
+        line,
+        message: format!(
+            "`{}::{}` records a message whose class is not a `MsgClass::X` path — name the classes with lint:emits(…) on this line",
+            f.self_ty, f.name
+        ),
+        waived_by,
+    });
 }
 
 fn unknown_class(pf: &crate::model::ParsedFile, line: u32, name: &str) -> Finding {

@@ -7,7 +7,7 @@ use crate::model::{Finding, Parsed};
 use crate::protocol_graph::Graph;
 
 /// Every rule the analyzer can report, in display order.
-pub const ALL_RULES: [&str; 11] = [
+pub const ALL_RULES: [&str; 12] = [
     "nondeterministic_map",
     "wall_clock",
     "thread_spawn",
@@ -17,6 +17,7 @@ pub const ALL_RULES: [&str; 11] = [
     "msg_no_producer",
     "msg_no_consumer",
     "unrooted_emission",
+    "unseen_emission",
     "waiver_no_reason",
     "waiver_unused",
 ];

@@ -125,6 +125,12 @@ fn unrooted_emission_fires_once() {
 }
 
 #[test]
+fn unseen_emission_fires_once() {
+    let r = run_fixture("core", include_str!("fixtures/unseen_emission.rs"), true);
+    assert_eq!(count(&r, "unseen_emission"), 1, "{:?}", r.findings);
+}
+
+#[test]
 fn waiver_no_reason_fires_once_and_still_suppresses() {
     let r = run_fixture("core", include_str!("fixtures/waiver_no_reason.rs"), false);
     assert_eq!(count(&r, "waiver_no_reason"), 1, "{:?}", r.findings);
