@@ -3,47 +3,15 @@
 //! per-application; SPLASH2X / SPEC OMP / FFTW as suite averages, as in the
 //! paper).
 
-use crate::{baseline, makers_of, mt_makers, mt_suites, run_grid_env, unbounded};
-use zerodev_common::table::{mean, Table};
+use super::fig02::vs_unbounded;
+use crate::mt_groups;
+use zerodev_common::table::Table;
 
 pub fn run() {
-    let base_cfg = baseline();
-    let unb_cfg = unbounded();
     let mut t = Table::new(&["workload", "traffic", "misses", "speedup", "d-mpki"]);
-    for (suite, apps) in mt_suites() {
-        let workloads = mt_makers(&apps, 8);
-        let grid = run_grid_env(&[&base_cfg, &unb_cfg], &makers_of(&workloads));
-        let (mut traf, mut miss, mut spd) = (Vec::new(), Vec::new(), Vec::new());
-        for ((app, _), row) in workloads.iter().zip(&grid) {
-            let (b, u) = (&row[0], &row[1]);
-            let tr =
-                u.stats.total_traffic_bytes() as f64 / b.stats.total_traffic_bytes().max(1) as f64;
-            let mr = u.stats.core_cache_misses as f64 / b.stats.core_cache_misses.max(1) as f64;
-            let sp = u
-                .result
-                .speedup_vs(&b.result)
-                .expect("same workload, same core count");
-            if suite == "PARSEC" {
-                let dm = (b.misses_per_kilo_instr() - u.misses_per_kilo_instr()).max(0.0);
-                t.row(&[
-                    (*app).to_string(),
-                    format!("{tr:.3}"),
-                    format!("{mr:.3}"),
-                    format!("{sp:.3}"),
-                    format!("{dm:.2}"),
-                ]);
-            }
-            traf.push(tr);
-            miss.push(mr);
-            spd.push(sp);
-        }
-        t.row(&[
-            format!("{suite}-AVG"),
-            format!("{:.3}", mean(&traf)),
-            format!("{:.3}", mean(&miss)),
-            format!("{:.3}", mean(&spd)),
-            String::new(),
-        ]);
+    for g in mt_groups() {
+        let avg = format!("{}-AVG", g.label);
+        vs_unbounded(&mut t, &g.apps, &g.params, g.label == "PARSEC", &avg);
     }
     println!("== Figure 3: multi-threaded applications, unbounded vs 1x directory ==");
     print!("{}", t.render());

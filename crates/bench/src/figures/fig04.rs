@@ -2,35 +2,18 @@
 //! speedup (normalised to the 1× baseline) of 1/2×, 1/8×, and 1/32× sparse
 //! directories.
 
-use crate::{baseline, makers_of, run_grid_env, sparse, suite_groups_mt_rate};
-use zerodev_common::table::{geomean, Table};
-use zerodev_common::SystemConfig;
+use crate::{column_table, geomean_row, sparse, speedups, suite_groups};
 
 pub fn run() {
-    let base_cfg = baseline();
-    let sized: Vec<SystemConfig> = [(1u32, 2u32), (1, 8), (1, 32)]
-        .iter()
-        .map(|&(num, den)| sparse(num, den))
-        .collect();
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base_cfg];
-    cfg_refs.extend(sized.iter());
-    let mut t = Table::new(&["suite", "1/2x", "1/8x", "1/32x"]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&cfg_refs, &makers_of(&workloads));
-        let mut cells = vec![suite.to_string()];
-        for c in 1..cfg_refs.len() {
-            let speedups: Vec<f64> = grid
-                .iter()
-                .map(|row| {
-                    row[c]
-                        .result
-                        .speedup_vs(&row[0].result)
-                        .expect("same workload, same core count")
-                })
-                .collect();
-            cells.push(format!("{:.3}", geomean(&speedups)));
-        }
-        t.row(&cells);
+    let columns = [
+        ("1/2x", sparse(1, 2)),
+        ("1/8x", sparse(1, 8)),
+        ("1/32x", sparse(1, 32)),
+    ];
+    let mut t = column_table("suite", &columns, &[]);
+    for g in suite_groups() {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        t.row(&geomean_row(g.label, &s));
     }
     println!("== Figure 4: speedup vs sparse directory size (normalised to 1x) ==");
     print!("{}", t.render());

@@ -9,7 +9,7 @@
 //! with the largest footprint and the average of the per-application
 //! maxima.
 
-use crate::{makers_of, run_grid_env, suite_groups_mt_rate};
+use crate::{run_grid, suite_groups};
 use zerodev_common::config::{DirectoryKind, LlcReplacement, Ratio, SpillPolicy, ZeroDevConfig};
 use zerodev_common::table::{mean, Table};
 use zerodev_common::SystemConfig;
@@ -31,19 +31,19 @@ pub fn run() {
     let cfg = spill_probe_cfg();
     let llc_blocks = cfg.llc.lines() as f64;
     let mut t = Table::new(&["suite", "max-of-max %", "max app", "avg-of-max %"]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&[&cfg], &makers_of(&workloads));
+    for g in suite_groups() {
+        let grid = run_grid(&[&cfg], &g.apps, &g.params);
         let mut maxima = Vec::new();
         let mut worst = (0.0f64, String::new());
-        for ((app, _), row) in workloads.iter().zip(&grid) {
+        for ((app, _), row) in g.apps.iter().zip(&grid) {
             let pct = row[0].stats.spilled_lines_max as f64 / llc_blocks * 100.0;
             if pct > worst.0 {
-                worst = (pct, (*app).to_string());
+                worst = (pct, app.clone());
             }
             maxima.push(pct);
         }
         t.row(&[
-            suite.to_string(),
+            g.label.to_string(),
             format!("{:.1}", worst.0),
             worst.1,
             format!("{:.1}", mean(&maxima)),

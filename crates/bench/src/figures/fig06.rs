@@ -3,9 +3,8 @@
 //! a directory cached in the LLC would take. Speedups are normalised to the
 //! 16-way baseline; the annotation is the worst application in each suite.
 
-use crate::{baseline, makers_of, run_grid_env, suite_groups_mt_rate};
+use crate::{baseline, column_table, geomean_row, speedups, suite_groups};
 use zerodev_common::config::CacheGeometry;
-use zerodev_common::table::{geomean, Table};
 use zerodev_common::SystemConfig;
 
 /// The baseline LLC with `ways` ways per set (same 1024 sets per bank).
@@ -17,40 +16,23 @@ fn reduced_llc(ways: usize) -> SystemConfig {
 }
 
 pub fn run() {
-    let base_cfg = baseline();
-    let reduced: Vec<SystemConfig> = [15usize, 14, 13, 12]
-        .iter()
-        .map(|&w| reduced_llc(w))
-        .collect();
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base_cfg];
-    cfg_refs.extend(reduced.iter());
-    let mut t = Table::new(&[
-        "suite",
-        "15 ways",
-        "14 ways",
-        "13 ways",
-        "12 ways",
-        "worst app @12",
-    ]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&cfg_refs, &makers_of(&workloads));
-        let mut cells = vec![suite.to_string()];
-        let mut worst_at_12 = (f64::INFINITY, String::new());
-        for (c, _ways) in [15usize, 14, 13, 12].iter().enumerate() {
-            let mut speedups = Vec::new();
-            for ((app, _), row) in workloads.iter().zip(&grid) {
-                let s = row[c + 1]
-                    .result
-                    .speedup_vs(&row[0].result)
-                    .expect("same workload, same core count");
-                if c == 3 && s < worst_at_12.0 {
-                    worst_at_12 = (s, (*app).to_string());
-                }
-                speedups.push(s);
+    let columns = [
+        ("15 ways", reduced_llc(15)),
+        ("14 ways", reduced_llc(14)),
+        ("13 ways", reduced_llc(13)),
+        ("12 ways", reduced_llc(12)),
+    ];
+    let mut t = column_table("suite", &columns, &["worst app @12"]);
+    for g in suite_groups() {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        let mut worst = (f64::INFINITY, "");
+        for ((app, _), &v) in g.apps.iter().zip(&s[3]) {
+            if v < worst.0 {
+                worst = (v, app.as_str());
             }
-            cells.push(format!("{:.3}", geomean(&speedups)));
         }
-        cells.push(format!("{} ({:.2})", worst_at_12.1, worst_at_12.0));
+        let mut cells = geomean_row(g.label, &s);
+        cells.push(format!("{} ({:.2})", worst.1, worst.0));
         t.row(&cells);
     }
     println!("== Figure 6: performance with reduced LLC associativity ==");

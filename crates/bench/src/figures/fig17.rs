@@ -5,48 +5,21 @@
 //! Speedups are normalised to the 1× baseline; the annotation is the
 //! minimum speedup within each suite.
 
-use crate::{baseline, makers_of, run_grid_env, suite_groups_mt_rate, zerodev_nodir};
+use crate::{column_table, geomean_row, min_speedups, speedups, suite_groups, zerodev_nodir};
 use zerodev_common::config::{LlcReplacement, SpillPolicy};
-use zerodev_common::table::{geomean, Table};
-use zerodev_common::SystemConfig;
 
 pub fn run() {
-    let base_cfg = baseline();
-    let policies: Vec<SystemConfig> = [
-        SpillPolicy::SpillAll,
-        SpillPolicy::FusePrivateSpillShared,
-        SpillPolicy::FuseAll,
-    ]
-    .iter()
-    .map(|&p| zerodev_nodir(p, LlcReplacement::DataLru))
-    .collect();
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base_cfg];
-    cfg_refs.extend(policies.iter());
-    let mut t = Table::new(&[
-        "suite",
-        "SpillAll",
-        "FPSS",
-        "FuseAll",
-        "min(SpillAll/FPSS/FuseAll)",
-    ]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&cfg_refs, &makers_of(&workloads));
-        let mut cells = vec![suite.to_string()];
-        let mut mins = Vec::new();
-        for c in 1..cfg_refs.len() {
-            let speedups: Vec<f64> = grid
-                .iter()
-                .map(|row| {
-                    row[c]
-                        .result
-                        .speedup_vs(&row[0].result)
-                        .expect("same workload, same core count")
-                })
-                .collect();
-            mins.push(speedups.iter().copied().fold(f64::INFINITY, f64::min));
-            cells.push(format!("{:.3}", geomean(&speedups)));
-        }
-        cells.push(format!("{:.2}/{:.2}/{:.2}", mins[0], mins[1], mins[2]));
+    let nodir = |policy| zerodev_nodir(policy, LlcReplacement::DataLru);
+    let columns = [
+        ("SpillAll", nodir(SpillPolicy::SpillAll)),
+        ("FPSS", nodir(SpillPolicy::FusePrivateSpillShared)),
+        ("FuseAll", nodir(SpillPolicy::FuseAll)),
+    ];
+    let mut t = column_table("suite", &columns, &["min(SpillAll/FPSS/FuseAll)"]);
+    for g in suite_groups() {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        let mut cells = geomean_row(g.label, &s);
+        cells.push(min_speedups(&s, &[0, 1, 2]));
         t.row(&cells);
     }
     println!("== Figure 17: SpillAll vs FPSS vs FuseAll (ZeroDEV, no directory, dataLRU) ==");

@@ -3,51 +3,24 @@
 //! capacity-constrained 4 MB LLC. All results normalised to the 8 MB
 //! baseline; Base4MB (plain LRU baseline at 4 MB) is shown for reference.
 
-use crate::{baseline, makers_of, run_grid_env, suite_groups_mt_rate, zerodev_nodir};
-use zerodev_common::config::{CacheGeometry, LlcReplacement, SpillPolicy};
-use zerodev_common::table::{geomean, Table};
-use zerodev_common::SystemConfig;
-
-fn with_llc_mb(mut cfg: SystemConfig, mb: usize) -> SystemConfig {
-    cfg.llc = CacheGeometry::new(mb << 20, 16);
-    cfg.validate().expect("valid LLC capacity");
-    cfg
-}
+use crate::{
+    baseline, column_table, geomean_row, speedups, suite_groups, with_llc_mb, zerodev_nodir,
+};
+use zerodev_common::config::{LlcReplacement, SpillPolicy};
 
 pub fn run() {
-    let base8 = baseline();
-    let configs: Vec<SystemConfig> = vec![
-        zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::SpLru),
-        zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru),
-        with_llc_mb(baseline(), 4),
-        with_llc_mb(
-            zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::SpLru),
-            4,
-        ),
-        with_llc_mb(
-            zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru),
-            4,
-        ),
+    let nodir = |repl| zerodev_nodir(SpillPolicy::FusePrivateSpillShared, repl);
+    let columns = [
+        ("sp8MB", nodir(LlcReplacement::SpLru)),
+        ("data8MB", nodir(LlcReplacement::DataLru)),
+        ("Base4MB", with_llc_mb(baseline(), 4)),
+        ("sp4MB", with_llc_mb(nodir(LlcReplacement::SpLru), 4)),
+        ("data4MB", with_llc_mb(nodir(LlcReplacement::DataLru), 4)),
     ];
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base8];
-    cfg_refs.extend(configs.iter());
-    let mut t = Table::new(&["suite", "sp8MB", "data8MB", "Base4MB", "sp4MB", "data4MB"]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&cfg_refs, &makers_of(&workloads));
-        let mut cells = vec![suite.to_string()];
-        for c in 1..cfg_refs.len() {
-            let speedups: Vec<f64> = grid
-                .iter()
-                .map(|row| {
-                    row[c]
-                        .result
-                        .speedup_vs(&row[0].result)
-                        .expect("same workload, same core count")
-                })
-                .collect();
-            cells.push(format!("{:.3}", geomean(&speedups)));
-        }
-        t.row(&cells);
+    let mut t = column_table("suite", &columns, &[]);
+    for g in suite_groups() {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        t.row(&geomean_row(g.label, &s));
     }
     println!("== Figure 18: spLRU vs dataLRU (normalised to the 8 MB baseline) ==");
     print!("{}", t.render());

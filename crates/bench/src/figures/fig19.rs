@@ -2,17 +2,17 @@
 //! directory configurations (1×, 1/8×, and no directory), normalised to
 //! the baseline with a 1× sparse directory.
 
-use crate::{mt_makers, per_app_speedups, print_norm_table, zerodev_trio};
+use crate::{app_table, baseline, mt_makers, zerodev_trio};
+use zerodev_sim::runner::RunParams;
 use zerodev_workloads::suites;
 
 pub fn run() {
-    let configs = zerodev_trio();
-    let rows = per_app_speedups(&mt_makers(&suites::PARSEC, 8), &configs);
-    print_norm_table(
-        "Figure 19: ZeroDEV on PARSEC (normalised to 1x baseline)",
-        &["ZD+1x", "ZD+1/8x", "ZD+NoDir"],
-        &rows,
-    );
+    let base = baseline();
+    let apps = mt_makers(&suites::PARSEC, 8);
+    let title = "Figure 19: ZeroDEV on PARSEC (normalised to 1x baseline)";
+    let params = RunParams::from_env();
+    let table = app_table(title, &base, &zerodev_trio(&base), &apps, &params);
+    print!("{table}");
     println!(
         "paper shape: nearly invariant of the directory size; within ~1% of the\n\
          baseline on average; freqmine has the largest slowdown."

@@ -2,16 +2,16 @@
 //! workloads with three directory configurations (1×, 1/8×, none),
 //! normalised weighted speedup against the 1× baseline.
 
-use crate::{per_app_speedups, print_norm_table, rate_makers, zerodev_trio};
+use crate::{app_table, baseline, rate_makers, zerodev_trio};
+use zerodev_sim::runner::RunParams;
 use zerodev_workloads::suites;
 
 pub fn run() {
-    let configs = zerodev_trio();
-    let rows = per_app_speedups(&rate_makers(&suites::CPU2017), &configs);
-    print_norm_table(
-        "Figure 21: ZeroDEV on SPEC CPU 2017 rate (normalised weighted speedup)",
-        &["ZD+1x", "ZD+1/8x", "ZD+NoDir"],
-        &rows,
-    );
+    let base = baseline();
+    let apps = rate_makers(&suites::CPU2017, 8);
+    let title = "Figure 21: ZeroDEV on SPEC CPU 2017 rate (normalised weighted speedup)";
+    let params = RunParams::from_env();
+    let table = app_table(title, &base, &zerodev_trio(&base), &apps, &params);
+    print!("{table}");
     println!("paper shape: within ~1% of baseline on average; cam4 worst at ~2% slowdown.");
 }

@@ -3,45 +3,21 @@
 //! needs no directory; at 4 MB it gets a 1/4× sparse-directory assist.
 
 use crate::{
-    baseline, makers_of, run_grid_env, suite_groups_mt_rate, zerodev_default_nodir, zerodev_sparse,
+    baseline, column_table, geomean_row, speedups, suite_groups, with_llc_mb,
+    zerodev_default_nodir, zerodev_sparse,
 };
-use zerodev_common::config::CacheGeometry;
-use zerodev_common::table::{geomean, Table};
-use zerodev_common::SystemConfig;
-
-fn with_llc_mb(mut cfg: SystemConfig, mb: usize) -> SystemConfig {
-    cfg.llc = CacheGeometry::new(mb << 20, 16);
-    cfg.validate().expect("valid capacity");
-    cfg
-}
 
 pub fn run() {
-    let base8 = baseline();
-    let configs: Vec<SystemConfig> = vec![
-        with_llc_mb(baseline(), 4),
-        with_llc_mb(zerodev_sparse(1, 4), 4),
-        with_llc_mb(baseline(), 16),
-        with_llc_mb(zerodev_default_nodir(), 16),
+    let columns = [
+        ("Base4MB", with_llc_mb(baseline(), 4)),
+        ("ZD4MB+1/4x", with_llc_mb(zerodev_sparse(1, 4), 4)),
+        ("Base16MB", with_llc_mb(baseline(), 16)),
+        ("ZD16MB+NoDir", with_llc_mb(zerodev_default_nodir(), 16)),
     ];
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base8];
-    cfg_refs.extend(configs.iter());
-    let mut t = Table::new(&["suite", "Base4MB", "ZD4MB+1/4x", "Base16MB", "ZD16MB+NoDir"]);
-    for (suite, workloads) in suite_groups_mt_rate() {
-        let grid = run_grid_env(&cfg_refs, &makers_of(&workloads));
-        let mut cells = vec![suite.to_string()];
-        for c in 1..cfg_refs.len() {
-            let speedups: Vec<f64> = grid
-                .iter()
-                .map(|row| {
-                    row[c]
-                        .result
-                        .speedup_vs(&row[0].result)
-                        .expect("same workload, same core count")
-                })
-                .collect();
-            cells.push(format!("{:.3}", geomean(&speedups)));
-        }
-        t.row(&cells);
+    let mut t = column_table("suite", &columns, &[]);
+    for g in suite_groups() {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        t.row(&geomean_row(g.label, &s));
     }
     println!("== Figure 22: 4 MB / 16 MB LLC sensitivity (normalised to 8 MB baseline) ==");
     print!("{}", t.render());

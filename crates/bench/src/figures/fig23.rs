@@ -2,23 +2,16 @@
 //! (W1–W36) with three directory configurations, normalised weighted
 //! speedup against the 1× baseline.
 
-use crate::{per_app_speedups, print_norm_table, wl, zerodev_trio, Maker, SEED};
-use zerodev_workloads::hetero_mix;
+use crate::{app_table, baseline, hetero_makers, zerodev_trio};
+use zerodev_sim::runner::RunParams;
 
 pub fn run() {
-    let configs = zerodev_trio();
-    let names: Vec<String> = (0..36).map(|i| format!("W{}", i + 1)).collect();
-    let makers: Vec<(&str, Maker)> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), wl(move || hetero_mix(i, 8, SEED))))
-        .collect();
-    let rows = per_app_speedups(&makers, &configs);
-    print_norm_table(
-        "Figure 23: ZeroDEV on heterogeneous multi-programmed mixes",
-        &["ZD+1x", "ZD+1/8x", "ZD+NoDir"],
-        &rows,
-    );
+    let base = baseline();
+    let apps = hetero_makers(0..36, 8);
+    let title = "Figure 23: ZeroDEV on heterogeneous multi-programmed mixes";
+    let params = RunParams::from_env();
+    let table = app_table(title, &base, &zerodev_trio(&base), &apps, &params);
+    print!("{table}");
     println!(
         "paper shape: individual slowdowns at most ~2%; all three configurations\n\
          within ~1% of the 1x baseline on average."

@@ -4,11 +4,9 @@
 //!
 //! CPU-RATE and CPU-HET are subsampled (every third workload).
 
-use crate::{baseline, mt, mt_suites, rate8, run_grid_env, wl, zerodev_trio, Maker, SEED};
+use crate::{baseline, column_table, geomean_row, speedups, subsampled_groups, zerodev_trio};
 use zerodev_common::config::{DirectoryKind, Ratio};
-use zerodev_common::table::{geomean, Table};
 use zerodev_common::SystemConfig;
-use zerodev_workloads::{hetero_mix, suites};
 
 fn mgd(num: u32, den: u32) -> SystemConfig {
     let mut cfg = baseline();
@@ -20,57 +18,16 @@ fn mgd(num: u32, den: u32) -> SystemConfig {
 }
 
 pub fn run() {
-    let mut configs: Vec<(&str, SystemConfig)> = vec![
+    let mut columns = vec![
         ("MgD+1/8x", mgd(1, 8)),
         ("MgD+1/16x", mgd(1, 16)),
         ("MgD+1/32x", mgd(1, 32)),
     ];
-    configs.extend(zerodev_trio());
-    let labels: Vec<&str> = configs.iter().map(|(n, _)| *n).collect();
-    let mut header = vec!["group"];
-    header.extend(labels.iter());
-    let mut t = Table::new(&header);
-
-    let mut groups: Vec<(&str, Vec<Maker>)> = Vec::new();
-    for (suite, apps) in mt_suites() {
-        let makers: Vec<Maker> = apps.iter().map(|&a| wl(move || mt(a, 8))).collect();
-        groups.push((suite, makers));
-    }
-    groups.push((
-        "CPU-RATE",
-        suites::CPU2017
-            .iter()
-            .step_by(3)
-            .map(|&a| wl(move || rate8(a)))
-            .collect(),
-    ));
-    groups.push((
-        "CPU-HET",
-        (0..36)
-            .step_by(3)
-            .map(|i| wl(move || hetero_mix(i, 8, SEED)))
-            .collect(),
-    ));
-
-    let base_cfg = baseline();
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base_cfg];
-    cfg_refs.extend(configs.iter().map(|(_, c)| c));
-    for (group, makers) in groups {
-        let grid = run_grid_env(&cfg_refs, &makers);
-        let mut cells = vec![group.to_string()];
-        for c in 1..cfg_refs.len() {
-            let speedups: Vec<f64> = grid
-                .iter()
-                .map(|row| {
-                    row[c]
-                        .result
-                        .speedup_vs(&row[0].result)
-                        .expect("same workload, same core count")
-                })
-                .collect();
-            cells.push(format!("{:.3}", geomean(&speedups)));
-        }
-        t.row(&cells);
+    columns.extend(zerodev_trio(&baseline()));
+    let mut t = column_table("group", &columns, &[]);
+    for g in subsampled_groups("CPU-RATE", true, false) {
+        let s = speedups(&g.base, &columns, &g.apps, &g.params);
+        t.row(&geomean_row(g.label, &s));
     }
     println!("== Figure 26: Multi-grain Directory vs ZeroDEV (normalised to 1x baseline) ==");
     print!("{}", t.render());

@@ -2,31 +2,15 @@
 //! without a sparse directory, relative to the baseline (non-inclusive LLC
 //! + 1× directory). The paper's CACTI estimate is ~9% average savings.
 
-use crate::{
-    baseline, mt_makers, mt_suites, rate8, run_grid_env, wl, zerodev_default_nodir, Maker,
-};
+use crate::{run_grid, subsampled_groups, zerodev_default_nodir};
 use zerodev_common::table::{mean, Table};
-use zerodev_workloads::suites;
 
 pub fn run() {
-    let base_cfg = baseline();
     let zd_cfg = zerodev_default_nodir();
     let mut t = Table::new(&["suite", "dir+LLC energy (ZD/base)", "saving %"]);
-    let mut groups: Vec<(&str, Vec<Maker>)> = mt_suites()
-        .into_iter()
-        .map(|(s, apps)| (s, mt_makers(&apps, 8).into_iter().map(|(_, m)| m).collect()))
-        .collect();
-    groups.push((
-        "CPU2017RATE",
-        suites::CPU2017
-            .iter()
-            .step_by(3)
-            .map(|&a| wl(move || rate8(a)))
-            .collect(),
-    ));
     let mut all_savings = Vec::new();
-    for (suite, makers) in groups {
-        let grid = run_grid_env(&[&base_cfg, &zd_cfg], &makers);
+    for g in subsampled_groups("CPU2017RATE", false, false) {
+        let grid = run_grid(&[&g.base, &zd_cfg], &g.apps, &g.params);
         let ratios: Vec<f64> = grid
             .iter()
             .map(|row| row[1].energy.total_nj() / row[0].energy.total_nj().max(1e-9))
@@ -34,7 +18,7 @@ pub fn run() {
         let r = mean(&ratios);
         all_savings.push(1.0 - r);
         t.row(&[
-            suite.to_string(),
+            g.label.to_string(),
             format!("{r:.3}"),
             format!("{:.1}", (1.0 - r) * 100.0),
         ]);

@@ -5,16 +5,16 @@
 //! writes from directory-entry eviction; <0.05% of LLC read misses to
 //! corrupted blocks).
 
-use crate::{mt, run_grid_env, wl, Maker, SEED};
-use zerodev_common::config::{DirectoryKind, ZeroDevConfig};
+use crate::{hetero_makers, mt_makers, rate_makers, run_grid, speedup, zerodev_on};
+use zerodev_common::config::DirectoryKind;
 use zerodev_common::table::{geomean, mean, Table};
 use zerodev_common::SystemConfig;
-use zerodev_workloads::{hetero_mix, rate, suites};
+use zerodev_sim::runner::RunParams;
+use zerodev_workloads::suites;
 
 pub fn run() {
     let base_cfg = SystemConfig::four_socket();
-    let zd_cfg =
-        SystemConfig::four_socket().with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
+    let zd_cfg = zerodev_on(&base_cfg, DirectoryKind::None);
     let total_cores = 32;
 
     let mut t = Table::new(&[
@@ -23,44 +23,24 @@ pub fn run() {
         "wbde/DRAM-wr %",
         "corrupt-read/miss %",
     ]);
-    let mut groups: Vec<(&str, Vec<Maker>)> = Vec::new();
     let mt_apps = [
         "canneal", "freqmine", "vips", "ocean_cp", "fft", "330.art", "FFTW",
     ];
-    groups.push((
-        "MT(32-thread)",
-        mt_apps
-            .iter()
-            .map(|&a| wl(move || mt(a, total_cores)))
-            .collect(),
-    ));
-    groups.push((
-        "CPU-RATE(32-copy)",
-        suites::CPU2017
-            .iter()
-            .step_by(6)
-            .map(|&a| wl(move || rate(a, total_cores, SEED).unwrap()))
-            .collect(),
-    ));
-    groups.push((
-        "CPU-HET(32-app)",
-        (0..6usize)
-            .map(|i| wl(move || hetero_mix(i, total_cores, SEED)))
-            .collect(),
-    ));
+    let rate_apps: Vec<&str> = suites::CPU2017.iter().step_by(6).copied().collect();
+    let groups = [
+        ("MT(32-thread)", mt_makers(&mt_apps, total_cores)),
+        ("CPU-RATE(32-copy)", rate_makers(&rate_apps, total_cores)),
+        ("CPU-HET(32-app)", hetero_makers(0..6, total_cores)),
+    ];
 
-    for (group, makers) in groups {
-        let grid = run_grid_env(&[&base_cfg, &zd_cfg], &makers);
+    for (group, apps) in groups {
+        let grid = run_grid(&[&base_cfg, &zd_cfg], &apps, &RunParams::from_env());
         let mut speedups = Vec::new();
         let mut wbde_pct = Vec::new();
         let mut corrupt_pct = Vec::new();
         for row in &grid {
             let (b, z) = (&row[0], &row[1]);
-            speedups.push(
-                z.result
-                    .speedup_vs(&b.result)
-                    .expect("same workload, same core count"),
-            );
+            speedups.push(speedup(z, b));
             wbde_pct
                 .push(z.stats.dram_writes_dir as f64 * 100.0 / z.stats.dram_writes.max(1) as f64);
             corrupt_pct.push(

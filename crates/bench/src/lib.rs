@@ -1,8 +1,10 @@
 //! Shared harness code for the figure reproduction.
 //!
 //! Every module of [`figures`] reproduces one table or figure of the paper:
-//! it sweeps the relevant configurations over the relevant workloads and
-//! prints the same rows/series the paper reports. Absolute numbers differ
+//! it states its columns (named machines) and its workload groups, and
+//! prints the same rows/series the paper reports; `speedups` turns each
+//! (column × workload) grid into speedups over the baseline, and
+//! [`app_table`] is the per-application table. Absolute numbers differ
 //! from the paper (different substrate, synthetic workloads); the *shape* —
 //! who wins, by roughly what factor, where crossovers fall — is the
 //! reproduction target. See EXPERIMENTS.md for the index.
@@ -20,37 +22,19 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use zerodev_common::config::{DirectoryKind, LlcReplacement, Ratio, SpillPolicy, ZeroDevConfig};
+use zerodev_common::config::{
+    CacheGeometry, DirectoryKind, LlcReplacement, Ratio, SpillPolicy, ZeroDevConfig,
+};
 use zerodev_common::table::{geomean, Table};
 use zerodev_common::SystemConfig;
-use zerodev_sim::parallel::{self, Engine, RunJob};
-use zerodev_sim::runner::{run, RunParams, RunWithEnergy};
-use zerodev_workloads::{multithreaded, rate, suites, Workload};
+use zerodev_sim::parallel::{self, Engine, RunJob, WorkloadMaker};
+use zerodev_sim::runner::{RunParams, RunWithEnergy};
+use zerodev_workloads::{hetero_mix, multithreaded, rate, suites, Workload};
 
 pub mod figures;
 
 /// Seed used by every figure harness (results are fully deterministic).
 pub const SEED: u64 = 0x5eed_2021;
-
-/// The multi-threaded suites of Table II, with their figure labels.
-pub fn mt_suites() -> Vec<(&'static str, Vec<&'static str>)> {
-    vec![
-        ("PARSEC", suites::PARSEC.to_vec()),
-        ("SPLASH2X", suites::SPLASH2X.to_vec()),
-        ("SPECOMP", suites::SPECOMP.to_vec()),
-        ("FFTW", suites::FFTW.to_vec()),
-    ]
-}
-
-/// Builds the multi-threaded workload for `name` on an `cores`-core machine.
-pub fn mt(name: &str, cores: usize) -> Workload {
-    multithreaded(name, cores, SEED).unwrap_or_else(|| panic!("unknown app {name}"))
-}
-
-/// Builds the 8-copy rate workload for `app`.
-pub fn rate8(app: &str) -> Workload {
-    rate(app, 8, SEED).unwrap_or_else(|| panic!("unknown app {app}"))
-}
 
 /// The Table I baseline machine.
 pub fn baseline() -> SystemConfig {
@@ -69,6 +53,21 @@ pub fn sparse(num: u32, den: u32) -> SystemConfig {
     baseline().with_sparse_dir(Ratio::new(num, den))
 }
 
+/// An 8-way `num/den ×` sparse directory.
+pub(crate) fn sparse_dir(num: u32, den: u32) -> DirectoryKind {
+    DirectoryKind::Sparse {
+        ratio: Ratio::new(num, den),
+        ways: 8,
+    }
+}
+
+/// `cfg` with a 16-way LLC of `mb` MB.
+pub(crate) fn with_llc_mb(mut cfg: SystemConfig, mb: usize) -> SystemConfig {
+    cfg.llc = CacheGeometry::new(mb << 20, 16);
+    cfg.validate().expect("valid LLC capacity");
+    cfg
+}
+
 /// ZeroDEV machine with no dedicated directory.
 pub fn zerodev_nodir(policy: SpillPolicy, repl: LlcReplacement) -> SystemConfig {
     baseline().with_zerodev(
@@ -80,68 +79,146 @@ pub fn zerodev_nodir(policy: SpillPolicy, repl: LlcReplacement) -> SystemConfig 
     )
 }
 
-/// ZeroDEV machine (FPSS + dataLRU — the paper's selected configuration)
-/// with a replacement-disabled `R×` sparse directory.
+/// ZeroDEV (FPSS + dataLRU — the paper's selected configuration) on the
+/// `base` machine with the directory `dir` (a sparse one replacement-
+/// disabled).
+pub(crate) fn zerodev_on(base: &SystemConfig, dir: DirectoryKind) -> SystemConfig {
+    base.clone().with_zerodev(ZeroDevConfig::default(), dir)
+}
+
+/// ZeroDEV machine (FPSS + dataLRU) with a replacement-disabled `R×`
+/// sparse directory.
 pub fn zerodev_sparse(num: u32, den: u32) -> SystemConfig {
-    baseline().with_zerodev(
-        ZeroDevConfig::default(),
-        DirectoryKind::Sparse {
-            ratio: Ratio::new(num, den),
-            ways: 8,
-        },
-    )
+    zerodev_on(&baseline(), sparse_dir(num, den))
 }
 
 /// ZeroDEV machine (FPSS + dataLRU) with no dedicated directory.
 pub fn zerodev_default_nodir() -> SystemConfig {
-    zerodev_nodir(SpillPolicy::FusePrivateSpillShared, LlcReplacement::DataLru)
+    zerodev_on(&baseline(), DirectoryKind::None)
 }
 
-/// Runs `workload` on `cfg` with the environment-selected run length
-/// (serial, unmemoized — grid sweeps go through [`run_grid`]).
-pub fn execute(cfg: &SystemConfig, workload: Workload) -> RunWithEnergy {
-    run(cfg, workload, &RunParams::from_env())
+/// A figure's column: the name its header prints, and the machine whose
+/// speedup over the baseline it shows.
+pub type Column = (&'static str, SystemConfig);
+
+/// The three ZeroDEV directory configurations of Figures 19–27 on the
+/// `base` machine: a 1× replacement-disabled sparse directory, a 1/8×
+/// one, and none at all.
+pub fn zerodev_trio(base: &SystemConfig) -> Vec<Column> {
+    vec![
+        ("ZD+1x", zerodev_on(base, sparse_dir(1, 1))),
+        ("ZD+1/8x", zerodev_on(base, sparse_dir(1, 8))),
+        ("ZD+NoDir", zerodev_on(base, DirectoryKind::None)),
+    ]
 }
 
-/// Run length for the 128-core server experiments.
-pub fn server_params() -> RunParams {
-    let p = RunParams::from_env();
-    RunParams {
-        refs_per_core: p.refs_per_core / 4,
-        warmup_refs: p.warmup_refs / 4,
-        ..p
-    }
+/// A workload as a figure lists it: the name its row prints, and a
+/// constructor (each run consumes its workload, and any engine worker may
+/// build one).
+pub type App = (String, WorkloadMaker);
+
+fn app(name: String, make: impl Fn() -> Workload + Send + Sync + 'static) -> App {
+    (name, Arc::new(make))
 }
 
-/// A shareable workload constructor (workloads are consumed per run, so
-/// sweeps take factories; `Send + Sync` lets any engine worker build one).
-pub type Maker = zerodev_sim::parallel::WorkloadMaker;
-
-/// Wraps a workload constructor (helper for [`sweep`] / [`run_grid`]).
-pub fn wl<F: Fn() -> Workload + Send + Sync + 'static>(f: F) -> Maker {
-    Arc::new(f)
+/// The multi-threaded `apps` on a `cores`-core machine.
+pub fn mt_makers(apps: &[&'static str], cores: usize) -> Vec<App> {
+    let make = |a: &'static str| move || multithreaded(a, cores, SEED).expect("a known app");
+    apps.iter().map(|&a| app(a.into(), make(a))).collect()
 }
 
-/// Convenience: (name, constructor) pairs for a multi-threaded app list.
-pub fn mt_makers(apps: &[&'static str], cores: usize) -> Vec<(&'static str, Maker)> {
-    apps.iter()
-        .map(|&a| (a, wl(move || mt(a, cores))))
+/// `copies`-copy rate workloads of `apps`.
+pub fn rate_makers(apps: &[&'static str], copies: usize) -> Vec<App> {
+    let make = |a: &'static str| move || rate(a, copies, SEED).expect("a known app");
+    apps.iter().map(|&a| app(a.into(), make(a))).collect()
+}
+
+/// The heterogeneous mixes `mixes` on `cores` cores, named `W1`–`W36`.
+pub(crate) fn hetero_makers(mixes: impl Iterator<Item = usize>, cores: usize) -> Vec<App> {
+    mixes
+        .map(|i| app(format!("W{}", i + 1), move || hetero_mix(i, cores, SEED)))
         .collect()
 }
 
-/// Convenience: (name, constructor) pairs for 8-copy rate workloads.
-pub fn rate_makers(apps: &[&'static str]) -> Vec<(&'static str, Maker)> {
-    apps.iter().map(|&a| (a, wl(move || rate8(a)))).collect()
+/// Workloads a grouped figure reports as one row (`label`), with the 1×
+/// baseline machine their speedups are normalised to (`base`) and the run
+/// length they run at (`params`).
+pub(crate) struct Group {
+    pub label: &'static str,
+    pub apps: Vec<App>,
+    pub base: SystemConfig,
+    pub params: RunParams,
 }
 
-/// The groups most figures sweep: the four multi-threaded suites of
-/// Table II plus the CPU2017 8-copy rate group.
-pub fn suite_groups_mt_rate() -> Vec<(&'static str, Vec<(&'static str, Maker)>)> {
-    let mut groups: Vec<(&'static str, Vec<(&'static str, Maker)>)> = mt_suites()
-        .into_iter()
-        .map(|(suite, apps)| (suite, mt_makers(&apps, 8)))
-        .collect();
-    groups.push(("CPU2017RATE", rate_makers(&suites::CPU2017)));
+impl Group {
+    /// `apps` on the Table I machine at the environment's run length.
+    fn eight_core(label: &'static str, apps: Vec<App>) -> Group {
+        Group {
+            label,
+            apps,
+            base: baseline(),
+            params: RunParams::from_env(),
+        }
+    }
+}
+
+/// The server workloads on the 128-core machine, at a quarter of the
+/// environment's run length.
+pub(crate) fn server_group() -> Group {
+    let p = RunParams::from_env();
+    Group {
+        label: "SERVER",
+        apps: mt_makers(&suites::SERVER, 128),
+        base: SystemConfig::server_128core(),
+        params: RunParams {
+            refs_per_core: p.refs_per_core / 4,
+            warmup_refs: p.warmup_refs / 4,
+            ..p
+        },
+    }
+}
+
+/// The four multi-threaded suites of Table II on the 8-core machine.
+pub(crate) fn mt_groups() -> Vec<Group> {
+    [
+        ("PARSEC", &suites::PARSEC[..]),
+        ("SPLASH2X", &suites::SPLASH2X[..]),
+        ("SPECOMP", &suites::SPECOMP[..]),
+        ("FFTW", &suites::FFTW[..]),
+    ]
+    .into_iter()
+    .map(|(suite, apps)| Group::eight_core(suite, mt_makers(apps, 8)))
+    .collect()
+}
+
+/// The groups of Figures 4–6, 17, 18 and 22: the multi-threaded suites,
+/// then every CPU2017 8-copy rate workload.
+pub(crate) fn suite_groups() -> Vec<Group> {
+    let mut groups = mt_groups();
+    groups.push(Group::eight_core(
+        "CPU2017RATE",
+        rate_makers(&suites::CPU2017, 8),
+    ));
+    groups
+}
+
+/// The subsampled groups of Figures 25–27 and the energy table, which keep
+/// those sweeps tractable: the multi-threaded suites, every third CPU2017
+/// rate workload (labelled `rate_label`), every third heterogeneous mix
+/// when `het`, and the server group when `server`.
+pub(crate) fn subsampled_groups(rate_label: &'static str, het: bool, server: bool) -> Vec<Group> {
+    let mut groups = mt_groups();
+    let rate: Vec<&str> = suites::CPU2017.iter().step_by(3).copied().collect();
+    groups.push(Group::eight_core(rate_label, rate_makers(&rate, 8)));
+    if het {
+        groups.push(Group::eight_core(
+            "CPU-HET",
+            hetero_makers((0..36).step_by(3), 8),
+        ));
+    }
+    if server {
+        groups.push(server_group());
+    }
     groups
 }
 
@@ -152,13 +229,13 @@ pub fn suite_groups_mt_rate() -> Vec<(&'static str, Vec<(&'static str, Maker)>)>
 /// compute each shared baseline once.
 pub fn run_grid(
     configs: &[&SystemConfig],
-    makers: &[Maker],
+    apps: &[App],
     params: &RunParams,
 ) -> Vec<Vec<Arc<RunWithEnergy>>> {
     let engine = Engine::new(params.threads);
-    let jobs: Vec<RunJob> = makers
+    let jobs: Vec<RunJob> = apps
         .iter()
-        .flat_map(|make| {
+        .flat_map(|(_, make)| {
             configs
                 .iter()
                 .map(move |cfg| RunJob::new((*cfg).clone(), make.clone(), *params, SEED))
@@ -171,138 +248,70 @@ pub fn run_grid(
         .collect()
 }
 
-/// [`run_grid`] with the environment-selected run length.
-pub fn run_grid_env(configs: &[&SystemConfig], makers: &[Maker]) -> Vec<Vec<Arc<RunWithEnergy>>> {
-    run_grid(configs, makers, &RunParams::from_env())
+/// `run`'s speedup over `base`, a run of the same workload.
+pub(crate) fn speedup(run: &RunWithEnergy, base: &RunWithEnergy) -> f64 {
+    run.result
+        .speedup_vs(&base.result)
+        .expect("same workload, same core count")
 }
 
-/// Normalised rows from a grid whose column 0 is the per-workload baseline
-/// (`names` parallels the grid's workload axis).
-pub fn rows_vs_col0(names: &[&str], grid: &[Vec<Arc<RunWithEnergy>>]) -> Vec<NormRow> {
-    names
-        .iter()
-        .zip(grid)
-        .map(|(name, row)| NormRow {
-            name: (*name).to_string(),
-            values: row[1..]
-                .iter()
-                .map(|r| {
-                    r.result
-                        .speedup_vs(&row[0].result)
-                        .expect("grid rows share one workload, so core counts match")
-                })
-                .collect(),
-        })
-        .collect()
-}
-
-/// The makers of a named workload list (the grid axis order).
-pub fn makers_of(workloads: &[(&str, Maker)]) -> Vec<Maker> {
-    workloads.iter().map(|(_, m)| m.clone()).collect()
-}
-
-/// The names of a named workload list.
-pub fn names_of<'a>(workloads: &[(&'a str, Maker)]) -> Vec<&'a str> {
-    workloads.iter().map(|(n, _)| *n).collect()
-}
-
-/// One normalised row of a figure: speedups of each configuration against
-/// the per-workload baseline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct NormRow {
-    /// Workload name.
-    pub name: String,
-    /// One normalised value per swept configuration.
-    pub values: Vec<f64>,
-}
-
-/// Sweeps `configs` over `workloads` on the parallel engine, normalising
-/// the chosen metric against the first config (the baseline). Returns one
-/// row per workload.
-pub fn sweep<F>(
-    configs: &[(&str, SystemConfig)],
-    workloads: &[(&str, Maker)],
-    metric: F,
-) -> Vec<NormRow>
-where
-    F: Fn(&RunWithEnergy, &RunWithEnergy) -> f64,
-{
-    let cfg_refs: Vec<&SystemConfig> = configs.iter().map(|(_, c)| c).collect();
-    let grid = run_grid_env(&cfg_refs, &makers_of(workloads));
-    workloads
-        .iter()
-        .zip(&grid)
-        .map(|((wname, _), row)| NormRow {
-            name: (*wname).to_string(),
-            values: row[1..].iter().map(|r| metric(r, &row[0])).collect(),
-        })
-        .collect()
-}
-
-/// Runs the per-application speedup table used by Figures 19–21 and 23 on
-/// the parallel engine: each workload under every config, normalised to
-/// the baseline machine.
-pub fn per_app_speedups(apps: &[(&str, Maker)], configs: &[(&str, SystemConfig)]) -> Vec<NormRow> {
-    per_app_speedups_with(apps, configs, &RunParams::from_env())
-}
-
-/// [`per_app_speedups`] with an explicit run length.
-pub fn per_app_speedups_with(
-    apps: &[(&str, Maker)],
-    configs: &[(&str, SystemConfig)],
+/// Each column's speedup over `base` for every app, indexed
+/// `[column][app]`: one grid with `base` in front of the columns.
+pub(crate) fn speedups(
+    base: &SystemConfig,
+    columns: &[Column],
+    apps: &[App],
     params: &RunParams,
-) -> Vec<NormRow> {
-    let base_cfg = baseline();
-    let mut cfg_refs: Vec<&SystemConfig> = vec![&base_cfg];
-    cfg_refs.extend(configs.iter().map(|(_, c)| c));
-    let grid = run_grid(&cfg_refs, &makers_of(apps), params);
-    rows_vs_col0(&names_of(apps), &grid)
+) -> Vec<Vec<f64>> {
+    let mut configs = vec![base];
+    configs.extend(columns.iter().map(|(_, c)| c));
+    let grid = run_grid(&configs, apps, params);
+    (1..configs.len())
+        .map(|c| grid.iter().map(|row| speedup(&row[c], &row[0])).collect())
+        .collect()
 }
 
-/// Renders a table of rows (one column per non-baseline config) followed
-/// by a GEOMEAN row.
-pub fn render_norm_table(title: &str, col_names: &[&str], rows: &[NormRow]) -> String {
-    let mut out = format!("\n== {title} ==\n");
-    let mut header = vec!["workload"];
-    header.extend(col_names);
-    let mut t = Table::new(&header);
-    for row in rows {
-        let mut cells = vec![row.name.clone()];
-        cells.extend(row.values.iter().map(|v| format!("{v:.3}")));
+/// A table headed by `first`, each column's name, then `notes`.
+pub(crate) fn column_table(first: &str, columns: &[Column], notes: &[&str]) -> Table {
+    let mut header = vec![first];
+    header.extend(columns.iter().map(|(name, _)| *name));
+    header.extend(notes);
+    Table::new(&header)
+}
+
+/// A grouped figure's row: `label`, then each column's geomean speedup.
+pub(crate) fn geomean_row(label: &str, speedups: &[Vec<f64>]) -> Vec<String> {
+    let mut cells = vec![label.to_string()];
+    cells.extend(speedups.iter().map(|s| format!("{:.3}", geomean(s))));
+    cells
+}
+
+/// The paper's bar-top annotation: the minimum speedup of each column in
+/// `cols`, joined as `a/b/c`.
+pub(crate) fn min_speedups(speedups: &[Vec<f64>], cols: &[usize]) -> String {
+    let min = |c: usize| speedups[c].iter().copied().fold(f64::INFINITY, f64::min);
+    let mins: Vec<String> = cols.iter().map(|&c| format!("{:.2}", min(c))).collect();
+    mins.join("/")
+}
+
+/// The per-application table of Figures 19–21, 23 and 24, titled `title`:
+/// a row of each app's column speedups over `base`, then their geomeans.
+pub fn app_table(
+    title: &str,
+    base: &SystemConfig,
+    columns: &[Column],
+    apps: &[App],
+    params: &RunParams,
+) -> String {
+    let speedups = speedups(base, columns, apps, params);
+    let mut t = column_table("workload", columns, &[]);
+    for (i, (name, _)) in apps.iter().enumerate() {
+        let mut cells = vec![name.clone()];
+        cells.extend(speedups.iter().map(|s| format!("{:.3}", s[i])));
         t.row(&cells);
     }
-    if !rows.is_empty() {
-        let mut cells = vec!["GEOMEAN".to_string()];
-        for c in 0..rows[0].values.len() {
-            let vals: Vec<f64> = rows.iter().map(|r| r.values[c]).collect();
-            cells.push(format!("{:.3}", geomean(&vals)));
-        }
-        t.row(&cells);
-    }
-    out.push_str(&t.render());
-    out
-}
-
-/// Prints [`render_norm_table`].
-pub fn print_norm_table(title: &str, col_names: &[&str], rows: &[NormRow]) {
-    print!("{}", render_norm_table(title, col_names, rows));
-}
-
-/// Minimum of one column (the paper annotates min speedups above bars).
-pub fn column_min(rows: &[NormRow], col: usize) -> f64 {
-    rows.iter()
-        .map(|r| r.values[col])
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// The three ZeroDEV directory configurations of Figures 19–24: a 1×
-/// replacement-disabled sparse directory, a 1/8× one, and none at all.
-pub fn zerodev_trio() -> Vec<(&'static str, SystemConfig)> {
-    vec![
-        ("ZD+1x", zerodev_sparse(1, 1)),
-        ("ZD+1/8x", zerodev_sparse(1, 8)),
-        ("ZD+NoDir", zerodev_default_nodir()),
-    ]
+    t.row(&geomean_row("GEOMEAN", &speedups));
+    format!("\n== {title} ==\n{}", t.render())
 }
 
 /// Prints the sweep-throughput summary `all_figures` reports after the

@@ -3,11 +3,7 @@
 //! path, and repeating a grid must be served from the baseline cache.
 
 use std::sync::{Arc, Mutex};
-use zerodev_bench::{
-    baseline, makers_of, mt_makers, per_app_speedups_with, render_norm_table, run_grid,
-    zerodev_trio,
-};
-use zerodev_common::SystemConfig;
+use zerodev_bench::{app_table, baseline, mt_makers, run_grid, zerodev_trio};
 use zerodev_sim::parallel::{clear_memo_cache, reset_summary, summary};
 use zerodev_sim::runner::RunParams;
 use zerodev_workloads::suites;
@@ -24,8 +20,8 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 fn parallel_tables_match_serial_byte_for_byte() {
     let _g = lock();
     let apps = mt_makers(&suites::PARSEC[..4], 8);
-    let trio = zerodev_trio();
-    let cols: Vec<&str> = trio.iter().map(|(n, _)| *n).collect();
+    let base = baseline();
+    let trio = zerodev_trio(&base);
     let serial = RunParams {
         refs_per_core: 6_000,
         warmup_refs: 1_000,
@@ -38,12 +34,9 @@ fn parallel_tables_match_serial_byte_for_byte() {
     };
 
     clear_memo_cache();
-    let rows_serial = per_app_speedups_with(&apps, &trio, &serial);
+    let table_serial = app_table("parity", &base, &trio, &apps, &serial);
     clear_memo_cache();
-    let rows_parallel = per_app_speedups_with(&apps, &trio, &parallel);
-
-    let table_serial = render_norm_table("parity", &cols, &rows_serial);
-    let table_parallel = render_norm_table("parity", &cols, &rows_parallel);
+    let table_parallel = app_table("parity", &base, &trio, &apps, &parallel);
     assert_eq!(
         table_serial, table_parallel,
         "ZERODEV_THREADS=1 and =4 must print identical tables"
@@ -51,11 +44,9 @@ fn parallel_tables_match_serial_byte_for_byte() {
 
     // The underlying statistics match too, not just the rendered speedups.
     clear_memo_cache();
-    let base = baseline();
-    let cfgs: Vec<&SystemConfig> = vec![&base];
-    let grid_serial = run_grid(&cfgs, &makers_of(&apps), &serial);
+    let grid_serial = run_grid(&[&base], &apps, &serial);
     clear_memo_cache();
-    let grid_parallel = run_grid(&cfgs, &makers_of(&apps), &parallel);
+    let grid_parallel = run_grid(&[&base], &apps, &parallel);
     for (s, p) in grid_serial.iter().zip(&grid_parallel) {
         assert_eq!(s[0].result.completion_cycles, p[0].result.completion_cycles);
         assert_eq!(
@@ -82,14 +73,13 @@ fn repeated_grids_hit_the_baseline_cache() {
     clear_memo_cache();
     reset_summary();
     let base = baseline();
-    let cfgs: Vec<&SystemConfig> = vec![&base];
 
-    let first = run_grid(&cfgs, &makers_of(&apps), &params);
+    let first = run_grid(&[&base], &apps, &params);
     let after_first = summary();
     assert_eq!(after_first.runs_executed, apps.len() as u64);
     assert_eq!(after_first.cache_hits, 0);
 
-    let second = run_grid(&cfgs, &makers_of(&apps), &params);
+    let second = run_grid(&[&base], &apps, &params);
     let after_second = summary();
     assert_eq!(after_second.runs_executed, after_first.runs_executed);
     assert_eq!(after_second.cache_hits, apps.len() as u64);

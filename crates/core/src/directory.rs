@@ -142,7 +142,9 @@ impl DirStore {
             }
             DirectoryKind::Unbounded => DirStore::Unbounded(FlatMap::new()),
             DirectoryKind::None => DirStore::None,
-            DirectoryKind::SecDir(geom) => DirStore::SecDir(SecDir::new(*geom, cfg.cores)),
+            DirectoryKind::SecDir(geom) => {
+                DirStore::SecDir(SecDir::new(*geom, cfg.cores, cfg.llc_banks))
+            }
             DirectoryKind::MultiGrain { ratio, ways } => {
                 let entries = cfg.dir_entries(*ratio);
                 DirStore::MultiGrain(MultiGrainDir::new(entries, *ways))
@@ -169,17 +171,6 @@ impl DirStore {
             DirStore::None => None,
             DirStore::SecDir(sd) => sd.peek(block),
             DirStore::MultiGrain(mgd) => mgd.peek(block),
-        }
-    }
-
-    /// Looks up and touches (promotes) the entry for `block`.
-    pub fn lookup(&mut self, block: BlockAddr) -> Option<DirEntry> {
-        match self {
-            DirStore::Sparse { array, .. } => array.touch(block.0, |_| true).map(|i| *array.at(i)),
-            DirStore::Unbounded(map) => map.get(block.0).copied(),
-            DirStore::None => None,
-            DirStore::SecDir(sd) => sd.lookup(block),
-            DirStore::MultiGrain(mgd) => mgd.lookup(block),
         }
     }
 
@@ -380,7 +371,7 @@ mod tests {
             d.allocate(b, DirEntry::owned(CoreId(1))),
             AllocOutcome::Stored
         );
-        assert_eq!(d.lookup(b).unwrap().owner(), Some(CoreId(1)));
+        assert_eq!(d.peek(b).unwrap().owner(), Some(CoreId(1)));
         let mut e = d.peek(b).unwrap();
         e.sharers.insert(CoreId(2));
         e.state = DirState::Shared;

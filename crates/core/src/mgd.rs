@@ -85,15 +85,6 @@ impl MultiGrainDir {
         None
     }
 
-    /// Looks up and promotes.
-    pub fn lookup(&mut self, block: BlockAddr) -> Option<DirEntry> {
-        let result = self.peek(block)?;
-        if self.array.touch(block.0, MgdEntry::is_block).is_none() {
-            let _ = self.array.touch(region_key(block), MgdEntry::is_region);
-        }
-        Some(result)
-    }
-
     fn insert_raw(&mut self, key: u64, entry: MgdEntry, victims: &mut Vec<EvictedEntry>) {
         if let (_, Some((vkey, ventry))) = self.array.insert(key, entry, |_| false) {
             Self::expand_victim(vkey, ventry, victims);
@@ -389,13 +380,5 @@ mod tests {
         d.allocate(BlockAddr(5), DirEntry::shared(CoreId(0)));
         assert!(d.remove(BlockAddr(5)).is_some());
         assert_eq!(d.live_entries(), 0);
-    }
-
-    #[test]
-    fn lookup_promotes() {
-        let mut d = mgd();
-        d.allocate(BlockAddr(0x100), DirEntry::owned(CoreId(0)));
-        assert!(d.lookup(BlockAddr(0x100)).is_some());
-        assert!(d.lookup(BlockAddr(0x900)).is_none());
     }
 }

@@ -43,17 +43,12 @@ pub struct SecDir {
 }
 
 impl SecDir {
-    /// Builds SecDir from per-slice geometry, scaled to a monolithic array
-    /// (set count × LLC bank count is handled by the caller passing totals;
-    /// here we scale by 8 slices per the paper's 8-bank arrangement when the
-    /// geometry is per-slice).
+    /// Builds SecDir from per-slice geometry, scaled to a monolithic array.
     ///
-    /// The geometry fields are per-slice; we multiply sets by the number of
-    /// slices, which equals the number of LLC banks. For simplicity the
-    /// slice count is inferred from the core count (8 banks for ≤8 cores,
-    /// 32 banks for the 128-core server), matching `SystemConfig`.
-    pub fn new(geom: SecDirGeometry, cores: usize) -> Self {
-        let slices = if cores >= 128 { 32 } else { 8 };
+    /// The geometry fields are per-slice, and the paper puts one slice
+    /// beside each LLC bank, so the caller passes the bank count as
+    /// `slices` and each partition's sets are multiplied by it.
+    pub fn new(geom: SecDirGeometry, cores: usize, slices: usize) -> Self {
         let shared_sets = (geom.shared_sets * slices).next_power_of_two();
         let private_sets = (geom.private_sets * slices).next_power_of_two();
         SecDir {
@@ -96,25 +91,6 @@ impl SecDir {
                 .peek(block.0, |_| true)
                 .map(|i| *self.shared.at(i)),
             Residency::Private => self.merged_private_view(block),
-        }
-    }
-
-    /// Looks up and promotes.
-    pub fn lookup(&mut self, block: BlockAddr) -> Option<DirEntry> {
-        match self.index.get(block.0)? {
-            Residency::Shared => self
-                .shared
-                .touch(block.0, |_| true)
-                .map(|i| *self.shared.at(i)),
-            Residency::Private => {
-                let view = self.merged_private_view(block);
-                if view.is_some() {
-                    for part in &mut self.private {
-                        let _ = part.touch(block.0, |_| true);
-                    }
-                }
-                view
-            }
         }
     }
 
@@ -307,6 +283,7 @@ mod tests {
                 private_ways: 1,
             },
             8,
+            8,
         )
     }
 
@@ -319,7 +296,6 @@ mod tests {
             AllocOutcome::Stored
         );
         assert_eq!(sd.peek(b).unwrap().owner(), Some(CoreId(2)));
-        assert_eq!(sd.lookup(b).unwrap().owner(), Some(CoreId(2)));
         assert_eq!(sd.live_entries(), 1);
     }
 

@@ -187,12 +187,7 @@ impl CoreModel {
             // L1 copies of the victim vanish with it (inclusive hierarchy).
             let _ = self.l1i.remove(vkey, |_| true);
             let _ = self.l1d.remove(vkey, |_| true);
-            let kind = match vline.state {
-                MesiState::Modified => EvictKind::Dirty,
-                MesiState::Exclusive => EvictKind::CleanExclusive,
-                MesiState::Shared => EvictKind::CleanShared,
-                MesiState::Invalid => unreachable!("valid lines only in L2"),
-            };
+            let kind = EvictKind::for_state(vline.state).expect("valid lines only in L2");
             sys.evict_into(
                 now,
                 self.socket,

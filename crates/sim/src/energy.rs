@@ -44,10 +44,10 @@ pub fn dir_capacity_bytes(cfg: &SystemConfig) -> f64 {
         DirectoryKind::Sparse { ratio, .. } => cfg.dir_entries(*ratio) as f64,
         DirectoryKind::MultiGrain { ratio, .. } => cfg.dir_entries(*ratio) as f64,
         DirectoryKind::SecDir(g) => {
-            let slices = if cfg.cores >= 128 { 32.0 } else { 8.0 };
-            slices
-                * (g.shared_sets * g.shared_ways + cfg.cores * g.private_sets * g.private_ways)
-                    as f64
+            // One slice beside each LLC bank, as `DirStore::build` sizes it.
+            (cfg.llc_banks
+                * (g.shared_sets * g.shared_ways + cfg.cores * g.private_sets * g.private_ways))
+                as f64
         }
         DirectoryKind::Unbounded => cfg.dir_entries(zerodev_common::config::Ratio::ONE) as f64,
         DirectoryKind::None => 0.0,
@@ -162,5 +162,17 @@ mod tests {
             DirectoryKind::SecDir(zerodev_common::config::SecDirGeometry::eight_core_1x());
         let b = dir_capacity_bytes(&cfg);
         assert!(b > 0.0);
+    }
+
+    #[test]
+    fn server_secdir_has_one_slice_per_llc_bank() {
+        let mut cfg = SystemConfig::server_128core();
+        let g = zerodev_common::config::SecDirGeometry::server_1x();
+        cfg.directory = DirectoryKind::SecDir(g);
+        assert_eq!(cfg.llc_banks, 32);
+        // 32 slices × (256 × 4 shared + 128 cores × 4 × 8 private) entries
+        // of 26 + 128 + 3 bits each.
+        let entries = 32.0 * (256.0 * 4.0 + 128.0 * 4.0 * 8.0);
+        assert_eq!(dir_capacity_bytes(&cfg), entries * 157.0 / 8.0);
     }
 }

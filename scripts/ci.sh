@@ -44,9 +44,25 @@ echo "== audited figure smoke (quick profile, oracle on) =="
 # The figure tables on stdout must equal the committed golden byte for
 # byte; the oracle and the sweep thread count leave stdout unchanged.
 ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
-    cargo run --release -p zerodev-bench --bin all_figures >target/all_figures_quick.stdout ||
-    { cat target/all_figures_quick.stdout; exit 1; }
+    cargo run --release -p zerodev-bench --bin all_figures \
+    >target/all_figures_quick.stdout 2>target/all_figures_quick.stderr ||
+    { cat target/all_figures_quick.stdout target/all_figures_quick.stderr; exit 1; }
 diff -u crates/bench/tests/all_figures_quick.stdout target/all_figures_quick.stdout
+# The work behind those tables: simulations executed and baseline-cache
+# hits in the run's stderr summary. A harness that ran extra or different
+# simulations could still print the same tables; these counts catch it.
+# They are the same at every ZERODEV_THREADS, audited or not, because each
+# memo key has one cache entry and the first worker to claim it runs it.
+# A change that adds, drops or reshapes a sweep updates them here.
+quick_runs=2313
+quick_hits=1157
+summary=$(grep '^sweep engine:' target/all_figures_quick.stderr || true)
+if [[ $summary != *"; $quick_runs simulations executed, $quick_hits baseline-cache hits" ]]; then
+    echo "sweep-count check FAILED: expected $quick_runs simulations executed and" \
+        "$quick_hits baseline-cache hits; got: $summary" >&2
+    exit 1
+fi
+echo "sweep counts: $quick_runs simulations executed, $quick_hits baseline-cache hits"
 
 echo "== fault campaign smoke (quick matrix) =="
 ZERODEV_QUICK=1 \
