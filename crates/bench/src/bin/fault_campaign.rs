@@ -11,11 +11,6 @@
 //! completes without injecting is also a failure — the fault must actually
 //! land.
 //!
-//! NACK storms are not campaigned: a storm within the retry budget is
-//! counted only in `FaultStats`, never in the simulated event stream, so
-//! a stormed run's statistics equal the fault-free run's by construction
-//! (`tests/faults.rs::message_faults_are_statistics_neutral` pins it).
-//!
 //! Set `ZERODEV_QUICK=1` for the CI smoke matrix (one policy × one design
 //! per fault class). Exits nonzero if any point fails.
 

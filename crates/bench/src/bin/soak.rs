@@ -1,6 +1,6 @@
 //! Torture soak campaign: long-run adversarial workloads under per-point
-//! wall-clock and memory budgets, with watchdog escalation, panic
-//! quarantine, and a machine-readable report.
+//! wall-clock and memory budgets, with panic quarantine and a
+//! machine-readable report.
 //!
 //! `cargo run --release -p zerodev-bench --bin soak`
 //!
@@ -12,16 +12,15 @@
 //! * **Budget exhausted** (wall clock or resident memory) — the run is
 //!   checkpointed to disk and skipped: *graceful degradation*, the
 //!   campaign continues, the report says exactly where the budget went.
-//! * **Stall** ([`SimError::Stalled`]: a NACK storm past its retry
-//!   budget, or a core silent past the watchdog horizon) — the point is
-//!   *quarantined*: the paused run is checkpointed for post-mortem replay,
-//!   a replayable trace artifact is recorded, and the campaign continues
-//!   with a nonzero final exit.
-//! * **Panic** (oracle violation, protocol bug) — the point is quarantined
-//!   and the failure is *minimized*: the smallest `refs_per_core` that
-//!   still reproduces is found by bisection (runs are deterministic, so
-//!   the prefix property holds), emitted as a trace artifact, and printed
-//!   as an oracle repro command.
+//! * **Panic** (oracle violation, protocol bug) — the point is
+//!   *quarantined* and the failure is *minimized*: the smallest
+//!   `refs_per_core` that still reproduces is found by bisection (runs are
+//!   deterministic, so the prefix property holds), emitted as a trace
+//!   artifact, and printed as an oracle repro command; the campaign
+//!   continues with a nonzero final exit.
+//!
+//! A run cannot stall: each step of the event loop retires a reference
+//! (DESIGN.md §6.2), so a point ends in one of these three ways.
 //!
 //! Environment: the shared `ZERODEV_QUICK` / `ZERODEV_AUDIT` /
 //! `ZERODEV_FAULTS` knobs (see [`RunParams::from_env`]), plus
@@ -29,9 +28,9 @@
 //! `ZERODEV_SOAK_RSS_MB` (resident-set ceiling, default 8192),
 //! `ZERODEV_SOAK_DIR` (artifact directory, default `target/soak`), and
 //! `ZERODEV_SOAK_ONLY=<substr>` (run only matching point ids — the repro
-//! filter quarantine reports print). The fault spec arms NACK storms and
-//! state corruption ([`zerodev_sim::faults`]); a storm longer than its
-//! retry budget is how a livelock is injected on purpose.
+//! filter quarantine reports print). The fault spec arms a state
+//! corruption ([`zerodev_sim::faults`]); under audit that is how a
+//! protocol bug is injected on purpose.
 //!
 //! Exits nonzero when any point was quarantined; budget-degraded points
 //! alone exit zero. The report is written to `<dir>/soak_report.json`.
@@ -42,7 +41,7 @@ use std::time::Instant;
 use zerodev_bench::{baseline, sparse, zerodev_default_nodir, zerodev_sparse, SEED};
 use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::RunParams;
-use zerodev_sim::{RunStatus, SimError, Simulation};
+use zerodev_sim::{RunStatus, Simulation};
 use zerodev_workloads::{multithreaded, Trace, TORTURE};
 
 /// References advanced between budget checks: small enough that a budget
@@ -67,12 +66,6 @@ enum Outcome {
         what: &'static str,
         artifact: String,
     },
-    /// Watchdog/retry-budget stall; checkpointed and quarantined.
-    Stalled {
-        error: SimError,
-        artifact: String,
-        trace: String,
-    },
     /// Panic; minimized and quarantined.
     Panicked {
         message: String,
@@ -83,14 +76,13 @@ enum Outcome {
 
 impl Outcome {
     fn quarantined(&self) -> bool {
-        matches!(self, Outcome::Stalled { .. } | Outcome::Panicked { .. })
+        matches!(self, Outcome::Panicked { .. })
     }
 
     fn label(&self) -> &'static str {
         match self {
             Outcome::Ok { .. } => "ok",
             Outcome::Degraded { .. } => "degraded",
-            Outcome::Stalled { .. } => "stalled",
             Outcome::Panicked { .. } => "panicked",
         }
     }
@@ -187,9 +179,7 @@ fn trace_artifact(p: &Point, params: &RunParams, retired: u64, dir: &str) -> Str
 /// Deterministic, so this is a pure function of `refs`.
 fn panics_with(p: &Point, params: &RunParams, refs: u64) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut run = build(p, params).start(refs, params.warmup_refs);
-        let _ = run.advance(u64::MAX); // a stall is not a panic
-        let _ = run.finish();
+        build(p, params).run(refs, params.warmup_refs)
     }))
     .is_err()
 }
@@ -262,7 +252,10 @@ fn run_point(
     };
     loop {
         let before = run.refs_retired();
-        let step = catch_unwind(AssertUnwindSafe(|| run.advance(STEP)));
+        let step = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(status) = run.advance(STEP);
+            status
+        }));
         match step {
             Err(e) => {
                 let message = panic_message(&*e);
@@ -281,24 +274,7 @@ fn run_point(
                     },
                 };
             }
-            Ok(Err(error)) => {
-                // Watchdog escalation: checkpoint-and-skip.
-                let artifact =
-                    write_artifact(&artifact_path(dir, &p.id, "ckpt"), &run.checkpoint());
-                let retired = run.refs_retired();
-                let trace = trace_artifact(&p, params, retired, dir);
-                return PointReport {
-                    refs_retired: retired,
-                    wall_ms: t0.elapsed().as_millis(),
-                    point: p,
-                    outcome: Outcome::Stalled {
-                        error,
-                        artifact,
-                        trace,
-                    },
-                };
-            }
-            Ok(Ok(RunStatus::Finished)) => {
+            Ok(RunStatus::Finished) => {
                 let retired = run.refs_retired();
                 let finished = catch_unwind(AssertUnwindSafe(|| run.finish()));
                 return match finished {
@@ -328,7 +304,7 @@ fn run_point(
                     }
                 };
             }
-            Ok(Ok(RunStatus::Paused)) => {
+            Ok(RunStatus::Paused) => {
                 let wall = t0.elapsed().as_millis();
                 let over_rss = rss_bytes().is_some_and(|b| b > rss_budget);
                 if wall > wall_budget_ms || over_rss {
@@ -397,20 +373,6 @@ fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> Strin
                 out.push_str(&format!(
                     ", \"budget\": \"{what}\", \"checkpoint\": \"{}\"",
                     json_escape(artifact)
-                ));
-            }
-            Outcome::Stalled {
-                error,
-                artifact,
-                trace,
-            } => {
-                out.push_str(&format!(
-                    ", \"error\": \"{}\", \"checkpoint\": \"{}\", \"trace\": \"{}\", \
-                     \"repro\": \"{}\"",
-                    json_escape(&error.to_string()),
-                    json_escape(artifact),
-                    json_escape(trace),
-                    json_escape(&repro_command(p)),
                 ));
             }
             Outcome::Panicked {
@@ -486,15 +448,6 @@ fn main() {
                     "  {id}: DEGRADED ({what} budget at {} refs; checkpoint {artifact})",
                     row.refs_retired
                 );
-            }
-            Outcome::Stalled {
-                error,
-                artifact,
-                trace,
-            } => {
-                println!("  {id}: QUARANTINED (stall: {error})");
-                println!("    checkpoint {artifact}; trace {trace}");
-                println!("    repro: {}", repro_command(&row.point));
             }
             Outcome::Panicked {
                 message,

@@ -7,7 +7,7 @@
 //! driver's budget-aware checkpointing stands on.
 
 use zerodev_bench::{baseline, zerodev_default_nodir};
-use zerodev_common::snap::{SnapError, SnapWriter};
+use zerodev_common::snap::{fnv1a, SnapError, SnapWriter};
 use zerodev_common::SystemConfig;
 use zerodev_sim::checkpoint::{MAGIC, VERSION};
 use zerodev_sim::{FaultConfig, PausedRun, RunStatus, SimResult, Simulation, StateFault};
@@ -29,10 +29,6 @@ struct Point {
 }
 
 fn matrix() -> Vec<Point> {
-    let nack_storms = FaultConfig {
-        nack_ppm: 20_000,
-        ..Default::default()
-    };
     let corrupting = FaultConfig {
         corrupt: Some((StateFault::SharerFlip, 900)),
         ..Default::default()
@@ -59,12 +55,12 @@ fn matrix() -> Vec<Point> {
             cut: 700,
         },
         Point {
-            label: "zerodev/torture.entry_thrash/nack-storms",
+            label: "zerodev/torture.entry_thrash/audit",
             cfg: zerodev_default_nodir(),
             app: "torture.entry_thrash",
             seed: 0x5eed_0003,
             audit: true,
-            faults: Some(nack_storms),
+            faults: None,
             refs: REFS,
             cut: 1_500,
         },
@@ -108,23 +104,19 @@ fn build(p: &Point) -> Simulation {
 }
 
 fn uninterrupted(p: &Point) -> SimResult {
-    let mut run = build(p).start(p.refs, WARM);
-    run.advance(u64::MAX).expect("clean run must not stall");
-    run.finish()
+    build(p).run(p.refs, WARM)
 }
 
 /// Runs to `cut` retired references, checkpoints, drops the live run, and
 /// finishes from the restored image.
 fn killed_and_resumed(p: &Point) -> SimResult {
     let mut run = build(p).start(p.refs, WARM);
-    let status = run.advance(p.cut).expect("clean run must not stall");
+    let Ok(status) = run.advance(p.cut);
     let image = run.checkpoint();
     drop(run); // the "kill": only the image survives
     let mut resumed = PausedRun::restore(&p.cfg, &image).expect("image restores");
     if status == RunStatus::Paused {
-        resumed
-            .advance(u64::MAX)
-            .expect("resumed run must not stall");
+        let Ok(_) = resumed.advance(u64::MAX);
     }
     resumed.finish()
 }
@@ -187,7 +179,7 @@ fn checkpoint_round_trips_through_restore() {
     // Re-serializing a restored run must reproduce the image exactly.
     let p = &matrix()[1];
     let mut run = build(p).start(p.refs, WARM);
-    run.advance(p.cut).expect("clean");
+    let Ok(_) = run.advance(p.cut);
     let image = run.checkpoint();
     let restored = PausedRun::restore(&p.cfg, &image).expect("image restores");
     assert_eq!(
@@ -203,7 +195,7 @@ fn checkpoint_round_trips_through_restore() {
 fn restore_rejects_a_mismatched_config() {
     let p = &matrix()[0];
     let mut run = build(p).start(p.refs, WARM);
-    run.advance(100).expect("clean");
+    let Ok(_) = run.advance(100);
     let image = run.checkpoint();
     let wrong = zerodev_default_nodir();
     assert!(
@@ -216,7 +208,7 @@ fn restore_rejects_a_mismatched_config() {
 fn restore_rejects_a_damaged_image() {
     let p = &matrix()[0];
     let mut run = build(p).start(p.refs, WARM);
-    run.advance(100).expect("clean");
+    let Ok(_) = run.advance(100);
     let mut image = run.checkpoint();
     let mid = image.len() / 2;
     image[mid] ^= 0xff;
@@ -228,8 +220,7 @@ fn restore_rejects_a_damaged_image() {
         PausedRun::restore(&p.cfg, &image[..image.len() - 3]).is_err(),
         "a truncated image must be rejected"
     );
-    // A sound container (valid checksum) of the previous layout, which
-    // still carried the watchdog tuning and the mesh load counters.
+    // A sound container (valid checksum) of the previous layout.
     let mut w = SnapWriter::new(MAGIC, VERSION - 1);
     w.u64(p.refs);
     assert_eq!(
@@ -240,4 +231,78 @@ fn restore_rejects_a_damaged_image() {
         }),
         "an image of the previous layout must fail on its version"
     );
+}
+
+/// Re-seals a patched image body: a valid checksum over damaged contents,
+/// so only the field decoders stand between the image and the machine.
+fn reseal(mut image: Vec<u8>) -> Vec<u8> {
+    image.truncate(image.len() - 8);
+    let sum = fnv1a(&image);
+    image.extend_from_slice(&sum.to_le_bytes());
+    image
+}
+
+/// A checksum-valid image whose event queue the loop could not have built
+/// must fail `restore`: restored, it would index past the core array in
+/// the first `advance`. The queue's keys sit right before the engine's
+/// per-core lanes and counters at the end of the image.
+#[test]
+fn restore_rejects_an_event_queue_the_machine_cannot_hold() {
+    let p = &matrix()[0];
+    let cores = p.cfg.cores * p.cfg.sockets;
+    let mut run = build(p).start(p.refs, WARM);
+    let Ok(_) = run.advance(100);
+    let image = run.checkpoint();
+    // Checksum, pops, finished, four per-core u64 lanes, then the keys.
+    let keys = image.len() - 8 - 8 - 8 - 4 * 8 * cores - 16 * cores;
+    assert_eq!(
+        image[keys - 8..keys],
+        (cores as u64).to_le_bytes(),
+        "the queue length precedes its keys"
+    );
+    let key = |i: usize| {
+        u128::from_le_bytes(
+            image[keys + 16 * i..keys + 16 * (i + 1)]
+                .try_into()
+                .unwrap(),
+        )
+    };
+    let patched = |edits: &[(usize, u128)]| {
+        let mut img = image.clone();
+        for &(i, k) in edits {
+            img[keys + 16 * i..keys + 16 * (i + 1)].copy_from_slice(&k.to_le_bytes());
+        }
+        PausedRun::restore(&p.cfg, &reseal(img)).err()
+    };
+    let core_of = |k: u128| k & 0xffff_ffff;
+    let (k0, k1) = (key(0), key(1));
+    for (label, edits, context) in [
+        (
+            "core 200 on an 8-core machine",
+            vec![(0, k0 - core_of(k0) + 200)],
+            "event queue names a core the machine lacks",
+        ),
+        (
+            "the root's core twice",
+            vec![(1, k1 - core_of(k1) + core_of(k0))],
+            "event queue names a core twice",
+        ),
+        (
+            "the two smallest keys swapped",
+            vec![(0, k1), (1, k0)],
+            "event queue keys break heap order",
+        ),
+        (
+            "a time wider than 64 bits",
+            vec![(0, k0 | 1 << 100)],
+            "event queue key wider than a (time, core) pair",
+        ),
+    ] {
+        assert_eq!(
+            patched(&edits),
+            Some(SnapError::Corrupt { context }),
+            "{label}"
+        );
+    }
+    assert!(patched(&[]).is_none(), "the unpatched image restores");
 }

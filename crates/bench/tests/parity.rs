@@ -19,7 +19,6 @@ use zerodev_common::config::{LlcDesign, LlcReplacement, SpillPolicy, ZeroDevConf
 use zerodev_common::snap::fnv1a;
 use zerodev_common::SystemConfig;
 use zerodev_sim::runner::{run, RunParams};
-use zerodev_sim::FaultConfig;
 use zerodev_workloads::multithreaded;
 
 const POLICIES: [SpillPolicy; 3] = [
@@ -118,51 +117,6 @@ fn audited_matrix_matches_pinned_fingerprints() {
             GOLDEN[i]
         );
     }
-}
-
-/// Sweep-thread determinism under an active fault plan: every
-/// `ZERODEV_THREADS` setting (expressed directly through `RunParams` so the
-/// test cannot race on process-global env vars) must produce one identical
-/// fingerprint — fault draws included — with the coherence oracle armed.
-/// NACK storms only: state-corruption faults deliberately trip the oracle,
-/// which is its own test elsewhere.
-#[test]
-fn threads_agree_under_audit_and_faults() {
-    let cfg = SystemConfig::four_socket().with_zerodev(
-        ZeroDevConfig {
-            policy: SpillPolicy::FusePrivateSpillShared,
-            llc_replacement: LlcReplacement::DataLru,
-        },
-        DirectoryKind::None,
-    );
-    let faults = FaultConfig {
-        seed: 0xdead_f00d,
-        nack_ppm: 800,
-        ..Default::default()
-    };
-    let fingerprint = |threads: usize| {
-        let params = RunParams {
-            refs_per_core: 1_000,
-            warmup_refs: 200,
-            threads,
-            audit: true,
-            faults: Some(faults),
-        };
-        let wl = multithreaded("canneal", cfg.cores * cfg.sockets, 0x0dd5_eed5).expect("known app");
-        let r = run(&cfg, wl, &params).result;
-        let record = format!(
-            "{:?}|{:?}|{:?}|{:?}|{}|{}",
-            r.stats, r.faults, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
-        );
-        fnv1a(record.as_bytes())
-    };
-    let reference = fingerprint(1);
-    let got = fingerprint(4);
-    assert_eq!(
-        got, reference,
-        "faulted audited run diverged at threads=4: \
-         got {got:#018x}, single-thread reference {reference:#018x}"
-    );
 }
 
 /// Harvest helper: prints the matrix in golden-array form.

@@ -147,8 +147,8 @@ impl MsgClass {
     /// 0 = core-originated requests and notices, 1 = home-generated
     /// probes, 2 = memory commands, 3 = responses. `zerodev-lint` parses
     /// this table and checks the extracted consumes→emits graph against
-    /// it; the one audited descent is the `DenfNack → Request` retry in
-    /// the fault engine, drained by its hard retry budget.
+    /// it. No edge descends: a `DenfNack` is served by H's resend with the
+    /// entry (`SocketData`, rank 3).
     pub const fn vnet(self) -> u8 {
         match self {
             MsgClass::Request

@@ -74,10 +74,9 @@ pub struct AccessResult {
 }
 
 /// A state-corruption fault class injectable via
-/// [`System::inject_state_fault`]. Forced NACK storms live in the sim
-/// engine and must be harmless within the retry budget; these three
-/// silently corrupt protocol *state* and exist so the fault campaign can
-/// prove the coherence oracle detects each of them.
+/// [`System::inject_state_fault`]. Each silently corrupts protocol
+/// *state* and exists so the fault campaign can prove the coherence oracle
+/// detects it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum StateFault {
     /// Drops one sharer bit from a live directory entry with at least two

@@ -554,6 +554,9 @@ impl System {
                 let _ = self
                     .mem
                     .dram_read(Cycle(now.0 + lat), SocketId(h as u8), block);
+                // H serving F's DENF_NACK: the resend is the protocol's own
+                // recovery, a response-class message.
+                // lint:context(DenfNack)
                 self.stats.msg(MsgClass::SocketData); // resend with entry
                 lat += SystemConfig::INTER_SOCKET_CYCLES;
                 self.reinstall_entry(now, f, block, entry, invals);

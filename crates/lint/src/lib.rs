@@ -13,8 +13,8 @@
 //!    from the annotated flows and verify deadlock-freedom: vnet-monotone
 //!    edges, per-rank acyclicity, full producer/consumer coverage.
 //!
-//! Rule catalog, waiver grammar, and the audited `DenfNack → Request`
-//! retry edge are documented in DESIGN.md §12.
+//! Rule catalog, waiver grammar, and the message-class graph (with no
+//! audited descent) are documented in DESIGN.md §12.
 
 pub mod determinism;
 pub mod lexer;

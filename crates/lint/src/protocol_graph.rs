@@ -34,7 +34,8 @@
 //! * every non-self edge A→B must satisfy `vnet(B) ≥ vnet(A)` — a
 //!   response may never generate traffic on a lower (more congested)
 //!   virtual network. Violations are `msg_class_cycle` findings, waivable
-//!   per audited edge (the `DenfNack → Request` retry is the one waiver).
+//!   per audited edge (the tree has none: `DenfNack` is served by a
+//!   response-class resend).
 //! * edges within one vnet rank must be acyclic (DFS over the rank's
 //!   subgraph). Self-edges (same-VN hop / ingress accounting) are exempt.
 //! * every non-origin class (vnet > 0) needs a producer (`msg_no_producer`)
@@ -59,7 +60,7 @@ pub struct Edge {
     pub to: usize,
     pub file: String,
     pub line: u32,
-    /// Carries a `msg_class_cycle` waiver (the audited retry edge).
+    /// Carries a `msg_class_cycle` waiver (an audited descent).
     pub audited: bool,
 }
 

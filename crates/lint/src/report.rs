@@ -189,7 +189,7 @@ impl Report {
     pub fn to_dot(&self) -> String {
         let mut s = String::from(
             "// MsgClass consumes->emits dependency graph (zerodev-lint pass 3).\n\
-             // Solid: vnet-monotone edge. Bold red: audited descent (DenfNack retry).\n\
+             // Solid: vnet-monotone edge. Bold red: audited descent (a waived msg_class_cycle).\n\
              // Dashed: self-edge (same-VN hop / ingress accounting), exempt from cycle checks.\n\
              digraph msg_classes {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n",
         );

@@ -16,8 +16,7 @@
 //! checkpoint can never be thawed into a differently shaped machine.
 //! Structures are rebuilt by their constructors and then lane-restored,
 //! keeping probe order, replacement metadata, and fault-victim selection
-//! exact. The forward-progress watchdog's horizon and scan period are
-//! constants of the engine, so no tuning travels in the image.
+//! exact.
 
 use crate::core_model::AccessEffects;
 use crate::engine::{EngineState, PausedRun, Simulation};
@@ -32,7 +31,7 @@ pub const MAGIC: u64 = 0x5eed_c8ec_7020_21ff;
 /// Checkpoint format version; bumped on any layout change so stale images
 /// fail structurally ([`SnapError::BadVersion`]) instead of decoding
 /// garbage.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 impl PausedRun {
     /// Serializes the paused run into a self-contained image: run target,

@@ -1,48 +1,22 @@
-//! The deterministic event loop interleaving all cores, with a
-//! forward-progress watchdog and optional deterministic fault injection.
+//! The deterministic event loop interleaving all cores, with optional
+//! deterministic fault injection.
+//!
+//! Forward progress is a property of the loop's structure, not a check it
+//! runs: every core has exactly one pending event, each pop retires that
+//! core's reference and schedules its next one, and every access resolves
+//! synchronously in the protocol engine. So each step retires one
+//! reference, and a run of `refs_per_core` references per core ends after
+//! a bounded number of steps (DESIGN.md §6.2; pinned by the
+//! `every_paused_step_retires_its_budget` test below).
+
+use std::convert::Infallible;
 
 use crate::core_model::{AccessEffects, CoreModel};
-use crate::faults::{FaultConfig, FaultDraw, FaultPlan, FaultStats};
+use crate::faults::{FaultConfig, FaultPlan, FaultStats, StateFault};
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
-use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId, Stats, SystemConfig};
+use zerodev_common::{CoreId, Cycle, MesiState, SocketId, Stats, SystemConfig};
 use zerodev_core::{apply_effects, Downgrade, Invalidation, PrivateCaches, System};
 use zerodev_workloads::{Workload, WorkloadKind};
-
-/// Cycles a core may go without retiring a reference before the watchdog
-/// declares the run stalled. Legitimate per-reference latency is bounded by
-/// a few thousand cycles (DRAM queueing included), so a million-cycle
-/// silence is a livelock/deadlock, never a slow access.
-const WATCHDOG_HORIZON: u64 = 1_000_000;
-
-/// References between watchdog scans of the per-core heartbeats (keeps the
-/// check O(1) amortised per reference).
-const WATCHDOG_PERIOD: u64 = 4_096;
-
-/// The forward-progress watchdog, one scan point of the event loop: every
-/// [`WATCHDOG_PERIOD`] pops, find the least-recently-retiring core and
-/// declare a stall if its heartbeat silence exceeds [`WATCHDOG_HORIZON`].
-/// It only reads the event stream, so results are byte-identical at every
-/// scan that does not fire.
-#[inline]
-fn watchdog_check(pops: u64, now: u64, last_retire: &[u64]) -> Result<(), SimError> {
-    if pops.is_multiple_of(WATCHDOG_PERIOD) {
-        let (lag, &seen) = last_retire
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &s)| s)
-            .expect("at least one core");
-        if now.saturating_sub(seen) > WATCHDOG_HORIZON {
-            return Err(SimError::Stalled {
-                core: lag,
-                cycle: now,
-                last_event: format!(
-                    "no retirement since cycle {seen} (heartbeat horizon {WATCHDOG_HORIZON})"
-                ),
-            });
-        }
-    }
-    Ok(())
-}
 
 /// Packs an event as `(time << 32) | core` so that plain integer order is
 /// exactly lexicographic `(time, core)` order. `u128` keys keep the packing
@@ -124,55 +98,38 @@ impl EventQueue {
     ///
     /// # Errors
     /// Fails with a decode [`SnapError`] on truncated or corrupt input, or
-    /// when the image's heap size does not match `cores`.
+    /// when the image is not a queue the loop could have built for a
+    /// `cores`-core machine: a heap of another size, a key wider than
+    /// [`event_key`] packs, a core the machine lacks, a core with two
+    /// pending events, or keys out of heap order.
     pub(crate) fn unsnap(r: &mut SnapReader, cores: usize) -> Result<EventQueue, SnapError> {
+        let corrupt = |context| Err(SnapError::Corrupt { context });
         let len = r.usize("event queue len")?;
         if len != cores {
-            return Err(SnapError::Corrupt {
-                context: "event queue size does not match the machine",
-            });
+            return corrupt("event queue size does not match the machine");
         }
-        let mut keys = Vec::with_capacity(len);
-        for _ in 0..len {
-            keys.push(r.u128("event queue key")?);
+        let mut keys: Vec<u128> = Vec::with_capacity(len);
+        let mut pending = vec![false; cores];
+        for i in 0..len {
+            let k = r.u128("event queue key")?;
+            if k >> 96 != 0 {
+                return corrupt("event queue key wider than a (time, core) pair");
+            }
+            let core = (k & 0xffff_ffff) as usize;
+            if core >= cores {
+                return corrupt("event queue names a core the machine lacks");
+            }
+            if std::mem::replace(&mut pending[core], true) {
+                return corrupt("event queue names a core twice");
+            }
+            if i > 0 && keys[(i - 1) / 2] > k {
+                return corrupt("event queue keys break heap order");
+            }
+            keys.push(k);
         }
         Ok(EventQueue { keys })
     }
 }
-
-/// A structured forward-progress failure, surfaced instead of an infinite
-/// loop (livelock) or an unexplained panic.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SimError {
-    /// A core stopped retiring references: its retry budget was exhausted
-    /// by a NACK storm, or its heartbeat went silent past the watchdog
-    /// horizon.
-    Stalled {
-        /// The core that stopped making progress.
-        core: usize,
-        /// Simulated cycle at which the stall was declared.
-        cycle: u64,
-        /// What the core was last seen doing.
-        last_event: String,
-    },
-}
-
-impl std::fmt::Display for SimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimError::Stalled {
-                core,
-                cycle,
-                last_event,
-            } => write!(
-                f,
-                "forward-progress watchdog: core {core} stalled at cycle {cycle} ({last_event})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SimError {}
 
 /// Outcome of one simulation run.
 #[derive(Clone, Debug)]
@@ -285,9 +242,8 @@ impl Simulation {
     }
 
     /// Arms deterministic fault injection ([`crate::faults`]) for the
-    /// measured region. NACK storms within the retry budget never perturb
-    /// timing or statistics; state corruptions are meant to be caught by
-    /// the oracle (enable [`Self::enable_audit`] too).
+    /// measured region: a state corruption the oracle is meant to catch
+    /// (enable [`Self::enable_audit`] too).
     pub fn set_faults(&mut self, cfg: FaultConfig) {
         self.faults = Some(Box::new(FaultPlan::new(cfg)));
     }
@@ -357,51 +313,10 @@ impl Simulation {
         latency
     }
 
-    /// Requester-side fault handling *before* the access reaches the
-    /// uncore: a forced `DENF_NACK` storm either exhausts the retry budget
-    /// (a structured stall) or is absorbed and counted in the plan's stats.
-    // lint:consumes(DenfNack)
-    fn fault_pre(
-        &mut self,
-        t: usize,
-        issue: u64,
-        block: BlockAddr,
-        d: FaultDraw,
-    ) -> Result<(), SimError> {
-        let Some(len) = d.nack_storm else {
-            return Ok(());
-        };
-        let plan = self
-            .faults
-            .as_deref_mut()
-            .expect("fault draw without a plan");
-        let budget = plan.config().retry_budget;
-        if len > budget {
-            return Err(SimError::Stalled {
-                core: t,
-                cycle: issue,
-                last_event: format!(
-                    "DENF_NACK storm of {len} on {block:?} exceeded the retry budget of {budget}"
-                ),
-            });
-        }
-        // The nacked request is re-issued until the storm ends: the one
-        // audited descent in the MsgClass order (DESIGN.md §12). The cycle
-        // cannot sustain itself — the retry budget turns a storm longer
-        // than it into SimError::Stalled.
-        // lint:allow(msg_class_cycle, bounded DENF_NACK retry: the hard retry budget guarantees drain)
-        plan.stats.nack_storms += 1; // lint:emits(Request)
-        plan.stats.nacks += u64::from(len);
-        Ok(())
-    }
-
     /// Completion-side fault handling *after* the access resolved: an
     /// armed state corruption is injected once a victim exists, then
     /// immediately re-checked by the oracle.
-    fn fault_post(&mut self, done: u64, d: FaultDraw) {
-        let Some(kind) = d.corrupt else {
-            return;
-        };
+    fn fault_post(&mut self, done: u64, kind: StateFault) {
         let Simulation { sys, faults, .. } = self;
         let plan = faults.as_deref_mut().expect("fault draw without a plan");
         if let Some((victim, desc)) = sys.inject_state_fault(kind, plan.rng_mut()) {
@@ -415,27 +330,13 @@ impl Simulation {
     /// Early finishers keep running until the last core reaches its target,
     /// as in the paper's multi-programmed methodology.
     ///
-    /// # Panics
-    /// Panics (via [`SimError`]'s message) when the forward-progress
-    /// watchdog fires; use [`Self::try_run`] to handle stalls structurally.
-    pub fn run(self, refs_per_core: u64, warmup_refs: u64) -> SimResult {
-        self.try_run(refs_per_core, warmup_refs)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::run`], surfacing livelock/deadlock as [`SimError::Stalled`]
-    /// instead of looping forever: every core must keep retiring references
-    /// within the watchdog horizon, and NACKed flows get a bounded retry
-    /// budget. The watchdog only reads the event stream, so it never
-    /// changes the results of a run it does not stop.
-    ///
     /// Implemented as [`Self::start`] + a single unbounded
     /// [`PausedRun::advance`] + [`PausedRun::finish`], so the whole-run and
     /// incremental (checkpointable) paths share one event-loop body.
-    pub fn try_run(self, refs_per_core: u64, warmup_refs: u64) -> Result<SimResult, SimError> {
+    pub fn run(self, refs_per_core: u64, warmup_refs: u64) -> SimResult {
         let mut run = self.start(refs_per_core, warmup_refs);
-        run.advance(u64::MAX)?;
-        Ok(run.finish())
+        let Ok(_) = run.advance(u64::MAX);
+        run.finish()
     }
 
     /// Executes the warm-up phase, resets the statistics, and returns the
@@ -474,17 +375,17 @@ impl Simulation {
         }
     }
 
-    /// [`Self::try_run`] under the signature of the removed intra-run shard
+    /// [`Self::run`] under the signature of the removed intra-run shard
     /// driver; `_shards` is ignored, so the result is byte-identical to
-    /// `try_run` at any shard count. Kept only for the benchmark's traced
-    /// `shard.speedup_2` probe.
+    /// `run` at any shard count, and it cannot fail. Kept only for the
+    /// benchmark's traced `shard.speedup_2` probe.
     pub fn try_run_sharded(
         self,
         refs_per_core: u64,
         warmup_refs: u64,
         _shards: usize,
-    ) -> Result<SimResult, SimError> {
-        self.try_run(refs_per_core, warmup_refs)
+    ) -> Result<SimResult, Infallible> {
+        Ok(self.run(refs_per_core, warmup_refs))
     }
 }
 
@@ -522,8 +423,6 @@ pub(crate) struct EngineState {
     pub(crate) core_instrs: Vec<u64>,
     /// Cores that reached their reference target.
     pub(crate) finished: usize,
-    /// Watchdog state: the cycle each core last retired a reference.
-    pub(crate) last_retire: Vec<u64>,
     /// Event-loop pops (= total references retired across all cores).
     pub(crate) pops: u64,
 }
@@ -537,7 +436,6 @@ impl EngineState {
             core_cycles: vec![0; n],
             core_instrs: vec![0; n],
             finished: 0,
-            last_retire: vec![0; n],
             pops: 0,
         }
     }
@@ -550,7 +448,6 @@ impl EngineState {
             &self.instrs,
             &self.core_cycles,
             &self.core_instrs,
-            &self.last_retire,
         ] {
             for &v in lane.iter() {
                 w.u64(v);
@@ -567,13 +464,13 @@ impl EngineState {
     /// when the image does not match a `cores`-core machine.
     pub(crate) fn unsnap(r: &mut SnapReader, cores: usize) -> Result<EngineState, SnapError> {
         let queue = EventQueue::unsnap(r, cores)?;
-        let mut lanes: [Vec<u64>; 5] = Default::default();
+        let mut lanes: [Vec<u64>; 4] = Default::default();
         for lane in &mut lanes {
             *lane = (0..cores)
                 .map(|_| r.u64("engine per-core lane"))
                 .collect::<Result<_, _>>()?;
         }
-        let [refs_done, instrs, core_cycles, core_instrs, last_retire] = lanes;
+        let [refs_done, instrs, core_cycles, core_instrs] = lanes;
         let finished = r.usize("engine finished count")?;
         if finished > cores {
             return Err(SnapError::Corrupt {
@@ -588,7 +485,6 @@ impl EngineState {
             core_cycles,
             core_instrs,
             finished,
-            last_retire,
             pops,
         })
     }
@@ -609,7 +505,7 @@ pub enum RunStatus {
 ///
 /// Produced by [`Simulation::start`] (or by restoring a checkpoint, see
 /// `crate::checkpoint`). The loop body here is the simulator's one event
-/// loop — [`Simulation::try_run`] is a single unbounded advance — so
+/// loop — [`Simulation::run`] is a single unbounded advance — so
 /// pausing, checkpointing, and resuming cannot drift from an uninterrupted
 /// run.
 #[derive(Debug)]
@@ -627,14 +523,10 @@ impl PausedRun {
     ///
     /// Returns [`RunStatus::Finished`] once every core has retired its
     /// target (further calls are no-ops), [`RunStatus::Paused`] when the
-    /// step budget ran out first.
-    ///
-    /// # Errors
-    /// [`SimError::Stalled`] when the forward-progress watchdog fires or a
-    /// NACK storm exhausts the retry budget. The run remains intact — it
-    /// can still be checkpointed for post-mortem replay — but advancing
-    /// further will re-examine the same stalled event.
-    pub fn advance(&mut self, max_steps: u64) -> Result<RunStatus, SimError> {
+    /// step budget ran out first: each step retires one reference, so a
+    /// paused call retired exactly `max_steps`. It cannot fail; the
+    /// [`Infallible`] error keeps the signature the benchmark calls.
+    pub fn advance(&mut self, max_steps: u64) -> Result<RunStatus, Infallible> {
         let n = self.sim.cores.len();
         if self.st.finished == n {
             return Ok(RunStatus::Finished);
@@ -644,23 +536,18 @@ impl PausedRun {
         for _ in 0..max_steps {
             let (now, t) = st.queue.peek_min();
             st.pops += 1;
-            watchdog_check(st.pops, now, &st.last_retire)?;
             let r = sim.workload.threads[t].next_ref();
             let mlp = sim.workload.threads[t].spec().mlp;
             let issue = now + u64::from(r.gap);
-            let draw = sim.faults.as_deref_mut().map(FaultPlan::draw);
-            if let Some(d) = draw {
-                sim.fault_pre(t, issue, r.block, d)?;
-            }
+            let armed = sim.faults.as_deref_mut().and_then(FaultPlan::draw);
             sim.cores[t].access_into(&mut sim.sys, Cycle(issue), r, &mut self.fx);
             let lat = sim.complete_access(Cycle(issue), &mut self.fx, mlp);
             let done = issue + lat;
-            if let Some(d) = draw {
-                sim.fault_post(done, d);
+            if let Some(kind) = armed {
+                sim.fault_post(done, kind);
             }
             st.instrs[t] += u64::from(r.gap) + 1;
             st.refs_done[t] += 1;
-            st.last_retire[t] = done;
             if st.refs_done[t] == self.refs_per_core {
                 st.core_cycles[t] = done;
                 st.core_instrs[t] = st.instrs[t];
@@ -760,47 +647,32 @@ mod tests {
         assert_eq!(a.speedup_vs(&b), None);
     }
 
+    /// Forward progress by construction: each step of the loop retires one
+    /// reference, so every `advance(k)` that pauses retired exactly `k`,
+    /// the run finishes, and a run stepped in chunks of any size equals the
+    /// whole run.
     #[test]
-    fn try_run_is_clean_and_identical_to_run() {
+    fn every_paused_step_retires_its_budget() {
         let cfg = SystemConfig::baseline_8core();
-        let wl = || multithreaded("ferret", 8, 11).unwrap();
-        let a = Simulation::new(&cfg, wl()).run(2_000, 200);
-        let b = Simulation::new(&cfg, wl())
-            .try_run(2_000, 200)
-            .expect("clean run must not stall");
-        assert_eq!(a.stats, b.stats);
-        assert_eq!(a.completion_cycles, b.completion_cycles);
-        assert_eq!(a.faults, FaultStats::default());
-    }
-
-    /// The heartbeat watchdog on synthetic heartbeats: no workload stalls
-    /// without a NACK storm, so the retry budget, not this scan, stops
-    /// every stalled run in the integration tests.
-    #[test]
-    fn watchdog_fires_one_cycle_past_the_horizon_on_the_laggard() {
-        // Core 2 retired least recently; cores 0, 1 and 3 are well inside.
-        let last_retire = [900_000, 750_000, 500_000, 1_400_000];
-        let at_horizon = 500_000 + WATCHDOG_HORIZON;
-        assert_eq!(
-            watchdog_check(WATCHDOG_PERIOD, at_horizon, &last_retire),
-            Ok(())
-        );
-        let Err(SimError::Stalled {
-            core,
-            cycle,
-            last_event,
-        }) = watchdog_check(3 * WATCHDOG_PERIOD, at_horizon + 1, &last_retire)
-        else {
-            panic!("a silence one cycle past the horizon must stall");
-        };
-        assert_eq!((core, cycle), (2, at_horizon + 1));
-        assert!(
-            last_event.contains("since cycle 500000"),
-            "verdict must name the last heartbeat: {last_event}"
-        );
-        // Between scan points the heartbeats are not even read.
-        for pops in [1, WATCHDOG_PERIOD - 1, WATCHDOG_PERIOD + 1] {
-            assert_eq!(watchdog_check(pops, u64::MAX, &last_retire), Ok(()));
+        let sim = || Simulation::new(&cfg, multithreaded("ferret", 8, 11).unwrap());
+        let whole = sim().run(2_000, 200);
+        assert!(whole.refs_retired >= 8 * 2_000);
+        assert_eq!(whole.faults, FaultStats::default());
+        for k in [1, 7, 4_096] {
+            let mut run = sim().start(2_000, 200);
+            loop {
+                let before = run.refs_retired();
+                let Ok(status) = run.advance(k);
+                if status == RunStatus::Finished {
+                    break;
+                }
+                assert_eq!(run.refs_retired() - before, k, "a paused advance({k})");
+            }
+            let stepped = run.finish();
+            assert_eq!(stepped.stats, whole.stats, "stats at step {k}");
+            assert_eq!(stepped.core_cycles, whole.core_cycles, "step {k}");
+            assert_eq!(stepped.core_instrs, whole.core_instrs, "step {k}");
+            assert_eq!(stepped.refs_retired, whole.refs_retired, "step {k}");
         }
     }
 

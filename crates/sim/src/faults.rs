@@ -3,18 +3,12 @@
 //! ZeroDEV's safety argument rests on invariants the coherence oracle
 //! checks on *clean* runs; this module supplies the adversarial side. A
 //! [`FaultPlan`], seeded from [`FaultConfig::seed`] and driven by
-//! [`zerodev_common::Prng`], decides per measured access whether to inject:
-//!
-//! * **state corruption** ([`StateFault`]) — sharer-bit flips, LLC-resident
-//!   entry corruption, housed home-segment flips. These silently break the
-//!   protocol's invariants; the fault campaign proves the oracle flags
-//!   every one (detector sensitivity).
-//! * **forced `DENF_NACK` storms** — the requester re-issues a nacked
-//!   request until the storm ends. A storm within the retry budget is
-//!   absorbed (counted in [`FaultStats`], never in the timed event stream,
-//!   so a faulted run's final [`zerodev_common::Stats`] are byte-identical
-//!   to the fault-free run); a storm past it is a livelock by construction
-//!   and surfaces as `SimError::Stalled`.
+//! [`zerodev_common::Prng`], arms one **state corruption**
+//! ([`StateFault`]: a sharer-bit flip, an LLC-resident entry corruption or
+//! a housed home-segment flip) at a measured-access index and injects it
+//! once a victim exists. Each one silently breaks the protocol's
+//! invariants; the fault campaign proves the oracle flags every one
+//! (detector sensitivity).
 //!
 //! The whole subsystem is zero-cost-off: with no `FaultConfig` in
 //! [`crate::runner::RunParams`] (and `ZERODEV_FAULTS` unset) the engine
@@ -32,23 +26,12 @@ const FAULTS: [StateFault; 3] = [
     StateFault::HomeSegmentFlip,
 ];
 
-/// Parts-per-million probability bound (1.0).
-pub const PPM: u32 = 1_000_000;
-
-/// A complete, hashable description of the faults to inject in one run.
-/// Probabilities are parts-per-million so the config stays `Eq + Hash` and
-/// can key the sweep memo cache.
+/// A complete, hashable description of the faults to inject in one run;
+/// `Eq + Hash`, so it can key the sweep memo cache.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FaultConfig {
     /// Seed of the fault plan's own PRNG (independent of workload seeds).
     pub seed: u64,
-    /// Per-access probability (ppm) of a forced `DENF_NACK` storm.
-    pub nack_ppm: u32,
-    /// NACKs in a storm before the re-forward succeeds.
-    pub nack_len: u32,
-    /// Retries the requester tolerates before declaring a stall
-    /// (`SimError::Stalled`): the watchdog's bounded-retry budget.
-    pub retry_budget: u32,
     /// State corruption: the fault class and the measured-access index to
     /// arm it at (injection retries every access until a victim exists).
     pub corrupt: Option<(StateFault, u64)>,
@@ -58,9 +41,6 @@ impl Default for FaultConfig {
     fn default() -> Self {
         FaultConfig {
             seed: 0xfa017,
-            nack_ppm: 0,
-            nack_len: 4,
-            retry_budget: 16,
             corrupt: None,
         }
     }
@@ -69,9 +49,8 @@ impl Default for FaultConfig {
 impl FaultConfig {
     /// Parses a `ZERODEV_FAULTS` spec: comma-separated `key=value` pairs.
     ///
-    /// Keys: `seed`, `nack` (ppm), `nack_len`, `retries`, and
-    /// `corrupt=<sharer|llc|home>@<access-index>`.
-    /// Example: `nack=500,nack_len=3,seed=7`.
+    /// Keys: `seed` and `corrupt=<sharer|llc|home>@<access-index>`.
+    /// Example: `corrupt=llc@1000,seed=7`.
     ///
     /// # Errors
     /// Returns a message describing the first malformed pair.
@@ -81,13 +60,6 @@ impl FaultConfig {
                 .parse()
                 .map_err(|_| format!("`{k}={v}`: not a number"))
         }
-        fn ppm(k: &str, v: &str) -> Result<u32, String> {
-            let p: u32 = num(k, v)?;
-            if p > PPM {
-                return Err(format!("`{k}={v}`: probability above {PPM} ppm"));
-            }
-            Ok(p)
-        }
         let mut fc = FaultConfig::default();
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (k, v) = part
@@ -95,9 +67,6 @@ impl FaultConfig {
                 .ok_or_else(|| format!("`{part}`: expected key=value"))?;
             match k.trim() {
                 "seed" => fc.seed = num(k, v)?,
-                "nack" => fc.nack_ppm = ppm(k, v)?,
-                "nack_len" => fc.nack_len = num(k, v)?,
-                "retries" => fc.retry_budget = num(k, v)?,
                 "corrupt" => {
                     let (kind, at) = v
                         .split_once('@')
@@ -142,38 +111,18 @@ impl FaultConfig {
     }
 }
 
-/// Everything a faulted run observed, kept apart from the protocol's
-/// [`zerodev_common::Stats`] so absorbed NACK storms stay stats-neutral.
+/// What a faulted run injected, kept apart from the protocol's
+/// [`zerodev_common::Stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Forced `DENF_NACK` storms survived.
-    pub nack_storms: u64,
-    /// Individual NACKs across all storms.
-    pub nacks: u64,
     /// State corruptions injected.
     pub corruptions: u64,
     /// Human-readable description of every injected state corruption.
     pub injected: Vec<String>,
 }
 
-impl FaultStats {
-    /// Total injected events of any class.
-    pub fn total_events(&self) -> u64 {
-        self.nack_storms + self.corruptions
-    }
-}
-
-/// What the plan decided for one measured access.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FaultDraw {
-    /// Force a `DENF_NACK` storm of this many NACKs.
-    pub nack_storm: Option<u32>,
-    /// A state corruption is armed and waiting for a victim.
-    pub corrupt: Option<StateFault>,
-}
-
-/// The per-run fault schedule: owns the fault PRNG, decides one
-/// [`FaultDraw`] per measured access, and accumulates [`FaultStats`].
+/// The per-run fault schedule: owns the fault PRNG, arms the configured
+/// corruption at its access index, and accumulates [`FaultStats`].
 /// Fully determined by its [`FaultConfig`] — two runs with equal configs
 /// inject identical fault sequences.
 #[derive(Debug)]
@@ -198,22 +147,14 @@ impl FaultPlan {
         }
     }
 
-    /// The config the plan executes.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// The fault PRNG (victim selection for state corruption).
     pub fn rng_mut(&mut self) -> &mut Prng {
         &mut self.rng
     }
 
-    fn chance(&mut self, ppm: u32) -> bool {
-        ppm > 0 && self.rng.below(u64::from(PPM)) < u64::from(ppm)
-    }
-
-    /// Decides the faults for the next measured access.
-    pub fn draw(&mut self) -> FaultDraw {
+    /// Counts the next measured access and returns the corruption armed
+    /// and waiting for a victim, if any.
+    pub fn draw(&mut self) -> Option<StateFault> {
         let i = self.accesses;
         self.accesses += 1;
         if let Some((kind, at)) = self.cfg.corrupt {
@@ -221,12 +162,7 @@ impl FaultPlan {
                 self.armed = Some(kind);
             }
         }
-        FaultDraw {
-            nack_storm: self
-                .chance(self.cfg.nack_ppm)
-                .then(|| self.cfg.nack_len.max(1)),
-            corrupt: self.armed,
-        }
+        self.armed
     }
 
     /// Records a successful state corruption and disarms the trigger.
@@ -241,9 +177,6 @@ impl FaultPlan {
     /// plan continues the exact fault sequence of the original.
     pub fn snap(&self, w: &mut SnapWriter) {
         w.u64(self.cfg.seed);
-        w.u32(self.cfg.nack_ppm);
-        w.u32(self.cfg.nack_len);
-        w.u32(self.cfg.retry_budget);
         match self.cfg.corrupt {
             None => w.bool(false),
             Some((kind, at)) => {
@@ -263,8 +196,6 @@ impl FaultPlan {
                 w.variant(&FAULTS, &kind);
             }
         }
-        w.u64(self.stats.nack_storms);
-        w.u64(self.stats.nacks);
         w.u64(self.stats.corruptions);
         w.usize(self.stats.injected.len());
         for desc in &self.stats.injected {
@@ -279,9 +210,6 @@ impl FaultPlan {
     pub fn unsnap(r: &mut SnapReader) -> Result<FaultPlan, SnapError> {
         let mut cfg = FaultConfig {
             seed: r.u64("fault seed")?,
-            nack_ppm: r.u32("fault nack ppm")?,
-            nack_len: r.u32("fault nack len")?,
-            retry_budget: r.u32("fault retry budget")?,
             corrupt: None,
         };
         if r.bool("fault corrupt flag")? {
@@ -300,8 +228,6 @@ impl FaultPlan {
             .then(|| r.variant(&FAULTS, "fault armed kind"))
             .transpose()?;
         let mut stats = FaultStats {
-            nack_storms: r.u64("fault stat")?,
-            nacks: r.u64("fault stat")?,
             corruptions: r.u64("fault stat")?,
             injected: Vec::new(),
         };
@@ -327,12 +253,10 @@ mod tests {
 
     #[test]
     fn spec_round_trips() {
-        let fc = FaultConfig::parse("nack=500, nack_len=3, retries=8, seed=7").unwrap();
-        assert_eq!(fc.nack_ppm, 500);
-        assert_eq!(fc.nack_len, 3);
-        assert_eq!(fc.retry_budget, 8);
+        let fc = FaultConfig::parse("seed=7, corrupt=llc@1000").unwrap();
         assert_eq!(fc.seed, 7);
-        assert_eq!(fc.corrupt, None);
+        assert_eq!(fc.corrupt, Some((StateFault::LlcEntryCorrupt, 1000)));
+        assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
     }
 
     #[test]
@@ -350,14 +274,16 @@ mod tests {
     #[test]
     fn bad_specs_are_rejected() {
         for bad in [
-            "nack",
-            "nack=many",
-            "nack=2000000",
+            "seed",
+            "seed=many",
             "corrupt=sharer",
             "corrupt=what@10",
             "unknown=1",
-            // Keys of the removed virtual message faults: an old spec must
-            // fail whole, not yield a partial plan.
+            // Keys of the removed NACK storms and message faults: an old
+            // spec must fail whole, not yield a partial plan.
+            "nack=1",
+            "nack_len=1",
+            "retries=1",
             "delay=1",
             "dup=1",
             "delay_cycles=1",
@@ -376,27 +302,12 @@ mod tests {
             FaultConfig::parse_env("ZERODEV_FAULTS", Some("garbage")),
             None
         );
-        assert!(FaultConfig::parse_env("ZERODEV_FAULTS", Some("nack=10")).is_some());
-        // One removed key disarms the whole plan, NACK storms included.
+        assert!(FaultConfig::parse_env("ZERODEV_FAULTS", Some("seed=10")).is_some());
+        // One removed key disarms the whole plan, corruption included.
         assert_eq!(
-            FaultConfig::parse_env("ZERODEV_FAULTS", Some("nack=10,delay=10")),
+            FaultConfig::parse_env("ZERODEV_FAULTS", Some("corrupt=llc@10,nack=10")),
             None
         );
-    }
-
-    #[test]
-    fn plans_are_deterministic() {
-        let cfg = FaultConfig {
-            nack_ppm: 100_000,
-            ..Default::default()
-        };
-        let mut a = FaultPlan::new(cfg);
-        let mut b = FaultPlan::new(cfg);
-        for _ in 0..10_000 {
-            let (x, y) = (a.draw(), b.draw());
-            assert_eq!(x.nack_storm, y.nack_storm);
-        }
-        assert_eq!(a.stats, b.stats);
     }
 
     #[test]
@@ -407,13 +318,13 @@ mod tests {
         };
         let mut p = FaultPlan::new(cfg);
         for i in 0..3 {
-            assert_eq!(p.draw().corrupt, None, "access {i}");
+            assert_eq!(p.draw(), None, "access {i}");
         }
-        assert_eq!(p.draw().corrupt, Some(StateFault::SharerFlip));
+        assert_eq!(p.draw(), Some(StateFault::SharerFlip));
         // Still armed: no victim existed yet.
-        assert_eq!(p.draw().corrupt, Some(StateFault::SharerFlip));
+        assert_eq!(p.draw(), Some(StateFault::SharerFlip));
         p.corruption_injected("done".into());
-        assert_eq!(p.draw().corrupt, None);
+        assert_eq!(p.draw(), None);
         assert_eq!(p.stats.corruptions, 1);
     }
 }

@@ -15,10 +15,8 @@
 //!   across a scoped worker pool with deterministic result ordering, a
 //!   process-wide baseline memoization cache, and panic isolation (a
 //!   failed point degrades the sweep instead of aborting it).
-//! * [`faults`] — deterministic fault injection (`ZERODEV_FAULTS`): seeded
-//!   state corruption the oracle must catch, and forced `DENF_NACK` storms
-//!   absorbed without statistics divergence within the retry budget and
-//!   reported as a structured stall past it.
+//! * [`faults`] — deterministic fault injection (`ZERODEV_FAULTS`): a
+//!   seeded state corruption the oracle must catch.
 //! * [`checkpoint`] — deterministic checkpoint/resume: a paused run
 //!   serializes to a versioned, checksummed image and restores into a run
 //!   that continues byte-identically to the uninterrupted original.
@@ -44,7 +42,7 @@ pub mod faults;
 pub mod parallel;
 pub mod runner;
 
-pub use engine::{PausedRun, RunStatus, SimError, SimResult, Simulation};
+pub use engine::{PausedRun, RunStatus, SimResult, Simulation};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, StateFault};
 pub use parallel::{Engine, JobOutcome, PointResult, RunJob, WorkloadMaker};
 pub use runner::{run, RunParams};

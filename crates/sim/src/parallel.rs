@@ -271,7 +271,7 @@ fn record(executed: bool, sim_cycles: u64, refs_retired: u64, wall: Duration) {
 /// Registers one isolated failure and builds its outcome. The description
 /// names the sweep ([`set_sweep_context`], typically the figure), the
 /// workload, the config point, the seed and run length, and carries the
-/// panic/`SimError` payload — everything the degraded-sweep summary needs
+/// panic payload — everything the degraded-sweep summary needs
 /// to reproduce the point.
 // lint:allow(wall_clock, job wall-time is carried into the degraded-sweep diagnostics only)
 fn fail_outcome(job: &RunJob, workload: Option<&str>, msg: String, t0: Instant) -> JobOutcome {

@@ -28,8 +28,8 @@ cargo test --release --offline --manifest-path simbench/Cargo.toml
 echo "== zerodev-lint (determinism / snapshot / message-class graph) =="
 # Workspace static analysis (DESIGN.md §12): denies ambient nondeterminism
 # in the deterministic crates, checks snapshot field coverage, and verifies
-# the MsgClass consumes->emits graph is deadlock-free modulo the audited
-# DenfNack retry edge. Fails on any un-waived finding, and when the graph
+# the MsgClass consumes->emits graph is deadlock-free (vnet-monotone, with
+# no audited descent). Fails on any un-waived finding, and when the graph
 # differs from the committed crates/lint/tests/msg_classes.dot. Skip with
 # ZERODEV_NO_LINT=1 (e.g. when bisecting an unrelated regression).
 if [[ "${ZERODEV_NO_LINT:-0}" == "1" ]]; then
@@ -73,31 +73,32 @@ echo "== checkpoint kill/resume parity (DESIGN.md §9) =="
 # uninterrupted one across the directory/torture/fault/socket matrix.
 cargo test -q --release -p zerodev-bench --test checkpoint_parity
 
-echo "== torture soak smoke (audited, NACK storms armed) =="
+echo "== torture soak smoke (audited) =="
 # The bounded campaign: every torture workload x config point must
-# complete under the oracle with NACK storms within the retry budget.
+# complete under the oracle.
 soak_dir=$(mktemp -d)
 ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
-    ZERODEV_FAULTS=nack=20000 \
     ZERODEV_SOAK_DIR="$soak_dir" \
     cargo run --release -p zerodev-bench --bin soak >/dev/null
 
-echo "== soak quarantine check (injected livelock must be caught) =="
-# A NACK storm past the retry budget is a livelock by construction; the
-# soak driver must quarantine it (nonzero exit), name the point in the
-# report, and leave a checkpoint artifact for post-mortem replay.
-if ZERODEV_QUICK=1 \
-    ZERODEV_FAULTS=nack=1000000,nack_len=64,retries=8 \
-    ZERODEV_SOAK_ONLY='torture.ping_pong@baseline' \
+echo "== soak quarantine check (an injected protocol bug must be caught) =="
+# A corrupted LLC-resident entry under the oracle is the path a real
+# protocol bug takes: the point panics, and the soak driver must
+# quarantine it (nonzero exit), name it in the report, bisect the
+# smallest failing run length and leave a replayable trace. A panicked
+# point leaves no checkpoint (its state after the panic is unspecified).
+if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
+    ZERODEV_FAULTS=corrupt=llc@1000 \
+    ZERODEV_SOAK_ONLY='torture.reader_swarm@zerodev_nodir' \
     ZERODEV_SOAK_DIR="$soak_dir" \
     cargo run --release -p zerodev-bench --bin soak >/dev/null; then
-    echo "soak quarantine check FAILED: injected stall was not quarantined" >&2
+    echo "soak quarantine check FAILED: injected corruption was not quarantined" >&2
     exit 1
 fi
-grep -q '"outcome": "stalled"' "$soak_dir/soak_report.json"
-grep -q 'torture.ping_pong@baseline' "$soak_dir/soak_report.json"
-ls "$soak_dir"/torture_ping_pong_baseline_*.ckpt >/dev/null
-ls "$soak_dir"/torture_ping_pong_baseline_*.trace >/dev/null
+grep -q '"outcome": "panicked"' "$soak_dir/soak_report.json"
+grep -q 'torture.reader_swarm@zerodev_nodir' "$soak_dir/soak_report.json"
+grep -qE '"minimized_refs_per_core": [0-9]+' "$soak_dir/soak_report.json"
+ls "$soak_dir"/torture_reader_swarm_zerodev_nodir_*.trace >/dev/null
 rm -rf "$soak_dir"
 echo "soak quarantine check passed"
 

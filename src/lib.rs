@@ -50,6 +50,6 @@ pub mod prelude {
     };
     pub use zerodev_core::{AccessResult, EvictKind, InvalReason, Invalidation, Op, System};
     pub use zerodev_sim::runner::{run, RunParams};
-    pub use zerodev_sim::{FaultConfig, FaultStats, SimError, SimResult, Simulation, StateFault};
+    pub use zerodev_sim::{FaultConfig, FaultStats, SimResult, Simulation, StateFault};
     pub use zerodev_workloads::{hetero_mix, multithreaded, rate, server, suites, Workload};
 }
