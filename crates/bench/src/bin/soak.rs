@@ -1,39 +1,37 @@
-//! Torture soak campaign: long-run adversarial workloads under per-point
-//! wall-clock and memory budgets, with panic quarantine and a
-//! machine-readable report.
+//! Torture soak campaign: long-run adversarial workloads under the
+//! coherence oracle, with panic quarantine and a machine-readable report.
 //!
 //! `cargo run --release -p zerodev-bench --bin soak`
 //!
-//! Every point drives a torture workload (`zerodev_workloads::torture`)
-//! through the resumable engine ([`zerodev_sim::PausedRun`]) in bounded
-//! steps, checking budgets between steps:
+//! Every point runs a torture workload (`zerodev_workloads::torture`) to
+//! completion in one call, under one `catch_unwind`. There is no time or
+//! memory budget, so a point's verdict does not depend on how fast the
+//! host is. A point ends in one of three ways:
 //!
-//! * **Clean finish** — the point passes; throughput is reported.
-//! * **Budget exhausted** (wall clock or resident memory) — the run is
-//!   checkpointed to disk and skipped: *graceful degradation*, the
-//!   campaign continues, the report says exactly where the budget went.
-//! * **Panic** (oracle violation, protocol bug) — the point is
+//! * **ok** — the run finished; throughput is reported.
+//! * **not_injected** — the run finished, but the armed corruption never
+//!   found a victim, so the point did not check what it was armed to
+//!   check. It fails the campaign, as it fails `fault_campaign`.
+//! * **panicked** (oracle violation, protocol bug) — the point is
 //!   *quarantined* and the failure is *minimized*: the smallest
 //!   `refs_per_core` that still reproduces is found by bisection (runs are
 //!   deterministic, so the prefix property holds), emitted as a trace
-//!   artifact, and printed as an oracle repro command; the campaign
-//!   continues with a nonzero final exit.
+//!   artifact, and printed as an oracle repro command.
 //!
 //! A run cannot stall: each step of the event loop retires a reference
-//! (DESIGN.md §6.2), so a point ends in one of these three ways.
+//! (DESIGN.md §6.2), so every point ends.
 //!
-//! Environment: the shared `ZERODEV_QUICK` / `ZERODEV_AUDIT` /
-//! `ZERODEV_FAULTS` knobs (see [`RunParams::from_env`]), plus
-//! `ZERODEV_SOAK_WALL_MS` (per-point wall budget, default 60000),
-//! `ZERODEV_SOAK_RSS_MB` (resident-set ceiling, default 8192),
-//! `ZERODEV_SOAK_DIR` (artifact directory, default `target/soak`), and
+//! Environment: the shared `ZERODEV_QUICK` / `ZERODEV_AUDIT` knobs (see
+//! [`RunParams::from_env`]); `ZERODEV_FAULTS=<spec>`, which only this
+//! driver reads, to arm a state corruption ([`zerodev_sim::faults`]; under
+//! audit that is how a protocol bug is injected on purpose);
+//! `ZERODEV_SOAK_DIR` (artifact directory, default `target/soak`); and
 //! `ZERODEV_SOAK_ONLY=<substr>` (run only matching point ids — the repro
-//! filter quarantine reports print). The fault spec arms a state
-//! corruption ([`zerodev_sim::faults`]); under audit that is how a
-//! protocol bug is injected on purpose.
+//! filter quarantine reports print).
 //!
-//! Exits nonzero when any point was quarantined; budget-degraded points
-//! alone exit zero. The report is written to `<dir>/soak_report.json`.
+//! Every point runs even after one fails; the campaign exits nonzero when
+//! any point was quarantined or not injected. The report is written to
+//! `<dir>/soak_report.json`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -41,12 +39,8 @@ use std::time::Instant;
 use zerodev_bench::{baseline, sparse, zerodev_default_nodir, zerodev_sparse, SEED};
 use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::RunParams;
-use zerodev_sim::{RunStatus, Simulation};
+use zerodev_sim::{FaultConfig, SimResult, Simulation};
 use zerodev_workloads::{multithreaded, Trace, TORTURE};
-
-/// References advanced between budget checks: small enough that a budget
-/// overshoot is bounded, large enough that the check cost is noise.
-const STEP: u64 = 16_384;
 
 /// One campaign point.
 struct Point {
@@ -57,32 +51,33 @@ struct Point {
     seed: u64,
 }
 
+/// What a finished run reports.
+struct Finished {
+    completion_cycles: u64,
+    refs_retired: u64,
+    /// State corruptions the fault plan injected.
+    corruptions: u64,
+}
+
 /// How a point ended.
 enum Outcome {
-    /// Finished inside its budgets.
-    Ok { completion_cycles: u64 },
-    /// Budget ran out; checkpointed and skipped (not a failure).
-    Degraded {
-        what: &'static str,
-        artifact: String,
-    },
+    /// Finished; an armed corruption, if any, was injected.
+    Ok(Finished),
+    /// Finished, but the armed corruption never found a victim.
+    NotInjected(Finished),
     /// Panic; minimized and quarantined.
     Panicked {
         message: String,
-        minimized_refs: Option<u64>,
+        minimized_refs: u64,
         artifact: String,
     },
 }
 
 impl Outcome {
-    fn quarantined(&self) -> bool {
-        matches!(self, Outcome::Panicked { .. })
-    }
-
     fn label(&self) -> &'static str {
         match self {
-            Outcome::Ok { .. } => "ok",
-            Outcome::Degraded { .. } => "degraded",
+            Outcome::Ok(_) => "ok",
+            Outcome::NotInjected(_) => "not_injected",
             Outcome::Panicked { .. } => "panicked",
         }
     }
@@ -92,7 +87,6 @@ impl Outcome {
 struct PointReport {
     point: Point,
     outcome: Outcome,
-    refs_retired: u64,
     wall_ms: u128,
 }
 
@@ -135,22 +129,6 @@ fn build(p: &Point, params: &RunParams) -> Simulation {
     sim
 }
 
-/// Resident-set size in bytes, from `/proc/self/statm` (None off Linux or
-/// on any parse hiccup — the memory budget then simply never fires).
-fn rss_bytes() -> Option<u64> {
-    let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
-    let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
-    Some(pages * 4096)
-}
-
-fn artifact_path(dir: &str, id: &str, ext: &str) -> String {
-    let safe: String = id
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    format!("{dir}/{safe}.{ext}")
-}
-
 fn write_artifact(path: &str, bytes: &[u8]) -> String {
     match std::fs::write(path, bytes) {
         Ok(()) => path.to_string(),
@@ -162,47 +140,43 @@ fn write_artifact(path: &str, bytes: &[u8]) -> String {
 }
 
 /// Records a fresh copy of the point's workload as a replayable trace
-/// covering the failure prefix: warm-up plus the per-core share of the
-/// retired references, plus slack for early finishers.
-fn trace_artifact(p: &Point, params: &RunParams, retired: u64, dir: &str) -> String {
+/// covering the failure prefix: warm-up plus the minimized per-core
+/// target, plus slack for early finishers.
+fn trace_artifact(p: &Point, params: &RunParams, refs_per_core: u64, dir: &str) -> String {
     let cores = (p.cfg.cores * p.cfg.sockets).max(1);
-    let per_thread = params.warmup_refs + retired.div_ceil(cores as u64) + 64;
+    let per_thread = params.warmup_refs + refs_per_core + 64;
     let mut wl = multithreaded(p.app, cores, p.seed).expect("torture workloads are registered");
     let trace = Trace::record(&mut wl, per_thread as usize);
-    write_artifact(
-        &artifact_path(dir, &p.id, "trace"),
-        trace.to_text().as_bytes(),
-    )
+    let safe: String =
+        p.id.chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+            .collect();
+    write_artifact(&format!("{dir}/{safe}.trace"), trace.to_text().as_bytes())
 }
 
-/// True when a fresh run of this point with target `refs` panics.
-/// Deterministic, so this is a pure function of `refs`.
-fn panics_with(p: &Point, params: &RunParams, refs: u64) -> bool {
+/// A fresh run of this point to target `refs`, its panic caught.
+/// Deterministic, so the outcome is a pure function of `refs`.
+fn try_run(p: &Point, params: &RunParams, refs: u64) -> std::thread::Result<SimResult> {
     catch_unwind(AssertUnwindSafe(|| {
         build(p, params).run(refs, params.warmup_refs)
     }))
-    .is_err()
 }
 
-/// Bisects the smallest `refs_per_core` that still reproduces the panic.
-/// The event order of two runs is identical until the first core reaches
-/// its target, so panic-at-target is monotone in the target and binary
-/// search applies. Returns `None` when even the observed target no longer
-/// reproduces (e.g. the panic needed the post-run audit sweep timing).
-fn minimize(p: &Point, params: &RunParams, hi: u64) -> Option<u64> {
-    if !panics_with(p, params, hi) {
-        return None;
-    }
+/// Bisects the smallest `refs_per_core` that still reproduces the panic,
+/// given that target `hi` panicked. The event order of two runs is
+/// identical until the first core reaches its target, so panic-at-target
+/// is monotone in the target and binary search applies.
+fn minimize(p: &Point, params: &RunParams, hi: u64) -> u64 {
     let (mut lo, mut hi) = (1u64, hi);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if panics_with(p, params, mid) {
+        if try_run(p, params, mid).is_err() {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
-    Some(hi)
+    hi
 }
 
 fn repro_command(p: &Point) -> String {
@@ -219,109 +193,37 @@ fn repro_command(p: &Point) -> String {
     )
 }
 
-fn run_point(
-    p: Point,
-    params: &RunParams,
-    wall_budget_ms: u128,
-    rss_budget: u64,
-    dir: &str,
-) -> PointReport {
+fn run_point(p: Point, params: &RunParams, dir: &str) -> PointReport {
     let t0 = Instant::now();
-    let started = catch_unwind(AssertUnwindSafe(|| {
-        build(&p, params).start(params.refs_per_core, params.warmup_refs)
-    }));
-    let mut run = match started {
-        Ok(run) => run,
-        Err(e) => {
-            // Panic during warm-up: minimize against the smallest target
-            // (the warm-up runs in full whatever the target is).
-            let message = panic_message(&*e);
-            let minimized_refs = minimize(&p, params, 1);
-            let artifact = trace_artifact(&p, params, 0, dir);
-            return PointReport {
-                point: p,
-                outcome: Outcome::Panicked {
-                    message,
-                    minimized_refs,
-                    artifact,
-                },
-                refs_retired: 0,
-                wall_ms: t0.elapsed().as_millis(),
+    let outcome = match try_run(&p, params, params.refs_per_core) {
+        Ok(r) => {
+            let finished = Finished {
+                completion_cycles: r.completion_cycles,
+                refs_retired: r.refs_retired,
+                corruptions: r.faults.corruptions,
             };
+            let armed = params.faults.is_some_and(|f| f.corrupt.is_some());
+            if armed && finished.corruptions == 0 {
+                Outcome::NotInjected(finished)
+            } else {
+                Outcome::Ok(finished)
+            }
+        }
+        Err(e) => {
+            let message = panic_message(&*e);
+            let minimized_refs = minimize(&p, params, params.refs_per_core);
+            let artifact = trace_artifact(&p, params, minimized_refs, dir);
+            Outcome::Panicked {
+                message,
+                minimized_refs,
+                artifact,
+            }
         }
     };
-    loop {
-        let before = run.refs_retired();
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            let Ok(status) = run.advance(STEP);
-            status
-        }));
-        match step {
-            Err(e) => {
-                let message = panic_message(&*e);
-                let retired = before + STEP; // upper bound on the failing pop
-                drop(run); // state after a panic is unspecified
-                let minimized_refs = minimize(&p, params, params.refs_per_core.min(retired));
-                let artifact = trace_artifact(&p, params, retired, dir);
-                return PointReport {
-                    refs_retired: before,
-                    wall_ms: t0.elapsed().as_millis(),
-                    point: p,
-                    outcome: Outcome::Panicked {
-                        message,
-                        minimized_refs,
-                        artifact,
-                    },
-                };
-            }
-            Ok(RunStatus::Finished) => {
-                let retired = run.refs_retired();
-                let finished = catch_unwind(AssertUnwindSafe(|| run.finish()));
-                return match finished {
-                    Ok(result) => PointReport {
-                        refs_retired: retired,
-                        wall_ms: t0.elapsed().as_millis(),
-                        point: p,
-                        outcome: Outcome::Ok {
-                            completion_cycles: result.completion_cycles,
-                        },
-                    },
-                    Err(e) => {
-                        // The final audit sweep flagged a violation.
-                        let message = panic_message(&*e);
-                        let minimized_refs = minimize(&p, params, params.refs_per_core);
-                        let artifact = trace_artifact(&p, params, retired, dir);
-                        PointReport {
-                            refs_retired: retired,
-                            wall_ms: t0.elapsed().as_millis(),
-                            point: p,
-                            outcome: Outcome::Panicked {
-                                message,
-                                minimized_refs,
-                                artifact,
-                            },
-                        }
-                    }
-                };
-            }
-            Ok(RunStatus::Paused) => {
-                let wall = t0.elapsed().as_millis();
-                let over_rss = rss_bytes().is_some_and(|b| b > rss_budget);
-                if wall > wall_budget_ms || over_rss {
-                    let artifact =
-                        write_artifact(&artifact_path(dir, &p.id, "ckpt"), &run.checkpoint());
-                    return PointReport {
-                        refs_retired: run.refs_retired(),
-                        wall_ms: wall,
-                        point: p,
-                        outcome: Outcome::Degraded {
-                            what: if over_rss { "memory" } else { "wall-clock" },
-                            artifact,
-                        },
-                    };
-                }
-            }
-        }
+    PointReport {
+        point: p,
+        outcome,
+        wall_ms: t0.elapsed().as_millis(),
     }
 }
 
@@ -343,7 +245,7 @@ fn json_escape(s: &str) -> String {
 
 fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zerodev-soak-v1\",\n");
+    out.push_str("  \"schema\": \"zerodev-soak-v2\",\n");
     out.push_str(&format!(
         "  \"refs_per_core\": {},\n  \"warmup_refs\": {},\n  \"audit\": {},\n  \"faults\": {},\n",
         params.refs_per_core,
@@ -356,23 +258,19 @@ fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> Strin
         let p = &row.point;
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \
-             \"seed\": \"{:#x}\", \"outcome\": \"{}\", \"refs_retired\": {}, \"wall_ms\": {}",
+             \"seed\": \"{:#x}\", \"outcome\": \"{}\", \"wall_ms\": {}",
             json_escape(&p.id),
             json_escape(p.app),
             json_escape(p.cfg_label),
             p.seed,
             row.outcome.label(),
-            row.refs_retired,
             row.wall_ms,
         ));
         match &row.outcome {
-            Outcome::Ok { completion_cycles } => {
-                out.push_str(&format!(", \"completion_cycles\": {completion_cycles}"));
-            }
-            Outcome::Degraded { what, artifact } => {
+            Outcome::Ok(f) | Outcome::NotInjected(f) => {
                 out.push_str(&format!(
-                    ", \"budget\": \"{what}\", \"checkpoint\": \"{}\"",
-                    json_escape(artifact)
+                    ", \"refs_retired\": {}, \"completion_cycles\": {}, \"corruptions\": {}",
+                    f.refs_retired, f.completion_cycles, f.corruptions
                 ));
             }
             Outcome::Panicked {
@@ -381,10 +279,9 @@ fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> Strin
                 artifact,
             } => {
                 out.push_str(&format!(
-                    ", \"error\": \"{}\", \"minimized_refs_per_core\": {}, \
+                    ", \"error\": \"{}\", \"minimized_refs_per_core\": {minimized_refs}, \
                      \"trace\": \"{}\", \"repro\": \"{}\"",
                     json_escape(message),
-                    minimized_refs.map_or("null".to_string(), |r| r.to_string()),
                     json_escape(artifact),
                     json_escape(&repro_command(p)),
                 ));
@@ -392,23 +289,22 @@ fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> Strin
         }
         out.push_str(if i + 1 == rows.len() { "}\n" } else { "},\n" });
     }
-    let quarantined = rows.iter().filter(|r| r.outcome.quarantined()).count();
-    let degraded = rows
-        .iter()
-        .filter(|r| matches!(r.outcome, Outcome::Degraded { .. }))
-        .count();
+    let count = |label: &str| rows.iter().filter(|r| r.outcome.label() == label).count();
     out.push_str(&format!(
-        "  ],\n  \"total\": {},\n  \"quarantined\": {quarantined},\n  \"degraded\": {degraded}\n}}\n",
-        rows.len()
+        "  ],\n  \"total\": {},\n  \"quarantined\": {},\n  \"not_injected\": {}\n}}\n",
+        rows.len(),
+        count("panicked"),
+        count("not_injected"),
     ));
     out
 }
 
 fn main() {
-    let params = RunParams::from_env();
+    let params = RunParams {
+        faults: FaultConfig::from_env(),
+        ..RunParams::from_env()
+    };
     let quick = env::var_flag("ZERODEV_QUICK");
-    let wall_budget_ms: u128 = env::var_or("ZERODEV_SOAK_WALL_MS", 60_000u64).into();
-    let rss_budget: u64 = env::var_or("ZERODEV_SOAK_RSS_MB", 8_192u64) * (1 << 20);
     let dir = env::var_or("ZERODEV_SOAK_DIR", "target/soak".to_string());
     let only = std::env::var("ZERODEV_SOAK_ONLY").unwrap_or_default();
     if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -425,28 +321,26 @@ fn main() {
         .filter(|p| only.is_empty() || p.id.contains(&only))
         .collect();
     println!(
-        "== soak: {} points, {} refs/core, audit={}, faults={}, budgets {}ms/{}MB ==",
+        "== soak: {} points, {} refs/core, audit={}, faults={} ==",
         points.len(),
         params.refs_per_core,
         params.audit,
         params.faults.is_some(),
-        wall_budget_ms,
-        rss_budget >> 20,
     );
 
     let t0 = Instant::now();
     let mut rows: Vec<PointReport> = Vec::with_capacity(points.len());
     for p in points {
-        let id = p.id.clone();
-        let row = run_point(p, &params, wall_budget_ms, rss_budget, &dir);
+        let row = run_point(p, &params, &dir);
+        let id = &row.point.id;
         match &row.outcome {
-            Outcome::Ok { .. } => {
-                println!("  {id}: ok ({} refs, {}ms)", row.refs_retired, row.wall_ms);
+            Outcome::Ok(f) => {
+                println!("  {id}: ok ({} refs, {}ms)", f.refs_retired, row.wall_ms);
             }
-            Outcome::Degraded { what, artifact } => {
+            Outcome::NotInjected(f) => {
                 println!(
-                    "  {id}: DEGRADED ({what} budget at {} refs; checkpoint {artifact})",
-                    row.refs_retired
+                    "  {id}: NOT INJECTED (the armed corruption found no victim in {} refs)",
+                    f.refs_retired
                 );
             }
             Outcome::Panicked {
@@ -456,10 +350,7 @@ fn main() {
             } => {
                 let first = message.lines().next().unwrap_or(message);
                 println!("  {id}: QUARANTINED (panic: {first})");
-                match minimized_refs {
-                    Some(r) => println!("    minimized to refs_per_core={r}; trace {artifact}"),
-                    None => println!("    not reproducible standalone; trace {artifact}"),
-                }
+                println!("    minimized to refs_per_core={minimized_refs}; trace {artifact}");
                 println!("    repro: {}", repro_command(&row.point));
             }
         }
@@ -472,21 +363,20 @@ fn main() {
     let report_path = format!("{dir}/soak_report.json");
     let _ = write_artifact(&report_path, report.as_bytes());
 
-    let quarantined = rows.iter().filter(|r| r.outcome.quarantined()).count();
-    let degraded = rows
+    let failed: Vec<&PointReport> = rows
         .iter()
-        .filter(|r| matches!(r.outcome, Outcome::Degraded { .. }))
-        .count();
+        .filter(|r| !matches!(r.outcome, Outcome::Ok(_)))
+        .collect();
     println!(
-        "\nsoak: {} points, {} ok, {degraded} degraded, {quarantined} quarantined in {:.1}s \
-         (report {report_path})",
+        "\nsoak: {} points, {} ok, {} failed in {:.1}s (report {report_path})",
         rows.len(),
-        rows.len() - degraded - quarantined,
+        rows.len() - failed.len(),
+        failed.len(),
         wall_ms as f64 / 1e3,
     );
-    if quarantined > 0 {
-        for r in rows.iter().filter(|r| r.outcome.quarantined()) {
-            println!("  quarantined: {}", r.point.id);
+    if !failed.is_empty() {
+        for r in &failed {
+            println!("  {}: {}", r.outcome.label(), r.point.id);
         }
         std::process::exit(1);
     }

@@ -21,7 +21,7 @@
 //! shortened measurement window (used by the integration tests).
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zerodev_common::config::{
     CacheGeometry, DirectoryKind, LlcReplacement, Ratio, SpillPolicy, ZeroDevConfig,
 };
@@ -319,12 +319,7 @@ pub fn app_table(
 /// cycles per second of real time over `elapsed`. Goes to stderr (like the
 /// per-figure timings) so stdout stays byte-identical across thread counts
 /// and machines.
-///
-/// A degraded run — `failed_figures > 0`, or any `catch_unwind`-isolated
-/// sweep point — is labelled **partial**: the cycle totals then only cover
-/// the work that completed, so presenting them as the full reproduction's
-/// throughput would overstate how fast (or how much of) the sweep ran.
-pub fn print_sweep_summary(elapsed: Duration, failed_figures: usize) {
+pub fn print_sweep_summary(elapsed: Duration) {
     let s = parallel::summary();
     eprintln!(
         "sweep engine: {} threads; {} simulations executed, {} baseline-cache hits",
@@ -332,17 +327,8 @@ pub fn print_sweep_summary(elapsed: Duration, failed_figures: usize) {
         s.runs_executed,
         s.cache_hits,
     );
-    let qualifier = if failed_figures > 0 || s.failed > 0 {
-        format!(
-            " (PARTIAL: {failed_figures} figure(s) failed, {} sweep point(s) isolated; \
-             totals cover completed work only)",
-            s.failed
-        )
-    } else {
-        String::new()
-    };
     eprintln!(
-        "throughput{qualifier}: {:.0}M sim-cycles in {:.1}s wall \
+        "throughput: {:.0}M sim-cycles in {:.1}s wall \
          ({:.1}M sim-cycles/s; {:.0}K refs/s; worker-busy {:.1}s)",
         s.sim_cycles as f64 / 1e6,
         elapsed.as_secs_f64(),
@@ -352,41 +338,14 @@ pub fn print_sweep_summary(elapsed: Duration, failed_figures: usize) {
     );
 }
 
-/// Runs a list of `(name, body)` figures, each under `catch_unwind`, so a
-/// panicking figure (a failed sweep point, a bug, an injected fault)
-/// degrades the reproduction instead of aborting it. Returns the number of
-/// failed figures; when nonzero, a degraded-sweep summary — every failed
-/// figure and every failed sweep point — is printed to stderr.
-pub fn run_figures(figs: &[(&str, fn())]) -> usize {
-    let mut failed: Vec<(&str, String)> = Vec::new();
+/// Runs a list of `(name, body)` figures in order, printing each one's
+/// wall-clock to stderr. A panic (a failed sweep point names itself
+/// through [`zerodev_sim::PointResult::unwrap`]) propagates: there is no
+/// partial reproduction.
+pub fn run_figures(figs: &[(&str, fn())]) {
     for &(name, fig) in figs {
-        let t0 = std::time::Instant::now();
-        // Isolated sweep-point failures inside this figure's grids report
-        // the figure they degraded.
-        parallel::set_sweep_context(Some(name));
-        let outcome = std::panic::catch_unwind(fig);
-        parallel::set_sweep_context(None);
-        let wall = t0.elapsed();
-        if let Err(p) = outcome {
-            eprintln!("[{name}: FAILED after {wall:?}]");
-            failed.push((name, zerodev_common::panic_message(&*p)));
-        } else {
-            eprintln!("[{name}: {wall:?}]");
-        }
+        let t0 = Instant::now();
+        fig();
+        eprintln!("[{name}: {:?}]", t0.elapsed());
     }
-    if !failed.is_empty() {
-        eprintln!("\ndegraded reproduction: {} figure(s) failed", failed.len());
-        for (name, msg) in &failed {
-            let first = msg.lines().next().unwrap_or(msg);
-            eprintln!("  {name}: {first}");
-        }
-        let points = parallel::failed_points();
-        if !points.is_empty() {
-            eprintln!("failed sweep points ({}):", points.len());
-            for p in &points {
-                eprintln!("  {p}");
-            }
-        }
-    }
-    failed.len()
 }

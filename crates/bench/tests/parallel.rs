@@ -1,15 +1,18 @@
 //! Integration tests for the parallel sweep engine as the figure harnesses
 //! use it: a parallel grid must render tables byte-identical to the serial
-//! path, and repeating a grid must be served from the baseline cache.
+//! path, repeating a grid must be served from the baseline cache, and a
+//! panicking point fails the grid instead of leaving a hole in it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use zerodev_bench::{app_table, baseline, mt_makers, run_grid, zerodev_trio};
+use zerodev_bench::{app_table, baseline, mt_makers, run_grid, zerodev_trio, App};
+use zerodev_common::panic_message;
 use zerodev_sim::parallel::{clear_memo_cache, reset_summary, summary};
 use zerodev_sim::runner::RunParams;
 use zerodev_workloads::suites;
 
-/// Both tests reset the process-wide cache and counters, so they must not
-/// overlap.
+/// These tests reset or count the process-wide cache and counters, so they
+/// must not overlap.
 static GUARD: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -88,5 +91,34 @@ fn repeated_grids_hit_the_baseline_cache() {
             Arc::ptr_eq(&a[0], &b[0]),
             "cache hit must return the shared result"
         );
+    }
+}
+
+#[test]
+fn a_panicking_point_fails_the_grid_and_names_itself() {
+    let _g = lock();
+    let mut apps = mt_makers(&suites::PARSEC[..1], 8);
+    let broken: App = (
+        "broken".into(),
+        Arc::new(|| panic!("deliberate workload failure")),
+    );
+    apps.push(broken);
+    let params = RunParams {
+        refs_per_core: 1_000,
+        warmup_refs: 200,
+        threads: 2,
+        ..Default::default()
+    };
+    let base = baseline();
+    let payload = catch_unwind(AssertUnwindSafe(|| run_grid(&[&base], &apps, &params)))
+        .expect_err("a grid with a panicking point must not return");
+    let msg = panic_message(&*payload);
+    assert!(msg.starts_with("sweep point failed: "), "{msg}");
+    for needle in [
+        &format!("{:016x}", base.fingerprint()),
+        "1000 refs/core",
+        "deliberate workload failure",
+    ] {
+        assert!(msg.contains(needle), "missing `{needle}` in: {msg}");
     }
 }

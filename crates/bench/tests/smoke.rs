@@ -38,21 +38,6 @@ fn quick_figures_complete_within_budget_with_cache_hits() {
     );
 }
 
-/// The degraded-reproduction contract of `all_figures`: a deliberately
-/// panicking figure is caught, counted, and reported — the remaining
-/// figures still run and the caller (which exits nonzero on a nonzero
-/// count) gets the failure total instead of an unwinding process.
-#[test]
-fn panicking_figure_degrades_but_does_not_abort_the_run() {
-    fn good() {}
-    fn bad() {
-        panic!("deliberate figure failure");
-    }
-    let figs: &[(&str, fn())] = &[("good_a", good), ("bad", bad), ("good_b", good)];
-    let failed = zerodev_bench::run_figures(figs);
-    assert_eq!(failed, 1, "exactly the panicking figure is marked failed");
-}
-
 /// `all_figures NAME...` runs just the named figures; an unknown name lists
 /// the valid ones and exits 2 before any figure runs.
 #[test]

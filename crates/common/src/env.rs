@@ -1,10 +1,12 @@
 //! Graceful environment-variable parsing shared by every harness.
 //!
 //! The harness knobs (`ZERODEV_THREADS`, `ZERODEV_QUICK`, `ZERODEV_AUDIT`,
-//! `ZERODEV_FAULTS`) are read in many binaries; a typo must never silently
-//! change behaviour or abort a multi-hour sweep. Every reader funnels
-//! through these helpers: an unparsable value earns one warning on stderr
-//! and the documented default, never a panic and never silence.
+//! and the soak driver's own) are read in several binaries; a typo must
+//! never silently change behaviour or abort a multi-hour sweep. Every
+//! reader funnels through these helpers: an unparsable value earns a
+//! warning on stderr and the documented default, never a panic and never
+//! silence. Nothing is remembered between reads, so a program that reads a
+//! bad value N times warns N times.
 //!
 //! The parsing core is a pure function over `Option<&str>` so unit tests
 //! never have to mutate the process environment (which races between

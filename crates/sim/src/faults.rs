@@ -11,9 +11,10 @@
 //! (detector sensitivity).
 //!
 //! The whole subsystem is zero-cost-off: with no `FaultConfig` in
-//! [`crate::runner::RunParams`] (and `ZERODEV_FAULTS` unset) the engine
-//! takes one `None` branch per reference and produces byte-identical
-//! output to a build without the module.
+//! [`crate::runner::RunParams`] (the default; only the soak driver arms
+//! one from `ZERODEV_FAULTS`) the engine takes one `None` branch per
+//! reference and produces byte-identical output to a build without the
+//! module.
 
 use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::Prng;

@@ -12,11 +12,12 @@
 //! * [`runner`] — one-call experiment execution: run a workload on a
 //!   config, normalise against a baseline.
 //! * [`parallel`] — the sweep engine: executes a (config × workload) grid
-//!   across a scoped worker pool with deterministic result ordering, a
-//!   process-wide baseline memoization cache, and panic isolation (a
-//!   failed point degrades the sweep instead of aborting it).
-//! * [`faults`] — deterministic fault injection (`ZERODEV_FAULTS`): a
-//!   seeded state corruption the oracle must catch.
+//!   across a scoped worker pool with deterministic result ordering and a
+//!   process-wide baseline memoization cache. A panicking point fails
+//!   alone as [`PointResult::Failed`], which names it.
+//! * [`faults`] — deterministic fault injection (`RunParams.faults`; the
+//!   soak driver arms it from `ZERODEV_FAULTS`): a seeded state
+//!   corruption the oracle must catch.
 //! * [`checkpoint`] — deterministic checkpoint/resume: a paused run
 //!   serializes to a versioned, checksummed image and restores into a run
 //!   that continues byte-identically to the uninterrupted original.

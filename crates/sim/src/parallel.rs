@@ -28,19 +28,15 @@ use crate::runner::{run, RunParams, RunWithEnergy};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-// lint:allow(wall_clock, wall-clock here is host-side budgeting and diagnostics only; simulated time is Cycle-based and never reads it)
+use std::sync::{Arc, Mutex, OnceLock};
+// lint:allow(wall_clock, wall-clock here is host-side sweep accounting and diagnostics only; simulated time is Cycle-based and never reads it)
 use std::time::{Duration, Instant};
 use zerodev_common::{panic_message, SystemConfig};
 use zerodev_workloads::Workload;
 
-/// Locks a mutex, recovering from poison: every structure behind these
-/// locks (cache map, cache entries, counters) is valid after any partial
-/// update, and a worker that panicked mid-job must degrade that one point,
-/// not every later sweep.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+/// Why no lock here can be poisoned: every job's panic is caught by
+/// [`execute_job`] before it can unwind through a held guard.
+const UNPOISONED: &str = "sweep locks are never poisoned: job panics are caught below them";
 
 /// A shareable workload constructor. Workloads are consumed per run, so
 /// jobs carry factories; `Send + Sync` lets any worker build the workload.
@@ -87,15 +83,15 @@ impl RunJob {
     }
 }
 
-/// How one sweep point ended: a result, or an isolated failure. Workers run
-/// each job under `catch_unwind`, so one panicking configuration degrades
-/// its point instead of aborting the whole figure sweep.
+/// How one sweep point ended: a result, or a failure. Workers run each job
+/// under `catch_unwind`, so a panicking point fails alone and its
+/// description names it; the figure harness then raises it through
+/// [`PointResult::unwrap`].
 #[derive(Clone, Debug)]
 pub enum PointResult {
     /// The point simulated (or was served from the cache).
     Ok(Arc<RunWithEnergy>),
-    /// The point panicked; the message says where and why. Also recorded in
-    /// the process-wide [`failed_points`] registry.
+    /// The point panicked; the message says where and why.
     Failed(String),
 }
 
@@ -179,8 +175,6 @@ pub struct SweepSummary {
     pub runs_executed: u64,
     /// Jobs served from the memoization cache.
     pub cache_hits: u64,
-    /// Points that panicked and were isolated ([`PointResult::Failed`]).
-    pub failed: u64,
     /// Total simulated cycles across executed runs (`completion_cycles`).
     pub sim_cycles: u64,
     /// Total references retired across executed runs
@@ -213,51 +207,21 @@ fn summary_cell() -> &'static Mutex<SweepSummary> {
 
 /// Snapshot of the process-wide sweep accounting.
 pub fn summary() -> SweepSummary {
-    *lock_recover(summary_cell())
+    *summary_cell().lock().expect(UNPOISONED)
 }
 
 /// Resets the process-wide sweep accounting (test isolation).
 pub fn reset_summary() {
-    *lock_recover(summary_cell()) = SweepSummary::default();
+    *summary_cell().lock().expect(UNPOISONED) = SweepSummary::default();
 }
 
 /// Empties the memoization cache (test isolation / memory reclamation).
 pub fn clear_memo_cache() {
-    lock_recover(memo_cache()).clear();
-}
-
-fn failures_cell() -> &'static Mutex<Vec<String>> {
-    static FAILURES: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
-    FAILURES.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn context_cell() -> &'static Mutex<Option<String>> {
-    static CONTEXT: OnceLock<Mutex<Option<String>>> = OnceLock::new();
-    CONTEXT.get_or_init(|| Mutex::new(None))
-}
-
-/// Names the sweep currently running (e.g. the figure), so an isolated
-/// point failure can say *which figure's grid* it degraded. The figure
-/// harness sets this before each figure body and clears it after; `None`
-/// clears it.
-pub fn set_sweep_context(label: Option<&str>) {
-    *lock_recover(context_cell()) = label.map(str::to_string);
-}
-
-/// Every isolated point failure since process start (or the last
-/// [`reset_failures`]), in the order workers hit them. The figure harness
-/// prints this as the degraded-sweep summary.
-pub fn failed_points() -> Vec<String> {
-    lock_recover(failures_cell()).clone()
-}
-
-/// Clears the failed-point registry (test isolation).
-pub fn reset_failures() {
-    lock_recover(failures_cell()).clear();
+    memo_cache().lock().expect(UNPOISONED).clear();
 }
 
 fn record(executed: bool, sim_cycles: u64, refs_retired: u64, wall: Duration) {
-    let mut s = lock_recover(summary_cell());
+    let mut s = summary_cell().lock().expect(UNPOISONED);
     if executed {
         s.runs_executed += 1;
         s.sim_cycles += sim_cycles;
@@ -268,19 +232,13 @@ fn record(executed: bool, sim_cycles: u64, refs_retired: u64, wall: Duration) {
     }
 }
 
-/// Registers one isolated failure and builds its outcome. The description
-/// names the sweep ([`set_sweep_context`], typically the figure), the
-/// workload, the config point, the seed and run length, and carries the
-/// panic payload — everything the degraded-sweep summary needs
-/// to reproduce the point.
-// lint:allow(wall_clock, job wall-time is carried into the degraded-sweep diagnostics only)
+/// Builds one failed point's outcome. The description names the workload,
+/// the config point, the seed and run length, and carries the panic
+/// payload: everything needed to reproduce the point.
+// lint:allow(wall_clock, job wall-time is carried into the failure diagnostics only)
 fn fail_outcome(job: &RunJob, workload: Option<&str>, msg: String, t0: Instant) -> JobOutcome {
-    let ctx = lock_recover(context_cell())
-        .as_deref()
-        .map(|c| format!("[{c}] "))
-        .unwrap_or_default();
     let desc = format!(
-        "{ctx}{} on config {:016x} (seed {:#x}, {} refs/core{}{}): {msg}",
+        "{} on config {:016x} (seed {:#x}, {} refs/core{}{}): {msg}",
         workload.unwrap_or("<workload construction>"),
         job.cfg.fingerprint(),
         job.seed,
@@ -292,8 +250,6 @@ fn fail_outcome(job: &RunJob, workload: Option<&str>, msg: String, t0: Instant) 
             ""
         },
     );
-    lock_recover(failures_cell()).push(desc.clone());
-    lock_recover(summary_cell()).failed += 1;
     JobOutcome {
         run: PointResult::Failed(desc),
         wall: t0.elapsed(),
@@ -303,10 +259,10 @@ fn fail_outcome(job: &RunJob, workload: Option<&str>, msg: String, t0: Instant) 
 
 /// Runs one job: build the workload, consult the cache, simulate on a
 /// miss. The workload factory and the simulation both run under
-/// `catch_unwind`; a panic yields [`PointResult::Failed`] and leaves the
-/// memo cache slot empty rather than poisoned.
+/// `catch_unwind`, so no panic unwinds through a held lock: a panic yields
+/// [`PointResult::Failed`] and leaves the memo cache slot empty, unpoisoned.
 fn execute_job(job: &RunJob) -> JobOutcome {
-    // lint:allow(wall_clock, per-job wall-time feeds failure diagnostics and the budget governor, never simulated state)
+    // lint:allow(wall_clock, per-job wall-time feeds the sweep summary and failure diagnostics, never simulated state)
     let t0 = Instant::now();
     let workload = match catch_unwind(AssertUnwindSafe(|| (job.make)())) {
         Ok(w) => w,
@@ -322,11 +278,17 @@ fn execute_job(job: &RunJob) -> JobOutcome {
         faults: job.params.faults,
         audit: job.params.audit,
     });
-    let entry: Option<MemoEntry> =
-        key.map(|k| lock_recover(memo_cache()).entry(k).or_default().clone());
+    let entry: Option<MemoEntry> = key.map(|k| {
+        memo_cache()
+            .lock()
+            .expect(UNPOISONED)
+            .entry(k)
+            .or_default()
+            .clone()
+    });
     // First claimant of a key simulates while holding the entry lock so a
     // concurrent duplicate waits for this result instead of redoing it.
-    let mut slot = entry.as_ref().map(|e| lock_recover(e));
+    let mut slot = entry.as_ref().map(|e| e.lock().expect(UNPOISONED));
     if let Some(run) = slot.as_deref().and_then(Clone::clone) {
         drop(slot);
         let wall = t0.elapsed();
@@ -378,12 +340,6 @@ impl Engine {
         Engine {
             threads: threads.max(1),
         }
-    }
-
-    /// An engine sized by the environment (`ZERODEV_THREADS`, default =
-    /// available parallelism) via [`RunParams::from_env`].
-    pub fn from_env() -> Self {
-        Engine::new(RunParams::from_env().threads)
     }
 
     /// The worker count.
@@ -530,65 +486,36 @@ mod tests {
     }
 
     #[test]
-    fn panicking_point_is_isolated_and_registered() {
+    fn panicking_point_fails_alone_and_names_itself() {
         let _g = lock();
-        reset_failures();
-        let before = summary();
         let seed = 0x51ee_d00d_0004;
-        let mut bad = job("facesim", seed, false);
-        bad.make = Arc::new(|| panic!("deliberate test panic"));
+        let mut bad = job("bodytrack", seed, false);
+        bad.params.audit = true;
+        bad.make = Arc::new(|| panic!("synthetic oracle violation"));
         let jobs = vec![
             job("facesim", seed, false),
-            bad,
+            bad.clone(),
             job("canneal", seed, false),
         ];
         let outs = Engine::new(2).run_grid(&jobs);
         assert!(outs[0].run.ok().is_some(), "healthy point unaffected");
         assert!(outs[2].run.ok().is_some(), "healthy point unaffected");
-        assert!(outs[1].run.failure().is_some());
         let msg = outs[1].run.failure().expect("failure message");
-        assert!(msg.contains("deliberate test panic"), "got: {msg}");
-        let registry = failed_points();
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry[0], msg);
-        assert_eq!(summary().failed - before.failed, 1);
-        reset_failures();
-    }
-
-    #[test]
-    fn failure_description_names_context_point_and_payload() {
-        let _g = lock();
-        reset_failures();
-        let seed = 0x51ee_d00d_0006;
-        let mut bad = job("bodytrack", seed, false);
-        bad.params.audit = true;
-        bad.make = Arc::new(|| panic!("synthetic oracle violation"));
-        set_sweep_context(Some("Figure 12"));
-        let outs = Engine::new(1).run_grid(std::slice::from_ref(&bad));
-        set_sweep_context(None);
-        let msg = outs[0].run.failure().expect("failure message").to_string();
         let fingerprint = format!("{:016x}", bad.cfg.fingerprint());
         for needle in [
-            "[Figure 12]",
             &fingerprint,
-            "0x51eed00d0006",
+            "0x51eed00d0004",
             "2000 refs/core",
             "audited",
             "synthetic oracle violation",
         ] {
             assert!(msg.contains(needle), "missing `{needle}` in: {msg}");
         }
-        // Cleared context leaves no stale figure label on later failures.
-        let outs = Engine::new(1).run_grid(std::slice::from_ref(&bad));
-        let msg = outs[0].run.failure().expect("failure message");
-        assert!(!msg.contains("[Figure 12]"), "stale context in: {msg}");
-        reset_failures();
     }
 
     #[test]
     fn failed_memoized_point_is_not_cached() {
         let _g = lock();
-        reset_failures();
         let seed = 0x51ee_d00d_0005;
         let mut bad = job("freqmine", seed, true);
         bad.make = Arc::new(|| panic!("first attempt fails"));
@@ -600,6 +527,5 @@ mod tests {
         let outs = Engine::new(1).run_grid(std::slice::from_ref(&good));
         assert!(!outs[0].cache_hit, "failure must not populate the cache");
         assert!(outs[0].run.ok().is_some());
-        reset_failures();
     }
 }

@@ -25,7 +25,8 @@ pub struct RunParams {
     /// release sweeps leave this off and pay nothing.
     pub audit: bool,
     /// Deterministic fault injection ([`crate::faults`]); `None` (the
-    /// default, `ZERODEV_FAULTS` unset) is zero-cost-off.
+    /// default) is zero-cost-off. [`Self::from_env`] never arms one: only
+    /// the soak driver reads a plan from `ZERODEV_FAULTS`.
     pub faults: Option<FaultConfig>,
 }
 
@@ -61,12 +62,11 @@ impl RunParams {
     }
 
     /// Reads `ZERODEV_QUICK=1` to switch every harness to the quick profile,
-    /// `ZERODEV_THREADS=N` to set the sweep worker count (`1` = serial),
-    /// `ZERODEV_AUDIT=1` to run every simulation under the coherence oracle,
-    /// and `ZERODEV_FAULTS=<spec>` to arm deterministic fault injection.
+    /// `ZERODEV_THREADS=N` to set the sweep worker count (`1` = serial) and
+    /// `ZERODEV_AUDIT=1` to run every simulation under the coherence oracle.
     /// All parsing goes through [`zerodev_common::env`]: an invalid value
-    /// warns once on stderr and falls back to the default instead of
-    /// silently misbehaving or aborting a sweep.
+    /// warns on stderr at every read (so once per call) and falls back to
+    /// the default instead of silently misbehaving or aborting a sweep.
     pub fn from_env() -> Self {
         let mut p = if env::var_flag("ZERODEV_QUICK") {
             Self::quick()
@@ -75,7 +75,6 @@ impl RunParams {
         };
         p.threads = env::var_or("ZERODEV_THREADS", default_threads()).max(1);
         p.audit = env::var_flag("ZERODEV_AUDIT");
-        p.faults = FaultConfig::from_env();
         p
     }
 

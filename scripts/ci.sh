@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
-# Full CI gate: lint, format, tests, and a quick audited figure pass.
+# Full CI gate: lint, format, tests, a quick audited figure pass and the
+# full-length figure reproduction.
 #
 #   scripts/ci.sh
 #
 # The audit smoke runs every figure harness in quick mode with the
 # coherence-invariant oracle enabled (ZERODEV_AUDIT=1, see DESIGN.md
 # §6.1): any protocol invariant violation aborts the run, and the printed
-# tables must equal crates/bench/tests/all_figures_quick.stdout.
+# tables must equal crates/bench/tests/all_figures_quick.stdout. The
+# full-length run's tables must equal
+# crates/bench/tests/all_figures_full.stdout.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,29 +43,43 @@ else
     diff -u crates/lint/tests/msg_classes.dot target/msg_classes.dot
 fi
 
+# figures_golden NAME GOLDEN RUNS HITS [env args...]: runs all_figures
+# under `env [env args...]`, requires its stdout (the figure tables) to
+# equal GOLDEN byte for byte, and checks the work behind those tables:
+# simulations executed and baseline-cache hits in the run's stderr
+# summary. A harness that ran extra or different simulations could still
+# print the same tables; these counts catch it. They are the same at every
+# ZERODEV_THREADS, audited or not, because each memo key has one cache
+# entry and the first worker to claim it runs it. A change that adds,
+# drops or reshapes a sweep updates them here.
+figures_golden() {
+    local name=$1 golden=$2 runs=$3 hits=$4
+    shift 4
+    env "$@" cargo run --release -p zerodev-bench --bin all_figures \
+        >"target/$name.stdout" 2>"target/$name.stderr" ||
+        { cat "target/$name.stdout" "target/$name.stderr"; exit 1; }
+    diff -u "$golden" "target/$name.stdout"
+    local summary
+    summary=$(grep '^sweep engine:' "target/$name.stderr" || true)
+    if [[ $summary != *"; $runs simulations executed, $hits baseline-cache hits" ]]; then
+        echo "sweep-count check FAILED ($name): expected $runs simulations executed" \
+            "and $hits baseline-cache hits; got: $summary" >&2
+        exit 1
+    fi
+    echo "sweep counts ($name): $runs simulations executed, $hits baseline-cache hits"
+}
+
 echo "== audited figure smoke (quick profile, oracle on) =="
-# The figure tables on stdout must equal the committed golden byte for
-# byte; the oracle and the sweep thread count leave stdout unchanged.
-ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
-    cargo run --release -p zerodev-bench --bin all_figures \
-    >target/all_figures_quick.stdout 2>target/all_figures_quick.stderr ||
-    { cat target/all_figures_quick.stdout target/all_figures_quick.stderr; exit 1; }
-diff -u crates/bench/tests/all_figures_quick.stdout target/all_figures_quick.stdout
-# The work behind those tables: simulations executed and baseline-cache
-# hits in the run's stderr summary. A harness that ran extra or different
-# simulations could still print the same tables; these counts catch it.
-# They are the same at every ZERODEV_THREADS, audited or not, because each
-# memo key has one cache entry and the first worker to claim it runs it.
-# A change that adds, drops or reshapes a sweep updates them here.
-quick_runs=2313
-quick_hits=1157
-summary=$(grep '^sweep engine:' target/all_figures_quick.stderr || true)
-if [[ $summary != *"; $quick_runs simulations executed, $quick_hits baseline-cache hits" ]]; then
-    echo "sweep-count check FAILED: expected $quick_runs simulations executed and" \
-        "$quick_hits baseline-cache hits; got: $summary" >&2
-    exit 1
-fi
-echo "sweep counts: $quick_runs simulations executed, $quick_hits baseline-cache hits"
+# The oracle and the sweep thread count leave stdout unchanged.
+figures_golden all_figures_quick crates/bench/tests/all_figures_quick.stdout 2313 1157 \
+    ZERODEV_QUICK=1 ZERODEV_AUDIT=1
+
+echo "== full-length figure reproduction (unaudited, about 11 min on 2 CPUs) =="
+# The run length the paper's numbers come from (100k refs/core). The quick
+# golden alone misses moves the short runs do not show: most of its cells
+# read exactly 1.000.
+figures_golden all_figures_full crates/bench/tests/all_figures_full.stdout 2313 1157 \
+    -u ZERODEV_QUICK -u ZERODEV_AUDIT
 
 echo "== fault campaign smoke (quick matrix) =="
 ZERODEV_QUICK=1 \
@@ -99,8 +116,24 @@ grep -q '"outcome": "panicked"' "$soak_dir/soak_report.json"
 grep -q 'torture.reader_swarm@zerodev_nodir' "$soak_dir/soak_report.json"
 grep -qE '"minimized_refs_per_core": [0-9]+' "$soak_dir/soak_report.json"
 ls "$soak_dir"/torture_reader_swarm_zerodev_nodir_*.trace >/dev/null
-rm -rf "$soak_dir"
 echo "soak quarantine check passed"
+
+echo "== soak not-injected check (an armed corruption must land) =="
+# corrupt=home@1000 finds no victim on the baseline reader_swarm point: no
+# entry is ever housed at home there. The point then checks nothing it was
+# armed to check, so the soak must fail it (nonzero exit) and report it.
+if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
+    ZERODEV_FAULTS=corrupt=home@1000 \
+    ZERODEV_SOAK_ONLY='torture.reader_swarm@baseline' \
+    ZERODEV_SOAK_DIR="$soak_dir" \
+    cargo run --release -p zerodev-bench --bin soak >/dev/null; then
+    echo "soak not-injected check FAILED: a corruption that never landed passed" >&2
+    exit 1
+fi
+grep -q '"outcome": "not_injected"' "$soak_dir/soak_report.json"
+grep -q '"corruptions": 0' "$soak_dir/soak_report.json"
+rm -rf "$soak_dir"
+echo "soak not-injected check passed"
 
 echo "== model checker (full matrix, exhaustive) =="
 # Every machine of the matrix in crates/model/src/main.rs explored to
