@@ -15,26 +15,21 @@
 //! per fault class). Exits nonzero if any point fails.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use zerodev_common::config::{DirectoryKind, LlcDesign, SpillPolicy, ZeroDevConfig};
+use zerodev_bench::zerodev_nodir_1mb;
+use zerodev_common::config::{LlcDesign, SpillPolicy};
 use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::{run, RunParams};
 use zerodev_sim::{FaultConfig, StateFault};
 
 /// A ZeroDEV machine with no dedicated directory: every live directory
 /// entry is LLC-resident or housed in a corrupted home block, so all three
-/// state-fault classes have victims. The LLC is shrunk so entry evictions
-/// (WB_DE) occur within the short campaign run — without them no corrupted
-/// home block ever exists and the `home` fault class has no victim.
+/// state-fault classes have victims. The LLC is shrunk
+/// ([`zerodev_nodir_1mb`]) so entry evictions (WB_DE) occur within the
+/// short campaign run — without them no corrupted home block ever exists
+/// and the `home` fault class has no victim.
 fn campaign_cfg(policy: SpillPolicy, design: LlcDesign) -> SystemConfig {
-    let mut cfg = SystemConfig::baseline_8core().with_zerodev(
-        ZeroDevConfig {
-            policy,
-            ..Default::default()
-        },
-        DirectoryKind::None,
-    );
+    let mut cfg = zerodev_nodir_1mb(policy);
     cfg.llc_design = design;
-    cfg.llc = zerodev_common::config::CacheGeometry::new(1 << 20, 16);
     cfg
 }
 

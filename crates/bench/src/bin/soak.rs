@@ -36,7 +36,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use zerodev_bench::{baseline, sparse, zerodev_default_nodir, zerodev_sparse, SEED};
+use zerodev_bench::{
+    baseline, sparse, zerodev_default_nodir, zerodev_nodir_1mb, zerodev_sparse, SEED,
+};
+use zerodev_common::config::SpillPolicy;
 use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::RunParams;
 use zerodev_sim::{FaultConfig, SimResult, Simulation};
@@ -94,6 +97,13 @@ fn configs(quick: bool) -> Vec<(&'static str, SystemConfig)> {
     let mut cfgs = vec![
         ("baseline", baseline()),
         ("zerodev_nodir", zerodev_default_nodir()),
+        // The one machine that houses entries at home, so `home`
+        // corruptions find victims. No id filter of another point matches
+        // its label.
+        (
+            "zerodev_1mb_nodir",
+            zerodev_nodir_1mb(SpillPolicy::FusePrivateSpillShared),
+        ),
     ];
     if !quick {
         cfgs.push(("sparse_1_8", sparse(1, 8)));

@@ -97,6 +97,15 @@ pub fn zerodev_default_nodir() -> SystemConfig {
     zerodev_on(&baseline(), DirectoryKind::None)
 }
 
+/// ZeroDEV (`policy` + dataLRU) with no dedicated directory on a 1 MB
+/// 16-way LLC. The LLC is small enough that directory entries leave it
+/// (WB_DE) within a short run, so corrupted home blocks exist and the
+/// `home` corruption class has victims. The fault campaign and the soak
+/// both run it.
+pub fn zerodev_nodir_1mb(policy: SpillPolicy) -> SystemConfig {
+    with_llc_mb(zerodev_nodir(policy, LlcReplacement::DataLru), 1)
+}
+
 /// A figure's column: the name its header prints, and the machine whose
 /// speedup over the baseline it shows.
 pub type Column = (&'static str, SystemConfig);

@@ -503,15 +503,14 @@ impl<T> SetAssoc<T> {
         self.ctrl(self.set_of(key)).2 as usize
     }
 
-    /// Serializes the whole array *lane-exactly* for checkpointing.
+    /// Serializes the whole array *lane-exactly* into a machine image.
     /// Geometry (sets, ways, policy) is written first and verified by
     /// [`Self::restore_with`] against the target instance; then the tag,
     /// metadata, recency, live-count, and payload lanes follow verbatim, so
     /// a restored array reproduces victim choice, NRU bits, and
-    /// duplicate-tag layout byte-for-byte. The lanes keep the order of the
-    /// array's earlier lane-per-field layout (each lane gathered from the
-    /// per-set control blocks), so older images restore unchanged. `ser`
-    /// encodes the payload of one valid slot, in slot order.
+    /// duplicate-tag layout byte-for-byte. Each lane is gathered from the
+    /// per-set control blocks, in the order the golden image in the tests
+    /// pins. `ser` encodes the payload of one valid slot, in slot order.
     // lint:allow(snapshot_complete(set_mask, set_shift), derived from the set count, which the image header carries and restore verifies)
     pub fn snapshot_with(
         &self,
@@ -955,7 +954,7 @@ mod tests {
 
     /// A scripted LRU array (evictions, a duplicate tag, an emptied set
     /// with stale tag and stack slots, a demotion) plus an NRU array with
-    /// cleared reference bits, snapshotted into one container.
+    /// cleared reference bits, snapshotted into one image.
     fn scripted_image() -> Vec<u8> {
         let mut lru: SetAssoc<u32> = SetAssoc::new(2, 3, Replacement::Lru);
         for k in [0u64, 2, 4, 1] {
@@ -971,22 +970,22 @@ mod tests {
         nru.insert(1, 2, none);
         nru.insert(2, 3, none);
         nru.touch(1, any);
-        let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
+        let mut w = zerodev_common::snap::SnapWriter::image();
         lru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
         nru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
-        w.finish()
+        w.as_bytes().to_vec()
     }
 
     /// [`scripted_image`] as written by the lane-per-field layout that
-    /// preceded the per-set control blocks. Checkpoints written then must
-    /// keep restoring, so the image format may not drift.
+    /// preceded the per-set control blocks. The layout is pinned for the
+    /// model checker's machine images: a change to it must be deliberate.
     const SCRIPTED_IMAGE_HEX: &str = concat!(
-        "c0557a5e00000000010000000200000000000000030000000000000000030000",
-        "0000000000000000000000000003000000000000000300000000000000000000",
-        "0000000000000000000000000000000000000000000103030000000201000000",
-        "0003000164000000016a00000001ce0000000000000100000000000000020000",
-        "0000000000010200000000000000020000000000000001000000000000000303",
-        "01000201030000000102000000c0209f1c7ca3e8f1",
+        "0200000000000000030000000000000000030000000000000000000000000000",
+        "0003000000000000000300000000000000000000000000000000000000000000",
+        "00000000000000000001030300000002010000000003000164000000016a0000",
+        "0001ce0000000000000100000000000000020000000000000001020000000000",
+        "0000020000000000000001000000000000000303010002010300000001020000",
+        "00",
     );
 
     #[test]
@@ -1023,7 +1022,7 @@ mod tests {
     #[test]
     fn golden_image_restores_and_resnapshots_identically() {
         let image = scripted_image();
-        let mut r = zerodev_common::snap::SnapReader::open(&image, 0x5e7a_55c0, 1).unwrap();
+        let mut r = zerodev_common::snap::SnapReader::image(&image);
         let mut lru: SetAssoc<u32> = SetAssoc::new(2, 3, Replacement::Lru);
         let mut nru: SetAssoc<u32> = SetAssoc::new(1, 2, Replacement::Nru);
         let mut slots = Vec::new();
@@ -1040,9 +1039,9 @@ mod tests {
         assert_eq!(get(&lru, 6, any), Some(106));
         let order: Vec<u64> = lru.iter_set(0).map(|(k, _, _)| k).collect();
         assert_eq!(order, vec![6, 6, 0], "demoted line restored at LRU");
-        let mut w = zerodev_common::snap::SnapWriter::new(0x5e7a_55c0, 1);
+        let mut w = zerodev_common::snap::SnapWriter::image();
         lru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
         nru.snapshot_with(&mut w, |w, _, v| w.u32(*v));
-        assert_eq!(w.finish(), image);
+        assert_eq!(w.as_bytes(), image);
     }
 }

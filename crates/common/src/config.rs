@@ -605,8 +605,9 @@ impl SystemConfig {
     /// Computed as FNV-1a ([`crate::snap::fnv1a`]) over the canonical
     /// `Debug` rendering, which includes every field (and every field of
     /// nested enums/structs), so new knobs are picked up automatically. No
-    /// field is floating-point, so the rendering is exact. Checkpoint images
-    /// carry this value so a restore can verify it rebuilt the same machine.
+    /// field is floating-point, so the rendering is exact. Machine images
+    /// ([`crate::snap`]) carry this value so a restore can verify it
+    /// rebuilt the same machine.
     pub fn fingerprint(&self) -> u64 {
         crate::snap::fnv1a(format!("{self:?}").as_bytes())
     }

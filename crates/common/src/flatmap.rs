@@ -199,11 +199,11 @@ impl<V> FlatMap<V> {
             .filter_map(|(&k, v)| v.as_ref().map(|v| (k, v)))
     }
 
-    /// Serializes the map *lane-exactly* for checkpointing: capacity, length,
-    /// hash shift, and every slot (occupied flag, key, value). Re-inserting
-    /// the entries would not reproduce wrap-around probe clusters, and slot
-    /// order feeds deterministic victim selection in the fault injector, so
-    /// byte-identical resume requires the raw layout.
+    /// Serializes the map *lane-exactly* into a machine image: capacity,
+    /// length, hash shift, and every slot (occupied flag, key, value).
+    /// Re-inserting the entries would not reproduce wrap-around probe
+    /// clusters, and slot order feeds deterministic victim selection in the
+    /// fault injector, so a restored map must keep the raw layout.
     pub fn snapshot_with(
         &self,
         w: &mut crate::snap::SnapWriter,
@@ -415,12 +415,11 @@ mod tests {
         use crate::snap::{SnapError, SnapReader, SnapWriter};
         // A consistent header for 2^62 empty slots, with the slots missing:
         // decoding must fail before it allocates them.
-        let mut w = SnapWriter::new(1, 1);
+        let mut w = SnapWriter::image();
         w.usize(1 << 62);
         w.usize(0);
         w.u32(2);
-        let buf = w.finish();
-        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
+        let mut r = SnapReader::image(w.as_bytes());
         let got = FlatMap::<u8>::new().restore_with(&mut r, |r| r.u8("value"));
         assert_eq!(
             got,

@@ -20,8 +20,9 @@
 //! * [`flatmap`] — a flat open-addressing `u64 → V` hash map (Fibonacci
 //!   hashing, backward-shift deletion) used on the protocol engine's hot
 //!   lookup paths instead of the SipHash-hardened std map.
-//! * [`snap`] — hand-rolled versioned binary snapshot encoding (magic,
-//!   version, FNV-1a checksum) used by checkpoint/resume.
+//! * [`snap`] — hand-rolled binary machine images, which the model
+//!   checker keeps its frontier in, and the FNV-1a hash behind the
+//!   configuration fingerprint.
 //! * [`table`] — plain-text table rendering for the figure harnesses.
 //! * [`fieldwise_clone!`] — `Clone` whose `clone_from` refills every
 //!   field's existing buffers (the model checker's reused successor).

@@ -85,17 +85,6 @@ impl Prng {
     pub fn fork(&mut self) -> Prng {
         Prng::seeded(self.next_u64() ^ 0xa076_1d64_78bd_642f)
     }
-
-    /// The raw xoshiro256** state, for checkpointing. Restoring it with
-    /// [`Prng::from_state`] resumes the stream mid-sequence exactly.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a captured [`Prng::state`].
-    pub fn from_state(s: [u64; 4]) -> Prng {
-        Prng { s }
-    }
 }
 
 /// A discrete Zipf-like sampler over `0..n` with exponent `theta`, using the

@@ -165,7 +165,8 @@ impl Stats {
         self.dir_live_entries_max = self.dir_live_entries_max.max(self.dir_live_entries);
     }
 
-    /// Serializes every counter, in declaration order, for checkpointing.
+    /// Serializes every counter, in declaration order, into a machine
+    /// image.
     pub fn snap(&self, w: &mut crate::snap::SnapWriter) {
         for v in self.msg_counts.iter().chain(self.msg_bytes.iter()) {
             w.u64(*v);
@@ -189,7 +190,7 @@ impl Stats {
         Ok(s)
     }
 
-    /// The non-array counters in declaration order (checkpoint layout; keep
+    /// The non-array counters in declaration order (the image layout; keep
     /// in sync with [`Stats::set_scalar_fields`]).
     fn scalar_fields(&self) -> [u64; 34] {
         [

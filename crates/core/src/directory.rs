@@ -55,7 +55,7 @@ impl DirEntry {
         self.sharers.is_empty()
     }
 
-    /// Serializes the entry for checkpointing.
+    /// Serializes the entry into a machine image.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.u8(match self.state {
             DirState::OwnedME => 0,
@@ -262,7 +262,7 @@ impl DirStore {
         }
     }
 
-    /// Serializes the directory contents for checkpointing. Geometry is
+    /// Serializes the directory contents into a machine image. Geometry is
     /// rebuilt from configuration on restore; only occupancy is written.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         match self {

@@ -65,7 +65,7 @@ impl LlcLine {
         }
     }
 
-    /// Serializes the line for checkpointing.
+    /// Serializes the line into a machine image.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         match self {
             LlcLine::Data { dirty } => {
@@ -496,7 +496,7 @@ impl LlcBank {
         self.array.iter().filter(|(_, _, l)| l.is_spilled()).count()
     }
 
-    /// Serializes the bank contents and port horizon for checkpointing:
+    /// Serializes the bank contents and port horizon into a machine image:
     /// each valid slot is written as its whole [`LlcLine`], so the image
     /// does not depend on how the bank stores a line.
     // lint:allow(snapshot_complete(banks, bank_index), interleaving geometry is config-derived; restore targets a bank freshly built from the same configuration)
@@ -836,17 +836,15 @@ mod recency_tests {
 }
 
 /// The bank's storage must not show through anything it returns: its
-/// checkpoint image is pinned to the bytes the bank wrote when it stored
-/// whole [`LlcLine`]s, and a reference bank kept in that form must agree
-/// with it operation for operation.
+/// image is pinned to the bytes the bank wrote when it stored whole
+/// [`LlcLine`]s, and a reference bank kept in that form must agree with it
+/// operation for operation.
 #[cfg(test)]
 mod layout_tests {
     use super::*;
     use zerodev_common::rng::Prng;
     use zerodev_common::snap::{SnapReader, SnapWriter};
     use zerodev_common::CoreId;
-
-    const MAGIC: u64 = 0x11c_b4a7;
 
     fn blk(i: u64) -> BlockAddr {
         BlockAddr(i * 8 + 3)
@@ -884,9 +882,9 @@ mod layout_tests {
     }
 
     fn image(b: &LlcBank) -> Vec<u8> {
-        let mut w = SnapWriter::new(MAGIC, 2);
+        let mut w = SnapWriter::image();
         b.snap(&mut w);
-        w.finish()
+        w.as_bytes().to_vec()
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -894,15 +892,14 @@ mod layout_tests {
     }
 
     /// [`scripted_bank`]'s image as written by the bank that stored whole
-    /// `LlcLine`s per slot. Checkpoints (image version 2) written then must
-    /// keep restoring, so the image may not drift.
+    /// `LlcLine`s per slot. The layout is pinned for the model checker's
+    /// machine images: a change to it must be deliberate.
     const SCRIPTED_BANK_HEX: &str = concat!(
-        "a7b41c0100000000020000000200000000000000030000000000000000050000",
-        "0000000000000000000000000002000000000000000000000000000000000000",
-        "0000000000010000000000000002000000000000000303030303000102000100",
-        "0003020100000100000101010200000000000000010000000000008001020000",
-        "0000000000000000000000100000000101010080000000000000000000000000",
-        "0000000078563412000000001e14c3101b594774",
+        "0200000000000000030000000000000000050000000000000000000000000000",
+        "0002000000000000000000000000000000000000000000000001000000000000",
+        "0002000000000000000303030303000102000100000302010000010000010101",
+        "0200000000000000010000000000008001020000000000000000000000000010",
+        "0000000101010080000000000000000000000000000000007856341200000000",
     );
 
     #[test]
@@ -914,7 +911,7 @@ mod layout_tests {
     fn golden_image_restores_to_the_scripted_bank() {
         let want = scripted_bank();
         let bytes = image(&want);
-        let mut r = SnapReader::open(&bytes, MAGIC, 2).unwrap();
+        let mut r = SnapReader::image(&bytes);
         let mut got = LlcBank::new(2, 3, 8, 3);
         got.unsnap(&mut r).unwrap();
         r.expect_end().unwrap();

@@ -307,7 +307,7 @@ impl MemorySide {
     }
 
     /// Serializes the memory side — DRAM timing state, corrupted-block map,
-    /// socket-directory caches and backing stores — for checkpointing.
+    /// socket-directory caches and backing stores — into a machine image.
     // lint:allow(snapshot_complete(sockets), machine shape comes from SystemConfig; restore targets a memory side freshly built from it)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.drams.len());
@@ -537,14 +537,11 @@ mod tests {
             let mut m = mem(2);
             m.house_entry(b, SocketId(1), DirEntry::owned(CoreId(0)));
             m.corrupted.get_mut(b.0).unwrap().segments[0].0 = SocketId(socket);
-            let mut w = SnapWriter::new(1, 1);
+            let mut w = SnapWriter::image();
             m.snap(&mut w);
-            w.finish()
+            w.as_bytes().to_vec()
         };
-        let restore = |buf: &[u8]| {
-            let mut r = SnapReader::open(buf, 1, 1).expect("checksum-valid image");
-            mem(2).unsnap(&mut r)
-        };
+        let restore = |buf: &[u8]| mem(2).unsnap(&mut SnapReader::image(buf));
         assert_eq!(restore(&image(1)), Ok(()));
         assert_eq!(
             restore(&image(40)),

@@ -210,7 +210,7 @@ impl MultiGrainDir {
         self.array.len()
     }
 
-    /// Serializes the array for checkpointing.
+    /// Serializes the array into a machine image.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         self.array.snapshot_with(w, |w, _, e| match e {
             MgdEntry::Block(entry) => {

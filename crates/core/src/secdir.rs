@@ -217,7 +217,8 @@ impl SecDir {
         self.shared.len() + self.private.iter().map(|p| p.len()).sum::<usize>()
     }
 
-    /// Serializes all partitions and the residency index for checkpointing.
+    /// Serializes all partitions and the residency index into a machine
+    /// image.
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         self.shared.snapshot_with(w, |w, _, e| e.snap(w));
         w.usize(self.private.len());

@@ -197,9 +197,10 @@ impl System {
 
     /// Serializes the complete machine state — stats, every socket's LLC
     /// banks and directory, the memory side, and the audit oracle when
-    /// attached — for checkpointing. Structure geometry (the mesh topology
-    /// included) is not written; restore rebuilds it from the
-    /// configuration (whose fingerprint is embedded and verified). All array contents are
+    /// attached — into an image (the model checker's frontier keeps its
+    /// states this way). Structure geometry (the mesh topology included)
+    /// is not written; restore rebuilds it from the configuration (whose
+    /// fingerprint is embedded and verified). All array contents are
     /// written lane-exact so deterministic state-fault victim selection
     /// ([`System::inject_state_fault`]) iterates identically after restore.
     // lint:allow(snapshot_complete(home_banks), derived from the configuration, whose fingerprint the image carries)

@@ -1,4 +1,4 @@
-//! Machine-state checkpoint round-trips: drive an audited
+//! Machine-image round-trips: drive an audited
 //! [`ProtocolHarness`] through random traffic, image it with
 //! [`ProtocolHarness::snap`], restore the image into a freshly built
 //! harness, and require (a) a byte-identical re-serialization and (b)
@@ -14,9 +14,6 @@ use zerodev_common::config::{
 use zerodev_common::snap::{SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, MesiState, Prng, SocketId};
 use zerodev_core::{EvictKind, Op, ProtocolEvent, ProtocolHarness, System};
-
-const MAGIC: u64 = 0x7357_5eed_5eed_7357;
-const VERSION: u32 = 1;
 
 /// One random operation by a random core on a random block of `blocks`:
 /// evict a held copy, write (silently, by upgrade, or by read-exclusive),
@@ -48,21 +45,21 @@ fn step(h: &mut ProtocolHarness, rng: &mut Prng, blocks: &[BlockAddr]) {
 }
 
 fn snap_bytes(h: &ProtocolHarness) -> Vec<u8> {
-    let mut w = SnapWriter::new(MAGIC, VERSION);
+    let mut w = SnapWriter::image();
     h.snap(&mut w);
-    w.finish()
+    w.as_bytes().to_vec()
 }
 
 fn snap_system(sys: &System) -> Vec<u8> {
-    let mut w = SnapWriter::new(MAGIC, VERSION);
+    let mut w = SnapWriter::image();
     sys.snap(&mut w);
-    w.finish()
+    w.as_bytes().to_vec()
 }
 
 /// A fresh harness built without the oracle, restored from `bytes`.
 fn restore(cfg: SystemConfig, blocks: Vec<BlockAddr>, bytes: &[u8]) -> ProtocolHarness {
     let mut h = ProtocolHarness::new(cfg, blocks, false).expect("valid config");
-    let mut r = SnapReader::open(bytes, MAGIC, VERSION).expect("container valid");
+    let mut r = SnapReader::image(bytes);
     h.unsnap(&mut r).expect("restore succeeds");
     r.expect_end().expect("image fully consumed");
     h
@@ -219,6 +216,6 @@ fn fingerprint_mismatch_is_rejected() {
     let image = snap_system(&sys);
     let other = tiny(None, LlcDesign::NonInclusive, Some(sparse()), 2);
     let mut wrong = System::new(other).expect("valid config");
-    let mut r = SnapReader::open(&image, MAGIC, VERSION).expect("container valid");
+    let mut r = SnapReader::image(&image);
     assert!(wrong.unsnap(&mut r).is_err(), "fingerprint must not match");
 }

@@ -144,8 +144,9 @@ impl DramModel {
     }
 
     /// Serializes the mutable memory-system state — open rows, bank/bus
-    /// occupancy horizons, and the read/write counts — for checkpointing.
-    /// The channel interleaving is rebuilt from configuration on restore.
+    /// occupancy horizons, and the read/write counts — into a machine
+    /// image. The channel interleaving is rebuilt from configuration on
+    /// restore.
     // lint:allow(snapshot_complete(interleave), the channel interleaving is derived from the configuration, not mutable state; restore targets a model built from the same config)
     pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
         w.usize(self.channels.len());

@@ -1,22 +1,24 @@
 //! Pass 2: snapshot-completeness checker.
 //!
-//! Kill-and-resume byte-identity (DESIGN.md §9) dies quietly when a new
-//! field is added to checkpointed state but not to its `snap`/`unsnap`
-//! pair. This pass finds every struct that participates in snapshotting —
-//! an impl providing `snap`, `unsnap`, `snapshot_with`, `restore_with`,
-//! or the `PausedRun::{checkpoint, restore}` entry points — and requires
-//! each declared field of the struct to be *referenced* in the body of
-//! each such function (transitively through same-type helper methods, so
-//! `Stats::snap` delegating to `Stats::scalar_fields()` counts).
+//! The model checker keeps each frontier state as a machine image
+//! (DESIGN.md §9), and a restored state behaves like the one imaged only
+//! if every field of the machine reaches its `snap`/`unsnap` pair. A field
+//! added to imaged state but not to that pair would be lost quietly. This
+//! pass finds every struct that participates in snapshotting — an impl
+//! providing `snap`, `unsnap`, `snapshot_with` or `restore_with` — and
+//! requires each declared field of the struct to be *referenced* in the
+//! body of each such function (transitively through same-type helper
+//! methods, so `Stats::snap` delegating to `Stats::scalar_fields()`
+//! counts).
 //!
 //! Reference-not-serialization is deliberately the bar: a field mentioned
-//! in the body was at least thought about, and the existing checkpoint
-//! parity tests catch value-level mistakes. A field that is intentionally
-//! not captured (e.g. `PausedRun::fx`, empty at every pause boundary)
-//! takes a field-scoped waiver:
+//! in the body was at least thought about, and the image round-trip tests
+//! (`crates/core/tests/snapshot.rs`) catch value-level mistakes. A field
+//! that is intentionally not captured (e.g. `DramModel::interleave`,
+//! derived from the configuration) takes a field-scoped waiver:
 //!
 //! ```text
-//! // lint:allow(snapshot_complete(fx), drained before every pause)
+//! // lint:allow(snapshot_complete(interleave), derived from the configuration)
 //! ```
 
 use crate::lexer::Tok;
@@ -25,19 +27,13 @@ use crate::model::{Finding, FnDef, Parsed};
 pub const RULE: &str = "snapshot_complete";
 
 /// Method names whose bodies must cover every field of their self type.
+/// A plain `restore` is not among them: the name is the protocol's
+/// (`MemorySide::restore`).
 const SNAP_FNS: [&str; 4] = ["snap", "unsnap", "snapshot_with", "restore_with"];
-/// `(self_ty, fn)` pairs pulled in by name because the generic names
-/// (`restore` collides with the protocol's `MemorySide::restore`) cannot
-/// be matched globally.
-const SPECIAL_FNS: [(&str, &str); 2] = [("PausedRun", "checkpoint"), ("PausedRun", "restore")];
 
 pub fn run(p: &Parsed, used: &mut [bool], out: &mut Vec<Finding>) {
     for f in &p.fns {
-        let special = SPECIAL_FNS.contains(&(f.self_ty.as_str(), f.name.as_str()));
-        if !special && !SNAP_FNS.contains(&f.name.as_str()) {
-            continue;
-        }
-        if f.self_ty.is_empty() {
+        if !SNAP_FNS.contains(&f.name.as_str()) || f.self_ty.is_empty() {
             continue;
         }
         let krate = &p.files[f.file].src.krate;
@@ -158,15 +154,6 @@ mod tests {
         assert!(b.waived_by.is_some());
         assert!(c.waived_by.is_none());
         assert!(used[0]);
-    }
-
-    #[test]
-    fn paused_run_checkpoint_is_special_cased() {
-        let (f, _) = check(
-            "struct PausedRun { sim: S, fx: F }\nimpl PausedRun { fn checkpoint(&self, w: &mut W) { self.sim.snap(w); } }",
-        );
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("`fx`"));
     }
 
     #[test]

@@ -1,29 +1,29 @@
 //! Mutation test against the real tree: deleting one serialized field
 //! write from a shipping `snap` implementation must trip the
 //! snapshot-completeness pass. This is the end-to-end guarantee the pass
-//! exists for — a new field that never reaches the checkpoint image
-//! fails CI instead of breaking kill-and-resume byte-identity at soak
-//! time.
+//! exists for — a field that never reaches the model checker's machine
+//! image fails CI instead of being lost quietly when a frontier state is
+//! restored.
 
 use zerodev_lint::{analyze, SourceFile, Workspace};
 
-/// The real engine source, compiled into the test so the mutation stays
-/// in memory and the tree on disk is untouched.
-const ENGINE_SRC: &str = include_str!("../../sim/src/engine.rs");
+/// The real DRAM model source, compiled into the test so the mutation
+/// stays in memory and the tree on disk is untouched.
+const DRAM_SRC: &str = include_str!("../../dram/src/lib.rs");
 
 fn ws(text: &str) -> Workspace {
     Workspace {
         files: vec![SourceFile {
-            krate: "sim".into(),
-            path: "crates/sim/src/engine.rs".into(),
+            krate: "dram".into(),
+            path: "crates/dram/src/lib.rs".into(),
             text: text.into(),
         }],
     }
 }
 
 #[test]
-fn baseline_engine_is_snapshot_clean() {
-    let r = analyze(&ws(ENGINE_SRC));
+fn baseline_dram_is_snapshot_clean() {
+    let r = analyze(&ws(DRAM_SRC));
     let leftovers: Vec<_> = r
         .findings
         .iter()
@@ -34,17 +34,17 @@ fn baseline_engine_is_snapshot_clean() {
 
 #[test]
 fn deleting_a_field_write_fails_snapshot_completeness() {
-    let anchor = "        w.u64(self.pops);\n";
-    let mutated = ENGINE_SRC.replacen(anchor, "", 1);
+    let anchor = "        w.u64(self.writes);\n";
+    let mutated = DRAM_SRC.replacen(anchor, "", 1);
     assert_ne!(
-        mutated, ENGINE_SRC,
-        "EngineState::snap no longer writes `pops` — update the anchor"
+        mutated, DRAM_SRC,
+        "DramModel::snap no longer writes `writes` — update the anchor"
     );
     let r = analyze(&ws(&mutated));
     let hits: Vec<_> = r
         .findings
         .iter()
-        .filter(|f| f.rule == "snapshot_complete" && f.message.contains("`pops`"))
+        .filter(|f| f.rule == "snapshot_complete" && f.message.contains("`writes`"))
         .collect();
     assert!(
         !hits.is_empty(),

@@ -7,7 +7,6 @@
 //! keeping the directory exact — the protocol relies on this (§III-A).
 
 use zerodev_cache::{Replacement, SetAssoc};
-use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{BlockAddr, CoreId, Cycle, MesiState, SocketId, SystemConfig};
 use zerodev_core::{EvictKind, Op, System};
 use zerodev_workloads::MemRef;
@@ -59,32 +58,6 @@ impl CoreModel {
         self.l2
             .peek(block.0, |_| true)
             .map_or(MesiState::Invalid, |i| self.l2.at(i).state)
-    }
-
-    /// Serializes the private hierarchy lane-exactly for checkpointing (the
-    /// ids are config-derived and rebuilt by [`Self::new`], not stored).
-    // lint:allow(snapshot_complete(socket, core), ids are config-derived and rebuilt by CoreModel::new)
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        self.l1i.snapshot_with(w, |_, _, ()| {});
-        self.l1d.snapshot_with(w, |_, _, ()| {});
-        self.l2
-            .snapshot_with(w, |w, _, l| w.variant(&MesiState::ALL, &l.state));
-    }
-
-    /// Restores a [`Self::snap`] image into this freshly built hierarchy.
-    ///
-    /// # Errors
-    /// Fails with a decode [`SnapError`] on geometry mismatch or corrupt
-    /// input.
-    // lint:allow(snapshot_complete(socket, core), ids are config-derived and rebuilt by CoreModel::new)
-    pub(crate) fn unsnap(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        self.l1i.restore_with(r, |_, _| Ok(()))?;
-        self.l1d.restore_with(r, |_, _| Ok(()))?;
-        self.l2.restore_with(r, |r, _| {
-            Ok(L2Line {
-                state: r.variant(&MesiState::ALL, "l2 line state")?,
-            })
-        })
     }
 
     /// Processes one memory reference at time `now`, driving the uncore on

@@ -13,7 +13,6 @@ use std::convert::Infallible;
 
 use crate::core_model::{AccessEffects, CoreModel};
 use crate::faults::{FaultConfig, FaultPlan, FaultStats, StateFault};
-use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::{CoreId, Cycle, MesiState, SocketId, Stats, SystemConfig};
 use zerodev_core::{apply_effects, Downgrade, Invalidation, PrivateCaches, System};
 use zerodev_workloads::{Workload, WorkloadKind};
@@ -34,7 +33,7 @@ fn event_key(time: u64, core: usize) -> u128 {
 /// `BinaryHeap` pop/push sequence. Keys compare exactly like `(time, core)`
 /// tuples, so the schedule — and therefore every statistic — is unchanged.
 #[derive(Debug)]
-pub(crate) struct EventQueue {
+struct EventQueue {
     keys: Vec<u128>,
 }
 
@@ -82,52 +81,6 @@ impl EventQueue {
             self.keys.swap(i, c);
             i = c;
         }
-    }
-
-    /// Serializes the raw heap lanes for checkpointing. The heap's array
-    /// layout (not just its contents) is captured: sift order after resume
-    /// must match an uninterrupted run event-for-event.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        w.usize(self.keys.len());
-        for &k in &self.keys {
-            w.u128(k);
-        }
-    }
-
-    /// Inverse of [`Self::snap`]; `cores` is the expected heap size.
-    ///
-    /// # Errors
-    /// Fails with a decode [`SnapError`] on truncated or corrupt input, or
-    /// when the image is not a queue the loop could have built for a
-    /// `cores`-core machine: a heap of another size, a key wider than
-    /// [`event_key`] packs, a core the machine lacks, a core with two
-    /// pending events, or keys out of heap order.
-    pub(crate) fn unsnap(r: &mut SnapReader, cores: usize) -> Result<EventQueue, SnapError> {
-        let corrupt = |context| Err(SnapError::Corrupt { context });
-        let len = r.usize("event queue len")?;
-        if len != cores {
-            return corrupt("event queue size does not match the machine");
-        }
-        let mut keys: Vec<u128> = Vec::with_capacity(len);
-        let mut pending = vec![false; cores];
-        for i in 0..len {
-            let k = r.u128("event queue key")?;
-            if k >> 96 != 0 {
-                return corrupt("event queue key wider than a (time, core) pair");
-            }
-            let core = (k & 0xffff_ffff) as usize;
-            if core >= cores {
-                return corrupt("event queue names a core the machine lacks");
-            }
-            if std::mem::replace(&mut pending[core], true) {
-                return corrupt("event queue names a core twice");
-            }
-            if i > 0 && keys[(i - 1) / 2] > k {
-                return corrupt("event queue keys break heap order");
-            }
-            keys.push(k);
-        }
-        Ok(EventQueue { keys })
     }
 }
 
@@ -253,36 +206,6 @@ impl Simulation {
         &self.sys
     }
 
-    /// Mutable engine access for checkpoint restoration.
-    pub(crate) fn system_mut(&mut self) -> &mut System {
-        &mut self.sys
-    }
-
-    /// The core models (checkpoint serialization).
-    pub(crate) fn cores(&self) -> &[CoreModel] {
-        &self.cores
-    }
-
-    /// Mutable core models for checkpoint restoration.
-    pub(crate) fn cores_mut(&mut self) -> &mut [CoreModel] {
-        &mut self.cores
-    }
-
-    /// The workload generators (checkpoint serialization).
-    pub(crate) fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    /// The fault plan, if armed (checkpoint serialization).
-    pub(crate) fn faults(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref()
-    }
-
-    /// Installs an already-built fault plan (checkpoint restoration).
-    pub(crate) fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = Some(Box::new(plan));
-    }
-
     /// Turns on the coherence-invariant oracle (`zerodev_core::oracle`):
     /// every subsequent uncore transaction is replayed against a shadow
     /// MESI model and checked. Must be called before the first reference
@@ -332,7 +255,7 @@ impl Simulation {
     ///
     /// Implemented as [`Self::start`] + a single unbounded
     /// [`PausedRun::advance`] + [`PausedRun::finish`], so the whole-run and
-    /// incremental (checkpointable) paths share one event-loop body.
+    /// stepped paths share one event-loop body.
     pub fn run(self, refs_per_core: u64, warmup_refs: u64) -> SimResult {
         let mut run = self.start(refs_per_core, warmup_refs);
         let Ok(_) = run.advance(u64::MAX);
@@ -341,9 +264,8 @@ impl Simulation {
 
     /// Executes the warm-up phase, resets the statistics, and returns the
     /// measured region as a [`PausedRun`] positioned at its first
-    /// reference. Advance it in bounded steps ([`PausedRun::advance`]) —
-    /// checkpointing at any pause boundary — and seal it with
-    /// [`PausedRun::finish`].
+    /// reference. Advance it in bounded steps ([`PausedRun::advance`]) and
+    /// seal it with [`PausedRun::finish`].
     pub fn start(mut self, refs_per_core: u64, warmup_refs: u64) -> PausedRun {
         let n = self.cores.len();
         // One effects buffer for the whole run: `access_into` clears and
@@ -406,25 +328,24 @@ impl PrivateCaches for Simulation {
     }
 }
 
-/// The mutable state of the measured-region event loop, separated from the
-/// machine ([`Simulation`]) so a paused run can serialize both halves into
-/// one checkpoint image.
+/// The mutable state of the measured-region event loop, kept apart from
+/// the machine ([`Simulation`]) it drives.
 #[derive(Debug)]
-pub(crate) struct EngineState {
+struct EngineState {
     /// Pending `(time, core)` events, one per core.
-    pub(crate) queue: EventQueue,
+    queue: EventQueue,
     /// References retired per core this region.
-    pub(crate) refs_done: Vec<u64>,
+    refs_done: Vec<u64>,
     /// Instructions retired per core (gap instructions + the reference).
-    pub(crate) instrs: Vec<u64>,
+    instrs: Vec<u64>,
     /// Per-core completion cycle, latched when the core hits its target.
-    pub(crate) core_cycles: Vec<u64>,
+    core_cycles: Vec<u64>,
     /// Per-core instruction count, latched with [`Self::core_cycles`].
-    pub(crate) core_instrs: Vec<u64>,
+    core_instrs: Vec<u64>,
     /// Cores that reached their reference target.
-    pub(crate) finished: usize,
+    finished: usize,
     /// Event-loop pops (= total references retired across all cores).
-    pub(crate) pops: u64,
+    pops: u64,
 }
 
 impl EngineState {
@@ -439,55 +360,6 @@ impl EngineState {
             pops: 0,
         }
     }
-
-    /// Serializes the loop state for checkpointing.
-    pub(crate) fn snap(&self, w: &mut SnapWriter) {
-        self.queue.snap(w);
-        for lane in [
-            &self.refs_done,
-            &self.instrs,
-            &self.core_cycles,
-            &self.core_instrs,
-        ] {
-            for &v in lane.iter() {
-                w.u64(v);
-            }
-        }
-        w.usize(self.finished);
-        w.u64(self.pops);
-    }
-
-    /// Inverse of [`Self::snap`]; `cores` is the machine's core count.
-    ///
-    /// # Errors
-    /// Fails with a decode [`SnapError`] on truncated or corrupt input, or
-    /// when the image does not match a `cores`-core machine.
-    pub(crate) fn unsnap(r: &mut SnapReader, cores: usize) -> Result<EngineState, SnapError> {
-        let queue = EventQueue::unsnap(r, cores)?;
-        let mut lanes: [Vec<u64>; 4] = Default::default();
-        for lane in &mut lanes {
-            *lane = (0..cores)
-                .map(|_| r.u64("engine per-core lane"))
-                .collect::<Result<_, _>>()?;
-        }
-        let [refs_done, instrs, core_cycles, core_instrs] = lanes;
-        let finished = r.usize("engine finished count")?;
-        if finished > cores {
-            return Err(SnapError::Corrupt {
-                context: "finished count exceeds the core count",
-            });
-        }
-        let pops = r.u64("engine pops")?;
-        Ok(EngineState {
-            queue,
-            refs_done,
-            instrs,
-            core_cycles,
-            core_instrs,
-            finished,
-            pops,
-        })
-    }
 }
 
 /// What a bounded [`PausedRun::advance`] observed.
@@ -496,26 +368,25 @@ pub enum RunStatus {
     /// Every core reached its reference target; call
     /// [`PausedRun::finish`].
     Finished,
-    /// The step budget ran out first; the run can be advanced further,
-    /// checkpointed, or abandoned.
+    /// The step budget ran out first; the run can be advanced further or
+    /// abandoned.
     Paused,
 }
 
 /// A measured region in flight, pausable between any two references.
 ///
-/// Produced by [`Simulation::start`] (or by restoring a checkpoint, see
-/// `crate::checkpoint`). The loop body here is the simulator's one event
-/// loop — [`Simulation::run`] is a single unbounded advance — so
-/// pausing, checkpointing, and resuming cannot drift from an uninterrupted
-/// run.
+/// Produced by [`Simulation::start`]. The loop body here is the
+/// simulator's one event loop — [`Simulation::run`] is a single unbounded
+/// advance — so a run stepped in bounded advances cannot drift from an
+/// uninterrupted one.
 #[derive(Debug)]
 pub struct PausedRun {
-    pub(crate) sim: Simulation,
-    pub(crate) st: EngineState,
-    pub(crate) refs_per_core: u64,
+    sim: Simulation,
+    st: EngineState,
+    refs_per_core: u64,
     /// Reusable effects buffer; empty at every pause boundary (each step
-    /// clears and then drains it), so checkpoints never serialize it.
-    pub(crate) fx: AccessEffects,
+    /// clears and then drains it).
+    fx: AccessEffects,
 }
 
 impl PausedRun {
@@ -590,11 +461,6 @@ impl PausedRun {
         self.st.pops
     }
 
-    /// The per-core reference target this run was started with.
-    pub fn refs_per_core(&self) -> u64 {
-        self.refs_per_core
-    }
-
     /// Read access to the protocol engine (diagnostics).
     pub fn system(&self) -> &System {
         &self.sim.sys
@@ -604,6 +470,7 @@ impl PausedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zerodev_common::config::{DirectoryKind, ZeroDevConfig};
     use zerodev_workloads::multithreaded;
 
     fn small_run(name: &str) -> SimResult {
@@ -650,29 +517,73 @@ mod tests {
     /// Forward progress by construction: each step of the loop retires one
     /// reference, so every `advance(k)` that pauses retired exactly `k`,
     /// the run finishes, and a run stepped in chunks of any size equals the
-    /// whole run.
+    /// whole run: its statistics, per-core lanes and injected faults. The
+    /// machines add audit, ZeroDEV without a directory, a corruption armed
+    /// after the first pauses, and four sockets to the plain baseline.
     #[test]
     fn every_paused_step_retires_its_budget() {
-        let cfg = SystemConfig::baseline_8core();
-        let sim = || Simulation::new(&cfg, multithreaded("ferret", 8, 11).unwrap());
-        let whole = sim().run(2_000, 200);
-        assert!(whole.refs_retired >= 8 * 2_000);
-        assert_eq!(whole.faults, FaultStats::default());
-        for k in [1, 7, 4_096] {
-            let mut run = sim().start(2_000, 200);
-            loop {
-                let before = run.refs_retired();
-                let Ok(status) = run.advance(k);
-                if status == RunStatus::Finished {
-                    break;
+        let base = SystemConfig::baseline_8core();
+        let nodir = base
+            .clone()
+            .with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
+        let four = SystemConfig::four_socket();
+        let flip = FaultConfig {
+            corrupt: Some((StateFault::SharerFlip, 900)),
+            ..Default::default()
+        };
+        // (machine, app, audit, faults, refs per core). A sharer flip
+        // needs an LLC-resident entry, which only a ZeroDEV machine houses.
+        let points = [
+            (&base, "ferret", false, None, 2_000),
+            (&base, "canneal", true, None, 2_000),
+            (&nodir, "torture.ping_pong", true, None, 2_000),
+            (&nodir, "torture.entry_thrash", true, None, 2_000),
+            (&nodir, "torture.false_sharing", false, Some(flip), 2_000),
+            (&four, "torture.reader_swarm", true, None, 300),
+        ];
+        for (i, (cfg, app, audit, faults, refs)) in points.into_iter().enumerate() {
+            let threads = cfg.cores * cfg.sockets;
+            let seed = 0x5eed_0000 + i as u64;
+            let sim = || {
+                let mut sim = Simulation::new(cfg, multithreaded(app, threads, seed).unwrap());
+                if audit {
+                    sim.enable_audit();
                 }
-                assert_eq!(run.refs_retired() - before, k, "a paused advance({k})");
+                if let Some(fc) = faults {
+                    sim.set_faults(fc);
+                }
+                sim
+            };
+            let whole = sim().run(refs, 400);
+            assert!(whole.refs_retired >= threads as u64 * refs, "{app}");
+            assert_eq!(
+                whole.faults.corruptions,
+                u64::from(faults.is_some()),
+                "{app}: an armed corruption lands, and nothing else"
+            );
+            for k in [1, 7, 4_096] {
+                let mut run = sim().start(refs, 400);
+                loop {
+                    let before = run.refs_retired();
+                    let Ok(status) = run.advance(k);
+                    if status == RunStatus::Finished {
+                        break;
+                    }
+                    assert_eq!(
+                        run.refs_retired() - before,
+                        k,
+                        "{app}: a paused advance({k})"
+                    );
+                }
+                let stepped = run.finish();
+                let at = format!("{app}, step {k}");
+                assert_eq!(stepped.stats, whole.stats, "stats: {at}");
+                assert_eq!(stepped.core_cycles, whole.core_cycles, "{at}");
+                assert_eq!(stepped.core_instrs, whole.core_instrs, "{at}");
+                assert_eq!(stepped.refs_retired, whole.refs_retired, "{at}");
+                assert_eq!(stepped.dram_rw, whole.dram_rw, "{at}");
+                assert_eq!(stepped.faults, whole.faults, "faults: {at}");
             }
-            let stepped = run.finish();
-            assert_eq!(stepped.stats, whole.stats, "stats at step {k}");
-            assert_eq!(stepped.core_cycles, whole.core_cycles, "step {k}");
-            assert_eq!(stepped.core_instrs, whole.core_instrs, "step {k}");
-            assert_eq!(stepped.refs_retired, whole.refs_retired, "step {k}");
         }
     }
 

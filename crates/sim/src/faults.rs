@@ -16,16 +16,8 @@
 //! reference and produces byte-identical output to a build without the
 //! module.
 
-use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 use zerodev_common::Prng;
 pub use zerodev_core::StateFault;
-
-/// Every state fault, in the order an image byte indexes.
-const FAULTS: [StateFault; 3] = [
-    StateFault::SharerFlip,
-    StateFault::LlcEntryCorrupt,
-    StateFault::HomeSegmentFlip,
-];
 
 /// A complete, hashable description of the faults to inject in one run;
 /// `Eq + Hash`, so it can key the sweep memo cache.
@@ -171,80 +163,6 @@ impl FaultPlan {
         self.armed = None;
         self.stats.corruptions += 1;
         self.stats.injected.push(desc);
-    }
-
-    /// Serializes the whole plan — config, PRNG state, draw cursor, armed
-    /// corruption, and accumulated stats — for checkpointing. A restored
-    /// plan continues the exact fault sequence of the original.
-    pub fn snap(&self, w: &mut SnapWriter) {
-        w.u64(self.cfg.seed);
-        match self.cfg.corrupt {
-            None => w.bool(false),
-            Some((kind, at)) => {
-                w.bool(true);
-                w.variant(&FAULTS, &kind);
-                w.u64(at);
-            }
-        }
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.u64(self.accesses);
-        match self.armed {
-            None => w.bool(false),
-            Some(kind) => {
-                w.bool(true);
-                w.variant(&FAULTS, &kind);
-            }
-        }
-        w.u64(self.stats.corruptions);
-        w.usize(self.stats.injected.len());
-        for desc in &self.stats.injected {
-            w.str(desc);
-        }
-    }
-
-    /// Inverse of [`Self::snap`].
-    ///
-    /// # Errors
-    /// Fails with a decode [`SnapError`] on truncated or corrupt input.
-    pub fn unsnap(r: &mut SnapReader) -> Result<FaultPlan, SnapError> {
-        let mut cfg = FaultConfig {
-            seed: r.u64("fault seed")?,
-            corrupt: None,
-        };
-        if r.bool("fault corrupt flag")? {
-            let kind = r.variant(&FAULTS, "fault corrupt kind")?;
-            cfg.corrupt = Some((kind, r.u64("fault corrupt index")?));
-        }
-        let rng = Prng::from_state([
-            r.u64("fault rng state")?,
-            r.u64("fault rng state")?,
-            r.u64("fault rng state")?,
-            r.u64("fault rng state")?,
-        ]);
-        let accesses = r.u64("fault accesses")?;
-        let armed = r
-            .bool("fault armed flag")?
-            .then(|| r.variant(&FAULTS, "fault armed kind"))
-            .transpose()?;
-        let mut stats = FaultStats {
-            corruptions: r.u64("fault stat")?,
-            injected: Vec::new(),
-        };
-        let n = r.usize("fault injected count")?;
-        for _ in 0..n {
-            stats
-                .injected
-                .push(r.str("fault injected desc")?.to_owned());
-        }
-        Ok(FaultPlan {
-            cfg,
-            rng,
-            accesses,
-            armed,
-            stats,
-        })
     }
 }
 

@@ -18,9 +18,6 @@
 //! * [`faults`] — deterministic fault injection (`RunParams.faults`; the
 //!   soak driver arms it from `ZERODEV_FAULTS`): a seeded state
 //!   corruption the oracle must catch.
-//! * [`checkpoint`] — deterministic checkpoint/resume: a paused run
-//!   serializes to a versioned, checksummed image and restores into a run
-//!   that continues byte-identically to the uninterrupted original.
 //!
 //! # Example
 //!
@@ -35,7 +32,6 @@
 //! assert!(res.completion_cycles > 0);
 //! ```
 
-pub mod checkpoint;
 pub mod core_model;
 pub mod energy;
 pub mod engine;

@@ -1,21 +1,18 @@
-//! Seeded mutational fuzz of the simulator's two outside-input decoders:
-//! `ZERODEV_FAULTS` specs ([`FaultConfig::parse`]) and checkpoint images
-//! ([`PausedRun::restore`]). Every input must decode or fail with a
-//! structured error, never panic. The inputs come from fixed seeds on
-//! [`Prng`], so a failure names its reproducer (seed and iteration), and
-//! a machine of two cores per socket keeps each restore cheap.
-//!
-//! A checkpoint mutant is resealed with a valid checksum, so the field
-//! decoders, not the container check, are what meet the damage.
+//! Seeded mutational fuzz of the simulator's outside-input decoders:
+//! `ZERODEV_FAULTS` specs ([`FaultConfig::parse`]) and trace text
+//! ([`Trace`]'s `FromStr`). Every input must decode or fail with a
+//! structured error, never panic, and a trace that decodes must replay
+//! a few hundred references per core.
+//! The inputs come from fixed seeds on [`Prng`], so a failure names its
+//! reproducer (seed and iteration), and machines of two cores per socket
+//! keep each replay cheap.
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use zerodev_common::config::{CacheGeometry, DirectoryKind, LlcDesign, ZeroDevConfig};
-use zerodev_common::snap::{fnv1a, SnapError};
+use zerodev_common::config::CacheGeometry;
 use zerodev_common::{Prng, SystemConfig};
-use zerodev_sim::{FaultConfig, PausedRun, Simulation, StateFault};
-use zerodev_workloads::multithreaded;
+use zerodev_sim::{FaultConfig, Simulation, StateFault};
+use zerodev_workloads::{multithreaded, Trace, WorkloadKind};
 
 /// Spec fragments: every key the parser knows or once knew, values of
 /// every shape it reads, separators, and junk.
@@ -127,119 +124,169 @@ fn small(sockets: usize) -> SystemConfig {
     cfg
 }
 
-/// Checkpoint images of three small machines paused mid-run: a baseline
-/// sparse directory under audit, a ZeroDEV machine with no directory and
-/// an armed fault plan, and a two-socket ZeroDEV EPD machine under audit.
-fn images() -> Vec<(SystemConfig, Vec<u8>)> {
-    let zerodev =
-        |sockets| small(sockets).with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
-    let mut epd = zerodev(2);
-    epd.llc_design = LlcDesign::Epd;
-    let points = [
-        (small(1), "canneal", true, None),
-        (
-            zerodev(1),
-            "torture.entry_thrash",
-            false,
-            Some((StateFault::LlcEntryCorrupt, 1 << 40)),
-        ),
-        (epd, "torture.reader_swarm", true, None),
-    ];
-    points
-        .into_iter()
-        .map(|(cfg, app, audit, corrupt)| {
-            let wl = multithreaded(app, cfg.cores * cfg.sockets, 0xf022).expect("known app");
-            let mut sim = Simulation::new(&cfg, wl);
-            if audit {
-                sim.enable_audit();
-            }
-            if let Some(c) = corrupt {
-                sim.set_faults(FaultConfig {
-                    corrupt: Some(c),
-                    ..Default::default()
-                });
-            }
-            let mut run = sim.start(2_000, 500);
-            let Ok(_) = run.advance(700);
-            (cfg, run.checkpoint())
-        })
-        .collect()
+/// Block addresses at the edges of the parsed range, a hex token one
+/// digit too wide, and tokens that are not hex at all.
+const BLOCKS: [&str; 9] = [
+    "0",
+    "7fffffffffffffff",
+    "8000000000000000",
+    "ffffffffffffffff",
+    "1ffffffffffffffff",
+    "-1",
+    "0x10",
+    "g",
+    "",
+];
+const FLAGS: [&str; 8] = ["r", "w", "c", "x", "R", "rw", "", "@"];
+const GAPS: [&str; 8] = ["0", "1", "4294967295", "4294967296", "-1", "+3", "1e3", ""];
+const TRACE_JUNK: [&str; 10] = [
+    "@thread",
+    "@thread 1",
+    "#",
+    "zz",
+    "\u{0}",
+    "é",
+    "\t",
+    "r",
+    "7",
+    "@",
+];
+
+/// Replaces the `i`th whitespace token of `line` (appending when there
+/// are fewer) with `to`.
+fn set_token(line: &str, i: usize, to: &str) -> String {
+    let mut toks: Vec<&str> = line.split_whitespace().collect();
+    if i < toks.len() {
+        toks[i] = to;
+    } else {
+        toks.push(to);
+    }
+    toks.join(" ")
 }
 
-/// Damages `body` (an image without its checksum trailer) with 1-3 bit
-/// flips, byte overwrites, truncations or duplicated ranges. The 12-byte
-/// header is left alone: a wrong magic or version is one check, and the
-/// point is to reach the field decoders behind it.
-fn mutate(rng: &mut Prng, body: &mut Vec<u8>) {
-    const HEADER: usize = 12;
+/// Damages a trace's lines with 1-3 edits: a dropped, duplicated or
+/// swapped line; a flag, block-digit or gap edit; or a junk token.
+fn mutate_trace(rng: &mut Prng, lines: &mut Vec<String>) {
     for _ in 0..=rng.below(3) {
-        let len = body.len();
-        if len <= HEADER + 1 {
+        if lines.is_empty() {
             return;
         }
-        let at = HEADER + rng.below((len - HEADER) as u64) as usize;
-        match rng.below(4) {
-            0 => body[at] ^= 1 << rng.below(8),
-            1 => {
-                let end = (at + 1 + rng.below(8) as usize).min(len);
-                let fill = rng.below(3);
-                for b in &mut body[at..end] {
-                    *b = match fill {
-                        0 => 0,
-                        1 => 0xff,
-                        _ => rng.below(256) as u8,
-                    };
-                }
+        let n = lines.len() as u64;
+        let at = rng.below(n) as usize;
+        match rng.below(7) {
+            0 => {
+                lines.remove(at);
             }
-            2 => body.truncate(at),
+            1 => {
+                let copy = lines[at].clone();
+                lines.insert(rng.below(n + 1) as usize, copy);
+            }
+            2 => lines.swap(at, rng.below(n) as usize),
+            3 => lines[at] = set_token(&lines[at], 1, pick(rng, &FLAGS)),
+            4 => {
+                // One hex digit rewritten, or the whole block token swapped
+                // for an edge value.
+                let block = lines[at].split_whitespace().next().unwrap_or("").to_owned();
+                let new = if block.is_empty() || rng.chance(0.5) {
+                    pick(rng, &BLOCKS).to_owned()
+                } else {
+                    let mut digits: Vec<char> = block.chars().collect();
+                    let d = rng.below(digits.len() as u64) as usize;
+                    digits[d] = "0123456789abcdefgF"
+                        .chars()
+                        .nth(rng.below(18) as usize)
+                        .expect("18 digits");
+                    digits.into_iter().collect()
+                };
+                lines[at] = set_token(&lines[at], 0, &new);
+            }
+            5 => {
+                let gap = if rng.chance(0.5) {
+                    pick(rng, &GAPS).to_owned()
+                } else {
+                    rng.below(1 << 33).to_string()
+                };
+                lines[at] = set_token(&lines[at], 2, &gap);
+            }
             _ => {
-                let end = (at + 1 + rng.below(64) as usize).min(len);
-                let copy = body[at..end].to_vec();
-                let to = HEADER + rng.below((len - HEADER) as u64) as usize;
-                body.splice(to..to, copy);
+                let line = &mut lines[at];
+                let mut cut = rng.below(line.len() as u64 + 1) as usize;
+                while !line.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                line.insert_str(cut, &format!(" {} ", pick(rng, &TRACE_JUNK)));
             }
         }
     }
 }
 
 #[test]
-fn damaged_checkpoints_never_panic_restore() {
-    let mut contexts = BTreeSet::new();
-    let mut restored = 0;
-    for (n, (cfg, image)) in images().into_iter().enumerate() {
-        PausedRun::restore(&cfg, &image).expect("the undamaged image restores");
-        let mut rng = Prng::seeded(0xc4ec_0000 + n as u64);
-        for i in 0..3_000 {
-            let mut body = image[..image.len() - 8].to_vec();
-            mutate(&mut rng, &mut body);
-            let sum = fnv1a(&body);
-            body.extend_from_slice(&sum.to_le_bytes());
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                PausedRun::restore(&cfg, &body).map(|_| ())
-            }))
-            .unwrap_or_else(|e| {
-                panic!(
-                    "image {n}, iteration {i}: restore panicked: {}",
-                    zerodev_common::panic_message(&*e)
-                )
-            });
-            match outcome {
-                Ok(()) => restored += 1,
-                Err(SnapError::Corrupt { context } | SnapError::Truncated { context }) => {
-                    contexts.insert(context);
-                }
-                Err(e) => panic!("image {n}, iteration {i}: header damaged: {e}"),
-            }
+fn damaged_traces_never_panic_the_parser_or_the_replay() {
+    // `torture.phase_mix` recorded on the two machines a trace may fit.
+    let sources: Vec<Vec<String>> = [2, 4]
+        .into_iter()
+        .map(|threads| {
+            let mut wl = multithreaded("torture.phase_mix", threads, 0x7ace).expect("known app");
+            let text = Trace::record(&mut wl, 48).to_text();
+            text.lines().map(str::to_owned).collect()
+        })
+        .collect();
+    let (mut rejected, mut replayed) = (0, [0; 2]);
+    let mut rng = Prng::seeded(0x7ace_f022);
+    for i in 0..1_500 {
+        let mut lines = sources[i % 2].clone();
+        mutate_trace(&mut rng, &mut lines);
+        let mut text = lines.join("\n");
+        if rng.chance(0.5) {
+            text.push('\n');
         }
+        let parsed = catch_unwind(|| text.parse::<Trace>())
+            .unwrap_or_else(|_| panic!("iteration {i}: the trace parser panicked on {text:?}"));
+        let trace = match parsed {
+            Err(e) => {
+                rejected += 1;
+                let last = text.lines().count().max(1);
+                assert!(
+                    (1..=last).contains(&e.line),
+                    "iteration {i}: error at line {} of a {last}-line text: {e}",
+                    e.line
+                );
+                continue;
+            }
+            Ok(trace) => trace,
+        };
+        let sockets = match trace.thread_count() {
+            2 => 1,
+            4 => 2,
+            _ => continue,
+        };
+        // A step budget, not a run to the reference target: one gap of
+        // `u32::MAX` would keep the other cores retiring references for
+        // billions of simulated cycles while its core catches up.
+        let (cfg, steps) = (small(sockets), 300 * 2 * sockets as u64);
+        catch_unwind(AssertUnwindSafe(|| {
+            let wl = trace.into_workload("fuzz.trace", WorkloadKind::MultiThreaded);
+            let mut sim = Simulation::new(&cfg, wl);
+            sim.enable_audit();
+            let mut run = sim.start(300, 50);
+            let Ok(_) = run.advance(steps);
+            run.finish()
+        }))
+        .unwrap_or_else(|e| {
+            panic!(
+                "iteration {i}: an accepted trace panicked its replay: {}\n{text}",
+                zerodev_common::panic_message(&*e)
+            )
+        });
+        replayed[sockets - 1] += 1;
     }
-    // Damage lands all over the image, not just in one decoder.
+    // The mutator must reach both sides of the parser and both machines.
     assert!(
-        contexts.len() >= 20,
-        "{} contexts: {contexts:?}",
-        contexts.len()
+        (100..1_400).contains(&rejected),
+        "{rejected} of 1500 traces rejected"
     );
     assert!(
-        restored > 0,
-        "some damage is benign (e.g. a flipped counter bit)"
+        replayed.iter().all(|&n| n >= 100),
+        "replays per machine: {replayed:?}"
     );
 }

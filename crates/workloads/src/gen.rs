@@ -18,39 +18,6 @@ pub struct MemRef {
     pub gap: u32,
 }
 
-/// Bytes of one [`MemRef::snap`] image.
-const MEMREF_SNAP_BYTES: usize = 8 + 1 + 1 + 4;
-
-/// Fewest bytes of one [`ThreadGen::snap`] image: an empty spec name, no
-/// replay, region bases, PRNG state, walk/torture cursors and lane.
-const THREADGEN_SNAP_MIN_BYTES: usize = 8 + 1 + 4 * 8 + 4 * 8 + 8 + 8 + 4 + 4;
-
-impl MemRef {
-    /// Serializes the reference for checkpointing.
-    pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.u64(self.block.0);
-        w.bool(self.write);
-        w.bool(self.code);
-        w.u32(self.gap);
-    }
-
-    /// Decodes a [`MemRef::snap`] image.
-    ///
-    /// # Errors
-    /// Fails with a decode [`zerodev_common::snap::SnapError`] on truncated
-    /// or corrupt input.
-    pub fn unsnap(
-        r: &mut zerodev_common::snap::SnapReader<'_>,
-    ) -> Result<MemRef, zerodev_common::snap::SnapError> {
-        Ok(MemRef {
-            block: BlockAddr(r.u64("memref block")?),
-            write: r.bool("memref write")?,
-            code: r.bool("memref code")?,
-            gap: r.u32("memref gap")?,
-        })
-    }
-}
-
 /// How a workload's performance is summarised.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WorkloadKind {
@@ -231,96 +198,6 @@ impl ThreadGen {
             gap,
         }
     }
-
-    /// Serializes the generator for checkpointing: the spec *name* (the
-    /// parameter vector is re-derived via [`lookup`] on restore), region
-    /// bases, PRNG state, walk/torture cursors, lane, and — for replay
-    /// generators — the full recorded stream and position.
-    // lint:allow(snapshot_complete(z_priv, z_sro, z_srw, z_code), Zipf samplers are pure functions of the spec, re-derived from the serialized spec name on restore)
-    pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.str(self.spec.name);
-        match &self.replay {
-            Some((refs, pos)) => {
-                w.bool(true);
-                w.usize(refs.len());
-                for r in refs {
-                    r.snap(w);
-                }
-                w.usize(*pos);
-            }
-            None => w.bool(false),
-        }
-        w.u64(self.bases.code);
-        w.u64(self.bases.sro);
-        w.u64(self.bases.srw);
-        w.u64(self.bases.private);
-        for s in self.rng.state() {
-            w.u64(s);
-        }
-        w.u64(self.walk);
-        w.u64(self.tstep);
-        w.u32(self.lane.0);
-        w.u32(self.lane.1);
-    }
-
-    /// Decodes a [`ThreadGen::snap`] image. Zipf samplers are rebuilt from
-    /// the looked-up spec through `zs`; the PRNG resumes from its
-    /// serialized state.
-    ///
-    /// # Errors
-    /// Fails with a [`zerodev_common::snap::SnapError`] on decode error or
-    /// an unknown workload name.
-    fn unsnap(
-        r: &mut zerodev_common::snap::SnapReader<'_>,
-        zs: &mut Samplers,
-    ) -> Result<ThreadGen, zerodev_common::snap::SnapError> {
-        use zerodev_common::snap::SnapError;
-        let name = r.str("threadgen spec name")?.to_string();
-        let replay = if r.bool("threadgen replay flag")? {
-            let n = r.count("threadgen replay len", MEMREF_SNAP_BYTES)?;
-            if n == 0 {
-                return Err(SnapError::Corrupt {
-                    context: "threadgen replay len",
-                });
-            }
-            let mut refs = Vec::with_capacity(n);
-            for _ in 0..n {
-                refs.push(MemRef::unsnap(r)?);
-            }
-            let pos = r.usize("threadgen replay pos")?;
-            if pos >= n {
-                return Err(SnapError::Corrupt {
-                    context: "threadgen replay pos",
-                });
-            }
-            Some((refs, pos))
-        } else {
-            None
-        };
-        let spec = if replay.is_some() {
-            WorkloadSpec::trace_default()
-        } else {
-            lookup(&name).ok_or(SnapError::Corrupt {
-                context: "threadgen spec name",
-            })?
-        };
-        let bases = Bases {
-            code: r.u64("threadgen base code")?,
-            sro: r.u64("threadgen base sro")?,
-            srw: r.u64("threadgen base srw")?,
-            private: r.u64("threadgen base private")?,
-        };
-        let mut state = [0u64; 4];
-        for s in state.iter_mut() {
-            *s = r.u64("threadgen rng state")?;
-        }
-        let mut g = ThreadGen::new(spec, bases, Prng::from_state(state), zs);
-        g.walk = r.u64("threadgen walk")?;
-        g.tstep = r.u64("threadgen tstep")?;
-        g.lane = (r.u32("threadgen lane")?, r.u32("threadgen lanes")?);
-        g.replay = replay;
-        Ok(g)
-    }
 }
 
 /// A complete workload: one generator per hardware thread/core.
@@ -346,52 +223,6 @@ impl Workload {
             kind,
             threads: traces.into_iter().map(ThreadGen::replaying).collect(),
         }
-    }
-
-    /// Serializes the workload (name, kind, every generator) for
-    /// checkpointing.
-    pub fn snap(&self, w: &mut zerodev_common::snap::SnapWriter) {
-        w.str(&self.name);
-        w.u8(match self.kind {
-            WorkloadKind::MultiThreaded => 0,
-            WorkloadKind::MultiProgrammed => 1,
-        });
-        w.usize(self.threads.len());
-        for t in &self.threads {
-            t.snap(w);
-        }
-    }
-
-    /// Decodes a [`Workload::snap`] image.
-    ///
-    /// # Errors
-    /// Fails with a [`zerodev_common::snap::SnapError`] on decode error or
-    /// an unknown application name.
-    pub fn unsnap(
-        r: &mut zerodev_common::snap::SnapReader<'_>,
-    ) -> Result<Workload, zerodev_common::snap::SnapError> {
-        use zerodev_common::snap::SnapError;
-        let name = r.str("workload name")?.to_string();
-        let kind = match r.u8("workload kind")? {
-            0 => WorkloadKind::MultiThreaded,
-            1 => WorkloadKind::MultiProgrammed,
-            _ => {
-                return Err(SnapError::Corrupt {
-                    context: "workload kind",
-                })
-            }
-        };
-        let n = r.count("workload thread count", THREADGEN_SNAP_MIN_BYTES)?;
-        let mut threads = Vec::with_capacity(n);
-        let mut zs = Samplers::default();
-        for _ in 0..n {
-            threads.push(ThreadGen::unsnap(r, &mut zs)?);
-        }
-        Ok(Workload {
-            name,
-            kind,
-            threads,
-        })
     }
 }
 
@@ -552,7 +383,6 @@ fn hash_name(name: &str) -> u64 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use zerodev_common::snap::{SnapError, SnapReader, SnapWriter};
 
     #[test]
     fn deterministic_streams() {
@@ -713,67 +543,5 @@ mod tests {
         let cap = spec.priv_blocks + spec.code_blocks + spec.sro_blocks + spec.srw_blocks;
         assert!(blocks.len() as u64 <= cap);
         assert!(blocks.len() as u64 > cap / 4, "footprint too small");
-    }
-
-    #[test]
-    fn snap_size_bounds_match_the_images() {
-        let mut w = SnapWriter::new(1, 1);
-        let start = w.len();
-        MemRef {
-            block: BlockAddr(9),
-            write: true,
-            code: false,
-            gap: 3,
-        }
-        .snap(&mut w);
-        assert_eq!(w.len() - start, MEMREF_SNAP_BYTES);
-        let g = &multithreaded("vips", 1, 7).unwrap().threads[0];
-        let start = w.len();
-        g.snap(&mut w);
-        assert_eq!(
-            w.len() - start,
-            THREADGEN_SNAP_MIN_BYTES + g.spec.name.len()
-        );
-    }
-
-    /// A workload image whose one replaying thread claims `1 << 62`
-    /// references and holds none.
-    fn image_with_thread_count(threads: usize) -> Vec<u8> {
-        let mut w = SnapWriter::new(1, 1);
-        w.str("w");
-        w.u8(0);
-        w.usize(threads);
-        w.str("t");
-        w.bool(true);
-        w.usize(1 << 62);
-        // Padding, so that one thread passes the thread-count check.
-        for _ in 0..THREADGEN_SNAP_MIN_BYTES {
-            w.u8(0);
-        }
-        w.finish()
-    }
-
-    #[test]
-    fn unsnap_rejects_a_thread_count_the_image_cannot_hold() {
-        let buf = image_with_thread_count(1 << 62);
-        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
-        assert_eq!(
-            Workload::unsnap(&mut r).err(),
-            Some(SnapError::Corrupt {
-                context: "workload thread count"
-            })
-        );
-    }
-
-    #[test]
-    fn unsnap_rejects_a_replay_length_the_image_cannot_hold() {
-        let buf = image_with_thread_count(1);
-        let mut r = SnapReader::open(&buf, 1, 1).unwrap();
-        assert_eq!(
-            Workload::unsnap(&mut r).err(),
-            Some(SnapError::Corrupt {
-                context: "threadgen replay len"
-            })
-        );
     }
 }

@@ -122,8 +122,7 @@ pub(crate) fn lookup(name: &str) -> Option<WorkloadSpec> {
 /// Draws one torture reference. `walk` is the thread's persistent
 /// sequential-walk cursor, `step` the number of torture references already
 /// drawn by this thread, and `lane` its `(index, count)` position among the
-/// workload's threads — all checkpointed state, so a restored generator
-/// continues the exact stream.
+/// workload's threads.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn draw(
     kind: TortureKind,

@@ -85,11 +85,6 @@ echo "== fault campaign smoke (quick matrix) =="
 ZERODEV_QUICK=1 \
     cargo run --release -p zerodev-bench --bin fault_campaign >/dev/null
 
-echo "== checkpoint kill/resume parity (DESIGN.md §9) =="
-# A checkpointed-and-resumed run must be byte-identical to an
-# uninterrupted one across the directory/torture/fault/socket matrix.
-cargo test -q --release -p zerodev-bench --test checkpoint_parity
-
 echo "== torture soak smoke (audited) =="
 # The bounded campaign: every torture workload x config point must
 # complete under the oracle.
@@ -102,8 +97,7 @@ echo "== soak quarantine check (an injected protocol bug must be caught) =="
 # A corrupted LLC-resident entry under the oracle is the path a real
 # protocol bug takes: the point panics, and the soak driver must
 # quarantine it (nonzero exit), name it in the report, bisect the
-# smallest failing run length and leave a replayable trace. A panicked
-# point leaves no checkpoint (its state after the panic is unspecified).
+# smallest failing run length and leave a replayable trace.
 if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
     ZERODEV_FAULTS=corrupt=llc@1000 \
     ZERODEV_SOAK_ONLY='torture.reader_swarm@zerodev_nodir' \
@@ -117,6 +111,22 @@ grep -q 'torture.reader_swarm@zerodev_nodir' "$soak_dir/soak_report.json"
 grep -qE '"minimized_refs_per_core": [0-9]+' "$soak_dir/soak_report.json"
 ls "$soak_dir"/torture_reader_swarm_zerodev_nodir_*.trace >/dev/null
 echo "soak quarantine check passed"
+
+echo "== soak home-corruption check (a housed entry's segment flip must be caught) =="
+# The 1 MB-LLC ZeroDEV point is the one soak machine that houses directory
+# entries at home (WB_DE), so a home-segment flip finds a victim there and
+# the oracle must catch it: the point is quarantined (nonzero exit).
+if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
+    ZERODEV_FAULTS=corrupt=home@1000 \
+    ZERODEV_SOAK_ONLY='torture.entry_thrash@zerodev_1mb_nodir' \
+    ZERODEV_SOAK_DIR="$soak_dir" \
+    cargo run --release -p zerodev-bench --bin soak >/dev/null; then
+    echo "soak home-corruption check FAILED: the flipped home segment was not quarantined" >&2
+    exit 1
+fi
+grep -q '"outcome": "panicked"' "$soak_dir/soak_report.json"
+grep -q 'torture.entry_thrash@zerodev_1mb_nodir' "$soak_dir/soak_report.json"
+echo "soak home-corruption check passed"
 
 echo "== soak not-injected check (an armed corruption must land) =="
 # corrupt=home@1000 finds no victim on the baseline reader_swarm point: no
