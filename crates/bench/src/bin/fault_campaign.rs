@@ -92,10 +92,7 @@ fn sensitivity_point(
     at: u64,
 ) -> Result<(), String> {
     let cfg = campaign_cfg(policy, design);
-    let faults = FaultConfig {
-        corrupt: Some((kind, at)),
-        ..Default::default()
-    };
+    let faults = FaultConfig { kind, at };
     let p = RunParams {
         faults: Some(faults),
         ..params()

@@ -15,8 +15,8 @@
 //! * **panicked** (oracle violation, protocol bug) — the point is
 //!   *quarantined* and the failure is *minimized*: the smallest
 //!   `refs_per_core` that still reproduces is found by bisection (runs are
-//!   deterministic, so the prefix property holds), emitted as a trace
-//!   artifact, and printed as an oracle repro command.
+//!   deterministic, so the prefix property holds) and printed with a repro
+//!   command that re-runs the point alone.
 //!
 //! A run cannot stall: each step of the event loop retires a reference
 //! (DESIGN.md §6.2), so every point ends.
@@ -25,7 +25,7 @@
 //! [`RunParams::from_env`]); `ZERODEV_FAULTS=<spec>`, which only this
 //! driver reads, to arm a state corruption ([`zerodev_sim::faults`]; under
 //! audit that is how a protocol bug is injected on purpose);
-//! `ZERODEV_SOAK_DIR` (artifact directory, default `target/soak`); and
+//! `ZERODEV_SOAK_DIR` (report directory, default `target/soak`); and
 //! `ZERODEV_SOAK_ONLY=<substr>` (run only matching point ids — the repro
 //! filter quarantine reports print).
 //!
@@ -43,7 +43,7 @@ use zerodev_common::config::SpillPolicy;
 use zerodev_common::{env, panic_message, SystemConfig};
 use zerodev_sim::runner::RunParams;
 use zerodev_sim::{FaultConfig, SimResult, Simulation};
-use zerodev_workloads::{multithreaded, Trace, TORTURE};
+use zerodev_workloads::{multithreaded, TORTURE};
 
 /// One campaign point.
 struct Point {
@@ -72,7 +72,6 @@ enum Outcome {
     Panicked {
         message: String,
         minimized_refs: u64,
-        artifact: String,
     },
 }
 
@@ -139,31 +138,6 @@ fn build(p: &Point, params: &RunParams) -> Simulation {
     sim
 }
 
-fn write_artifact(path: &str, bytes: &[u8]) -> String {
-    match std::fs::write(path, bytes) {
-        Ok(()) => path.to_string(),
-        Err(e) => {
-            eprintln!("warning: could not write artifact {path}: {e}");
-            String::new()
-        }
-    }
-}
-
-/// Records a fresh copy of the point's workload as a replayable trace
-/// covering the failure prefix: warm-up plus the minimized per-core
-/// target, plus slack for early finishers.
-fn trace_artifact(p: &Point, params: &RunParams, refs_per_core: u64, dir: &str) -> String {
-    let cores = (p.cfg.cores * p.cfg.sockets).max(1);
-    let per_thread = params.warmup_refs + refs_per_core + 64;
-    let mut wl = multithreaded(p.app, cores, p.seed).expect("torture workloads are registered");
-    let trace = Trace::record(&mut wl, per_thread as usize);
-    let safe: String =
-        p.id.chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect();
-    write_artifact(&format!("{dir}/{safe}.trace"), trace.to_text().as_bytes())
-}
-
 /// A fresh run of this point to target `refs`, its panic caught.
 /// Deterministic, so the outcome is a pure function of `refs`.
 fn try_run(p: &Point, params: &RunParams, refs: u64) -> std::thread::Result<SimResult> {
@@ -203,7 +177,7 @@ fn repro_command(p: &Point) -> String {
     )
 }
 
-fn run_point(p: Point, params: &RunParams, dir: &str) -> PointReport {
+fn run_point(p: Point, params: &RunParams) -> PointReport {
     let t0 = Instant::now();
     let outcome = match try_run(&p, params, params.refs_per_core) {
         Ok(r) => {
@@ -212,8 +186,7 @@ fn run_point(p: Point, params: &RunParams, dir: &str) -> PointReport {
                 refs_retired: r.refs_retired,
                 corruptions: r.faults.corruptions,
             };
-            let armed = params.faults.is_some_and(|f| f.corrupt.is_some());
-            if armed && finished.corruptions == 0 {
+            if params.faults.is_some() && finished.corruptions == 0 {
                 Outcome::NotInjected(finished)
             } else {
                 Outcome::Ok(finished)
@@ -222,11 +195,9 @@ fn run_point(p: Point, params: &RunParams, dir: &str) -> PointReport {
         Err(e) => {
             let message = panic_message(&*e);
             let minimized_refs = minimize(&p, params, params.refs_per_core);
-            let artifact = trace_artifact(&p, params, minimized_refs, dir);
             Outcome::Panicked {
                 message,
                 minimized_refs,
-                artifact,
             }
         }
     };
@@ -255,7 +226,7 @@ fn json_escape(s: &str) -> String {
 
 fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"zerodev-soak-v2\",\n");
+    out.push_str("  \"schema\": \"zerodev-soak-v3\",\n");
     out.push_str(&format!(
         "  \"refs_per_core\": {},\n  \"warmup_refs\": {},\n  \"audit\": {},\n  \"faults\": {},\n",
         params.refs_per_core,
@@ -286,13 +257,11 @@ fn report_json(params: &RunParams, rows: &[PointReport], wall_ms: u128) -> Strin
             Outcome::Panicked {
                 message,
                 minimized_refs,
-                artifact,
             } => {
                 out.push_str(&format!(
                     ", \"error\": \"{}\", \"minimized_refs_per_core\": {minimized_refs}, \
-                     \"trace\": \"{}\", \"repro\": \"{}\"",
+                     \"repro\": \"{}\"",
                     json_escape(message),
-                    json_escape(artifact),
                     json_escape(&repro_command(p)),
                 ));
             }
@@ -318,7 +287,7 @@ fn main() {
     let dir = env::var_or("ZERODEV_SOAK_DIR", "target/soak".to_string());
     let only = std::env::var("ZERODEV_SOAK_ONLY").unwrap_or_default();
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {dir}: {e}; artifacts will be dropped");
+        eprintln!("warning: cannot create {dir}: {e}; the report will be dropped");
     }
 
     // Quarantined points panic by design (oracle violations); keep the
@@ -341,7 +310,7 @@ fn main() {
     let t0 = Instant::now();
     let mut rows: Vec<PointReport> = Vec::with_capacity(points.len());
     for p in points {
-        let row = run_point(p, &params, &dir);
+        let row = run_point(p, &params);
         let id = &row.point.id;
         match &row.outcome {
             Outcome::Ok(f) => {
@@ -356,11 +325,10 @@ fn main() {
             Outcome::Panicked {
                 message,
                 minimized_refs,
-                artifact,
             } => {
                 let first = message.lines().next().unwrap_or(message);
                 println!("  {id}: QUARANTINED (panic: {first})");
-                println!("    minimized to refs_per_core={minimized_refs}; trace {artifact}");
+                println!("    minimized to refs_per_core={minimized_refs}");
                 println!("    repro: {}", repro_command(&row.point));
             }
         }
@@ -371,7 +339,9 @@ fn main() {
     let wall_ms = t0.elapsed().as_millis();
     let report = report_json(&params, &rows, wall_ms);
     let report_path = format!("{dir}/soak_report.json");
-    let _ = write_artifact(&report_path, report.as_bytes());
+    if let Err(e) = std::fs::write(&report_path, report) {
+        eprintln!("warning: could not write {report_path}: {e}");
+    }
 
     let failed: Vec<&PointReport> = rows
         .iter()

@@ -334,14 +334,6 @@ impl LlcBank {
         }
     }
 
-    /// Promotes only the spilled/fused entry line for `block`.
-    pub fn touch_entry(&mut self, block: BlockAddr) {
-        let key = self.key(block);
-        if self.array.touch(key, LineState::is_spilled).is_none() {
-            let _ = self.array.touch(key, LineState::is_fused);
-        }
-    }
-
     /// Inserts (or overwrites) the data line for `block`. Returns the
     /// evicted victim, if the insertion displaced one.
     pub fn fill_data(
@@ -794,37 +786,6 @@ mod tests {
 #[cfg(test)]
 mod recency_tests {
     use super::*;
-    use zerodev_common::CoreId;
-
-    fn blk(i: u64) -> BlockAddr {
-        BlockAddr(i * 8 + 3)
-    }
-
-    #[test]
-    fn touch_entry_protects_spilled_line_under_plain_lru() {
-        let mut b = LlcBank::new(1, 3, 8, 3);
-        let e = DirEntry::shared(CoreId(0));
-        b.spill_entry(blk(0), e, LlcReplacement::Lru);
-        b.fill_data(blk(1), false, LlcReplacement::Lru);
-        b.fill_data(blk(2), false, LlcReplacement::Lru);
-        // The spilled entry is LRU-most; touching it promotes it.
-        b.touch_entry(blk(0));
-        let victim = b.fill_data(blk(4), false, LlcReplacement::Lru).unwrap();
-        assert_eq!(victim.0, blk(1), "touched entry outlives older data");
-        assert_eq!(b.spilled_entry(blk(0)), Some(e));
-    }
-
-    #[test]
-    fn touch_entry_promotes_fused_line() {
-        let mut b = LlcBank::new(1, 2, 8, 3);
-        b.fill_data(blk(0), false, LlcReplacement::Lru);
-        b.fuse_entry(blk(0), DirEntry::owned(CoreId(1)));
-        b.fill_data(blk(1), false, LlcReplacement::Lru);
-        b.touch_entry(blk(0)); // falls through to the fused line
-        let victim = b.fill_data(blk(2), false, LlcReplacement::Lru).unwrap();
-        assert_eq!(victim.0, blk(1));
-        assert!(b.entry_for(blk(0)).is_some());
-    }
 
     #[test]
     fn port_free_field_tracks_occupancy() {
@@ -984,13 +945,6 @@ mod layout_tests {
             }
         }
 
-        fn touch_entry(&mut self, block: BlockAddr) {
-            let key = self.key(block);
-            if self.array.touch(key, Self::spilled).is_none() {
-                let _ = self.array.touch(key, Self::fused);
-            }
-        }
-
         fn fill_data(
             &mut self,
             block: BlockAddr,
@@ -1120,7 +1074,7 @@ mod layout_tests {
         for step in 0..3000 {
             let block = blk(rng.below(blocks));
             let ctx = format!("{policy:?} {sets}x{ways} seed {seed} step {step} {block:?}");
-            match rng.below(8) {
+            match rng.below(7) {
                 0 => {
                     let dirty = rng.below(2) == 0;
                     assert_eq!(
@@ -1159,13 +1113,9 @@ mod layout_tests {
                     reference.remove_block(block),
                     "remove_block {ctx}"
                 ),
-                6 => {
+                _ => {
                     bank.touch_block(block, policy);
                     reference.touch_block(block, policy);
-                }
-                _ => {
-                    bank.touch_entry(block);
-                    reference.touch_entry(block);
                 }
             }
             assert_eq!(

@@ -528,8 +528,8 @@ mod tests {
             .with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
         let four = SystemConfig::four_socket();
         let flip = FaultConfig {
-            corrupt: Some((StateFault::SharerFlip, 900)),
-            ..Default::default()
+            kind: StateFault::SharerFlip,
+            at: 900,
         };
         // (machine, app, audit, faults, refs per core). A sharer flip
         // needs an LLC-resident entry, which only a ZeroDEV machine houses.

@@ -2,8 +2,8 @@
 //!
 //! ZeroDEV's safety argument rests on invariants the coherence oracle
 //! checks on *clean* runs; this module supplies the adversarial side. A
-//! [`FaultPlan`], seeded from [`FaultConfig::seed`] and driven by
-//! [`zerodev_common::Prng`], arms one **state corruption**
+//! [`FaultPlan`], driven by a [`zerodev_common::Prng`] with one fixed seed,
+//! arms one **state corruption**
 //! ([`StateFault`]: a sharer-bit flip, an LLC-resident entry corruption or
 //! a housed home-segment flip) at a measured-access index and injects it
 //! once a victim exists. Each one silently breaks the protocol's
@@ -19,65 +19,54 @@
 use zerodev_common::Prng;
 pub use zerodev_core::StateFault;
 
-/// A complete, hashable description of the faults to inject in one run;
-/// `Eq + Hash`, so it can key the sweep memo cache.
+/// The one state corruption to inject in a run; `Eq + Hash`, so it can
+/// key the sweep memo cache.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FaultConfig {
-    /// Seed of the fault plan's own PRNG (independent of workload seeds).
-    pub seed: u64,
-    /// State corruption: the fault class and the measured-access index to
-    /// arm it at (injection retries every access until a victim exists).
-    pub corrupt: Option<(StateFault, u64)>,
+    /// The fault class.
+    pub kind: StateFault,
+    /// The measured-access index to arm it at (injection retries every
+    /// access until a victim exists).
+    pub at: u64,
 }
 
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            seed: 0xfa017,
-            corrupt: None,
-        }
-    }
-}
+/// Seed of every fault plan's PRNG, independent of workload seeds, so a
+/// plan's victims are a function of its [`FaultConfig`] and the run.
+const PLAN_SEED: u64 = 0xfa017 ^ 0x5eed_fa017;
 
 impl FaultConfig {
-    /// Parses a `ZERODEV_FAULTS` spec: comma-separated `key=value` pairs.
-    ///
-    /// Keys: `seed` and `corrupt=<sharer|llc|home>@<access-index>`.
-    /// Example: `corrupt=llc@1000,seed=7`.
+    /// Parses a `ZERODEV_FAULTS` spec: comma-separated `key=value` pairs
+    /// with one key, `corrupt=<sharer|llc|home>@<access-index>`; when it
+    /// repeats, the last one counts. Example: `corrupt=llc@1000`.
     ///
     /// # Errors
-    /// Returns a message describing the first malformed pair.
+    /// Returns a message describing the first malformed pair, or that the
+    /// spec arms no corruption.
     pub fn parse(spec: &str) -> Result<FaultConfig, String> {
-        fn num<T: std::str::FromStr>(k: &str, v: &str) -> Result<T, String> {
-            v.trim()
-                .parse()
-                .map_err(|_| format!("`{k}={v}`: not a number"))
-        }
-        let mut fc = FaultConfig::default();
+        let mut fc = None;
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let (k, v) = part
                 .split_once('=')
                 .ok_or_else(|| format!("`{part}`: expected key=value"))?;
-            match k.trim() {
-                "seed" => fc.seed = num(k, v)?,
-                "corrupt" => {
-                    let (kind, at) = v
-                        .split_once('@')
-                        .ok_or_else(|| format!("`{part}`: expected corrupt=<kind>@<index>"))?;
-                    let kind = match kind.trim() {
-                        "sharer" => StateFault::SharerFlip,
-                        "llc" => StateFault::LlcEntryCorrupt,
-                        "home" => StateFault::HomeSegmentFlip,
-                        other => {
-                            return Err(format!("`{other}`: unknown fault kind (sharer|llc|home)"))
-                        }
-                    };
-                    fc.corrupt = Some((kind, num(k, at)?));
-                }
-                other => return Err(format!("`{other}`: unknown fault key")),
+            if k.trim() != "corrupt" {
+                return Err(format!("`{}`: unknown fault key", k.trim()));
             }
+            let (kind, at) = v
+                .split_once('@')
+                .ok_or_else(|| format!("`{part}`: expected corrupt=<kind>@<index>"))?;
+            let kind = match kind.trim() {
+                "sharer" => StateFault::SharerFlip,
+                "llc" => StateFault::LlcEntryCorrupt,
+                "home" => StateFault::HomeSegmentFlip,
+                other => return Err(format!("`{other}`: unknown fault kind (sharer|llc|home)")),
+            };
+            let at = at
+                .trim()
+                .parse()
+                .map_err(|_| format!("`{k}={at}`: not a number"))?;
+            fc = Some(FaultConfig { kind, at });
         }
-        Ok(fc)
+        fc.ok_or_else(|| "no `corrupt=<kind>@<index>` key".to_string())
     }
 
     /// [`Self::parse`] over an environment-variable value, with the shared
@@ -133,7 +122,7 @@ impl FaultPlan {
     pub fn new(cfg: FaultConfig) -> Self {
         FaultPlan {
             cfg,
-            rng: Prng::seeded(cfg.seed ^ 0x5eed_fa017),
+            rng: Prng::seeded(PLAN_SEED),
             accesses: 0,
             armed: None,
             stats: FaultStats::default(),
@@ -150,10 +139,8 @@ impl FaultPlan {
     pub fn draw(&mut self) -> Option<StateFault> {
         let i = self.accesses;
         self.accesses += 1;
-        if let Some((kind, at)) = self.cfg.corrupt {
-            if i == at {
-                self.armed = Some(kind);
-            }
+        if i == self.cfg.at {
+            self.armed = Some(self.cfg.kind);
         }
         self.armed
     }
@@ -172,10 +159,16 @@ mod tests {
 
     #[test]
     fn spec_round_trips() {
-        let fc = FaultConfig::parse("seed=7, corrupt=llc@1000").unwrap();
-        assert_eq!(fc.seed, 7);
-        assert_eq!(fc.corrupt, Some((StateFault::LlcEntryCorrupt, 1000)));
-        assert_eq!(FaultConfig::parse("").unwrap(), FaultConfig::default());
+        let llc = FaultConfig {
+            kind: StateFault::LlcEntryCorrupt,
+            at: 1000,
+        };
+        assert_eq!(FaultConfig::parse(" corrupt = llc @ 1000 ,"), Ok(llc));
+        // A repeated key: the last one counts.
+        assert_eq!(
+            FaultConfig::parse("corrupt=sharer@5,corrupt=llc@1000"),
+            Ok(llc)
+        );
     }
 
     #[test]
@@ -186,15 +179,21 @@ mod tests {
             ("home", StateFault::HomeSegmentFlip),
         ] {
             let fc = FaultConfig::parse(&format!("corrupt={txt}@2000")).unwrap();
-            assert_eq!(fc.corrupt, Some((kind, 2000)));
+            assert_eq!(fc, FaultConfig { kind, at: 2000 });
         }
     }
 
     #[test]
     fn bad_specs_are_rejected() {
         for bad in [
+            // A spec must arm a corruption.
+            "",
+            " , ",
             "seed",
             "seed=many",
+            // The removed plan seed: an old spec fails whole.
+            "seed=7",
+            "seed=7,corrupt=llc@1000",
             "corrupt=sharer",
             "corrupt=what@10",
             "unknown=1",
@@ -221,7 +220,17 @@ mod tests {
             FaultConfig::parse_env("ZERODEV_FAULTS", Some("garbage")),
             None
         );
-        assert!(FaultConfig::parse_env("ZERODEV_FAULTS", Some("seed=10")).is_some());
+        assert_eq!(
+            FaultConfig::parse_env("ZERODEV_FAULTS", Some("corrupt=home@10")),
+            Some(FaultConfig {
+                kind: StateFault::HomeSegmentFlip,
+                at: 10
+            })
+        );
+        assert_eq!(
+            FaultConfig::parse_env("ZERODEV_FAULTS", Some("seed=10")),
+            None
+        );
         // One removed key disarms the whole plan, corruption included.
         assert_eq!(
             FaultConfig::parse_env("ZERODEV_FAULTS", Some("corrupt=llc@10,nack=10")),
@@ -232,8 +241,8 @@ mod tests {
     #[test]
     fn corruption_arms_at_index_and_stays_armed_until_injected() {
         let cfg = FaultConfig {
-            corrupt: Some((StateFault::SharerFlip, 3)),
-            ..Default::default()
+            kind: StateFault::SharerFlip,
+            at: 3,
         };
         let mut p = FaultPlan::new(cfg);
         for i in 0..3 {

@@ -39,8 +39,8 @@ struct Bases {
     private: u64,
 }
 
-/// The per-thread reference generator: either synthetic (spec-driven) or a
-/// recorded-trace replay (wrapping around at the end).
+/// The per-thread reference generator, driven by its spec (a synthetic
+/// application or a torture pattern) and its own seeded PRNG.
 #[derive(Clone, Debug)]
 pub struct ThreadGen {
     spec: WorkloadSpec,
@@ -56,7 +56,6 @@ pub struct ThreadGen {
     /// `(index, count)` position among the workload's threads; torture
     /// patterns use it to assign roles (writer lane, rotation offset).
     lane: (u32, u32),
-    replay: Option<(Vec<MemRef>, usize)>,
 }
 
 /// Zipf samplers memoized by `(n, θ)` while one workload is built. A
@@ -90,35 +89,12 @@ impl ThreadGen {
             walk: 0,
             tstep: 0,
             lane: (0, 1),
-            replay: None,
         }
     }
 
     fn with_lane(mut self, index: usize, count: usize) -> Self {
         self.lane = (index as u32, count.max(1) as u32);
         self
-    }
-
-    /// A generator that replays a recorded reference sequence, wrapping
-    /// around at the end.
-    ///
-    /// # Panics
-    /// Panics when `refs` is empty.
-    pub fn replaying(refs: Vec<MemRef>) -> Self {
-        assert!(!refs.is_empty(), "replay needs at least one reference");
-        let mut g = ThreadGen::new(
-            WorkloadSpec::trace_default(),
-            Bases {
-                code: 0,
-                sro: 0,
-                srw: 0,
-                private: 0,
-            },
-            Prng::seeded(0),
-            &mut Samplers::default(),
-        );
-        g.replay = Some((refs, 0));
-        g
     }
 
     /// The spec driving this thread.
@@ -128,11 +104,6 @@ impl ThreadGen {
 
     /// Draws the next memory reference.
     pub fn next_ref(&mut self) -> MemRef {
-        if let Some((refs, pos)) = &mut self.replay {
-            let r = refs[*pos];
-            *pos = (*pos + 1) % refs.len();
-            return r;
-        }
         if let Some(kind) = self.spec.torture {
             let step = self.tstep;
             self.tstep += 1;
@@ -209,21 +180,6 @@ pub struct Workload {
     pub kind: WorkloadKind,
     /// One generator per core, in core order.
     pub threads: Vec<ThreadGen>,
-}
-
-impl Workload {
-    /// Builds a workload that replays recorded per-thread traces.
-    ///
-    /// # Panics
-    /// Panics when `traces` is empty or any thread's sequence is empty.
-    pub fn from_traces(name: &str, kind: WorkloadKind, traces: Vec<Vec<MemRef>>) -> Self {
-        assert!(!traces.is_empty(), "need at least one thread");
-        Workload {
-            name: name.to_string(),
-            kind,
-            threads: traces.into_iter().map(ThreadGen::replaying).collect(),
-        }
-    }
 }
 
 /// A bump allocator for disjoint region bases.

@@ -29,8 +29,6 @@ pub enum Suite {
     Cpu2017,
     /// Throughput-oriented server workloads (128 threads).
     Server,
-    /// Recorded-trace replay (no synthetic parameters).
-    Trace,
     /// Adversarial torture patterns for soak testing ([`crate::torture`]).
     Torture,
 }
@@ -83,15 +81,6 @@ pub struct WorkloadSpec {
     /// misses, so only `latency / mlp` of each uncore access stalls the
     /// core. Pointer-chasing apps get ~1.5, streaming apps ~4.
     pub mlp: f64,
-}
-
-impl WorkloadSpec {
-    /// The neutral spec attached to replayed traces: the reference stream
-    /// comes from the trace itself; only the memory-level parallelism and
-    /// bookkeeping fields are consulted.
-    pub const fn trace_default() -> WorkloadSpec {
-        base("trace", Suite::Trace)
-    }
 }
 
 const fn base(name: &'static str, suite: Suite) -> WorkloadSpec {

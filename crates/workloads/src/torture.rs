@@ -26,8 +26,8 @@
 //!
 //! Torture workloads are ordinary [`WorkloadSpec`]s resolved through
 //! [`crate::lookup`] under `torture.*` names, so every existing harness —
-//! figure sweeps, oracle auditing, fault campaigns, trace recording and
-//! replay — composes with them unchanged.
+//! figure sweeps, oracle auditing, fault campaigns and the soak —
+//! composes with them unchanged.
 
 use crate::gen::MemRef;
 use crate::spec::{Suite, WorkloadSpec};

@@ -97,20 +97,36 @@ echo "== soak quarantine check (an injected protocol bug must be caught) =="
 # A corrupted LLC-resident entry under the oracle is the path a real
 # protocol bug takes: the point panics, and the soak driver must
 # quarantine it (nonzero exit), name it in the report, bisect the
-# smallest failing run length and leave a replayable trace.
+# smallest failing run length (104 references per core) and print a
+# repro command. Runs are deterministic, so that command alone must
+# quarantine the same point at the same length.
 if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
     ZERODEV_FAULTS=corrupt=llc@1000 \
     ZERODEV_SOAK_ONLY='torture.reader_swarm@zerodev_nodir' \
     ZERODEV_SOAK_DIR="$soak_dir" \
-    cargo run --release -p zerodev-bench --bin soak >/dev/null; then
+    cargo run --release -p zerodev-bench --bin soak >"$soak_dir/quarantine.stdout"; then
     echo "soak quarantine check FAILED: injected corruption was not quarantined" >&2
     exit 1
 fi
 grep -q '"outcome": "panicked"' "$soak_dir/soak_report.json"
 grep -q 'torture.reader_swarm@zerodev_nodir' "$soak_dir/soak_report.json"
-grep -qE '"minimized_refs_per_core": [0-9]+' "$soak_dir/soak_report.json"
-ls "$soak_dir"/torture_reader_swarm_zerodev_nodir_*.trace >/dev/null
-echo "soak quarantine check passed"
+grep -q '"minimized_refs_per_core": 104,' "$soak_dir/soak_report.json"
+point=$(grep -o '"id": "[^"]*"' "$soak_dir/soak_report.json")
+repro=$(sed -n 's/^    repro: //p' "$soak_dir/quarantine.stdout")
+if [[ -z $repro ]]; then
+    echo "soak quarantine check FAILED: no repro command printed" >&2
+    exit 1
+fi
+repro_dir=$(mktemp -d)
+if ZERODEV_SOAK_DIR="$repro_dir" bash -c "$repro" >/dev/null; then
+    echo "soak repro check FAILED: the printed repro exited 0: $repro" >&2
+    exit 1
+fi
+grep -q '"outcome": "panicked"' "$repro_dir/soak_report.json"
+grep -qF "$point" "$repro_dir/soak_report.json"
+grep -q '"minimized_refs_per_core": 104,' "$repro_dir/soak_report.json"
+rm -rf "$repro_dir"
+echo "soak quarantine check passed (the printed repro reproduces it)"
 
 echo "== soak home-corruption check (a housed entry's segment flip must be caught) =="
 # The 1 MB-LLC ZeroDEV point is the one soak machine that houses directory
@@ -126,6 +142,7 @@ if ZERODEV_QUICK=1 ZERODEV_AUDIT=1 \
 fi
 grep -q '"outcome": "panicked"' "$soak_dir/soak_report.json"
 grep -q 'torture.entry_thrash@zerodev_1mb_nodir' "$soak_dir/soak_report.json"
+grep -q '"minimized_refs_per_core": 123,' "$soak_dir/soak_report.json"
 echo "soak home-corruption check passed"
 
 echo "== soak not-injected check (an armed corruption must land) =="

@@ -237,3 +237,35 @@ fn determinism_across_full_stack() {
     assert_eq!(a.stats.dir_llc_evictions, b.stats.dir_llc_evictions);
     assert_eq!(a.dram_rw, b.dram_rw);
 }
+
+/// The torture family rides the same determinism contract as the PARSEC /
+/// SPLASH generators: every `torture.*` workload must produce an identical
+/// run at any `ZERODEV_THREADS` setting (expressed through `RunParams` so
+/// the test cannot race on process-global env vars). The soak driver's
+/// minimizer and repro commands depend on this.
+#[test]
+fn torture_workloads_are_deterministic_across_threads() {
+    let cfg =
+        SystemConfig::baseline_8core().with_zerodev(ZeroDevConfig::default(), DirectoryKind::None);
+    for app in zerodev::workloads::TORTURE {
+        let fingerprint = |threads: usize| {
+            let p = RunParams {
+                refs_per_core: 2_000,
+                warmup_refs: 200,
+                threads,
+                audit: true,
+                ..Default::default()
+            };
+            let r = run(&cfg, multithreaded(app, 8, 0x7041).unwrap(), &p).result;
+            format!(
+                "{:?}|{:?}|{:?}|{}|{}",
+                r.stats, r.core_cycles, r.core_instrs, r.completion_cycles, r.refs_retired
+            )
+        };
+        assert_eq!(
+            fingerprint(4),
+            fingerprint(1),
+            "{app} diverged at threads=4"
+        );
+    }
+}

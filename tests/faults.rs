@@ -83,8 +83,8 @@ fn fault_plans_are_deterministic() {
     let p = RunParams {
         audit: true,
         faults: Some(FaultConfig {
-            corrupt: Some((StateFault::SharerFlip, 1_000)),
-            ..Default::default()
+            kind: StateFault::SharerFlip,
+            at: 1_000,
         }),
         ..quick()
     };
